@@ -3,7 +3,7 @@
 // corresponding figure/claim is about. Wall-clock ns/op measures the
 // simulator itself — with the batched accounting fast path (see the "cost
 // model & performance" section in doc.go) it is tracked per PR by
-// scripts/bench_smoke.sh as the simulator-speed trajectory.
+// cmd/bench (the cachemiss suite) as the simulator-speed trajectory.
 //
 // Full-fidelity sweeps (all nine x-axis points of Figure 3, full ops) run
 // via the cmd/ tools; the benchmarks use reduced but shape-preserving

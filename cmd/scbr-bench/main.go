@@ -5,11 +5,12 @@
 //
 // Usage:
 //
-//	scbr-bench [-ops N] [-payload BYTES] [-points 60,80,...,220]
+//	scbr-bench [-ops N] [-payload BYTES] [-points 60,80,...,220] [-parallel N]
+//
+// The gated, reduced form of this sweep is the figure3 suite of cmd/bench.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,7 +31,6 @@ func main() {
 	faultCost := flag.Uint64("faultcost", 0,
 		"override the EPC page-fault cost in cycles (0 = model default; published\n"+
 			"measurements span ~40k-200k cycles; ~200k reproduces the paper's 18x)")
-	jsonOut := flag.Bool("json", false, "emit results as JSON (points + wall-clock) instead of the table")
 	parallel := flag.Int("parallel", 1,
 		"run up to N occupancy points concurrently (each point is an independent\n"+
 			"pair of simulated platforms, so values are bit-identical to -parallel 1;\n"+
@@ -57,12 +57,10 @@ func main() {
 		platform.Cost.EPCFault = sim.Cycles(*faultCost)
 		cfg.Platform = platform
 	}
-	if !*jsonOut {
-		fmt.Printf("platform: EPC %d MiB (%d MiB usable), LLC %d MiB, EPC fault %d cycles\n",
-			platform.EPCBytes>>20,
-			(platform.EPCBytes-platform.EPCReservedBytes)>>20,
-			platform.LLCBytes>>20, platform.Cost.EPCFault)
-	}
+	fmt.Printf("platform: EPC %d MiB (%d MiB usable), LLC %d MiB, EPC fault %d cycles\n",
+		platform.EPCBytes>>20,
+		(platform.EPCBytes-platform.EPCReservedBytes)>>20,
+		platform.LLCBytes>>20, platform.Cost.EPCFault)
 
 	start := time.Now()
 	results, err := scbr.RunFigure3(cfg)
@@ -71,23 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 	elapsed := time.Since(start)
-	if *jsonOut {
-		out := struct {
-			WallClockSeconds float64             `json:"wall_clock_seconds"`
-			MeasureOps       int                 `json:"measure_ops"`
-			PayloadBytes     int                 `json:"payload_bytes"`
-			Seed             int64               `json:"seed"`
-			Parallel         int                 `json:"parallel"`
-			Points           []scbr.Figure3Point `json:"points"`
-		}{elapsed.Seconds(), cfg.MeasureOps, cfg.PayloadBytes, cfg.Seed, cfg.Parallel, results}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "scbr-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	scbr.WriteFigure3(os.Stdout, results)
 	fmt.Printf("# sweep wall clock: %.2fs\n", elapsed.Seconds())
 }

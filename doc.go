@@ -22,7 +22,9 @@
 //   - core — the top-level platform API gluing cloud and owner sides.
 //
 // The benchmarks in bench_test.go regenerate every quantitative statement
-// of the paper; see EXPERIMENTS.md for paper-vs-measured results.
+// of the paper, each reporting the simulated-cycle metrics its figure or
+// claim is about: run `go test -bench . .` and read them beside the
+// paper's values quoted in each benchmark's comment.
 //
 // # Cost model & performance
 //
@@ -64,8 +66,9 @@
 //
 // A practical consequence: wall-clock ns/op in the benchmarks is now a
 // meaningful signal of simulator speed itself (the modeled costs are the
-// sim-cycle metrics). scripts/bench_smoke.sh records both in BENCH_*.json
-// to track the simulator-performance trajectory across PRs.
+// sim-cycle metrics). `go run ./cmd/bench -o BENCH_N.json` records both,
+// with a provenance block (commit, dirty flag, go version, GOMAXPROCS,
+// host cpus), to track the simulator-performance trajectory across PRs.
 //
 // # Concurrency & CI gates
 //
@@ -188,10 +191,11 @@
 // fault-injection scenarios (replica crash, load spike, hot-key skew,
 // slow replica; microsvc.DefaultScenarios) pin everything that shapes
 // them — seed, load schedule, injections, budgets — so their adaptation
-// traces are deterministic artifacts: cmd/app-bench re-runs each scenario
-// at worker counts 1,2,4,8, asserts bit-identical traces and totals, and
-// BENCH_N.json gates the per-scenario cycle totals, adaptation latencies
-// (in sim-ms) and trace lengths against scripts/bench_baseline.json.
+// traces are deterministic artifacts: cmd/bench's app suite re-runs each
+// scenario at worker counts 1,2,4,8, reports any trace or total that
+// differs as a problem, and gates the per-scenario cycle totals,
+// adaptation latencies (in sim-ms) and trace lengths against
+// scripts/bench_baseline.json.
 //
 // # Admission & overload
 //
@@ -237,32 +241,35 @@
 // result's flat metric map — so a new scenario is ~20 lines.
 // microsvc.LabScenarios pins eight: overload, noisy-neighbor, cascade,
 // slow-network, recovery, crash-state, key-revocation and
-// delta-durability; the legacy
-// scenarios run through the same engine via Scenario.Spec, replaying the
-// exact pre-engine RNG stream.
-// cmd/app-bench sweeps the lab across worker counts, asserts every
-// metric bit-identical, evaluates each spec's assertions, and runs the
-// overload spike once more with the controller stripped
+// delta-durability; the four orchestrator scenarios are plain specs
+// run through the same engine.
+// cmd/bench's app suite sweeps every spec across worker counts, requires
+// every metric bit-identical, evaluates each spec's assertions, and runs
+// the overload spike once more with the controller stripped
 // (ScenarioSpec.WithoutAdmission): admission on must bound the final
-// backlog, admission off must let it diverge past 8× that bound.
-// cmd/bench-check fails CI on a failed assertion table, a broken
-// contrast, or drift in any lab metric.
+// backlog, admission off must let it diverge past 8× that bound. A
+// failed assertion table, a broken contrast, or drift in any lab metric
+// fails CI.
 //
 // Because the simulated metrics are deterministic, they are CI-gated.
 // scripts/ci.sh — run locally or by .github/workflows/ci.yml — enforces,
-// beyond fmt/build/vet/test and -race on the concurrent packages
-// (sim, enclave, scbr, eventbus, cryptbox, kvstore, mapreduce, the
-// application plane: attest, microsvc, orchestrator, the data plane:
-// transfer, registry, container, and the protected-file layer under the
-// durable WAL: fsshield, shield, sconert):
+// beyond fmt/build/vet/test and -race on every package:
 //
-//   - The bench-regression gate (scripts/bench_check.sh): every
-//     deterministic metric in the newest BENCH_N.json — sim-cycles/match,
-//     faults/match, Figure 3 point values, kv-bench and map/reduce cycle
-//     totals — must match scripts/bench_baseline.json exactly. Wall-clock
-//     fields are never gated (they measure the host). Deterministic means
-//     deterministic: a drift is a semantic change to the simulator or its
-//     data structures, so the gate fails the build rather than averaging.
+//   - The bench-regression gate (go run ./cmd/bench -check). cmd/bench is
+//     the one bench driver: a registry of suites (figure3, cachemiss,
+//     broker, kv, app, pull, wire, durability), each returning its
+//     deterministic sim-metrics, its wall-clock figures and its problems —
+//     the suite's own invariants, checked once, beside the code that
+//     produces the figures. The gate is live: it runs the suites from the
+//     working tree (about half a minute) and every deterministic metric —
+//     sim-cycles/match, faults/match, Figure 3 point values, store and
+//     map/reduce cycle totals, scenario tables — must match
+//     scripts/bench_baseline.json to one part per billion, with no
+//     problem reported. Wall-clock fields are never gated (they measure
+//     the host). Deterministic means deterministic: a drift is a semantic
+//     change to the simulator or its data structures, so the gate fails
+//     the build rather than averaging. Committed BENCH_N.json files are
+//     recorded history, not the thing under test.
 //
 //   - The golden-drift gate: the golden recorders rerun with
 //     GOLDEN_UPDATE=1 in a scratch copy of the tree, and git diff must
@@ -270,10 +277,10 @@
 //     current code regenerates.
 //
 // To change modeled costs deliberately: regenerate goldens with
-// GOLDEN_UPDATE=1 go test ./..., regenerate BENCH_N.json with
-// scripts/bench_smoke.sh N, refresh the metric baseline with
-// scripts/bench_check.sh -update, and commit all three together so the PR
-// diff shows the intended figure changes.
+// GOLDEN_UPDATE=1 go test ./..., refresh the metric baseline with
+// go run ./cmd/bench -update (optionally -suite <names> to touch only the
+// suites meant to move), and commit both together so the PR diff shows
+// the intended figure changes.
 //
 // # Durability & recovery
 //
@@ -345,10 +352,11 @@
 // go cold, exercising reuse chains, chain-walking recovery and GC under
 // the same bit-identical pin; key-revocation drives the fail-closed half,
 // revoking the service mid-run so replacement replicas are denied keys
-// until a reinstate lets them re-attest. cmd/durability-bench measures
-// the delta against the full-snapshot baseline — publish chunks and
-// cycles, warm-vs-cold recovery fetches, GC retirements — swept across
-// worker counts and gated by cmd/bench-check.
+// until a reinstate lets them re-attest. cmd/bench's durability suite
+// measures the delta against the full-snapshot baseline — publish chunks
+// and cycles, warm-vs-cold recovery fetches, GC retirements — swept
+// across worker counts, and reports a delta that fails to beat the
+// baseline as a problem.
 //
 // # Cluster & placement
 //
@@ -434,10 +442,10 @@
 // the per-layer enclaves are topology — pure functions of image bytes and
 // cache state. Pull worker count is execution only. Every PullStats field
 // (chunks fetched, dedup hits, serial vs critical-path cycles, faults) is
-// therefore bit-identical across worker counts; cmd/pull-bench sweeps
-// workers 1,2,4,8, asserts exactly that plus the zero-fetch warm boot,
-// and its deterministic metrics land in BENCH_N.json where
-// scripts/bench_check.sh gates them like every other simulated figure.
+// therefore bit-identical across worker counts; cmd/bench's pull suite
+// sweeps workers 1,2,4,8, checks exactly that plus the zero-fetch warm
+// boot, and its deterministic metrics are gated like every other
+// simulated figure.
 //
 // # Wire front end & wall-clock benchmarking
 //
@@ -472,19 +480,21 @@
 //
 // This is where the repo's two kinds of performance measurement meet.
 // Sim-cycle figures are modeled costs: deterministic, bit-identical
-// across hosts, gated by scripts/bench_check.sh. Wall-clock figures
+// across hosts, gated by cmd/bench -check. Wall-clock figures
 // measure the host and are informational only. internal/loadgen keeps
 // the two cleanly apart: its closed-loop harness (fixed client
 // population, seeded key/tenant/payload mix, warmup/inject/recover
 // phases in lockstep ticks) produces counters and payload-size histogram
 // buckets that are pure functions of the spec — gated — while its
-// fixed-bucket latency histogram (p50/p95/p99/max) times real HTTP round
-// trips — informational. cmd/wire-bench runs the whole stack twice on
-// fresh loopback servers and asserts every deterministic counter matches
-// bit-for-bit (runs_equal, gated); `wire-bench -pprof` additionally
-// mounts net/http/pprof on the bench listener, which is how the hot-path
-// work is found: profile, fold allocations out of the frame/seal paths
-// (exact-capacity contiguous seal buffers, precomputed AADs, slice-based
-// admission histograms), and prove the wins with go test -benchmem
-// before/after while bench-check pins every sim metric unchanged.
+// latency histogram (octaves split into eight linear sub-buckets, so
+// p50/p95/p99 resolve to 12.5%) times real HTTP round trips —
+// informational. cmd/bench's wire suite runs the whole stack twice on
+// fresh loopback servers and requires every deterministic counter to
+// match bit-for-bit. Where the HTTP time goes per request is measured by
+// benchmark/ (the wire.* per-layer metrics); wire.Config.Pprof mounts
+// net/http/pprof on a server, which is how the hot-path work is found:
+// profile, fold allocations out of the frame/seal paths (exact-capacity
+// contiguous seal buffers, precomputed AADs, slice-based admission
+// histograms), and prove the wins with go test -benchmem before/after
+// while cmd/bench -check pins every sim metric unchanged.
 package securecloud

@@ -38,11 +38,11 @@ func TestAccountedPublishSubscribe(t *testing.T) {
 
 	pubAcct := acctView(t)
 	subAcct := acctView(t)
-	pub, err := NewPublisherAccounted(bus, "grid/readings", key, pubAcct)
+	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "grid/readings", Key: key, Accounting: pubAcct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := NewSubscriberAccounted(bus, "grid/readings", key, subAcct)
+	sub, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "grid/readings", Key: key, Accounting: subAcct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestAccountedEndpointsMatchPlainSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := NewPublisherAccounted(bus, "t", key, acctView(t))
+	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "t", Key: key, Accounting: acctView(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

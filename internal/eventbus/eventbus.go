@@ -349,9 +349,7 @@ type Publisher struct {
 }
 
 // EndpointConfig configures one bus endpoint — publisher or subscriber.
-// It replaces the NewX/NewXAccounted constructor pairs with a single
-// config-struct shape: the zero Accounting leaves the endpoint
-// unaccounted, exactly like the old unaccounted constructors.
+// The zero Accounting leaves the endpoint unaccounted.
 type EndpointConfig struct {
 	Bus   *Bus
 	Topic string
@@ -377,19 +375,9 @@ func OpenPublisher(cfg EndpointConfig) (*Publisher, error) {
 	}, nil
 }
 
-// NewPublisher builds a publisher for topic with its topic key.
-//
-// Deprecated: use OpenPublisher.
+// NewPublisher builds an unaccounted publisher for topic with its topic key.
 func NewPublisher(bus *Bus, topic string, key cryptbox.Key) (*Publisher, error) {
 	return OpenPublisher(EndpointConfig{Bus: bus, Topic: topic, Key: key})
-}
-
-// NewPublisherAccounted builds a publisher whose outbound copies are
-// charged to the given simulated memory view.
-//
-// Deprecated: use OpenPublisher with EndpointConfig.Accounting.
-func NewPublisherAccounted(bus *Bus, topic string, key cryptbox.Key, acct Accounting) (*Publisher, error) {
-	return OpenPublisher(EndpointConfig{Bus: bus, Topic: topic, Key: key, Accounting: acct})
 }
 
 // Publish seals body and hands it to the bus, returning its sequence
@@ -468,19 +456,10 @@ func OpenSubscriber(cfg EndpointConfig) (*Subscriber, error) {
 	}, nil
 }
 
-// NewSubscriber registers a subscription on topic with its topic key.
-//
-// Deprecated: use OpenSubscriber.
+// NewSubscriber registers an unaccounted subscription on topic with its
+// topic key.
 func NewSubscriber(bus *Bus, topic string, key cryptbox.Key) (*Subscriber, error) {
 	return OpenSubscriber(EndpointConfig{Bus: bus, Topic: topic, Key: key})
-}
-
-// NewSubscriberAccounted registers a subscription whose inbound copies
-// are charged to the given simulated memory view.
-//
-// Deprecated: use OpenSubscriber with EndpointConfig.Accounting.
-func NewSubscriberAccounted(bus *Bus, topic string, key cryptbox.Key, acct Accounting) (*Subscriber, error) {
-	return OpenSubscriber(EndpointConfig{Bus: bus, Topic: topic, Key: key, Accounting: acct})
 }
 
 // Depth reports this subscriber's pending-queue length in one bus-lock

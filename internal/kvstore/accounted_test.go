@@ -29,7 +29,7 @@ func accountedStore(t *testing.T) (*Store, *enclave.Memory) {
 	}
 	var k cryptbox.Key
 	k[0] = 7
-	s, err := NewAccounted(k, 1, Accounting{Mem: enc.Memory(), Arena: arena})
+	s, err := NewStore(k, Options{Seed: 1, Accounting: Accounting{Mem: enc.Memory(), Arena: arena}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAccountedStoreBehavesLikePlain(t *testing.T) {
 	acc, _ := accountedStore(t)
 	var k cryptbox.Key
 	k[0] = 7
-	plain, err := New(k, 1) // same seed: identical skip-list geometry
+	plain, err := NewStore(k, Options{Seed: 1}) // same seed: identical skip-list geometry
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAccountedStoreFaultsBeyondEPC(t *testing.T) {
 	}
 	arena, _ := enc.HeapArena()
 	var k cryptbox.Key
-	s, err := NewAccounted(k, 1, Accounting{Mem: enc.Memory(), Arena: arena})
+	s, err := NewStore(k, Options{Seed: 1, Accounting: Accounting{Mem: enc.Memory(), Arena: arena}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func benchStore(b *testing.B) *Store {
 	b.Helper()
 	var k cryptbox.Key
 	k[0] = 1
-	s, err := New(k, 1)
+	s, err := NewStore(k, Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,9 +67,7 @@ type Store struct {
 	probe []uint64 // scratch: node addresses visited by one descent
 }
 
-// Options configures a Store. It replaces the New/NewAccounted
-// constructor pair with a single config-struct shape: the zero Options
-// (seed 0, no accounting) behaves exactly like New(key, 0).
+// Options configures a Store; the zero Options is seed 0, no accounting.
 type Options struct {
 	// Seed fixes the skip-list geometry (topology: same seed, same
 	// structure, same simulated charges).
@@ -98,21 +96,6 @@ func NewStore(key cryptbox.Key, opts Options) (*Store, error) {
 		s.head.addr = opts.Accounting.Arena.Alloc(s.head.bytes)
 	}
 	return s, nil
-}
-
-// New builds a store sealing with key. The seed fixes skip-list geometry.
-//
-// Deprecated: use NewStore.
-func New(key cryptbox.Key, seed int64) (*Store, error) {
-	return NewStore(key, Options{Seed: seed})
-}
-
-// NewAccounted builds a store whose skip-list traversals and record I/O
-// are charged to the given simulated memory view.
-//
-// Deprecated: use NewStore with Options.Accounting.
-func NewAccounted(key cryptbox.Key, seed int64, acct Accounting) (*Store, error) {
-	return NewStore(key, Options{Seed: seed, Accounting: acct})
 }
 
 func (s *Store) accounted() bool { return s.acct.Enabled() }
@@ -447,7 +430,7 @@ func (s *Store) Snapshot() ([]byte, error) {
 // counter service); an older snapshot is a rollback attack and is
 // rejected.
 func Load(key cryptbox.Key, seed int64, blob []byte, minVersion uint64) (*Store, error) {
-	s, err := New(key, seed)
+	s, err := NewStore(key, Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func storeKey() cryptbox.Key {
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := New(storeKey(), 1)
+	s, err := NewStore(storeKey(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPropModelEquivalence(t *testing.T) {
 		Delete bool
 	}
 	f := func(ops []op) bool {
-		s, err := New(storeKey(), 3)
+		s, err := NewStore(storeKey(), Options{Seed: 3})
 		if err != nil {
 			return false
 		}

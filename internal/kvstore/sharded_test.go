@@ -60,7 +60,7 @@ func TestShardedStoreMatchesPlain(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var k cryptbox.Key
 			k[0] = 7
-			plain, err := New(k, 11)
+			plain, err := NewStore(k, Options{Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,13 +3,16 @@
 // HTTP-fronted plane, or the in-process plane for contrast) in lockstep
 // ticks through warmup/inject/recover phases, with a seeded key/tenant/
 // payload mix. Counters and payload-size bucket counts are pure functions
-// of the spec (gated by bench-check); wall-clock latency quantiles are
+// of the spec (gated by cmd/bench -check); wall-clock latency quantiles are
 // informational — the host-speed figures the sim-cycle metrics can't see.
 package loadgen
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// Histogram is a fixed-bucket histogram with exponential upper bounds.
+// Histogram is a fixed-bucket histogram over ascending upper bounds.
 // Observations land in the first bucket whose bound is >= the value; the
 // final bucket is unbounded. Bucket counts are a pure function of the
 // observed values, so two histograms fed the same observations are
@@ -36,14 +39,18 @@ func NewHistogram(bounds []int64) *Histogram {
 	}
 }
 
-// LatencyBounds is the fixed latency bucket ladder: 1µs to ~4.3s in
-// doublings (values in nanoseconds).
+// LatencyBounds is the fixed latency bucket ladder (values in
+// nanoseconds): 1µs to ~4.2s in octaves, each octave split into eight
+// linear sub-buckets, so a quantile resolves to within 12.5% and tail
+// quantiles an octave apart or less (p95 vs p99) land in different buckets.
 func LatencyBounds() []int64 {
-	bounds := make([]int64, 23)
-	b := int64(1000)
-	for i := range bounds {
-		bounds[i] = b
-		b *= 2
+	const octaves, subBuckets = 22, 8
+	bounds := make([]int64, 0, 1+octaves*subBuckets)
+	bounds = append(bounds, 1000)
+	for b := int64(1000); len(bounds) < cap(bounds); b *= 2 {
+		for j := int64(1); j <= subBuckets; j++ {
+			bounds = append(bounds, b+j*b/subBuckets)
+		}
 	}
 	return bounds
 }
@@ -65,10 +72,7 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
+	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
 	h.counts[i]++
 	h.total++
 	h.sum += uint64(v)

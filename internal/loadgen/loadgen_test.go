@@ -56,6 +56,34 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestLatencyBoundsResolveTail: on a long-tailed sample the p50, p95 and
+// p99 estimates land in distinct buckets, each within one sub-bucket
+// (12.5%) above the true order statistic. The sample's p95 (~11.4 ms) and
+// p99 (~13.9 ms) share the 8.2–16.4 ms octave — the doubling ladder this
+// replaced reported both as 16.384 ms.
+func TestLatencyBoundsResolveTail(t *testing.T) {
+	h := NewHistogram(LatencyBounds())
+	sample := make([]int64, 1000)
+	v := int64(100_000) // 100 µs, growing 0.5% per sample
+	for i := range sample {
+		sample[i] = v
+		h.Observe(v)
+		v += v / 200
+	}
+	p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+	if !(p50 < p95 && p95 < p99) {
+		t.Fatalf("quantiles did not resolve: p50=%d p95=%d p99=%d", p50, p95, p99)
+	}
+	for _, q := range []struct {
+		got   int64
+		truth int64
+	}{{p50, sample[499]}, {p95, sample[949]}, {p99, sample[989]}} {
+		if q.got < q.truth || float64(q.got) > 1.125*float64(q.truth) {
+			t.Fatalf("estimate %d outside [%d, +12.5%%]", q.got, q.truth)
+		}
+	}
+}
+
 // echoDriver answers every request on the step after it was sent, shedding
 // every shedEvery-th request.
 type echoDriver struct {

@@ -1,66 +1,9 @@
 package microsvc
 
 import (
-	"fmt"
-
 	"securecloud/internal/orchestrator"
 	"securecloud/internal/sim"
 )
-
-// A Scenario is one closed-loop fault-injection experiment on the
-// application plane: a deterministic load schedule driven through an
-// attested ReplicaSet while an orchestrator samples queue depths and
-// service cycles each tick and adapts. Everything that shapes the
-// simulated figures — the load, the routing, the injections, the tick
-// budget — is a pure function of this struct, so two runs of the same
-// Scenario (at any Workers setting) produce bit-identical adaptation
-// traces and cycle totals. Injection ticks use 0 = disabled; scenarios
-// inject at positive ticks.
-type Scenario struct {
-	Name string
-	Seed int64
-	// Ticks is the monitoring-loop length; each tick grants every replica
-	// TickMillis sim-ms of service and ends with one orchestrator Observe.
-	Ticks      int
-	Replicas   int
-	Workers    int // execution-only; never changes figures
-	BaseLoad   int // requests per tick
-	Keys       int // routing-key space ("k-000" .. "k-<Keys-1>")
-	BodyBytes  int // request body size (plus a small deterministic jitter)
-	TickMillis float64
-	// RequestCycles is the modeled application compute per request.
-	RequestCycles sim.Cycles
-	Target        orchestrator.Target
-
-	// Load spike: BaseLoad × SpikeFactor during [SpikeAt, SpikeAt+SpikeTicks).
-	SpikeAt     int
-	SpikeTicks  int
-	SpikeFactor int
-	// Replica crash: replica CrashReplica (routing order) dies at CrashAt.
-	CrashAt      int
-	CrashReplica int
-	// Hot-key skew: from SkewAt on, SkewPercent% of requests route to SkewKey.
-	SkewAt      int
-	SkewPercent int
-	SkewKey     string
-	// Slow replica: replica SlowReplica is charged SlowExtra extra cycles
-	// per request from SlowAt on.
-	SlowAt      int
-	SlowReplica int
-	SlowExtra   sim.Cycles
-}
-
-// InjectTick returns the scenario's first fault-injection tick, or -1 for
-// a fault-free run. Adaptation latency is measured from it.
-func (sc Scenario) InjectTick() int {
-	first := -1
-	for _, at := range []int{sc.SpikeAt, sc.CrashAt, sc.SkewAt, sc.SlowAt} {
-		if at > 0 && (first < 0 || at < first) {
-			first = at
-		}
-	}
-	return first
-}
 
 // ScenarioResult is the deterministic outcome of one scenario run. Every
 // field except Workers is invariant to the Workers setting; the benchmark
@@ -122,91 +65,39 @@ type ScenarioResult struct {
 // scenarioService is the service name scenarios run under.
 const scenarioService = "plane/scenario"
 
-// Spec converts the legacy scenario shape into its declarative
-// equivalent: one untagged tenant carrying the whole load schedule plus a
-// fault table. RunSpec on the conversion replays the exact RNG stream and
-// closed loop of the pre-engine RunScenario, so the pinned traces and
-// cycle totals are bit-identical.
-func (sc Scenario) Spec() ScenarioSpec {
-	spec := ScenarioSpec{
-		Name:          sc.Name,
-		Seed:          sc.Seed,
-		Ticks:         sc.Ticks,
-		Replicas:      sc.Replicas,
-		Workers:       sc.Workers,
-		TickMillis:    sc.TickMillis,
-		RequestCycles: sc.RequestCycles,
-		Target:        sc.Target,
-		Tenants: []TenantLoad{{
-			BaseLoad:    sc.BaseLoad,
-			Keys:        sc.Keys,
-			KeyPrefix:   "k-",
-			BodyBytes:   sc.BodyBytes,
-			SpikeAt:     sc.SpikeAt,
-			SpikeTicks:  sc.SpikeTicks,
-			SpikeFactor: sc.SpikeFactor,
-			SkewAt:      sc.SkewAt,
-			SkewPercent: sc.SkewPercent,
-			SkewKey:     sc.SkewKey,
-		}},
+// DefaultScenarios returns the four gated orchestrator scenarios — replica
+// crash, load spike, hot-key skew and slow replica — as declarative specs:
+// one untagged tenant (legacy frames, no admission) carrying the whole load
+// schedule, plus at most one replica fault. Their adaptation traces and
+// cycle totals are pinned in scripts/bench_baseline.json; change them only
+// with the same deliberation as a golden file.
+func DefaultScenarios() []ScenarioSpec {
+	scenario := func(name string, load TenantLoad, faults ...FaultSpec) ScenarioSpec {
+		load.Keys, load.BodyBytes = 64, 192
+		return ScenarioSpec{
+			Name:          name,
+			Seed:          42,
+			Ticks:         48,
+			Replicas:      2,
+			TickMillis:    1,
+			RequestCycles: 60_000,
+			Target: orchestrator.Target{
+				MaxQueueDepth:    32,
+				MinReplicas:      1,
+				MaxReplicas:      8,
+				ScaleInBelow:     4,
+				MaxServiceCycles: 200_000,
+			},
+			Tenants: []TenantLoad{load},
+			Faults:  faults,
+		}
 	}
-	if sc.CrashAt > 0 {
-		spec.Faults = append(spec.Faults, FaultSpec{Kind: "crash", At: sc.CrashAt, Replica: sc.CrashReplica})
+	return []ScenarioSpec{
+		scenario("crash", TenantLoad{BaseLoad: 48},
+			FaultSpec{Kind: "crash", At: 12, Replica: 0}),
+		scenario("load-spike", TenantLoad{BaseLoad: 48, SpikeAt: 16, SpikeTicks: 8, SpikeFactor: 6}),
+		scenario("hot-key-skew", TenantLoad{BaseLoad: 96, SkewAt: 10, SkewPercent: 85, SkewKey: "hot"}),
+		scenario("slow-replica", TenantLoad{BaseLoad: 48},
+			FaultSpec{Kind: "slow", At: 12, Replica: 0, Extra: 400_000}),
 	}
-	if sc.SlowAt > 0 {
-		spec.Faults = append(spec.Faults, FaultSpec{Kind: "slow", At: sc.SlowAt, Replica: sc.SlowReplica, Extra: sc.SlowExtra})
-	}
-	return spec
-}
-
-// RunScenario executes one legacy scenario through the declarative engine.
-func RunScenario(sc Scenario) (ScenarioResult, error) {
-	if sc.Ticks <= 0 || sc.Replicas <= 0 || sc.BaseLoad <= 0 || sc.Keys <= 0 {
-		return ScenarioResult{}, fmt.Errorf("microsvc: scenario %q underspecified", sc.Name)
-	}
-	return RunSpec(sc.Spec())
-}
-
-// DefaultScenarios returns the four gated fault-injection scenarios:
-// replica crash, load spike, hot-key skew and slow replica. Their
-// adaptation traces and cycle totals are pinned in BENCH_4.json and
-// checked against the baseline in CI; change them only with the same
-// deliberation as a golden file.
-func DefaultScenarios() []Scenario {
-	target := orchestrator.Target{
-		MaxQueueDepth:    32,
-		MinReplicas:      1,
-		MaxReplicas:      8,
-		ScaleInBelow:     4,
-		MaxServiceCycles: 200_000,
-	}
-	base := Scenario{
-		Seed:          42,
-		Ticks:         48,
-		Replicas:      2,
-		BaseLoad:      48,
-		Keys:          64,
-		BodyBytes:     192,
-		TickMillis:    1,
-		RequestCycles: 60_000,
-		Target:        target,
-	}
-	crash := base
-	crash.Name = "crash"
-	crash.CrashAt, crash.CrashReplica = 12, 0
-
-	spike := base
-	spike.Name = "load-spike"
-	spike.SpikeAt, spike.SpikeTicks, spike.SpikeFactor = 16, 8, 6
-
-	skew := base
-	skew.Name = "hot-key-skew"
-	skew.BaseLoad = 96
-	skew.SkewAt, skew.SkewPercent, skew.SkewKey = 10, 85, "hot"
-
-	slow := base
-	slow.Name = "slow-replica"
-	slow.SlowAt, slow.SlowReplica, slow.SlowExtra = 12, 0, 400_000
-
-	return []Scenario{crash, spike, skew, slow}
 }

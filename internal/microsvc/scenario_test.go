@@ -6,7 +6,7 @@ import (
 
 // shrink returns a scenario reduced for test runtime while keeping every
 // injection inside the horizon.
-func shrink(sc Scenario) Scenario {
+func shrink(sc ScenarioSpec) ScenarioSpec {
 	sc.Ticks = 24
 	return sc
 }
@@ -23,7 +23,7 @@ func TestScenariosDeterministicAcrossWorkerCounts(t *testing.T) {
 			var ref ScenarioResult
 			for i, w := range []int{1, 2, 4, 8} {
 				sc.Workers = w
-				got, err := RunScenario(sc)
+				got, err := RunSpec(sc)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -67,7 +67,7 @@ func TestScenariosReact(t *testing.T) {
 	for _, sc := range DefaultScenarios() {
 		sc := shrink(sc)
 		t.Run(sc.Name, func(t *testing.T) {
-			res, err := RunScenario(sc)
+			res, err := RunSpec(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,11 +97,11 @@ func TestScenariosReact(t *testing.T) {
 func TestScenarioRerunIdentical(t *testing.T) {
 	sc := shrink(DefaultScenarios()[0])
 	sc.Workers = 4
-	a, err := RunScenario(sc)
+	a, err := RunSpec(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenario(sc)
+	b, err := RunSpec(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

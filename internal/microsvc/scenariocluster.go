@@ -12,7 +12,7 @@ import (
 // side), and a byzantine registry serving one node tampered chunks
 // (pulls fail closed, the node isolates, placement routes around it).
 // Like LabScenarios, every assertion table and TraceHash is gated by
-// cmd/bench-check and pinned bit-identical across Workers {1,2,4,8}.
+// cmd/bench and pinned bit-identical across Workers {1,2,4,8}.
 func ClusterLabScenarios() []ScenarioSpec {
 	// Three nodes with one replica slot each force the placer to spread:
 	// the front-end warms the gateway (node00), the first replica boots

@@ -49,7 +49,7 @@ func TestClusterScenariosDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestClusterScenarioAssertions runs each cluster scenario's own
-// assertion table — the same table cmd/bench-check gates in CI.
+// assertion table — the same table cmd/bench gates in CI.
 func TestClusterScenarioAssertions(t *testing.T) {
 	for _, spec := range ClusterLabScenarios() {
 		spec := spec

@@ -9,7 +9,7 @@ import (
 // smartgrid streaming tenants), cascading replica failure, slow-network
 // replica with hot-key splitting, and three-phase recovery with client
 // retry. Every spec's assertion table and TraceHash are gated by
-// cmd/bench-check and pinned bit-identical across Workers {1,2,4,8};
+// cmd/bench and pinned bit-identical across Workers {1,2,4,8};
 // change them only with the same deliberation as a golden file.
 func LabScenarios() []ScenarioSpec {
 	target := orchestrator.Target{
@@ -38,7 +38,8 @@ func LabScenarios() []ScenarioSpec {
 	// overload: one tenant spikes to ~8× the fleet's capacity for 12
 	// ticks. Admission bounds every queue and sheds the excess with
 	// retry-after replies; the ungoverned contrast arm (WithoutAdmission,
-	// run by cmd/app-bench) lets Backlog() grow without bound instead.
+	// run by the app suite of cmd/bench) lets Backlog() grow without bound
+	// instead.
 	overload := ScenarioSpec{
 		Name: "overload", Seed: 42,
 		Ticks: 36, WarmupTicks: 12, InjectTicks: 12,

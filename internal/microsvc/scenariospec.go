@@ -25,9 +25,8 @@ import (
 // ScenarioSpec is pure data — tenant load profiles, a fault table, the
 // admission and retry configuration, and an assertion table — and RunSpec
 // is the one generic closed loop that executes any spec. The four
-// hand-coded legacy scenarios are now 10-line Spec() conversions run
-// through this engine (bit-identical to their pre-engine traces), and a
-// new scenario is a ~20-line literal in scenariolab.go.
+// orchestrator scenarios (DefaultScenarios) are plain specs run through
+// this engine, and a new scenario is a ~20-line literal in scenariolab.go.
 
 // TenantLoad is one tenant's deterministic load schedule. The zero tenant
 // name sends untagged legacy frames (exactly the pre-tenant wire format);

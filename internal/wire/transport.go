@@ -18,8 +18,8 @@ import (
 // per tenant against a given gateway. Two clients polling the same tenant
 // would steal each other's reply frames — whichever polls first drains
 // the shared mailbox, and replies whose request IDs the other client does
-// not recognize are dropped. cmd/wire-bench assigns each client its own
-// tenant for exactly this reason.
+// not recognize are dropped. The wire suite of cmd/bench assigns each
+// client its own tenant for exactly this reason.
 type PlaneTransport struct {
 	base    string // e.g. http://127.0.0.1:8080/plane/checkout
 	hc      *http.Client

@@ -8,19 +8,12 @@
 # 2. go build ./...             (everything compiles, including examples)
 # 3. go vet ./...               (static checks)
 # 4. go test ./...              (tier-1: full test suite, goldens included)
-# 5. go test -race <concurrent packages>
-#                               (the packages with lock-free fast paths,
-#                                the sharded broker, the sharded store,
-#                                the parallel map/reduce engine, the
-#                                application plane: attest/microsvc/
-#                                orchestrator, the data plane:
-#                                transfer/registry/container, and the
-#                                protected-file + shielded-syscall layer
-#                                now on the durable WAL/snapshot path:
-#                                fsshield/shield/sconert)
-# 6. bench-regression gate      (deterministic sim-metrics in the newest
-#                                BENCH_N.json must match the committed
-#                                baseline — see scripts/bench_check.sh)
+# 5. go test -race ./...        (every package under the race detector)
+# 6. bench-regression gate      (go run ./cmd/bench -check: runs the bench
+#                                suites from the working tree and diffs
+#                                their deterministic sim-metrics against
+#                                scripts/bench_baseline.json; a failed
+#                                suite invariant fails the gate too)
 # 7. golden-drift gate          (regenerating every golden in a scratch
 #                                copy must reproduce the committed files —
 #                                catches stale goldens)
@@ -44,33 +37,11 @@ go vet ./...
 echo "ci: go test ./..." >&2
 go test ./...
 
-RACE_PKGS=(
-    ./internal/sim
-    ./internal/enclave
-    ./internal/scbr
-    ./internal/eventbus
-    ./internal/cryptbox
-    ./internal/kvstore
-    ./internal/mapreduce
-    ./internal/attest
-    ./internal/microsvc
-    ./internal/cluster
-    ./internal/orchestrator
-    ./internal/transfer
-    ./internal/registry
-    ./internal/container
-    ./internal/fsshield
-    ./internal/shield
-    ./internal/sconert
-    ./internal/httpx
-    ./internal/wire
-    ./internal/loadgen
-)
-echo "ci: go test -race ${RACE_PKGS[*]}" >&2
-go test -race "${RACE_PKGS[@]}"
+echo "ci: go test -race ./..." >&2
+go test -race ./...
 
-echo "ci: bench-regression gate" >&2
-scripts/bench_check.sh
+echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
+go run ./cmd/bench -check
 
 # Golden-drift gate: rerun every golden recorder with GOLDEN_UPDATE=1 in a
 # scratch copy of the tree and require `git diff --exit-code` to stay

@@ -85,7 +85,17 @@
 //     deployment where every core owns a slice of the filter set.
 //     Insert/Unsubscribe write-lock only the home shard; Publish matches
 //     all shards through a bounded worker fan-out and merges results into
-//     ascending-ID order.
+//     ascending-ID order. Unsubscribe does not search its forest: each
+//     Index keeps an id → node locator (a paged direct-mapped table, 8 B
+//     per ID, carved from the tail of the shard's arena with
+//     enclave.Arena.AllocTail, charged and counted in MemoryBytes like
+//     the nodes) and a parent link per node, so Index.Remove costs one
+//     slot read, one header read and one header write per neighbour
+//     (parent, lifted children) whatever the store size — on a store of
+//     1.5 × the EPC a handful of page faults instead of ten thousand.
+//     Records and locator pages a removal releases are reused by the next
+//     registration of the same size, so churn does not grow the arena.
+//     The match paths never touch the locator.
 //
 //   - Storage: kvstore.ShardedStore partitions the secure structured data
 //     store by key hash (FNV mod P). Point reads (Get/GetBatch) charge
@@ -253,7 +263,8 @@
 //
 // Because the simulated metrics are deterministic, they are CI-gated.
 // scripts/ci.sh — run locally or by .github/workflows/ci.yml — enforces,
-// beyond fmt/build/vet/test and -race on every package:
+// beyond fmt/build/vet/test, the nested benchmark/ module's own tests
+// (it builds against internal/'s API) and -race on every package:
 //
 //   - The bench-regression gate (go run ./cmd/bench -check). cmd/bench is
 //     the one bench driver: a registry of suites (figure3, cachemiss,

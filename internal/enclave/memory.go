@@ -508,17 +508,21 @@ func (a Accounting) Enabled() bool { return a.Mem != nil && a.Arena != nil }
 // Arena is a bump allocator handing out simulated addresses from a fixed
 // region of one Memory view. Data-structure nodes in the higher layers
 // carry these addresses so their traversals can be charged to the memory
-// model.
+// model. Records are bumped upward from the base (Alloc); side tables that
+// must not disturb the records' address sequence are carved downward from
+// the end (AllocTail). The arena never takes storage back: a structure
+// that deletes keeps its own free list of the addresses it was given.
 type Arena struct {
 	mem  *Memory
 	base uint64
-	next uint64
+	next uint64 // first free byte of the bump side
+	tail uint64 // first used byte of the tail side
 	end  uint64
 }
 
 // NewArena returns an arena over [base, base+size).
 func NewArena(mem *Memory, base, size uint64) *Arena {
-	return &Arena{mem: mem, base: base, next: base, end: base + size}
+	return &Arena{mem: mem, base: base, next: base, tail: base + size, end: base + size}
 }
 
 // Alloc reserves size bytes (8-byte aligned) and returns the address.
@@ -528,19 +532,40 @@ func (a *Arena) Alloc(size int) uint64 {
 		size = 1
 	}
 	addr := a.next
-	a.next = align(a.next+uint64(size), 8)
-	if a.next > a.end {
-		panic(fmt.Sprintf("enclave: arena exhausted at %d bytes (capacity %d)",
-			a.next-a.base, a.end-a.base))
+	next := align(a.next+uint64(size), 8)
+	if next > a.tail {
+		a.exhausted(next - a.base + a.end - a.tail)
 	}
+	a.next = next
 	return addr
+}
+
+// AllocTail reserves size bytes (8-byte aligned) at the high end of the
+// region, below every earlier tail allocation, and returns the address.
+// The bump side's address sequence is unaffected. Like Alloc it panics
+// when the two sides would meet.
+func (a *Arena) AllocTail(size int) uint64 {
+	if size <= 0 {
+		size = 1
+	}
+	tail := (a.tail - uint64(size)) &^ 7
+	if uint64(size) > a.tail-a.next || tail < a.next {
+		a.exhausted(a.Used() + uint64(size))
+	}
+	a.tail = tail
+	return tail
+}
+
+func (a *Arena) exhausted(want uint64) {
+	panic(fmt.Sprintf("enclave: arena exhausted at %d bytes (capacity %d)", want, a.Capacity()))
 }
 
 // Memory returns the accounting view this arena allocates from.
 func (a *Arena) Memory() *Memory { return a.mem }
 
-// Used returns the number of bytes allocated so far.
-func (a *Arena) Used() uint64 { return a.next - a.base }
+// Used returns the number of bytes allocated so far, bump and tail sides
+// together.
+func (a *Arena) Used() uint64 { return a.next - a.base + a.end - a.tail }
 
 // Capacity returns the total arena size in bytes.
 func (a *Arena) Capacity() uint64 { return a.end - a.base }

@@ -293,3 +293,59 @@ func TestUsableEPCBytes(t *testing.T) {
 		t.Fatalf("usable EPC %d implausibly small", usable)
 	}
 }
+
+// TestArenaAllocTail checks the two-sided arena: tail allocations descend
+// from the end without moving the bump side's address sequence, the two
+// sides never hand out overlapping bytes, Used counts both, and each side
+// panics rather than cross into the other.
+func TestArenaAllocTail(t *testing.T) {
+	const base, size = 0x10000, 1024
+	twin := NewArena(nil, base, size)
+	a := NewArena(nil, base, size)
+	var bump, tail [][2]uint64 // [addr, size]
+	for _, n := range []int{24, 100, 7} {
+		tail = append(tail, [2]uint64{a.AllocTail(n), uint64(n)})
+		addr := a.Alloc(n)
+		if want := twin.Alloc(n); addr != want {
+			t.Fatalf("Alloc(%d) = %#x after a tail allocation, %#x without", n, addr, want)
+		}
+		bump = append(bump, [2]uint64{addr, uint64(n)})
+	}
+	for i, r := range tail {
+		if r[0]%8 != 0 || r[0]+r[1] > base+size {
+			t.Fatalf("tail allocation %d = [%#x,+%d): misaligned or past the end", i, r[0], r[1])
+		}
+		if i > 0 && r[0]+r[1] > tail[i-1][0] {
+			t.Fatalf("tail allocation %d overlaps the one before it", i)
+		}
+	}
+	if top, low := bump[len(bump)-1], tail[len(tail)-1]; top[0]+top[1] > low[0] {
+		t.Fatalf("bump side [%#x,+%d) reaches into the tail side at %#x", top[0], top[1], low[0])
+	}
+	if want := twin.Used() + (base + size - tail[len(tail)-1][0]); a.Used() != want {
+		t.Fatalf("Used = %d, want %d (both sides)", a.Used(), want)
+	}
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic on an exhausted arena", name)
+			}
+		}()
+		f()
+	}
+	free := int(a.Capacity() - a.Used())
+	used := a.Used()
+	mustPanic("AllocTail", func() { a.AllocTail(free + 1) })
+	mustPanic("Alloc", func() { a.Alloc(free + 1) })
+	if a.Used() != used {
+		t.Fatalf("a refused allocation changed Used: %d -> %d", used, a.Used())
+	}
+	a.AllocTail(free)
+	if a.Used() != a.Capacity() {
+		t.Fatalf("Used = %d after filling the arena, capacity %d", a.Used(), a.Capacity())
+	}
+	mustPanic("Alloc", func() { a.Alloc(1) })
+	mustPanic("AllocTail", func() { a.AllocTail(1) })
+}

@@ -35,6 +35,42 @@ func BenchmarkMatch10k(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexChurnPaging is the write path under paging in miniature:
+// an accounted store of 1.5 × the usable EPC (on the shrunken golden
+// platform), one op = register a new subscription and unregister the
+// oldest of the newest 200, as the repo benchmark's scbr_churn_paging
+// does. sim-cycles/op and faults/op are deterministic at a fixed b.N;
+// a Remove that walks the store again shows up here as thousands of
+// faults per op instead of a handful.
+func BenchmarkIndexChurnPaging(b *testing.B) {
+	const fifo = 200
+	cfg := goldenPlatform()
+	store := int64(cfg.EPCBytes-cfg.EPCReservedBytes) * 3 / 2
+	enc, arena, err := enclave.NewWorker(cfg, uint64(store)+(2<<20), "scbr-bench-churn")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem := enc.Memory()
+	ix := NewIndex(IndexConfig{Mem: mem, Arena: arena, PayloadBytes: 600, CheckCost: 450})
+	w := NewWorkload(DefaultWorkload(42))
+	for ix.MemoryBytes() < store {
+		ix.Insert(w.NextSubscription())
+	}
+	oldest := uint64(ix.Count() - fifo + 1)
+	mem.ResetAccounting()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Insert(w.NextSubscription())
+		if !ix.Remove(oldest) {
+			b.Fatalf("Remove(%d) missed", oldest)
+		}
+		oldest++
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(mem.Cycles())/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(mem.Faults())/float64(b.N), "faults/op")
+}
+
 func BenchmarkCovers(b *testing.B) {
 	w := NewWorkload(DefaultWorkload(3))
 	s1, s2 := w.NextSubscription(), w.NextSubscription()

@@ -1,6 +1,8 @@
 package scbr
 
 import (
+	"slices"
+
 	"securecloud/internal/enclave"
 	"securecloud/internal/sim"
 )
@@ -12,8 +14,9 @@ type IndexConfig struct {
 	// an enclave view for the in-enclave broker, an untrusted view for the
 	// baseline.
 	Mem *enclave.Memory
-	// Arena hands out the simulated addresses of index nodes. Required
-	// when Mem is set.
+	// Arena hands out the simulated addresses of index records (bumped
+	// from its base) and of the locator's pages (carved from its tail).
+	// Required when Mem is set.
 	Arena *enclave.Arena
 	// PayloadBytes is stored per subscription beyond the filter itself
 	// (routing state, client handle, queue pointers). It controls how much
@@ -33,6 +36,7 @@ type IndexConfig struct {
 // popular identical filters.
 type node struct {
 	sub      Subscription
+	parent   *node // the covering node; the sentinel for forest roots
 	children []*node
 	bucket   []dupEntry
 	addr     uint64
@@ -46,14 +50,52 @@ type dupEntry struct {
 	addr uint64
 }
 
+// The locator maps a subscription ID to the node that holds it, as owner
+// or as bucket member, so Remove reaches its target without walking the
+// forest. Broker IDs are dense and sequential, hence a direct-mapped paged
+// table: one 8-byte slot per ID, locPageIDs slots to a page, a page
+// allocated when its first ID registers and recycled when its last one
+// leaves. Pages are carved from the tail of the arena, every slot read and
+// write is charged through the index's memory view like a node access, and
+// live pages count in MemoryBytes. The page directory (8 bytes per page,
+// 0.2 % of the table) is not modelled. A shard of a P-way ShardedIndex
+// sees every P-th ID and indexes by the ID as given, so its pages are 1/P
+// full.
+const (
+	locSlotBytes = 8
+	locPageIDs   = 512
+	locPageBytes = locSlotBytes * locPageIDs
+)
+
+// locPage is one locator page: the slots of IDs [k*locPageIDs,
+// (k+1)*locPageIDs).
+type locPage struct {
+	addr  uint64
+	live  int // non-nil slots
+	slots [locPageIDs]*node
+}
+
 // Index is SCBR's containment-forest subscription store. It is not safe
 // for concurrent use; the broker serialises access the way the enclave's
 // single matching thread does.
+//
+// Subscription IDs are expected to be unique among the live subscriptions
+// (the broker assigns them sequentially). If a live ID is inserted again
+// both filters match, but Remove only reaches the later one.
 type Index struct {
 	cfg   IndexConfig
 	root  node // sentinel; its children are the forest roots
 	count int
-	bytes int64
+	bytes int64 // records plus live locator pages
+
+	locator map[uint64]*locPage // by page number, id / locPageIDs
+
+	// Storage Remove gave back, reused before the arena is asked for more:
+	// records by exact size, locator pages on their own list. Both are
+	// empty until the first Remove, so a pure-insert layout is the arena's
+	// bump sequence.
+	freeRecs  map[int][]uint64
+	freePages []uint64
 
 	// traversal statistics for the harness
 	checks uint64
@@ -71,14 +113,15 @@ type Index struct {
 
 // NewIndex builds an index with the given accounting configuration.
 func NewIndex(cfg IndexConfig) *Index {
-	return &Index{cfg: cfg}
+	return &Index{cfg: cfg, locator: make(map[uint64]*locPage), freeRecs: make(map[int][]uint64)}
 }
 
 // Count returns the number of stored subscriptions.
 func (ix *Index) Count() int { return ix.count }
 
-// MemoryBytes returns the simulated occupancy of the subscription store —
-// the x-axis of Figure 3.
+// MemoryBytes returns the simulated occupancy of the subscription store,
+// node and bucket records plus the locator's live pages — the x-axis of
+// Figure 3.
 func (ix *Index) MemoryBytes() int64 { return ix.bytes }
 
 // Checks returns the cumulative number of cover/match comparisons.
@@ -106,24 +149,109 @@ func (ix *Index) touchFilter(n *node) {
 	}
 }
 
-// newNode allocates the storage of a subscription.
-func (ix *Index) newNode(s Subscription) *node {
+// touchHeader charges a write of a node's fixed header: its ID, child
+// vector or parent link changed.
+func (ix *Index) touchHeader(n *node) {
+	if ix.sp != nil {
+		ix.sp.Access(n.addr, nodeHeaderBytes, true)
+	}
+}
+
+// allocRecord adds a size-byte record to the store's occupancy and returns
+// its address, reusing one that Remove released when there is one of
+// exactly that size.
+func (ix *Index) allocRecord(size int) uint64 {
+	ix.bytes += int64(size)
+	if ix.cfg.Arena == nil {
+		return 0
+	}
+	if free := ix.freeRecs[size]; len(free) > 0 {
+		addr := free[len(free)-1]
+		ix.freeRecs[size] = free[:len(free)-1]
+		return addr
+	}
+	return ix.cfg.Arena.Alloc(size)
+}
+
+// releaseRecord takes a record out of the store's occupancy and keeps its
+// address for the next allocation of the same size.
+func (ix *Index) releaseRecord(addr uint64, size int) {
+	ix.bytes -= int64(size)
+	if ix.cfg.Arena != nil {
+		ix.freeRecs[size] = append(ix.freeRecs[size], addr)
+	}
+}
+
+// dupBytes is the size of a bucket member's routing record.
+func (ix *Index) dupBytes() int { return 16 + ix.cfg.PayloadBytes }
+
+// locate reads id's locator slot: the node holding id, or nil.
+func (ix *Index) locate(id uint64) *node {
+	pg := ix.locator[id/locPageIDs]
+	if pg == nil {
+		return nil
+	}
+	slot := id % locPageIDs
+	if ix.sp != nil {
+		ix.sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, false)
+	}
+	return pg.slots[slot]
+}
+
+// setSlot points id's locator slot at n (nil clears it), allocating the
+// page for the first ID in its range and recycling it after the last.
+func (ix *Index) setSlot(id uint64, n *node) {
+	k, slot := id/locPageIDs, id%locPageIDs
+	pg := ix.locator[k]
+	if pg == nil {
+		if n == nil {
+			return
+		}
+		pg = &locPage{}
+		if last := len(ix.freePages) - 1; last >= 0 {
+			pg.addr, ix.freePages = ix.freePages[last], ix.freePages[:last]
+		} else if ix.cfg.Arena != nil {
+			pg.addr = ix.cfg.Arena.AllocTail(locPageBytes)
+		}
+		ix.locator[k] = pg
+		ix.bytes += locPageBytes
+	}
+	if ix.sp != nil {
+		ix.sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, true)
+	}
+	switch was := pg.slots[slot]; {
+	case was == nil && n != nil:
+		pg.live++
+	case was != nil && n == nil:
+		pg.live--
+	}
+	pg.slots[slot] = n
+	if pg.live == 0 {
+		delete(ix.locator, k)
+		ix.bytes -= locPageBytes
+		if ix.cfg.Arena != nil {
+			ix.freePages = append(ix.freePages, pg.addr)
+		}
+	}
+}
+
+// newNode allocates the storage of a subscription below parent.
+func (ix *Index) newNode(s Subscription, parent *node) *node {
 	n := &node{
 		sub:      s,
+		parent:   parent,
 		hdrBytes: s.StorageBytes(),
 		payBytes: ix.cfg.PayloadBytes,
 	}
-	total := n.hdrBytes + n.payBytes
-	if ix.cfg.Arena != nil {
-		n.addr = ix.cfg.Arena.Alloc(total)
-	}
+	n.addr = ix.allocRecord(n.hdrBytes + n.payBytes)
 	return n
 }
 
 // Insert registers a subscription: descend the forest to the most specific
-// covering filter, attach below it (or join its equivalence bucket), and
-// re-parent any of its siblings the new filter covers. This is the
-// "registration" operation measured in Figure 3.
+// covering filter, attach below it (or join its equivalence bucket),
+// re-parent any of its siblings the new filter covers, and point the ID's
+// locator slot at the node. This is the "registration" operation measured
+// in Figure 3.
 func (ix *Index) Insert(s Subscription) {
 	defer ix.begin()()
 	cur := &ix.root
@@ -146,13 +274,15 @@ func (ix *Index) Insert(s Subscription) {
 		}
 		cur = next
 	}
-	n := ix.newNode(s)
+	n := ix.newNode(s, cur)
 
 	// Re-parent children of cur that the new subscription covers.
 	var keep, moved []*node
 	for _, ch := range cur.children {
 		ix.touchFilter(ch)
 		if s.Covers(ch.sub) {
+			ch.parent = n
+			ix.touchHeader(ch)
 			moved = append(moved, ch)
 		} else {
 			keep = append(keep, ch)
@@ -166,7 +296,7 @@ func (ix *Index) Insert(s Subscription) {
 		ix.sp.Access(n.addr, n.hdrBytes+n.payBytes, true)
 	}
 	ix.count++
-	ix.bytes += int64(n.hdrBytes + n.payBytes)
+	ix.setSlot(s.ID, n)
 }
 
 // Match returns the IDs of all subscriptions matching e, pruning subtrees
@@ -207,17 +337,14 @@ func (ix *Index) deliverBucket(n *node, out *[]uint64) {
 // addDup stores an equivalent filter in a node's bucket, allocating and
 // writing its routing record.
 func (ix *Index) addDup(n *node, s Subscription) {
-	d := dupEntry{id: s.ID}
-	size := 16 + ix.cfg.PayloadBytes
-	if ix.cfg.Arena != nil {
-		d.addr = ix.cfg.Arena.Alloc(size)
-	}
+	size := ix.dupBytes()
+	d := dupEntry{id: s.ID, addr: ix.allocRecord(size)}
 	if ix.sp != nil {
 		ix.sp.Access(d.addr, size, true)
 	}
 	n.bucket = append(n.bucket, d)
 	ix.count++
-	ix.bytes += int64(size)
+	ix.setSlot(s.ID, n)
 }
 
 // MatchSnapshot is the concurrent read path of Match: it matches e against
@@ -286,48 +413,58 @@ func (ix *Index) MatchNaive(e Event) []uint64 {
 	return out
 }
 
-// Remove unregisters a subscription by ID. Children of a removed node are
-// re-attached to its parent, preserving the covering invariant (a parent
-// covers everything below it, transitively). It reports whether the ID
-// was present.
+// Remove unregisters a subscription by ID and reports whether it was
+// present. It does not search: one locator probe finds the node holding
+// the ID and one header read confirms it, so the cost is independent of
+// the store size. A bucket member just leaves its bucket; an owner with a
+// non-empty bucket hands the node to the first member; otherwise the node
+// is spliced out of its parent and its children are lifted to that parent,
+// preserving the covering invariant (a parent covers everything below it,
+// transitively) at the price of one parent-link write per child. The
+// record that disappears is released for reuse.
 func (ix *Index) Remove(id uint64) bool {
 	defer ix.begin()()
-	return ix.removeFrom(&ix.root, id)
-}
-
-func (ix *Index) removeFrom(cur *node, id uint64) bool {
-	for i, ch := range cur.children {
-		ix.touchFilter(ch)
-		if ch.sub.ID == id {
-			if len(ch.bucket) > 0 {
-				// Equivalent filters share the node: promote the first
-				// bucket member to own it; structure is unchanged.
-				ch.sub.ID = ch.bucket[0].id
-				ch.bucket = ch.bucket[1:]
-			} else {
-				// Splice the node out; its children keep a covering
-				// ancestor (cur covers ch covers them).
-				cur.children = append(cur.children[:i], cur.children[i+1:]...)
-				cur.children = append(cur.children, ch.children...)
-			}
-			ix.count--
-			ix.bytes -= int64(ch.hdrBytes + ch.payBytes)
-			return true
-		}
-		// Check the bucket for the ID.
-		for j, d := range ch.bucket {
-			if d.id == id {
-				ch.bucket = append(ch.bucket[:j], ch.bucket[j+1:]...)
-				ix.count--
-				ix.bytes -= int64(16 + ix.cfg.PayloadBytes)
-				return true
-			}
-		}
-		if ix.removeFrom(ch, id) {
-			return true
-		}
+	n := ix.locate(id)
+	if n == nil {
+		return false
 	}
-	return false
+	ix.touchFilter(n)
+	switch {
+	case n.sub.ID != id:
+		j := slices.IndexFunc(n.bucket, func(d dupEntry) bool { return d.id == id })
+		if j < 0 {
+			return false
+		}
+		ix.releaseRecord(n.bucket[j].addr, ix.dupBytes())
+		n.bucket = slices.Delete(n.bucket, j, j+1)
+	case len(n.bucket) > 0:
+		// Equivalent filters share the node: the first bucket member takes
+		// it over — its slot is re-pointed from its routing record to the
+		// node — and gives that record up; the forest is unchanged.
+		d := n.bucket[0]
+		n.bucket = n.bucket[1:]
+		n.sub.ID = d.id
+		ix.touchHeader(n)
+		ix.setSlot(d.id, n)
+		ix.releaseRecord(d.addr, ix.dupBytes())
+	default:
+		// Splice the node out; its children keep a covering ancestor
+		// (the parent covers n covers them).
+		p := n.parent
+		i := slices.Index(p.children, n)
+		p.children = append(slices.Delete(p.children, i, i+1), n.children...)
+		if p != &ix.root {
+			ix.touchHeader(p)
+		}
+		for _, ch := range n.children {
+			ch.parent = p
+			ix.touchHeader(ch)
+		}
+		ix.releaseRecord(n.addr, n.hdrBytes+n.payBytes)
+	}
+	ix.setSlot(id, nil)
+	ix.count--
+	return true
 }
 
 // Depth returns the maximum depth of the forest (test/diagnostic hook).

@@ -1,6 +1,10 @@
 package scbr
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -311,6 +315,378 @@ func TestRemoveMatchesNaiveAfterChurn(t *testing.T) {
 			}
 		}
 	}
+}
+
+// removeScan is the reference model of Remove: the depth-first scan of the
+// whole forest that the locator replaced. It finds the ID by looking at
+// every node and bucket in pre-order and never reads a parent link or a
+// locator slot; it only clears the slot so that the model's MemoryBytes
+// counts locator pages the way the index does.
+func (ix *Index) removeScan(id uint64) bool {
+	var from func(cur *node) bool
+	from = func(cur *node) bool {
+		for i, ch := range cur.children {
+			if ch.sub.ID == id {
+				if len(ch.bucket) > 0 {
+					ch.sub.ID = ch.bucket[0].id
+					ch.bucket = ch.bucket[1:]
+					ix.bytes -= int64(ix.dupBytes())
+				} else {
+					cur.children = append(cur.children[:i], cur.children[i+1:]...)
+					cur.children = append(cur.children, ch.children...)
+					ix.bytes -= int64(ch.hdrBytes + ch.payBytes)
+				}
+				return true
+			}
+			for j, d := range ch.bucket {
+				if d.id == id {
+					ch.bucket = append(ch.bucket[:j], ch.bucket[j+1:]...)
+					ix.bytes -= int64(ix.dupBytes())
+					return true
+				}
+			}
+			if from(ch) {
+				return true
+			}
+		}
+		return false
+	}
+	if !from(&ix.root) {
+		return false
+	}
+	ix.count--
+	ix.setSlot(id, nil)
+	return true
+}
+
+// preorder lists every stored ID in forest pre-order, a node's owner
+// before its bucket before its children — the order Match delivers in.
+func (ix *Index) preorder() []uint64 {
+	var out []uint64
+	var walk func(cur *node)
+	walk = func(cur *node) {
+		for _, ch := range cur.children {
+			out = append(out, ch.sub.ID)
+			for _, d := range ch.bucket {
+				out = append(out, d.id)
+			}
+			walk(ch)
+		}
+	}
+	walk(&ix.root)
+	return out
+}
+
+// checkLocator asserts the index's redundant state against its forest:
+// every live ID resolves through the locator to the node that holds it
+// (owner or bucket), no slot survives its ID, page live counts are exact,
+// every parent link agrees with the child lists, Count and MemoryBytes are
+// the sums over what is stored, and no two live records or locator pages
+// share simulated memory.
+func checkLocator(t *testing.T, ix *Index) {
+	t.Helper()
+	type extent struct{ addr, size uint64 }
+	var extents []extent
+	holder := make(map[uint64]*node)
+	var bytes int64
+	var walk func(cur *node)
+	walk = func(cur *node) {
+		for _, ch := range cur.children {
+			if ch.parent != cur {
+				t.Fatalf("node %d: parent link does not point at the node listing it as child", ch.sub.ID)
+			}
+			holder[ch.sub.ID] = ch
+			bytes += int64(ch.hdrBytes + ch.payBytes)
+			extents = append(extents, extent{ch.addr, uint64(ch.hdrBytes + ch.payBytes)})
+			for _, d := range ch.bucket {
+				holder[d.id] = ch
+				bytes += int64(ix.dupBytes())
+				extents = append(extents, extent{d.addr, uint64(ix.dupBytes())})
+			}
+			walk(ch)
+		}
+	}
+	walk(&ix.root)
+	for id, n := range holder {
+		pg := ix.locator[id/locPageIDs]
+		if pg == nil || pg.slots[id%locPageIDs] != n {
+			t.Fatalf("id %d does not resolve to the node holding it", id)
+		}
+	}
+	for k, pg := range ix.locator {
+		live := 0
+		for slot, n := range pg.slots {
+			if n == nil {
+				continue
+			}
+			live++
+			if id := k*locPageIDs + uint64(slot); holder[id] != n {
+				t.Fatalf("slot of id %d survives its id", id)
+			}
+		}
+		if live != pg.live || live == 0 {
+			t.Fatalf("locator page %d: live = %d, counted %d", k, pg.live, live)
+		}
+		bytes += locPageBytes
+		extents = append(extents, extent{pg.addr, locPageBytes})
+	}
+	if ix.Count() != len(holder) {
+		t.Fatalf("Count = %d, forest holds %d", ix.Count(), len(holder))
+	}
+	if ix.MemoryBytes() != bytes {
+		t.Fatalf("MemoryBytes = %d, records and locator pages sum to %d", ix.MemoryBytes(), bytes)
+	}
+	if ix.cfg.Arena == nil {
+		return
+	}
+	slices.SortFunc(extents, func(a, b extent) int { return cmp.Compare(a.addr, b.addr) })
+	for i := 1; i < len(extents); i++ {
+		if prev := extents[i-1]; prev.addr+prev.size > extents[i].addr {
+			t.Fatalf("live records overlap: [%#x,+%d) and [%#x,+%d)", prev.addr, prev.size, extents[i].addr, extents[i].size)
+		}
+	}
+}
+
+// modelOp is one step of a random interleaving: 'i' inserts sub, 'r'
+// removes id (live, never registered, or already removed), 'm' matches
+// event.
+type modelOp struct {
+	kind  byte
+	sub   Subscription
+	id    uint64
+	event Event
+}
+
+// modelScript draws n ops from seed. Filters constrain one or two of two
+// attributes to intervals on a coarse grid, so equivalent filters (bucket
+// members), covered filters (interior nodes) and covering late-comers
+// (re-parenting inserts) are all common. IDs are sequential, and every few
+// hundred ops the sequence jumps so that locator pages come and go.
+func modelScript(seed int64, n int) []modelOp {
+	rng := rand.New(rand.NewSource(seed))
+	grid := func() Interval {
+		lo := float64(rng.Intn(6))
+		return iv(lo, lo+float64(rng.Intn(6)))
+	}
+	var live []uint64
+	next := uint64(0)
+	ops := make([]modelOp, n)
+	for i := range ops {
+		switch r := rng.Intn(100); {
+		case r < 40 || len(live) < 50:
+			if next++; rng.Intn(300) == 0 {
+				next += uint64(rng.Intn(3 * locPageIDs))
+			}
+			preds := map[string]Interval{"a": grid()}
+			if rng.Intn(2) == 0 {
+				preds = map[string]Interval{"b": grid()}
+			}
+			if rng.Intn(3) == 0 {
+				preds = map[string]Interval{"a": grid(), "b": grid()}
+			}
+			s, err := NewSubscription(next, preds)
+			if err != nil {
+				panic(err)
+			}
+			live = append(live, next)
+			ops[i] = modelOp{kind: 'i', sub: s}
+		case r < 75:
+			j := rng.Intn(len(live))
+			ops[i] = modelOp{kind: 'r', id: live[j]}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case r < 80:
+			// Absent: an ID that was removed (or skipped), or one not yet
+			// handed out.
+			ops[i] = modelOp{kind: 'r', id: uint64(rng.Int63n(int64(next) + 100))}
+			if slices.Contains(live, ops[i].id) {
+				ops[i].id = next + 1000
+			}
+		default:
+			ops[i] = modelOp{kind: 'm', event: Event{Attrs: map[string]float64{
+				"a": float64(rng.Intn(12)), "b": float64(rng.Intn(12)),
+			}}}
+		}
+	}
+	return ops
+}
+
+// TestRemoveAgainstScanModel drives random Insert/Remove/Match
+// interleavings through the index and through the scanning model and
+// requires them to stay indistinguishable: same Remove result, same
+// pre-order ID sequence (so the forests have the same shape), same Count
+// and MemoryBytes, Match equal to the model's MatchNaive — with the
+// locator invariants holding throughout. The accounted run adds the
+// record free list and locator page recycling.
+func TestRemoveAgainstScanModel(t *testing.T) {
+	for _, accounted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("accounted=%v", accounted), func(t *testing.T) {
+			cfg := IndexConfig{PayloadBytes: 40}
+			if accounted {
+				p := enclave.NewPlatform(enclave.Config{})
+				cfg.Mem = p.UntrustedMemory()
+				cfg.Arena = enclave.NewArena(cfg.Mem, p.AllocUntrusted(4<<20), 4<<20)
+				cfg.CheckCost = 60
+			}
+			ix := NewIndex(cfg)
+			model := NewIndex(IndexConfig{PayloadBytes: cfg.PayloadBytes})
+			removed, lifted := 0, 0
+			for i, op := range modelScript(20, 12000) {
+				switch op.kind {
+				case 'i':
+					ix.Insert(op.sub)
+					model.Insert(op.sub)
+				case 'r':
+					if n := ix.locate(op.id); n != nil && n.sub.ID == op.id && len(n.bucket) == 0 {
+						lifted += len(n.children)
+					}
+					got, want := ix.Remove(op.id), model.removeScan(op.id)
+					if got != want {
+						t.Fatalf("op %d: Remove(%d) = %v, model %v", i, op.id, got, want)
+					}
+					if got {
+						removed++
+					}
+				case 'm':
+					want := sortedIDs(model.MatchNaive(op.event))
+					if got := ix.Match(op.event); !idsEqual(sortedIDs(got), want) {
+						t.Fatalf("op %d: Match = %v, model MatchNaive = %v", i, got, want)
+					}
+					continue
+				}
+				if got, want := ix.preorder(), model.preorder(); !idsEqual(got, want) {
+					t.Fatalf("op %d (%c): pre-order diverged\n got %v\nwant %v", i, op.kind, got, want)
+				}
+				if ix.Count() != model.Count() || ix.MemoryBytes() != model.MemoryBytes() {
+					t.Fatalf("op %d (%c): Count/MemoryBytes = %d/%d, model %d/%d", i, op.kind,
+						ix.Count(), ix.MemoryBytes(), model.Count(), model.MemoryBytes())
+				}
+				if i%16 == 0 {
+					checkLocator(t, ix)
+				}
+			}
+			checkLocator(t, ix)
+			if removed < 3000 || lifted < 300 {
+				t.Fatalf("script too tame: %d removals, %d lifted children", removed, lifted)
+			}
+			if accounted && cfg.Arena.Used() > 1<<20 {
+				t.Fatalf("arena used %d bytes for a store that never held more than a few hundred filters", cfg.Arena.Used())
+			}
+		})
+	}
+}
+
+// TestRemoveReturnsMemoryBytes pins the occupancy accounting of each
+// removal shape: whatever Insert added, Remove takes back exactly.
+func TestRemoveReturnsMemoryBytes(t *testing.T) {
+	wide := map[string]Interval{"a": iv(0, 100)}
+	mid := map[string]Interval{"a": iv(10, 50), "b": iv(0, 9)}
+	narrow := map[string]Interval{"a": iv(20, 30), "b": iv(1, 2), "c": iv(0, 1)}
+	type reg struct {
+		id    uint64
+		preds map[string]Interval
+	}
+	for _, tc := range []struct {
+		name   string
+		base   []reg
+		insert []reg
+		remove []uint64
+	}{
+		{"leaf", []reg{{1, wide}}, []reg{{2, narrow}}, []uint64{2}},
+		{"interior", []reg{{1, wide}, {2, narrow}}, []reg{{3, mid}}, []uint64{3}},
+		{"bucket member", []reg{{1, wide}, {2, mid}}, []reg{{3, mid}}, []uint64{3}},
+		{"owner with bucket", []reg{{1, wide}}, []reg{{2, mid}, {3, mid}, {4, narrow}}, []uint64{2, 4, 3}},
+		{"last id of a locator page", []reg{{1, wide}}, []reg{{5000, narrow}}, []uint64{5000}},
+		{"whole store", nil, []reg{{1, wide}, {2, mid}, {3, mid}, {4, narrow}}, []uint64{1, 2, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := NewIndex(IndexConfig{PayloadBytes: 100})
+			for _, r := range tc.base {
+				ix.Insert(sub(t, r.id, r.preds))
+			}
+			before := ix.MemoryBytes()
+			for _, r := range tc.insert {
+				ix.Insert(sub(t, r.id, r.preds))
+			}
+			if ix.MemoryBytes() <= before {
+				t.Fatalf("MemoryBytes did not grow: %d -> %d", before, ix.MemoryBytes())
+			}
+			for _, id := range tc.remove {
+				if !ix.Remove(id) {
+					t.Fatalf("Remove(%d) missed", id)
+				}
+				checkLocator(t, ix)
+			}
+			if ix.MemoryBytes() != before {
+				t.Fatalf("MemoryBytes = %d after insert+remove, was %d before", ix.MemoryBytes(), before)
+			}
+		})
+	}
+}
+
+// TestChurnReusesArena is the bounded-arena test: FIFO churn on an
+// accounted index whose arena has little slack beyond the pre-fill. Once
+// the FIFO has turned over twice — the first turn replaces pre-fill
+// records by the pool's sizes, the second finds the one spare record per
+// size that registering before unregistering needs — every pair must be
+// served from what Remove released, records and locator pages alike.
+func TestChurnReusesArena(t *testing.T) {
+	const (
+		prefill = 3000
+		fifo    = 600 // spans more than one locator page
+		slack   = 512 << 10
+	)
+	w := NewWorkload(DefaultWorkload(5))
+	p := enclave.NewPlatform(enclave.Config{})
+	mem := p.UntrustedMemory()
+	probe := NewIndex(IndexConfig{PayloadBytes: 600})
+	pre := make([]Subscription, prefill)
+	for i := range pre {
+		pre[i] = w.NextSubscription()
+		probe.Insert(pre[i])
+	}
+	size := uint64(probe.MemoryBytes()) + slack
+	arena := enclave.NewArena(mem, p.AllocUntrusted(size), size)
+	ix := NewIndex(IndexConfig{Mem: mem, Arena: arena, PayloadBytes: 600, CheckCost: 60})
+	for _, s := range pre {
+		ix.Insert(s)
+	}
+	filled := arena.Used()
+	pool := make([]Subscription, fifo)
+	for i := range pool {
+		pool[i] = w.NextSubscription()
+	}
+	next, oldest := uint64(prefill), uint64(prefill-fifo+1)
+	pair := func(i int) {
+		next++
+		s := pool[i%fifo]
+		s.ID = next
+		ix.Insert(s)
+		if !ix.Remove(oldest) {
+			t.Fatalf("pair %d: Remove(%d) missed", i, oldest)
+		}
+		oldest++
+	}
+	pairs := 0
+	for ; pairs < 2*fifo; pairs++ {
+		pair(pairs)
+	}
+	settled := arena.Used()
+	var churned uint64
+	for ; churned < 20*slack; pairs++ {
+		churned += uint64(pool[pairs%fifo].StorageBytes() + 600)
+		pair(pairs)
+	}
+	if arena.Used() != settled {
+		t.Fatalf("arena still growing: %d bytes after %d pairs, %d after %d", settled, 2*fifo, arena.Used(), pairs)
+	}
+	if settled-filled >= slack {
+		t.Fatalf("churn took %d bytes of arena beyond the pre-fill, slack is %d", settled-filled, slack)
+	}
+	if ix.Count() != prefill {
+		t.Fatalf("Count = %d, want %d", ix.Count(), prefill)
+	}
+	checkLocator(t, ix)
 }
 
 func TestFigure3SmokeTest(t *testing.T) {

@@ -81,6 +81,42 @@ func TestShardedMatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedAgainstScanModel runs the interleavings of
+// TestRemoveAgainstScanModel through the sharded store: whatever the shard
+// count, Remove reports what the scanning model reports, Count agrees and
+// Match returns the model's MatchNaive set.
+func TestShardedAgainstScanModel(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		sx, err := NewShardedIndex(ShardedIndexConfig{Shards: shards, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := NewIndex(IndexConfig{})
+		for i, op := range modelScript(21, 10000) {
+			switch op.kind {
+			case 'i':
+				sx.Insert(op.sub)
+				model.Insert(op.sub)
+			case 'r':
+				if got, want := sx.Remove(op.id), model.removeScan(op.id); got != want {
+					t.Fatalf("shards=%d op %d: Remove(%d) = %v, model %v", shards, i, op.id, got, want)
+				}
+			case 'm':
+				want := sortedIDs(model.MatchNaive(op.event))
+				if got := sx.Match(op.event); !idsEqual(got, want) {
+					t.Fatalf("shards=%d op %d: Match = %v, model MatchNaive = %v", shards, i, got, want)
+				}
+			}
+			if sx.Count() != model.Count() {
+				t.Fatalf("shards=%d op %d: Count = %d, model %d", shards, i, sx.Count(), model.Count())
+			}
+		}
+		for _, sh := range sx.shards {
+			checkLocator(t, sh.ix)
+		}
+	}
+}
+
 // accountedShardedIndex builds a small accounted sharded index on shrunken
 // platforms (4 MiB EPC) so both the resident and the swapping regime are
 // cheap to reach.

@@ -181,12 +181,17 @@ func (s Subscription) Covers(other Subscription) bool {
 
 // StorageBytes estimates the in-index footprint of the subscription: node
 // header plus per-predicate records. Mirrors SCBR's C structures closely
-// enough for memory-occupancy accounting.
+// enough for memory-occupancy accounting. The header's parent link is the
+// one Index.Remove follows, so the link adds nothing to the footprint.
 func (s Subscription) StorageBytes() int {
-	const nodeHeader = 64 // id, child vector header, parent link, bookkeeping
-	const perPred = 32    // attr id, two float64 bounds, flags
-	return nodeHeader + perPred*len(s.Preds)
+	const perPred = 32 // attr id, two float64 bounds, flags
+	return nodeHeaderBytes + perPred*len(s.Preds)
 }
+
+// nodeHeaderBytes is the fixed part of an index node's record: id, child
+// vector header, parent link, bookkeeping. It is what Index charges when
+// only a node's links change.
+const nodeHeaderBytes = 64
 
 // ---- Encrypted envelopes (the outside-the-enclave representation) ----
 

@@ -8,13 +8,16 @@
 # 2. go build ./...             (everything compiles, including examples)
 # 3. go vet ./...               (static checks)
 # 4. go test ./...              (tier-1: full test suite, goldens included)
-# 5. go test -race ./...        (every package under the race detector)
-# 6. bench-regression gate      (go run ./cmd/bench -check: runs the bench
+# 5. benchmark module tests     (cd benchmark && go test ./...: the nested
+#                                module builds against internal/'s API and
+#                                the root go test never sees it)
+# 6. go test -race ./...        (every package under the race detector)
+# 7. bench-regression gate      (go run ./cmd/bench -check: runs the bench
 #                                suites from the working tree and diffs
 #                                their deterministic sim-metrics against
 #                                scripts/bench_baseline.json; a failed
 #                                suite invariant fails the gate too)
-# 7. golden-drift gate          (regenerating every golden in a scratch
+# 8. golden-drift gate          (regenerating every golden in a scratch
 #                                copy must reproduce the committed files —
 #                                catches stale goldens)
 set -euo pipefail
@@ -36,6 +39,9 @@ go vet ./...
 
 echo "ci: go test ./..." >&2
 go test ./...
+
+echo "ci: (cd benchmark && go test ./...)" >&2
+(cd benchmark && go test ./...)
 
 echo "ci: go test -race ./..." >&2
 go test -race ./...

@@ -301,35 +301,39 @@
 //
 //   - Per-shard sealed WAL. Every PutBatch group-commits one WAL record
 //     per touched shard before the in-enclave tables apply: the batch's
-//     ops encode to a compact codec, seal convergently
+//     ops encode to a compact codec, seal convergently and uncompressed
 //     (transfer.SealConvergent — identical log segments dedup like any
-//     other chunk), and the record carries the convergent key wrapped
-//     under the shard's WAL key plus a MAC bound to the log's identity
-//     and position (fsshield.ChunkAAD over name, epoch, record index), so
-//     records cannot be reordered, transplanted across shards or replayed
-//     across epochs. Torn tails are part of the contract: damage confined
-//     to the final record reads as a clean crash point and truncates;
-//     damage earlier in the log is a hard ErrWALCorrupt. A fuzz target
-//     (FuzzDecodeWALRecord) pins that every input lands in exactly
-//     torn, corrupt or valid.
+//     other chunk; deflate saved no bytes on records this small and
+//     dominated the append), and the record carries the convergent key
+//     wrapped under the shard's WAL key plus a MAC bound to the log's
+//     identity and position (fsshield.ChunkAAD over name, epoch, record
+//     index), so records cannot be reordered, transplanted across shards
+//     or replayed across epochs. Torn tails are part of the contract:
+//     damage confined to the final record reads as a clean crash point
+//     and truncates; damage earlier in the log is a hard ErrWALCorrupt. A
+//     fuzz target (FuzzDecodeWALRecord) pins that every input lands in
+//     exactly torn, corrupt or valid.
 //
 //   - Incremental sealed snapshots. Snapshot tracks per-shard dirty
 //     state: a shard untouched since its last packed snapshot publishes a
 //     tiny reuse record chaining to its parent manifest instead of
 //     re-packing — the delta scales with what changed, not with the
 //     dataset. Dirty shards serialize their table, pack it convergently
-//     (transfer.PackConvergent) and publish the blob set through
-//     internal/registry — chunk-granular, content-addressed, and deduped
-//     against every image layer and prior snapshot already stored, so
-//     even a packed shard republishes only its changed chunks. Every
-//     snapshot record (packed or reuse) seals under a per-shard key
-//     derived from the service key the attest.KeyBroker released, with
-//     both the sequence number and the parent sequence bound into the
-//     AAD: a chain cannot be spliced, re-pointed or rolled back without
-//     failing authentication. The registry refuses sequence rollbacks and
-//     keeps the chain's history addressable (SnapshotAt); packed shards
-//     roll their WAL to a fresh epoch, reused shards keep their current
-//     (empty) one.
+//     and publish the blob set through internal/registry —
+//     chunk-granular, content-addressed, and deduped against every image
+//     layer and prior snapshot already stored. Each shard remembers its
+//     last published pack (transfer.PackConvergentMemo), so a packed shard
+//     deflates and seals only its changed chunks and sends the unchanged
+//     ones as references the registry checks against the blobs it holds
+//     (PutBlobSet re-hashes each one and refuses a missing or damaged
+//     blob). Every snapshot record (packed or reuse) seals under a
+//     per-shard key derived from the service key the attest.KeyBroker
+//     released, with both the sequence number and the parent sequence
+//     bound into the AAD: a chain cannot be spliced, re-pointed or rolled
+//     back without failing authentication. The registry refuses sequence
+//     rollbacks and keeps the chain's history addressable (SnapshotAt);
+//     packed shards roll their WAL to a fresh epoch, reused shards keep
+//     their current (empty) one.
 //
 //   - WAL-segment GC. Rolled epochs stay as sealed segments until
 //     DurableStore.GC retires the ones the newest durable snapshot has

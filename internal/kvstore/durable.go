@@ -13,8 +13,11 @@
 // the chain down to the nearest packed manifest. Both seq and parent are
 // bound into the sealed record's AAD, so a chain cannot be spliced: a
 // record re-pointed at a different parent, or republished at a different
-// sequence, fails authentication. Changed shards pack convergently, so
-// unchanged chunks within a changed shard still dedup in the registry.
+// sequence, fails authentication. Changed shards pack convergently, and
+// each shard remembers its last published pack (transfer.ChunkMemo): a
+// changed shard deflates and seals only the chunks whose plaintext changed,
+// and references the unchanged ones — which the registry already holds —
+// instead of re-sealing them.
 //
 // WAL epochs are the retention unit. A packed shard rolls its WAL into the
 // next epoch (the sealed previous epoch stays on the durable medium); a
@@ -57,6 +60,8 @@ var ErrSnapshotChain = errors.New("kvstore: snapshot chain invalid")
 // SnapshotStore is the registry surface a durable store publishes to and
 // recovers from (implemented by registry.Registry). PutBlobSet reports how
 // many chunks were newly stored (the rest dedup'd against existing blobs);
+// a nil chunk references a blob the store already holds under its leaf, and
+// the call must fail — storing nothing — if it does not hold it intact.
 // SnapshotAt serves historical records so recovery can walk delta chains.
 type SnapshotStore interface {
 	PutBlobSet(m *transfer.Manifest, chunks [][]byte) (stored int, err error)
@@ -110,6 +115,11 @@ type DurableStore struct {
 	// replay over the newest published snapshot — the GC floor. 0 means
 	// no snapshot covers the shard yet and nothing is collectible.
 	durableEpoch []uint64
+	// memos holds, per shard, the chunk memo of its last published pack:
+	// chunks the registry is known to hold. A failed pack of the shard
+	// clears it, so a registry that lost a blob is re-sent every chunk.
+	// Recovery starts with none.
+	memos []transfer.ChunkMemo
 }
 
 // snapshotManifest is the sealed record published per shard snapshot: a
@@ -201,6 +211,7 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 	}
 	ds.dirty = make([]bool, ss.Shards())
 	ds.durableEpoch = make([]uint64, ss.Shards())
+	ds.memos = make([]transfer.ChunkMemo, ss.Shards())
 	return ds, nil
 }
 
@@ -274,12 +285,13 @@ type SnapshotStats struct {
 	// pointing at their parent manifest instead.
 	ShardsPacked int
 	ShardsReused int
-	// ChunksPublished counts chunks submitted for packed shards;
-	// ChunksDeduped is how many of those the registry already held
-	// (convergent chunks — unchanged content is bit-identical).
+	// ChunksPublished counts chunks submitted for packed shards, sealed or
+	// referenced; ChunksDeduped is how many of those the registry already
+	// held (convergent chunks — unchanged content is bit-identical).
 	ChunksPublished int
 	ChunksDeduped   int
-	// BytesPublished sums the submitted chunk bytes.
+	// BytesPublished sums the sealed bytes of the submitted chunks,
+	// referenced ones included.
 	BytesPublished int64
 	// PackCycles sums the sim-cycles charged reading packed shards'
 	// tables. Reused shards skip the read entirely — the delta saving.
@@ -287,8 +299,9 @@ type SnapshotStats struct {
 }
 
 // Snapshot publishes an incremental snapshot: dirty shards pack their
-// table as a content-addressed blob set (unchanged chunks dedup), clean
-// shards publish a reuse record chaining to their previous manifest.
+// table as a content-addressed blob set (unchanged chunks are referenced,
+// not re-sealed), clean shards publish a reuse record chaining to their
+// previous manifest.
 // Packed shards roll their WAL into the next epoch; reused shards keep
 // their current (empty) epoch. Shards publish in shard order —
 // deterministic bytes, names and sequence for any worker count.
@@ -347,23 +360,25 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 		if err != nil {
 			return st, err
 		}
-		m, chunks, err := transfer.PackConvergent(name, payload, ds.cfg.SnapChunkSize)
+		// The memo advances only once this pack is published; until then
+		// it is cleared, so any failure below re-sends every chunk next time.
+		memo := ds.memos[i]
+		ds.memos[i] = nil
+		p, err := transfer.PackConvergentMemo(name, payload, ds.cfg.SnapChunkSize, memo)
 		if err != nil {
 			return st, err
 		}
-		stored, err := ds.cfg.Registry.PutBlobSet(m, chunks)
+		stored, err := ds.cfg.Registry.PutBlobSet(p.Manifest, p.Chunks)
 		if err != nil {
 			return st, err
 		}
-		st.ChunksPublished += len(chunks)
-		st.ChunksDeduped += len(chunks) - stored
-		for _, c := range chunks {
-			st.BytesPublished += int64(len(c))
-		}
+		st.ChunksPublished += len(p.Chunks)
+		st.ChunksDeduped += len(p.Chunks) - stored
+		st.BytesPublished += p.SealedBytes
 		nextEpoch := ds.wals[i].Epoch() + 1
 		man := snapshotManifest{
 			Service: ds.cfg.Service, Shard: i, Seq: st.Seq, Parent: parent,
-			WALEpoch: nextEpoch, Manifest: m,
+			WALEpoch: nextEpoch, Manifest: p.Manifest,
 		}
 		rec, err := sealSnapshotRecord(ds.snapKeys[i], man, name)
 		if err != nil {
@@ -372,6 +387,7 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 		if err := ds.cfg.Registry.PublishSnapshot(name, st.Seq, rec); err != nil {
 			return st, err
 		}
+		ds.memos[i] = p.Memo
 		ds.wals[i].Roll(nextEpoch)
 		ds.dirty[i] = false
 		ds.durableEpoch[i] = nextEpoch

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -423,19 +424,60 @@ func TestDurableDeltaChainRecovery(t *testing.T) {
 }
 
 // tamperStore wraps a real registry's snapshot surface, rewriting what
-// recovery reads and remembering every published chunk digest — the
-// adversarial half of the chain tests.
+// recovery reads, recording every blob set submitted, and failing
+// PutBlobSet / PublishSnapshot on demand — the adversarial half of the
+// chain and memo tests.
 type tamperStore struct {
 	*registry.Registry
 	// onRead rewrites (or suppresses, via ok=false) every sealed record
 	// recovery fetches; nil passes records through.
-	onRead func(name string, seq uint64, sealed []byte) ([]byte, bool)
-	leaves []cryptbox.Digest
+	onRead      func(name string, seq uint64, sealed []byte) ([]byte, bool)
+	calls       []blobSetCall
+	failPut     bool
+	failPublish bool
 }
 
+// blobSetCall is one PutBlobSet a tamperStore saw.
+type blobSetCall struct {
+	m      *transfer.Manifest
+	chunks [][]byte
+}
+
+// refs counts the call's nil chunks: references to blobs the registry holds.
+func (c blobSetCall) refs() int {
+	n := 0
+	for _, ch := range c.chunks {
+		if ch == nil {
+			n++
+		}
+	}
+	return n
+}
+
+var errInjected = errors.New("injected registry failure")
+
 func (ts *tamperStore) PutBlobSet(m *transfer.Manifest, chunks [][]byte) (int, error) {
-	ts.leaves = append(ts.leaves, m.Leaves...)
+	ts.calls = append(ts.calls, blobSetCall{m: m, chunks: append([][]byte(nil), chunks...)})
+	if ts.failPut {
+		return 0, errInjected
+	}
 	return ts.Registry.PutBlobSet(m, chunks)
+}
+
+func (ts *tamperStore) PublishSnapshot(name string, seq uint64, sealed []byte) error {
+	if ts.failPublish {
+		return errInjected
+	}
+	return ts.Registry.PublishSnapshot(name, seq, sealed)
+}
+
+// leaves lists every chunk digest submitted so far.
+func (ts *tamperStore) leaves() []cryptbox.Digest {
+	var out []cryptbox.Digest
+	for _, c := range ts.calls {
+		out = append(out, c.m.Leaves...)
+	}
+	return out
 }
 
 func (ts *tamperStore) LatestSnapshot(name string) (uint64, []byte, bool) {
@@ -572,7 +614,7 @@ func TestDurableChainSpliceRefusal(t *testing.T) {
 		// tampered in the registry: the verified pull must refuse them.
 		cfg, ts, segs, _ := deltaChainFixture(t)
 		tampered := 0
-		for _, d := range ts.leaves {
+		for _, d := range ts.leaves() {
 			if ts.Registry.TamperBlob(d, func(b []byte) []byte {
 				out := append([]byte(nil), b...)
 				out[0] ^= 0xFF
@@ -633,8 +675,8 @@ func FuzzRecoverSnapshotChain(f *testing.F) {
 				return append([]byte(nil), sealed[:int(pos)%len(sealed)]...), true
 			}
 		case 5: // tamper one published snapshot chunk in the registry
-			if len(ts.leaves) > 0 {
-				d := ts.leaves[int(pos)%len(ts.leaves)]
+			if leaves := ts.leaves(); len(leaves) > 0 {
+				d := leaves[int(pos)%len(leaves)]
 				ts.Registry.TamperBlob(d, func(b []byte) []byte {
 					out := append([]byte(nil), b...)
 					out[int(val%uint64(len(out)))] ^= 0xFF

@@ -5,13 +5,16 @@
 //
 //	frame   = u32 len | body | mac[32]
 //	body    = u32 wrappedLen | wrapped convergent key | u32 sealedLen | sealed ops
-//	sealed  = transfer.SealConvergent(encodeWALOps(batch))
+//	sealed  = transfer.SealConvergent(encodeWALOps(batch))   (raw, not deflated)
 //	wrapped = convergent key sealed under the shard WAL key (deterministic nonce)
 //	mac     = fsshield.MACChunk(walKey, body, fsshield.ChunkAAD(name, epoch, seq, 0))
 //
-// The payload is convergently sealed (pooled deflate + content-derived key),
-// so identical batches produce bit-identical sealed segments and dedup
-// wherever log segments are stored content-addressed. Position binding comes
+// The payload is convergently sealed (content-derived key, deterministic
+// nonce), so identical batches produce bit-identical sealed segments and
+// dedup wherever log segments are stored content-addressed. It is sealed
+// raw: a group-commit record is a few KiB of keys and values, on which
+// deflate saved no bytes (records came out larger) while building its
+// Huffman tables took ≈ 90 % of an append's CPU. Position binding comes
 // from the fsshield chunk AAD: a record authenticated at (log, epoch, seq)
 // cannot be replayed at any other position, the same cut-and-paste defence
 // the protected FS gives file chunks. Total = 0 in the AAD marks the extent
@@ -54,10 +57,11 @@ type WALOp struct {
 	Delete bool
 }
 
-// walMaxOps bounds a single record's declared op count against its byte
-// length before any allocation — the forged-count guard, mirroring
-// transfer.Manifest.Validate.
-const walOpMinBytes = 3 // flags + u16 key length, for an empty-key delete
+// walOpMinBytes is the smallest encoded op (flags + u16 key length, for an
+// empty-key delete). decodeWALOps bounds a record's declared op count by it
+// against the record's byte length before any allocation — the
+// forged-count guard, mirroring transfer.Manifest.Validate.
+const walOpMinBytes = 3
 
 // encodeWALOps serializes a batch deterministically:
 //

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/fsshield"
+	"securecloud/internal/transfer"
 )
 
 func walTestKey(t testing.TB) cryptbox.Key {
@@ -252,6 +255,56 @@ func TestWALOpsCodecGuards(t *testing.T) {
 	}
 	if _, err := encodeWALOps([]WALOp{{Key: string(make([]byte, 1<<17))}}); err == nil {
 		t.Fatal("oversized key accepted")
+	}
+}
+
+// TestWALRecordRaw: a record is the sealed op encoding plus a fixed frame —
+// nothing is compressed, so incompressible values cost no more than their
+// own bytes, and the overhead does not depend on the payload.
+func TestWALRecordRaw(t *testing.T) {
+	key := walTestKey(t)
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// frame length, wrapped-key length, wrapped key, sealed length, MAC,
+	// and the AEAD overhead of the two seals.
+	overhead := 4 + 4 + cryptbox.KeySize + 4 + cryptbox.MACSize + 2*box.Overhead()
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 16, 64} {
+		ops := make([]WALOp, n)
+		for i := range ops {
+			v := make([]byte, 200)
+			rng.Read(v)
+			ops[i] = WALOp{Key: fmt.Sprintf("key-%06d", i), Value: v}
+		}
+		payload, err := encodeWALOps(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := buildWAL(t, key, "wal/raw", 1, [][]WALOp{ops})
+		if got, want := len(w.Bytes()), len(payload)+overhead; got != want {
+			t.Fatalf("%d ops: record is %d bytes, want payload %d + overhead %d", n, got, len(payload), overhead)
+		}
+	}
+}
+
+// TestOpenConvergentLimit: OpenConvergent refuses a payload longer than its
+// limit, and a limit ≤ 0 leaves only the sealed length as the bound.
+func TestOpenConvergentLimit(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xA5}, 100)
+	key, sealed, err := transfer.SealConvergent(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 100, 101} {
+		got, err := transfer.OpenConvergent(key, sealed, limit)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+	}
+	if _, err := transfer.OpenConvergent(key, sealed, 99); !errors.Is(err, transfer.ErrBadChunk) {
+		t.Fatalf("payload over limit: got %v, want ErrBadChunk", err)
 	}
 }
 

@@ -4,7 +4,9 @@
 // plus one small sealed manifest record under a stable name. The chunks
 // land in the same blob namespace as image layers, so successive snapshots
 // of mostly-unchanged state dedup chunk-for-chunk against their
-// predecessors — the registry stores deltas without knowing it. The sealed
+// predecessors — the registry stores deltas without knowing it — and a
+// publisher that remembers its previous pack sends the unchanged chunks as
+// references instead of bytes (PutBlobSet's nil chunks). The sealed
 // manifest record is opaque to the registry: what it names, and under which
 // key it opens, is the publishing service's business. The registry only
 // enforces ordering — a snapshot's sequence number must grow, so a replayed
@@ -18,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"securecloud/internal/cryptbox"
 	"securecloud/internal/httpx"
 	"securecloud/internal/transfer"
 )
@@ -33,6 +36,14 @@ type snapshotRecord struct {
 // anything that packs with transfer.PackConvergent. Chunks already present
 // (earlier snapshots, image layers) count as dedup hits; the return value
 // is how many chunks were newly stored, so publishers can see their delta.
+//
+// A nil chunk references the blob already held under its leaf — what
+// transfer.PackConvergentMemo emits for a chunk it did not re-seal — and
+// counts as a dedup hit. Every reference is checked before anything is
+// stored: a leaf not held fails with ErrNotFound, and a held blob whose
+// bytes no longer hash to its leaf (a damaged copy) with ErrConflict, the
+// error re-sending the intact chunk would get. Either way the call stores
+// nothing.
 func (r *Registry) PutBlobSet(m *transfer.Manifest, chunks [][]byte) (stored int, err error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
@@ -43,6 +54,22 @@ func (r *Registry) PutBlobSet(m *transfer.Manifest, chunks [][]byte) (stored int
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, c := range chunks {
+		if c != nil {
+			continue
+		}
+		have, ok := r.blobs[m.Leaves[i]]
+		if !ok {
+			return 0, fmt.Errorf("%w: referenced blob %s", ErrNotFound, m.Leaves[i])
+		}
+		if cryptbox.Sum(have) != m.Leaves[i] {
+			return 0, fmt.Errorf("%w: held blob %s no longer matches its digest", ErrConflict, m.Leaves[i])
+		}
+	}
+	for i, c := range chunks {
+		if c == nil {
+			r.dedupHits++
+			continue
+		}
 		_, had := r.blobs[m.Leaves[i]]
 		if err := r.storeBlobLocked(m.Leaves[i], c); err != nil {
 			return stored, err

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"securecloud/internal/cryptbox"
 	"securecloud/internal/transfer"
 )
 
@@ -67,6 +68,94 @@ func TestPutBlobSetRejectsMismatch(t *testing.T) {
 	if _, err := r.PutBlobSet(m, tampered); err == nil {
 		t.Fatal("accepted chunk that does not match its manifest digest")
 	}
+}
+
+// TestPutBlobSetReferences pins the contract for nil chunks — references to
+// blobs the registry already holds, which a memoised pack sends for
+// chunks it did not re-seal.
+func TestPutBlobSetReferences(t *testing.T) {
+	held, heldChunks := packSnapshot(t, "snap/held", []byte("0123456789abcdef-held-table-contents"))
+	fresh, freshChunks := packSnapshot(t, "snap/fresh", bytes.Repeat([]byte("fresh-"), 30))
+	// refs is fresh's blob set with chunk i replaced by a reference to
+	// held's chunk 0: the manifest names held's leaf there.
+	refs := func(i int) (*transfer.Manifest, [][]byte) {
+		m := *fresh
+		m.Leaves = append([]cryptbox.Digest(nil), fresh.Leaves...)
+		m.Leaves[i] = held.Leaves[0]
+		m.Root = transfer.MerkleRoot(m.Leaves)
+		chunks := append([][]byte(nil), freshChunks...)
+		chunks[i] = nil
+		return &m, chunks
+	}
+	setup := func(t *testing.T) *Registry {
+		r := New()
+		if _, err := r.PutBlobSet(held, heldChunks); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	t.Run("held leaf", func(t *testing.T) {
+		r := setup(t)
+		before := r.Stats()
+		stored, err := r.PutBlobSet(held, make([][]byte, len(heldChunks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := r.Stats()
+		if stored != 0 || after.Blobs != before.Blobs || after.BlobBytes != before.BlobBytes {
+			t.Fatalf("references stored %d (blobs %d -> %d, bytes %d -> %d)",
+				stored, before.Blobs, after.Blobs, before.BlobBytes, after.BlobBytes)
+		}
+		if got := after.DedupHits - before.DedupHits; got != uint64(len(heldChunks)) {
+			t.Fatalf("dedup hits %d, want one per reference (%d)", got, len(heldChunks))
+		}
+	})
+	t.Run("absent leaf", func(t *testing.T) {
+		r := New()
+		before := r.Stats()
+		// The reference sits at chunk 0; every later chunk carries bytes.
+		m, chunks := refs(0)
+		if _, err := r.PutBlobSet(m, chunks); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("reference to an absent leaf: got %v, want ErrNotFound", err)
+		}
+		if after := r.Stats(); after != before {
+			t.Fatalf("failed call changed the store: %+v -> %+v", before, after)
+		}
+		for _, leaf := range fresh.Leaves[1:] {
+			if _, err := r.Blob(leaf); err == nil {
+				t.Fatalf("blob %s of the refused call was stored", leaf)
+			}
+		}
+	})
+	t.Run("damaged held blob", func(t *testing.T) {
+		r := setup(t)
+		if !r.TamperBlob(held.Leaves[0], func(b []byte) []byte { b[0] ^= 0xFF; return b }) {
+			t.Fatal("nothing to tamper")
+		}
+		before := r.Stats()
+		m, chunks := refs(len(freshChunks) - 1)
+		if _, err := r.PutBlobSet(m, chunks); !errors.Is(err, ErrConflict) {
+			t.Fatalf("reference to a damaged blob: got %v, want ErrConflict", err)
+		}
+		if after := r.Stats(); after != before {
+			t.Fatalf("failed call changed the store: %+v -> %+v", before, after)
+		}
+		// Re-sending the intact bytes meets the same error: the damaged copy
+		// is caught whether the publisher references or re-sends it.
+		if _, err := r.PutBlobSet(held, heldChunks); !errors.Is(err, ErrConflict) {
+			t.Fatalf("intact duplicate of a damaged blob: got %v, want ErrConflict", err)
+		}
+	})
+	t.Run("length mismatch", func(t *testing.T) {
+		r := setup(t)
+		if _, err := r.PutBlobSet(held, make([][]byte, len(heldChunks)+1)); !errors.Is(err, ErrManifest) {
+			t.Fatalf("extra reference: got %v, want ErrManifest", err)
+		}
+		if _, err := r.PutBlobSet(held, nil); !errors.Is(err, ErrManifest) {
+			t.Fatalf("no chunks: got %v, want ErrManifest", err)
+		}
+	})
 }
 
 func TestPublishSnapshotRollbackRejected(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"securecloud/internal/cryptbox"
@@ -132,6 +133,47 @@ func TestConvergentDeterministicAndDedupable(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("convergent round trip mismatch")
+	}
+}
+
+// TestPackConvergentMemo: a memoised pack produces PackConvergent's
+// manifest, sends only the chunks whose plaintext its memo lacks, and
+// accounts every chunk's sealed bytes either way.
+func TestPackConvergentMemo(t *testing.T) {
+	const cs = 8 << 10
+	data := payload(100 << 10)
+	first, err := PackConvergentMemo("a", data, cs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Chunk 2 rewritten in place; everything else keeps its plaintext.
+	next := append([]byte(nil), data...)
+	next[2*cs+5] ^= 0xFF
+	wantM, want, err := PackConvergent("a", next, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBytes int64
+	for _, c := range want {
+		wantBytes += int64(len(c))
+	}
+	got, err := PackConvergentMemo("a", next, cs, first.Memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Manifest, wantM) || got.SealedBytes != wantBytes {
+		t.Fatalf("memoised pack differs from PackConvergent (sealed bytes %d, want %d)", got.SealedBytes, wantBytes)
+	}
+	for i, c := range got.Chunks {
+		if (c != nil) != (i == 2) {
+			t.Fatalf("chunk %d sent=%v; want only chunk 2 sent", i, c != nil)
+		}
+	}
+	if !bytes.Equal(got.Chunks[2], want[2]) {
+		t.Fatal("re-sealed chunk differs from PackConvergent's")
+	}
+	if len(got.Memo) != len(want) {
+		t.Fatalf("memo holds %d entries, want one per distinct chunk (%d)", len(got.Memo), len(want))
 	}
 }
 

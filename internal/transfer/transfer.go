@@ -25,7 +25,9 @@
 //     plaintext layers on push anyway); there, secret content is
 //     protected one level down by fsshield, per the paper's model, and
 //     convergent sealing is purely the dedup mechanism. Position binding
-//     comes from the manifest's leaf list, not the AAD.
+//     comes from the manifest's leaf list, not the AAD. PackConvergentMemo
+//     packs the successor of an earlier payload, deflating and sealing only
+//     the chunks whose plaintext changed.
 //
 // Reassembly can be routed through the simulated SGX memory hierarchy via
 // Receiver.WithAccounting, mirroring fsshield and kvstore: the enclave-side
@@ -135,12 +137,13 @@ func chunkAAD(name string, idx int) []byte {
 // the manifest leaf list, which Accept and Unpack enforce.
 var convergentAAD = []byte("transfer|convergent")
 
-// convergentSeal seals one compressed chunk under a key derived from its
-// own bytes with a deterministic nonce: same content, same sealed bytes.
-// Reusing a (key, nonce) pair is safe exactly because it can only recur
-// for the identical plaintext, reproducing the identical ciphertext.
-func convergentSeal(compressed []byte) (cryptbox.Key, []byte, error) {
-	d := cryptbox.Sum(compressed)
+// convergentSeal seals one plaintext (a compressed chunk, or a raw
+// SealConvergent payload) under a key derived from its own bytes with a
+// deterministic nonce: same content, same sealed bytes. Reusing a (key,
+// nonce) pair is safe exactly because it can only recur for the identical
+// plaintext, reproducing the identical ciphertext.
+func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
+	d := cryptbox.Sum(plaintext)
 	raw, err := cryptbox.HKDF(d[:], nil, []byte("transfer-convergent-key"), cryptbox.KeySize)
 	if err != nil {
 		return cryptbox.Key{}, nil, err
@@ -155,43 +158,42 @@ func convergentSeal(compressed []byte) (cryptbox.Key, []byte, error) {
 		return cryptbox.Key{}, nil, err
 	}
 	box.SetNonceSource(bytes.NewReader(nonce[:cryptbox.NonceSize]))
-	sealed, err := box.Seal(compressed, convergentAAD)
+	sealed, err := box.Seal(plaintext, convergentAAD)
 	if err != nil {
 		return cryptbox.Key{}, nil, err
 	}
 	return key, sealed, nil
 }
 
-// SealConvergent compresses and convergently seals one standalone payload
-// through the pooled deflate path: the returned key is derived from the
-// compressed content and the nonce is deterministic, so identical payloads
-// produce bit-identical sealed bytes (the dedup property PackConvergent
-// gives chunked payloads, exposed here for single-record callers like the
-// kvstore write-ahead log). The caller is responsible for carrying the key
-// over an authenticated channel and for position binding.
+// SealConvergent convergently seals one standalone payload as is: the
+// returned key is derived from the payload and the nonce is deterministic,
+// so identical payloads produce bit-identical sealed bytes (the dedup
+// property PackConvergent gives chunked payloads, exposed here for
+// single-record callers like the kvstore write-ahead log). Unlike a chunk it
+// is not deflated first: on records of a few KiB, deflate's per-block
+// Huffman tables cost about as many bytes as they save (the log's records
+// came out larger deflated than raw), while building them dominated the
+// append. The caller is responsible for carrying the key over an
+// authenticated channel and for position binding.
 func SealConvergent(payload []byte) (cryptbox.Key, []byte, error) {
-	compressed, err := deflate(payload)
-	if err != nil {
-		return cryptbox.Key{}, nil, err
-	}
-	return convergentSeal(compressed)
+	return convergentSeal(payload)
 }
 
-// OpenConvergent reverses SealConvergent. limit bounds the decompressed
-// size (≤ 0 applies the package-wide maxInflate zip-bomb bound).
+// OpenConvergent reverses SealConvergent, refusing a payload longer than
+// limit bytes (≤ 0: no bound beyond the sealed length itself).
 func OpenConvergent(key cryptbox.Key, sealed []byte, limit int) ([]byte, error) {
 	box, err := cryptbox.NewBox(key)
 	if err != nil {
 		return nil, err
 	}
-	compressed, err := box.Open(sealed, convergentAAD)
+	payload, err := box.Open(sealed, convergentAAD)
 	if err != nil {
 		return nil, fmt.Errorf("%w: convergent payload failed authentication", ErrBadChunk)
 	}
-	if limit <= 0 || limit > maxInflate {
-		limit = maxInflate
+	if limit > 0 && len(payload) > limit {
+		return nil, fmt.Errorf("%w: convergent payload of %d bytes exceeds %d", ErrBadChunk, len(payload), limit)
 	}
-	return inflate(compressed, limit)
+	return payload, nil
 }
 
 // ChunkFunc consumes sealed chunks in index order during a streaming pack.
@@ -209,20 +211,111 @@ func PackStream(name string, r io.Reader, key cryptbox.Key, chunkSize int, emit 
 	return packStream(name, r, chunkSize, false, func(idx int, compressed []byte) (cryptbox.Key, []byte, error) {
 		sealed, err := box.Seal(compressed, chunkAAD(name, idx))
 		return cryptbox.Key{}, sealed, err
-	}, emit)
+	}, nil, emit)
 }
 
 // PackConvergentStream is PackStream with convergent sealing: the manifest
 // carries one derived key per chunk, and identical chunk content yields
 // bit-identical sealed chunks for content-addressed dedup.
 func PackConvergentStream(name string, r io.Reader, chunkSize int, emit ChunkFunc) (*Manifest, error) {
-	return packStream(name, r, chunkSize, true, func(_ int, compressed []byte) (cryptbox.Key, []byte, error) {
-		return convergentSeal(compressed)
-	}, emit)
+	return packStream(name, r, chunkSize, true, sealConvergentChunk, nil, emit)
 }
 
+// sealFunc seals chunk idx's compressed bytes, returning the convergent key
+// (zero in keyed mode) and the sealed bytes.
+type sealFunc func(idx int, compressed []byte) (cryptbox.Key, []byte, error)
+
+func sealConvergentChunk(_ int, compressed []byte) (cryptbox.Key, []byte, error) {
+	return convergentSeal(compressed)
+}
+
+// ChunkMemo remembers what convergent packing made of each chunk plaintext,
+// keyed by the plaintext's digest. Deflate and convergent sealing are pure
+// functions of the plaintext, so a remembered entry is exactly what
+// re-sealing would produce again.
+type ChunkMemo map[cryptbox.Digest]memoEntry
+
+// memoEntry is one chunk's convergent key, its leaf (the digest of its
+// sealed bytes) and its sealed length.
+type memoEntry struct {
+	key  cryptbox.Key
+	leaf cryptbox.Digest
+	size int
+}
+
+// MemoPack is one PackConvergentMemo result.
+type MemoPack struct {
+	// Manifest is identical to PackConvergent's on the same payload.
+	Manifest *Manifest
+	// Chunks holds the sealed chunks in index order, nil where the memo
+	// held the chunk's plaintext: those chunks were neither deflated nor
+	// sealed, and are sent to the store as references to blobs it holds
+	// (registry.PutBlobSet).
+	Chunks [][]byte
+	// SealedBytes sums every chunk's sealed length, memo hits included.
+	SealedBytes int64
+	// Memo covers exactly this payload's chunks: the memo to pack the
+	// payload's successor with, once the store holds this pack.
+	Memo ChunkMemo
+}
+
+// PackConvergentMemo is PackConvergent for a payload whose predecessor was
+// packed with memo prev (nil: none): chunks whose plaintext prev holds are
+// not deflated or sealed again. Only pass a memo whose chunks the store
+// still holds.
+func PackConvergentMemo(name string, data []byte, chunkSize int, prev ChunkMemo) (*MemoPack, error) {
+	pass := &memoPass{prev: prev, next: make(ChunkMemo, len(prev))}
+	m, chunks, err := collect(func(emit ChunkFunc) (*Manifest, error) {
+		return packStream(name, bytes.NewReader(data), chunkSize, true, sealConvergentChunk, pass, emit)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &MemoPack{Manifest: m, Chunks: chunks, SealedBytes: pass.sealedBytes, Memo: pass.next}, nil
+}
+
+// memoPass is one memoised pack in progress: prev answers lookups, next
+// records every chunk of this payload.
+type memoPass struct {
+	prev, next  ChunkMemo
+	sealedBytes int64
+}
+
+func (p *memoPass) record(plain cryptbox.Digest, e memoEntry) {
+	p.next[plain] = e
+	p.sealedBytes += int64(e.size)
+}
+
+// packChunk deflates and seals one chunk — unless memo holds its plaintext,
+// in which case it returns the remembered key and leaf and nil sealed bytes.
+func packChunk(idx int, plain []byte, seal sealFunc, memo *memoPass) (cryptbox.Key, cryptbox.Digest, []byte, error) {
+	var pd cryptbox.Digest
+	if memo != nil {
+		pd = cryptbox.Sum(plain)
+		if e, ok := memo.prev[pd]; ok {
+			memo.record(pd, e)
+			return e.key, e.leaf, nil, nil
+		}
+	}
+	compressed, err := deflate(plain)
+	if err != nil {
+		return cryptbox.Key{}, cryptbox.Digest{}, nil, err
+	}
+	key, sealed, err := seal(idx, compressed)
+	if err != nil {
+		return cryptbox.Key{}, cryptbox.Digest{}, nil, err
+	}
+	leaf := cryptbox.Sum(sealed)
+	if memo != nil {
+		memo.record(pd, memoEntry{key: key, leaf: leaf, size: len(sealed)})
+	}
+	return key, leaf, sealed, nil
+}
+
+// packStream is the one chunking loop behind every pack: read chunkSize
+// pieces, seal each (packChunk), and build the manifest.
 func packStream(name string, r io.Reader, chunkSize int, convergent bool,
-	seal func(idx int, compressed []byte) (cryptbox.Key, []byte, error), emit ChunkFunc) (*Manifest, error) {
+	seal sealFunc, memo *memoPass, emit ChunkFunc) (*Manifest, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -239,11 +332,7 @@ func packStream(name string, r io.Reader, chunkSize int, convergent bool,
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("transfer: reading payload: %w", err)
 		}
-		compressed, cerr := deflate(buf[:n])
-		if cerr != nil {
-			return nil, cerr
-		}
-		key, sealed, serr := seal(idx, compressed)
+		key, leaf, sealed, serr := packChunk(idx, buf[:n], seal, memo)
 		if serr != nil {
 			return nil, serr
 		}
@@ -251,7 +340,7 @@ func packStream(name string, r io.Reader, chunkSize int, convergent bool,
 			m.Keys = append(m.Keys, key)
 		}
 		m.Size += int64(n)
-		m.Leaves = append(m.Leaves, cryptbox.Sum(sealed))
+		m.Leaves = append(m.Leaves, leaf)
 		if emit != nil {
 			if err := emit(idx, sealed); err != nil {
 				return nil, err

@@ -12,12 +12,16 @@
 #                                module builds against internal/'s API and
 #                                the root go test never sees it)
 # 6. go test -race ./...        (every package under the race detector)
-# 7. bench-regression gate      (go run ./cmd/bench -check: runs the bench
+# 7. fuzz smoke                 (each fuzz target for 5 s with -fuzz: the
+#                                seed corpus already runs in step 4; this
+#                                explores past it. A failing input lands
+#                                in the package's testdata/fuzz/)
+# 8. bench-regression gate      (go run ./cmd/bench -check: runs the bench
 #                                suites from the working tree and diffs
 #                                their deterministic sim-metrics against
 #                                scripts/bench_baseline.json; a failed
 #                                suite invariant fails the gate too)
-# 8. golden-drift gate          (regenerating every golden in a scratch
+# 9. golden-drift gate          (regenerating every golden in a scratch
 #                                copy must reproduce the committed files —
 #                                catches stale goldens)
 set -euo pipefail
@@ -45,6 +49,17 @@ echo "ci: (cd benchmark && go test ./...)" >&2
 
 echo "ci: go test -race ./..." >&2
 go test -race ./...
+
+# One -fuzz run per target: go test fuzzes a single target at a time.
+for target in \
+    internal/kvstore:FuzzDecodeWALRecord \
+    internal/kvstore:FuzzRecoverSnapshotChain \
+    internal/transfer:FuzzDecodeManifest \
+    internal/scbr:FuzzDecodeEvent; do
+    pkg="./${target%%:*}" fn="${target#*:}"
+    echo "ci: fuzz smoke $fn ($pkg, 5s)" >&2
+    go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"
+done
 
 echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
 go run ./cmd/bench -check

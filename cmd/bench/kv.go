@@ -11,6 +11,7 @@ import (
 	"securecloud/internal/enclave"
 	"securecloud/internal/kvstore"
 	"securecloud/internal/mapreduce"
+	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 	"securecloud/internal/smartgrid"
 )
@@ -56,14 +57,7 @@ func beginPhase(ss *kvstore.ShardedStore) kvPhase {
 // end closes the phase, records its wall clock under name and returns
 // the simulated figures.
 func (p kvPhase) end(r *result, name string) (serial, critical, faults float64) {
-	var sum, max uint64
-	for i, after := range p.ss.ShardCycles() {
-		d := uint64(after - p.before[i])
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
+	_, sum, max := shard.Spread(p.before, p.ss.ShardCycles())
 	r.Wallclock[name+"_wall_ms"] = float64(time.Since(p.start).Microseconds()) / 1e3
 	return float64(sum), float64(max), float64(p.ss.Faults() - p.faults0)
 }

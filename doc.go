@@ -6,10 +6,11 @@
 //
 // The library lives under internal/ in bottom-up layers:
 //
-//   - sim, cryptbox, enclave, attest — the substrates: deterministic cycle
-//     accounting, authenticated encryption, a cycle-cost SGX v1 simulator
-//     (EPC paging, MEE, lifecycle, measurement, sealing) and remote
-//     attestation.
+//   - sim, cryptbox, enclave, attest, shard — the substrates:
+//     deterministic cycle accounting, authenticated encryption, a
+//     cycle-cost SGX v1 simulator (EPC paging, MEE, lifecycle,
+//     measurement, sealing), remote attestation, and the shard-per-core
+//     set the concurrent layers are built on.
 //   - fsshield, shield, sconert, image, registry, container — the SCONE
 //     secure-container layer: protected file systems, shielded syscalls,
 //     the SCF/CAS startup protocol, and the secure Docker workflow.
@@ -74,10 +75,14 @@
 //
 // The routing, storage and compute layers all run shard-per-core while
 // keeping every simulated figure deterministic. The pattern is the same in
-// each layer: partition the data structure, give every partition its own
-// simulated platform + enclave (enclave.NewWorker), write-lock only the
-// home partition, and fan reads/batches out through a bounded worker set
-// (sim.ParallelFor) with read-only snapshot accounting:
+// each layer, and internal/shard is its one implementation: a shard.Set
+// partitions the data structure, gives every partition its own simulated
+// platform + enclave (enclave.NewWorker), keeps a per-shard lock and cycle
+// ledger, and fans reads/batches out through a bounded worker set
+// (sim.ParallelFor); shard.Spread turns two ledger readings into the
+// serial-sum vs critical-path decomposition. Each layer write-locks only
+// the home partition and charges reads through read-only snapshot
+// accounting:
 //
 //   - Routing: the broker's subscription store is a scbr.ShardedIndex —
 //     P containment forests keyed by subscription ID (ID mod P), each on

@@ -2,9 +2,9 @@ package enclave
 
 import "securecloud/internal/cryptbox"
 
-// NewWorker builds the shard-per-core deployment unit the concurrent
-// layers (scbr.ShardedIndex, kvstore.ShardedStore, the parallel map/reduce
-// engine) are assembled from: a fresh simulated platform from cfg hosting
+// NewWorker builds the shard-per-core deployment unit shard.Set assembles
+// the concurrent layers (scbr.ShardedIndex, kvstore.ShardedStore, the
+// parallel map/reduce engine) from: a fresh simulated platform from cfg hosting
 // one initialized enclave of the given size, measured over name, with its
 // heap arena ready for allocation. Because every worker owns a whole
 // platform, workers share no simulated state — LLC, EPC and clock are

@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
@@ -107,7 +108,11 @@ type DurableStore struct {
 	wals     []*WAL
 	walKeys  []cryptbox.Key
 	snapKeys []cryptbox.Key
-	snapSeq  uint64
+	// pubSeq is, per shard, the newest sequence the shard published a
+	// record under: the parent of its next record. A snapshot that fails
+	// part-way leaves the shards that published ahead of the rest, and the
+	// next snapshot takes a sequence after all of them.
+	pubSeq []uint64
 	// dirty marks shards mutated since their last packed snapshot; a clean
 	// shard's next snapshot record reuses its parent manifest.
 	dirty []bool
@@ -209,6 +214,7 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 		ds.snapKeys = append(ds.snapKeys, sk)
 		ds.wals = append(ds.wals, NewWAL(wk, cfg.walName(i), 1))
 	}
+	ds.pubSeq = make([]uint64, ss.Shards())
 	ds.dirty = make([]bool, ss.Shards())
 	ds.durableEpoch = make([]uint64, ss.Shards())
 	ds.memos = make([]transfer.ChunkMemo, ss.Shards())
@@ -271,9 +277,9 @@ func (ds *DurableStore) WALSegments() [][]WALSegment {
 	return out
 }
 
-// SnapshotSeq returns the sequence of the last published snapshot (0 =
-// never snapshotted).
-func (ds *DurableStore) SnapshotSeq() uint64 { return ds.snapSeq }
+// SnapshotSeq returns the newest sequence any shard has published a
+// snapshot record under (0 = never snapshotted).
+func (ds *DurableStore) SnapshotSeq() uint64 { return slices.Max(ds.pubSeq) }
 
 // SnapshotStats is what one Snapshot call published and cost. Every field
 // is topology: bit-identical across worker counts.
@@ -316,9 +322,8 @@ func (ds *DurableStore) SnapshotFull() (SnapshotStats, error) {
 }
 
 func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
-	parent := ds.snapSeq
-	st := SnapshotStats{Seq: parent + 1}
-	for i, sh := range ds.shards {
+	st := SnapshotStats{Seq: ds.SnapshotSeq() + 1}
+	for i, parent := range ds.pubSeq {
 		name := ds.cfg.snapName(i)
 		if !full && !ds.dirty[i] && parent > 0 {
 			// Clean shard with a published parent: chain, don't pack. The
@@ -335,23 +340,20 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 			if err := ds.cfg.Registry.PublishSnapshot(name, st.Seq, rec); err != nil {
 				return st, err
 			}
+			ds.pubSeq[i] = st.Seq
 			ds.durableEpoch[i] = man.WALEpoch
 			st.ShardsReused++
 			continue
 		}
-		var before sim.Cycles
-		if sh.mem != nil {
-			before = sh.mem.Cycles()
-		}
-		sh.mu.Lock()
-		pairs, err := sh.st.Range("", "")
-		sh.mu.Unlock()
+		sh := ds.At(i)
+		before := sh.Cycles()
+		sh.Lock()
+		pairs, err := sh.V.Range("", "")
+		sh.Unlock()
 		if err != nil {
 			return st, err
 		}
-		if sh.mem != nil {
-			st.PackCycles += sh.mem.Cycles() - before
-		}
+		st.PackCycles += sh.Cycles() - before
 		ops := make([]WALOp, len(pairs))
 		for j, p := range pairs {
 			ops[j] = WALOp{Key: p.Key, Value: p.Value}
@@ -387,13 +389,13 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 		if err := ds.cfg.Registry.PublishSnapshot(name, st.Seq, rec); err != nil {
 			return st, err
 		}
+		ds.pubSeq[i] = st.Seq
 		ds.memos[i] = p.Memo
 		ds.wals[i].Roll(nextEpoch)
 		ds.dirty[i] = false
 		ds.durableEpoch[i] = nextEpoch
 		st.ShardsPacked++
 	}
-	ds.snapSeq = st.Seq
 	return st, nil
 }
 
@@ -444,26 +446,20 @@ type RecoveryStats struct {
 // applyShardOps replays ops into one shard in order, returning the cycle
 // delta the replay charged to the shard's memory.
 func (ds *DurableStore) applyShardOps(i int, ops []WALOp) (sim.Cycles, error) {
-	sh := ds.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var before sim.Cycles
-	if sh.mem != nil {
-		before = sh.mem.Cycles()
-	}
+	sh := ds.At(i)
+	sh.Lock()
+	defer sh.Unlock()
+	before := sh.Cycles()
 	for _, op := range ops {
 		if op.Delete {
-			sh.st.Delete(op.Key)
+			sh.V.Delete(op.Key)
 			continue
 		}
-		if err := sh.st.Put(op.Key, op.Value); err != nil {
+		if err := sh.V.Put(op.Key, op.Value); err != nil {
 			return 0, err
 		}
 	}
-	if sh.mem != nil {
-		return sh.mem.Cycles() - before, nil
-	}
-	return 0, nil
+	return sh.Cycles() - before, nil
 }
 
 // openSnapshotRecord authenticates and decodes one chain link. The
@@ -581,9 +577,7 @@ func RecoverDurableStore(cfg DurableConfig, segments [][]WALSegment) (*DurableSt
 			rs.CacheHits += ps.CacheHits
 			replayEpoch = head.WALEpoch
 			ds.durableEpoch[i] = replayEpoch
-			if ds.snapSeq < head.Seq {
-				ds.snapSeq = head.Seq
-			}
+			ds.pubSeq[i] = head.Seq
 		}
 		var shardSegs []WALSegment
 		if i < len(segments) {

@@ -435,6 +435,14 @@ type tamperStore struct {
 	calls       []blobSetCall
 	failPut     bool
 	failPublish bool
+	// failName, when set, confines failPut and failPublish to that
+	// snapshot name: one shard fails, the others publish.
+	failName string
+}
+
+// fails reports whether an injected failure applies to name.
+func (ts *tamperStore) fails(name string) bool {
+	return ts.failName == "" || ts.failName == name
 }
 
 // blobSetCall is one PutBlobSet a tamperStore saw.
@@ -458,14 +466,14 @@ var errInjected = errors.New("injected registry failure")
 
 func (ts *tamperStore) PutBlobSet(m *transfer.Manifest, chunks [][]byte) (int, error) {
 	ts.calls = append(ts.calls, blobSetCall{m: m, chunks: append([][]byte(nil), chunks...)})
-	if ts.failPut {
+	if ts.failPut && ts.fails(m.Name) {
 		return 0, errInjected
 	}
 	return ts.Registry.PutBlobSet(m, chunks)
 }
 
 func (ts *tamperStore) PublishSnapshot(name string, seq uint64, sealed []byte) error {
-	if ts.failPublish {
+	if ts.failPublish && ts.fails(name) {
 		return errInjected
 	}
 	return ts.Registry.PublishSnapshot(name, seq, sealed)

@@ -181,9 +181,7 @@ func TestDurableMemoFailedSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(79))
-			// Shard 0 packs first, so the failure lands before any record
-			// of the failed sequence is published.
-			mutateShard(t, ds, ref, rng, 0, 2)
+			mutateShard(t, ds, ref, rng, 1, 2)
 			ts.failPut, ts.failPublish = !failPublish, failPublish
 			if _, err := ds.Snapshot(); !errors.Is(err, errInjected) {
 				t.Fatalf("snapshot under injected failure: %v", err)
@@ -198,7 +196,7 @@ func TestDurableMemoFailedSnapshot(t *testing.T) {
 				t.Fatalf("snapshot after the failure: %d blob sets; want 1, sending every chunk", len(ts.calls))
 			}
 			// The successful pack restores the memo.
-			mutateShard(t, ds, ref, rng, 0, 1)
+			mutateShard(t, ds, ref, rng, 1, 1)
 			ts.calls = nil
 			if _, err := ds.Snapshot(); err != nil {
 				t.Fatal(err)
@@ -218,6 +216,61 @@ func TestDurableMemoFailedSnapshot(t *testing.T) {
 				t.Fatal("recovery after a failed snapshot differs from reference")
 			}
 		})
+	}
+}
+
+// TestDurableSnapshotAfterPartialFailure: a snapshot that fails at a middle
+// shard, after the shards before it published under the failed sequence,
+// must not wedge the ones after it. The next snapshot publishes — from the
+// same store, or from one recovered from the uneven chain heads the failure
+// left — and cold recovery equals the reference.
+func TestDurableSnapshotAfterPartialFailure(t *testing.T) {
+	const shards = 4
+	for _, failPublish := range []bool{false, true} {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("failPublish=%v/crash=%v", failPublish, crash), func(t *testing.T) {
+				ds, cfg, ts := newMemoFixture(t, shards)
+				ref := loadFixture(t, ds, 97)
+				if _, err := ds.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(101))
+				// Shards 0 and 2 pack, 1 and 3 chain reuse records.
+				mutateShard(t, ds, ref, rng, 0, 2)
+				mutateShard(t, ds, ref, rng, 2, 2)
+				ts.failName = cfg.snapName(2)
+				ts.failPut, ts.failPublish = !failPublish, failPublish
+				if _, err := ds.Snapshot(); !errors.Is(err, errInjected) {
+					t.Fatalf("snapshot under injected failure: %v", err)
+				}
+				ts.failPut, ts.failPublish = false, false
+				if crash {
+					rec, _, err := RecoverDurableStore(coldNode(cfg), ds.WALSegments())
+					if err != nil {
+						t.Fatal(err)
+					}
+					ds = rec
+				}
+
+				for round := 0; round < 2; round++ {
+					mutateShard(t, ds, ref, rng, 2, 1)
+					if _, err := ds.Snapshot(); err != nil {
+						t.Fatalf("snapshot %d after the partial failure: %v", round, err)
+					}
+				}
+				rec, _, err := RecoverDurableStore(coldNode(cfg), ds.WALSegments())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rec.StateDigest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := mapDigest(t, ref); got != want {
+					t.Fatal("recovery after a partial snapshot failure differs from reference")
+				}
+			})
+		}
 	}
 }
 

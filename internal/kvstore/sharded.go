@@ -3,14 +3,11 @@ package kvstore
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
-	"securecloud/internal/sim"
+	"securecloud/internal/shard"
 )
 
 // ShardedStoreConfig sizes a sharded secure key/value store.
@@ -34,17 +31,6 @@ type ShardedStoreConfig struct {
 	ShardBytes uint64
 }
 
-// storeShard is one shard: a Store plus the reader/writer lock that makes
-// the snapshot-read discipline safe. Reads hold the read side and use
-// Store.GetSnapshot (mutates nothing); Put/Delete/Range hold the write
-// side.
-type storeShard struct {
-	mu  sync.RWMutex
-	st  *Store
-	enc *enclave.Enclave
-	mem *enclave.Memory // nil when unaccounted
-}
-
 // ShardedStore is the concurrent form of the secure structured data store:
 // keys are partitioned by hash across Shards independent Stores, each
 // (when accounted) living in its own enclave on its own simulated platform
@@ -52,49 +38,33 @@ type storeShard struct {
 // space, as a partitioned storage cluster would across machines.
 //
 // Writes (Put/Delete and each shard's slice of a PutBatch) lock only their
-// home shard. Point reads charge read-only snapshot spans under the shard's
-// read lock, so concurrent reads never perturb one another's simulated
-// costs. Batch operations fan out across shards through a bounded worker
-// set while applying each shard's sub-batch in slice order, so aggregate
-// sim-cycles and faults are bit-identical for any interleaving and any
-// worker count; only the shard count changes the figures.
+// home shard. Point reads charge read-only snapshot spans (Store.GetSnapshot)
+// under the shard's read lock, so concurrent reads never perturb one
+// another's simulated costs. Batch operations fan out across shards through
+// a bounded worker set while applying each shard's sub-batch in slice order,
+// so aggregate sim-cycles and faults are bit-identical for any interleaving
+// and any worker count; only the shard count changes the figures.
 type ShardedStore struct {
-	shards  []*storeShard
-	workers int
+	*shard.Set[*Store]
 }
 
 // NewShardedStore builds the sharded store; every shard seals with key.
 func NewShardedStore(key cryptbox.Key, cfg ShardedStoreConfig) (*ShardedStore, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	ss := &ShardedStore{workers: cfg.Workers}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &storeShard{}
-		var acct Accounting
-		if cfg.Accounted {
-			if cfg.ShardBytes == 0 {
-				return nil, errors.New("kvstore: accounted sharded store needs ShardBytes")
-			}
-			enc, arena, err := enclave.NewWorker(cfg.Platform, cfg.ShardBytes, fmt.Sprintf("kv-shard-%d", i))
-			if err != nil {
-				return nil, err
-			}
-			acct = Accounting{Mem: enc.Memory(), Arena: arena}
-			sh.enc = enc
-			sh.mem = enc.Memory()
+	var bytes uint64
+	if cfg.Accounted {
+		if cfg.ShardBytes == 0 {
+			return nil, errors.New("kvstore: accounted sharded store needs ShardBytes")
 		}
-		st, err := NewStore(key, Options{Seed: cfg.Seed + int64(i), Accounting: acct})
-		if err != nil {
-			return nil, err
-		}
-		sh.st = st
-		ss.shards = append(ss.shards, sh)
+		bytes = cfg.ShardBytes
 	}
-	return ss, nil
+	set, err := shard.New(cfg.Shards, cfg.Workers, cfg.Platform, bytes, "kv-shard",
+		func(i int, acct Accounting) (*Store, error) {
+			return NewStore(key, Options{Seed: cfg.Seed + int64(i), Accounting: acct})
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedStore{Set: set}, nil
 }
 
 // shardOf maps a key to its home shard index: inlined FNV-1a over the
@@ -105,18 +75,15 @@ func (ss *ShardedStore) shardOf(key string) int {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return int(h % uint32(len(ss.shards)))
+	return int(h % uint32(ss.Shards()))
 }
-
-// Shards returns the shard count.
-func (ss *ShardedStore) Shards() int { return len(ss.shards) }
 
 // Put stores value under key in its home shard.
 func (ss *ShardedStore) Put(key string, value []byte) error {
-	sh := ss.shards[ss.shardOf(key)]
-	sh.mu.Lock()
-	err := sh.st.Put(key, value)
-	sh.mu.Unlock()
+	sh := ss.At(ss.shardOf(key))
+	sh.Lock()
+	err := sh.V.Put(key, value)
+	sh.Unlock()
 	return err
 }
 
@@ -124,37 +91,20 @@ func (ss *ShardedStore) Put(key string, value []byte) error {
 // snapshot span. Safe for concurrent use with itself and GetBatch;
 // Put/Delete serialize against the home shard only.
 func (ss *ShardedStore) Get(key string) ([]byte, error) {
-	sh := ss.shards[ss.shardOf(key)]
-	sh.mu.RLock()
-	v, err := sh.st.GetSnapshot(key)
-	sh.mu.RUnlock()
+	sh := ss.At(ss.shardOf(key))
+	sh.RLock()
+	v, err := sh.V.GetSnapshot(key)
+	sh.RUnlock()
 	return v, err
 }
 
 // Delete removes key; it reports whether the key existed.
 func (ss *ShardedStore) Delete(key string) bool {
-	sh := ss.shards[ss.shardOf(key)]
-	sh.mu.Lock()
-	ok := sh.st.Delete(key)
-	sh.mu.Unlock()
+	sh := ss.At(ss.shardOf(key))
+	sh.Lock()
+	ok := sh.V.Delete(key)
+	sh.Unlock()
 	return ok
-}
-
-// forEachShard runs fn(i) for every shard index across at most ss.workers
-// concurrent workers.
-func (ss *ShardedStore) forEachShard(fn func(int)) {
-	sim.ParallelFor(len(ss.shards), ss.workers, fn)
-}
-
-// firstErr returns the lowest-shard-index error, so batch failures are
-// deterministic regardless of worker interleaving.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PutBatch stores every pair, fanning out across shards. Within one shard
@@ -165,22 +115,22 @@ func (ss *ShardedStore) PutBatch(pairs []Pair) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	groups := make([][]Pair, len(ss.shards))
+	groups := make([][]Pair, ss.Shards())
 	for _, p := range pairs {
 		i := ss.shardOf(p.Key)
 		groups[i] = append(groups[i], p)
 	}
-	errs := make([]error, len(ss.shards))
-	ss.forEachShard(func(i int) {
+	errs := make([]error, ss.Shards())
+	ss.ForEach(func(i int) {
 		if len(groups[i]) == 0 {
 			return
 		}
-		sh := ss.shards[i]
-		sh.mu.Lock()
-		errs[i] = sh.st.PutBatch(groups[i])
-		sh.mu.Unlock()
+		sh := ss.At(i)
+		sh.Lock()
+		errs[i] = sh.V.PutBatch(groups[i])
+		sh.Unlock()
 	})
-	return firstErr(errs)
+	return shard.FirstErr(errs)
 }
 
 // GetBatch returns the values of keys, aligned by index, fanning out
@@ -193,21 +143,21 @@ func (ss *ShardedStore) GetBatch(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return out, nil
 	}
-	groups := make([][]int, len(ss.shards))
+	groups := make([][]int, ss.Shards())
 	for i, k := range keys {
 		s := ss.shardOf(k)
 		groups[s] = append(groups[s], i)
 	}
-	errs := make([]error, len(ss.shards))
-	ss.forEachShard(func(i int) {
+	errs := make([]error, ss.Shards())
+	ss.ForEach(func(i int) {
 		if len(groups[i]) == 0 {
 			return
 		}
-		sh := ss.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
+		sh := ss.At(i)
+		sh.RLock()
+		defer sh.RUnlock()
 		for _, idx := range groups[i] {
-			v, err := sh.st.GetSnapshot(keys[idx])
+			v, err := sh.V.GetSnapshot(keys[idx])
 			if err != nil {
 				if errors.Is(err, ErrNotFound) {
 					continue
@@ -218,28 +168,17 @@ func (ss *ShardedStore) GetBatch(keys []string) ([][]byte, error) {
 			out[idx] = v
 		}
 	})
-	return out, firstErr(errs)
+	return out, shard.FirstErr(errs)
 }
 
 // Len returns the number of stored records across shards.
 func (ss *ShardedStore) Len() int {
-	n := 0
-	for _, sh := range ss.shards {
-		sh.mu.RLock()
-		n += sh.st.Len()
-		sh.mu.RUnlock()
-	}
-	return n
+	return shard.Read(ss.Set, 0, func(n int, st *Store) int { return n + st.Len() })
 }
 
 // Keys returns all keys in global key order.
 func (ss *ShardedStore) Keys() []string {
-	var out []string
-	for _, sh := range ss.shards {
-		sh.mu.RLock()
-		out = append(out, sh.st.Keys()...)
-		sh.mu.RUnlock()
-	}
+	out := shard.Read(ss.Set, nil, func(out []string, st *Store) []string { return append(out, st.Keys()...) })
 	sort.Strings(out)
 	return out
 }
@@ -250,15 +189,15 @@ func (ss *ShardedStore) Keys() []string {
 // shard's write lock; per-shard costs stay deterministic because each
 // shard runs exactly one sequential scan.
 func (ss *ShardedStore) Range(lo, hi string) ([]Pair, error) {
-	parts := make([][]Pair, len(ss.shards))
-	errs := make([]error, len(ss.shards))
-	ss.forEachShard(func(i int) {
-		sh := ss.shards[i]
-		sh.mu.Lock()
-		parts[i], errs[i] = sh.st.Range(lo, hi)
-		sh.mu.Unlock()
+	parts := make([][]Pair, ss.Shards())
+	errs := make([]error, ss.Shards())
+	ss.ForEach(func(i int) {
+		sh := ss.At(i)
+		sh.Lock()
+		parts[i], errs[i] = sh.V.Range(lo, hi)
+		sh.Unlock()
 	})
-	if err := firstErr(errs); err != nil {
+	if err := shard.FirstErr(errs); err != nil {
 		return nil, err
 	}
 	total := 0
@@ -271,52 +210,6 @@ func (ss *ShardedStore) Range(lo, hi string) ([]Pair, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// Cycles returns the total simulated cycles charged across all shard
-// memories (zero when unaccounted). Order-independent under concurrent
-// snapshot reads, so equal workloads report equal totals at any
-// parallelism.
-func (ss *ShardedStore) Cycles() sim.Cycles {
-	var n sim.Cycles
-	for _, sh := range ss.shards {
-		if sh.mem != nil {
-			n += sh.mem.Cycles()
-		}
-	}
-	return n
-}
-
-// Faults returns total page faults across shard memories.
-func (ss *ShardedStore) Faults() uint64 {
-	var n uint64
-	for _, sh := range ss.shards {
-		if sh.mem != nil {
-			n += sh.mem.Faults()
-		}
-	}
-	return n
-}
-
-// ShardCycles returns each shard's simulated cycle total (benchmark hook:
-// per-op deltas give the critical-path/serial decomposition).
-func (ss *ShardedStore) ShardCycles() []sim.Cycles {
-	out := make([]sim.Cycles, len(ss.shards))
-	for i, sh := range ss.shards {
-		if sh.mem != nil {
-			out[i] = sh.mem.Cycles()
-		}
-	}
-	return out
-}
-
-// ResetAccounting zeroes every shard memory's ledger and fault counter.
-func (ss *ShardedStore) ResetAccounting() {
-	for _, sh := range ss.shards {
-		if sh.mem != nil {
-			sh.mem.ResetAccounting()
-		}
-	}
 }
 
 // EqualSharded reports whether a sharded store and a plain store hold

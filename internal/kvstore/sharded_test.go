@@ -364,8 +364,8 @@ func TestShardedStoreTamperDetected(t *testing.T) {
 	if err := ss.Put("victim", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	sh := ss.shards[ss.shardOf("victim")]
-	for n := sh.st.head.next[0]; n != nil; n = n.next[0] {
+	sh := ss.At(ss.shardOf("victim"))
+	for n := sh.V.head.next[0]; n != nil; n = n.next[0] {
 		if n.key == "victim" {
 			n.value[len(n.value)-1] ^= 1
 		}

@@ -6,6 +6,7 @@ import (
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
+	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 )
 
@@ -30,11 +31,9 @@ type ParallelConfig struct {
 	WorkerBytes uint64
 }
 
-// mrWorker is one enclave worker: a whole simulated platform, its enclave,
-// and a staging region accounting for the records streamed through it.
+// mrWorker is one worker enclave's staging region, accounting for the
+// records streamed through it.
 type mrWorker struct {
-	enc  *enclave.Enclave
-	mem  *enclave.Memory
 	base uint64
 	size uint64
 	off  uint64
@@ -104,8 +103,7 @@ func speedup(serial, critical sim.Cycles) float64 {
 // An engine is not safe for concurrent Run calls; each call reuses the
 // worker pool.
 type ParallelSecureEngine struct {
-	cfg     ParallelConfig
-	workers []*mrWorker
+	*shard.Set[mrWorker]
 	rootKey cryptbox.Key
 	hook    ShuffleHook
 	stats   PhaseStats
@@ -124,30 +122,15 @@ func NewParallelSecureEngine(rootKey cryptbox.Key, cfg ParallelConfig) (*Paralle
 	if cfg.WorkerBytes == 0 {
 		cfg.WorkerBytes = 16 << 20
 	}
-	e := &ParallelSecureEngine{cfg: cfg, rootKey: rootKey}
-	for i := 0; i < cfg.Workers; i++ {
-		enc, arena, err := enclave.NewWorker(cfg.Platform, cfg.WorkerBytes, fmt.Sprintf("mr-parallel-worker-%d", i))
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		size := arena.Capacity()
-		base := arena.Alloc(int(size))
-		e.workers = append(e.workers, &mrWorker{
-			enc:  enc,
-			mem:  enc.Memory(),
-			base: base,
-			size: size,
+	set, err := shard.New(cfg.Workers, cfg.MaxParallel, cfg.Platform, cfg.WorkerBytes, "mr-parallel-worker",
+		func(_ int, acct enclave.Accounting) (mrWorker, error) {
+			size := acct.Arena.Capacity()
+			return mrWorker{base: acct.Arena.Alloc(int(size)), size: size}, nil
 		})
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
-}
-
-// Close destroys the worker enclaves.
-func (e *ParallelSecureEngine) Close() {
-	for _, w := range e.workers {
-		w.enc.Destroy()
-	}
+	return &ParallelSecureEngine{Set: set, rootKey: rootKey}, nil
 }
 
 // Stats returns the phase accounting of the most recent Run.
@@ -170,38 +153,6 @@ func (e *ParallelSecureEngine) partitionBoxes(reducers int) ([]*cryptbox.Box, er
 	return boxes, nil
 }
 
-// cyclesDelta subtracts a per-worker cycle snapshot, returning the deltas
-// plus their sum and max (serial and critical path).
-func (e *ParallelSecureEngine) cyclesDelta(before []sim.Cycles) ([]sim.Cycles, sim.Cycles, sim.Cycles) {
-	deltas := make([]sim.Cycles, len(e.workers))
-	var sum, max sim.Cycles
-	for i, w := range e.workers {
-		d := w.mem.Cycles() - before[i]
-		deltas[i] = d
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	return deltas, sum, max
-}
-
-func (e *ParallelSecureEngine) cyclesSnapshot() []sim.Cycles {
-	out := make([]sim.Cycles, len(e.workers))
-	for i, w := range e.workers {
-		out[i] = w.mem.Cycles()
-	}
-	return out
-}
-
-func (e *ParallelSecureEngine) faultTotal() uint64 {
-	var n uint64
-	for _, w := range e.workers {
-		n += w.mem.Faults()
-	}
-	return n
-}
-
 // Run executes the job across the worker pool with a sealed shuffle.
 func (e *ParallelSecureEngine) Run(job Job) (map[string][]byte, error) {
 	if err := job.defaults(); err != nil {
@@ -211,25 +162,25 @@ func (e *ParallelSecureEngine) Run(job Job) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	splits := splitInput(job.Input, len(e.workers))
-	faults0 := e.faultTotal()
+	splits := splitInput(job.Input, e.Shards())
+	faults0 := e.Faults()
 
 	// Map phase: worker w maps split w inside its enclave, sealing every
 	// intermediate record before it leaves. One accounting span covers the
 	// whole split (the worker owns its platform exclusively).
-	mapBefore := e.cyclesSnapshot()
-	perWorker := make([][][][]byte, len(e.workers)) // worker -> partition -> sealed records
-	mapErrs := make([]error, len(e.workers))
-	sim.ParallelFor(len(splits), e.cfg.MaxParallel, func(w int) {
-		mapErrs[w] = e.runMapTask(job, boxes, splits[w], w, perWorker)
-	})
-	for _, err := range mapErrs {
-		if err != nil {
-			return nil, err
+	mapBefore := e.ShardCycles()
+	perWorker := make([][][][]byte, e.Shards()) // worker -> partition -> sealed records
+	mapErrs := make([]error, e.Shards())
+	e.ForEach(func(w int) {
+		if w < len(splits) {
+			mapErrs[w] = e.runMapTask(job, boxes, splits[w], w, perWorker)
 		}
+	})
+	if err := shard.FirstErr(mapErrs); err != nil {
+		return nil, err
 	}
-	mapCycles, mapSerial, mapCritical := e.cyclesDelta(mapBefore)
-	faultsAfterMap := e.faultTotal()
+	mapCycles, mapSerial, mapCritical := shard.Spread(mapBefore, e.ShardCycles())
+	faultsAfterMap := e.Faults()
 
 	// The shuffle concatenates worker outputs in ascending worker order —
 	// deterministic however the map tasks interleaved.
@@ -247,20 +198,18 @@ func (e *ParallelSecureEngine) Run(job Job) (map[string][]byte, error) {
 
 	// Reduce phase: partitions hash to workers (p mod Workers); each
 	// worker unseals and reduces its partitions in ascending order.
-	reduceBefore := e.cyclesSnapshot()
-	perWorkerOut := make([][]KV, len(e.workers))
-	reduceErrs := make([]error, len(e.workers))
-	sim.ParallelFor(len(e.workers), e.cfg.MaxParallel, func(w int) {
+	reduceBefore := e.ShardCycles()
+	perWorkerOut := make([][]KV, e.Shards())
+	reduceErrs := make([]error, e.Shards())
+	e.ForEach(func(w int) {
 		reduceErrs[w] = e.runReduceTask(job, boxes, partitions, w, perWorkerOut)
 	})
-	for _, err := range reduceErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err := shard.FirstErr(reduceErrs); err != nil {
+		return nil, err
 	}
-	reduceCycles, reduceSerial, reduceCritical := e.cyclesDelta(reduceBefore)
+	reduceCycles, reduceSerial, reduceCritical := shard.Spread(reduceBefore, e.ShardCycles())
 
-	faultsEnd := e.faultTotal()
+	faultsEnd := e.Faults()
 	e.stats = PhaseStats{
 		WorkerMapCycles:      mapCycles,
 		WorkerReduceCycles:   reduceCycles,
@@ -284,13 +233,14 @@ func (e *ParallelSecureEngine) Run(job Job) (map[string][]byte, error) {
 
 // runMapTask maps one split inside worker w's enclave.
 func (e *ParallelSecureEngine) runMapTask(job Job, boxes []*cryptbox.Box, split []KV, w int, perWorker [][][][]byte) error {
-	wk := e.workers[w]
+	sh := e.At(w)
+	wk := &sh.V
 	out := make([][][]byte, job.Reducers)
-	if err := wk.enc.EEnter(); err != nil {
+	if err := sh.Enc.EEnter(); err != nil {
 		return err
 	}
-	defer func() { _ = wk.enc.EExit() }()
-	sp := wk.mem.BeginSpan()
+	defer func() { _ = sh.Enc.EExit() }()
+	sp := sh.Enc.Memory().BeginSpan()
 	var failed error
 	for _, rec := range split {
 		// Staging the record into the enclave reads it once.
@@ -331,21 +281,22 @@ func (e *ParallelSecureEngine) runMapTask(job Job, boxes []*cryptbox.Box, split 
 // Workers, ascending) inside its enclave.
 func (e *ParallelSecureEngine) runReduceTask(job Job, boxes []*cryptbox.Box, partitions [][][]byte, w int, perWorkerOut [][]KV) error {
 	owned := 0
-	for p := w; p < job.Reducers; p += len(e.workers) {
+	for p := w; p < job.Reducers; p += e.Shards() {
 		owned++
 	}
 	if owned == 0 {
 		return nil
 	}
-	wk := e.workers[w]
-	if err := wk.enc.EEnter(); err != nil {
+	sh := e.At(w)
+	wk := &sh.V
+	if err := sh.Enc.EEnter(); err != nil {
 		return err
 	}
-	defer func() { _ = wk.enc.EExit() }()
-	sp := wk.mem.BeginSpan()
+	defer func() { _ = sh.Enc.EExit() }()
+	sp := sh.Enc.Memory().BeginSpan()
 	var out []KV
 	var failed error
-	for p := w; p < job.Reducers && failed == nil; p += len(e.workers) {
+	for p := w; p < job.Reducers && failed == nil; p += e.Shards() {
 		var recs []KV
 		for _, sealed := range partitions[p] {
 			// Staging the sealed record into the enclave reads it once.

@@ -8,6 +8,7 @@ import (
 	"securecloud/internal/attest"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
+	"securecloud/internal/shard"
 )
 
 func BenchmarkInsertUnaccounted(b *testing.B) {
@@ -190,17 +191,9 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 		if _, err := bk.Publish(envs[0][i]); err != nil {
 			b.Fatal(err)
 		}
-		after := six.ShardCycles()
-		var sum, max uint64
-		for s := range after {
-			d := uint64(after[s] - before[s])
-			sum += d
-			if d > max {
-				max = d
-			}
-		}
-		serial += sum
-		critical += max
+		_, sum, max := shard.Spread(before, six.ShardCycles())
+		serial += uint64(sum)
+		critical += uint64(max)
 	}
 	faults := six.Faults()
 	for _, c := range subscribers {

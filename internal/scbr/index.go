@@ -79,9 +79,8 @@ type locPage struct {
 // for concurrent use; the broker serialises access the way the enclave's
 // single matching thread does.
 //
-// Subscription IDs are expected to be unique among the live subscriptions
-// (the broker assigns them sequentially). If a live ID is inserted again
-// both filters match, but Remove only reaches the later one.
+// Subscription IDs are the broker's sequential ids, so no two live
+// subscriptions share one.
 type Index struct {
 	cfg   IndexConfig
 	root  node // sentinel; its children are the forest roots

@@ -111,8 +111,8 @@ func TestShardedAgainstScanModel(t *testing.T) {
 				t.Fatalf("shards=%d op %d: Count = %d, model %d", shards, i, sx.Count(), model.Count())
 			}
 		}
-		for _, sh := range sx.shards {
-			checkLocator(t, sh.ix)
+		for i := range sx.Shards() {
+			checkLocator(t, sx.At(i).V)
 		}
 	}
 }

@@ -181,12 +181,15 @@ func TestDurableMemoFailedSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(79))
+			// Shard 0 is clean and publishes its reuse record first; the
+			// failure hits shard 1's own PutBlobSet or PublishSnapshot.
 			mutateShard(t, ds, ref, rng, 1, 2)
+			ts.failName = cfg.snapName(1)
 			ts.failPut, ts.failPublish = !failPublish, failPublish
 			if _, err := ds.Snapshot(); !errors.Is(err, errInjected) {
 				t.Fatalf("snapshot under injected failure: %v", err)
 			}
-			ts.failPut, ts.failPublish = false, false
+			ts.failName, ts.failPut, ts.failPublish = "", false, false
 
 			ts.calls = nil
 			if _, err := ds.Snapshot(); err != nil {

@@ -50,12 +50,9 @@ type ShardedStore struct {
 
 // NewShardedStore builds the sharded store; every shard seals with key.
 func NewShardedStore(key cryptbox.Key, cfg ShardedStoreConfig) (*ShardedStore, error) {
-	var bytes uint64
-	if cfg.Accounted {
-		if cfg.ShardBytes == 0 {
-			return nil, errors.New("kvstore: accounted sharded store needs ShardBytes")
-		}
-		bytes = cfg.ShardBytes
+	bytes, err := shard.Bytes(cfg.Accounted, cfg.ShardBytes, "kvstore: accounted sharded store")
+	if err != nil {
+		return nil, err
 	}
 	set, err := shard.New(cfg.Shards, cfg.Workers, cfg.Platform, bytes, "kv-shard",
 		func(i int, acct Accounting) (*Store, error) {

@@ -1,7 +1,6 @@
 package scbr
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -55,12 +54,9 @@ type ShardedIndex struct {
 
 // NewShardedIndex builds the sharded store.
 func NewShardedIndex(cfg ShardedIndexConfig) (*ShardedIndex, error) {
-	var bytes uint64
-	if cfg.Accounted {
-		if cfg.ShardBytes == 0 {
-			return nil, fmt.Errorf("scbr: accounted sharded index needs ShardBytes")
-		}
-		bytes = cfg.ShardBytes
+	bytes, err := shard.Bytes(cfg.Accounted, cfg.ShardBytes, "scbr: accounted sharded index")
+	if err != nil {
+		return nil, err
 	}
 	set, err := shard.New(cfg.Shards, cfg.Workers, cfg.Platform, bytes, "scbr-shard",
 		func(_ int, acct enclave.Accounting) (*Index, error) {

@@ -86,6 +86,18 @@ func New[T any](n, workers int, platform enclave.Config, bytes uint64, name stri
 	return s, nil
 }
 
+// Bytes turns a layer's Accounted/ShardBytes options into New's bytes
+// argument, where 0 means unaccounted; an accounted set needs a size.
+func Bytes(accounted bool, shardBytes uint64, what string) (uint64, error) {
+	if !accounted {
+		return 0, nil
+	}
+	if shardBytes == 0 {
+		return 0, fmt.Errorf("%s needs ShardBytes", what)
+	}
+	return shardBytes, nil
+}
+
 // Shards returns the shard count.
 func (s *Set[T]) Shards() int { return len(s.shards) }
 
@@ -93,7 +105,8 @@ func (s *Set[T]) Shards() int { return len(s.shards) }
 func (s *Set[T]) At(i int) *Shard[T] { return s.shards[i] }
 
 // ForEach runs fn(i) for every shard index across at most the set's worker
-// bound. fn must lock the shard it touches.
+// bound; each index is visited exactly once, by one goroutine. fn must lock
+// shard i only if other goroutines can reach it concurrently.
 func (s *Set[T]) ForEach(fn func(i int)) {
 	sim.ParallelFor(len(s.shards), s.workers, fn)
 }

@@ -164,6 +164,24 @@ func TestSpread(t *testing.T) {
 	}
 }
 
+func TestBytes(t *testing.T) {
+	for _, tc := range []struct {
+		accounted bool
+		in, want  uint64
+		err       bool
+	}{
+		{false, 0, 0, false},
+		{false, 1 << 20, 0, false}, // a size alone does not account
+		{true, 1 << 20, 1 << 20, false},
+		{true, 0, 0, true},
+	} {
+		got, err := Bytes(tc.accounted, tc.in, "layer")
+		if got != tc.want || (err != nil) != tc.err {
+			t.Errorf("Bytes(%v, %d) = %d, %v; want %d, error %v", tc.accounted, tc.in, got, err, tc.want, tc.err)
+		}
+	}
+}
+
 func TestFirstErr(t *testing.T) {
 	a, b := errors.New("a"), errors.New("b")
 	if err := FirstErr([]error{nil, a, b}); err != a {

@@ -11,16 +11,20 @@
 package securecloud_test
 
 import (
+	"crypto/ed25519"
+	"crypto/rand"
 	"fmt"
 	"testing"
 
 	"securecloud/internal/attest"
-	"securecloud/internal/core"
+	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/fsshield"
 	"securecloud/internal/genpack"
+	"securecloud/internal/image"
 	"securecloud/internal/mapreduce"
+	"securecloud/internal/registry"
 	"securecloud/internal/scbr"
 	"securecloud/internal/sconert"
 	"securecloud/internal/shield"
@@ -260,29 +264,53 @@ func BenchmarkGenPackMonitorAblation(b *testing.B) {
 	b.Run("declared-demand", func(b *testing.B) { run(b, false) })
 }
 
+// deploySecure builds, secures, registers and pushes a one-layer image
+// name:1.0 holding code plus files, and returns an SGX node pulling from
+// that registry together with the owner's CAS.
+func deploySecure(b *testing.B, name string, code []byte, files map[string][]byte, protect map[string]fsshield.Mode) (*container.Engine, *sconert.CAS) {
+	b.Helper()
+	svc := attest.NewService()
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cas := sconert.NewCAS(svc)
+	owner := container.NewSCONEClient(priv, cas)
+	layer := map[string][]byte{container.EntrypointPath: code}
+	for p, f := range files {
+		layer[p] = f
+	}
+	plain, err := image.NewBuilder(name, "1.0").AddLayer(layer).SetEntrypoint(container.EntrypointPath).Build(priv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	secured, secrets, err := owner.BuildSecure(plain, protect)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := owner.Deploy(secured, secrets, nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	reg := registry.New()
+	if err := reg.Push(secured); err != nil {
+		b.Fatal(err)
+	}
+	node, err := container.LaunchNode(svc, "node-00", reg, enclave.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return node, cas
+}
+
 // BenchmarkSecureContainerBoot measures the Figure 2 startup path: pull,
 // verify, build enclave, attest, SCF injection.
 func BenchmarkSecureContainerBoot(b *testing.B) {
-	svc := attest.NewService()
-	cloud, err := core.NewCloud(1, svc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	owner, err := core.NewOwner(svc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := owner.Deploy(cloud, core.ServiceSpec{
-		Name: "bench/boot", Code: []byte("BENCH-BINARY"),
-		Files:   map[string][]byte{"/etc/cfg": []byte("x=1")},
-		Protect: map[string]fsshield.Mode{"/etc/cfg": fsshield.ModeEncrypted},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	node, cas := deploySecure(b, "bench/boot", []byte("BENCH-BINARY"),
+		map[string][]byte{"/etc/cfg": []byte("x=1")},
+		map[string]fsshield.Mode{"/etc/cfg": fsshield.ModeEncrypted})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := cloud.Run(0, d, owner)
+		c, err := node.Run("bench/boot", "1.0", cas)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -381,20 +409,8 @@ func BenchmarkEnclaveRandomAccess(b *testing.B) {
 // BenchmarkContainerThroughput drives encrypted stdout records through a
 // running secure container — the steady-state data-path cost of the stack.
 func BenchmarkContainerThroughput(b *testing.B) {
-	svc := attest.NewService()
-	cloud, err := core.NewCloud(1, svc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	owner, err := core.NewOwner(svc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := owner.Deploy(cloud, core.ServiceSpec{Name: "bench/tp", Code: []byte("B")})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := cloud.Run(0, d, owner)
+	node, cas := deploySecure(b, "bench/tp", []byte("B"), nil, nil)
+	c, err := node.Run("bench/tp", "1.0", cas)
 	if err != nil {
 		b.Fatal(err)
 	}

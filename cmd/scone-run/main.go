@@ -2,15 +2,19 @@
 // of paper §V-A (Figure 2) from the command line: build a secure image,
 // push it through an untrusted registry (optionally over HTTP), pull it on
 // an untrusted SGX node, attest, inject the SCF, execute, and read the
-// container's encrypted output. With -tamper, the registry corrupts the
-// image after push, and the run must fail verification.
+// container's encrypted output. With -http the node pulls through the
+// registry's HTTP API chunk by chunk, verifying every chunk. With -tamper,
+// the registry corrupts the image after push, and the run must fail
+// verification.
 //
 // Usage:
 //
-//	scone-run [-nodes N] [-http] [-tamper]
+//	scone-run [-http] [-tamper]
 package main
 
 import (
+	"crypto/ed25519"
+	"crypto/rand"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -18,59 +22,70 @@ import (
 
 	"securecloud/internal/attest"
 	"securecloud/internal/container"
-	"securecloud/internal/core"
+	"securecloud/internal/enclave"
 	"securecloud/internal/fsshield"
 	"securecloud/internal/image"
 	"securecloud/internal/registry"
+	"securecloud/internal/sconert"
 )
 
 func main() {
-	nodes := flag.Int("nodes", 2, "number of SGX nodes in the simulated cloud")
-	useHTTP := flag.Bool("http", false, "push/pull the image over the registry's HTTP API")
+	useHTTP := flag.Bool("http", false, "push and pull the image over the registry's HTTP API")
 	tamper := flag.Bool("tamper", false, "corrupt the image in the registry after push (must be detected)")
 	flag.Parse()
 
+	// The owner's trusted environment: a signing key, the CAS, the SCONE
+	// client. The attestation service is the one party both sides trust.
 	svc := attest.NewService()
-	cloud, err := core.NewCloud(*nodes, svc)
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
 	check(err)
-	owner, err := core.NewOwner(svc)
-	check(err)
+	cas := sconert.NewCAS(svc)
+	owner := container.NewSCONEClient(priv, cas)
 
 	fmt.Println("[owner ] building secure image demo/scone-run:1.0")
-	deployment, err := owner.Deploy(cloud, core.ServiceSpec{
-		Name: "demo/scone-run",
-		Tag:  "1.0",
-		Code: []byte("SCONE-RUN-DEMO-BINARY"),
-		Files: map[string][]byte{
-			"/etc/secret.conf": []byte("api-key=SECRET-123"),
-			"/etc/public.conf": []byte("log-level=info"),
-		},
-		Protect: map[string]fsshield.Mode{
-			"/etc/secret.conf": fsshield.ModeEncrypted,
-			"/etc/public.conf": fsshield.ModeIntegrityOnly,
-		},
-		Args: []string{"serve", "--port=8443"},
+	plain, err := image.NewBuilder("demo/scone-run", "1.0").
+		AddLayer(map[string][]byte{
+			container.EntrypointPath: []byte("SCONE-RUN-DEMO-BINARY"),
+			"/etc/secret.conf":       []byte("api-key=SECRET-123"),
+			"/etc/public.conf":       []byte("log-level=info"),
+		}).
+		SetEntrypoint(container.EntrypointPath).
+		Build(priv)
+	check(err)
+	secured, secrets, err := owner.BuildSecure(plain, map[string]fsshield.Mode{
+		"/etc/secret.conf": fsshield.ModeEncrypted,
+		"/etc/public.conf": fsshield.ModeIntegrityOnly,
 	})
 	check(err)
+	scf, err := owner.Deploy(secured, secrets, []string{"serve", "--port=8443"}, nil)
+	check(err)
 
+	// The untrusted registry, reached in-process or over HTTP.
+	reg := registry.New()
+	var src container.PullSource = reg
 	if *useHTTP {
-		fmt.Println("[owner ] round-tripping image through the registry HTTP API")
-		srv := httptest.NewServer(cloud.Registry.Handler())
+		srv := httptest.NewServer(reg.Handler())
 		defer srv.Close()
 		client := registry.NewClient(srv.URL)
-		check(client.Push(deployment.Image))
-		img, err := client.Pull("demo/scone-run", "1.0")
-		check(err)
-		check(img.Verify())
-		fmt.Println("[cloud ] HTTP pull verified:", img.Ref())
+		fmt.Println("[owner ] pushing image over the registry HTTP API")
+		check(client.Push(secured))
+		src = client
+	} else {
+		check(reg.Push(secured))
 	}
 
 	if *tamper {
 		fmt.Println("[attack] registry operator corrupts the entrypoint layer")
-		cloud.Registry.TamperLayer(deployment.Image.Manifest.LayerDigests[0], func(l *image.Layer) {
+		reg.TamperLayer(secured.Manifest.LayerDigests[0], func(l *image.Layer) {
 			l.Files[container.EntrypointPath] = []byte("BACKDOORED")
 		})
-		_, err := cloud.Run(0, deployment, owner)
+	}
+
+	// An untrusted SGX node pulls, verifies, attests and boots.
+	node, err := container.LaunchNode(svc, "node-00", src, enclave.Config{})
+	check(err)
+	c, err := node.Run("demo/scone-run", "1.0", cas)
+	if *tamper {
 		if err == nil {
 			fmt.Println("FATAL: tampered image executed")
 			os.Exit(1)
@@ -78,18 +93,20 @@ func main() {
 		fmt.Println("[cloud ] execution refused:", err)
 		return
 	}
-
-	c, err := cloud.Run(0, deployment, owner)
 	check(err)
-	fmt.Printf("[cloud ] container %s running on %s (TCB %d MiB)\n",
-		c.ID, cloud.Node(0).ID, c.Runtime.TCBBytes()>>20)
+	if *useHTTP {
+		ps := node.LastPullStats()
+		fmt.Printf("[cloud ] HTTP pull: %d layers, %d chunks (%d bytes), each verified\n", ps.Layers, ps.ChunksFetch, ps.BytesFetched)
+	}
+	fmt.Printf("[cloud ] container %s running on node-00 (TCB %d MiB)\n",
+		c.ID, c.Runtime.TCBBytes()>>20)
 
 	secret, err := c.Runtime.FS().ReadFile("/etc/secret.conf")
 	check(err)
 	fmt.Println("[enclave] read protected config:", string(secret))
 
 	check(c.Runtime.Stdout([]byte("listening on :8443")))
-	lines, err := cloud.ReadStdout(0, deployment)
+	lines, err := container.ReadStdout(node.Host, scf)
 	check(err)
 	for _, l := range lines {
 		fmt.Println("[owner ] decrypted stdout:", string(l))

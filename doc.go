@@ -20,7 +20,12 @@
 //   - kvstore, mapreduce, genpack, smartgrid — the big data layer: secure
 //     structured storage, secure map/reduce, the GenPack generational
 //     scheduler (the 23% energy claim) and the smart-grid use cases.
-//   - core — the top-level platform API gluing cloud and owner sides.
+//
+// There is no facade over them: examples/quickstart and cmd/scone-run
+// write the whole workflow out — owner side (image.Builder,
+// container.SCONEClient, sconert.CAS), cloud side (registry,
+// container.LaunchNode, Engine.Run) — and the application plane boots its
+// replicas through the same calls.
 //
 // The benchmarks in bench_test.go regenerate every quantitative statement
 // of the paper, each reporting the simulated-cycle metrics its figure or
@@ -176,16 +181,21 @@
 //     service revocation (KeyBroker.Revoke) and platform revocation
 //     (Service.Revoke) take effect immediately, cache or no cache.
 //
-//   - Serve (microsvc.ReplicaSet). A service runs as N enclave-per-replica
-//     workers behind an attested front-end dispatcher. Every component
-//     boots the paper's sequence — attest, fetch keys, subscribe — either
-//     directly (enclave.NewSignedWorker on a fresh platform) or through
-//     the full container path (container.LaunchNode + Engine.Run: image
-//     pull, enclave build, SCONE boot with SCF release, then service-key
-//     release). Requests travel as frames: a cleartext routing key plus
-//     the body sealed under the request key; the front-end routes by key
-//     hash over the replica order (key affinity), and bodies are opened
-//     only inside the owning replica's enclave under accounting spans.
+//   - Serve (microsvc.ReplicaSet, the only micro-service runtime). A
+//     service runs as N enclave-per-replica workers behind an attested
+//     front-end dispatcher. Every component boots the paper's sequence —
+//     attest, fetch keys, subscribe — either directly
+//     (enclave.NewSignedWorker on a fresh platform) or through the full
+//     container path (container.LaunchNode + Engine.Run: image pull,
+//     enclave build, SCONE boot with SCF release, then service-key
+//     release). Requests and replies travel in one frame format
+//     (microsvc/frame.go): a cleartext header — magic, flags, tenant,
+//     request id, routing key — then the body sealed under the request
+//     key. The front-end routes by key hash over the replica order (key
+//     affinity), and bodies are opened only inside the owning replica's
+//     enclave under accounting spans. PlaneClient is the owner's end: it
+//     seals, sends through a Transport (the bus, or wire's HTTP), and
+//     opens replies.
 //
 //   - Orchestrate (orchestrator + ReplicaSet as Launcher). Each Step is
 //     one monitoring tick of a closed simulated-time loop: replicas serve
@@ -219,14 +229,11 @@
 // puts a tenant-aware admission controller between the front-end's poll
 // and the replicas' queues:
 //
-//   - Tenant envelope. PlaneClient.SendTenant tags each request with a
-//     tenant and a client-assigned id using a second frame version: the
-//     two bytes where a legacy frame keeps its key length hold the
-//     reserved magic 0xFFFF (SendBatch rejects keys that long), followed
-//     by a flags byte, the tenant, the id, and then the usual key +
-//     sealed body. Untagged requests keep the legacy layout bit for bit,
-//     and replies echo the request's envelope, so a plane without an
-//     AdmissionConfig is byte-identical to the pre-admission plane.
+//   - Tenant envelope. Every frame names a tenant and carries a
+//     client-assigned id (PlaneClient.SendTenantIDs; untagged traffic is
+//     tenant ""), and replies — served and shed — echo the request's
+//     envelope so clients correlate them. Without an AdmissionConfig the
+//     tenant is carried but never consulted.
 //
 //   - Token buckets and weighted-fair dequeue. Each tenant has a
 //     TenantPolicy (Weight, Rate, Burst, MaxQueue); buckets refill once

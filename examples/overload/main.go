@@ -74,7 +74,7 @@ func run(adm *microsvc.AdmissionConfig) (backlog int, stats microsvc.AdmissionSn
 					Body: []byte("payload"),
 				}
 			}
-			if err := client.SendTenant(tenant, batch); err != nil {
+			if _, err := client.SendTenantIDs(tenant, batch); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -145,11 +145,13 @@ func main() {
 		{Voltage: 231, Feeder: 3, Note: "nominal feeder 3"},
 		{Voltage: 188, Feeder: 3, Note: "sag on feeder 3"},
 	}
-	for _, e := range events {
+	reqs := make([]microsvc.PlaneRequest, len(events))
+	for i, e := range events {
 		body, _ := json.Marshal(e)
-		if err := meters.Send(fmt.Sprintf("feeder-%02.0f", e.Feeder), body); err != nil {
-			log.Fatal(err)
-		}
+		reqs[i] = microsvc.PlaneRequest{Key: fmt.Sprintf("feeder-%02.0f", e.Feeder), Body: body}
+	}
+	if _, err := meters.SendTenantIDs("", reqs); err != nil {
+		log.Fatal(err)
 	}
 	if _, err := gateway.Step(); err != nil {
 		log.Fatal(err)

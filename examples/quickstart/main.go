@@ -8,16 +8,22 @@
 package main
 
 import (
+	"crypto/ed25519"
+	"crypto/rand"
 	"fmt"
 	"log"
 	"strings"
 
 	"securecloud/internal/attest"
 	"securecloud/internal/container"
-	"securecloud/internal/core"
 	"securecloud/internal/cryptbox"
+	"securecloud/internal/enclave"
+	"securecloud/internal/eventbus"
 	"securecloud/internal/fsshield"
+	"securecloud/internal/image"
 	"securecloud/internal/microsvc"
+	"securecloud/internal/registry"
+	"securecloud/internal/sconert"
 )
 
 func main() {
@@ -25,40 +31,59 @@ func main() {
 	// Intel Attestation Service analogue).
 	svc := attest.NewService()
 
-	// The untrusted cloud: three SGX nodes, a registry, an event bus.
-	cloud, err := core.NewCloud(3, svc)
+	// The application owner's trusted environment: a signing key, the CAS
+	// holding the SCFs, the SCONE client, and the application root key.
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The application owner's trusted environment.
-	owner, err := core.NewOwner(svc)
+	cas := sconert.NewCAS(svc)
+	owner := container.NewSCONEClient(priv, cas)
+	appRoot, err := cryptbox.NewRandomKey()
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The untrusted cloud: a registry and an event bus.
+	reg := registry.New()
+	bus := eventbus.New()
 
-	// 1. Build + deploy a micro-service with an encrypted config file.
-	deployment, err := owner.Deploy(cloud, core.ServiceSpec{
-		Name: "demo/hello",
-		Tag:  "1.0",
-		Code: []byte("HELLO-MICROSERVICE-BINARY"),
-		Files: map[string][]byte{
-			"/etc/greeting": []byte("hello from inside the enclave"),
-		},
-		Protect: map[string]fsshield.Mode{
-			"/etc/greeting": fsshield.ModeEncrypted,
-		},
-		Args: []string{"serve"},
-		Env:  map[string]string{"MODE": "demo"},
+	// 1. Build + deploy a micro-service with an encrypted config file: the
+	// image is signed, its protected files encrypted, its SCF registered
+	// with the CAS, and only then is it pushed to the registry.
+	plain, err := image.NewBuilder("demo/hello", "1.0").
+		AddLayer(map[string][]byte{
+			container.EntrypointPath: []byte("HELLO-MICROSERVICE-BINARY"),
+			"/etc/greeting":          []byte("hello from inside the enclave"),
+		}).
+		SetEntrypoint(container.EntrypointPath).
+		SetEnv("MODE", "demo").
+		Build(priv)
+	if err != nil {
+		log.Fatal(err)
+	}
+	secured, secrets, err := owner.BuildSecure(plain, map[string]fsshield.Mode{
+		"/etc/greeting": fsshield.ModeEncrypted,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("deployed:", deployment.Image.Ref())
+	scf, err := owner.Deploy(secured, secrets, []string{"serve"}, map[string]string{"MODE": "demo"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := reg.Push(secured); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("deployed:", secured.Ref())
 
-	// 2. The cloud pulls, verifies, attests and boots the container. The
-	// SCF (stream keys, FS protection key) travels over the attested
-	// channel; the node never sees it.
-	c, err := cloud.Run(0, deployment, owner)
+	// 2. An untrusted SGX node pulls, verifies, attests and boots the
+	// container. The SCF (stream keys, FS protection key) travels over the
+	// attested channel; the node never sees it.
+	node, err := container.LaunchNode(svc, "node-00", reg, enclave.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	c, err := node.Run("demo/hello", "1.0", cas)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +101,7 @@ func main() {
 	if err := c.Runtime.Stdout([]byte("service ready")); err != nil {
 		log.Fatal(err)
 	}
-	lines, err := cloud.ReadStdout(0, deployment)
+	lines, err := container.ReadStdout(node.Host, scf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,11 +120,11 @@ func main() {
 	// node through the full container path and fetches its keys over the
 	// attested channel. There is no other way onto the plane.
 	kb := attest.NewKeyBroker(svc)
-	m, err := container.ExpectedMeasurement(deployment.Image)
+	m, err := container.ExpectedMeasurement(secured)
 	if err != nil {
 		log.Fatal(err)
 	}
-	keys, err := microsvc.NewServiceKeys(owner.AppRoot, "demo/hello", "hello/req", "hello/resp")
+	keys, err := microsvc.NewServiceKeys(appRoot, "demo/hello", "hello/req", "hello/resp")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,12 +133,12 @@ func main() {
 	// The replicas share one node-local blob cache: the first boot pulls
 	// the image's chunks from the registry, every later boot is warm.
 	cache := container.NewBlobCache()
-	rs, err := microsvc.NewContainerReplicaSet(cloud.Bus, svc, kb, "demo/hello",
+	rs, err := microsvc.NewContainerReplicaSet(bus, svc, kb, "demo/hello",
 		func(req []byte) ([]byte, error) {
 			return []byte("HELLO, " + strings.ToUpper(string(req))), nil
 		},
 		microsvc.ReplicaSetConfig{Replicas: 2, InTopic: "hello/req", OutTopic: "hello/resp"},
-		microsvc.ContainerSpec{Registry: cloud.Registry, CAS: owner.CAS, Image: "demo/hello", Tag: "1.0", Cache: cache})
+		microsvc.ContainerSpec{Registry: reg, CAS: cas, Image: "demo/hello", Tag: "1.0", Cache: cache})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,20 +147,22 @@ func main() {
 	fmt.Printf("data plane: %d chunks (%d KiB) fetched once, %d warm-boot chunk hits across replicas\n",
 		cs.Stores, cs.Bytes>>10, cs.Hits)
 
-	client, err := microsvc.NewPlaneClient(cloud.Bus, "demo/hello", keys, "hello/req", "hello/resp")
+	client, err := microsvc.NewPlaneClient(bus, "demo/hello", keys, "hello/req", "hello/resp")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
+	var reqs []microsvc.PlaneRequest
 	for _, who := range []string{"alice", "bob", "carol"} {
-		if err := client.Send("user/"+who, []byte(who)); err != nil {
-			log.Fatal(err)
-		}
+		reqs = append(reqs, microsvc.PlaneRequest{Key: "user/" + who, Body: []byte(who)})
+	}
+	if _, err := client.SendTenantIDs("", reqs); err != nil {
+		log.Fatal(err)
 	}
 	if _, err := rs.Step(); err != nil {
 		log.Fatal(err)
 	}
-	replies, err := client.Replies()
+	replies, err := client.Poll(0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func main() {
 			}
 			reqs = append(reqs, microsvc.PlaneRequest{Key: f, Body: body})
 		}
-		if err := client.SendBatch(reqs); err != nil {
+		if _, err := client.SendTenantIDs("", reqs); err != nil {
 			log.Fatal(err)
 		}
 		nReadings += len(batch)
@@ -214,7 +214,7 @@ func main() {
 		if _, err := orch.Observe(); err != nil {
 			log.Fatal(err)
 		}
-		replies, err := client.Replies()
+		replies, err := client.Poll(0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -137,8 +137,20 @@ func TestSecureContainerWorkflow(t *testing.T) {
 
 func TestRegistryTamperingBlocksExecution(t *testing.T) {
 	node, trusted, reg := setup(t)
-	plain := buildPlainImage(t, trusted.priv)
-	secured, secrets, err := trusted.client.BuildSecure(plain, map[string]fsshield.Mode{
+	secured := deploySecured(t, trusted, reg)
+	reg.TamperLayer(secured.Manifest.LayerDigests[0], func(l *image.Layer) {
+		l.Files[EntrypointPath] = []byte("BACKDOORED-BINARY")
+	})
+	if _, err := node.engine.Run("smartgrid/theft-detector", "1.0", trusted.cas); err == nil {
+		t.Fatal("engine ran an image tampered in the registry")
+	}
+}
+
+// deploySecured builds the test image with its config encrypted, registers
+// the SCF with the trusted side's CAS and pushes the image.
+func deploySecured(t *testing.T, trusted *trustedSide, reg *registry.Registry) *image.Image {
+	t.Helper()
+	secured, secrets, err := trusted.client.BuildSecure(buildPlainImage(t, trusted.priv), map[string]fsshield.Mode{
 		"/etc/model.cfg": fsshield.ModeEncrypted,
 	})
 	if err != nil {
@@ -150,11 +162,38 @@ func TestRegistryTamperingBlocksExecution(t *testing.T) {
 	if err := reg.Push(secured); err != nil {
 		t.Fatal(err)
 	}
-	reg.TamperLayer(secured.Manifest.LayerDigests[0], func(l *image.Layer) {
-		l.Files[EntrypointPath] = []byte("BACKDOORED-BINARY")
-	})
-	if _, err := node.engine.Run("smartgrid/theft-detector", "1.0", trusted.cas); err == nil {
-		t.Fatal("engine ran an image tampered in the registry")
+	return secured
+}
+
+// TestSecretsNeverReachRegistry: a protected file crosses the untrusted
+// registry only as ciphertext.
+func TestSecretsNeverReachRegistry(t *testing.T) {
+	_, trusted, reg := setup(t)
+	deploySecured(t, trusted, reg)
+	img, err := reg.Pull("smartgrid/theft-detector", "1.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range img.Layers {
+		for path, data := range l.Files {
+			if bytes.Contains(data, []byte("sensitivity=0.97")) {
+				t.Fatalf("protected config visible in registry at %s", path)
+			}
+		}
+	}
+}
+
+// TestForeignCASCannotBootImage: a CAS that never saw the image's SCF —
+// another owner's — cannot boot it.
+func TestForeignCASCannotBootImage(t *testing.T) {
+	node, trusted, reg := setup(t)
+	deploySecured(t, trusted, reg)
+	foreign := sconert.NewCAS(trusted.svc)
+	if _, err := node.engine.Run("smartgrid/theft-detector", "1.0", foreign); !errors.Is(err, sconert.ErrNoSCF) {
+		t.Fatalf("container booted against a CAS that never saw the SCF: %v", err)
+	}
+	if _, err := node.engine.Run("smartgrid/theft-detector", "1.0", trusted.cas); err != nil {
+		t.Fatalf("owner's CAS: %v", err)
 	}
 }
 

@@ -49,7 +49,7 @@ const DefaultTenantQueue = 1024
 // path, byte-identical to the historical Step behaviour).
 type AdmissionConfig struct {
 	// Default is the policy applied to tenants not listed in Tenants —
-	// including the default tenant "" that untagged legacy frames map to.
+	// including the default tenant "" that untagged requests carry.
 	Default TenantPolicy
 	// Tenants holds per-tenant policy overrides keyed by tenant ID.
 	Tenants map[string]TenantPolicy

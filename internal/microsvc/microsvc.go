@@ -6,214 +6,27 @@
 // performed "automatically and transparently within the enclave"
 // (paper §IV).
 //
-// Micro-services compose into applications over the event bus: a service
-// subscribes to input topics, processes each sealed message inside its
-// enclave, and publishes sealed results to output topics.
+// Micro-services compose into applications over the event bus: a
+// ReplicaSet subscribes to its input topic, processes each sealed request
+// inside the enclave of the replica that owns its routing key, and
+// publishes sealed replies to its output topic.
 package microsvc
 
-import (
-	"errors"
-	"fmt"
-	"sync/atomic"
-
-	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
-	"securecloud/internal/eventbus"
-)
+import "errors"
 
 // Handler is the application logic living inside the enclave. It sees
-// plaintext; nothing outside the Service ever does.
+// plaintext; nothing outside the replica's enclave ever does.
 type Handler func(req []byte) ([]byte, error)
 
-// Errors returned by services.
-var (
-	ErrSealedRequest = errors.New("microsvc: request failed authentication")
-	ErrStopped       = errors.New("microsvc: service stopped")
-)
+// ErrSealedRequest reports a sealed plane body that failed authentication.
+var ErrSealedRequest = errors.New("microsvc: request failed authentication")
 
-// Service is one running micro-service: an enclave, its request key, and
-// the handler inside. Request counters are atomics so monitoring reads
-// (Served, Stats) never contend with the serve path.
-type Service struct {
-	name    string
-	enc     *enclave.Enclave
-	key     cryptbox.Key
-	box     *cryptbox.Box
-	handler Handler
-
-	stopped atomic.Bool
-	served  atomic.Uint64
-	failed  atomic.Uint64
-}
-
-// New wraps handler into a micro-service bound to enc. The request key is
-// what clients (holding it via the CAS) use to talk to the service.
-func New(name string, enc *enclave.Enclave, key cryptbox.Key, handler Handler) (*Service, error) {
-	if handler == nil {
-		return nil, errors.New("microsvc: nil handler")
-	}
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return &Service{name: name, enc: enc, key: key, box: box, handler: handler}, nil
-}
-
-// Name returns the service name.
-func (s *Service) Name() string { return s.name }
-
-// Enclave returns the service's enclave.
-func (s *Service) Enclave() *enclave.Enclave { return s.enc }
-
-// Served returns the number of successfully handled requests.
-func (s *Service) Served() uint64 { return s.served.Load() }
-
-// Stats is a monitoring snapshot of one service or replica. All fields
-// are read from atomics: sampling never blocks the serve path.
+// Stats is a monitoring snapshot of one replica. All fields are read from
+// atomics: sampling never blocks the serve path.
 type Stats struct {
 	// Served counts successfully handled requests; Failed counts requests
 	// that failed authentication, whose handler returned an error, or
 	// whose response could not be sealed.
 	Served uint64
 	Failed uint64
-}
-
-// Stats returns the service's counters without taking any lock.
-func (s *Service) Stats() Stats {
-	return Stats{Served: s.served.Load(), Failed: s.failed.Load()}
-}
-
-// Stop marks the service stopped; subsequent invocations fail.
-func (s *Service) Stop() { s.stopped.Store(true) }
-
-// reqAAD/respAAD bind blobs to the service and direction, so a response
-// cannot be replayed as a request or routed to another service. They are
-// the same AADs the ReplicaSet frames use (reqAADFor/respAADFor), so a
-// single Service and a replica fleet of the same name interoperate.
-func (s *Service) reqAAD() []byte  { return reqAADFor(s.name) }
-func (s *Service) respAAD() []byte { return respAADFor(s.name) }
-
-// Invoke processes one sealed request and returns the sealed response.
-// The runtime outside the enclave calls this with ciphertext; decryption,
-// handling and re-encryption all happen past the EENTER.
-func (s *Service) Invoke(sealedReq []byte) ([]byte, error) {
-	if s.stopped.Load() {
-		return nil, ErrStopped
-	}
-
-	if err := s.enc.EEnter(); err != nil {
-		return nil, err
-	}
-	defer func() { _ = s.enc.EExit() }()
-
-	req, err := s.box.Open(sealedReq, s.reqAAD())
-	if err != nil {
-		s.failed.Add(1)
-		return nil, ErrSealedRequest
-	}
-	resp, err := s.handler(req)
-	if err != nil {
-		s.failed.Add(1)
-		return nil, fmt.Errorf("microsvc %s: %w", s.name, err)
-	}
-	sealedResp, err := s.box.Seal(resp, s.respAAD())
-	if err != nil {
-		s.failed.Add(1)
-		return nil, err
-	}
-	s.served.Add(1)
-	return sealedResp, nil
-}
-
-// Client invokes a service from its trusted peer side (another enclave or
-// the application owner) holding the request key.
-type Client struct {
-	svc *Service
-	box *cryptbox.Box
-}
-
-// NewClient builds a client for svc with the shared request key.
-func NewClient(svc *Service, key cryptbox.Key) (*Client, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{svc: svc, box: box}, nil
-}
-
-// Call seals req, invokes the service and opens the response.
-func (c *Client) Call(req []byte) ([]byte, error) {
-	sealed, err := c.box.Seal(req, c.svc.reqAAD())
-	if err != nil {
-		return nil, err
-	}
-	sealedResp, err := c.svc.Invoke(sealed)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.box.Open(sealedResp, c.svc.respAAD())
-	if err != nil {
-		return nil, ErrSealedRequest
-	}
-	return resp, nil
-}
-
-// BusWorker connects a service to the event bus: messages from the input
-// topic are processed inside the enclave and results published to the
-// output topic. This is the composition primitive of Figure 1.
-type BusWorker struct {
-	svc *Service
-	in  *eventbus.Subscriber
-	out *eventbus.Publisher
-}
-
-// NewBusWorker wires svc between two topics of bus, deriving topic keys
-// from the application root key.
-func NewBusWorker(svc *Service, bus *eventbus.Bus, appRoot cryptbox.Key, inTopic, outTopic string) (*BusWorker, error) {
-	inKey, err := eventbus.TopicKey(appRoot, inTopic)
-	if err != nil {
-		return nil, err
-	}
-	outKey, err := eventbus.TopicKey(appRoot, outTopic)
-	if err != nil {
-		return nil, err
-	}
-	in, err := eventbus.NewSubscriber(bus, inTopic, inKey)
-	if err != nil {
-		return nil, err
-	}
-	out, err := eventbus.NewPublisher(bus, outTopic, outKey)
-	if err != nil {
-		return nil, err
-	}
-	return &BusWorker{svc: svc, in: in, out: out}, nil
-}
-
-// Step drains pending input messages through the service and publishes
-// every non-empty result. It returns the number of messages processed.
-// Processing happens inside the enclave; the bus only carries ciphertext.
-func (w *BusWorker) Step() (int, error) {
-	msgs, err := w.in.Receive()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, m := range msgs {
-		if err := w.svc.enc.EEnter(); err != nil {
-			return n, err
-		}
-		resp, err := w.svc.handler(m)
-		_ = w.svc.enc.EExit()
-		if err != nil {
-			return n, fmt.Errorf("microsvc %s: %w", w.svc.name, err)
-		}
-		n++
-		if len(resp) == 0 {
-			continue
-		}
-		if _, err := w.out.Publish(resp); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -27,13 +26,13 @@ import (
 // attest → key release through the KeyBroker → subscribe. No constructor
 // accepts raw keys; an enclave that fails attestation never joins the set.
 //
-// Requests travel as frames: a cleartext routing key (metadata, like a
-// topic name — the untrusted bus already sees message boundaries) followed
-// by the body sealed under the service's request key. The front-end routes
-// on the key with consistent hashing over the live replica order, so one
-// logical entity (a smart meter, a feeder, a tenant) always lands on the
-// same replica; the body is opened only inside the owning replica's
-// enclave. Replies are sealed the same way in the opposite direction.
+// Requests travel as frames (frame.go): cleartext routing metadata
+// followed by the body sealed under the service's request key. The
+// front-end routes on the routing key with consistent hashing over the
+// live replica order, so one logical entity (a smart meter, a feeder, a
+// tenant) always lands on the same replica; the body is opened only inside
+// the owning replica's enclave. Replies are sealed the same way in the
+// opposite direction, and PlaneClient (client.go) is the owner's end.
 //
 // Determinism: every replica (and the front-end) owns a whole simulated
 // platform, so per-replica cycle and fault totals depend only on which
@@ -44,11 +43,8 @@ import (
 // any simulated figure: the property tests pin bit-identical totals and
 // adaptation traces across worker counts.
 
-// Replica-set errors.
-var (
-	ErrNoLiveReplicas = errors.New("microsvc: replica set has no replicas")
-	ErrBadFrame       = errors.New("microsvc: malformed request frame")
-)
+// ErrNoLiveReplicas is returned by Step when routed work has no replica.
+var ErrNoLiveReplicas = errors.New("microsvc: replica set has no replicas")
 
 // replicaStageBytes is the per-replica staging window through which sealed
 // requests and responses are charged to the replica's simulated memory.
@@ -182,26 +178,6 @@ type frontEnd struct {
 	pub     *eventbus.Publisher
 	box     *cryptbox.Box
 	shedAAD []byte // "shed|<name>", precomputed once per set
-}
-
-// frameMeta is the tenant envelope of a v2 frame: the tenant ID the
-// admission controller accounts the request to and the client-assigned
-// request ID echoed in replies (served and shed alike) so clients can
-// correlate. Legacy frames decode to the zero meta (default tenant "").
-type frameMeta struct {
-	v2     bool
-	tenant string
-	id     uint64
-}
-
-// request is one routed unit of work: the cleartext routing key, the
-// still-sealed body, the tenant envelope, and — once admitted — the
-// admission step it arrived in (queue-wait accounting).
-type request struct {
-	key       string
-	sealed    []byte
-	meta      frameMeta
-	admitStep uint64
 }
 
 // NewReplicaSet builds a direct-mode replica set: each replica boots on a
@@ -762,9 +738,8 @@ func (r *Replica) chargeStage(sp *enclave.Span, n int, write bool) {
 // sealed request through the staging window, open it with the request key,
 // run the handler, seal and charge the reply. Returns the complete reply
 // frame (nil for a dropped or reply-less message) and whether the request
-// counted as served. The frame header is laid out first and the reply
-// sealed directly after it with SealAppend, so frame assembly costs one
-// exact-capacity allocation instead of seal-then-copy.
+// counted as served. The reply echoes the request's routing key and tenant
+// envelope.
 func (r *Replica) serveOne(q request) ([]byte, bool) {
 	mem := r.enc.Memory()
 	sp := mem.BeginSpan()
@@ -789,15 +764,13 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 	}
 	var frame []byte
 	if len(resp) > 0 {
-		hdr := appendReplyHeader(make([]byte, 0, replyFrameCap(q, len(resp)+r.box.Overhead())), q)
-		sealedStart := len(hdr)
-		frame, err = r.box.SealAppend(hdr, resp, r.respAAD)
+		frame, err = sealFrame(r.box, q.key, q.meta, 0, resp, r.respAAD)
 		if err != nil {
 			sp.End()
 			r.failed.Add(1)
 			return nil, false
 		}
-		r.chargeStage(sp, len(frame)-sealedStart, true)
+		r.chargeStage(sp, len(frame)-frameV2HeaderLen(q.key, q.meta), true)
 	}
 	sp.End()
 	r.served.Add(1)
@@ -1076,7 +1049,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 
 // publishSheds seals and publishes the step's shed replies, after the
 // serve replies: each carries the retry-after hint (8-byte float64 sim-ms)
-// sealed under the shed AAD, framed v2 with the shed flag and the original
+// sealed under the shed AAD, framed with the shed flag and the original
 // request's tenant envelope so the client can correlate.
 func (rs *ReplicaSet) publishSheds(sheds []shedVerdict, st *StepStats) error {
 	if len(sheds) == 0 {
@@ -1084,14 +1057,10 @@ func (rs *ReplicaSet) publishSheds(sheds []shedVerdict, st *StepStats) error {
 	}
 	frames := make([][]byte, 0, len(sheds))
 	var firstErr error
-	overhead := rs.front.box.Overhead()
 	for _, sv := range sheds {
 		var body [8]byte
 		binary.BigEndian.PutUint64(body[:], math.Float64bits(sv.retryAfterMS))
-		hdr := appendFrameV2Header(
-			make([]byte, 0, frameV2HeaderLen(sv.req.key, sv.req.meta)+8+overhead),
-			sv.req.key, sv.req.meta, frameFlagShed)
-		frame, err := rs.front.box.SealAppend(hdr, body[:], rs.front.shedAAD)
+		frame, err := sealFrame(rs.front.box, sv.req.key, sv.req.meta, frameFlagShed, body[:], rs.front.shedAAD)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -1121,521 +1090,4 @@ func routeIndex(key string, n int) int {
 		h = (h ^ uint32(key[i])) * 16777619
 	}
 	return int(h % uint32(n))
-}
-
-// reqAADFor / respAADFor / shedAADFor bind plane frames to the service and
-// direction, matching the single-service AADs so a reply can never replay
-// as a request — and a shed notice can never replay as a served reply.
-func reqAADFor(name string) []byte  { return []byte("req|" + name) }
-func respAADFor(name string) []byte { return []byte("resp|" + name) }
-func shedAADFor(name string) []byte { return []byte("shed|" + name) }
-
-// appendFrameHeader appends the legacy frame header (2-byte big-endian key
-// length, then the key) to b.
-func appendFrameHeader(b []byte, key string) []byte {
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(key)))
-	b = append(b, l[:]...)
-	return append(b, key...)
-}
-
-// encodeFrame frames a routing key and a sealed body for the bus: 2-byte
-// big-endian key length, the key, the sealed body. The key is cleartext
-// routing metadata (like a topic name); the body stays sealed end to end.
-func encodeFrame(key string, sealed []byte) []byte {
-	b := appendFrameHeader(make([]byte, 0, 2+len(key)+len(sealed)), key)
-	return append(b, sealed...)
-}
-
-// decodeFrame splits a frame into routing key and sealed body.
-func decodeFrame(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, ErrBadFrame
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", nil, ErrBadFrame
-	}
-	return string(b[2 : 2+n]), b[2+n:], nil
-}
-
-// v2 frames carry the tenant envelope. The leading key-length slot holds
-// the reserved magic (no legacy key is 64 KiB−1 long — SendBatch rejects
-// it), so the two formats coexist on one topic:
-//
-//	0xFF 0xFF | flags u8 | tlen u8 | tenant | id u64 | klen u16 | key | sealed
-//
-// flags bit 0 marks a shed reply (sealed body = retry-after, not a
-// response). Everything before sealed is cleartext routing metadata, like
-// the legacy key — tenant IDs are account names, not payload.
-const (
-	frameMagic    = 0xFFFF
-	frameFlagShed = 0x01
-)
-
-// appendFrameV2Header appends everything of a v2 frame before the sealed
-// body: magic, flags, tenant envelope, request ID and routing key.
-func appendFrameV2Header(b []byte, key string, meta frameMeta, flags byte) []byte {
-	var w [8]byte
-	binary.BigEndian.PutUint16(w[:2], frameMagic)
-	b = append(b, w[0], w[1], flags, byte(len(meta.tenant)))
-	b = append(b, meta.tenant...)
-	binary.BigEndian.PutUint64(w[:], meta.id)
-	b = append(b, w[:]...)
-	binary.BigEndian.PutUint16(w[:2], uint16(len(key)))
-	b = append(b, w[0], w[1])
-	return append(b, key...)
-}
-
-// frameV2HeaderLen is the byte length appendFrameV2Header emits.
-func frameV2HeaderLen(key string, meta frameMeta) int {
-	return 2 + 1 + 1 + len(meta.tenant) + 8 + 2 + len(key)
-}
-
-// encodeFrameV2 frames a request or reply with its tenant envelope.
-func encodeFrameV2(key string, sealed []byte, meta frameMeta, flags byte) []byte {
-	b := appendFrameV2Header(make([]byte, 0, frameV2HeaderLen(key, meta)+len(sealed)), key, meta, flags)
-	return append(b, sealed...)
-}
-
-// replyFrameCap is the exact frame size of a reply to q whose sealed body
-// is sealedLen bytes — the capacity serveOne preallocates so SealAppend
-// never regrows the buffer.
-func replyFrameCap(q request, sealedLen int) int {
-	if q.meta.v2 {
-		return frameV2HeaderLen(q.key, q.meta) + sealedLen
-	}
-	return 2 + len(q.key) + sealedLen
-}
-
-// appendReplyHeader appends the header of a reply to q in the same frame
-// version as the request (see encodeReply).
-func appendReplyHeader(b []byte, q request) []byte {
-	if q.meta.v2 {
-		return appendFrameV2Header(b, q.key, q.meta, 0)
-	}
-	return appendFrameHeader(b, q.key)
-}
-
-// decodeFrameAny decodes either frame version into a request; the bool
-// reports the v2 shed flag (always false for legacy frames).
-func decodeFrameAny(b []byte) (request, bool, error) {
-	if len(b) < 2 || binary.BigEndian.Uint16(b) != frameMagic {
-		key, sealed, err := decodeFrame(b)
-		if err != nil {
-			return request{}, false, err
-		}
-		return request{key: key, sealed: sealed}, false, nil
-	}
-	if len(b) < 4 {
-		return request{}, false, ErrBadFrame
-	}
-	flags := b[2]
-	tn := int(b[3])
-	off := 4
-	if len(b) < off+tn+8+2 {
-		return request{}, false, ErrBadFrame
-	}
-	tenant := string(b[off : off+tn])
-	off += tn
-	id := binary.BigEndian.Uint64(b[off:])
-	off += 8
-	kn := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+kn {
-		return request{}, false, ErrBadFrame
-	}
-	q := request{
-		key:    string(b[off : off+kn]),
-		sealed: b[off+kn:],
-		meta:   frameMeta{v2: true, tenant: tenant, id: id},
-	}
-	return q, flags&frameFlagShed != 0, nil
-}
-
-// encodeReply frames a served reply in the same version as its request, so
-// tenant-tagged requests get their envelope (tenant, id) echoed back and
-// legacy clients see byte-identical legacy frames. The serve path fuses
-// framing into the seal (appendReplyHeader + SealAppend); this whole-frame
-// form remains for tests pinning the byte layout.
-func encodeReply(q request, sealed []byte) []byte {
-	return append(appendReplyHeader(make([]byte, 0, replyFrameCap(q, len(sealed))), q), sealed...)
-}
-
-// PlaneRequest is one client request: a cleartext routing key and the
-// plaintext body (sealed by the client before it touches the bus).
-type PlaneRequest struct {
-	Key  string
-	Body []byte
-}
-
-// PlaneReply is one opened reply. Tenant and ID echo the request envelope
-// for tenant-tagged requests (zero values for legacy ones). Shed marks an
-// admission rejection: Body is nil and RetryAfterSimMS carries the
-// server's deterministic hint.
-type PlaneReply struct {
-	Key             string
-	Body            []byte
-	Tenant          string
-	ID              uint64
-	Shed            bool
-	RetryAfterSimMS float64
-}
-
-// RetryPolicy shapes a client's deterministic retry behaviour: a shed
-// request is re-sent after the server's retry-after hint scaled by
-// exponential backoff (hint × 2^(attempt−1), all in sim-ms), up to
-// MaxAttempts total sends.
-type RetryPolicy struct {
-	// MaxAttempts bounds total send attempts per request, the first
-	// included (default 4).
-	MaxAttempts int
-}
-
-// inflightReq is one tenant-tagged request the client can still re-send.
-type inflightReq struct {
-	meta    frameMeta
-	key     string
-	body    []byte
-	attempt int
-	dueMS   float64
-}
-
-// Transport moves sealed plane frames between a client and a service's
-// topics. The default is the in-process bus transport; the wire package
-// provides an HTTP transport with identical semantics. SendFrames must
-// deliver a batch atomically in order; RecvFrames drains every frame
-// currently pending for this client.
-type Transport interface {
-	SendFrames(frames [][]byte) error
-	RecvFrames() ([][]byte, error)
-	Close()
-}
-
-// busTransport is the in-process Transport: a bus publisher/subscriber
-// pair on the service's in/out topics.
-type busTransport struct {
-	pub *eventbus.Publisher
-	sub *eventbus.Subscriber
-}
-
-func (t *busTransport) SendFrames(frames [][]byte) error {
-	_, err := t.pub.PublishBatch(frames)
-	return err
-}
-
-func (t *busTransport) RecvFrames() ([][]byte, error) { return t.sub.Receive() }
-
-func (t *busTransport) Close() { t.sub.Close() }
-
-// PlaneClient is the owner-side endpoint of a replica set: it holds the
-// service request key (the owner registered the keys with the KeyBroker in
-// the first place), seals request bodies before they touch the transport
-// and opens replies coming back — so the transport, in-process bus or HTTP
-// wire alike, only ever carries sealed frames.
-type PlaneClient struct {
-	name string
-	box  *cryptbox.Box
-	tr   Transport
-
-	// Frame AADs, precomputed once per client instead of per request.
-	reqAAD  []byte
-	respAAD []byte
-	shedAAD []byte
-
-	// Retry state (nil retry = fire-and-forget, the legacy behaviour).
-	// All of it is driven by the caller's sim-ms clock, never a host
-	// clock: Poll schedules, DueRetries re-sends.
-	retry            *RetryPolicy
-	nextID           uint64
-	inflight         map[uint64]*inflightReq
-	retryQ           []*inflightReq
-	retriesSent      uint64
-	retriesAbandoned uint64
-}
-
-// NewPlaneClient builds a client for the named service from its key set,
-// wired to the in-process bus transport.
-func NewPlaneClient(bus *eventbus.Bus, name string, keys attest.ServiceKeys, inTopic, outTopic string) (*PlaneClient, error) {
-	inKey, ok := keys.Topic(inTopic)
-	if !ok {
-		return nil, fmt.Errorf("microsvc: client has no stream key for %s", inTopic)
-	}
-	outKey, ok := keys.Topic(outTopic)
-	if !ok {
-		return nil, fmt.Errorf("microsvc: client has no stream key for %s", outTopic)
-	}
-	pub, err := eventbus.NewPublisher(bus, inTopic, inKey)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := eventbus.NewSubscriber(bus, outTopic, outKey)
-	if err != nil {
-		return nil, err
-	}
-	return NewPlaneClientTransport(name, keys.Request, &busTransport{pub: pub, sub: sub})
-}
-
-// NewPlaneClientTransport builds a client that reaches the service through
-// an arbitrary Transport (e.g. the wire package's HTTP transport). The
-// request key stays client-side: bodies are sealed before SendFrames ever
-// sees them.
-func NewPlaneClientTransport(name string, requestKey cryptbox.Key, tr Transport) (*PlaneClient, error) {
-	if tr == nil {
-		return nil, errors.New("microsvc: nil transport")
-	}
-	box, err := cryptbox.NewBox(requestKey)
-	if err != nil {
-		return nil, err
-	}
-	return &PlaneClient{
-		name: name, box: box, tr: tr,
-		reqAAD:  reqAADFor(name),
-		respAAD: respAADFor(name),
-		shedAAD: shedAADFor(name),
-	}, nil
-}
-
-// SendBatch seals a batch of requests and publishes it in one bus
-// transaction.
-func (c *PlaneClient) SendBatch(reqs []PlaneRequest) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	frames := make([][]byte, len(reqs))
-	for i, q := range reqs {
-		if len(q.Key) >= 0xFFFF {
-			// 0xFFFF is the v2 frame magic, reserved.
-			return fmt.Errorf("%w: routing key longer than 64 KiB-2", ErrBadFrame)
-		}
-		hdr := appendFrameHeader(make([]byte, 0, 2+len(q.Key)+len(q.Body)+c.box.Overhead()), q.Key)
-		frame, err := c.box.SealAppend(hdr, q.Body, c.reqAAD)
-		if err != nil {
-			return err
-		}
-		frames[i] = frame
-	}
-	return c.tr.SendFrames(frames)
-}
-
-// SendTenant seals and publishes a batch of requests tagged with the given
-// tenant ID (v2 frames). Each request gets a fresh monotonically
-// increasing ID, echoed in its reply; with retry enabled the client keeps
-// the request re-sendable until it is served or abandoned.
-func (c *PlaneClient) SendTenant(tenant string, reqs []PlaneRequest) error {
-	_, err := c.SendTenantIDs(tenant, reqs)
-	return err
-}
-
-// SendTenantIDs is SendTenant returning the request IDs it assigned, in
-// request order — what a load generator needs to correlate replies (served
-// and shed alike) back to send timestamps.
-func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint64, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	if len(tenant) > 0xFF {
-		return nil, fmt.Errorf("%w: tenant ID longer than 255 bytes", ErrBadFrame)
-	}
-	frames := make([][]byte, len(reqs))
-	metas := make([]frameMeta, len(reqs))
-	ids := make([]uint64, len(reqs))
-	for i, q := range reqs {
-		if len(q.Key) >= 0xFFFF {
-			return nil, fmt.Errorf("%w: routing key longer than 64 KiB-2", ErrBadFrame)
-		}
-		c.nextID++
-		metas[i] = frameMeta{v2: true, tenant: tenant, id: c.nextID}
-		ids[i] = c.nextID
-		hdr := appendFrameV2Header(
-			make([]byte, 0, frameV2HeaderLen(q.Key, metas[i])+len(q.Body)+c.box.Overhead()),
-			q.Key, metas[i], 0)
-		frame, err := c.box.SealAppend(hdr, q.Body, c.reqAAD)
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = frame
-	}
-	if err := c.tr.SendFrames(frames); err != nil {
-		return nil, err
-	}
-	if c.retry != nil {
-		for i, q := range reqs {
-			c.inflight[metas[i].id] = &inflightReq{
-				meta: metas[i], key: q.Key, body: q.Body, attempt: 1,
-			}
-		}
-	}
-	return ids, nil
-}
-
-// Send seals and publishes one request.
-func (c *PlaneClient) Send(key string, body []byte) error {
-	return c.SendBatch([]PlaneRequest{{Key: key, Body: body}})
-}
-
-// EnableRetry turns on deterministic shed-driven retry for tenant-tagged
-// requests.
-func (c *PlaneClient) EnableRetry(p RetryPolicy) {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	c.retry = &p
-	if c.inflight == nil {
-		c.inflight = make(map[uint64]*inflightReq)
-	}
-}
-
-// RetryStats reports retry totals: re-sends, abandons (MaxAttempts
-// exhausted), and requests still awaiting a served reply.
-func (c *PlaneClient) RetryStats() (sent, abandoned uint64, inflight int) {
-	return c.retriesSent, c.retriesAbandoned, len(c.inflight)
-}
-
-// Replies drains, authenticates and opens every pending reply. Equivalent
-// to Poll(0) — use Poll from simulated-time loops so retry backoff is
-// anchored at the right sim-ms.
-func (c *PlaneClient) Replies() ([]PlaneReply, error) {
-	return c.Poll(0)
-}
-
-// Poll drains pending replies at simulated time nowMS. Served replies
-// clear their in-flight entries; shed replies schedule a retry at
-// nowMS + retryAfter × 2^(attempt−1) sim-ms (or abandon the request once
-// MaxAttempts is exhausted). The caller re-sends due retries with
-// DueRetries.
-func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
-	frames, err := c.tr.RecvFrames()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PlaneReply, 0, len(frames))
-	for _, f := range frames {
-		q, shedFlag, err := decodeFrameAny(f)
-		if err != nil {
-			return nil, err
-		}
-		if shedFlag {
-			raw, err := c.box.Open(q.sealed, c.shedAAD)
-			if err != nil || len(raw) != 8 {
-				return nil, ErrSealedRequest
-			}
-			rep := PlaneReply{
-				Key: q.key, Tenant: q.meta.tenant, ID: q.meta.id,
-				Shed:            true,
-				RetryAfterSimMS: math.Float64frombits(binary.BigEndian.Uint64(raw)),
-			}
-			if c.retry != nil {
-				if fl, ok := c.inflight[q.meta.id]; ok {
-					if fl.attempt >= c.retry.MaxAttempts {
-						delete(c.inflight, q.meta.id)
-						c.retriesAbandoned++
-					} else {
-						fl.dueMS = nowMS + rep.RetryAfterSimMS*float64(uint64(1)<<(fl.attempt-1))
-						c.retryQ = append(c.retryQ, fl)
-					}
-				}
-			}
-			out = append(out, rep)
-			continue
-		}
-		body, err := c.box.Open(q.sealed, c.respAAD)
-		if err != nil {
-			return nil, ErrSealedRequest
-		}
-		if q.meta.v2 && c.retry != nil {
-			delete(c.inflight, q.meta.id)
-		}
-		out = append(out, PlaneReply{Key: q.key, Body: body, Tenant: q.meta.tenant, ID: q.meta.id})
-	}
-	return out, nil
-}
-
-// DueRetries re-sends every scheduled retry due at simulated time nowMS,
-// in (due time, request ID) order — deterministic regardless of reply
-// arrival interleavings. Returns how many were re-sent.
-func (c *PlaneClient) DueRetries(nowMS float64) (int, error) {
-	if c.retry == nil || len(c.retryQ) == 0 {
-		return 0, nil
-	}
-	var due []*inflightReq
-	rest := c.retryQ[:0]
-	for _, fl := range c.retryQ {
-		if fl.dueMS <= nowMS {
-			due = append(due, fl)
-		} else {
-			rest = append(rest, fl)
-		}
-	}
-	c.retryQ = rest
-	if len(due) == 0 {
-		return 0, nil
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].dueMS != due[j].dueMS {
-			return due[i].dueMS < due[j].dueMS
-		}
-		return due[i].meta.id < due[j].meta.id
-	})
-	frames := make([][]byte, len(due))
-	for i, fl := range due {
-		hdr := appendFrameV2Header(
-			make([]byte, 0, frameV2HeaderLen(fl.key, fl.meta)+len(fl.body)+c.box.Overhead()),
-			fl.key, fl.meta, 0)
-		frame, err := c.box.SealAppend(hdr, fl.body, c.reqAAD)
-		if err != nil {
-			return 0, err
-		}
-		fl.attempt++
-		frames[i] = frame
-	}
-	if err := c.tr.SendFrames(frames); err != nil {
-		return 0, err
-	}
-	c.retriesSent += uint64(len(frames))
-	return len(frames), nil
-}
-
-// Close releases the client's transport (for the bus transport, its
-// subscription).
-func (c *PlaneClient) Close() { c.tr.Close() }
-
-// CheckFrame validates a sealed plane frame without decrypting anything:
-// it must decode as either frame version and must not carry the shed flag
-// (sheds are server→client only). Gateways use it to reject malformed
-// ingress before a frame reaches a topic.
-func CheckFrame(b []byte) error {
-	_, shed, err := decodeFrameAny(b)
-	if err != nil {
-		return err
-	}
-	if shed {
-		return fmt.Errorf("%w: shed flag on a request frame", ErrBadFrame)
-	}
-	return nil
-}
-
-// PeekFrameTenant reads a frame's cleartext tenant envelope and shed flag
-// without materializing the rest (legacy frames map to the default tenant
-// "") — the lean form gateways route reply mailboxes with.
-func PeekFrameTenant(b []byte) (tenant string, shed bool, err error) {
-	if len(b) < 2 || binary.BigEndian.Uint16(b) != frameMagic {
-		if _, _, err := decodeFrame(b); err != nil {
-			return "", false, err
-		}
-		return "", false, nil
-	}
-	if len(b) < 4 {
-		return "", false, ErrBadFrame
-	}
-	tn := int(b[3])
-	off := 4 + tn
-	if len(b) < off+8+2 {
-		return "", false, ErrBadFrame
-	}
-	kn := int(binary.BigEndian.Uint16(b[off+8:]))
-	if len(b) < off+8+2+kn {
-		return "", false, ErrBadFrame
-	}
-	return string(b[4:off]), b[2]&frameFlagShed != 0, nil
 }

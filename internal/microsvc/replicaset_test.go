@@ -55,7 +55,7 @@ func TestReplicaSetServesOnPlane(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = PlaneRequest{Key: fmt.Sprintf("meter-%02d", i), Body: []byte(fmt.Sprintf("reading %d", i))}
 	}
-	if err := client.SendBatch(reqs); err != nil {
+	if _, err := client.SendTenantIDs("", reqs); err != nil {
 		t.Fatal(err)
 	}
 	st, err := rs.Step()
@@ -65,7 +65,7 @@ func TestReplicaSetServesOnPlane(t *testing.T) {
 	if st.Polled != 20 || st.Served != 20 || st.Failed != 0 {
 		t.Fatalf("step = %+v", st)
 	}
-	replies, err := client.Replies()
+	replies, err := client.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestReplicaSetKeyAffinity(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			batch = append(batch, PlaneRequest{Key: "feeder-7", Body: []byte("x")})
 		}
-		if err := client.SendBatch(batch); err != nil {
+		if _, err := client.SendTenantIDs("", batch); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := rs.Step(); err != nil {
@@ -193,7 +193,7 @@ func TestRetireRequeuesPending(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, PlaneRequest{Key: fmt.Sprintf("k%d", i), Body: []byte("b")})
 	}
-	if err := client.SendBatch(batch); err != nil {
+	if _, err := client.SendTenantIDs("", batch); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.Step(); err != nil {
@@ -237,7 +237,7 @@ func TestStepWithNoReplicasRequeues(t *testing.T) {
 	if err := rs.Retire(rs.ReplicaHandles()[0].ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Send("k", []byte("x")); err != nil {
+	if _, err := client.SendTenantIDs("", []PlaneRequest{{Key: "k", Body: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.Step(); !errors.Is(err, ErrNoLiveReplicas) {
@@ -253,19 +253,6 @@ func TestStepWithNoReplicasRequeues(t *testing.T) {
 	}
 	if st.Served != 1 {
 		t.Fatalf("served = %d after relaunch, want 1", st.Served)
-	}
-}
-
-func TestFrameCodec(t *testing.T) {
-	f := encodeFrame("feeder-07", []byte("sealed-bytes"))
-	key, sealed, err := decodeFrame(f)
-	if err != nil || key != "feeder-07" || string(sealed) != "sealed-bytes" {
-		t.Fatalf("roundtrip = %q %q %v", key, sealed, err)
-	}
-	for _, bad := range [][]byte{nil, {0x00}, {0x00, 0x10, 'x'}} {
-		if _, _, err := decodeFrame(bad); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("decodeFrame(%v) err = %v, want ErrBadFrame", bad, err)
-		}
 	}
 }
 
@@ -332,13 +319,13 @@ func TestContainerReplicaSetBootSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if err := pc.Send("tenant-1", []byte("job")); err != nil {
+	if _, err := pc.SendTenantIDs("", []PlaneRequest{{Key: "tenant-1", Body: []byte("job")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.Step(); err != nil {
 		t.Fatal(err)
 	}
-	replies, err := pc.Replies()
+	replies, err := pc.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +454,7 @@ func TestOrchestratedReplicaSetClosedLoop(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				batch = append(batch, PlaneRequest{Key: fmt.Sprintf("k%d", i%16), Body: []byte("r")})
 			}
-			if err := client.SendBatch(batch); err != nil {
+			if _, err := client.SendTenantIDs("", batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -527,7 +514,7 @@ func TestRetireUnderAdmissionNoLossNoDoubleServe(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, PlaneRequest{Key: fmt.Sprintf("rq-%02d", i), Body: []byte{byte(i)}})
 	}
-	if err := client.SendTenant("t", batch); err != nil {
+	if _, err := client.SendTenantIDs("t", batch); err != nil {
 		t.Fatal(err)
 	}
 	// Step 1: the tenant queue (MaxQueue 8) admits 8 and sheds 4 at
@@ -552,7 +539,7 @@ func TestRetireUnderAdmissionNoLossNoDoubleServe(t *testing.T) {
 		t.Fatalf("backlog = %d after drain", got)
 	}
 
-	replies, err := client.Replies()
+	replies, err := client.Poll(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ const scenarioService = "plane/scenario"
 
 // DefaultScenarios returns the four gated orchestrator scenarios — replica
 // crash, load spike, hot-key skew and slow replica — as declarative specs:
-// one untagged tenant (legacy frames, no admission) carrying the whole load
+// one untagged tenant ("", no admission) carrying the whole load
 // schedule, plus at most one replica fault. Their adaptation traces and
 // cycle totals are pinned in scripts/bench_baseline.json; change them only
 // with the same deliberation as a golden file.

@@ -29,8 +29,8 @@ import (
 // this engine, and a new scenario is a ~20-line literal in scenariolab.go.
 
 // TenantLoad is one tenant's deterministic load schedule. The zero tenant
-// name sends untagged legacy frames (exactly the pre-tenant wire format);
-// named tenants send v2 frames the admission controller accounts.
+// name sends untagged requests (tenant ""); the admission controller, when
+// configured, accounts every tenant by name.
 type TenantLoad struct {
 	Tenant string
 	// BaseLoad is requests per tick (uniform profile), the mean arrival
@@ -493,12 +493,7 @@ func RunSpec(spec ScenarioSpec) (ScenarioResult, error) {
 			if len(reqs) == 0 {
 				continue
 			}
-			if g.load.Tenant == "" {
-				err = client.SendBatch(reqs)
-			} else {
-				err = client.SendTenant(g.load.Tenant, reqs)
-			}
-			if err != nil {
+			if _, err := client.SendTenantIDs(g.load.Tenant, reqs); err != nil {
 				return res, err
 			}
 			res.Sent += len(reqs)

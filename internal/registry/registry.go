@@ -244,7 +244,8 @@ func (s layerSnapshot) assemble() ([]byte, error) {
 // Pull retrieves an image by reference, reassembling every layer from its
 // chunks. Callers must img.Verify() — the registry is not trusted to
 // return what was pushed. (The container engine's chunk-granular pull with
-// caching lives in internal/container; Pull is the whole-image path.)
+// caching lives in internal/container; Pull is the in-process whole-image
+// path its tests compare against. The HTTP front end serves chunks only.)
 // Only the map lookups run under the lock; the per-chunk decrypt and
 // decompress work does not block concurrent pushes.
 func (r *Registry) Pull(name, tag string) (*image.Image, error) {
@@ -386,10 +387,12 @@ func writeConditional(w http.ResponseWriter, req *http.Request, d cryptbox.Diges
 	httpx.WriteConditional(w, req, d, contentType, body)
 }
 
-// Handler returns an http.Handler exposing the registry:
+// Handler returns an http.Handler exposing the registry. Images go in
+// whole and come out chunk-granular: a puller fetches the signed manifest,
+// each layer's chunk manifest and the chunks it lacks, verifying every
+// digest itself (Client implements container.PullSource over these):
 //
 //	PUT  /v2/images/{name}/{tag}      (full image JSON — ingest path)
-//	GET  /v2/images/{name}/{tag}      (full image JSON — legacy whole-image pull)
 //	GET  /v2/manifests/{name}/{tag}   (image manifest JSON)
 //	GET  /v2/layers/{digest}          (layer chunk manifest JSON, conditional)
 //	GET  /v2/blobs/{digest}           (one sealed chunk, conditional)
@@ -409,41 +412,33 @@ func (r *Registry) Handler() http.Handler {
 		return ref[:cut], ref[cut+1:], true
 	}
 	mux.HandleFunc("/v2/images/", func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodPut {
+			httpx.MethodNotAllowed(w)
+			return
+		}
 		name, tag, ok := splitRef(w, req, "/v2/images/")
 		if !ok {
 			return
 		}
-		switch req.Method {
-		case http.MethodPut:
-			body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			var img image.Image
-			if err := json.Unmarshal(body, &img); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if img.Manifest.Name != name || img.Manifest.Tag != tag {
-				http.Error(w, "manifest reference mismatch", http.StatusBadRequest)
-				return
-			}
-			if err := r.Push(&img); err != nil {
-				http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-				return
-			}
-			w.WriteHeader(http.StatusCreated)
-		case http.MethodGet:
-			img, err := r.Pull(name, tag)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			httpx.WriteJSON(w, img)
-		default:
-			httpx.MethodNotAllowed(w)
+		body, err := io.ReadAll(io.LimitReader(req.Body, 64<<20))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
+		var img image.Image
+		if err := json.Unmarshal(body, &img); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if img.Manifest.Name != name || img.Manifest.Tag != tag {
+			http.Error(w, "manifest reference mismatch", http.StatusBadRequest)
+			return
+		}
+		if err := r.Push(&img); err != nil {
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
 	})
 	mux.HandleFunc("/v2/manifests/", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
@@ -550,19 +545,6 @@ func (c *Client) get(url, what string) ([]byte, error) {
 		return nil, fmt.Errorf("registry: fetching %s: %s", what, resp.Status)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-}
-
-// Pull downloads and returns an image. The caller must Verify it.
-func (c *Client) Pull(name, tag string) (*image.Image, error) {
-	raw, err := c.get(fmt.Sprintf("%s/v2/images/%s/%s", c.BaseURL, name, tag), name+":"+tag)
-	if err != nil {
-		return nil, err
-	}
-	var img image.Image
-	if err := json.Unmarshal(raw, &img); err != nil {
-		return nil, err
-	}
-	return &img, nil
 }
 
 // Manifest fetches an image manifest. The caller must verify its signature.

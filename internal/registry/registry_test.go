@@ -8,8 +8,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"securecloud/internal/cryptbox"
 	"securecloud/internal/image"
 )
 
@@ -127,6 +129,10 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestHTTPPushPull: an image pushed over HTTP comes back over HTTP only
+// chunk-granular — its signed manifest, each layer's chunk manifest and
+// every chunk byte-identical to the in-process registry's — and the
+// whole-image GET is gone.
 func TestHTTPPushPull(t *testing.T) {
 	r := New()
 	srv := httptest.NewServer(r.Handler())
@@ -137,20 +143,51 @@ func TestHTTPPushPull(t *testing.T) {
 	if err := c.Push(img); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Pull("svc/http", "2.0")
+	m, err := c.Manifest("svc/http", "2.0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Verify(); err != nil {
-		t.Fatalf("image pulled over HTTP failed verification: %v", err)
+	if !reflect.DeepEqual(m, img.Manifest) {
+		t.Fatalf("manifest over HTTP = %+v, want %+v", m, img.Manifest)
+	}
+	for _, d := range m.LayerDigests {
+		lm, err := c.LayerManifest(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, leaf := range lm.Leaves {
+			got, err := c.Blob(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := r.Blob(leaf); !bytes.Equal(got, want) {
+				t.Fatalf("chunk %s differs over HTTP", leaf)
+			}
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v2/images/svc/http/2.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("whole-image GET: got %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestHTTPPullMissing(t *testing.T) {
 	srv := httptest.NewServer(New().Handler())
 	defer srv.Close()
-	if _, err := NewClient(srv.URL).Pull("nope", "1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	c := NewClient(srv.URL)
+	if _, err := c.Manifest("nope", "1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("manifest: err = %v, want ErrNotFound", err)
+	}
+	var ghost cryptbox.Digest
+	if _, err := c.LayerManifest(ghost); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("layer manifest: err = %v, want ErrNotFound", err)
+	}
+	if _, err := c.Blob(ghost); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("blob: err = %v, want ErrNotFound", err)
 	}
 }
 

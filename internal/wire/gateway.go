@@ -105,7 +105,7 @@ func (g *PlaneGateway) SendFrames(frames [][]byte) (int, error) {
 }
 
 // PollTenant drains the reply frames routed to one tenant (the empty
-// tenant collects legacy, untenanted frames). Freshly arrived bus frames
+// tenant collects untagged traffic). Freshly arrived bus frames
 // are sorted into mailboxes first, so interleaved tenants never see each
 // other's replies.
 func (g *PlaneGateway) PollTenant(tenant string) ([][]byte, error) {

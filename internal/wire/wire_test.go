@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -256,6 +257,58 @@ func TestRejectsMalformedAndOversized(t *testing.T) {
 	}
 	if resp := post("/plane/nope/send", EncodeBatch(nil)); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown service: got %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestLegacyFrameRejectedAtEveryBoundary: the retired untagged layout
+// (u16 key length | key | sealed) is not a plane frame. CheckFrame rejects
+// it, the HTTP gateway refuses and counts it, and a replica set that finds
+// one on its in topic drops it unserved.
+func TestLegacyFrameRejectedAtEveryBoundary(t *testing.T) {
+	fx := newPlaneFixture(t, "plane/legacy",
+		microsvc.ReplicaSetConfig{Replicas: 1, InTopic: "lg/req", OutTopic: "lg/resp"}, Config{})
+	box, err := cryptbox.NewBox(fx.keys.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := box.Seal([]byte("body"), []byte("req|plane/legacy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(binary.BigEndian.AppendUint16(nil, 3), "key"...)
+	legacy = append(legacy, sealed...)
+
+	if err := microsvc.CheckFrame(legacy); !errors.Is(err, microsvc.ErrBadFrame) {
+		t.Fatalf("CheckFrame(legacy) = %v, want ErrBadFrame", err)
+	}
+
+	resp, err := fx.ts.Client().Post(fx.ts.URL+"/plane/plane%2Flegacy/send", "application/octet-stream",
+		bytes.NewReader(EncodeBatch([][]byte{legacy})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("gateway: got %d, want 400", resp.StatusCode)
+	}
+	if snap := fx.gw.Snapshot(); snap["rejected"] != 1 || snap["frames_in"] != 0 {
+		t.Fatalf("gateway counters = %v, want 1 rejected, 0 in", snap)
+	}
+
+	inKey, _ := fx.keys.Topic("lg/req")
+	pub, err := eventbus.NewPublisher(fx.bus, "lg/req", inKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish(legacy); err != nil {
+		t.Fatal(err)
+	}
+	st, err := fx.rs.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Polled != 1 || st.Dropped != 1 || st.Served != 0 || st.Failed != 0 {
+		t.Fatalf("bus: step = %+v, want the frame dropped unserved", st)
 	}
 }
 

@@ -55,7 +55,9 @@ for target in \
     internal/kvstore:FuzzDecodeWALRecord \
     internal/kvstore:FuzzRecoverSnapshotChain \
     internal/transfer:FuzzDecodeManifest \
-    internal/scbr:FuzzDecodeEvent; do
+    internal/scbr:FuzzDecodeEvent \
+    internal/microsvc:FuzzDecodeFrame \
+    internal/wire:FuzzDecodeBatch; do
     pkg="./${target%%:*}" fn="${target#*:}"
     echo "ci: fuzz smoke $fn ($pkg, 5s)" >&2
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"

@@ -158,8 +158,8 @@
 //     ideal shard-per-core machine realises.
 //
 // The hot envelope path pairs this with a compact binary publication/
-// subscription codec (JSON remains the client-facing form; the broker
-// sniffs both), interned per-session AEAD contexts (cryptbox.CachedBox),
+// subscription codec (the only envelope plaintext: the broker refuses
+// anything else), one AEAD context per session built at the handshake,
 // pooled scratch buffers, and delivery sealing outside every broker lock.
 // The event bus gained PublishBatch/PollBatch (one mutex acquisition per
 // batch, one seal per message however many subscribers fan out) and prunes

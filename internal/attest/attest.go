@@ -66,9 +66,6 @@ func (q *Quoter) Quote(r enclave.Report) (Quote, error) {
 	return out, nil
 }
 
-// PlatformID returns the provisioned platform identity.
-func (q *Quoter) PlatformID() string { return q.platformID }
-
 // Service is the attestation verification service trusted by relying
 // parties (the IAS analogue). It knows the attestation public key of every
 // provisioned platform.

@@ -148,9 +148,6 @@ func New(svc *attest.Service, origin container.PullSource, cfg Config) (*Cluster
 	return cl, nil
 }
 
-// Nodes returns the node count.
-func (cl *Cluster) Nodes() int { return len(cl.nodes) }
-
 // Node returns node i (panics out of range, like a slice).
 func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 

@@ -50,7 +50,6 @@ func (s State) String() string {
 // Errors returned by the engine.
 var (
 	ErrNoEntrypoint = errors.New("container: image has no entrypoint executable")
-	ErrStopped      = errors.New("container: container is stopped")
 )
 
 // Container is one running secure container.

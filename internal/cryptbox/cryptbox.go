@@ -14,7 +14,6 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -122,31 +121,6 @@ func (b *Box) Open(sealed, aad []byte) ([]byte, error) {
 // Overhead returns the ciphertext expansion of Seal in bytes.
 func (b *Box) Overhead() int { return NonceSize + b.aead.Overhead() }
 
-// boxCache interns one Box per key for CachedBox.
-var boxCache sync.Map // Key -> *Box
-
-// CachedBox returns a process-wide interned Box for key, building the AES
-// cipher and GCM context only on first use. Hot paths that previously
-// constructed a fresh AEAD per message (one key-schedule expansion each)
-// share one instance instead; a Box is safe for concurrent Seal/Open.
-// The cache never evicts: it holds one entry per distinct key ever passed,
-// so it suits long-lived keys (client identities, topic keys, test
-// fixtures). Components that mint unbounded ephemeral keys — e.g. a broker
-// handshaking churning sessions — must hold a per-session Box from NewBox
-// instead of interning here. Never call SetNonceSource on a cached box: it
-// would redirect nonce randomness for every holder.
-func CachedBox(key Key) (*Box, error) {
-	if b, ok := boxCache.Load(key); ok {
-		return b.(*Box), nil
-	}
-	b, err := NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := boxCache.LoadOrStore(key, b)
-	return actual.(*Box), nil
-}
-
 // scratchPool recycles the short-lived buffers hot paths assemble
 // plaintexts and sealed frames in.
 var scratchPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
@@ -222,25 +196,6 @@ func DeriveKey(parent Key, label string) (Key, error) {
 		return Key{}, err
 	}
 	return KeyFromBytes(raw)
-}
-
-// StreamCipher returns an AES-128-CTR stream bound to key and a 16-byte IV
-// derived from the label and the 64-bit stream offset block. It is used by
-// the shield layer to encrypt stdio streams where records must be
-// independently decryptable.
-func StreamCipher(key Key, label string, block uint64) (cipher.Stream, error) {
-	blk, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("cryptbox: %w", err)
-	}
-	iv := sha256.Sum256(append([]byte(label), u64le(block)...))
-	return cipher.NewCTR(blk, iv[:aes.BlockSize]), nil
-}
-
-func u64le(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
 }
 
 // Digest is a SHA-256 content hash, used for image content addressing and

@@ -198,31 +198,6 @@ func TestDeriveKeyLabels(t *testing.T) {
 	}
 }
 
-func TestStreamCipherRoundTripAndBlockSeparation(t *testing.T) {
-	k := testKey(5)
-	enc, err := StreamCipher(k, "stdout", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := []byte("record payload")
-	ct := make([]byte, len(pt))
-	enc.XORKeyStream(ct, pt)
-
-	dec, _ := StreamCipher(k, "stdout", 0)
-	got := make([]byte, len(ct))
-	dec.XORKeyStream(got, ct)
-	if !bytes.Equal(got, pt) {
-		t.Fatal("stream round trip failed")
-	}
-
-	other, _ := StreamCipher(k, "stdout", 1)
-	ct2 := make([]byte, len(pt))
-	other.XORKeyStream(ct2, pt)
-	if bytes.Equal(ct, ct2) {
-		t.Fatal("different blocks produced identical keystream")
-	}
-}
-
 func TestDigest(t *testing.T) {
 	d := Sum([]byte("abc"))
 	if d.IsZero() {
@@ -323,34 +298,6 @@ func TestSealAppendReusesBuffer(t *testing.T) {
 		t.Fatal("prefix clobbered")
 	}
 	if _, err := box.Open(prefixed[4:], nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCachedBoxInterns(t *testing.T) {
-	a, err := CachedBox(testKey(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CachedBox(testKey(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("same key produced distinct cached boxes")
-	}
-	c, err := CachedBox(testKey(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == c {
-		t.Fatal("distinct keys shared a cached box")
-	}
-	sealed, err := a.Seal([]byte("x"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Open(sealed, nil); err != nil {
 		t.Fatal(err)
 	}
 }

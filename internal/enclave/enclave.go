@@ -113,9 +113,6 @@ func (e *Enclave) Size() uint64 { return e.size }
 // State returns the lifecycle state.
 func (e *Enclave) State() State { return e.state }
 
-// Signer returns MRSIGNER: the identity of the enclave author.
-func (e *Enclave) Signer() cryptbox.Digest { return e.signer }
-
 // SetSVN sets the enclave's security version number (ISVSVN in the SGX
 // SIGSTRUCT): the author bumps it when shipping a security fix, so relying
 // parties can refuse older, vulnerable builds (TCB recovery). It must be
@@ -276,9 +273,6 @@ func (e *Enclave) HeapArena() (*Arena, error) {
 	e.heapNext = e.size
 	return a, nil
 }
-
-// HeapUsed returns the bytes of enclave heap handed out by Alloc.
-func (e *Enclave) HeapUsed() uint64 { return e.heapNext - e.addNext }
 
 // Destroy releases the enclave's EPC pages (EREMOVE).
 func (e *Enclave) Destroy() {

@@ -163,27 +163,6 @@ func (m *Memory) AccessRange(addr uint64, size int, write bool) {
 	m.p.mu.Unlock()
 }
 
-// AccessRangeCPU is AccessRange plus cpu cycles of pure computation folded
-// into the same commit — the shape of one data-structure probe (read the
-// node, pay the comparison), charged with a single lock round-trip.
-func (m *Memory) AccessRangeCPU(addr uint64, size int, write bool, cpu sim.Cycles) {
-	if size <= 0 {
-		if cpu > 0 {
-			m.ChargeCPU(cpu)
-		}
-		return
-	}
-	_ = write
-	var st acct
-	if cpu > 0 {
-		st.cpu, st.cpuN = cpu, 1
-	}
-	m.p.mu.Lock()
-	m.accessLocked(&st, addr, size)
-	m.commitLocked(&st)
-	m.p.mu.Unlock()
-}
-
 // Span is an open accounting batch over one Memory view: an arbitrary
 // sequence of accesses and CPU charges — e.g. one whole index traversal —
 // accumulated under a single platform-lock acquisition and committed once

@@ -28,7 +28,6 @@ type Message struct {
 
 // Errors returned by the bus and endpoints.
 var (
-	ErrNoTopic  = errors.New("eventbus: topic does not exist")
 	ErrBadSeal  = errors.New("eventbus: message failed authentication")
 	ErrClosed   = errors.New("eventbus: bus closed")
 	ErrBackPres = errors.New("eventbus: subscriber queue full")

@@ -135,9 +135,6 @@ func (s *Server) On() bool { return s.on }
 // Used returns the currently reserved resources (the placement view).
 func (s *Server) Used() Resources { return s.used }
 
-// TrueUsed returns the actual consumption (the power view).
-func (s *Server) TrueUsed() Resources { return s.trueUsed }
-
 // Utilization returns actual CPU utilisation in [0,1] (the power-relevant
 // axis): servers burn power for work done, not for reservations.
 func (s *Server) Utilization() float64 {

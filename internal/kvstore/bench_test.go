@@ -63,25 +63,6 @@ func BenchmarkRange100(b *testing.B) {
 	}
 }
 
-func BenchmarkTableLookup(b *testing.B) {
-	s := benchStore(b)
-	tbl, err := NewTable(s, "m", Schema{Columns: []string{"id", "feeder"}}, "feeder")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if err := tbl.Insert(Row{"id": fmt.Sprintf("m%05d", i), "feeder": fmt.Sprintf("f%03d", i%100)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Lookup("feeder", fmt.Sprintf("f%03d", i%100)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWALAppend group-commits one batch of 16 ops × 200 B random values
 // per iteration — the write path's per-shard cost in durable_write.
 func BenchmarkWALAppend(b *testing.B) {

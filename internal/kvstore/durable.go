@@ -256,16 +256,6 @@ func (ds *DurableStore) Delete(key string) (bool, error) {
 	return ds.ShardedStore.Delete(key), nil
 }
 
-// WALBytes returns each shard's live tail epoch bytes (see WALSegments for
-// the full durable medium).
-func (ds *DurableStore) WALBytes() [][]byte {
-	out := make([][]byte, len(ds.wals))
-	for i, w := range ds.wals {
-		out[i] = w.Bytes()
-	}
-	return out
-}
-
 // WALSegments returns every shard's durable log segments — sealed epochs
 // plus the live tail, what survives a crash alongside the registry's
 // snapshots and what RecoverDurableStore consumes.

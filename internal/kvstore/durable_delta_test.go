@@ -640,6 +640,18 @@ func TestDurableChainSpliceRefusal(t *testing.T) {
 	})
 }
 
+// TestSnapshotWrongKey: an untampered snapshot chain and WAL recovered
+// under another seal key are refused — neither the snapshot records nor
+// the log may open.
+func TestSnapshotWrongKey(t *testing.T) {
+	cfg, _, segs, _ := deltaChainFixture(t)
+	cold := coldNode(cfg)
+	cold.SealKey[0] ^= 0xEE
+	if _, _, err := RecoverDurableStore(cold, segs); err == nil {
+		t.Fatal("chain recovered under the wrong seal key")
+	}
+}
+
 // FuzzRecoverSnapshotChain fuzzes the delta-chain walk with the mutation
 // families the splice tests pin (re-pointed parents, dropped links,
 // bitflips, truncation, tampered chunks). The invariant mirrors the WAL

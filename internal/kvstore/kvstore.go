@@ -1,18 +1,18 @@
 // Package kvstore implements SecureCloud's "secure structured data store"
 // (paper §III-B(3)): an ordered key/value store whose records are sealed
-// before they reach untrusted storage, with authenticated snapshots and
-// rollback protection via a monotonic store version.
+// before they reach untrusted storage.
 //
 // The in-memory structure is a deterministic skip list (seeded, so tests
 // replay), giving O(log n) point access and ordered range scans. All
 // values are encrypted and authenticated; keys are kept in plaintext
-// in memory (inside the enclave) but never leave it unsealed — snapshots
-// seal the whole ordered state as one authenticated blob.
+// in memory (inside the enclave). ShardedStore partitions keys across
+// per-core Stores; DurableStore adds the sealed per-shard write-ahead log
+// and the incremental, content-addressed snapshot chain that make the
+// store survive the process, with rollback and splice protection from
+// the sequence numbers bound into each sealed snapshot record.
 package kvstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,8 +27,7 @@ const maxLevel = 16
 // Errors returned by the store.
 var (
 	ErrNotFound = errors.New("kvstore: key not found")
-	ErrTampered = errors.New("kvstore: snapshot failed authentication")
-	ErrRollback = errors.New("kvstore: snapshot older than expected version")
+	ErrTampered = errors.New("kvstore: record failed authentication")
 )
 
 type node struct {
@@ -55,13 +54,11 @@ type Accounting = enclave.Accounting
 // use; the owning micro-service serialises access (as the single-threaded
 // enclave request loop does).
 type Store struct {
-	key     cryptbox.Key
-	box     *cryptbox.Box
-	head    *node
-	level   int
-	length  int
-	rng     *rand.Rand
-	version uint64
+	box    *cryptbox.Box
+	head   *node
+	level  int
+	length int
+	rng    *rand.Rand
 
 	acct  Accounting
 	probe []uint64 // scratch: node addresses visited by one descent
@@ -84,7 +81,6 @@ func NewStore(key cryptbox.Key, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		key:   key,
 		box:   box,
 		head:  &node{next: make([]*node, maxLevel)},
 		level: 1,
@@ -149,9 +145,6 @@ func (s *Store) replaceNodeValue(n *node) {
 // Len returns the number of stored records.
 func (s *Store) Len() int { return s.length }
 
-// Version returns the store's monotonic mutation counter.
-func (s *Store) Version() uint64 { return s.version }
-
 func (s *Store) randomLevel() int {
 	l := 1
 	for l < maxLevel && s.rng.Intn(2) == 0 {
@@ -191,7 +184,6 @@ func (s *Store) Put(key string, value []byte) error {
 	update := make([]*node, maxLevel)
 	cand := s.findPredecessors(key, update)
 	s.commitProbes()
-	s.version++
 	if cand != nil && cand.key == key {
 		cand.value = sealed
 		s.replaceNodeValue(cand)
@@ -347,7 +339,6 @@ func (s *Store) Delete(key string) bool {
 		s.level--
 	}
 	s.length--
-	s.version++
 	return true
 }
 
@@ -387,91 +378,4 @@ func (s *Store) Range(lo, hi string) ([]Pair, error) {
 		out = append(out, Pair{Key: n.key, Value: plain})
 	}
 	return out, nil
-}
-
-// Keys returns all keys in order (no decryption needed).
-func (s *Store) Keys() []string {
-	var out []string
-	for n := s.head.next[0]; n != nil; n = n.next[0] {
-		out = append(out, n.key)
-	}
-	return out
-}
-
-// snapshot is the serialised store state.
-type snapshot struct {
-	Version uint64   `json:"version"`
-	Keys    []string `json:"keys"`
-	Values  [][]byte `json:"values"` // plaintext inside the sealed blob
-}
-
-// Snapshot seals the full store state (for persistence to untrusted disk
-// or hand-over to a successor enclave). The blob is authenticated and
-// carries the store version for rollback checks on load.
-func (s *Store) Snapshot() ([]byte, error) {
-	snap := snapshot{Version: s.version}
-	for n := s.head.next[0]; n != nil; n = n.next[0] {
-		plain, err := s.box.Open(n.value, valueAAD(n.key))
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: key %q: %w", n.key, ErrTampered)
-		}
-		snap.Keys = append(snap.Keys, n.key)
-		snap.Values = append(snap.Values, plain)
-	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return s.box.Seal(raw, []byte("kv-snapshot"))
-}
-
-// Load restores a snapshot into a fresh store. minVersion is the lowest
-// acceptable snapshot version (e.g. remembered via the CAS or a monotonic
-// counter service); an older snapshot is a rollback attack and is
-// rejected.
-func Load(key cryptbox.Key, seed int64, blob []byte, minVersion uint64) (*Store, error) {
-	s, err := NewStore(key, Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := s.box.Open(blob, []byte("kv-snapshot"))
-	if err != nil {
-		return nil, ErrTampered
-	}
-	var snap snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("kvstore: decoding snapshot: %w", err)
-	}
-	if snap.Version < minVersion {
-		return nil, fmt.Errorf("%w: snapshot v%d < expected v%d", ErrRollback, snap.Version, minVersion)
-	}
-	for i, k := range snap.Keys {
-		if err := s.Put(k, snap.Values[i]); err != nil {
-			return nil, err
-		}
-	}
-	s.version = snap.Version
-	return s, nil
-}
-
-// Equal reports whether two stores hold identical records (test helper;
-// decrypts both sides).
-func Equal(a, b *Store) (bool, error) {
-	pa, err := a.Range("", "")
-	if err != nil {
-		return false, err
-	}
-	pb, err := b.Range("", "")
-	if err != nil {
-		return false, err
-	}
-	if len(pa) != len(pb) {
-		return false, nil
-	}
-	for i := range pa {
-		if pa[i].Key != pb[i].Key || !bytes.Equal(pa[i].Value, pb[i].Value) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

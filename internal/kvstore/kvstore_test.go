@@ -132,83 +132,6 @@ func TestValueSwapDetected(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	s := newStore(t)
-	for i := 0; i < 50; i++ {
-		if err := s.Put(fmt.Sprintf("k%03d", i), []byte{byte(i), byte(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(storeKey(), 2, blob, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := Equal(s, restored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("restored store differs")
-	}
-	if restored.Version() != s.Version() {
-		t.Fatal("version not carried through snapshot")
-	}
-}
-
-func TestSnapshotTamperDetected(t *testing.T) {
-	s := newStore(t)
-	_ = s.Put("k", []byte("v"))
-	blob, _ := s.Snapshot()
-	blob[len(blob)/2] ^= 1
-	if _, err := Load(storeKey(), 2, blob, 0); !errors.Is(err, ErrTampered) {
-		t.Fatalf("err = %v, want ErrTampered", err)
-	}
-}
-
-func TestSnapshotWrongKey(t *testing.T) {
-	s := newStore(t)
-	_ = s.Put("k", []byte("v"))
-	blob, _ := s.Snapshot()
-	var wrong cryptbox.Key
-	wrong[0] = 0xEE
-	if _, err := Load(wrong, 2, blob, 0); !errors.Is(err, ErrTampered) {
-		t.Fatalf("err = %v, want ErrTampered", err)
-	}
-}
-
-func TestRollbackDetected(t *testing.T) {
-	s := newStore(t)
-	_ = s.Put("balance", []byte("100"))
-	oldBlob, _ := s.Snapshot()
-	oldVersion := s.Version()
-	_ = s.Put("balance", []byte("50"))
-	// The attacker serves the old snapshot; the loader expects at least
-	// the current version.
-	if _, err := Load(storeKey(), 2, oldBlob, oldVersion+1); !errors.Is(err, ErrRollback) {
-		t.Fatalf("err = %v, want ErrRollback", err)
-	}
-	// Loading with the correct expectation works.
-	if _, err := Load(storeKey(), 2, oldBlob, oldVersion); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVersionMonotonic(t *testing.T) {
-	s := newStore(t)
-	v0 := s.Version()
-	_ = s.Put("a", []byte("1"))
-	v1 := s.Version()
-	s.Delete("a")
-	v2 := s.Version()
-	if !(v0 < v1 && v1 < v2) {
-		t.Fatalf("version not monotonic: %d %d %d", v0, v1, v2)
-	}
-}
-
 func TestLargeStoreOrderedAndComplete(t *testing.T) {
 	s := newStore(t)
 	const n = 5000

@@ -1,9 +1,7 @@
 package kvstore
 
 import (
-	"bytes"
 	"errors"
-	"sort"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
@@ -73,26 +71,6 @@ func (ss *ShardedStore) shardOf(key string) int {
 		h *= 16777619
 	}
 	return int(h % uint32(ss.Shards()))
-}
-
-// Put stores value under key in its home shard.
-func (ss *ShardedStore) Put(key string, value []byte) error {
-	sh := ss.At(ss.shardOf(key))
-	sh.Lock()
-	err := sh.V.Put(key, value)
-	sh.Unlock()
-	return err
-}
-
-// Get returns the value stored under key, charged through a read-only
-// snapshot span. Safe for concurrent use with itself and GetBatch;
-// Put/Delete serialize against the home shard only.
-func (ss *ShardedStore) Get(key string) ([]byte, error) {
-	sh := ss.At(ss.shardOf(key))
-	sh.RLock()
-	v, err := sh.V.GetSnapshot(key)
-	sh.RUnlock()
-	return v, err
 }
 
 // Delete removes key; it reports whether the key existed.
@@ -173,13 +151,6 @@ func (ss *ShardedStore) Len() int {
 	return shard.Read(ss.Set, 0, func(n int, st *Store) int { return n + st.Len() })
 }
 
-// Keys returns all keys in global key order.
-func (ss *ShardedStore) Keys() []string {
-	out := shard.Read(ss.Set, nil, func(out []string, st *Store) []string { return append(out, st.Keys()...) })
-	sort.Strings(out)
-	return out
-}
-
 // Range returns all records with lo <= key < hi in global key order (empty
 // hi means "to the end"), scanning shards in parallel and merging. The
 // per-shard scan uses the mutating accounting path, so it takes each
@@ -222,26 +193,4 @@ func mergeRuns(runs [][]Pair) []Pair {
 		runs[best] = runs[best][1:]
 	}
 	return out
-}
-
-// EqualSharded reports whether a sharded store and a plain store hold
-// identical records (test helper; decrypts both sides).
-func EqualSharded(a *ShardedStore, b *Store) (bool, error) {
-	pa, err := a.Range("", "")
-	if err != nil {
-		return false, err
-	}
-	pb, err := b.Range("", "")
-	if err != nil {
-		return false, err
-	}
-	if len(pa) != len(pb) {
-		return false, nil
-	}
-	for i := range pa {
-		if pa[i].Key != pb[i].Key || !bytes.Equal(pa[i].Value, pb[i].Value) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -205,20 +205,6 @@ func (w *WAL) Epoch() uint64 {
 	return w.epoch
 }
 
-// Records returns how many records the live tail epoch holds.
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
-}
-
-// Bytes returns a copy of the live tail epoch's log bytes.
-func (w *WAL) Bytes() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]byte(nil), w.buf...)
-}
-
 // Reset discards the whole log — sealed segments included — and starts the
 // given epoch with nothing durable behind it. Snapshots use Roll instead;
 // Reset is for abandoning a log.

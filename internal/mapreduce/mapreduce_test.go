@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
 )
 
 // wordCountJob is the canonical test job.
@@ -108,12 +107,13 @@ func TestManyWorkersManyReducers(t *testing.T) {
 	}
 }
 
-func secureEngine(t *testing.T) *SecureEngine {
+// secureEngine is the secure engine as the applications configure it: four
+// workers on the default platform (parallelEngine shrinks the platform).
+func secureEngine(t *testing.T) *ParallelSecureEngine {
 	t.Helper()
-	p := enclave.NewPlatform(enclave.Config{})
 	var root cryptbox.Key
 	root[0] = 0x44
-	e, err := NewSecureEngine(p, 4, root)
+	e, err := NewParallelSecureEngine(root, ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,18 +250,17 @@ func TestSecureSmartGridAggregation(t *testing.T) {
 }
 
 func TestSecureEngineChargesEnclaveCycles(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{})
 	var root cryptbox.Key
-	e, err := NewSecureEngine(p, 2, root)
+	e, err := NewParallelSecureEngine(root, ParallelConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	before := e.workers[0].Memory().Cycles()
+	before := e.At(0).Enc.Memory().Cycles()
 	if _, err := e.Run(wordCountJob(map[string]string{"d": "a b c"})); err != nil {
 		t.Fatal(err)
 	}
-	if e.workers[0].Memory().Cycles() <= before {
+	if e.At(0).Enc.Memory().Cycles() <= before {
 		t.Fatal("secure run charged no enclave cycles")
 	}
 }

@@ -112,9 +112,9 @@ type ParallelSecureEngine struct {
 	stats   PhaseStats
 }
 
-// NewParallelSecureEngine builds the worker pool. The root key derives the
-// per-partition shuffle keys, exactly as in the sequential SecureEngine —
-// the two engines' sealed shuffles are interchangeable.
+// NewParallelSecureEngine builds the worker pool. The root key
+// (provisioned via the CAS in a full deployment) derives the per-partition
+// shuffle keys.
 func NewParallelSecureEngine(rootKey cryptbox.Key, cfg ParallelConfig) (*ParallelSecureEngine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -265,6 +265,11 @@ func (e *ParallelSecureEngine) runReduceTask(job *Job, boxes []*cryptbox.Box, aa
 	perWorkerOut[w] = out
 	return nil
 }
+
+// ShuffleHook receives the sealed shuffle partitions between the map and
+// reduce phases — modelling an attacker with access to the intermediate
+// storage. Fault-injection tests mutate records here.
+type ShuffleHook func(partitions [][][]byte)
 
 // RunWithShuffleHook is Run with the hook installed for one execution.
 func (e *ParallelSecureEngine) RunWithShuffleHook(job Job, hook ShuffleHook) (map[string][]byte, error) {

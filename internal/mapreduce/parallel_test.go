@@ -56,7 +56,8 @@ func parallelTestDocs() map[string]string {
 
 // TestParallelMatchesPlainAndSecureAcrossWorkerCounts pins the output
 // property: for every worker count, the parallel engine's results equal
-// both the plain reference engine and the sequential secure engine.
+// both the plain reference engine and the default four-worker secure
+// engine.
 func TestParallelMatchesPlainAndSecureAcrossWorkerCounts(t *testing.T) {
 	docs := parallelTestDocs()
 	plain, err := Run(wordCountJob(docs))
@@ -145,7 +146,7 @@ func TestParallelDeterministicCyclesAcrossParallelism(t *testing.T) {
 }
 
 // TestParallelShuffleIsCiphertext: intermediate records must be opaque in
-// the shuffle, exactly as with the sequential secure engine.
+// the shuffle on a shrunk worker platform too.
 func TestParallelShuffleIsCiphertext(t *testing.T) {
 	e := parallelEngine(t, 4, 0)
 	job := wordCountJob(map[string]string{"d": "SECRETWORD SECRETWORD"})
@@ -184,11 +185,10 @@ func TestParallelShuffleTamperDetected(t *testing.T) {
 	}
 }
 
-// TestParallelShuffleInterchangeable: the two secure engines derive the
-// same per-partition keys from one root, so a shuffle sealed by one is
-// readable by the other — they implement the same protocol. Every record
-// opens under its partition's derived key and AAD and decodes to exactly
-// the pairs the map function emitted, in the partition the key hashes to.
+// TestParallelShuffleInterchangeable: the shuffle is the documented
+// protocol, so any holder of the root key can read it. Every record opens
+// under its partition's derived key and AAD and decodes to exactly the
+// pairs the map function emitted, in the partition the key hashes to.
 func TestParallelShuffleInterchangeable(t *testing.T) {
 	var root cryptbox.Key
 	root[0] = 0x44

@@ -135,7 +135,7 @@ func TestParallelShuffleCrossPartitionMoveDetected(t *testing.T) {
 
 // TestShuffleMalformedRecordFails: a body that authenticates but does not
 // parse — re-sealed under the right partition key and AAD — fails the run
-// with an error in both engines instead of panicking.
+// with an error at both worker-pool sizes instead of panicking.
 func TestShuffleMalformedRecordFails(t *testing.T) {
 	var root cryptbox.Key
 	root[0] = 0x44
@@ -157,12 +157,9 @@ func TestShuffleMalformedRecordFails(t *testing.T) {
 			}
 		}
 	}
-	engines := map[string]interface {
-		RunWithShuffleHook(Job, ShuffleHook) (map[string][]byte, error)
-	}{"sequential": secureEngine(t), "parallel": parallelEngine(t, 2, 0)}
-	for name, e := range engines {
+	for _, e := range []*ParallelSecureEngine{secureEngine(t), parallelEngine(t, 2, 0)} {
 		if _, err := e.RunWithShuffleHook(job, reseal); !errors.Is(err, errBadRecord) {
-			t.Errorf("%s: err = %v, want errBadRecord", name, err)
+			t.Errorf("%d workers: err = %v, want errBadRecord", e.Shards(), err)
 		}
 	}
 }

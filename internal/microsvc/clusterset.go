@@ -65,9 +65,6 @@ type ClusterSet struct {
 	events     []string
 }
 
-// Cluster returns the underlying cluster.
-func (cs *ClusterSet) Cluster() *cluster.Cluster { return cs.cl }
-
 // NewClusterReplicaSet builds a replica set whose boots go through the
 // cluster: the front-end boots on the gateway (node 0), every replica on
 // the node the placer chooses. A boot that fails chunk verification

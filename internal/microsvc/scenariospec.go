@@ -99,11 +99,6 @@ func AtMost(metric string, v float64) Assertion {
 	return Assertion{Metric: metric, Min: math.Inf(-1), Max: v}
 }
 
-// Between asserts lo ≤ metric ≤ hi.
-func Between(metric string, lo, hi float64) Assertion {
-	return Assertion{Metric: metric, Min: lo, Max: hi}
-}
-
 // Equals asserts metric == v (exactly — these are deterministic figures).
 func Equals(metric string, v float64) Assertion {
 	return Assertion{Metric: metric, Min: v, Max: v}

@@ -11,7 +11,6 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"securecloud/internal/sim"
@@ -65,11 +64,6 @@ type Target struct {
 	// for admission-controlled services, whose bounded per-replica queues
 	// never trip MaxQueueDepth. Zero disables the rule.
 	MaxShedPerTick int
-}
-
-// DefaultTarget returns a conservative QoS target.
-func DefaultTarget() Target {
-	return Target{MaxQueueDepth: 32, MinReplicas: 1, MaxReplicas: 16, ScaleInBelow: 4}
 }
 
 // Action is one adaptation decision.
@@ -269,31 +263,4 @@ func (o *Orchestrator) Trace() []string {
 		out[i] = a.String()
 	}
 	return out
-}
-
-// Dispatcher routes incoming work to the least-loaded replica — the
-// orchestration layer's load balancing over queue-depth metrics.
-type Dispatcher struct {
-	o *Orchestrator
-}
-
-// NewDispatcher builds a dispatcher over an orchestrator's replica set.
-func NewDispatcher(o *Orchestrator) *Dispatcher { return &Dispatcher{o: o} }
-
-// Pick returns the replica with the shallowest queue (stable by ID).
-func (d *Dispatcher) Pick() (Replica, error) {
-	d.o.mu.Lock()
-	defer d.o.mu.Unlock()
-	if len(d.o.replicas) == 0 {
-		return nil, ErrNoReplicas
-	}
-	sorted := append([]Replica(nil), d.o.replicas...)
-	sort.Slice(sorted, func(i, j int) bool {
-		di, dj := sorted[i].Sample().QueueDepth, sorted[j].Sample().QueueDepth
-		if di != dj {
-			return di < dj
-		}
-		return sorted[i].ID() < sorted[j].ID()
-	})
-	return sorted[0], nil
 }

@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// defaultTarget is a conservative QoS target.
+func defaultTarget() Target {
+	return Target{MaxQueueDepth: 32, MinReplicas: 1, MaxReplicas: 16, ScaleInBelow: 4}
+}
+
 // fakeReplica is a controllable Replica.
 type fakeReplica struct {
 	id      string
@@ -58,7 +63,7 @@ func healthy(id string, depth int) *fakeReplica {
 }
 
 func TestNewRequiresReplicas(t *testing.T) {
-	if _, err := New(DefaultTarget(), &fakeLauncher{}); !errors.Is(err, ErrNoReplicas) {
+	if _, err := New(defaultTarget(), &fakeLauncher{}); !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("err = %v, want ErrNoReplicas", err)
 	}
 }
@@ -66,7 +71,7 @@ func TestNewRequiresReplicas(t *testing.T) {
 func TestScaleOutOnDeepQueue(t *testing.T) {
 	l := &fakeLauncher{}
 	r := healthy("r00", 100)
-	o, err := New(DefaultTarget(), l, r)
+	o, err := New(defaultTarget(), l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,7 @@ func TestScaleOutOnDeepQueue(t *testing.T) {
 
 func TestScaleOutBoundedByMax(t *testing.T) {
 	l := &fakeLauncher{}
-	target := DefaultTarget()
+	target := defaultTarget()
 	target.MaxReplicas = 2
 	o, err := New(target, l, healthy("r00", 100), healthy("r01", 100))
 	if err != nil {
@@ -101,7 +106,7 @@ func TestScaleOutBoundedByMax(t *testing.T) {
 
 func TestScaleInWhenIdle(t *testing.T) {
 	l := &fakeLauncher{}
-	o, err := New(DefaultTarget(), l, healthy("r00", 0), healthy("r01", 0))
+	o, err := New(defaultTarget(), l, healthy("r00", 0), healthy("r01", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func TestScaleInWhenIdle(t *testing.T) {
 
 func TestScaleInRespectsMin(t *testing.T) {
 	l := &fakeLauncher{}
-	o, err := New(DefaultTarget(), l, healthy("r00", 0))
+	o, err := New(defaultTarget(), l, healthy("r00", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +144,7 @@ func TestRestartUnhealthyReplicaSameTick(t *testing.T) {
 	l := &fakeLauncher{}
 	sick := healthy("r-sick", 5)
 	sick.set(Metrics{Healthy: false})
-	o, err := New(DefaultTarget(), l, sick)
+	o, err := New(defaultTarget(), l, sick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +167,7 @@ func TestRestartUnhealthyReplicaSameTick(t *testing.T) {
 
 func TestLaunchFailureSurfaced(t *testing.T) {
 	l := &fakeLauncher{fail: true}
-	o, err := New(DefaultTarget(), l, healthy("r00", 100))
+	o, err := New(defaultTarget(), l, healthy("r00", 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +179,7 @@ func TestLaunchFailureSurfaced(t *testing.T) {
 func TestAdaptationLog(t *testing.T) {
 	l := &fakeLauncher{}
 	r := healthy("r00", 100)
-	o, _ := New(DefaultTarget(), l, r)
+	o, _ := New(defaultTarget(), l, r)
 	if _, err := o.Observe(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,29 +194,13 @@ func TestAdaptationLog(t *testing.T) {
 	}
 }
 
-func TestDispatcherPicksLeastLoaded(t *testing.T) {
-	o, err := New(DefaultTarget(), &fakeLauncher{},
-		healthy("a", 9), healthy("b", 2), healthy("c", 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDispatcher(o)
-	r, err := d.Pick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID() != "b" {
-		t.Fatalf("picked %s, want b", r.ID())
-	}
-}
-
 func TestClosedLoopConvergesUnderLoadSwing(t *testing.T) {
 	// Simulated load swing: a burst arrives, the orchestrator scales out
 	// until per-replica depth is within target, then the burst drains and
 	// it scales back to the minimum.
 	l := &fakeLauncher{}
 	first := healthy("r00", 0)
-	o, err := New(DefaultTarget(), l, first)
+	o, err := New(defaultTarget(), l, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +244,7 @@ func TestSlowReplicaRestarted(t *testing.T) {
 	l := &fakeLauncher{}
 	slow := healthy("r-slow", 5)
 	slow.set(Metrics{Healthy: true, QueueDepth: 5, ServiceCycles: 500_000})
-	target := DefaultTarget()
+	target := defaultTarget()
 	target.MaxServiceCycles = 200_000
 	o, err := New(target, l, slow)
 	if err != nil {
@@ -277,7 +266,7 @@ func TestSlowRuleDisabledByDefault(t *testing.T) {
 	l := &fakeLauncher{}
 	slow := healthy("r-slow", 5)
 	slow.set(Metrics{Healthy: true, QueueDepth: 5, ServiceCycles: 1 << 40})
-	o, err := New(DefaultTarget(), l, slow)
+	o, err := New(defaultTarget(), l, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +282,7 @@ func TestSlowRuleDisabledByDefault(t *testing.T) {
 func TestTraceDeterministicRendering(t *testing.T) {
 	l := &fakeLauncher{}
 	r := healthy("r00", 100)
-	o, _ := New(DefaultTarget(), l, r)
+	o, _ := New(defaultTarget(), l, r)
 	if _, err := o.Observe(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +312,7 @@ func TestTraceDeterministicRendering(t *testing.T) {
 func TestScaleOutOnShedRate(t *testing.T) {
 	l := &fakeLauncher{}
 	r := &fakeReplica{id: "r00", metrics: Metrics{Healthy: true, QueueDepth: 2, Shed: 40}}
-	target := DefaultTarget()
+	target := defaultTarget()
 	target.MaxShedPerTick = 16
 	o, err := New(target, l, r)
 	if err != nil {
@@ -340,7 +329,7 @@ func TestScaleOutOnShedRate(t *testing.T) {
 		t.Fatalf("reason = %q, want %q", actions[0].Reason, want)
 	}
 	// Zero MaxShedPerTick disables the rule entirely.
-	o2, err := New(DefaultTarget(), l, &fakeReplica{id: "r01",
+	o2, err := New(defaultTarget(), l, &fakeReplica{id: "r01",
 		metrics: Metrics{Healthy: true, QueueDepth: 2, Shed: 1000}})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +349,7 @@ func TestNoScaleInWhileShedding(t *testing.T) {
 	l := &fakeLauncher{}
 	a := &fakeReplica{id: "r00", metrics: Metrics{Healthy: true, QueueDepth: 0, Shed: 5}}
 	b := &fakeReplica{id: "r01", metrics: Metrics{Healthy: true, QueueDepth: 0, Shed: 5}}
-	target := DefaultTarget()
+	target := defaultTarget()
 	target.MaxShedPerTick = 100 // shed below the scale-OUT threshold…
 	o, err := New(target, l, a, b)
 	if err != nil {

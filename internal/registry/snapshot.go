@@ -125,13 +125,6 @@ func (r *Registry) LatestSnapshot(name string) (seq uint64, sealed []byte, ok bo
 	return rec.Seq, append([]byte(nil), rec.Sealed...), true
 }
 
-// Snapshots returns how many snapshot names are bound.
-func (r *Registry) Snapshots() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.snapshots)
-}
-
 // snapshotHandler serves GET /v2/snapshots/{name} (names may contain
 // slashes) as a JSON snapshot record — the latest by default, or the
 // historical record at ?seq=N for chain walks.

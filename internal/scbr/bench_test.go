@@ -170,15 +170,11 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 	for pi, c := range publishers {
 		envs[pi] = make([]Envelope, nEvents)
 		for i, e := range events {
-			raw, err := appendEventBinary(nil, e)
+			sealed, err := c.SealEventBytes(e)
 			if err != nil {
 				b.Fatal(err)
 			}
-			env, err := sealWith(c.box, c.ID, KindPublication, raw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			envs[pi][i] = env
+			envs[pi][i] = Envelope{ClientID: c.ID, Kind: KindPublication, Sealed: sealed}
 		}
 	}
 
@@ -273,14 +269,11 @@ func BenchmarkBrokerDeliverySeal(b *testing.B) {
 	// An event matching the shared subscription: publish it once to learn
 	// the delivered count, then time the steady state.
 	e := eventCovering(s)
-	raw, err := appendEventBinary(nil, e)
+	sealed, err := pub.SealEventBytes(e)
 	if err != nil {
 		b.Fatal(err)
 	}
-	env, err := sealWith(pub.box, pub.ID, KindPublication, raw)
-	if err != nil {
-		b.Fatal(err)
-	}
+	env := Envelope{ClientID: pub.ID, Kind: KindPublication, Sealed: sealed}
 	n, err := bk.Publish(env)
 	if err != nil {
 		b.Fatal(err)
@@ -330,11 +323,10 @@ func eventCovering(s Subscription) Event {
 func BenchmarkSealPublication(b *testing.B) {
 	w := NewWorkload(DefaultWorkload(4))
 	e := w.NextEvent()
-	var key cryptbox.Key
-	key[0] = 1
+	c := testClient(b, "client", cryptbox.Key{1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SealPublication(key, "client", e); err != nil {
+		if _, err := c.SealEventBytes(e); err != nil {
 			b.Fatal(err)
 		}
 	}

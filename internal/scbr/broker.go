@@ -388,7 +388,6 @@ func (b *Broker) DrainSealed(clientID string, token []byte) ([]Delivery, error) 
 // Client is an SCBR publisher/subscriber endpoint holding its session key.
 type Client struct {
 	ID      string
-	key     cryptbox.Key
 	box     *cryptbox.Box
 	aad     []byte // "delivery|<clientID>", precomputed once
 	pollSeq atomic.Uint64
@@ -432,11 +431,16 @@ func (h *ClientHello) Finish(brokerPub []byte) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(h.clientID, key)
+}
+
+// newClient is the client end of an established session under key.
+func newClient(id string, key cryptbox.Key) (*Client, error) {
 	box, err := cryptbox.NewBox(key)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{ID: h.clientID, key: key, box: box, aad: []byte("delivery|" + h.clientID)}, nil
+	return &Client{ID: id, box: box, aad: []byte("delivery|" + id)}, nil
 }
 
 // Connect establishes a session with the broker. When svc and quoter are
@@ -459,35 +463,22 @@ func Connect(b *Broker, clientID string, svc *attest.Service, quoter *attest.Quo
 	return h.Finish(brokerPub)
 }
 
-// Subscribe seals and registers a subscription using the compact binary
-// wire form (the JSON SealSubscription path remains for external callers).
+// Subscribe seals and registers a subscription.
 func (c *Client) Subscribe(b *Broker, s Subscription) (uint64, error) {
-	buf := cryptbox.GetScratch()
-	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below
-	buf, err := appendSubscriptionBinary(buf, s)
+	sealed, err := c.SealSubscriptionBytes(s)
 	if err != nil {
 		return 0, err
 	}
-	env, err := sealWith(c.box, c.ID, KindSubscription, buf)
-	if err != nil {
-		return 0, err
-	}
-	return b.Subscribe(env)
+	return b.Subscribe(Envelope{ClientID: c.ID, Kind: KindSubscription, Sealed: sealed})
 }
 
-// Publish seals and routes an event in the compact binary wire form.
+// Publish seals and routes an event.
 func (c *Client) Publish(b *Broker, e Event) (int, error) {
-	buf := cryptbox.GetScratch()
-	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below
-	buf, err := appendEventBinary(buf, e)
+	sealed, err := c.SealEventBytes(e)
 	if err != nil {
 		return 0, err
 	}
-	env, err := sealWith(c.box, c.ID, KindPublication, buf)
-	if err != nil {
-		return 0, err
-	}
-	return b.Publish(env)
+	return b.Publish(Envelope{ClientID: c.ID, Kind: KindPublication, Sealed: sealed})
 }
 
 // Receive drains and decrypts pending deliveries with the client's held
@@ -505,14 +496,14 @@ func (c *Client) Receive(b *Broker) ([]Event, error) {
 }
 
 // SealSubscriptionBytes seals s into the envelope body the broker's
-// Subscribe expects — the compact binary wire form under the session key,
-// AAD-bound to KindSubscription and the client ID. The bytes are exactly
-// what Subscribe puts in Envelope.Sealed, so a remote transport (the wire
-// package) carries the already-tested envelope form with no new crypto.
+// Subscribe expects — the binary codec under the session key, AAD-bound to
+// KindSubscription and the client ID. The bytes are exactly what Subscribe
+// puts in Envelope.Sealed, so a remote transport (the wire package)
+// carries the already-tested envelope form with no new crypto.
 func (c *Client) SealSubscriptionBytes(s Subscription) ([]byte, error) {
 	buf := cryptbox.GetScratch()
 	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below
-	buf, err := appendSubscriptionBinary(buf, s)
+	buf, err := appendSubscription(buf, s)
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +515,7 @@ func (c *Client) SealSubscriptionBytes(s Subscription) ([]byte, error) {
 func (c *Client) SealEventBytes(e Event) ([]byte, error) {
 	buf := cryptbox.GetScratch()
 	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below
-	buf, err := appendEventBinary(buf, e)
+	buf, err := appendEvent(buf, e)
 	if err != nil {
 		return nil, err
 	}

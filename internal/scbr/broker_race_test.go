@@ -113,51 +113,3 @@ func TestBrokerConcurrentStress(t *testing.T) {
 		t.Fatalf("post-stress matcher disagreement:\n got %v\nwant %v", got, want)
 	}
 }
-
-// TestBrokerBinaryAndJSONClientsInterop pins the dual wire form: a legacy
-// JSON envelope and a binary Client envelope land on one broker, and each
-// subscriber reads deliveries originating from either.
-func TestBrokerBinaryAndJSONClientsInterop(t *testing.T) {
-	_, enc := brokerEnclave(t)
-	bk, err := NewBroker(enc, DefaultBrokerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := Connect(bk, "sub", nil, nil, attest.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pubBin, _ := Connect(bk, "pub-bin", nil, nil, attest.Policy{})
-	pubJSON, _ := Connect(bk, "pub-json", nil, nil, attest.Policy{})
-
-	// JSON subscription via the legacy path.
-	s, _ := NewSubscription(0, map[string]Interval{"v": iv(0, 10)})
-	env, err := SealSubscription(sub.key, sub.ID, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bk.Subscribe(env); err != nil {
-		t.Fatal(err)
-	}
-
-	// Binary publish.
-	if n, err := pubBin.Publish(bk, Event{Attrs: map[string]float64{"v": 5}, Payload: []byte("bin")}); err != nil || n != 1 {
-		t.Fatalf("binary publish: n=%d err=%v", n, err)
-	}
-	// JSON publish via the legacy sealer.
-	jenv, err := SealPublication(pubJSON.key, pubJSON.ID, Event{Attrs: map[string]float64{"v": 6}, Payload: []byte("json")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := bk.Publish(jenv); err != nil || n != 1 {
-		t.Fatalf("json publish: n=%d err=%v", n, err)
-	}
-
-	events, err := sub.Receive(bk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || string(events[0].Payload) != "bin" || string(events[1].Payload) != "json" {
-		t.Fatalf("received %+v", events)
-	}
-}

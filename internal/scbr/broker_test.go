@@ -2,6 +2,7 @@ package scbr
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -95,9 +96,55 @@ func TestBrokerRejectsForgedEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An attacker who knows the client ID but not the session key.
-	forged, _ := SealPublication(cryptbox.Key{0xFF}, "c1", Event{Attrs: map[string]float64{"a": 1}})
+	sealed, err := testClient(t, "c1", cryptbox.Key{0xFF}).SealEventBytes(Event{Attrs: map[string]float64{"a": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := Envelope{ClientID: "c1", Kind: KindPublication, Sealed: sealed}
 	if _, err := b.Publish(forged); !errors.Is(err, ErrBadEnvelope) {
 		t.Fatalf("err = %v, want ErrBadEnvelope", err)
+	}
+}
+
+// TestBrokerRejectsJSONEnvelopes: the binary codec is the only envelope
+// plaintext. A JSON subscription and a JSON publication, sealed under the
+// sender's own session key and AAD, authenticate but are refused with an
+// error: nothing registers, nothing is delivered, nothing panics.
+func TestBrokerRejectsJSONEnvelopes(t *testing.T) {
+	_, enc := brokerEnclave(t)
+	b, err := NewBroker(enc, DefaultBrokerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subscriber, _ := Connect(b, "sub", nil, nil, attest.Policy{})
+	pub, _ := Connect(b, "pub", nil, nil, attest.Policy{})
+	s := sub(t, 0, map[string]Interval{"v": iv(0, 10)})
+	if _, err := subscriber.Subscribe(b, s); err != nil {
+		t.Fatal(err)
+	}
+	sealJSON := func(c *Client, kind string, v any) Envelope {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := c.box.Seal(raw, []byte(kind+"|"+c.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Envelope{ClientID: c.ID, Kind: kind, Sealed: sealed}
+	}
+	if id, err := b.Subscribe(sealJSON(subscriber, KindSubscription, s)); err == nil {
+		t.Fatalf("JSON subscription accepted as id %d", id)
+	}
+	if b.Index().Count() != 1 {
+		t.Fatalf("index holds %d subscriptions, want 1", b.Index().Count())
+	}
+	e := Event{Attrs: map[string]float64{"v": 5}, Payload: []byte("json")}
+	if n, err := b.Publish(sealJSON(pub, KindPublication, e)); err == nil {
+		t.Fatalf("JSON publication accepted, %d deliveries", n)
+	}
+	if q := b.Drain(subscriber.ID); len(q) != 0 {
+		t.Fatalf("%d deliveries queued from a JSON publication", len(q))
 	}
 }
 
@@ -106,11 +153,11 @@ func TestEnvelopesOpaqueOnWire(t *testing.T) {
 	b, _ := NewBroker(enc, DefaultBrokerConfig())
 	cli, _ := Connect(b, "c1", nil, nil, attest.Policy{})
 	s, _ := NewSubscription(0, map[string]Interval{"secret-attr": iv(1, 2)})
-	env, err := SealSubscription(cli.key, cli.ID, s)
+	sealed, err := cli.SealSubscriptionBytes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(env.Sealed, []byte("secret-attr")) {
+	if bytes.Contains(sealed, []byte("secret-attr")) {
 		t.Fatal("subscription filter readable on the wire")
 	}
 }
@@ -134,10 +181,10 @@ func TestDeliveriesEncryptedPerSubscriber(t *testing.T) {
 	if len(stolen) != 1 {
 		t.Fatalf("queued %d deliveries", len(stolen))
 	}
-	if _, err := OpenDelivery(bob.key, stolen[0]); err == nil {
+	if _, err := bob.OpenDeliverySealed(stolen[0].Sealed); err == nil {
 		t.Fatal("bob decrypted alice's delivery")
 	}
-	if _, err := OpenDelivery(alice.key, stolen[0]); err != nil {
+	if _, err := alice.OpenDeliverySealed(stolen[0].Sealed); err != nil {
 		t.Fatalf("alice cannot decrypt her own delivery: %v", err)
 	}
 }

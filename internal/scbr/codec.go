@@ -2,20 +2,16 @@ package scbr
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// Hot-path envelope codec. Publications and subscriptions crossing the
-// broker boundary thousands of times per second were JSON round-trips; the
-// binary form below is a flat length-prefixed layout that encodes in one
-// append pass and decodes without reflection. JSON remains the client-
-// facing representation (SealPublication / SealSubscription and every
-// test fixture): the decoder sniffs the first plaintext byte — binMagic
-// cannot open a JSON document — so both wire forms interoperate on one
-// broker, and deliveries echo whichever form the publisher used.
+// Envelope codec: the one plaintext form of a publication or subscription
+// inside a sealed envelope. It is a flat length-prefixed layout that
+// encodes in one append pass and decodes without reflection; the decoders
+// reject anything else (a JSON document, a truncated frame, trailing
+// bytes), and deliveries carry the publisher's frame verbatim.
 //
 // Layout (little-endian):
 //
@@ -37,8 +33,8 @@ var errTruncated = fmt.Errorf("scbr: truncated binary frame")
 // encoding them anyway would emit a silently corrupt frame.
 var errOversize = fmt.Errorf("scbr: field exceeds binary frame limits")
 
-// appendEventBinary appends the binary encoding of e to dst.
-func appendEventBinary(dst []byte, e Event) ([]byte, error) {
+// appendEvent appends the binary encoding of e to dst.
+func appendEvent(dst []byte, e Event) ([]byte, error) {
 	attrs := make([]string, 0, len(e.Attrs))
 	for a := range e.Attrs {
 		if len(a) > math.MaxUint16 {
@@ -61,8 +57,8 @@ func appendEventBinary(dst []byte, e Event) ([]byte, error) {
 	return append(dst, e.Payload...), nil
 }
 
-// appendSubscriptionBinary appends the binary encoding of s to dst.
-func appendSubscriptionBinary(dst []byte, s Subscription) ([]byte, error) {
+// appendSubscription appends the binary encoding of s to dst.
+func appendSubscription(dst []byte, s Subscription) ([]byte, error) {
 	dst = append(dst, binMagic, binKindSub)
 	dst = binary.LittleEndian.AppendUint64(dst, s.ID)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Preds)))
@@ -92,8 +88,8 @@ func binString(raw []byte, off int) (string, int, error) {
 	return string(raw[off : off+n]), off + n, nil
 }
 
-// decodeEventBinary decodes an appendEventBinary frame.
-func decodeEventBinary(raw []byte) (Event, error) {
+// decodeEvent decodes an appendEvent frame.
+func decodeEvent(raw []byte) (Event, error) {
 	if len(raw) < 6 || raw[0] != binMagic || raw[1] != binKindEvent {
 		return Event{}, fmt.Errorf("scbr: not a binary event frame")
 	}
@@ -135,15 +131,15 @@ func decodeEventBinary(raw []byte) (Event, error) {
 	return e, nil
 }
 
-// decodeSubscriptionBinary decodes an appendSubscriptionBinary frame.
-func decodeSubscriptionBinary(raw []byte) (Subscription, error) {
+// decodeSubscription decodes an appendSubscription frame.
+func decodeSubscription(raw []byte) (Subscription, error) {
 	if len(raw) < 14 || raw[0] != binMagic || raw[1] != binKindSub {
 		return Subscription{}, fmt.Errorf("scbr: not a binary subscription frame")
 	}
 	s := Subscription{ID: binary.LittleEndian.Uint64(raw[2:])}
 	n := int(binary.LittleEndian.Uint32(raw[10:]))
 	off := 14
-	// Clamp the pre-size as in decodeEventBinary (≥18 bytes per predicate).
+	// Clamp the pre-size as in decodeEvent (≥18 bytes per predicate).
 	hint := n
 	if max := (len(raw) - off) / 18; hint > max {
 		hint = max
@@ -166,30 +162,6 @@ func decodeSubscriptionBinary(raw []byte) (Subscription, error) {
 	}
 	if off != len(raw) {
 		return Subscription{}, errTruncated // trailing garbage
-	}
-	return s, nil
-}
-
-// decodeEvent decodes a publication plaintext in either wire form.
-func decodeEvent(raw []byte) (Event, error) {
-	if len(raw) > 0 && raw[0] == binMagic {
-		return decodeEventBinary(raw)
-	}
-	var e Event
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return Event{}, fmt.Errorf("scbr: decoding publication: %w", err)
-	}
-	return e, nil
-}
-
-// decodeSubscription decodes a subscription plaintext in either wire form.
-func decodeSubscription(raw []byte) (Subscription, error) {
-	if len(raw) > 0 && raw[0] == binMagic {
-		return decodeSubscriptionBinary(raw)
-	}
-	var s Subscription
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return Subscription{}, fmt.Errorf("scbr: decoding subscription: %w", err)
 	}
 	return s, nil
 }

@@ -9,7 +9,7 @@ import (
 
 func mustEventBinary(t testing.TB, e Event) []byte {
 	t.Helper()
-	raw, err := appendEventBinary(nil, e)
+	raw, err := appendEvent(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func mustEventBinary(t testing.TB, e Event) []byte {
 
 func mustSubBinary(t testing.TB, s Subscription) []byte {
 	t.Helper()
-	raw, err := appendSubscriptionBinary(nil, s)
+	raw, err := appendSubscription(nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCodecEventRoundtrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e := w.NextEvent()
 		raw := mustEventBinary(t, e)
-		got, err := decodeEventBinary(raw)
+		got, err := decodeEvent(raw)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -55,7 +55,7 @@ func TestCodecSubscriptionRoundtrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := w.NextSubscription()
 		raw := mustSubBinary(t, s)
-		got, err := decodeSubscriptionBinary(raw)
+		got, err := decodeSubscription(raw)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -69,7 +69,7 @@ func TestCodecSubscriptionRoundtrip(t *testing.T) {
 // FullRange predicates) that encoding/json rejects outright.
 func TestCodecHandlesInfinities(t *testing.T) {
 	s := Subscription{ID: 7, Preds: []Predicate{{Attr: "any", Interval: FullRange()}}}
-	got, err := decodeSubscriptionBinary(mustSubBinary(t, s))
+	got, err := decodeSubscription(mustSubBinary(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,37 +81,31 @@ func TestCodecHandlesInfinities(t *testing.T) {
 	}
 }
 
-// TestCodecJSONFallback: the sniffing decoders accept both wire forms, so
-// legacy JSON clients and binary clients share one broker.
-func TestCodecJSONFallback(t *testing.T) {
+// TestCodecRejectsJSON: the binary frame is the only plaintext form. The
+// JSON documents of an event and a subscription, which the decoders once
+// sniffed and accepted, are refused with an error.
+func TestCodecRejectsJSON(t *testing.T) {
 	e := Event{Attrs: map[string]float64{"a": 1.5}, Payload: []byte("x")}
 	rawJSON, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := decodeEvent(rawJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := decodeEvent(mustEventBinary(t, e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromJSON.Attrs, fromBin.Attrs) {
-		t.Fatalf("wire forms decoded differently: %+v vs %+v", fromJSON, fromBin)
+	if got, err := decodeEvent(rawJSON); err == nil {
+		t.Fatalf("JSON event decoded: %+v", got)
 	}
 	s := Subscription{ID: 3, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 2}}}}
-	rawJSON, _ = json.Marshal(s)
-	sj, err := decodeSubscription(rawJSON)
-	if err != nil {
+	if rawJSON, err = json.Marshal(s); err != nil {
 		t.Fatal(err)
 	}
-	sb, err := decodeSubscription(mustSubBinary(t, s))
-	if err != nil {
+	if got, err := decodeSubscription(rawJSON); err == nil {
+		t.Fatalf("JSON subscription decoded: %+v", got)
+	}
+	// The binary frames of the same values still decode.
+	if _, err := decodeEvent(mustEventBinary(t, e)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sj, sb) {
-		t.Fatalf("wire forms decoded differently: %+v vs %+v", sj, sb)
+	if _, err := decodeSubscription(mustSubBinary(t, s)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -119,28 +113,43 @@ func TestCodecTruncatedFrames(t *testing.T) {
 	e := Event{Attrs: map[string]float64{"alpha": 1}, Payload: []byte("payload")}
 	raw := mustEventBinary(t, e)
 	for cut := 1; cut < len(raw); cut++ {
-		if _, err := decodeEventBinary(raw[:cut]); err == nil {
+		if _, err := decodeEvent(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	s := Subscription{ID: 1, Preds: []Predicate{{Attr: "alpha", Interval: Interval{Lo: 0, Hi: 1}}}}
 	rawS := mustSubBinary(t, s)
 	for cut := 1; cut < len(rawS); cut++ {
-		if _, err := decodeSubscriptionBinary(rawS[:cut]); err == nil {
+		if _, err := decodeSubscription(rawS[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-// FuzzDecodeEvent guards the binary decoder against panics on malformed
-// frames (out-of-range lengths, truncations).
+// FuzzDecodeEvent guards the decoders against panics on malformed frames
+// (out-of-range lengths, truncations) and pins that they accept nothing
+// but their own form: no frame without the magic byte decodes, so a JSON
+// document — the retired client form — is refused.
 func FuzzDecodeEvent(f *testing.F) {
-	f.Add(mustEventBinary(f, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("x")}))
+	e := Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("x")}
+	s := Subscription{ID: 3, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 2}}}}
+	f.Add(mustEventBinary(f, e))
+	f.Add(mustSubBinary(f, s))
 	f.Add([]byte{binMagic, binKindEvent, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte(`{"attrs":{"a":1}}`))
+	for _, v := range []any{e, s} {
+		doc, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		_, _ = decodeEvent(raw)
-		_, _ = decodeSubscription(raw)
+		_, errE := decodeEvent(raw)
+		_, errS := decodeSubscription(raw)
+		if (len(raw) == 0 || raw[0] != binMagic) && (errE == nil || errS == nil) {
+			t.Fatalf("frame without the magic byte decoded: %q", raw)
+		}
 	})
 }
 
@@ -148,11 +157,11 @@ func FuzzDecodeEvent(f *testing.F) {
 // prefixes are rejected at encode time instead of emitting corrupt frames.
 func TestCodecRejectsOversizeFields(t *testing.T) {
 	huge := string(make([]byte, 70000))
-	if _, err := appendEventBinary(nil, Event{Attrs: map[string]float64{huge: 1}}); err == nil {
+	if _, err := appendEvent(nil, Event{Attrs: map[string]float64{huge: 1}}); err == nil {
 		t.Fatal("oversize attribute name encoded without error")
 	}
 	s := Subscription{ID: 1, Preds: []Predicate{{Attr: huge, Interval: Interval{Lo: 0, Hi: 1}}}}
-	if _, err := appendSubscriptionBinary(nil, s); err == nil {
+	if _, err := appendSubscription(nil, s); err == nil {
 		t.Fatal("oversize predicate attribute encoded without error")
 	}
 }
@@ -161,11 +170,11 @@ func TestCodecRejectsOversizeFields(t *testing.T) {
 // equal values.
 func TestCodecRejectsTrailingGarbage(t *testing.T) {
 	eRaw := mustEventBinary(t, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("p")})
-	if _, err := decodeEventBinary(append(eRaw, 0x00)); err == nil {
+	if _, err := decodeEvent(append(eRaw, 0x00)); err == nil {
 		t.Fatal("event frame with trailing byte accepted")
 	}
 	sRaw := mustSubBinary(t, Subscription{ID: 1, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 1}}}})
-	if _, err := decodeSubscriptionBinary(append(sRaw, 0x00)); err == nil {
+	if _, err := decodeSubscription(append(sRaw, 0x00)); err == nil {
 		t.Fatal("subscription frame with trailing byte accepted")
 	}
 }

@@ -13,7 +13,6 @@
 package scbr
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -25,8 +24,8 @@ import (
 // Interval is a closed numeric interval [Lo, Hi]. Equality predicates are
 // degenerate intervals with Lo == Hi.
 type Interval struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
+	Lo float64
+	Hi float64
 }
 
 // FullRange is the interval admitting every value.
@@ -49,16 +48,16 @@ func (iv Interval) Covers(other Interval) bool {
 // attribute. An event matches when every constrained attribute has a value
 // inside its interval.
 type Subscription struct {
-	ID uint64 `json:"id"`
+	ID uint64
 	// Preds holds the constraints sorted by attribute name (canonical
 	// form, maintained by Normalize).
-	Preds []Predicate `json:"preds"`
+	Preds []Predicate
 }
 
 // Predicate constrains one attribute to an interval.
 type Predicate struct {
-	Attr     string   `json:"attr"`
-	Interval Interval `json:"interval"`
+	Attr     string
+	Interval Interval
 }
 
 // Errors for filter construction and envelope handling.
@@ -100,8 +99,8 @@ func (s Subscription) get(attr string) (Interval, bool) {
 
 // Event is a publication: attribute/value pairs plus an opaque payload.
 type Event struct {
-	Attrs   map[string]float64 `json:"attrs"`
-	Payload []byte             `json:"payload"`
+	Attrs   map[string]float64
+	Payload []byte
 }
 
 // Matches reports whether e satisfies every predicate of s.
@@ -199,9 +198,9 @@ const nodeHeaderBytes = 64
 // subscription or a publication between clients and the broker. Routers
 // and the untrusted network only ever see Envelopes.
 type Envelope struct {
-	ClientID string `json:"client_id"`
-	Kind     string `json:"kind"` // "sub" | "pub"
-	Sealed   []byte `json:"sealed"`
+	ClientID string
+	Kind     string // "sub" | "pub"
+	Sealed   []byte
 }
 
 // envelope kinds.
@@ -210,56 +209,8 @@ const (
 	KindPublication  = "pub"
 )
 
-// SealSubscription encrypts a subscription for the broker under the
-// client's session key.
-func SealSubscription(key cryptbox.Key, clientID string, s Subscription) (Envelope, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return seal(key, clientID, KindSubscription, raw)
-}
-
-// SealPublication encrypts an event for the broker.
-func SealPublication(key cryptbox.Key, clientID string, e Event) (Envelope, error) {
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return seal(key, clientID, KindPublication, raw)
-}
-
-// seal builds a one-shot AEAD context for the bare-key legacy API. Session
-// keys are ephemeral, so they must not be interned process-wide
-// (cryptbox.CachedBox never evicts); hot paths hold a per-session Box.
-func seal(key cryptbox.Key, clientID, kind string, raw []byte) (Envelope, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return sealWith(box, clientID, kind, raw)
-}
-
-// sealWith is the hot-path seal using an already-interned AEAD context.
-func sealWith(box *cryptbox.Box, clientID, kind string, raw []byte) (Envelope, error) {
-	sealed, err := box.Seal(raw, []byte(kind+"|"+clientID))
-	if err != nil {
-		return Envelope{}, err
-	}
-	return Envelope{ClientID: clientID, Kind: kind, Sealed: sealed}, nil
-}
-
-// openEnvelope authenticates and decrypts an envelope with the client's
-// session key (one-shot context; see seal).
-func openEnvelope(key cryptbox.Key, env Envelope) ([]byte, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return openEnvelopeWith(box, env)
-}
-
-// openEnvelopeWith is openEnvelope with an already-interned AEAD context.
+// openEnvelopeWith authenticates and decrypts an envelope with the
+// client's session AEAD context.
 func openEnvelopeWith(box *cryptbox.Box, env Envelope) ([]byte, error) {
 	raw, err := box.Open(env.Sealed, []byte(env.Kind+"|"+env.ClientID))
 	if err != nil {
@@ -270,21 +221,6 @@ func openEnvelopeWith(box *cryptbox.Box, env Envelope) ([]byte, error) {
 
 // Delivery is an encrypted notification from the broker to a subscriber.
 type Delivery struct {
-	SubscriberID string `json:"subscriber_id"`
-	Sealed       []byte `json:"sealed"`
-}
-
-// OpenDelivery decrypts a delivery at the subscriber. The payload is
-// whichever wire form the publisher used (binary or JSON) — the broker
-// forwards the decrypted publication bytes verbatim.
-func OpenDelivery(key cryptbox.Key, d Delivery) (Event, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return Event{}, err
-	}
-	raw, err := box.Open(d.Sealed, []byte("delivery|"+d.SubscriberID))
-	if err != nil {
-		return Event{}, ErrBadEnvelope
-	}
-	return decodeEvent(raw)
+	SubscriberID string
+	Sealed       []byte
 }

@@ -1,6 +1,8 @@
 package scbr
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -137,57 +139,100 @@ func TestPropCoversTransitive(t *testing.T) {
 	}
 }
 
+// testClient is the client end of a session under key, without a broker
+// handshake.
+func testClient(t testing.TB, id string, key cryptbox.Key) *Client {
+	t.Helper()
+	c, err := newClient(id, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func testBox(t testing.TB, key cryptbox.Key) *cryptbox.Box {
+	t.Helper()
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return box
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	key := cryptbox.Key{1, 2, 3}
 	s := sub(t, 7, map[string]Interval{"temp": iv(0, 10)})
-	env, err := SealSubscription(key, "client-1", s)
+	c := testClient(t, "client-1", key)
+	sealed, err := c.SealSubscriptionBytes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := openEnvelope(key, env)
+	raw, err := openEnvelopeWith(testBox(t, key), Envelope{ClientID: c.ID, Kind: KindSubscription, Sealed: sealed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) == 0 {
-		t.Fatal("empty envelope body")
+	got, err := decodeSubscription(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if env.Kind != KindSubscription {
-		t.Fatalf("kind = %q", env.Kind)
+	if got.ID != s.ID || !reflect.DeepEqual(got.Preds, s.Preds) {
+		t.Fatalf("round trip: got %+v, want %+v", got, s)
 	}
 }
 
 func TestEnvelopeRejectsWrongKeyAndKindSwap(t *testing.T) {
 	key := cryptbox.Key{1}
-	other := cryptbox.Key{2}
-	e := Event{Attrs: map[string]float64{"a": 1}}
-	env, _ := SealPublication(key, "c", e)
-	if _, err := openEnvelope(other, env); err == nil {
-		t.Fatal("wrong key opened envelope")
+	c := testClient(t, "c", key)
+	sealed, err := c.SealEventBytes(Event{Attrs: map[string]float64{"a": 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Re-labelling a publication as a subscription must fail (AAD binds
-	// the kind).
-	env.Kind = KindSubscription
-	if _, err := openEnvelope(key, env); err == nil {
-		t.Fatal("kind swap undetected")
+	env := Envelope{ClientID: c.ID, Kind: KindPublication, Sealed: sealed}
+	box := testBox(t, key)
+	if _, err := openEnvelopeWith(box, env); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openEnvelopeWith(testBox(t, cryptbox.Key{2}), env); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("wrong key: err = %v, want ErrBadEnvelope", err)
+	}
+	// Re-labelling a publication as a subscription, or as another
+	// client's, must fail: the AAD binds the kind and the client ID.
+	swapped := env
+	swapped.Kind = KindSubscription
+	if _, err := openEnvelopeWith(box, swapped); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("kind swap: err = %v, want ErrBadEnvelope", err)
+	}
+	relabelled := env
+	relabelled.ClientID = "d"
+	if _, err := openEnvelopeWith(box, relabelled); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("client relabel: err = %v, want ErrBadEnvelope", err)
 	}
 }
 
 func TestDeliveryRoundTripAndTamper(t *testing.T) {
 	key := cryptbox.Key{5}
-	box, _ := cryptbox.NewBox(key)
-	payload := []byte(`{"attrs":{"a":1},"payload":"eA=="}`)
-	sealed, _ := box.Seal(payload, []byte("delivery|sub-1"))
-	d := Delivery{SubscriberID: "sub-1", Sealed: sealed}
-	e, err := OpenDelivery(key, d)
+	payload, err := appendEvent(nil, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Attrs["a"] != 1 {
-		t.Fatal("delivery decode wrong")
+	sealed, err := testBox(t, key).Seal(payload, []byte("delivery|sub-1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.SubscriberID = "sub-2" // redirecting a delivery must break auth
-	if _, err := OpenDelivery(key, d); err == nil {
-		t.Fatal("redirected delivery accepted")
+	e, err := testClient(t, "sub-1", key).OpenDeliverySealed(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Attrs["a"] != 1 || string(e.Payload) != "x" {
+		t.Fatalf("delivery decode wrong: %+v", e)
+	}
+	// Redirecting a delivery to another subscriber must break auth, even
+	// one holding the same key; so must the wrong key.
+	if _, err := testClient(t, "sub-2", key).OpenDeliverySealed(sealed); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("redirected delivery: err = %v, want ErrBadEnvelope", err)
+	}
+	if _, err := testClient(t, "sub-1", cryptbox.Key{6}).OpenDeliverySealed(sealed); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("wrong key: err = %v, want ErrBadEnvelope", err)
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 )
 
 // Runtime is one booted SCONE runtime: an attested enclave holding its SCF,
-// with a shielded syscall interface, a protected file-system view and a
-// user-level scheduler. It is what a secure container runs.
+// with a shielded syscall interface and a protected file-system view. It is
+// what a secure container runs.
 type Runtime struct {
 	enc    *enclave.Enclave
 	shield *shield.Shield
 	scf    SCF
 	fs     *fsshield.FS
-	sched  *Scheduler
 
 	stdoutFD int
 	stderrFD int
@@ -38,10 +37,6 @@ type BootConfig struct {
 	SealedProtectionFile []byte
 	// Blobs are the ciphertext chunks of the protected file system.
 	Blobs map[string][][]byte
-	// TCS is the number of enclave entry points (thread control
-	// structures) available to the scheduler; SGX v1 fixes this at build
-	// time. Defaults to 4.
-	TCS int
 }
 
 // ErrFSHashMismatch is returned when the protection file in the image does
@@ -80,11 +75,6 @@ func Boot(cfg BootConfig) (*Runtime, error) {
 	if rt.stderrFD, err = rt.shield.Open("stdio/stderr", &scf.StderrKey); err != nil {
 		return nil, err
 	}
-	tcs := cfg.TCS
-	if tcs <= 0 {
-		tcs = 4
-	}
-	rt.sched = NewScheduler(cfg.Enclave, tcs)
 	return rt, nil
 }
 
@@ -99,9 +89,6 @@ func (rt *Runtime) Shield() *shield.Shield { return rt.shield }
 
 // FS returns the protected file system, or nil if the image had none.
 func (rt *Runtime) FS() *fsshield.FS { return rt.fs }
-
-// Scheduler returns the user-level scheduler.
-func (rt *Runtime) Scheduler() *Scheduler { return rt.sched }
 
 // Stdout writes an encrypted record to the container's stdout stream.
 func (rt *Runtime) Stdout(line []byte) error {

@@ -8,7 +8,6 @@
 package sconert
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -180,16 +179,4 @@ func FetchSCF(enc *enclave.Enclave, quoter *attest.Quoter, cas *CAS) (SCF, error
 		return SCF{}, fmt.Errorf("%w: %v", ErrBadKeyShare, err)
 	}
 	return UnmarshalSCF(raw)
-}
-
-// HashSCFBinding is a helper producing the digest of arbitrary channel-
-// binding material for report data.
-func HashSCFBinding(parts ...[]byte) cryptbox.Digest {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	var d cryptbox.Digest
-	copy(d[:], h.Sum(nil))
-	return d
 }

@@ -44,7 +44,6 @@ type hostFD struct {
 // Host errors. These model errno values from the untrusted kernel.
 var (
 	ErrBadFD    = errors.New("shield: bad file descriptor")
-	ErrNoEntry  = errors.New("shield: no such file")
 	ErrClosedFD = errors.New("shield: file descriptor closed")
 )
 

@@ -83,9 +83,6 @@ func New(enc *enclave.Enclave, host *Host, mode CallMode) *Shield {
 	}
 }
 
-// Mode returns the configured call mode.
-func (s *Shield) Mode() CallMode { return s.mode }
-
 // Calls returns the number of shielded calls issued.
 func (s *Shield) Calls() uint64 {
 	s.mu.Lock()
@@ -224,17 +221,6 @@ func OpenRecord(key cryptbox.Key, label string, seq uint64, rec []byte) ([]byte,
 		return nil, fmt.Errorf("%w: record %d of %s failed authentication", ErrHostMisbehaved, seq, label)
 	}
 	return plain, nil
-}
-
-// SealRecord produces a record a protected stream will accept at the given
-// sequence number — the counterpart for feeding a container's encrypted
-// stdin from outside.
-func SealRecord(key cryptbox.Key, label string, seq uint64, data []byte) ([]byte, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return box.Seal(data, seqAAD(label, seq))
 }
 
 func min(a, b int) int {

@@ -36,13 +36,6 @@ func (c Cycles) Duration() time.Duration {
 	return time.Duration(float64(c) / CPUFrequencyHz * float64(time.Second))
 }
 
-// SimMillis reports the cycle count as simulated milliseconds at the
-// reference frequency — the unit the orchestration layer's QoS targets and
-// adaptation latencies are stated in.
-func (c Cycles) SimMillis() float64 {
-	return float64(c) * 1000 / CPUFrequencyHz
-}
-
 // MillisToCycles converts simulated milliseconds into cycles at the
 // reference frequency: the budget conversion for simulated-time control
 // loops (a monitoring tick of T sim-ms grants each replica

@@ -40,17 +40,6 @@ type FleetConfig struct {
 	BaseLoadKW float64
 }
 
-// DefaultFleet returns a 1000-meter fleet sampling every 30 seconds.
-func DefaultFleet(seed int64) FleetConfig {
-	return FleetConfig{
-		Seed:            seed,
-		Meters:          1000,
-		MetersPerFeeder: 50,
-		TicksPerDay:     2880,
-		BaseLoadKW:      0.8,
-	}
-}
-
 // theft describes one meter under-reporting from a given tick.
 type theft struct {
 	meter  int
@@ -118,15 +107,6 @@ func (f *Fleet) InjectTheft(meter int, fromTick int64, factor float64) {
 // InjectSag makes a feeder sag to depth×nominal during [from, to).
 func (f *Fleet) InjectSag(feeder int, from, to int64, depth float64) {
 	f.sags = append(f.sags, sag{feeder: feeder, from: from, to: to, depth: depth})
-}
-
-// Thieves returns the ground-truth theft meter IDs.
-func (f *Fleet) Thieves() []string {
-	var out []string
-	for m := range f.thefts {
-		out = append(out, MeterName(m))
-	}
-	return out
 }
 
 // dailyShape is the canonical residential load curve: low overnight, a

@@ -32,53 +32,3 @@ func hashPair(a, b cryptbox.Digest) cryptbox.Digest {
 	buf = append(buf, b[:]...)
 	return cryptbox.Sum(buf)
 }
-
-// ProofStep is one sibling on the path from a leaf to the root.
-type ProofStep struct {
-	Sibling cryptbox.Digest `json:"sibling"`
-	// Left is true when the sibling sits to the left of the path.
-	Left bool `json:"left"`
-}
-
-// Proof returns the Merkle inclusion proof for leaf idx, letting a party
-// holding only the root verify one chunk without the full leaf list.
-func Proof(leaves []cryptbox.Digest, idx int) []ProofStep {
-	if idx < 0 || idx >= len(leaves) {
-		return nil
-	}
-	var steps []ProofStep
-	level := append([]cryptbox.Digest(nil), leaves...)
-	pos := idx
-	for len(level) > 1 {
-		var next []cryptbox.Digest
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				continue
-			}
-			next = append(next, hashPair(level[i], level[i+1]))
-		}
-		if pos^1 < len(level) {
-			steps = append(steps, ProofStep{
-				Sibling: level[pos^1],
-				Left:    pos%2 == 1,
-			})
-		}
-		pos /= 2
-		level = next
-	}
-	return steps
-}
-
-// VerifyProof checks a leaf digest against a root via its proof.
-func VerifyProof(leaf cryptbox.Digest, proof []ProofStep, root cryptbox.Digest) bool {
-	cur := leaf
-	for _, step := range proof {
-		if step.Left {
-			cur = hashPair(step.Sibling, cur)
-		} else {
-			cur = hashPair(cur, step.Sibling)
-		}
-	}
-	return cur == root
-}

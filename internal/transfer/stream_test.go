@@ -356,3 +356,10 @@ func TestStreamedEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Pack is PackStream over an in-memory payload, collecting the chunks.
+func Pack(name string, data []byte, key cryptbox.Key, chunkSize int) (*Manifest, [][]byte, error) {
+	return collect(func(emit ChunkFunc) (*Manifest, error) {
+		return PackStream(name, bytes.NewReader(data), key, chunkSize, emit)
+	})
+}

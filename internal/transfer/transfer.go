@@ -10,7 +10,7 @@
 // the registry and container layers store and move sealed chunks keyed by
 // their content digest. Two sealing modes exist:
 //
-//   - Keyed (Pack/PackStream): every chunk is sealed under one caller key
+//   - Keyed (PackStream): every chunk is sealed under one caller key
 //     with a position-binding AAD. Use for point-to-point transfers where
 //     both ends share a key.
 //   - Convergent (PackConvergent/PackConvergentStream): every chunk is
@@ -354,15 +354,9 @@ func packStream(name string, r io.Reader, chunkSize int, convergent bool,
 	return m, nil
 }
 
-// Pack compresses, encrypts and hashes data into transferable chunks plus
-// the manifest the receiver needs.
-func Pack(name string, data []byte, key cryptbox.Key, chunkSize int) (*Manifest, [][]byte, error) {
-	return collect(func(emit ChunkFunc) (*Manifest, error) {
-		return PackStream(name, bytes.NewReader(data), key, chunkSize, emit)
-	})
-}
-
-// PackConvergent is Pack with convergent sealing (see the package comment):
+// PackConvergent compresses, seals and hashes data into transferable
+// chunks plus the manifest the receiver needs, with convergent sealing
+// (see the package comment):
 // the chunk bytes depend only on the content, enabling cross-payload dedup
 // in a content-addressed store, and the per-chunk keys ride in the manifest.
 func PackConvergent(name string, data []byte, chunkSize int) (*Manifest, [][]byte, error) {

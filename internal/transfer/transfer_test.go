@@ -225,36 +225,6 @@ func TestMerkleRootProperties(t *testing.T) {
 	}
 }
 
-func TestPropMerkleProofs(t *testing.T) {
-	f := func(seed int64, nLeaves uint8) bool {
-		n := int(nLeaves%31) + 1
-		rng := sim.NewRand(seed)
-		leaves := make([]cryptbox.Digest, n)
-		for i := range leaves {
-			var b [8]byte
-			rng.Read(b[:])
-			leaves[i] = cryptbox.Sum(b[:])
-		}
-		root := MerkleRoot(leaves)
-		for idx := 0; idx < n; idx++ {
-			proof := Proof(leaves, idx)
-			if !VerifyProof(leaves[idx], proof, root) {
-				return false
-			}
-			// A different leaf must not verify with this proof.
-			var other cryptbox.Digest
-			other[0] = ^leaves[idx][0]
-			if VerifyProof(other, proof, root) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropPackAssembleRoundTrip(t *testing.T) {
 	f := func(data []byte, chunkPow uint8) bool {
 		cs := 64 << (chunkPow % 6) // 64..2048

@@ -29,7 +29,7 @@ type SCBRClient struct {
 	c    *scbr.Client
 }
 
-// SCBRDialOpts tunes DialSCBROpts. The zero value dials like DialSCBR:
+// SCBRDialOpts tunes DialSCBROpts. The zero value dials plainly:
 // no bearer token, no attestation.
 type SCBRDialOpts struct {
 	// Auth is the wire server's bearer token (Config.AuthToken), sent as
@@ -52,15 +52,9 @@ type wireQuote struct {
 	Signature  []byte `json:"signature"`
 }
 
-// DialSCBR performs the X25519 handshake over HTTP and returns a
-// session-keyed client (no bearer token, no attestation — see
-// DialSCBROpts for both).
-func DialSCBR(baseURL, clientID string, hc *http.Client) (*SCBRClient, error) {
-	return DialSCBROpts(baseURL, clientID, hc, SCBRDialOpts{})
-}
-
-// DialSCBROpts dials like DialSCBR with a bearer token and/or broker
-// attestation (see SCBRDialOpts).
+// DialSCBROpts performs the X25519 handshake over HTTP and returns a
+// session-keyed client, with a bearer token and/or broker attestation when
+// opts asks for them (the zero SCBRDialOpts: neither).
 func DialSCBROpts(baseURL, clientID string, hc *http.Client, opts SCBRDialOpts) (*SCBRClient, error) {
 	if hc == nil {
 		hc = http.DefaultClient

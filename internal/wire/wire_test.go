@@ -380,11 +380,11 @@ func TestSCBROverHTTP(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{Broker: broker}).Handler())
 	defer ts.Close()
 
-	sub, err := DialSCBR(ts.URL, "wire-sub", ts.Client())
+	sub, err := DialSCBROpts(ts.URL, "wire-sub", ts.Client(), SCBRDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := DialSCBR(ts.URL, "wire-pub", ts.Client())
+	pub, err := DialSCBROpts(ts.URL, "wire-pub", ts.Client(), SCBRDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func newSCBRFixture(t *testing.T, mutate func(*Config)) *scbrFixture {
 
 func TestSCBRSessionTakeoverRejected(t *testing.T) {
 	fx := newSCBRFixture(t, nil)
-	victim, err := DialSCBR(fx.ts.URL, "victim", fx.ts.Client())
+	victim, err := DialSCBROpts(fx.ts.URL, "victim", fx.ts.Client(), SCBRDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,14 +501,14 @@ func TestSCBRSessionTakeoverRejected(t *testing.T) {
 
 	// A second handshake for a live client ID must be refused: accepting
 	// it would seal the victim's future deliveries to the attacker's key.
-	if _, err := DialSCBR(fx.ts.URL, "victim", fx.ts.Client()); err == nil {
+	if _, err := DialSCBROpts(fx.ts.URL, "victim", fx.ts.Client(), SCBRDialOpts{}); err == nil {
 		t.Fatal("re-handshake of a live session succeeded (session takeover)")
 	} else if !strings.Contains(err.Error(), "409") {
 		t.Fatalf("takeover dial error %v, want 409 conflict", err)
 	}
 
 	// The victim's session still works end to end.
-	pub, err := DialSCBR(fx.ts.URL, "pub", fx.ts.Client())
+	pub, err := DialSCBROpts(fx.ts.URL, "pub", fx.ts.Client(), SCBRDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestSCBRSessionTakeoverRejected(t *testing.T) {
 
 func TestSCBRPollRequiresSealedToken(t *testing.T) {
 	fx := newSCBRFixture(t, nil)
-	sub, err := DialSCBR(fx.ts.URL, "sub", fx.ts.Client())
+	sub, err := DialSCBROpts(fx.ts.URL, "sub", fx.ts.Client(), SCBRDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestSCBRPollRequiresSealedToken(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	pub, err := DialSCBR(fx.ts.URL, "pub", fx.ts.Client())
+	pub, err := DialSCBROpts(fx.ts.URL, "pub", fx.ts.Client(), SCBRDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,13 @@
 # 1. gofmt -l                   (formatting)
 # 2. go build ./...             (everything compiles, including examples)
 # 3. go vet ./...               (static checks)
-# 4. go test ./...              (tier-1: full test suite, goldens included)
+# 4. go test ./...              (tier-1: full test suite, goldens included;
+#                                the root TestNoTestOnlyExports type-checks
+#                                both modules and fails on an exported
+#                                internal/ identifier only tests reach that
+#                                testdata/test_only_exports.txt does not
+#                                list, or on a stale entry there. It is
+#                                built with !race, so step 6 skips it)
 # 5. benchmark module tests     (cd benchmark && go test ./...: the nested
 #                                module builds against internal/'s API and
 #                                the root go test never sees it)

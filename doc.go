@@ -36,23 +36,23 @@
 //
 // All simulated costs flow through one hot path: enclave.Memory.Access
 // walks the cache lines of an access, consulting the shared LLC and EPC
-// models, and charges cycles into a sim.Counter ledger while advancing the
-// platform's sim.Clock. That path is engineered so the simulator's own
-// overhead stays far below the costs it models:
+// models, and charges cycles into the view's per-cause ledger — the one
+// record of simulated cost, which every gated metric and golden reads.
+// That path is engineered so the simulator's own overhead stays far below
+// the costs it models:
 //
-//   - Typed causes. Accounting categories ("llc-hit", "epc-fault", ...)
-//     are interned once as sim.Cause values — small integers indexing a
-//     fixed-size array ledger in sim.Counter. Charging is an array add; no
-//     string hashing or map insertion happens per event. The string-keyed
-//     Charge/Cost/Events/Snapshot API remains as a compatibility shim.
+//   - A fixed cause table. The ledger's categories ("llc-hit", "mee",
+//     "epc-fault", ...) are the cost model's eight events, an unexported
+//     enum indexing two small arrays; charging is an array add, and only
+//     Breakdown and Events translate to the exported Cause* names.
 //
 //   - Batched commits. Access accumulates per-cause event counts in stack
-//     locals while it walks lines, then commits once: one ledger charge,
-//     one fault-counter update and one atomic clock advance per call,
-//     instead of three lock acquisitions per 64-byte line. Because every
-//     per-event cost is a fixed platform constant, the batched totals are
-//     bit-identical to per-line charging — golden tests in internal/enclave
-//     and internal/scbr pin this equivalence exactly.
+//     locals while it walks lines, then commits once: one ledger charge
+//     and one fault-counter update per call, instead of three lock
+//     acquisitions per 64-byte line. Because every per-event cost is a
+//     fixed platform constant, the batched totals are bit-identical to
+//     per-line charging — golden tests in internal/enclave and
+//     internal/scbr pin this equivalence exactly.
 //
 //   - Bulk access APIs. AccessRange (contiguous), AccessN (scattered, e.g.
 //     every record of a bucket) and AccessStride (page warm-up loops) let
@@ -65,10 +65,10 @@
 //     recency order, and eviction picks the minimum stamp — exactly
 //     classic LRU, so hit/miss sequences are unchanged.
 //
-// The sim.Clock advance is a single atomic add, so concurrent Memory views
-// on one platform never serialize on time-keeping. Fault counters and the
-// ledger reset together under the platform mutex (Memory.ResetAccounting),
-// so harnesses never observe a half-reset view.
+// The ledger's running total is an atomic, so Memory.Cycles never takes
+// the platform mutex. Fault counters and the ledger reset together under
+// that mutex (Memory.ResetAccounting), so harnesses never observe a
+// half-reset view.
 //
 // A practical consequence: wall-clock ns/op in the benchmarks is now a
 // meaningful signal of simulator speed itself (the modeled costs are the

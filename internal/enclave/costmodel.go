@@ -68,8 +68,8 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Cause labels used in the cycle ledger. Exposed so harnesses can report a
-// cost breakdown per cause (the string keys of Memory.Breakdown).
+// Cause labels used in the cycle ledger: the keys of Memory.Breakdown and
+// the names Memory.Events accepts.
 const (
 	CauseLLCHit     = "llc-hit"
 	CauseDRAM       = "dram"
@@ -78,17 +78,33 @@ const (
 	CauseMinorFault = "minor-fault"
 	CauseTransition = "transition"
 	CauseAEX        = "aex"
+	CauseCPU        = "cpu" // pure computation charged via ChargeCPU
 )
 
-// Typed causes: interned once at package init so the accounting hot path
-// charges by array index instead of hashing a string per cache line.
-var (
-	causeLLCHit     = sim.RegisterCause(CauseLLCHit)
-	causeDRAM       = sim.RegisterCause(CauseDRAM)
-	causeMEE        = sim.RegisterCause(CauseMEE)
-	causeEPCFault   = sim.RegisterCause(CauseEPCFault)
-	causeMinorFault = sim.RegisterCause(CauseMinorFault)
-	causeTransition = sim.RegisterCause(CauseTransition)
-	causeAEX        = sim.RegisterCause(CauseAEX)
-	causeCPU        = sim.RegisterCause(CauseCPU)
+// cause indexes a Memory ledger, so the accounting hot path charges by
+// array index instead of hashing a string per cache line.
+type cause uint8
+
+const (
+	causeLLCHit cause = iota
+	causeDRAM
+	causeMEE
+	causeEPCFault
+	causeMinorFault
+	causeTransition
+	causeAEX
+	causeCPU
+	numCauses
 )
+
+// causeNames maps each cause to its label.
+var causeNames = [numCauses]string{
+	causeLLCHit:     CauseLLCHit,
+	causeDRAM:       CauseDRAM,
+	causeMEE:        CauseMEE,
+	causeEPCFault:   CauseEPCFault,
+	causeMinorFault: CauseMinorFault,
+	causeTransition: CauseTransition,
+	causeAEX:        CauseAEX,
+	causeCPU:        CauseCPU,
+}

@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +13,14 @@ import (
 // protection domain: either the inside of a specific enclave or the
 // untrusted world. Higher layers run ordinary Go data structures but route
 // a simulated Access for every logical memory touch; the view charges
-// cache, MEE and paging costs into its ledger and advances the platform
-// clock.
+// cache, MEE and paging costs into its ledger — the one record of
+// simulated cost.
 //
 // Accounting is batched: each Access (or bulk AccessN/AccessStride) walks
 // its cache lines accumulating per-cause event counts in locals and commits
-// once — one ledger charge and one clock advance per call instead of per
-// line. The committed totals are bit-identical to per-line charging because
-// every per-event cost is a fixed platform constant.
+// once — one ledger charge per call instead of per line. The committed
+// totals are bit-identical to per-line charging because every per-event
+// cost is a fixed platform constant.
 type Memory struct {
 	p   *Platform
 	enc *Enclave // nil for the untrusted view
@@ -35,20 +36,17 @@ type Memory struct {
 // hot Cycles() read never takes a lock.
 type ledger struct {
 	total  atomic.Uint64
-	costs  [sim.MaxCauses]sim.Cycles
-	events [sim.MaxCauses]uint64
+	costs  [numCauses]sim.Cycles
+	events [numCauses]uint64
 }
 
 // addLocked records events occurrences of cause costing cost in total.
 // Caller holds p.mu.
-func (l *ledger) addLocked(cause sim.Cause, cost sim.Cycles, events uint64) {
-	l.costs[cause] += cost
-	l.events[cause] += events
+func (l *ledger) addLocked(c cause, cost sim.Cycles, events uint64) {
+	l.costs[c] += cost
+	l.events[c] += events
 	l.total.Add(uint64(cost))
 }
-
-// eventsLocked returns the event count of cause. Caller holds p.mu.
-func (l *ledger) eventsLocked(cause sim.Cause) uint64 { return l.events[cause] }
 
 // acct accumulates one batch's per-cause event counts while p.mu is held.
 type acct struct {
@@ -113,17 +111,14 @@ func (m *Memory) accessLocked(st *acct, addr uint64, size int) {
 	}
 }
 
-// commitLocked charges the accumulated batch: one ledger commit, one fault
-// update and one clock advance. Caller holds p.mu.
+// commitLocked charges the accumulated batch: one ledger commit and one
+// fault update. Caller holds p.mu.
 func (m *Memory) commitLocked(st *acct) {
 	cost := m.p.cfg.Cost
-	var total sim.Cycles
-	add := func(cause sim.Cause, c sim.Cycles, events uint64) {
-		if events == 0 {
-			return
+	add := func(c cause, cycles sim.Cycles, events uint64) {
+		if events > 0 {
+			m.ledger.addLocked(c, cycles, events)
 		}
-		m.ledger.addLocked(cause, c, events)
-		total += c
 	}
 	add(causeLLCHit, sim.Cycles(st.hits)*cost.LLCHit, st.hits)
 	add(causeMEE, sim.Cycles(st.mee)*cost.MEEAccess, st.mee)
@@ -136,9 +131,6 @@ func (m *Memory) commitLocked(st *acct) {
 	m.faults += st.epcF + st.minorF
 	if m.enc != nil {
 		m.enc.aex += st.epcF // every EPC fault implies an asynchronous exit
-	}
-	if total > 0 {
-		m.p.clock.Advance(total)
 	}
 }
 
@@ -406,17 +398,13 @@ func (m *Memory) touchPageLocked(st *acct, page uint64) {
 	}
 }
 
-// charge records a single non-memory cost (transition, AEX, CPU) against
-// the ledger and the platform clock.
-func (m *Memory) charge(cause sim.Cause, c sim.Cycles) {
+// charge records a single non-memory cost (transition, AEX, CPU) in the
+// ledger.
+func (m *Memory) charge(c cause, cycles sim.Cycles) {
 	m.p.mu.Lock()
-	m.ledger.addLocked(cause, c, 1)
+	m.ledger.addLocked(c, cycles, 1)
 	m.p.mu.Unlock()
-	m.p.clock.Advance(c)
 }
-
-// CauseCPU labels pure computation charged via ChargeCPU.
-const CauseCPU = "cpu"
 
 // ChargeCPU charges pure computation cycles. Arithmetic costs the same
 // inside and outside an enclave — SGX taxes memory, not ALUs — so harness
@@ -440,21 +428,21 @@ func (m *Memory) Breakdown() map[string]sim.Cycles {
 	out := make(map[string]sim.Cycles)
 	for i := range m.ledger.costs {
 		if m.ledger.events[i] > 0 {
-			out[sim.Cause(i).String()] = m.ledger.costs[i]
+			out[causeNames[i]] = m.ledger.costs[i]
 		}
 	}
 	return out
 }
 
 // Events returns how many times the named cause was charged to this view.
-func (m *Memory) Events(cause string) uint64 {
-	c, ok := sim.LookupCause(cause)
-	if !ok {
+func (m *Memory) Events(name string) uint64 {
+	i := slices.Index(causeNames[:], name)
+	if i < 0 {
 		return 0
 	}
 	m.p.mu.Lock()
 	defer m.p.mu.Unlock()
-	return m.ledger.eventsLocked(c)
+	return m.ledger.events[i]
 }
 
 // ResetAccounting zeroes the ledger and fault counter without touching
@@ -466,8 +454,8 @@ func (m *Memory) Events(cause string) uint64 {
 func (m *Memory) ResetAccounting() {
 	m.p.mu.Lock()
 	m.faults = 0
-	m.ledger.costs = [sim.MaxCauses]sim.Cycles{}
-	m.ledger.events = [sim.MaxCauses]uint64{}
+	m.ledger.costs = [numCauses]sim.Cycles{}
+	m.ledger.events = [numCauses]uint64{}
 	m.ledger.total.Store(0)
 	m.p.mu.Unlock()
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/sim"
 )
 
 // Config describes the simulated platform.
@@ -47,8 +46,7 @@ func DefaultConfig() Config {
 // Platform methods are safe for concurrent use; the memory cost model is
 // serialized internally, mirroring a single memory subsystem.
 type Platform struct {
-	cfg   Config
-	clock *sim.Clock
+	cfg Config
 	// linesPerPage is PageSize/LineSize when PageSize divides evenly (every
 	// realistic geometry), letting the access walk derive page boundaries
 	// by multiplication; 0 selects the general division path.
@@ -108,7 +106,6 @@ func NewPlatform(cfg Config) *Platform {
 	}
 	return &Platform{
 		cfg:          cfg,
-		clock:        sim.NewClock(),
 		linesPerPage: linesPerPage,
 		cache:        newLLC(cfg.LLCBytes, cfg.LineSize, cfg.PageSize, cfg.LLCWays),
 		pager:        newEPC(cfg.EPCBytes, cfg.EPCReservedBytes, cfg.PageSize),
@@ -122,9 +119,6 @@ func NewPlatform(cfg Config) *Platform {
 
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
-
-// Clock returns the platform's simulated clock.
-func (p *Platform) Clock() *sim.Clock { return p.clock }
 
 // UsableEPCBytes returns the EPC capacity available to enclave pages.
 func (p *Platform) UsableEPCBytes() uint64 {

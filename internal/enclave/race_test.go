@@ -75,7 +75,6 @@ func TestConcurrentMemoryViews(t *testing.T) {
 				_ = e.AEXCount()
 			}
 			_ = p.EPCResidentPages()
-			_ = p.Clock().Now()
 		}
 	}()
 

@@ -7,7 +7,7 @@ import "securecloud/internal/cryptbox"
 // parallel map/reduce engine) from: a fresh simulated platform from cfg hosting
 // one initialized enclave of the given size, measured over name, with its
 // heap arena ready for allocation. Because every worker owns a whole
-// platform, workers share no simulated state — LLC, EPC and clock are
+// platform, workers share no simulated state — LLC, EPC and ledgers are
 // private — so parallel execution across workers charges exactly the same
 // totals as sequential execution, which is what keeps the sharded layers'
 // figures deterministic.

@@ -3,9 +3,8 @@
 // into chunks, each chunk is encrypted and authenticated, and an "FS
 // protection file" records the message authentication codes of all chunks
 // together with the per-file encryption keys. The protection file itself is
-// then either encrypted (confidential images) or only signed (images meant
-// to be customised by end users, where integrity suffices until the
-// customisation is finished).
+// then sealed (Seal/OpenSealed) and embedded in the image, whose signed
+// manifest (image.Manifest) authenticates it.
 //
 // The authenticated-data layout defends against the full untrusted-storage
 // threat model: chunk substitution, reordering, truncation, extension,
@@ -15,7 +14,6 @@
 package fsshield
 
 import (
-	"crypto/ed25519"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -133,21 +131,6 @@ func OpenSealed(blob []byte, key cryptbox.Key) (*ProtectionFile, error) {
 		return nil, fmt.Errorf("fsshield: %w", ErrTampered)
 	}
 	return Unmarshal(raw)
-}
-
-// Sign produces a detached Ed25519 signature over the protection file (the
-// customisable-image flow: integrity without confidentiality).
-func (pf *ProtectionFile) Sign(priv ed25519.PrivateKey) ([]byte, error) {
-	raw, err := pf.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return ed25519.Sign(priv, raw), nil
-}
-
-// VerifySignature checks a detached signature produced by Sign.
-func VerifySignature(raw, sig []byte, pub ed25519.PublicKey) bool {
-	return ed25519.Verify(pub, raw, sig)
 }
 
 // chunkAAD binds a ciphertext chunk to its position and file version.

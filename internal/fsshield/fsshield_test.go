@@ -2,8 +2,6 @@ package fsshield
 
 import (
 	"bytes"
-	"crypto/ed25519"
-	"crypto/rand"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -203,26 +201,6 @@ func TestProtectionFileSealWrongKey(t *testing.T) {
 	blob, _ := pf.Seal(k1)
 	if _, err := OpenSealed(blob, k2); err == nil {
 		t.Fatal("wrong key opened sealed protection file")
-	}
-}
-
-func TestProtectionFileSignature(t *testing.T) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf := NewProtectionFile(0)
-	raw, _ := pf.Marshal()
-	sig, err := pf.Sign(priv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifySignature(raw, sig, pub) {
-		t.Fatal("genuine signature rejected")
-	}
-	raw2 := append(append([]byte(nil), raw...), ' ')
-	if VerifySignature(raw2, sig, pub) {
-		t.Fatal("modified protection file accepted")
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
+	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 	"securecloud/internal/transfer"
 )
@@ -231,7 +232,7 @@ func (ds *DurableStore) PutBatch(pairs []Pair) error {
 	}
 	groups := make([][]WALOp, ds.Shards())
 	for _, p := range pairs {
-		i := ds.shardOf(p.Key)
+		i := shard.Of(p.Key, ds.Shards())
 		groups[i] = append(groups[i], WALOp{Key: p.Key, Value: p.Value})
 	}
 	for i, g := range groups {
@@ -248,7 +249,7 @@ func (ds *DurableStore) PutBatch(pairs []Pair) error {
 
 // Delete logs and applies one deletion.
 func (ds *DurableStore) Delete(key string) (bool, error) {
-	i := ds.shardOf(key)
+	i := shard.Of(key, ds.Shards())
 	if err := ds.wals[i].Append([]WALOp{{Key: key, Delete: true}}); err != nil {
 		return false, fmt.Errorf("kvstore: wal shard %d: %w", i, err)
 	}

@@ -13,22 +13,23 @@ import (
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/registry"
+	"securecloud/internal/shard"
 	"securecloud/internal/shield"
 	"securecloud/internal/transfer"
 )
 
 // keysForShard probes the store's hash until it has n distinct keys that
 // land on the given shard — the way tests confine mutations to one shard.
-func keysForShard(t testing.TB, ds *DurableStore, shard, n int) []string {
+func keysForShard(t testing.TB, ds *DurableStore, idx, n int) []string {
 	t.Helper()
 	var keys []string
 	for i := 0; len(keys) < n; i++ {
 		k := fmt.Sprintf("k-%04d", i)
-		if ds.shardOf(k) == shard {
+		if shard.Of(k, ds.Shards()) == idx {
 			keys = append(keys, k)
 		}
 		if i > 1<<16 {
-			t.Fatalf("no %d keys found for shard %d", n, shard)
+			t.Fatalf("no %d keys found for shard %d", n, idx)
 		}
 	}
 	return keys

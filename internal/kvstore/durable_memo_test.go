@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"securecloud/internal/registry"
+	"securecloud/internal/shard"
 	"securecloud/internal/transfer"
 )
 
@@ -30,11 +31,11 @@ func newMemoFixture(t testing.TB, shards int) (*DurableStore, DurableConfig, *ta
 
 // shardPayload renders shard i's slice of a reference map the way Snapshot
 // serialises a shard table.
-func shardPayload(t testing.TB, ds *DurableStore, ref map[string][]byte, shard int) []byte {
+func shardPayload(t testing.TB, ds *DurableStore, ref map[string][]byte, idx int) []byte {
 	t.Helper()
 	var keys []string
 	for k := range ref {
-		if ds.shardOf(k) == shard {
+		if shard.Of(k, ds.Shards()) == idx {
 			keys = append(keys, k)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/registry"
+	"securecloud/internal/shard"
 	"securecloud/internal/shield"
 	"securecloud/internal/sim"
 )
@@ -218,7 +219,7 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 					applyToMap(ref, b)
 					var s0 []Pair
 					for _, p := range b {
-						if ds.shardOf(p.Key) == 0 {
+						if shard.Of(p.Key, ds.Shards()) == 0 {
 							s0 = append(s0, p)
 						}
 					}
@@ -249,7 +250,7 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 						applyToMap(snapped, batches[i])
 					}
 					for key, v := range snapped {
-						if ds.shardOf(key) == 0 {
+						if shard.Of(key, ds.Shards()) == 0 {
 							m[key] = v
 						}
 					}
@@ -258,7 +259,7 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 					}
 					// Every other shard recovers everything.
 					for key, v := range ref {
-						if ds.shardOf(key) != 0 {
+						if shard.Of(key, ds.Shards()) != 0 {
 							m[key] = v
 						}
 					}

@@ -36,7 +36,7 @@ func (w *WAL) Bytes() []byte {
 
 // Put stores value under key in its home shard.
 func (ss *ShardedStore) Put(key string, value []byte) error {
-	sh := ss.At(ss.shardOf(key))
+	sh := ss.At(shard.Of(key, ss.Shards()))
 	sh.Lock()
 	err := sh.V.Put(key, value)
 	sh.Unlock()
@@ -47,7 +47,7 @@ func (ss *ShardedStore) Put(key string, value []byte) error {
 // snapshot span. Safe for concurrent use with itself and GetBatch;
 // Put/Delete serialize against the home shard only.
 func (ss *ShardedStore) Get(key string) ([]byte, error) {
-	sh := ss.At(ss.shardOf(key))
+	sh := ss.At(shard.Of(key, ss.Shards()))
 	sh.RLock()
 	v, err := sh.V.GetSnapshot(key)
 	sh.RUnlock()

@@ -62,20 +62,9 @@ func NewShardedStore(key cryptbox.Key, cfg ShardedStoreConfig) (*ShardedStore, e
 	return &ShardedStore{Set: set}, nil
 }
 
-// shardOf maps a key to its home shard index: inlined FNV-1a over the
-// string, allocation-free on the batch hot path.
-func (ss *ShardedStore) shardOf(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(ss.Shards()))
-}
-
 // Delete removes key; it reports whether the key existed.
 func (ss *ShardedStore) Delete(key string) bool {
-	sh := ss.At(ss.shardOf(key))
+	sh := ss.At(shard.Of(key, ss.Shards()))
 	sh.Lock()
 	ok := sh.V.Delete(key)
 	sh.Unlock()
@@ -92,7 +81,7 @@ func (ss *ShardedStore) PutBatch(pairs []Pair) error {
 	}
 	groups := make([][]Pair, ss.Shards())
 	for _, p := range pairs {
-		i := ss.shardOf(p.Key)
+		i := shard.Of(p.Key, ss.Shards())
 		groups[i] = append(groups[i], p)
 	}
 	errs := make([]error, ss.Shards())
@@ -120,7 +109,7 @@ func (ss *ShardedStore) GetBatch(keys []string) ([][]byte, error) {
 	}
 	groups := make([][]int, ss.Shards())
 	for i, k := range keys {
-		s := ss.shardOf(k)
+		s := shard.Of(k, ss.Shards())
 		groups[s] = append(groups[s], i)
 	}
 	errs := make([]error, ss.Shards())

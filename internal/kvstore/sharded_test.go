@@ -9,6 +9,7 @@ import (
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
+	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 )
 
@@ -365,7 +366,7 @@ func TestShardedStoreTamperDetected(t *testing.T) {
 	if err := ss.Put("victim", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	sh := ss.At(ss.shardOf("victim"))
+	sh := ss.At(shard.Of("victim", ss.Shards()))
 	for n := sh.V.head.next[0]; n != nil; n = n.next[0] {
 		if n.key == "victim" {
 			n.value[len(n.value)-1] ^= 1

@@ -16,7 +16,7 @@ import (
 // Observations land in the first bucket whose bound is >= the value; the
 // final bucket is unbounded. Bucket counts are a pure function of the
 // observed values, so two histograms fed the same observations are
-// identical and Merge is exact (no rebinning).
+// identical.
 type Histogram struct {
 	bounds []int64
 	counts []uint64
@@ -80,24 +80,6 @@ func (h *Histogram) Observe(v int64) {
 		h.max = v
 	}
 }
-
-// Merge folds other (same bucket ladder) into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(other.counts) != len(h.counts) {
-		panic("loadgen: merging histograms with different bucket ladders")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
 
 // Max returns the largest observed value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }

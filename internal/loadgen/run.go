@@ -39,28 +39,6 @@ type Phase struct {
 	PerClient int // requests per client per tick
 }
 
-// OpenLoopSpec switches Run from closed-loop (a fixed request count per
-// client per tick, however long the plane takes) to open-loop pacing: the
-// generator injects at a target aggregate arrival rate, independent of how
-// fast replies come back — the load a latency-under-load measurement needs.
-//
-// In open-loop mode a phase's PerClient becomes a rate multiplier:
-// PerClient 1 injects at TargetRPS, PerClient 4 at 4×TargetRPS, and
-// PerClient 0 stays a quiet phase. Per-tick counts come from deterministic
-// per-client credit accumulation, so the request stream — counts, keys,
-// payload bytes — is still a pure function of the spec. Only the wall-clock
-// tick pacing (sleeping to tick boundaries when no Now override is
-// installed) touches the host clock.
-type OpenLoopSpec struct {
-	// TargetRPS is the aggregate arrival rate across all clients at
-	// multiplier 1.
-	TargetRPS float64
-	// TickMillis is the simulated duration of one tick (default 5ms): it
-	// converts TargetRPS into per-tick credit and, when Run is pacing the
-	// real clock, sets the tick deadline spacing.
-	TickMillis int
-}
-
 // Spec pins the workload. Every field feeds the seeded generators, so two
 // runs of the same spec against deterministic drivers produce identical
 // request streams — byte for byte.
@@ -73,10 +51,6 @@ type Spec struct {
 	PayloadMax int
 	Phases     []Phase
 	DrainTicks int // post-phase ticks with no sends, to let replies drain
-
-	// OpenLoop, when set, paces sends at a target arrival rate instead of
-	// a fixed per-tick count. See OpenLoopSpec.
-	OpenLoop *OpenLoopSpec
 
 	// Now overrides the wall clock for latency measurement (tests).
 	Now func() int64
@@ -110,52 +84,9 @@ func Run(spec Spec, d Driver) (*Result, error) {
 	if spec.PayloadMin <= 0 || spec.PayloadMax < spec.PayloadMin {
 		return nil, fmt.Errorf("loadgen: bad payload range [%d,%d]", spec.PayloadMin, spec.PayloadMax)
 	}
-	if spec.OpenLoop != nil && spec.OpenLoop.TargetRPS <= 0 {
-		return nil, fmt.Errorf("loadgen: open-loop spec needs a positive target RPS")
-	}
 	now := spec.Now
 	if now == nil {
 		now = func() int64 { return time.Now().UnixNano() }
-	}
-
-	// Open-loop pacing state: deterministic per-client credit (fractional
-	// requests carried across ticks) plus the real-clock tick deadline.
-	tickMillis := 5
-	if spec.OpenLoop != nil && spec.OpenLoop.TickMillis > 0 {
-		tickMillis = spec.OpenLoop.TickMillis
-	}
-	var credit []float64
-	if spec.OpenLoop != nil {
-		credit = make([]float64, spec.Clients)
-	}
-	// sendCount is the number of requests client injects this tick: the
-	// phase's fixed PerClient in closed-loop mode, the accrued open-loop
-	// credit (PerClient acting as a rate multiplier) otherwise.
-	sendCount := func(client int, ph Phase) int {
-		if spec.OpenLoop == nil || ph.PerClient == 0 {
-			return ph.PerClient
-		}
-		credit[client] += spec.OpenLoop.TargetRPS * float64(ph.PerClient) *
-			float64(tickMillis) / 1000 / float64(spec.Clients)
-		n := int(credit[client])
-		credit[client] -= float64(n)
-		return n
-	}
-	wallStart := time.Now()
-	tickIdx := 0
-	// pace sleeps to the next open-loop tick boundary — arrival times stay
-	// anchored to the generator's clock, not the plane's service rate. Only
-	// active when the real clock is in play; under a Now override (tests,
-	// simulation) the stream is already fully deterministic.
-	pace := func() {
-		tickIdx++
-		if spec.OpenLoop == nil || spec.Now != nil {
-			return
-		}
-		deadline := wallStart.Add(time.Duration(tickIdx) * time.Duration(tickMillis) * time.Millisecond)
-		if d := time.Until(deadline); d > 0 {
-			time.Sleep(d)
-		}
 	}
 
 	rngs := make([]*rand.Rand, spec.Clients)
@@ -207,12 +138,11 @@ func Run(spec Spec, d Driver) (*Result, error) {
 	for _, ph := range spec.Phases {
 		for tick := 0; tick < ph.Ticks; tick++ {
 			for client := 0; client < spec.Clients; client++ {
-				n := sendCount(client, ph)
-				if n == 0 {
+				if ph.PerClient == 0 {
 					continue
 				}
 				rng := rngs[client]
-				reqs := make([]Request, n)
+				reqs := make([]Request, ph.PerClient)
 				for i := range reqs {
 					size := spec.PayloadMin + rng.Intn(spec.PayloadMax-spec.PayloadMin+1)
 					body := make([]byte, size)
@@ -245,7 +175,6 @@ func Run(spec Spec, d Driver) (*Result, error) {
 					return nil, err
 				}
 			}
-			pace()
 		}
 	}
 	for tick := 0; tick < spec.DrainTicks; tick++ {
@@ -257,7 +186,6 @@ func Run(spec Spec, d Driver) (*Result, error) {
 				return nil, err
 			}
 		}
-		pace()
 	}
 
 	res.Lost = uint64(len(sentAt))

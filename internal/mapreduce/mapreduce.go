@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"securecloud/internal/shard"
 )
 
 // KV is one key/value record.
@@ -65,19 +67,6 @@ func (j *Job) defaults() error {
 	return nil
 }
 
-// partition assigns an intermediate key to a reducer: 32-bit FNV-1a of
-// the key mod reducers, computed inline over the string so it allocates
-// nothing. The assignment decides every simulated figure, so it must stay
-// equal to hash/fnv's New32a (TestPartitionMatchesFNV pins it).
-func partition(key string, reducers int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(reducers))
-}
-
 // Run executes the job in-process without enclaves — the functional
 // reference implementation.
 func Run(job Job) (map[string][]byte, error) {
@@ -95,7 +84,7 @@ func Run(job Job) (map[string][]byte, error) {
 			local := make([][]KV, job.Reducers)
 			for _, rec := range split {
 				job.Map(rec.Key, rec.Value, func(k string, v []byte) {
-					p := partition(k, job.Reducers)
+					p := shard.Of(k, job.Reducers)
 					local[p] = append(local[p], KV{Key: k, Value: append([]byte(nil), v...)})
 				})
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"securecloud/internal/cryptbox"
+	"securecloud/internal/shard"
 )
 
 // wordCountJob is the canonical test job.
@@ -78,7 +79,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 
 func TestPartitionStable(t *testing.T) {
 	for _, key := range []string{"a", "meter-17", "zone/4"} {
-		p1, p2 := partition(key, 7), partition(key, 7)
+		p1, p2 := shard.Of(key, 7), shard.Of(key, 7)
 		if p1 != p2 {
 			t.Fatal("partition not deterministic")
 		}

@@ -10,6 +10,7 @@ import (
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
+	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 )
 
@@ -202,7 +203,7 @@ func TestParallelShuffleInterchangeable(t *testing.T) {
 	}
 	var want []string
 	job.Map("d", job.Input[0].Value, func(k string, v []byte) {
-		want = append(want, fmt.Sprintf("%d|%s|%x", partition(k, 4), k, v))
+		want = append(want, fmt.Sprintf("%d|%s|%x", shard.Of(k, 4), k, v))
 	})
 	var got []string
 	for p, part := range captured {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"securecloud/internal/cryptbox"
+	"securecloud/internal/shard"
 )
 
 // ErrShuffleTampered is returned when sealed intermediate data fails
@@ -97,7 +98,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 			if failed != nil {
 				return
 			}
-			p := partition(k, job.Reducers)
+			p := shard.Of(k, job.Reducers)
 			plain = appendKV(plain[:0], k, v)
 			sealed, err := boxes[p].Seal(plain, aads[p])
 			if err != nil {

@@ -5,12 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"securecloud/internal/cryptbox"
+	"securecloud/internal/shard"
 )
 
 func TestKVRecordRoundTrip(t *testing.T) {
@@ -79,20 +78,6 @@ func FuzzDecodeShuffleRecord(f *testing.F) {
 	})
 }
 
-func TestPartitionMatchesFNV(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		key := make([]byte, rng.Intn(40))
-		rng.Read(key)
-		reducers := 1 + rng.Intn(16)
-		h := fnv.New32a()
-		h.Write(key)
-		if got, want := partition(string(key), reducers), int(h.Sum32()%uint32(reducers)); got != want {
-			t.Fatalf("partition(%x, %d) = %d, hash/fnv says %d", key, reducers, got, want)
-		}
-	}
-}
-
 // spreadJob is a word count whose words are certain to land in at least
 // two of its four partitions (checked, not assumed).
 func spreadJob(t *testing.T) Job {
@@ -102,7 +87,7 @@ func spreadJob(t *testing.T) Job {
 	for i := 0; i < 32; i++ {
 		w := fmt.Sprintf("w%02d", i)
 		words = append(words, w)
-		seen[partition(w, 4)] = true
+		seen[shard.Of(w, 4)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("test words all hash to one partition")

@@ -3,6 +3,8 @@ package microsvc
 import (
 	"math"
 	"sort"
+
+	"securecloud/internal/shard"
 )
 
 // This file implements the plane's tenant-aware admission controller
@@ -303,7 +305,7 @@ func (a *admission) dispatch() []request {
 // depths is the per-replica queue-depth snapshot taken at the start of
 // the step, so the decision is independent of serve parallelism.
 func (a *admission) routeFor(key string, n int, depths []int) int {
-	home := routeIndex(key, n)
+	home := shard.Of(key, n)
 	if a.cfg.HotKeyPerStep <= 0 || n <= 1 {
 		return home
 	}

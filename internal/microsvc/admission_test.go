@@ -3,6 +3,8 @@ package microsvc
 import (
 	"fmt"
 	"testing"
+
+	"securecloud/internal/shard"
 )
 
 func admReq(tenant, key string) request {
@@ -146,7 +148,7 @@ func TestAdmissionHotKeySplit(t *testing.T) {
 	})
 	const n = 4
 	cold := []int{0, 0, 0, 0}
-	home := routeIndex("hot", n)
+	home := shard.Of("hot", n)
 
 	// Below the per-step count the key stays home regardless of depth.
 	deep := []int{9, 9, 9, 9}
@@ -177,7 +179,7 @@ func TestAdmissionHotKeySplit(t *testing.T) {
 		t.Fatalf("splits = %d, want 4", a.splits)
 	}
 	// Other keys are untouched.
-	if got := a.routeFor("cold-key", n, deep); got != routeIndex("cold-key", n) {
+	if got := a.routeFor("cold-key", n, deep); got != shard.Of("cold-key", n) {
 		t.Fatalf("cold key rerouted to %d", got)
 	}
 }

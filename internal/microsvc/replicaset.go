@@ -16,6 +16,7 @@ import (
 	"securecloud/internal/eventbus"
 	"securecloud/internal/orchestrator"
 	"securecloud/internal/sconert"
+	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 )
 
@@ -985,7 +986,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 		routed++
 	}
 	for _, q := range reqs {
-		deliver(q, routeIndex(q.key, len(reps)))
+		deliver(q, shard.Of(q.key, len(reps)))
 	}
 	if adm != nil && len(dispatched) > 0 {
 		// Hot-key routing works off a depth snapshot taken after the
@@ -1002,7 +1003,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 		rs.mu.Unlock()
 	} else {
 		for _, q := range dispatched {
-			deliver(q, routeIndex(q.key, len(reps)))
+			deliver(q, shard.Of(q.key, len(reps)))
 		}
 	}
 	st.Routed = routed
@@ -1079,15 +1080,4 @@ func (rs *ReplicaSet) publishSheds(sheds []shedVerdict, st *StepStats) error {
 		}
 	}
 	return firstErr
-}
-
-// routeIndex hashes a routing key onto a replica slot (FNV-1a mod n) — a
-// pure function of the key and the replica order, so routing is identical
-// across runs and worker counts.
-func routeIndex(key string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % uint32(n))
 }

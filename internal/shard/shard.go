@@ -21,6 +21,21 @@ import (
 	"securecloud/internal/sim"
 )
 
+// Of maps key onto one of n slots: 32-bit FNV-1a of the key mod n,
+// computed inline over the string so it allocates nothing. It is the one
+// key hash of the concurrent layers — kvstore's home shard, microsvc's
+// replica route and mapreduce's reducer partition — so it decides every
+// simulated figure they report and must stay equal to hash/fnv's New32a
+// (TestOfMatchesFNV pins it).
+func Of(key string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
+}
+
 // newWorker builds an accounted shard's enclave; tests swap it to observe
 // the enclaves New builds.
 var newWorker = enclave.NewWorker

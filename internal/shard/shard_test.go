@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -189,5 +190,22 @@ func TestFirstErr(t *testing.T) {
 	}
 	if err := FirstErr(make([]error, 3)); err != nil {
 		t.Fatalf("FirstErr of no errors = %v", err)
+	}
+}
+
+// TestOfMatchesFNV: Of is hash/fnv's New32a mod n over seeded keys and
+// slot counts, including keys that are empty or carry non-ASCII bytes.
+func TestOfMatchesFNV(t *testing.T) {
+	r := sim.NewRand(1)
+	for i := 0; i < 10000; i++ {
+		key := make([]byte, r.Intn(40))
+		r.Read(key)
+		for _, n := range []int{1, 2, 3, 4, 7, 16, 1 + r.Intn(1000)} {
+			h := fnv.New32a()
+			h.Write(key)
+			if got, want := Of(string(key), n), int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("Of(%x, %d) = %d, hash/fnv says %d", key, n, got, want)
+			}
+		}
 	}
 }

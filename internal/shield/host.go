@@ -27,8 +27,9 @@ type Host struct {
 	nextFD int
 
 	// KernelCost is the cycle cost of one syscall inside the host kernel.
-	KernelCost sim.Cycles
-	ledger     sim.Counter
+	KernelCost   sim.Cycles
+	syscalls     uint64     // guarded by mu
+	kernelCycles sim.Cycles // guarded by mu
 
 	// corrupt, if set, may rewrite any record returned by Read. It models
 	// a malicious or buggy OS for Iago-attack tests.
@@ -66,12 +67,24 @@ func (h *Host) SetCorruption(fn func(path string, idx int, rec []byte) []byte) {
 }
 
 // SyscallCount returns the number of syscalls serviced.
-func (h *Host) SyscallCount() uint64 { return h.ledger.Events("syscall") }
+func (h *Host) SyscallCount() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.syscalls
+}
 
 // KernelCycles returns total cycles spent in the simulated kernel.
-func (h *Host) KernelCycles() sim.Cycles { return h.ledger.Total() }
+func (h *Host) KernelCycles() sim.Cycles {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.kernelCycles
+}
 
-func (h *Host) charge() { h.ledger.Charge("syscall", h.KernelCost) }
+// charge accounts one syscall. Caller holds h.mu.
+func (h *Host) charge() {
+	h.syscalls++
+	h.kernelCycles += h.KernelCost
+}
 
 // Open opens (creating if needed) the file at path and returns a descriptor.
 func (h *Host) Open(path string) (int, error) {

@@ -1,64 +1,9 @@
 package sim
 
 import (
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if got := c.Now(); got != 0 {
-		t.Fatalf("zero clock Now() = %d, want 0", got)
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	if got := c.Advance(10); got != 10 {
-		t.Fatalf("Advance(10) = %d, want 10", got)
-	}
-	if got := c.Advance(5); got != 15 {
-		t.Fatalf("second Advance = %d, want 15", got)
-	}
-	if got := c.Now(); got != 15 {
-		t.Fatalf("Now() = %d, want 15", got)
-	}
-}
-
-func TestClockAdvanceTo(t *testing.T) {
-	c := NewClock()
-	c.AdvanceTo(100)
-	if got := c.Now(); got != 100 {
-		t.Fatalf("Now() = %d, want 100", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo into the past did not panic")
-		}
-	}()
-	c.AdvanceTo(50)
-}
-
-func TestClockConcurrentAdvance(t *testing.T) {
-	c := NewClock()
-	const goroutines, per = 8, 1000
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				c.Advance(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Now(); got != goroutines*per {
-		t.Fatalf("concurrent Now() = %d, want %d", got, goroutines*per)
-	}
-}
 
 func TestCyclesDuration(t *testing.T) {
 	// One full second of cycles must convert to ~1s.
@@ -66,62 +11,6 @@ func TestCyclesDuration(t *testing.T) {
 	d := c.Duration()
 	if d < 999*time.Millisecond || d > 1001*time.Millisecond {
 		t.Fatalf("Duration of %d cycles = %v, want ~1s", c, d)
-	}
-}
-
-func TestCounterChargeAndQuery(t *testing.T) {
-	var a Counter
-	a.Charge("fault", 100)
-	a.Charge("fault", 50)
-	a.Charge("miss", 7)
-	if got := a.Total(); got != 157 {
-		t.Fatalf("Total = %d, want 157", got)
-	}
-	if got := a.Cost("fault"); got != 150 {
-		t.Fatalf("Cost(fault) = %d, want 150", got)
-	}
-	if got := a.Events("fault"); got != 2 {
-		t.Fatalf("Events(fault) = %d, want 2", got)
-	}
-	if got := a.Events("absent"); got != 0 {
-		t.Fatalf("Events(absent) = %d, want 0", got)
-	}
-}
-
-func TestCounterReset(t *testing.T) {
-	var a Counter
-	a.Charge("x", 9)
-	a.Reset()
-	if a.Total() != 0 || a.Cost("x") != 0 || a.Events("x") != 0 {
-		t.Fatal("Reset did not clear the ledger")
-	}
-}
-
-func TestCounterSnapshotIsCopy(t *testing.T) {
-	var a Counter
-	a.Charge("x", 3)
-	snap := a.Snapshot()
-	snap["x"] = 999
-	if got := a.Cost("x"); got != 3 {
-		t.Fatalf("mutating snapshot changed counter: Cost(x) = %d", got)
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var a Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				a.Charge("c", 2)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := a.Total(); got != 16000 {
-		t.Fatalf("concurrent Total = %d, want 16000", got)
 	}
 }
 
@@ -156,36 +45,4 @@ func TestZipfDegenerateExponent(t *testing.T) {
 		t.Fatal("Zipf returned nil for clamped exponent")
 	}
 	_ = z.Uint64()
-}
-
-func TestPropClockAdvanceSums(t *testing.T) {
-	f := func(steps []uint16) bool {
-		c := NewClock()
-		var want Cycles
-		for _, s := range steps {
-			want += Cycles(s)
-			c.Advance(Cycles(s))
-		}
-		return c.Now() == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropCounterTotalEqualsSumOfCauses(t *testing.T) {
-	f := func(costs []uint16) bool {
-		var a Counter
-		for i, cst := range costs {
-			cause := "a"
-			if i%2 == 1 {
-				cause = "b"
-			}
-			a.Charge(cause, Cycles(cst))
-		}
-		return a.Total() == a.Cost("a")+a.Cost("b")
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

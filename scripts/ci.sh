@@ -23,12 +23,16 @@
 #                                in step 4; this explores past it. A
 #                                failing input lands in the package's
 #                                testdata/fuzz/)
-# 8. bench-regression gate      (go run ./cmd/bench -check: runs the bench
+# 8. enclave bench smoke        (each BenchmarkMemoryAccess* once, so the
+#                                memory-model micro-benchmarks keep
+#                                compiling and running; timings are not
+#                                checked)
+# 9. bench-regression gate      (go run ./cmd/bench -check: runs the bench
 #                                suites from the working tree and diffs
 #                                their deterministic sim-metrics against
 #                                scripts/bench_baseline.json; a failed
 #                                suite invariant fails the gate too)
-# 9. golden-drift gate          (regenerating every golden in a scratch
+# 10. golden-drift gate         (regenerating every golden in a scratch
 #                                copy must reproduce the committed files —
 #                                catches stale goldens)
 set -euo pipefail
@@ -70,6 +74,9 @@ for target in \
     echo "ci: fuzz smoke $fn ($pkg, 5s)" >&2
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"
 done
+
+echo "ci: enclave bench smoke (BenchmarkMemoryAccess*, 1x)" >&2
+go test -run '^$' -bench '^BenchmarkMemoryAccess' -benchtime 1x ./internal/enclave
 
 echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
 go run ./cmd/bench -check

@@ -30,12 +30,14 @@ import (
 	"securecloud/internal/shield"
 )
 
-// BenchmarkFigure3Registration regenerates Figure 3 (both axes): the
-// in/out-of-enclave ratio of SCBR registration cost and page faults as the
-// subscription store grows past the EPC. Reported metrics per occupancy:
-// time-ratio (left axis) and fault-ratio (right axis, paper plots ×10³).
+// BenchmarkFigure3Registration regenerates Figure 3 (both axes) at the
+// paper's nine occupancy points: the in/out-of-enclave ratio of SCBR
+// registration cost and page faults as the subscription store grows past
+// the EPC. Reported metrics per occupancy: time-ratio (left axis) and
+// fault-ratio (right axis, paper plots ×10³). One point is selected by
+// name, e.g. -bench 'Figure3Registration/occupancy=120MB'.
 func BenchmarkFigure3Registration(b *testing.B) {
-	for _, mb := range []float64{60, 120, 200} {
+	for _, mb := range scbr.DefaultFigure3Config().OccupanciesMB {
 		b.Run(fmt.Sprintf("occupancy=%.0fMB", mb), func(b *testing.B) {
 			cfg := scbr.DefaultFigure3Config()
 			cfg.OccupanciesMB = []float64{mb}

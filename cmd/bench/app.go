@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"securecloud/internal/microsvc"
 )
@@ -54,7 +53,7 @@ var tripwires = []struct {
 // the same spike with the controller stripped. Admission on must shed and
 // bound the final backlog; admission off must let it grow past 8× that.
 func appSuite() (result, error) {
-	r := result{Deterministic: make(map[string]float64), Wallclock: make(map[string]float64)}
+	r := result{Deterministic: make(map[string]float64)}
 	det := r.Deterministic
 
 	orchestrated := microsvc.DefaultScenarios()
@@ -62,7 +61,6 @@ func appSuite() (result, error) {
 	specs = append(specs, microsvc.ClusterLabScenarios()...)
 	var overload microsvc.ScenarioSpec
 	for i, spec := range specs {
-		start := time.Now()
 		ref, problems, err := sweepWorkers(spec.Name,
 			func(workers int) (microsvc.ScenarioResult, error) {
 				spec.Workers = workers
@@ -78,7 +76,6 @@ func appSuite() (result, error) {
 			return r, err
 		}
 		r.Problems = append(r.Problems, problems...)
-		r.Wallclock[spec.Name+"_wall_ms"] = float64(time.Since(start).Microseconds()) / 1e3 / float64(len(workerSweep))
 		if !ref.AssertionsPassed {
 			r.Problems = append(r.Problems, fmt.Sprintf("%s: assertion table failed: %s",
 				spec.Name, strings.Join(ref.AssertionFailures, "; ")))

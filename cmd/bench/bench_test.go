@@ -85,23 +85,23 @@ func TestCheckModes(t *testing.T) {
 		}}}
 	}
 	chdirTempRepo(t, map[string]float64{"fake.x": 3, "other.y": 9})
-	if err := run(fake(3), true, false, ""); err != nil {
+	if err := run(fake(3), true, false); err != nil {
 		t.Errorf("matching metrics: %v", err)
 	}
-	if err := run(fake(4), true, false, ""); err == nil {
+	if err := run(fake(4), true, false); err == nil {
 		t.Error("drifted metric passed -check")
 	}
 	// A failed invariant fails the gate even when every metric matches.
-	if err := run(fake(3, "invariant broken"), true, false, ""); err == nil {
+	if err := run(fake(3, "invariant broken"), true, false); err == nil {
 		t.Error("a suite problem passed -check although all metrics match")
 	}
 	// A suite that cannot run is a problem, not a silent skip.
 	broken := []suite{{"fake", func() (result, error) { return result{}, errors.New("boom") }}}
-	if err := run(broken, true, false, ""); err == nil {
+	if err := run(broken, true, false); err == nil {
 		t.Error("a suite error passed -check")
 	}
 	// -update rewrites the selected suite's metrics and keeps the rest.
-	if err := run(fake(4), false, true, ""); err != nil {
+	if err := run(fake(4), false, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readBaseline()
@@ -112,35 +112,8 @@ func TestCheckModes(t *testing.T) {
 		t.Errorf("baseline after -update = %v, want %v", got.Metrics, want)
 	}
 	// -update refuses to record a run whose invariants failed.
-	if err := run(fake(5, "invariant broken"), false, true, ""); err == nil {
+	if err := run(fake(5, "invariant broken"), false, true); err == nil {
 		t.Error("-update recorded a run with problems")
-	}
-}
-
-func TestArtifactCarriesProvenance(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_T.json")
-	s := []suite{{"fake", func() (result, error) {
-		return result{Deterministic: map[string]float64{"x": 1}}, nil
-	}}}
-	if err := run(s, false, false, out); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Provenance provenance        `json:"provenance"`
-		Suites     map[string]result `json:"suites"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Provenance.Commit == "" || doc.Provenance.GoVersion == "" || doc.Provenance.HostCPUs == 0 || doc.Provenance.GOMAXPROCS == 0 {
-		t.Errorf("incomplete provenance: %+v", doc.Provenance)
-	}
-	if doc.Suites["fake"].Deterministic["x"] != 1 {
-		t.Errorf("suite figures missing from artifact: %+v", doc.Suites)
 	}
 }
 

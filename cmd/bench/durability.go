@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
@@ -181,13 +180,8 @@ func durabilityCycle(workers int) (map[string]float64, error) {
 // The whole cycle runs once per worker count; every figure must be
 // bit-identical across the sweep.
 func durabilitySuite() (result, error) {
-	start := time.Now()
 	det, problems, err := sweepWorkers("durability cycle", durabilityCycle, firstDiff)
-	r := result{
-		Deterministic: det,
-		Wallclock:     map[string]float64{"cycle_wall_ms": float64(time.Since(start).Microseconds()) / 1e3 / float64(len(workerSweep))},
-		Problems:      problems,
-	}
+	r := result{Deterministic: det, Problems: problems}
 	if err != nil {
 		return r, err
 	}

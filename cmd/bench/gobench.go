@@ -73,7 +73,7 @@ func goBench(pkg, pattern string, args ...string) ([]benchLine, error) {
 var unitToMetric = strings.NewReplacer("-", "_", "/", "_per_")
 
 // simValues returns a line's simulated figures — every reported pair
-// except the wall-clock ns/op — under metric names.
+// except the wall-clock ns/op, which is not gated — under metric names.
 func simValues(l benchLine) map[string]float64 {
 	out := make(map[string]float64)
 	for unit, v := range l.values {
@@ -88,7 +88,7 @@ func simValues(l benchLine) map[string]float64 {
 // store EPC-resident (40 MB) versus swap-bound (200 MB). One iteration:
 // the figures are one publication's cycles and faults on a fresh store.
 func cachemissSuite() (result, error) {
-	r := result{Deterministic: make(map[string]float64), Wallclock: make(map[string]float64)}
+	r := result{Deterministic: make(map[string]float64)}
 	lines, err := goBench("securecloud", "CacheMissVsSwap", "-benchtime=1x")
 	if err != nil {
 		return r, err
@@ -98,7 +98,6 @@ func cachemissSuite() (result, error) {
 		for k, v := range simValues(l) {
 			r.Deterministic[name+"."+k] = v
 		}
-		r.Wallclock[name+".wall_ns_per_op"] = l.values["ns/op"]
 	}
 	return r, nil
 }
@@ -107,7 +106,7 @@ func cachemissSuite() (result, error) {
 // Its simulated figures come from a sequential pass over a frozen store,
 // so they must agree at every -cpu setting; only ns/op may differ.
 func brokerSuite() (result, error) {
-	r := result{Wallclock: make(map[string]float64)}
+	var r result
 	lines, err := goBench("securecloud/internal/scbr", "BrokerPublishParallel", "-benchtime=2000x", "-cpu=1,4")
 	if err != nil {
 		return r, err
@@ -120,7 +119,6 @@ func brokerSuite() (result, error) {
 			r.Problems = append(r.Problems, fmt.Sprintf(
 				"%s differs between -cpu=1 and -cpu=%d (nondeterministic)", key, l.procs))
 		}
-		r.Wallclock[fmt.Sprintf("cpu%d.wall_ns_per_publish", l.procs)] = l.values["ns/op"]
 	}
 	return r, nil
 }

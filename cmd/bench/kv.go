@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
@@ -42,23 +41,20 @@ var kvShardPlatform = enclave.Config{
 
 // kvPhase measures one batch phase on a sharded store: the per-shard
 // cycle deltas summed (serial execution) and their maximum (the critical
-// path on a shard-per-core machine), the faults, and the wall clock.
+// path on a shard-per-core machine), and the faults.
 type kvPhase struct {
 	ss      *kvstore.ShardedStore
 	before  []sim.Cycles
 	faults0 uint64
-	start   time.Time
 }
 
 func beginPhase(ss *kvstore.ShardedStore) kvPhase {
-	return kvPhase{ss: ss, before: ss.ShardCycles(), faults0: ss.Faults(), start: time.Now()}
+	return kvPhase{ss: ss, before: ss.ShardCycles(), faults0: ss.Faults()}
 }
 
-// end closes the phase, records its wall clock under name and returns
-// the simulated figures.
-func (p kvPhase) end(r *result, name string) (serial, critical, faults float64) {
+// end closes the phase and returns its simulated figures.
+func (p kvPhase) end() (serial, critical, faults float64) {
 	_, sum, max := shard.Spread(p.before, p.ss.ShardCycles())
-	r.Wallclock[name+"_wall_ms"] = float64(time.Since(p.start).Microseconds()) / 1e3
 	return float64(sum), float64(max), float64(p.ss.Faults() - p.faults0)
 }
 
@@ -73,7 +69,7 @@ func (p kvPhase) end(r *result, name string) (serial, critical, faults float64) 
 //     out, and per-feeder consumption is aggregated by the parallel
 //     secure map/reduce engine with a sealed shuffle.
 func kvSuite() (result, error) {
-	r := result{Deterministic: make(map[string]float64), Wallclock: make(map[string]float64)}
+	r := result{Deterministic: make(map[string]float64)}
 	det := r.Deterministic
 	var key cryptbox.Key
 	key[0] = 0x5C
@@ -105,13 +101,13 @@ func kvSuite() (result, error) {
 	if err := ss.PutBatch(pairs); err != nil {
 		return r, err
 	}
-	det["kv_put_sim_cycles_serial"], det["kv_put_sim_cycles_critical"], det["kv_put_faults"] = ph.end(&r, "kv_put")
+	det["kv_put_sim_cycles_serial"], det["kv_put_sim_cycles_critical"], det["kv_put_faults"] = ph.end()
 	ph = beginPhase(ss)
 	got, err := ss.GetBatch(keys)
 	if err != nil {
 		return r, err
 	}
-	det["kv_get_sim_cycles_serial"], det["kv_get_sim_cycles_critical"], det["kv_get_faults"] = ph.end(&r, "kv_get")
+	det["kv_get_sim_cycles_serial"], det["kv_get_sim_cycles_critical"], det["kv_get_faults"] = ph.end()
 
 	// Invariant: the sharded store answers exactly like the sequential one.
 	plain, err := kvstore.NewStore(key, kvstore.Options{Seed: kvSeed})
@@ -137,7 +133,6 @@ func kvSuite() (result, error) {
 	}
 
 	// ---- Workload 2: smartgrid billing end to end ----
-	e2eStart := time.Now()
 	fleet := smartgrid.NewFleet(smartgrid.FleetConfig{
 		Seed:            kvSeed,
 		Meters:          kvMeters,
@@ -166,13 +161,13 @@ func kvSuite() (result, error) {
 			return r, err
 		}
 	}
-	det["grid_ingest_sim_cycles_serial"], _, det["grid_ingest_faults"] = ph.end(&r, "grid_ingest")
+	det["grid_ingest_sim_cycles_serial"], _, det["grid_ingest_faults"] = ph.end()
 	ph = beginPhase(grid)
 	day, err := grid.Range("", "")
 	if err != nil {
 		return r, err
 	}
-	det["grid_scan_sim_cycles_serial"], _, _ = ph.end(&r, "grid_scan")
+	det["grid_scan_sim_cycles_serial"], _, _ = ph.end()
 
 	// Aggregate per-feeder consumption with the parallel secure engine.
 	input := make([]mapreduce.KV, len(day))
@@ -191,7 +186,6 @@ func kvSuite() (result, error) {
 	}
 	defer engine.Close()
 	const hoursPerTick = 24.0 / 288
-	start := time.Now()
 	totals, err := engine.Run(mapreduce.Job{
 		Name:  "feeder-billing",
 		Input: input,
@@ -212,8 +206,6 @@ func kvSuite() (result, error) {
 	if err != nil {
 		return r, err
 	}
-	r.Wallclock["grid_mapreduce_wall_ms"] = float64(time.Since(start).Microseconds()) / 1e3
-	r.Wallclock["grid_total_wall_ms"] = float64(time.Since(e2eStart).Microseconds()) / 1e3
 
 	st := engine.Stats()
 	det["grid_map_sim_cycles_serial"] = float64(st.MapSerialCycles)

@@ -1,12 +1,14 @@
 // Command bench is the repo's one bench driver and its live regression
 // gate. A registry of suites — figure3, cachemiss, broker, kv, app, pull,
 // wire, durability — each runs its workload from the working tree and
-// returns three things: deterministic sim-metrics (pure functions of
-// workload + cost model, gated to one part per billion), wall-clock
-// figures (they measure the host; informational), and problems (the
+// returns two things: deterministic sim-metrics (pure functions of
+// workload + cost model, gated to one part per billion) and problems (the
 // suite's own invariants: worker-sweep equality, warm pull = 0 chunks,
 // delta < cold, recovered-state-equal, fail-open tripwires, …). Each
 // invariant is checked once, in the suite that produces the figures.
+// Host time is not measured here: benchmark/ is the harness for that,
+// with repeated, interleaved runs. Each suite's duration goes to stderr
+// as a progress line only.
 //
 // Suite parameters are constants: the gated figures are only comparable
 // when every run uses the same workload. Run from the repo root:
@@ -15,7 +17,6 @@
 //	go run ./cmd/bench -suite kv,pull  # a subset
 //	go run ./cmd/bench -check          # diff against scripts/bench_baseline.json
 //	go run ./cmd/bench -update         # deliberately rewrite the baseline
-//	go run ./cmd/bench -o BENCH_N.json # record an artifact with provenance
 //
 // Every mode exits non-zero when any suite reports a problem. -check also
 // exits non-zero on any drifted, new or missing metric; drift is a
@@ -31,7 +32,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -46,9 +46,8 @@ const tolerance = 1e-9
 // result is what one suite produces. Metric names are local to the suite;
 // the driver publishes them as "<suite>.<name>".
 type result struct {
-	Deterministic map[string]float64 `json:"deterministic"`
-	Wallclock     map[string]float64 `json:"wallclock"`
-	Problems      []string           `json:"problems,omitempty"`
+	Deterministic map[string]float64
+	Problems      []string
 }
 
 type suite struct {
@@ -72,32 +71,19 @@ type baseline struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// provenance records where an artifact's numbers came from, so a recorded
-// BENCH_N.json can never be mistaken for a measurement of another tree.
-type provenance struct {
-	Commit     string `json:"commit"`
-	Dirty      bool   `json:"dirty"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	HostCPUs   int    `json:"host_cpus"`
-	DateUTC    string `json:"date_utc"`
-}
-
-func readProvenance() provenance {
-	p := provenance{
-		Commit:     "unknown",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		HostCPUs:   runtime.NumCPU(),
-		DateUTC:    time.Now().UTC().Format(time.RFC3339),
-	}
+// baselineSource names the tree a recorded baseline came from: the commit
+// and whether the working tree differed from it. Without git the tree
+// cannot be shown clean, so it is reported dirty.
+func baselineSource() string {
+	commit := "unknown"
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		p.Commit = strings.TrimSpace(string(out))
+		commit = strings.TrimSpace(string(out))
 	}
-	// Without git the tree cannot be shown clean, so it is reported dirty.
-	out, err := exec.Command("git", "status", "--porcelain").Output()
-	p.Dirty = err != nil || len(out) > 0
-	return p
+	source := "cmd/bench @ " + commit
+	if out, err := exec.Command("git", "status", "--porcelain").Output(); err != nil || len(out) > 0 {
+		source += " (dirty)"
+	}
+	return source
 }
 
 // owned reports whether a published metric name belongs to one of the
@@ -133,10 +119,9 @@ func diff(got, want map[string]float64) []string {
 }
 
 // runSuites runs the selected suites in order and folds their results
-// into per-suite records, the published deterministic metric map and the
-// list of problems. A suite that cannot run at all is a problem too.
-func runSuites(selected []suite) (map[string]result, map[string]float64, []string) {
-	results := make(map[string]result, len(selected))
+// into the published deterministic metric map and the list of problems.
+// A suite that cannot run at all is a problem too.
+func runSuites(selected []suite) (map[string]float64, []string) {
 	metrics := make(map[string]float64)
 	var problems []string
 	for _, s := range selected {
@@ -146,11 +131,7 @@ func runSuites(selected []suite) (map[string]result, map[string]float64, []strin
 		if err != nil {
 			r.Problems = append(r.Problems, err.Error())
 		}
-		if r.Wallclock == nil {
-			r.Wallclock = make(map[string]float64)
-		}
-		r.Wallclock["suite_wall_s"] = time.Since(start).Seconds()
-		results[s.name] = r
+		fmt.Fprintf(os.Stderr, "bench: %s done in %.1f s\n", s.name, time.Since(start).Seconds())
 		for k, v := range r.Deterministic {
 			metrics[s.name+"."+k] = v
 		}
@@ -158,13 +139,7 @@ func runSuites(selected []suite) (map[string]result, map[string]float64, []strin
 			problems = append(problems, s.name+": "+p)
 		}
 	}
-	return results, metrics, problems
-}
-
-func printSorted(prefix string, m map[string]float64) {
-	for _, n := range sortedKeys(m) {
-		fmt.Printf("  %-64s %v\n", prefix+n, m[n])
-	}
+	return metrics, problems
 }
 
 func writeJSON(path string, v any) error {
@@ -188,29 +163,11 @@ func readBaseline() (baseline, error) {
 }
 
 // run is main without the process exit, so tests can drive every mode.
-func run(selected []suite, check, update bool, outPath string) error {
-	results, metrics, problems := runSuites(selected)
-	var prov provenance
-	if outPath != "" || update {
-		prov = readProvenance()
-	}
-
-	if outPath != "" {
-		artifact := struct {
-			GeneratedBy string            `json:"generated_by"`
-			Provenance  provenance        `json:"provenance"`
-			Suites      map[string]result `json:"suites"`
-		}{"cmd/bench", prov, results}
-		if err := writeJSON(outPath, artifact); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", outPath)
-	}
-	if !check && !update && outPath == "" {
-		for _, s := range selected {
-			fmt.Printf("%s:\n", s.name)
-			printSorted("", results[s.name].Deterministic)
-			printSorted("wallclock.", results[s.name].Wallclock)
+func run(selected []suite, check, update bool) error {
+	metrics, problems := runSuites(selected)
+	if !check && !update {
+		for _, n := range sortedKeys(metrics) {
+			fmt.Printf("%-64s %v\n", n, metrics[n])
 		}
 	}
 
@@ -233,11 +190,7 @@ func run(selected []suite, check, update bool, outPath string) error {
 				}
 			}
 		}
-		source := "cmd/bench @ " + prov.Commit
-		if prov.Dirty {
-			source += " (dirty)"
-		}
-		if err := writeJSON(baselinePath, baseline{Source: source, Metrics: merged}); err != nil {
+		if err := writeJSON(baselinePath, baseline{Source: baselineSource(), Metrics: merged}); err != nil {
 			return err
 		}
 		fmt.Printf("bench: recorded %d metrics into %s\n", len(merged), baselinePath)
@@ -270,7 +223,6 @@ func main() {
 	suiteFlag := flag.String("suite", "", "comma-separated suites to run (default: all)")
 	check := flag.Bool("check", false, "diff the deterministic metrics against "+baselinePath)
 	update := flag.Bool("update", false, "rewrite "+baselinePath+" from this run")
-	outPath := flag.String("o", "", "record the run as a JSON artifact (BENCH_N.json) with a provenance block")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -291,7 +243,7 @@ func main() {
 	if *check && *update {
 		fail(fmt.Errorf("-check and -update are exclusive"))
 	}
-	if err := run(selected, *check, *update, *outPath); err != nil {
+	if err := run(selected, *check, *update); err != nil {
 		fail(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"securecloud/internal/container"
 	"securecloud/internal/enclave"
@@ -37,12 +36,11 @@ func compressibleData(rng *rand.Rand, n int) []byte {
 //  3. warm: the first image again, as a second replica boot — zero chunks
 //     may cross.
 func pullSuite() (result, error) {
-	r := result{Wallclock: make(map[string]float64)}
+	var r result
 
 	reg := registry.New()
 	rng := sim.NewRand(42)
 	base := compressibleData(rng, 512<<10)
-	pushStart := time.Now()
 	for i := 0; i < 3; i++ {
 		priv := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{byte(i + 1)}, ed25519.SeedSize))
 		img, err := image.NewBuilder("bench/app", fmt.Sprintf("v%d", i)).
@@ -58,7 +56,6 @@ func pullSuite() (result, error) {
 			return r, err
 		}
 	}
-	r.Wallclock["build_push_wall_ms"] = float64(time.Since(pushStart).Microseconds()) / 1e3
 	regStats := reg.Stats()
 
 	pulls, problems, err := sweepWorkers("pull sequence", func(workers int) (map[string]float64, error) {
@@ -67,13 +64,9 @@ func pullSuite() (result, error) {
 		eng.PullWorkers = workers
 		m := make(map[string]float64)
 		for _, p := range []struct{ name, tag string }{{"cold", "v0"}, {"shared", "v1"}, {"warm", "v0"}} {
-			start := time.Now()
 			img, ps, err := eng.PullImage("bench/app", p.tag)
 			if err != nil {
 				return nil, fmt.Errorf("%s pull: %w", p.name, err)
-			}
-			if workers == workerSweep[0] {
-				r.Wallclock[p.name+"_wall_ms"] = float64(time.Since(start).Microseconds()) / 1e3
 			}
 			if err := img.Verify(); err != nil {
 				return nil, fmt.Errorf("%s pull verification: %w", p.name, err)

@@ -157,11 +157,11 @@ func (s *wireStack) close() {
 // wireRun builds a fresh stack, replays the whole seeded workload over
 // HTTP — the closed-loop plane load through warmup/inject/recover, then
 // SCBR subscribe/publish/poll through the same server — and returns the
-// deterministic counters plus the informational wall-clock figures.
-func wireRun() (det, wall map[string]float64, err error) {
+// deterministic counters.
+func wireRun() (map[string]float64, error) {
 	s, err := buildWireStack()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer s.close()
 
@@ -185,14 +185,14 @@ func wireRun() (det, wall map[string]float64, err error) {
 		tr := wire.NewPlaneTransport(s.url, wireService, http.DefaultClient).WithAuth(wireAuthToken)
 		pc, err := microsvc.NewPlaneClientTransport(wireService, s.keys.Request, tr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer pc.Close()
 		drv.clients = append(drv.clients, pc)
 	}
 	res, err := loadgen.Run(spec, drv)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// SCBR over the same server: six subscribers on adjacent price bands,
@@ -206,35 +206,35 @@ func wireRun() (det, wall map[string]float64, err error) {
 	for i := range sub {
 		sc, err := wire.DialSCBROpts(s.url, fmt.Sprintf("sub-%d", i), http.DefaultClient, dialOpts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if _, err := sc.Subscribe(scbr.Subscription{Preds: []scbr.Predicate{
 			{Attr: "price", Interval: scbr.Interval{Lo: float64(i * 10), Hi: float64(i*10 + 14)}},
 		}}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sub[i] = sc
 	}
 	pubc, err := wire.DialSCBROpts(s.url, "pub-0", http.DefaultClient, dialOpts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for v := 0; v < 60; v += 3 {
 		n, err := pubc.Publish(scbr.Event{Attrs: map[string]float64{"price": float64(v)}, Payload: []byte{byte(v)}})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		delivered += n
 	}
 	for _, sc := range sub {
 		evs, err := sc.Poll()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		polled += len(evs)
 	}
 
-	det = map[string]float64{
+	det := map[string]float64{
 		"plane_sent":       float64(res.Sent),
 		"plane_served":     float64(res.Served),
 		"plane_shed":       float64(res.Shed),
@@ -257,18 +257,7 @@ func wireRun() (det, wall map[string]float64, err error) {
 		det["gw_"+k] = v
 	}
 
-	lat := res.Latency
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	wall = map[string]float64{
-		"p50_us":     us(lat.Quantile(0.50)),
-		"p95_us":     us(lat.Quantile(0.95)),
-		"p99_us":     us(lat.Quantile(0.99)),
-		"max_us":     us(lat.Max()),
-		"mean_us":    lat.Mean() / 1e3,
-		"elapsed_ms": float64(res.Elapsed.Milliseconds()),
-		"rps":        float64(res.Sent) / res.Elapsed.Seconds(),
-	}
-	return det, wall, nil
+	return det, nil
 }
 
 // wireSuite measures the HTTP front end (internal/wire) with the
@@ -279,12 +268,12 @@ func wireRun() (det, wall map[string]float64, err error) {
 // unanswered and the gateway may reject no well-formed frame.
 func wireSuite() (result, error) {
 	var r result
-	det, wall, err := wireRun()
+	det, err := wireRun()
 	if err != nil {
 		return r, err
 	}
-	r.Deterministic, r.Wallclock = det, wall
-	again, _, err := wireRun()
+	r.Deterministic = det
+	again, err := wireRun()
 	if err != nil {
 		return r, err
 	}

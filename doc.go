@@ -72,9 +72,9 @@
 //
 // A practical consequence: wall-clock ns/op in the benchmarks is now a
 // meaningful signal of simulator speed itself (the modeled costs are the
-// sim-cycle metrics). `go run ./cmd/bench -o BENCH_N.json` records both,
-// with a provenance block (commit, dirty flag, go version, GOMAXPROCS,
-// host cpus), to track the simulator-performance trajectory across PRs.
+// sim-cycle metrics). Host time is measured by benchmark/ alone, with
+// repeated, interleaved parent/change runs; cmd/bench gates only the
+// sim-cycle metrics.
 //
 // # Concurrency & CI gates
 //
@@ -150,8 +150,8 @@
 //
 //   - Determinism guarantees. Single-threaded figures are bit-identical to
 //     the committed goldens. The Figure 3 sweep's points build independent
-//     twin platforms, so `scbr-bench -parallel N` runs them concurrently
-//     with bit-identical values. BenchmarkBrokerPublishParallel measures
+//     twin platforms, so Figure3Config.Parallel runs them concurrently
+//     with bit-identical values (cmd/bench's figure3 suite checks it). BenchmarkBrokerPublishParallel measures
 //     per-op sim-cycles/faults in a sequential pass against the frozen
 //     store — identical at every -cpu setting — and reports sim-speedup,
 //     the summed-shard-cycles to critical-path (slowest shard) ratio an
@@ -282,18 +282,17 @@
 //   - The bench-regression gate (go run ./cmd/bench -check). cmd/bench is
 //     the one bench driver: a registry of suites (figure3, cachemiss,
 //     broker, kv, app, pull, wire, durability), each returning its
-//     deterministic sim-metrics, its wall-clock figures and its problems —
+//     deterministic sim-metrics and its problems —
 //     the suite's own invariants, checked once, beside the code that
 //     produces the figures. The gate is live: it runs the suites from the
 //     working tree (about half a minute) and every deterministic metric —
 //     sim-cycles/match, faults/match, Figure 3 point values, store and
 //     map/reduce cycle totals, scenario tables — must match
 //     scripts/bench_baseline.json to one part per billion, with no
-//     problem reported. Wall-clock fields are never gated (they measure
-//     the host). Deterministic means deterministic: a drift is a semantic
-//     change to the simulator or its data structures, so the gate fails
-//     the build rather than averaging. Committed BENCH_N.json files are
-//     recorded history, not the thing under test.
+//     problem reported. It records no wall-clock figure: host time
+//     belongs to benchmark/. Deterministic means deterministic: a drift
+//     is a semantic change to the simulator or its data structures, so
+//     the gate fails the build rather than averaging.
 //
 //   - The golden-drift gate: the golden recorders rerun with
 //     GOLDEN_UPDATE=1 in a scratch copy of the tree, and git diff must
@@ -475,7 +474,7 @@
 // boot, and its deterministic metrics are gated like every other
 // simulated figure.
 //
-// # Wire front end & wall-clock benchmarking
+// # Wire front end & its load harness
 //
 // internal/wire puts real HTTP in front of the attested plane without
 // moving any trust there: SCBR subscribe/publish/poll and ReplicaSet
@@ -506,21 +505,20 @@
 // byte-for-byte the in-process client — the wire tests prove the sealed
 // replies identical because the bus fans the same frames to both.
 //
-// This is where the repo's two kinds of performance measurement meet.
-// Sim-cycle figures are modeled costs: deterministic, bit-identical
-// across hosts, gated by cmd/bench -check. Wall-clock figures
-// measure the host and are informational only. internal/loadgen keeps
-// the two cleanly apart: its closed-loop harness (fixed client
+// The repo measures each of its two currencies once. Sim-cycle figures
+// are modeled costs: deterministic, bit-identical across hosts, gated by
+// cmd/bench -check. Wall-clock figures measure the host and come only
+// from benchmark/, which repeats and interleaves its runs. internal/loadgen
+// belongs to the first kind: its closed-loop harness (fixed client
 // population, seeded key/tenant/payload mix, warmup/inject/recover
-// phases in lockstep ticks) produces counters and payload-size histogram
-// buckets that are pure functions of the spec — gated — while its
-// latency histogram (octaves split into eight linear sub-buckets, so
-// p50/p95/p99 resolve to 12.5%) times real HTTP round trips —
-// informational. cmd/bench's wire suite runs the whole stack twice on
-// fresh loopback servers and requires every deterministic counter to
-// match bit-for-bit. Where the HTTP time goes per request is measured by
-// benchmark/ (the wire.* per-layer metrics); wire.Config.Pprof mounts
-// net/http/pprof on a server, which is how the hot-path work is found:
+// phases in lockstep ticks) produces sent/served/shed/lost counters and
+// payload-size histogram buckets that are pure functions of the spec,
+// and a reply that answers no outstanding request fails the run, so
+// sent = served + shed + lost always holds. cmd/bench's wire suite runs
+// the whole stack twice on fresh loopback servers and requires every
+// counter to match bit-for-bit. Where the HTTP time goes per request is
+// measured by benchmark/ (the wire.* per-layer metrics); wire.Config.Pprof
+// mounts net/http/pprof on a server, which is how the hot-path work is found:
 // profile, fold allocations out of the frame/seal paths (exact-capacity
 // contiguous seal buffers, precomputed AADs, slice-based admission
 // histograms), and prove the wins with go test -benchmem before/after

@@ -151,15 +151,10 @@ func (b *Bus) publishBatch(topic string, sealed [][]byte) ([]uint64, error) {
 	return seqs, nil
 }
 
-// drain pops all queued messages of a subscription handle.
-func (b *Bus) drain(topic string, id int) []Message {
-	return b.drainN(topic, id, 0)
-}
-
 // drainN pops up to max queued messages (0 = all) of a subscription handle
-// under one lock acquisition. Like drain, it pops messages regardless of
-// outstanding leases — mixing Lease with Receive/PollBatch on one handle
-// is unsupported.
+// under one lock acquisition. It pops messages regardless of outstanding
+// leases — mixing Lease with Receive/PollBatch on one handle is
+// unsupported.
 func (b *Bus) drainN(topic string, id int, max int) []Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -481,27 +476,7 @@ func (s *Subscriber) Close() {
 // any tampered message and on sequence regression (a bus replaying or
 // reordering traffic).
 func (s *Subscriber) Receive() ([][]byte, error) {
-	msgs := s.bus.drain(s.topic, s.handle)
-	if s.stage != nil {
-		total := 0
-		for _, m := range msgs {
-			total += len(m.Sealed)
-		}
-		s.stage.chargeCopy(total, false)
-	}
-	out := make([][]byte, 0, len(msgs))
-	for _, m := range msgs {
-		if m.Seq <= s.lastSeq {
-			return nil, fmt.Errorf("%w: sequence %d replayed", ErrBadSeal, m.Seq)
-		}
-		body, err := s.box.Open(m.Sealed, s.aad)
-		if err != nil {
-			return nil, fmt.Errorf("%w: topic %s seq %d", ErrBadSeal, m.Topic, m.Seq)
-		}
-		s.lastSeq = m.Seq
-		out = append(out, body)
-	}
-	return out, nil
+	return s.PollBatch(0)
 }
 
 // PollBatch is Receive bounded to max messages (0 = all): it consumes up

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // Request is one generated plane request.
@@ -51,14 +50,10 @@ type Spec struct {
 	PayloadMax int
 	Phases     []Phase
 	DrainTicks int // post-phase ticks with no sends, to let replies drain
-
-	// Now overrides the wall clock for latency measurement (tests).
-	Now func() int64
 }
 
-// Result aggregates one run. Sent/Served/Shed/BytesSent/Sizes/PhaseSent
-// are deterministic under a fixed spec; Latency is wall-clock and
-// informational only.
+// Result aggregates one run; every field is deterministic under a fixed
+// spec and a deterministic driver. Sent == Served + Shed + Lost.
 type Result struct {
 	Sent      uint64
 	Served    uint64
@@ -66,14 +61,14 @@ type Result struct {
 	Lost      uint64 // sent but never answered within the run
 	BytesSent uint64
 	PhaseSent map[string]uint64
-	Sizes     *Histogram // payload bytes, deterministic
-	Latency   *Histogram // wall-clock ns, informational
-	Elapsed   time.Duration
+	Sizes     *Histogram // payload bytes
 }
 
 // Run drives the spec against d in lockstep ticks and aggregates the
-// outcome. Sends within a tick are sequential in client order; replies are
-// matched to sends by request ID for latency accounting.
+// outcome. Sends within a tick are sequential in client order; each reply
+// must answer an outstanding request of the polling client, matched by
+// request ID — a reply for an ID never sent, or already answered, fails
+// the run, so a duplicating driver cannot inflate Served.
 func Run(spec Spec, d Driver) (*Result, error) {
 	if spec.Clients <= 0 {
 		return nil, fmt.Errorf("loadgen: spec needs at least one client")
@@ -84,11 +79,6 @@ func Run(spec Spec, d Driver) (*Result, error) {
 	if spec.PayloadMin <= 0 || spec.PayloadMax < spec.PayloadMin {
 		return nil, fmt.Errorf("loadgen: bad payload range [%d,%d]", spec.PayloadMin, spec.PayloadMax)
 	}
-	now := spec.Now
-	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
-	}
-
 	rngs := make([]*rand.Rand, spec.Clients)
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(spec.Seed + int64(i)*7919))
@@ -103,29 +93,26 @@ func Run(spec Spec, d Driver) (*Result, error) {
 	res := &Result{
 		PhaseSent: make(map[string]uint64),
 		Sizes:     NewHistogram(SizeBounds()),
-		Latency:   NewHistogram(LatencyBounds()),
 	}
-	// Request IDs are per-driver-client counters, so the pending map is
-	// keyed by (client, id) — IDs from different clients may collide.
+	// Request IDs are per-driver-client counters, so outstanding requests
+	// are keyed by (client, id) — IDs from different clients may collide.
 	type pendingKey struct {
 		client int
 		id     uint64
 	}
-	sentAt := make(map[pendingKey]int64) // (client, request ID) -> send wall-clock
-	start := now()
+	outstanding := make(map[pendingKey]struct{})
 
 	poll := func(client int) error {
 		replies, err := d.Poll(client)
 		if err != nil {
 			return fmt.Errorf("loadgen: poll client %d: %w", client, err)
 		}
-		t := now()
 		for _, rep := range replies {
 			k := pendingKey{client: client, id: rep.ID}
-			if at, ok := sentAt[k]; ok {
-				res.Latency.Observe(t - at)
-				delete(sentAt, k)
+			if _, ok := outstanding[k]; !ok {
+				return fmt.Errorf("loadgen: client %d got a reply for request %d, which is not outstanding", client, rep.ID)
 			}
+			delete(outstanding, k)
 			if rep.Shed {
 				res.Shed++
 			} else {
@@ -153,7 +140,6 @@ func Run(spec Spec, d Driver) (*Result, error) {
 					res.Sizes.Observe(int64(size))
 					res.BytesSent += uint64(size)
 				}
-				t := now()
 				ids, err := d.Send(client, tenantOf(client), reqs)
 				if err != nil {
 					return nil, fmt.Errorf("loadgen: send client %d: %w", client, err)
@@ -162,7 +148,11 @@ func Run(spec Spec, d Driver) (*Result, error) {
 					return nil, fmt.Errorf("loadgen: client %d sent %d requests, got %d ids", client, len(reqs), len(ids))
 				}
 				for _, id := range ids {
-					sentAt[pendingKey{client: client, id: id}] = t
+					k := pendingKey{client: client, id: id}
+					if _, ok := outstanding[k]; ok {
+						return nil, fmt.Errorf("loadgen: client %d was assigned request %d twice", client, id)
+					}
+					outstanding[k] = struct{}{}
 				}
 				res.Sent += uint64(len(reqs))
 				res.PhaseSent[ph.Name] += uint64(len(reqs))
@@ -188,7 +178,6 @@ func Run(spec Spec, d Driver) (*Result, error) {
 		}
 	}
 
-	res.Lost = uint64(len(sentAt))
-	res.Elapsed = time.Duration(now() - start)
+	res.Lost = uint64(len(outstanding))
 	return res, nil
 }

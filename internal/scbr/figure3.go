@@ -1,8 +1,6 @@
 package scbr
 
 import (
-	"fmt"
-	"io"
 	"sync"
 
 	"securecloud/internal/cryptbox"
@@ -185,16 +183,4 @@ func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 		return nil, errs
 	}
 	return out, nil
-}
-
-// WriteFigure3 renders the sweep as the table the paper's figure plots.
-func WriteFigure3(w io.Writer, points []Figure3Point) {
-	fmt.Fprintf(w, "# Figure 3 — Effect of memory swapping (SCBR registration)\n")
-	fmt.Fprintf(w, "# EPC usable: see platform config; paper marks 128 MB line\n")
-	fmt.Fprintf(w, "%-14s %-12s %-16s %-16s %-16s %-12s\n",
-		"occupancy(MB)", "time-ratio", "fault-ratio", "in(cyc/op)", "out(cyc/op)", "in-faults")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-14.0f %-12.2f %-16.1f %-16.0f %-16.0f %-12d\n",
-			p.OccupancyMB, p.TimeRatio, p.FaultRatio, p.InsideCyclesPerOp, p.OutsideCyclesPerOp, p.InsideFaults)
-	}
 }

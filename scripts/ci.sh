@@ -22,7 +22,10 @@
 #                                with -fuzz: the seed corpus already runs
 #                                in step 4; this explores past it. A
 #                                failing input lands in the package's
-#                                testdata/fuzz/)
+#                                testdata/fuzz/. The target list must name
+#                                exactly the func Fuzz* under internal/,
+#                                so a new fuzzer cannot be skipped and a
+#                                deleted one cannot linger)
 # 8. enclave bench smoke        (each BenchmarkMemoryAccess* once, so the
 #                                memory-model micro-benchmarks keep
 #                                compiling and running; timings are not
@@ -61,15 +64,26 @@ echo "ci: (cd benchmark && go test ./...)" >&2
 echo "ci: go test -race ./..." >&2
 go test -race ./...
 
+FUZZ_TARGETS=(
+    internal/kvstore:FuzzDecodeWALRecord
+    internal/kvstore:FuzzRecoverSnapshotChain
+    internal/transfer:FuzzDecodeManifest
+    internal/scbr:FuzzDecodeEvent
+    internal/microsvc:FuzzDecodeFrame
+    internal/wire:FuzzDecodeBatch
+    internal/mapreduce:FuzzDecodeShuffleRecord
+)
+echo "ci: fuzz target list matches the func Fuzz* under internal/" >&2
+FUZZ_FOUND="$(grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' internal |
+    sed -E 's#^(.*)/[^/]*:func (Fuzz.*)$#\1:\2#' | sort -u)"
+if ! FUZZ_DIFF="$(diff <(printf '%s\n' "${FUZZ_TARGETS[@]}" | sort -u) <(printf '%s\n' "$FUZZ_FOUND"))"; then
+    echo "ci: FUZZ_TARGETS is stale (< listed but missing, > defined but not listed):" >&2
+    echo "$FUZZ_DIFF" >&2
+    exit 1
+fi
+
 # One -fuzz run per target: go test fuzzes a single target at a time.
-for target in \
-    internal/kvstore:FuzzDecodeWALRecord \
-    internal/kvstore:FuzzRecoverSnapshotChain \
-    internal/transfer:FuzzDecodeManifest \
-    internal/scbr:FuzzDecodeEvent \
-    internal/microsvc:FuzzDecodeFrame \
-    internal/wire:FuzzDecodeBatch \
-    internal/mapreduce:FuzzDecodeShuffleRecord; do
+for target in "${FUZZ_TARGETS[@]}"; do
     pkg="./${target%%:*}" fn="${target#*:}"
     echo "ci: fuzz smoke $fn ($pkg, 5s)" >&2
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"

@@ -397,7 +397,7 @@ func BenchmarkEnclaveRandomAccess(b *testing.B) {
 					rng ^= rng << 13
 					rng ^= rng >> 7
 					rng ^= rng << 17
-					mem.Access(base+rng%(ws-64), 8, false)
+					mem.AccessRange(base+rng%(ws-64), 8, false)
 					n++
 				}
 				b.StopTimer()

@@ -71,18 +71,18 @@ func measure(inside bool, wsBytes uint64) float64 {
 		base = p.AllocUntrusted(wsBytes)
 		// Pre-touch, mirroring EADD preload inside.
 		for a := base; a < base+wsBytes; a += p.Config().PageSize {
-			mem.Access(a, 1, true)
+			mem.AccessRange(a, 1, true)
 		}
 	}
 	rng := sim.NewRand(7)
 	// Warm up residency, then measure.
 	const accesses = 30000
 	for i := 0; i < accesses/2; i++ {
-		mem.Access(base+rng.Uint64()%(wsBytes-64), 8, false)
+		mem.AccessRange(base+rng.Uint64()%(wsBytes-64), 8, false)
 	}
 	mem.ResetAccounting()
 	for i := 0; i < accesses; i++ {
-		mem.Access(base+rng.Uint64()%(wsBytes-64), 8, false)
+		mem.AccessRange(base+rng.Uint64()%(wsBytes-64), 8, false)
 	}
 	return float64(mem.Cycles()) / accesses
 }

@@ -19,26 +19,22 @@ import "math/bits"
 // recency order). Eviction picks the way with the minimum stamp — exactly
 // classic LRU.
 //
-// Invalidation is lazy: invalidateRange bumps a per-page epoch instead of
-// scanning sets for every tag in the range. A way whose recorded epoch no
+// Invalidation is lazy: invalidatePage bumps a per-page epoch instead of
+// scanning sets for every tag of the page. A way whose recorded epoch no
 // longer matches its page's current epoch is dead — it never hits, and the
 // victim scan treats it like an empty way (stamp 0). Dead ways are
 // observationally identical to eagerly-cleared ways, so hit/miss and
 // eviction sequences — and with them all simulated cycle counts — are
 // unchanged; but flushing an EPC page costs one counter bump instead of a
 // scan of a page's worth of sets.
+//
+// The geometry is all powers of two (NewPlatform enforces it): a tag's set
+// is a mask of it and its page a shift.
 type llc struct {
 	lineSize uint64
 	pageSize uint64
-	numSets  uint64
-	// setMask is numSets-1 when numSets is a power of two (every realistic
-	// geometry), letting the set lookup use a mask instead of a modulo;
-	// otherwise ^0 as a sentinel for the slow path.
-	setMask uint64
-	// lppShift is log2(PageSize/LineSize) when that ratio is a power of
-	// two, so a way's page derives from its tag by one shift; -1 selects
-	// the general multiply/divide path.
-	lppShift int8
+	setMask  uint64 // number of sets - 1
+	lppShift uint8  // log2(pageSize/lineSize)
 	assoc    int
 	ways     []llcWay
 	// hints[s] is the way of set s that hit or filled most recently.
@@ -48,12 +44,7 @@ type llc struct {
 	hints []uint8
 	tick  uint64
 
-	// Per-page invalidation epochs, two-level like the EPC residency
-	// index: dense array for pages at or above enclaveRangeBase, map for
-	// the rare low (untrusted-range) pages.
-	epochBase  uint64
-	pageEpochs []uint32
-	lowEpochs  map[uint64]uint32
+	epochs pageTable[uint32] // per-page invalidation epochs
 }
 
 // llcWay is the metadata of one cache way, packed to 16 bytes so one
@@ -79,67 +70,36 @@ const (
 // it (that would need an address in the top line of the address space).
 const emptyTag = ^uint64(0)
 
+// newLLC builds a cache of llcSets(totalBytes, lineSize, assoc) sets.
 func newLLC(totalBytes, lineSize, pageSize uint64, assoc int) *llc {
-	if lineSize == 0 {
-		lineSize = 64
-	}
-	if pageSize == 0 {
-		pageSize = 4096
-	}
-	if assoc <= 0 {
-		assoc = 16
-	}
-	numLines := totalBytes / lineSize
-	numSets := numLines / uint64(assoc)
-	if numSets == 0 {
-		numSets = 1
-	}
+	numSets := llcSets(totalBytes, lineSize, assoc)
 	ways := make([]llcWay, numSets*uint64(assoc))
 	for i := range ways {
 		ways[i].tag = emptyTag
 	}
-	setMask := ^uint64(0)
-	if numSets&(numSets-1) == 0 {
-		setMask = numSets - 1
-	}
-	lppShift := int8(-1)
-	if pageSize%lineSize == 0 {
-		if lpp := pageSize / lineSize; lpp&(lpp-1) == 0 {
-			lppShift = int8(bits.TrailingZeros64(lpp))
-		}
-	}
 	return &llc{
-		lineSize:  lineSize,
-		pageSize:  pageSize,
-		numSets:   numSets,
-		setMask:   setMask,
-		lppShift:  lppShift,
-		assoc:     assoc,
-		ways:      ways,
-		hints:     make([]uint8, numSets),
-		epochBase: enclaveRangeBase / pageSize,
+		lineSize: lineSize,
+		pageSize: pageSize,
+		setMask:  numSets - 1,
+		lppShift: uint8(bits.TrailingZeros64(pageSize / lineSize)),
+		assoc:    assoc,
+		ways:     ways,
+		hints:    make([]uint8, numSets),
+		epochs:   newPageTable[uint32](pageSize),
 	}
+}
+
+// llcSets is the set count of a cache of totalBytes in lineSize lines,
+// assoc ways per set.
+func llcSets(totalBytes, lineSize uint64, assoc int) uint64 {
+	return totalBytes / lineSize / uint64(assoc)
 }
 
 // pageEpoch returns the current invalidation epoch of page.
-func (c *llc) pageEpoch(page uint64) uint32 {
-	if page >= c.epochBase {
-		off := page - c.epochBase
-		if off < uint64(len(c.pageEpochs)) {
-			return c.pageEpochs[off]
-		}
-		return 0
-	}
-	return c.lowEpochs[page]
-}
+func (c *llc) pageEpoch(page uint64) uint32 { return c.epochs.get(page) }
 
 // tagPage returns the page of a way's line, derived from its tag.
-func (c *llc) tagPage(tag uint64) uint64 {
-	if c.lppShift >= 0 {
-		return tag >> uint8(c.lppShift)
-	}
-	return tag * c.lineSize / c.pageSize
-}
+func (c *llc) tagPage(tag uint64) uint64 { return tag >> c.lppShift }
 
 // access touches the line containing addr and reports whether it hit.
 func (c *llc) access(addr uint64) bool {
@@ -151,9 +111,6 @@ func (c *llc) access(addr uint64) bool {
 func (c *llc) accessTag(tag, page uint64) bool {
 	pe := uint64(c.pageEpoch(page)) & epochMask
 	s := tag & c.setMask
-	if c.setMask == ^uint64(0) {
-		s = tag % c.numSets
-	}
 	base := int(s) * c.assoc
 	set := c.ways[base : base+c.assoc]
 	if c.tick >= maxStamp-1 {
@@ -206,9 +163,6 @@ func (c *llc) accessTag(tag, page uint64) bool {
 func (c *llc) probeTag(tag, page uint64) bool {
 	pe := uint64(c.pageEpoch(page)) & epochMask
 	s := tag & c.setMask
-	if c.setMask == ^uint64(0) {
-		s = tag % c.numSets
-	}
 	base := int(s) * c.assoc
 	set := c.ways[base : base+c.assoc]
 	for i := range set {
@@ -249,48 +203,20 @@ func (c *llc) renormalizeStamps() {
 	c.tick = uint64(c.assoc)
 }
 
-// invalidateRange drops all cached lines of the pages overlapping
-// [addr, addr+size). Invalidation is page-granular, mirroring EWB: SGX
-// evicts and re-encrypts whole EPC pages, and the only caller flushes
-// exactly one evicted page. Lazy: bumps the epoch of every page in the
-// range; resident lines of those pages become dead in place.
-func (c *llc) invalidateRange(addr, size uint64) {
-	first := addr / c.pageSize
-	last := (addr + size - 1) / c.pageSize
-	for p := first; p <= last; p++ {
-		c.invalidatePage(p)
-	}
-}
-
 // invalidatePage flushes all cached lines of one page: a single epoch bump.
-// Ways store epochs truncated to epochBits, so just before a page's epoch
-// would wrap back into an in-use value its stale ways are cleared eagerly
-// and its epoch rewinds to zero — dead lines can never resurrect.
+// Invalidation is page-granular, mirroring EWB: SGX evicts and re-encrypts
+// whole EPC pages. Ways store epochs truncated to epochBits, so just before
+// a page's epoch would wrap back into an in-use value its stale ways are
+// cleared eagerly and its epoch rewinds to zero — dead lines can never
+// resurrect.
 func (c *llc) invalidatePage(page uint64) {
-	if page >= c.epochBase {
-		off := page - c.epochBase
-		if off >= uint64(len(c.pageEpochs)) {
-			grown := make([]uint32, off+1+1024)
-			copy(grown, c.pageEpochs)
-			c.pageEpochs = grown
-		}
-		if c.pageEpochs[off] >= epochMask-1 {
-			c.purgePage(page)
-			c.pageEpochs[off] = 0
-			return
-		}
-		c.pageEpochs[off]++
-		return
-	}
-	if c.lowEpochs == nil {
-		c.lowEpochs = make(map[uint64]uint32)
-	}
-	if c.lowEpochs[page] >= epochMask-1 {
+	e := c.epochs.slot(page)
+	if *e >= epochMask-1 {
 		c.purgePage(page)
-		c.lowEpochs[page] = 0
+		*e = 0
 		return
 	}
-	c.lowEpochs[page]++
+	*e++
 }
 
 // purgePage eagerly empties every way holding a line of page. Runs once per

@@ -154,7 +154,7 @@ func (e *Enclave) EAdd(data []byte) (uint64, error) {
 	e.addNext += n
 	e.heapNext = e.addNext
 	// Copying the pages into the EPC touches them.
-	e.mem.Access(addr, len(data), true)
+	e.mem.AccessRange(addr, len(data), true)
 	return addr, nil
 }
 

@@ -10,27 +10,17 @@ package enclave
 // Replacement is CLOCK (second chance), approximating the Linux SGX
 // driver's reclaim behaviour.
 //
-// Residency is tracked two-level: ELRANGEs are allocated contiguously
-// upward from enclaveRangeBase, so pages in the enclave range live in a
-// dense page-offset array (one array load on the touch fast path). Pages
-// below the range — untrusted addresses routed through an enclave view,
-// e.g. the shield's shared-memory syscall queue — fall back to a small map.
+// Residency lives in a pageTable of ring slot + 1, so a page never loaded
+// reads as 0: "not resident".
 type epc struct {
 	pageSize uint64
 	capacity int // usable pages
 
-	// basePage is enclaveRangeBase/pageSize: the origin of index.
-	basePage uint64
-	// index maps page-basePage -> ring slot (or -1) for enclave-range
-	// pages. It grows on demand with the highest page touched.
-	index []int32
-	// low tracks pages below basePage (rare; untrusted regions accessed
-	// through an enclave view).
-	low      map[uint64]int32
+	slots    pageTable[uint32]
 	resident int
 	// lastPage/lastIdx memoize the most recent resident hit so repeated
 	// touches of one page (consecutive probes of the same node) skip the
-	// index lookup. lastIdx is -1 when invalid.
+	// page-table lookup. lastIdx is -1 when invalid.
 	lastPage uint64
 	lastIdx  int32
 	// The CLOCK ring, split into parallel arrays: refd is the hot byte the
@@ -46,9 +36,6 @@ type epc struct {
 }
 
 func newEPC(totalBytes, reservedBytes, pageSize uint64) *epc {
-	if pageSize == 0 {
-		pageSize = 4096
-	}
 	usable := int64(totalBytes) - int64(reservedBytes)
 	if usable < int64(pageSize) {
 		usable = int64(pageSize)
@@ -57,7 +44,7 @@ func newEPC(totalBytes, reservedBytes, pageSize uint64) *epc {
 	return &epc{
 		pageSize: pageSize,
 		capacity: cap,
-		basePage: enclaveRangeBase / pageSize,
+		slots:    newPageTable[uint32](pageSize),
 		pages:    make([]uint64, cap),
 		refd:     make([]bool, cap),
 		occupied: make([]bool, cap),
@@ -66,52 +53,7 @@ func newEPC(totalBytes, reservedBytes, pageSize uint64) *epc {
 }
 
 // lookup returns the ring slot of page, or -1 when not resident.
-func (e *epc) lookup(page uint64) int32 {
-	if page >= e.basePage {
-		off := page - e.basePage
-		if off >= uint64(len(e.index)) {
-			return -1
-		}
-		return e.index[off]
-	}
-	if idx, ok := e.low[page]; ok {
-		return idx
-	}
-	return -1
-}
-
-// set records page as resident in ring slot idx.
-func (e *epc) set(page uint64, idx int32) {
-	if page >= e.basePage {
-		off := page - e.basePage
-		if off >= uint64(len(e.index)) {
-			grown := make([]int32, off+1+1024)
-			for i := len(e.index); i < len(grown); i++ {
-				grown[i] = -1
-			}
-			copy(grown, e.index)
-			e.index = grown
-		}
-		e.index[off] = idx
-		return
-	}
-	if e.low == nil {
-		e.low = make(map[uint64]int32)
-	}
-	e.low[page] = idx
-}
-
-// clear removes page from the residency index.
-func (e *epc) clear(page uint64) {
-	if page >= e.basePage {
-		off := page - e.basePage
-		if off < uint64(len(e.index)) {
-			e.index[off] = -1
-		}
-		return
-	}
-	delete(e.low, page)
-}
+func (e *epc) lookup(page uint64) int32 { return int32(e.slots.get(page)) - 1 }
 
 // touch ensures the page containing addr is EPC-resident. It returns
 // (faulted, evictedPage, evictedValid): faulted is true when the page had to
@@ -139,7 +81,7 @@ func (e *epc) touchPage(page uint64) (faulted bool, evicted uint64, evictedValid
 		h := e.hand
 		if !e.occupied[h] {
 			e.pages[h], e.refd[h], e.occupied[h] = page, true, true
-			e.set(page, int32(h))
+			*e.slots.slot(page) = uint32(h) + 1
 			e.lastPage, e.lastIdx = page, int32(h)
 			e.resident++
 			e.hand = (h + 1) % e.capacity
@@ -152,10 +94,10 @@ func (e *epc) touchPage(page uint64) (faulted bool, evicted uint64, evictedValid
 		}
 		// Evict this page.
 		evicted, evictedValid = e.pages[h], true
-		e.clear(evicted)
+		*e.slots.slot(evicted) = 0
 		e.evictions++
 		e.pages[h], e.refd[h] = page, true
-		e.set(page, int32(h))
+		*e.slots.slot(page) = uint32(h) + 1
 		e.lastPage, e.lastIdx = page, int32(h)
 		e.hand = (h + 1) % e.capacity
 		return true, evicted, evictedValid
@@ -176,7 +118,7 @@ func (e *epc) release(base, size uint64) {
 	for p := first; p <= last; p++ {
 		if idx := e.lookup(p); idx >= 0 {
 			e.pages[idx], e.refd[idx], e.occupied[idx] = 0, false, false
-			e.clear(p)
+			*e.slots.slot(p) = 0
 			e.resident--
 		}
 	}

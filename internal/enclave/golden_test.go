@@ -57,7 +57,7 @@ func TestGoldenMemoryHierarchy(t *testing.T) {
 			rng ^= rng << 17
 			addr := base + rng%(ws-512)
 			size := int(1 + rng%500)
-			mem.Access(addr, size, i%3 == 0)
+			mem.AccessRange(addr, size, i%3 == 0)
 		}
 		o := outcome{
 			Cycles:      uint64(mem.Cycles()),

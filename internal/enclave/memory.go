@@ -12,22 +12,25 @@ import (
 // Memory is an accounting view of the platform memory hierarchy for one
 // protection domain: either the inside of a specific enclave or the
 // untrusted world. Higher layers run ordinary Go data structures but route
-// a simulated Access for every logical memory touch; the view charges
+// a simulated AccessRange for every logical memory touch; the view charges
 // cache, MEE and paging costs into its ledger — the one record of
 // simulated cost.
 //
-// Accounting is batched: each Access (or bulk AccessN/AccessStride) walks
-// its cache lines accumulating per-cause event counts in locals and commits
-// once — one ledger charge per call instead of per line. The committed
-// totals are bit-identical to per-line charging because every per-event
-// cost is a fixed platform constant.
+// Accounting is batched: each AccessRange (or bulk AccessN/AccessStride)
+// walks its cache lines accumulating per-cause event counts in locals and
+// commits once — one ledger charge per call instead of per line. The
+// committed totals are bit-identical to per-line charging because every
+// per-event cost is a fixed platform constant.
 type Memory struct {
 	p   *Platform
 	enc *Enclave // nil for the untrusted view
 
-	ledger  ledger
-	faults  uint64 // page faults (EPC faults inside, minor faults outside); guarded by p.mu
-	touched map[uint64]struct{}
+	ledger ledger
+	// faults counts page faults (EPC faults inside, minor faults outside);
+	// touched flags the pages the untrusted view has touched. Both are
+	// guarded by p.mu.
+	faults  uint64
+	touched pageTable[bool]
 }
 
 // ledger is Memory's per-cause accounting store. All mutations happen with
@@ -61,21 +64,16 @@ type acct struct {
 
 // accessLocked walks the cache lines of [addr, addr+size) updating cache
 // and pager state, accumulating event counts into st. Caller holds p.mu.
-// The walk goes page by page — one residency touch and one set of division
-// results per page, with the inner loop iterating line tags directly.
+// The walk goes page by page — one residency touch per page, with the
+// inner loop iterating line tags directly.
 func (m *Memory) accessLocked(st *acct, addr uint64, size int) {
 	p := m.p
-	line := p.cfg.LineSize
-	pageSize := p.cfg.PageSize
-	first := addr / line
-	last := (addr + uint64(size) - 1) / line
+	first := addr >> p.lineShift
+	last := (addr + uint64(size) - 1) >> p.lineShift
 	inside := m.enc != nil
 	if first == last {
 		// Single-line access: the dominant case for data-structure probes.
-		// The page derives from the line-start address, as in the loop
-		// below — addr itself may sit on a later page when LineSize does
-		// not divide PageSize.
-		page := first * line / pageSize
+		page := first >> p.lppShift
 		m.touchPageLocked(st, page)
 		if p.cache.accessTag(first, page) {
 			st.hits++
@@ -87,18 +85,9 @@ func (m *Memory) accessLocked(st *acct, addr uint64, size int) {
 		return
 	}
 	for l := first; l <= last; {
-		la := l * line
-		page := la / pageSize
+		page := l >> p.lppShift
 		m.touchPageLocked(st, page)
-		var end uint64 // last tag on this page
-		if lpp := p.linesPerPage; lpp != 0 {
-			end = (page+1)*lpp - 1
-		} else {
-			end = ((page+1)*pageSize - 1) / line
-		}
-		if end > last {
-			end = last
-		}
+		end := min((page+1)<<p.lppShift-1, last) // last tag on this page
 		for ; l <= end; l++ {
 			if p.cache.accessTag(l, page) {
 				st.hits++
@@ -132,12 +121,6 @@ func (m *Memory) commitLocked(st *acct) {
 	if m.enc != nil {
 		m.enc.aex += st.epcF // every EPC fault implies an asynchronous exit
 	}
-}
-
-// Access simulates a read (write=false) or write (write=true) of size bytes
-// at the simulated address addr.
-func (m *Memory) Access(addr uint64, size int, write bool) {
-	m.AccessRange(addr, size, write)
 }
 
 // AccessRange simulates one contiguous access of size bytes at addr,
@@ -209,7 +192,7 @@ var roSpanPool = sync.Pool{New: func() any {
 // broker relies on for deterministic parallel matching. The platform mutex
 // is only taken briefly by End to commit the ledger; the probe phase runs
 // lock-free. Callers must therefore guarantee no mutating access (ordinary
-// Access/Span, EEnter, allocation) runs on this platform while a snapshot
+// AccessRange/Span, EEnter, allocation) runs on this platform while a snapshot
 // span is open — e.g. by holding the read side of a lock whose write side
 // covers all mutators.
 func (m *Memory) BeginSnapshotSpan() *Span {
@@ -263,24 +246,13 @@ func (sp *Span) ChargeCPU(c sim.Cycles) {
 func (sp *Span) probe(addr uint64, size int) {
 	m := sp.m
 	p := m.p
-	line := p.cfg.LineSize
-	pageSize := p.cfg.PageSize
-	first := addr / line
-	last := (addr + uint64(size) - 1) / line
+	first := addr >> p.lineShift
+	last := (addr + uint64(size) - 1) >> p.lineShift
 	inside := m.enc != nil
 	for l := first; l <= last; {
-		la := l * line
-		page := la / pageSize
+		page := l >> p.lppShift
 		sp.probePage(page)
-		var end uint64 // last tag on this page
-		if lpp := p.linesPerPage; lpp != 0 {
-			end = (page+1)*lpp - 1
-		} else {
-			end = ((page+1)*pageSize - 1) / line
-		}
-		if end > last {
-			end = last
-		}
+		end := min((page+1)<<p.lppShift-1, last) // last tag on this page
 		for ; l <= end; l++ {
 			hit := true
 			if _, ok := sp.roLines[l]; !ok {
@@ -313,7 +285,7 @@ func (sp *Span) probePage(page uint64) {
 		}
 		return
 	}
-	if _, ok := m.touched[page]; !ok {
+	if !m.touched.get(page) {
 		sp.st.minorF++
 	}
 }
@@ -343,7 +315,7 @@ func (sp *Span) End() {
 // scattered bulk access, e.g. every node of a bucket or every record of a
 // batch — under a single platform lock acquisition and a single accounting
 // commit. Addresses are touched in slice order, so cache and paging state
-// evolve exactly as for individual Access calls.
+// evolve exactly as for individual AccessRange calls.
 func (m *Memory) AccessN(addrs []uint64, size int, write bool) {
 	if size <= 0 || len(addrs) == 0 {
 		return
@@ -392,8 +364,8 @@ func (m *Memory) touchPageLocked(st *acct, page uint64) {
 		}
 		return
 	}
-	if _, ok := m.touched[page]; !ok {
-		m.touched[page] = struct{}{}
+	if t := m.touched.slot(page); !*t {
+		*t = true
 		st.minorF++
 	}
 }

@@ -37,7 +37,7 @@ func benchAccess(b *testing.B, mem *Memory, base, span uint64) {
 	mem.ResetAccounting()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mem.Access(addrs[i&4095], 64, false)
+		mem.AccessRange(addrs[i&4095], 64, false)
 	}
 	b.ReportMetric(float64(mem.Faults())/float64(b.N), "faults/op")
 }
@@ -64,4 +64,13 @@ func BenchmarkMemoryAccessStride(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mem.AccessStride(base+uint64(i&63)*64, 4096, 256, 64, false)
 	}
+}
+
+// BenchmarkMemoryAccessUntrusted: figure3's outside arm — the untrusted
+// view over an AllocUntrusted region, so every access reads the view's
+// first-touch table and never faults after the warm-up.
+func BenchmarkMemoryAccessUntrusted(b *testing.B) {
+	p := NewPlatform(Config{})
+	base := p.AllocUntrusted(16 << 20)
+	benchAccess(b, p.UntrustedMemory(), base, 16<<20)
 }

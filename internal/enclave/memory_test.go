@@ -21,11 +21,11 @@ func TestUntrustedAccessChargesMinorFaultOnce(t *testing.T) {
 	p := smallPlatform()
 	m := p.UntrustedMemory()
 	base := p.AllocUntrusted(4096)
-	m.Access(base, 8, false)
+	m.AccessRange(base, 8, false)
 	if m.Faults() != 1 {
 		t.Fatalf("first touch faults = %d, want 1", m.Faults())
 	}
-	m.Access(base+64, 8, false)
+	m.AccessRange(base+64, 8, false)
 	if m.Faults() != 1 {
 		t.Fatalf("second touch on same page faulted again: %d", m.Faults())
 	}
@@ -35,9 +35,9 @@ func TestUntrustedLLCHitCheaperThanMiss(t *testing.T) {
 	p := smallPlatform()
 	m := p.UntrustedMemory()
 	base := p.AllocUntrusted(4096)
-	m.Access(base, 8, false) // cold: fault + DRAM
+	m.AccessRange(base, 8, false) // cold: fault + DRAM
 	cold := m.Cycles()
-	m.Access(base, 8, false) // hot: LLC hit
+	m.AccessRange(base, 8, false) // hot: LLC hit
 	hot := m.Cycles() - cold
 	if hot >= cold {
 		t.Fatalf("hot access (%d) not cheaper than cold (%d)", hot, cold)
@@ -61,7 +61,7 @@ func TestEnclaveAccessFaultsWhenExceedingEPC(t *testing.T) {
 	addrs := make([]uint64, 100)
 	for i := range addrs {
 		addrs[i] = a.Alloc(4096)
-		mem.Access(addrs[i], 8, true)
+		mem.AccessRange(addrs[i], 8, true)
 	}
 	firstPass := mem.Faults()
 	if firstPass != 100 {
@@ -69,7 +69,7 @@ func TestEnclaveAccessFaultsWhenExceedingEPC(t *testing.T) {
 	}
 	// Second pass must fault again for most pages (working set > EPC).
 	for _, addr := range addrs {
-		mem.Access(addr, 8, false)
+		mem.AccessRange(addr, 8, false)
 	}
 	secondPass := mem.Faults() - firstPass
 	if secondPass == 0 {
@@ -88,11 +88,11 @@ func TestEnclaveAccessNoFaultsWhenFittingEPC(t *testing.T) {
 	addrs := make([]uint64, 20)
 	for i := range addrs {
 		addrs[i] = a.Alloc(4096)
-		mem.Access(addrs[i], 8, true)
+		mem.AccessRange(addrs[i], 8, true)
 	}
 	cold := mem.Faults()
 	for _, addr := range addrs {
-		mem.Access(addr, 8, false)
+		mem.AccessRange(addr, 8, false)
 	}
 	if mem.Faults() != cold {
 		t.Fatalf("re-touching resident pages faulted: %d -> %d", cold, mem.Faults())
@@ -106,7 +106,7 @@ func TestEPCFaultCostDominates(t *testing.T) {
 	mem := e.Memory()
 	mem.ResetAccounting()
 	addr := a.Alloc(4096)
-	mem.Access(addr, 8, true)
+	mem.AccessRange(addr, 8, true)
 	bd := mem.Breakdown()
 	if bd[CauseEPCFault] == 0 {
 		t.Fatal("EPC fault not charged for cold enclave access")
@@ -122,7 +122,7 @@ func TestEPCFaultCountsAsAEX(t *testing.T) {
 	a, _ := e.HeapArena()
 	before := e.AEXCount()
 	mem := e.Memory()
-	mem.Access(a.Alloc(4096), 8, true)
+	mem.AccessRange(a.Alloc(4096), 8, true)
 	if e.AEXCount() != before+1 {
 		t.Fatalf("AEXCount = %d, want %d (EPC fault exits the enclave)", e.AEXCount(), before+1)
 	}
@@ -132,9 +132,9 @@ func TestAccessSpansMultipleLines(t *testing.T) {
 	p := smallPlatform()
 	m := p.UntrustedMemory()
 	base := p.AllocUntrusted(4096)
-	m.Access(base, 8, false)
+	m.AccessRange(base, 8, false)
 	one := m.Events(CauseDRAM) + m.Events(CauseLLCHit)
-	m.Access(base+1024, 256, false) // 4 lines
+	m.AccessRange(base+1024, 256, false) // 4 lines
 	total := m.Events(CauseDRAM) + m.Events(CauseLLCHit)
 	if total-one != 4 {
 		t.Fatalf("256-byte access touched %d lines, want 4", total-one)
@@ -147,9 +147,9 @@ func TestResetAccountingKeepsResidency(t *testing.T) {
 	a, _ := e.HeapArena()
 	mem := e.Memory()
 	addr := a.Alloc(4096)
-	mem.Access(addr, 8, true) // fault in
+	mem.AccessRange(addr, 8, true) // fault in
 	mem.ResetAccounting()
-	mem.Access(addr, 8, false) // still resident: no fault
+	mem.AccessRange(addr, 8, false) // still resident: no fault
 	if mem.Faults() != 0 {
 		t.Fatal("ResetAccounting evicted pages")
 	}
@@ -164,7 +164,7 @@ func TestDestroyReleasesEPC(t *testing.T) {
 	a, _ := e.HeapArena()
 	mem := e.Memory()
 	for i := 0; i < 10; i++ {
-		mem.Access(a.Alloc(4096), 8, true)
+		mem.AccessRange(a.Alloc(4096), 8, true)
 	}
 	if p.EPCResidentPages() == 0 {
 		t.Fatal("no resident pages before destroy")
@@ -187,15 +187,15 @@ func TestEnclavesCompeteForEPC(t *testing.T) {
 	aAddrs := make([]uint64, 40)
 	for i := range aAddrs {
 		aAddrs[i] = aa.Alloc(4096)
-		a.Memory().Access(aAddrs[i], 8, true)
+		a.Memory().AccessRange(aAddrs[i], 8, true)
 	}
 	// B streams through, evicting A.
 	for i := 0; i < 40; i++ {
-		b.Memory().Access(ba.Alloc(4096), 8, true)
+		b.Memory().AccessRange(ba.Alloc(4096), 8, true)
 	}
 	a.Memory().ResetAccounting()
 	for _, addr := range aAddrs {
-		a.Memory().Access(addr, 8, false)
+		a.Memory().AccessRange(addr, 8, false)
 	}
 	if a.Memory().Faults() == 0 {
 		t.Fatal("enclave A kept all pages despite B streaming through the shared EPC")
@@ -218,13 +218,13 @@ func TestLLCSimBasics(t *testing.T) {
 	}
 }
 
-func TestLLCInvalidateRange(t *testing.T) {
+func TestLLCInvalidatePage(t *testing.T) {
 	c := newLLC(4096, 64, 4096, 4)
 	c.access(0)    // page 0
 	c.access(64)   // page 0
 	c.access(4096) // page 1
 	n := c.lines()
-	c.invalidateRange(0, 4096) // flushes page 0: drops lines at 0 and 64
+	c.invalidatePage(0) // drops lines at 0 and 64
 	if got := c.lines(); got != n-2 {
 		t.Fatalf("lines after invalidate = %d, want %d", got, n-2)
 	}

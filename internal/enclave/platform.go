@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"securecloud/internal/cryptbox"
@@ -16,12 +17,14 @@ type Config struct {
 	// appears before the 128 MB line for exactly this reason.
 	EPCReservedBytes uint64
 	// LLCBytes is the last-level cache size shared by all cores.
+	// LLCBytes/LineSize/LLCWays, the set count, must be a power of two.
 	LLCBytes uint64
 	// LLCWays is the cache associativity.
 	LLCWays int
-	// LineSize is the cache line size in bytes.
+	// LineSize is the cache line size in bytes: a power of two, at most
+	// PageSize.
 	LineSize uint64
-	// PageSize is the MMU page size in bytes.
+	// PageSize is the MMU page size in bytes: a power of two.
 	PageSize uint64
 	// Cost is the per-event cycle model.
 	Cost CostModel
@@ -47,10 +50,9 @@ func DefaultConfig() Config {
 // serialized internally, mirroring a single memory subsystem.
 type Platform struct {
 	cfg Config
-	// linesPerPage is PageSize/LineSize when PageSize divides evenly (every
-	// realistic geometry), letting the access walk derive page boundaries
-	// by multiplication; 0 selects the general division path.
-	linesPerPage uint64
+	// lineShift is log2 LineSize and lppShift log2 PageSize/LineSize: the
+	// access walk derives lines and pages by shifts.
+	lineShift, lppShift uint8
 
 	mu       sync.Mutex
 	cache    *llc
@@ -68,7 +70,9 @@ type Platform struct {
 // allocations live below it; the two address regions never overlap.
 const enclaveRangeBase = 1 << 44
 
-// NewPlatform builds a platform from cfg; zero fields take defaults.
+// NewPlatform builds a platform from cfg; zero fields take defaults. It
+// panics unless LineSize, PageSize and the LLC set count are powers of two
+// with LineSize ≤ PageSize.
 func NewPlatform(cfg Config) *Platform {
 	def := DefaultConfig()
 	if cfg.EPCBytes == 0 {
@@ -92,6 +96,13 @@ func NewPlatform(cfg Config) *Platform {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = def.Cost
 	}
+	sets := llcSets(cfg.LLCBytes, cfg.LineSize, cfg.LLCWays)
+	if !isPow2(cfg.LineSize) || !isPow2(cfg.PageSize) || !isPow2(sets) ||
+		cfg.LineSize > cfg.PageSize {
+		panic(fmt.Sprintf("enclave: LineSize (%d), PageSize (%d) and the LLC "+
+			"set count LLCBytes/LineSize/LLCWays (%d) must be powers of two "+
+			"with LineSize <= PageSize", cfg.LineSize, cfg.PageSize, sets))
+	}
 	deviceKey, err := cryptbox.NewRandomKey()
 	if err != nil {
 		panic(fmt.Sprintf("enclave: device key: %v", err))
@@ -100,20 +111,17 @@ func NewPlatform(cfg Config) *Platform {
 	if err != nil {
 		panic(fmt.Sprintf("enclave: report key: %v", err))
 	}
-	var linesPerPage uint64
-	if cfg.LineSize > 0 && cfg.PageSize%cfg.LineSize == 0 {
-		linesPerPage = cfg.PageSize / cfg.LineSize
-	}
 	return &Platform{
-		cfg:          cfg,
-		linesPerPage: linesPerPage,
-		cache:        newLLC(cfg.LLCBytes, cfg.LineSize, cfg.PageSize, cfg.LLCWays),
-		pager:        newEPC(cfg.EPCBytes, cfg.EPCReservedBytes, cfg.PageSize),
-		nextBase:     enclaveRangeBase,
-		untrBump:     1 << 20,
-		enclaves:     make(map[uint64]*Enclave),
-		deviceKey:    deviceKey,
-		reportKey:    reportKey,
+		cfg:       cfg,
+		lineShift: uint8(bits.TrailingZeros64(cfg.LineSize)),
+		lppShift:  uint8(bits.TrailingZeros64(cfg.PageSize / cfg.LineSize)),
+		cache:     newLLC(cfg.LLCBytes, cfg.LineSize, cfg.PageSize, cfg.LLCWays),
+		pager:     newEPC(cfg.EPCBytes, cfg.EPCReservedBytes, cfg.PageSize),
+		nextBase:  enclaveRangeBase,
+		untrBump:  1 << 20,
+		enclaves:  make(map[uint64]*Enclave),
+		deviceKey: deviceKey,
+		reportKey: reportKey,
 	}
 }
 
@@ -136,7 +144,7 @@ func (p *Platform) EPCResidentPages() int {
 // UntrustedMemory returns a fresh accounting view of normal (unprotected)
 // memory on this platform.
 func (p *Platform) UntrustedMemory() *Memory {
-	return &Memory{p: p, touched: make(map[uint64]struct{})}
+	return &Memory{p: p, touched: newPageTable[bool](p.cfg.PageSize)}
 }
 
 // AllocUntrusted reserves size bytes of untrusted address space and returns
@@ -151,5 +159,7 @@ func (p *Platform) AllocUntrusted(size uint64) uint64 {
 	}
 	return base
 }
+
+func isPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
 
 func align(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

@@ -41,7 +41,7 @@ func TestConcurrentMemoryViews(t *testing.T) {
 			mem := e.Memory()
 			addrs := make([]uint64, 8)
 			for j := 0; j < iters; j++ {
-				mem.Access(base+uint64(j%4096)*64, 128, j%2 == 0)
+				mem.AccessRange(base+uint64(j%4096)*64, 128, j%2 == 0)
 				for k := range addrs {
 					addrs[k] = base + uint64((j+k*37)%8192)*32
 				}
@@ -58,7 +58,7 @@ func TestConcurrentMemoryViews(t *testing.T) {
 		go func(m *Memory, base uint64) {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				m.Access(base+uint64(j%2048)*64, 64, true)
+				m.AccessRange(base+uint64(j%2048)*64, 64, true)
 			}
 		}(m, bases[i])
 	}
@@ -137,7 +137,7 @@ func TestConcurrentTransitions(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			e.Memory().Access(base+uint64(i%512)*64, 8, false)
+			e.Memory().AccessRange(base+uint64(i%512)*64, 8, false)
 		}
 	}()
 	wg.Wait()

@@ -2,6 +2,8 @@ package image
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,4 +83,44 @@ func TestPropLayerCodec(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecodeLayer: DecodeLayer never panics; an accepted layer survives
+// Encode then DecodeLayer unchanged; and in its encoding, cutting the last
+// entry short or repeating it is an error.
+func FuzzDecodeLayer(f *testing.F) {
+	f.Add(Layer{Files: map[string][]byte{"/bin/app": []byte("code\x00"), "/etc/empty": nil}}.Encode())
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	f.Add([]byte{2, '/', 'a', 1, 'x', 2, '/', 'a', 1, 'y'})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		l, err := DecodeLayer(b)
+		if err != nil {
+			return
+		}
+		enc := l.Encode()
+		got, err := DecodeLayer(enc)
+		if err != nil {
+			t.Fatalf("re-encoded layer rejected: %v", err)
+		}
+		if !maps.EqualFunc(got.Files, l.Files, bytes.Equal) {
+			t.Fatalf("Encode then DecodeLayer changed the layer: %q -> %q", l.Files, got.Files)
+		}
+		if len(l.Files) == 0 {
+			return
+		}
+		// The last entry in encoding order starts where the encoding of
+		// the layer without it ends.
+		rest := maps.Clone(l.Files)
+		delete(rest, slices.Max(slices.Collect(maps.Keys(rest))))
+		last := len(Layer{Files: rest}.Encode())
+		for cut := last + 1; cut < len(enc); cut++ {
+			if _, err := DecodeLayer(enc[:cut]); err == nil {
+				t.Fatalf("encoding cut to %d of %d bytes decoded", cut, len(enc))
+			}
+		}
+		if _, err := DecodeLayer(append(enc, enc[last:]...)); err == nil {
+			t.Fatal("repeated last entry decoded")
+		}
+	})
 }

@@ -105,11 +105,11 @@ func (s *Shield) crossBoundary(payload int) {
 	// switch; just (simulated) memory traffic.
 	slot := s.queueAddr + (s.queuePos%64)*queueSlotBytes
 	s.queuePos++
-	s.enc.Memory().Access(slot, queueSlotBytes/2, true)
+	s.enc.Memory().AccessRange(slot, queueSlotBytes/2, true)
 	if payload > 0 {
-		s.enc.Memory().Access(slot, min(payload, queueSlotBytes/2), true)
+		s.enc.Memory().AccessRange(slot, min(payload, queueSlotBytes/2), true)
 	}
-	s.enc.Memory().Access(slot+queueSlotBytes/2, queueSlotBytes/2, false)
+	s.enc.Memory().AccessRange(slot+queueSlotBytes/2, queueSlotBytes/2, false)
 }
 
 // Open opens path through the shield. When key is non-nil the descriptor is

@@ -18,7 +18,7 @@
 #                                module builds against internal/'s API and
 #                                the root go test never sees it)
 # 6. go test -race ./...        (every package under the race detector)
-# 7. fuzz smoke                 (each of the seven fuzz targets for 5 s
+# 7. fuzz smoke                 (each of the eight fuzz targets for 5 s
 #                                with -fuzz: the seed corpus already runs
 #                                in step 4; this explores past it. A
 #                                failing input lands in the package's
@@ -72,6 +72,7 @@ FUZZ_TARGETS=(
     internal/microsvc:FuzzDecodeFrame
     internal/wire:FuzzDecodeBatch
     internal/mapreduce:FuzzDecodeShuffleRecord
+    internal/image:FuzzDecodeLayer
 )
 echo "ci: fuzz target list matches the func Fuzz* under internal/" >&2
 FUZZ_FOUND="$(grep -rHo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]*' internal |

@@ -207,8 +207,9 @@ func (b *Broker) session(clientID string) (*session, error) {
 
 // Subscribe registers an encrypted subscription and returns its broker-
 // assigned ID. The matching step — decrypt, containment search, insert —
-// runs inside the enclave (one entry per request). Only the home shard of
-// the new ID is write-locked.
+// runs inside the enclave (one entry per request). A filter NewSubscription
+// would refuse (no predicate, an empty or NaN interval) is refused here
+// too. Only the home shard of the new ID is write-locked.
 func (b *Broker) Subscribe(env Envelope) (uint64, error) {
 	sess, err := b.session(env.ClientID)
 	if err != nil {
@@ -225,6 +226,9 @@ func (b *Broker) Subscribe(env Envelope) (uint64, error) {
 	}
 	s, err := decodeSubscription(raw)
 	if err != nil {
+		return 0, err
+	}
+	if err := s.validate(); err != nil {
 		return 0, err
 	}
 	b.mu.Lock()

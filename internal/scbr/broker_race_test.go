@@ -11,7 +11,8 @@ import (
 // TestBrokerConcurrentStress drives Publish, Subscribe, Unsubscribe and
 // Drain from many goroutines at once. Run under -race it checks the whole
 // locking architecture: the control-state RWMutex, the per-shard
-// reader/writer locks, lock-free snapshot probes, and the queues mutex.
+// reader/writer locks, lock-free snapshot probes (and their reads of the
+// shard's attribute intern table), and the queues mutex.
 func TestBrokerConcurrentStress(t *testing.T) {
 	_, enc := brokerEnclave(t)
 	bk, err := NewBroker(enc, BrokerConfig{
@@ -80,7 +81,13 @@ func TestBrokerConcurrentStress(t *testing.T) {
 			c := clients[g]
 			var mine []uint64
 			for i := 0; i < 100; i++ {
-				s, _ := NewSubscription(0, map[string]Interval{"a": iv(float64(i%20), float64(40+i%20))})
+				preds := map[string]Interval{"a": iv(float64(i%20), float64(40+i%20))}
+				if i%2 == 0 {
+					// A name of its own: the shard's intern table grows
+					// and shrinks while publishes read it.
+					preds["x"+itoa(g)+"_"+itoa(i)] = FullRange()
+				}
+				s, _ := NewSubscription(0, preds)
 				id, err := c.Subscribe(bk, s)
 				fail(err)
 				mine = append(mine, id)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"securecloud/internal/attest"
@@ -258,6 +259,99 @@ func TestBrokerUnsubscribe(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("delivered to %d after unsubscribe", n)
+	}
+}
+
+// TestBrokerSubscribeValidatesFilter: a wire client can seal any decoded
+// filter, so Subscribe must refuse what NewSubscription refuses. A filter
+// with no predicate covers every other one and would become the root every
+// later registration descends through.
+func TestBrokerSubscribeValidatesFilter(t *testing.T) {
+	_, enc := brokerEnclave(t)
+	b, err := NewBroker(enc, DefaultBrokerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Connect(b, "c1", nil, nil, attest.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Subscribe(b, Subscription{}); !errors.Is(err, ErrEmptyFilter) {
+		t.Fatalf("zero-predicate filter: err = %v, want ErrEmptyFilter", err)
+	}
+	nan := math.NaN()
+	for _, bad := range []Interval{iv(5, 2), iv(nan, 1), iv(0, nan), iv(nan, nan)} {
+		s := Subscription{Preds: []Predicate{{Attr: "a", Interval: iv(0, 1)}, {Attr: "b", Interval: bad}}}
+		if _, err := cli.Subscribe(b, s); err == nil {
+			t.Fatalf("filter with interval %v accepted", bad)
+		}
+	}
+	if n := b.Index().Count(); n != 0 {
+		t.Fatalf("%d invalid filters stored", n)
+	}
+	s, _ := NewSubscription(0, map[string]Interval{"a": iv(0, 1)})
+	if id, err := cli.Subscribe(b, s); err != nil || id != 1 {
+		t.Fatalf("valid filter after refusals: id %d, err %v; want id 1", id, err)
+	}
+}
+
+// TestBrokerInternTableBounded churns 10,000 filters through a broker, each
+// naming a fresh attribute: equivalent filters that differ only in a
+// full-range fresh attribute (so bucket members join, and owners hand their
+// node over when they leave), filters those cover, and filters on nothing
+// but their fresh attribute. Every shard's intern table must hold exactly
+// the attributes of its stored filters throughout, and nothing once every
+// filter is gone.
+func TestBrokerInternTableBounded(t *testing.T) {
+	_, enc := brokerEnclave(t)
+	b, err := NewBroker(enc, BrokerConfig{PayloadBytes: 64, CheckCost: 1, Shards: 2, ShardBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Connect(b, "c1", nil, nil, attest.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total, window = 10000, 64
+	var live []uint64
+	for i := 0; i < total; i++ {
+		fresh := "fresh" + itoa(i)
+		var preds []Predicate
+		switch i % 4 {
+		case 0, 1: // one equivalence class: buckets and handovers
+			preds = []Predicate{{Attr: fresh, Interval: FullRange()}, {Attr: "shared", Interval: iv(0, 10)}}
+		case 2: // covered by that class
+			preds = []Predicate{{Attr: fresh, Interval: iv(0, 1)}, {Attr: "shared", Interval: iv(2, 3)}}
+		case 3: // a root of its own
+			preds = []Predicate{{Attr: fresh, Interval: iv(0, 1)}}
+		}
+		s := Subscription{Preds: preds}
+		s.Normalize()
+		id, err := cli.Subscribe(b, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live = append(live, id); len(live) > window {
+			if err := b.Unsubscribe(cli.ID, live[0]); err != nil {
+				t.Fatal(err)
+			}
+			live = live[1:]
+		}
+		if i%1000 == 999 {
+			for k := range b.Index().Shards() {
+				checkAttrs(t, b.Index().At(k).V)
+			}
+		}
+	}
+	for _, id := range live {
+		if err := b.Unsubscribe(cli.ID, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range b.Index().Shards() {
+		if n := len(b.Index().At(k).V.attrs.ids); n != 0 {
+			t.Fatalf("shard %d: %d names interned with no filter stored", k, n)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package scbr
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -149,6 +150,46 @@ func FuzzDecodeEvent(f *testing.F) {
 		_, errS := decodeSubscription(raw)
 		if (len(raw) == 0 || raw[0] != binMagic) && (errE == nil || errS == nil) {
 			t.Fatalf("frame without the magic byte decoded: %q", raw)
+		}
+	})
+}
+
+// FuzzDecodeSubscription: decoding never panics, an accepted frame
+// re-encodes to its own bytes, and the same frame cut short or followed by
+// a trailing byte is rejected.
+func FuzzDecodeSubscription(f *testing.F) {
+	w := NewWorkload(DefaultWorkload(13))
+	for i := 0; i < 3; i++ {
+		f.Add(mustSubBinary(f, w.NextSubscription()))
+	}
+	nan := math.NaN()
+	f.Add(mustSubBinary(f, Subscription{ID: 1}))
+	f.Add(mustSubBinary(f, Subscription{ID: 2, Preds: []Predicate{
+		{Attr: "", Interval: FullRange()},
+		{Attr: "a", Interval: Interval{Lo: nan, Hi: 1}},
+		{Attr: "a", Interval: Interval{Lo: 3, Hi: 2}},
+	}}))
+	f.Add(mustEventBinary(f, Event{Attrs: map[string]float64{"a": 1}}))
+	f.Add([]byte{binMagic, binKindSub, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := decodeSubscription(raw)
+		if err != nil {
+			return
+		}
+		again, err := appendSubscription(nil, s)
+		if err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, raw) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, raw)
+		}
+		for _, cut := range []int{len(raw) - 1, len(raw) / 2} {
+			if _, err := decodeSubscription(raw[:cut]); err == nil {
+				t.Fatalf("frame cut to %d of %d bytes accepted", cut, len(raw))
+			}
+		}
+		if _, err := decodeSubscription(append(raw[:len(raw):len(raw)], 0)); err == nil {
+			t.Fatal("frame with a trailing byte accepted")
 		}
 	})
 }

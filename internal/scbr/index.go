@@ -34,13 +34,17 @@ type IndexConfig struct {
 // equivalent to the node's (mutual covering) are stored in its bucket
 // rather than as a degenerate chain — the classic pub/sub optimisation for
 // popular identical filters.
+//
+// The fields every containment check reads come first, so a check mostly
+// stays within one host cache line of the node.
 type node struct {
-	sub      Subscription
-	parent   *node // the covering node; the sentinel for forest roots
-	children []*node
-	bucket   []dupEntry
+	f        filter
 	addr     uint64
 	hdrBytes int
+	id       uint64 // the owning subscription; bucket members share f
+	parent   *node  // the covering node; the sentinel for forest roots
+	children []*node
+	bucket   []dupEntry
 	payBytes int
 }
 
@@ -81,11 +85,19 @@ type locPage struct {
 //
 // Subscription IDs are the broker's sequential ids, so no two live
 // subscriptions share one.
+//
+// Nodes hold their filters compiled against the index's own attribute
+// intern table (filter.go): Insert compiles the incoming subscription once
+// and every containment check of its descent merges integer attribute IDs;
+// a match builds one ID-keyed view of the event. The table holds exactly
+// the attributes the stored nodes' filters name (a node keeps its filter
+// when a bucket member takes it over), so it is bounded by the store.
 type Index struct {
 	cfg   IndexConfig
 	root  node // sentinel; its children are the forest roots
 	count int
 	bytes int64 // records plus live locator pages
+	attrs interner
 
 	locator map[uint64]*locPage // by page number, id / locPageIDs
 
@@ -112,7 +124,7 @@ type Index struct {
 
 // NewIndex builds an index with the given accounting configuration.
 func NewIndex(cfg IndexConfig) *Index {
-	return &Index{cfg: cfg, locator: make(map[uint64]*locPage), freeRecs: make(map[int][]uint64)}
+	return &Index{cfg: cfg, attrs: newInterner(), locator: make(map[uint64]*locPage), freeRecs: make(map[int][]uint64)}
 }
 
 // Count returns the number of stored subscriptions.
@@ -234,10 +246,12 @@ func (ix *Index) setSlot(id uint64, n *node) {
 	}
 }
 
-// newNode allocates the storage of a subscription below parent.
-func (ix *Index) newNode(s Subscription, parent *node) *node {
+// newNode allocates the storage of subscription s, compiled as f, below
+// parent.
+func (ix *Index) newNode(s Subscription, f filter, parent *node) *node {
 	n := &node{
-		sub:      s,
+		id:       s.ID,
+		f:        f,
 		parent:   parent,
 		hdrBytes: s.StorageBytes(),
 		payBytes: ix.cfg.PayloadBytes,
@@ -253,15 +267,18 @@ func (ix *Index) newNode(s Subscription, parent *node) *node {
 // in Figure 3.
 func (ix *Index) Insert(s Subscription) {
 	defer ix.begin()()
+	f := ix.attrs.compile(s)
 	cur := &ix.root
 	for {
 		var next *node
 		for _, ch := range cur.children {
 			ix.touchFilter(ch)
-			if ch.sub.Covers(s) {
-				if s.Covers(ch.sub) {
-					// Equivalent filter: join the bucket.
-					ix.addDup(ch, s)
+			if ch.f.covers(f) {
+				if f.covers(ch.f) {
+					// Equivalent filter: join the bucket, which stores
+					// no filter of its own.
+					ix.attrs.release(f)
+					ix.addDup(ch, s.ID)
 					return
 				}
 				next = ch
@@ -273,13 +290,13 @@ func (ix *Index) Insert(s Subscription) {
 		}
 		cur = next
 	}
-	n := ix.newNode(s, cur)
+	n := ix.newNode(s, f, cur)
 
 	// Re-parent children of cur that the new subscription covers.
 	var keep, moved []*node
 	for _, ch := range cur.children {
 		ix.touchFilter(ch)
-		if s.Covers(ch.sub) {
+		if f.covers(ch.f) {
 			ch.parent = n
 			ix.touchHeader(ch)
 			moved = append(moved, ch)
@@ -304,19 +321,19 @@ func (ix *Index) Insert(s Subscription) {
 func (ix *Index) Match(e Event) []uint64 {
 	defer ix.begin()()
 	out := make([]uint64, 0, ix.lastMatchLen+16)
-	ix.matchFrom(&ix.root, viewOf(e), &out)
+	ix.matchFrom(&ix.root, ix.attrs.view(e), &out)
 	ix.lastMatchLen = len(out)
 	return out
 }
 
-func (ix *Index) matchFrom(cur *node, ev eventView, out *[]uint64) {
+func (ix *Index) matchFrom(cur *node, ev []attrVal, out *[]uint64) {
 	for _, ch := range cur.children {
 		ix.touchFilter(ch)
-		if !ch.sub.matchesView(ev) {
+		if !ch.f.matches(ev) {
 			// Children are covered by ch: nothing below can match.
 			continue
 		}
-		*out = append(*out, ch.sub.ID)
+		*out = append(*out, ch.id)
 		ix.deliverBucket(ch, out)
 		ix.matchFrom(ch, ev, out)
 	}
@@ -333,25 +350,26 @@ func (ix *Index) deliverBucket(n *node, out *[]uint64) {
 	}
 }
 
-// addDup stores an equivalent filter in a node's bucket, allocating and
-// writing its routing record.
-func (ix *Index) addDup(n *node, s Subscription) {
+// addDup stores subscription id, equivalent to n's filter, in n's bucket,
+// allocating and writing its routing record.
+func (ix *Index) addDup(n *node, id uint64) {
 	size := ix.dupBytes()
-	d := dupEntry{id: s.ID, addr: ix.allocRecord(size)}
+	d := dupEntry{id: id, addr: ix.allocRecord(size)}
 	if ix.sp != nil {
 		ix.sp.Access(d.addr, size, true)
 	}
 	n.bucket = append(n.bucket, d)
 	ix.count++
-	ix.setSlot(s.ID, n)
+	ix.setSlot(id, n)
 }
 
 // MatchSnapshot is the concurrent read path of Match: it matches e against
 // the index, charging the traversal to a read-only snapshot accounting span
 // that probes — but never mutates — the memory model's cache and residency
-// state. It touches no Index fields other than the (frozen) forest, so any
-// number of MatchSnapshot calls may run concurrently as long as mutators
-// (Insert/Remove/Match) are excluded, e.g. by the read side of an RWMutex.
+// state. It touches no Index fields other than the (frozen) forest and
+// intern table, and only reads those, so any number of MatchSnapshot calls
+// may run concurrently as long as mutators (Insert/Remove/Match) are
+// excluded, e.g. by the read side of an RWMutex.
 // Because nothing mutates, every interleaving charges identical totals —
 // the determinism guarantee the sharded broker builds on.
 //
@@ -365,7 +383,7 @@ func (ix *Index) MatchSnapshot(e Event) (ids []uint64, checks uint64) {
 		defer sp.End()
 	}
 	out := make([]uint64, 0, 16)
-	ev := viewOf(e)
+	ev := ix.attrs.view(e)
 	var walk func(cur *node)
 	walk = func(cur *node) {
 		for _, ch := range cur.children {
@@ -373,10 +391,10 @@ func (ix *Index) MatchSnapshot(e Event) (ids []uint64, checks uint64) {
 			if sp != nil {
 				sp.AccessCPU(ch.addr, ch.hdrBytes, false, ix.cfg.CheckCost)
 			}
-			if !ch.sub.matchesView(ev) {
+			if !ch.f.matches(ev) {
 				continue
 			}
-			out = append(out, ch.sub.ID)
+			out = append(out, ch.id)
 			for _, d := range ch.bucket {
 				if sp != nil {
 					sp.Access(d.addr, 16, false)
@@ -395,14 +413,14 @@ func (ix *Index) MatchSnapshot(e Event) (ids []uint64, checks uint64) {
 // containment ablation.
 func (ix *Index) MatchNaive(e Event) []uint64 {
 	defer ix.begin()()
-	ev := viewOf(e)
+	ev := ix.attrs.view(e)
 	var out []uint64
 	var walk func(*node)
 	walk = func(cur *node) {
 		for _, ch := range cur.children {
 			ix.touchFilter(ch)
-			if ch.sub.matchesView(ev) {
-				out = append(out, ch.sub.ID)
+			if ch.f.matches(ev) {
+				out = append(out, ch.id)
 				ix.deliverBucket(ch, &out)
 			}
 			walk(ch)
@@ -429,7 +447,7 @@ func (ix *Index) Remove(id uint64) bool {
 	}
 	ix.touchFilter(n)
 	switch {
-	case n.sub.ID != id:
+	case n.id != id:
 		j := slices.IndexFunc(n.bucket, func(d dupEntry) bool { return d.id == id })
 		if j < 0 {
 			return false
@@ -442,7 +460,7 @@ func (ix *Index) Remove(id uint64) bool {
 		// node — and gives that record up; the forest is unchanged.
 		d := n.bucket[0]
 		n.bucket = n.bucket[1:]
-		n.sub.ID = d.id
+		n.id = d.id
 		ix.touchHeader(n)
 		ix.setSlot(d.id, n)
 		ix.releaseRecord(d.addr, ix.dupBytes())
@@ -460,6 +478,7 @@ func (ix *Index) Remove(id uint64) bool {
 			ix.touchHeader(ch)
 		}
 		ix.releaseRecord(n.addr, n.hdrBytes+n.payBytes)
+		ix.attrs.release(n.f)
 	}
 	ix.setSlot(id, nil)
 	ix.count--

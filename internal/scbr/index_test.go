@@ -326,15 +326,16 @@ func (ix *Index) removeScan(id uint64) bool {
 	var from func(cur *node) bool
 	from = func(cur *node) bool {
 		for i, ch := range cur.children {
-			if ch.sub.ID == id {
+			if ch.id == id {
 				if len(ch.bucket) > 0 {
-					ch.sub.ID = ch.bucket[0].id
+					ch.id = ch.bucket[0].id
 					ch.bucket = ch.bucket[1:]
 					ix.bytes -= int64(ix.dupBytes())
 				} else {
 					cur.children = append(cur.children[:i], cur.children[i+1:]...)
 					cur.children = append(cur.children, ch.children...)
 					ix.bytes -= int64(ch.hdrBytes + ch.payBytes)
+					ix.attrs.release(ch.f)
 				}
 				return true
 			}
@@ -366,7 +367,7 @@ func (ix *Index) preorder() []uint64 {
 	var walk func(cur *node)
 	walk = func(cur *node) {
 		for _, ch := range cur.children {
-			out = append(out, ch.sub.ID)
+			out = append(out, ch.id)
 			for _, d := range ch.bucket {
 				out = append(out, d.id)
 			}
@@ -381,8 +382,9 @@ func (ix *Index) preorder() []uint64 {
 // every live ID resolves through the locator to the node that holds it
 // (owner or bucket), no slot survives its ID, page live counts are exact,
 // every parent link agrees with the child lists, Count and MemoryBytes are
-// the sums over what is stored, and no two live records or locator pages
-// share simulated memory.
+// the sums over what is stored, the attribute intern table holds exactly
+// the attributes of stored filters, and no two live records or locator
+// pages share simulated memory.
 func checkLocator(t *testing.T, ix *Index) {
 	t.Helper()
 	type extent struct{ addr, size uint64 }
@@ -393,9 +395,9 @@ func checkLocator(t *testing.T, ix *Index) {
 	walk = func(cur *node) {
 		for _, ch := range cur.children {
 			if ch.parent != cur {
-				t.Fatalf("node %d: parent link does not point at the node listing it as child", ch.sub.ID)
+				t.Fatalf("node %d: parent link does not point at the node listing it as child", ch.id)
 			}
-			holder[ch.sub.ID] = ch
+			holder[ch.id] = ch
 			bytes += int64(ch.hdrBytes + ch.payBytes)
 			extents = append(extents, extent{ch.addr, uint64(ch.hdrBytes + ch.payBytes)})
 			for _, d := range ch.bucket {
@@ -430,6 +432,7 @@ func checkLocator(t *testing.T, ix *Index) {
 		bytes += locPageBytes
 		extents = append(extents, extent{pg.addr, locPageBytes})
 	}
+	checkAttrs(t, ix)
 	if ix.Count() != len(holder) {
 		t.Fatalf("Count = %d, forest holds %d", ix.Count(), len(holder))
 	}
@@ -443,6 +446,36 @@ func checkLocator(t *testing.T, ix *Index) {
 	for i := 1; i < len(extents); i++ {
 		if prev := extents[i-1]; prev.addr+prev.size > extents[i].addr {
 			t.Fatalf("live records overlap: [%#x,+%d) and [%#x,+%d)", prev.addr, prev.size, extents[i].addr, extents[i].size)
+		}
+	}
+}
+
+// checkAttrs asserts that ix's intern table holds exactly the attributes
+// the forest's filters name (one filter per node; bucket members share
+// their node's), each with one reference per predicate naming it.
+func checkAttrs(t *testing.T, ix *Index) {
+	t.Helper()
+	refs := make(map[string]int)
+	var walk func(cur *node)
+	walk = func(cur *node) {
+		for _, ch := range cur.children {
+			for _, p := range ch.f {
+				refs[ix.attrs.names[p.attr]]++
+			}
+			walk(ch)
+		}
+	}
+	walk(&ix.root)
+	if len(ix.attrs.ids) != len(refs) {
+		t.Fatalf("intern table holds %d names, stored filters name %d", len(ix.attrs.ids), len(refs))
+	}
+	for name, n := range refs {
+		id, ok := ix.attrs.ids[name]
+		if !ok {
+			t.Fatalf("attribute %q of a stored filter is not interned", name)
+		}
+		if ix.attrs.names[id] != name || ix.attrs.refs[id] != n {
+			t.Fatalf("attribute %q: ID %d names %q with %d references, want %d", name, id, ix.attrs.names[id], ix.attrs.refs[id], n)
 		}
 	}
 }
@@ -537,7 +570,7 @@ func TestRemoveAgainstScanModel(t *testing.T) {
 					ix.Insert(op.sub)
 					model.Insert(op.sub)
 				case 'r':
-					if n := ix.locate(op.id); n != nil && n.sub.ID == op.id && len(n.bucket) == 0 {
+					if n := ix.locate(op.id); n != nil && n.id == op.id && len(n.bucket) == 0 {
 						lifted += len(n.children)
 					}
 					got, want := ix.Remove(op.id), model.removeScan(op.id)

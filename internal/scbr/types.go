@@ -71,30 +71,34 @@ var (
 func NewSubscription(id uint64, preds map[string]Interval) (Subscription, error) {
 	s := Subscription{ID: id}
 	for attr, iv := range preds {
-		if !iv.Valid() {
-			return Subscription{}, fmt.Errorf("scbr: empty interval on %q", attr)
-		}
 		s.Preds = append(s.Preds, Predicate{Attr: attr, Interval: iv})
 	}
-	if len(s.Preds) == 0 {
-		return Subscription{}, ErrEmptyFilter
+	if err := s.validate(); err != nil {
+		return Subscription{}, err
 	}
 	s.Normalize()
 	return s, nil
 }
 
+// validate checks the rules every stored filter obeys: at least one
+// predicate — a filter without one covers every other and would sit above
+// the whole forest — and every interval non-empty (Lo ≤ Hi, which no NaN
+// bound satisfies).
+func (s Subscription) validate() error {
+	if len(s.Preds) == 0 {
+		return ErrEmptyFilter
+	}
+	for _, p := range s.Preds {
+		if !p.Interval.Valid() {
+			return fmt.Errorf("scbr: empty interval on %q", p.Attr)
+		}
+	}
+	return nil
+}
+
 // Normalize sorts predicates by attribute, establishing canonical form.
 func (s *Subscription) Normalize() {
 	sort.Slice(s.Preds, func(i, j int) bool { return s.Preds[i].Attr < s.Preds[j].Attr })
-}
-
-// get returns the interval constraining attr, if any.
-func (s Subscription) get(attr string) (Interval, bool) {
-	i := sort.Search(len(s.Preds), func(i int) bool { return s.Preds[i].Attr >= attr })
-	if i < len(s.Preds) && s.Preds[i].Attr == attr {
-		return s.Preds[i].Interval, true
-	}
-	return Interval{}, false
 }
 
 // Event is a publication: attribute/value pairs plus an opaque payload.
@@ -108,70 +112,6 @@ func (s Subscription) Matches(e Event) bool {
 	for _, p := range s.Preds {
 		v, ok := e.Attrs[p.Attr]
 		if !ok || !p.Interval.Contains(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// attrVal is one attribute of an eventView.
-type attrVal struct {
-	attr string
-	val  float64
-}
-
-// eventView is an event's attributes in sorted order: the matcher-internal
-// representation that lets a filter check run as a linear merge against the
-// (equally sorted) predicate list instead of one map lookup per predicate.
-type eventView []attrVal
-
-// viewOf flattens an event's attribute map into sorted form. Built once
-// per matched event, amortized over every node the traversal visits.
-func viewOf(e Event) eventView {
-	ev := make(eventView, 0, len(e.Attrs))
-	for a, v := range e.Attrs {
-		ev = append(ev, attrVal{attr: a, val: v})
-	}
-	sort.Slice(ev, func(i, j int) bool { return ev[i].attr < ev[j].attr })
-	return ev
-}
-
-// matchesView is Matches against the sorted view; results are identical.
-func (s Subscription) matchesView(ev eventView) bool {
-	j := 0
-	for i := range s.Preds {
-		p := &s.Preds[i]
-		for j < len(ev) && ev[j].attr < p.Attr {
-			j++
-		}
-		if j >= len(ev) || ev[j].attr != p.Attr || !p.Interval.Contains(ev[j].val) {
-			return false
-		}
-	}
-	return true
-}
-
-// Covers reports whether s is at least as general as other: every event
-// matching other also matches s. For conjunctive interval filters this
-// holds iff for every predicate of s, other constrains the same attribute
-// with an interval contained in s's. Both predicate lists are in canonical
-// sorted order, so the check is a single linear merge.
-func (s Subscription) Covers(other Subscription) bool {
-	j := 0
-	for i := range s.Preds {
-		p := &s.Preds[i]
-		for j < len(other.Preds) && other.Preds[j].Attr < p.Attr {
-			j++
-		}
-		if j < len(other.Preds) && other.Preds[j].Attr == p.Attr {
-			if !p.Interval.Covers(other.Preds[j].Interval) {
-				return false
-			}
-			continue
-		}
-		// other is unconstrained on this attribute: it admits values
-		// outside p unless p admits everything.
-		if !p.Interval.Covers(FullRange()) {
 			return false
 		}
 	}

@@ -167,10 +167,11 @@ func (w *Workload) NextEvent() Event {
 	return Event{Attrs: attrs, Payload: []byte("payload")}
 }
 
-// scopeAttrs interns the per-level attribute names: every predicate and
-// event shares one string object per level instead of allocating a copy,
-// which shrinks the live heap the GC marks and lets equality compares take
-// the pointer-identity fast path.
+// scopeAttrs holds the per-level attribute names, so the generator's
+// predicates and events share one string per level instead of allocating
+// a copy each. A broker sees none of these strings — it decodes fresh
+// copies from the envelope — so the index compares interned attribute IDs
+// (filter.go), not names.
 var scopeAttrs = [...]string{
 	"scope0", "scope1", "scope2", "scope3", "scope4",
 	"scope5", "scope6", "scope7", "scope8", "scope9",

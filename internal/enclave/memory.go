@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -155,10 +156,12 @@ type Span struct {
 	// residency state without mutating it (see BeginSnapshotSpan). roLines
 	// and roPages are the span-local overlay — lines and pages this span
 	// already touched, which behave as cached/resident for the rest of the
-	// span, exactly as they would after a mutating first touch.
+	// span, exactly as they would after a mutating first touch. Both are
+	// generation-stamped sets, so End empties them in O(1) and a pooled
+	// span keeps their grown tables.
 	ro      bool
-	roLines map[uint64]struct{}
-	roPages map[uint64]struct{}
+	roLines u64set
+	roPages u64set
 }
 
 // BeginSpan opens a span. Every span must be closed with End.
@@ -168,15 +171,16 @@ func (m *Memory) BeginSpan() *Span {
 	return sp
 }
 
-// roSpanPool recycles snapshot spans (and their overlay maps), since the
-// concurrent match path opens one per operation.
-var roSpanPool = sync.Pool{New: func() any {
-	return &Span{
-		ro:      true,
-		roLines: make(map[uint64]struct{}, 512),
-		roPages: make(map[uint64]struct{}, 64),
-	}
-}}
+// newSnapshotSpan returns an unbound snapshot span with empty overlays
+// sized for one index traversal; they grow on demand.
+func newSnapshotSpan() *Span {
+	return &Span{ro: true, roLines: newU64Set(1024), roPages: newU64Set(128)}
+}
+
+// roSpanPool recycles snapshot spans, overlay tables included, since the
+// concurrent match path opens one per operation. End resets a span's
+// overlays by bumping their generations, never by clearing the tables.
+var roSpanPool = sync.Pool{New: func() any { return newSnapshotSpan() }}
 
 // BeginSnapshotSpan opens a read-only accounting span: every Access is
 // charged against the platform's current cache and residency state as a
@@ -254,12 +258,7 @@ func (sp *Span) probe(addr uint64, size int) {
 		sp.probePage(page)
 		end := min((page+1)<<p.lppShift-1, last) // last tag on this page
 		for ; l <= end; l++ {
-			hit := true
-			if _, ok := sp.roLines[l]; !ok {
-				sp.roLines[l] = struct{}{}
-				hit = p.cache.probeTag(l, page)
-			}
-			if hit {
+			if !sp.roLines.add(l) || p.cache.probeTag(l, page) {
 				sp.st.hits++
 			} else if inside {
 				sp.st.mee++
@@ -274,10 +273,9 @@ func (sp *Span) probe(addr uint64, size int) {
 // non-resident page in this span charges a fault; afterwards the page is
 // locally resident.
 func (sp *Span) probePage(page uint64) {
-	if _, ok := sp.roPages[page]; ok {
+	if !sp.roPages.add(page) {
 		return
 	}
-	sp.roPages[page] = struct{}{}
 	m := sp.m
 	if m.enc != nil {
 		if !m.p.pager.isResident(page) {
@@ -295,20 +293,91 @@ func (sp *Span) probePage(page uint64) {
 // and are recycled.
 func (sp *Span) End() {
 	if sp.ro {
-		m := sp.m
-		m.p.mu.Lock()
-		m.commitLocked(&sp.st)
-		m.p.mu.Unlock()
-		sp.m = nil
-		sp.st = acct{}
-		clear(sp.roLines)
-		clear(sp.roPages)
+		sp.endSnapshot()
 		roSpanPool.Put(sp)
 		return
 	}
 	sp.m.commitLocked(&sp.st)
 	sp.m.p.mu.Unlock()
 	sp.m = nil
+}
+
+// endSnapshot commits a snapshot span under the platform mutex and leaves
+// it unbound with empty overlays, ready to be bound to any view again.
+func (sp *Span) endSnapshot() {
+	m := sp.m
+	m.p.mu.Lock()
+	m.commitLocked(&sp.st)
+	m.p.mu.Unlock()
+	sp.m = nil
+	sp.st = acct{}
+	sp.roLines.reset()
+	sp.roPages.reset()
+}
+
+// u64set is the snapshot overlay's set of line or page numbers: an
+// open-addressed table probed linearly from a multiplicative hash. A slot
+// holds a key only while its stamp equals the set's generation, so reset
+// empties the set by bumping gen, without touching the table; when gen
+// wraps to 0, reset clears the table once, so a slot stamped 2^32 resets
+// earlier cannot come back to life. The table doubles at half full and
+// keeps its size across resets.
+type u64set struct {
+	slots []u64slot
+	shift uint // 64 - log2(len(slots))
+	n     int  // keys in the current generation
+	gen   uint32
+}
+
+type u64slot struct {
+	key uint64
+	gen uint32
+}
+
+// newU64Set returns an empty set of size slots (a power of two).
+func newU64Set(size int) u64set {
+	return u64set{slots: make([]u64slot, size), shift: uint(64 - bits.TrailingZeros(uint(size))), gen: 1}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *u64set) add(k uint64) bool {
+	mask := len(s.slots) - 1
+	for i := int((k * 0x9E3779B97F4A7C15) >> s.shift); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			if 2*(s.n+1) > len(s.slots) {
+				s.grow()
+				return s.add(k)
+			}
+			*sl = u64slot{key: k, gen: s.gen}
+			s.n++
+			return true
+		}
+		if sl.key == k {
+			return false
+		}
+	}
+}
+
+// grow doubles the table and re-inserts the current generation's keys.
+func (s *u64set) grow() {
+	old := s.slots
+	*s = u64set{slots: make([]u64slot, 2*len(old)), shift: s.shift - 1, gen: s.gen}
+	for _, sl := range old {
+		if sl.gen == s.gen {
+			s.add(sl.key)
+		}
+	}
+}
+
+// reset empties the set in O(1).
+func (s *u64set) reset() {
+	s.n = 0
+	s.gen++
+	if s.gen == 0 {
+		clear(s.slots)
+		s.gen = 1
+	}
 }
 
 // AccessN simulates one access of size bytes at each address in addrs — a

@@ -74,3 +74,23 @@ func BenchmarkMemoryAccessUntrusted(b *testing.B) {
 	base := p.AllocUntrusted(16 << 20)
 	benchAccess(b, p.UntrustedMemory(), base, 16<<20)
 }
+
+// BenchmarkMemoryAccessSnapshot: one snapshot span per op of 600
+// header-sized probes, each with a containment check's CPU charge, over a
+// resident 4 MiB region — the shape of one SCBR MatchSnapshot.
+func BenchmarkMemoryAccessSnapshot(b *testing.B) {
+	mem, base := benchEnclave(b, 128<<20, 16<<20)
+	const span, probes = 4 << 20, 600
+	addrs := benchAddrs(base, span, 4096)
+	mem.AccessStride(base, 4096, span/4096, 64, false)
+	mem.ResetAccounting()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp := mem.BeginSnapshotSpan()
+		for j := 0; j < probes; j++ {
+			sp.AccessCPU(addrs[(i*probes+j)&4095], 64, false, 450)
+		}
+		sp.End()
+	}
+	b.ReportMetric(float64(mem.Faults())/float64(b.N), "faults/op")
+}

@@ -36,21 +36,88 @@ var ErrReplayedToken = errors.New("scbr: poll token replayed")
 // ShardedIndex — one containment forest per shard, each on its own
 // simulated platform — so Publish matches all shards in parallel through
 // read-only snapshot spans while Subscribe/Unsubscribe lock only the home
-// shard of the affected ID. Broker-level control state (sessions, ownership)
-// sits behind a reader/writer lock that Publish only ever read-locks, and
-// delivery queues behind their own mutex, appended once per publish after
-// all per-subscriber sealing has happened outside any lock.
+// shard of the affected ID. Broker-level control state — sessions, the
+// owner table and the client ordinals it stores — sits behind a
+// reader/writer lock that Publish only ever read-locks, and delivery
+// queues behind their own mutex, appended once per publish after all
+// per-subscriber sealing has happened outside any lock.
 type Broker struct {
 	enc *enclave.Enclave
 	six *ShardedIndex
 
-	mu       sync.RWMutex // sessions, owners, nextSub
+	mu       sync.RWMutex // sessions, owners, clients, ords, nextSub
 	sessions map[string]*session
-	owners   map[uint64]string
+	owners   map[uint64]*ownerPage // by page number, id / ownerPageIDs
+	clients  []string              // client ID by ordinal; [0] is unused
+	ords     map[string]uint32     // ordinal by client ID
 	nextSub  uint64
 
 	qmu    sync.Mutex
 	queues map[string][]Delivery
+}
+
+// The owner table maps a subscription ID to the ordinal of the client that
+// registered it, so Publish resolves a match to its recipient with one
+// array load rather than a hash of the ID. Broker IDs are dense and
+// sequential, so the table is paged like the index's locator: a page of
+// ownerPageIDs ordinals is allocated when its first ID registers and
+// dropped when its last one leaves, which bounds it by the live IDs.
+// Ordinals start at 1, so 0 marks a free slot. A client ID keeps its
+// ordinal for the broker's lifetime, as it keeps its session entry, so
+// the ordinals are bounded by the clients that ever subscribed.
+const ownerPageIDs = 512
+
+// ownerPage holds the owner ordinals of IDs [k*ownerPageIDs,
+// (k+1)*ownerPageIDs).
+type ownerPage struct {
+	live int // non-zero slots
+	ords [ownerPageIDs]uint32
+}
+
+// owner returns the ordinal of subID's owner, 0 if subID is not live.
+// Caller holds b.mu.
+func (b *Broker) owner(subID uint64) uint32 {
+	if pg := b.owners[subID/ownerPageIDs]; pg != nil {
+		return pg.ords[subID%ownerPageIDs]
+	}
+	return 0
+}
+
+// setOwner records ord as subID's owner (0 frees the slot), allocating the
+// page for the first ID in its range and dropping it after the last.
+// Caller holds b.mu for writing.
+func (b *Broker) setOwner(subID uint64, ord uint32) {
+	k, slot := subID/ownerPageIDs, subID%ownerPageIDs
+	pg := b.owners[k]
+	if pg == nil {
+		if ord == 0 {
+			return
+		}
+		pg = &ownerPage{}
+		b.owners[k] = pg
+	}
+	switch was := pg.ords[slot]; {
+	case was == 0 && ord != 0:
+		pg.live++
+	case was != 0 && ord == 0:
+		pg.live--
+	}
+	pg.ords[slot] = ord
+	if pg.live == 0 {
+		delete(b.owners, k)
+	}
+}
+
+// ordinal returns clientID's ordinal, assigning the next one on its first
+// subscription. Caller holds b.mu for writing.
+func (b *Broker) ordinal(clientID string) uint32 {
+	if o, ok := b.ords[clientID]; ok {
+		return o
+	}
+	o := uint32(len(b.clients))
+	b.clients = append(b.clients, clientID)
+	b.ords[clientID] = o
+	return o
 }
 
 // session is one client's established state: its AEAD context, the
@@ -112,7 +179,9 @@ func NewBroker(enc *enclave.Enclave, cfg BrokerConfig) (*Broker, error) {
 		enc:      enc,
 		six:      six,
 		sessions: make(map[string]*session),
-		owners:   make(map[uint64]string),
+		owners:   make(map[uint64]*ownerPage),
+		clients:  []string{""},
+		ords:     make(map[string]uint32),
 		queues:   make(map[string][]Delivery),
 	}, nil
 }
@@ -234,7 +303,7 @@ func (b *Broker) Subscribe(env Envelope) (uint64, error) {
 	b.mu.Lock()
 	b.nextSub++
 	s.ID = b.nextSub
-	b.owners[s.ID] = env.ClientID
+	b.setOwner(s.ID, b.ordinal(env.ClientID))
 	b.mu.Unlock()
 	s.Normalize()
 	b.six.Insert(s)
@@ -248,12 +317,13 @@ func (b *Broker) Unsubscribe(clientID string, subID uint64) error {
 		return err
 	}
 	b.mu.RLock()
-	owner, ok := b.owners[subID]
+	owner := b.owner(subID)
+	mine := owner != 0 && b.clients[owner] == clientID
 	b.mu.RUnlock()
-	if !ok {
+	if owner == 0 {
 		return fmt.Errorf("scbr: unknown subscription %d", subID)
 	}
-	if owner != clientID {
+	if !mine {
 		return fmt.Errorf("scbr: subscription %d not owned by %s", subID, clientID)
 	}
 	if err := b.enc.EEnter(); err != nil {
@@ -262,7 +332,7 @@ func (b *Broker) Unsubscribe(clientID string, subID uint64) error {
 	defer func() { _ = b.enc.EExit() }()
 	if b.six.Remove(subID) {
 		b.mu.Lock()
-		delete(b.owners, subID)
+		b.setOwner(subID, 0)
 		b.mu.Unlock()
 	}
 	return nil
@@ -298,18 +368,28 @@ func (b *Broker) Publish(env Envelope) (delivered int, err error) {
 	}
 
 	// Resolve matched IDs to unique subscriber sessions under the read
-	// lock. matched is in ascending ID order, so the recipient list — and
-	// with it delivery order — is deterministic.
+	// lock: one owner-page lookup per page the IDs cross, one ordinal load
+	// per ID, a dedupe bitmap over the ordinals and one session lookup per
+	// distinct recipient. matched is in ascending ID order, so the
+	// recipient list — and with it delivery order — is deterministic.
 	b.mu.RLock()
-	seen := make(map[string]bool, len(matched))
-	recipients := make([]*session, 0, len(matched))
+	seen := make([]uint64, (len(b.clients)+63)/64)
+	recipients := make([]*session, 0, min(len(matched), len(b.clients)))
+	var pg *ownerPage
+	pk := ^uint64(0)
 	for _, subID := range matched {
-		client := b.owners[subID]
-		if client == "" || seen[client] {
+		if k := subID / ownerPageIDs; k != pk {
+			pg, pk = b.owners[k], k
+		}
+		if pg == nil {
 			continue
 		}
-		seen[client] = true
-		if cs := b.sessions[client]; cs != nil {
+		o := pg.ords[subID%ownerPageIDs]
+		if o == 0 || seen[o/64]&(1<<(o%64)) != 0 {
+			continue
+		}
+		seen[o/64] |= 1 << (o % 64)
+		if cs := b.sessions[b.clients[o]]; cs != nil {
 			recipients = append(recipients, cs)
 		}
 	}

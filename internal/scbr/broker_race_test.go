@@ -8,11 +8,13 @@ import (
 	"securecloud/internal/attest"
 )
 
-// TestBrokerConcurrentStress drives Publish, Subscribe, Unsubscribe and
-// Drain from many goroutines at once. Run under -race it checks the whole
-// locking architecture: the control-state RWMutex, the per-shard
-// reader/writer locks, lock-free snapshot probes (and their reads of the
-// shard's attribute intern table), and the queues mutex.
+// TestBrokerConcurrentStress drives Publish, Subscribe, Unsubscribe,
+// Rehandshake and Drain from many goroutines at once. Run under -race it
+// checks the whole locking architecture: the control-state RWMutex, the
+// per-shard reader/writer locks, lock-free snapshot probes (and their reads
+// of the shard's attribute intern table), and the queues mutex. Publishes
+// resolve matches on an owner page while its last ID is unsubscribed and
+// the page freed, and seal to a recipient whose session is being replaced.
 func TestBrokerConcurrentStress(t *testing.T) {
 	_, enc := brokerEnclave(t)
 	bk, err := NewBroker(enc, BrokerConfig{
@@ -34,6 +36,18 @@ func TestBrokerConcurrentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients[i] = c
+	}
+	// The last client owns every ID of the first owner page (IDs 1 to
+	// ownerPageIDs-1), with filters every publish below matches.
+	rotator := clients[nClients-1]
+	var paged []uint64
+	for id := uint64(0); id < ownerPageIDs-1; {
+		s, _ := NewSubscription(0, map[string]Interval{"a": iv(0, 200)})
+		var err error
+		if id, err = rotator.Subscribe(bk, s); err != nil {
+			t.Fatal(err)
+		}
+		paged = append(paged, id)
 	}
 	// A base population so publishes always have something to match.
 	for i, c := range clients {
@@ -98,6 +112,26 @@ func TestBrokerConcurrentStress(t *testing.T) {
 			}
 		}(g)
 	}
+	// Free the first owner page one ID at a time under the publishes.
+	wg.Add(1)
+	go func(clientID string) {
+		defer wg.Done()
+		for _, id := range paged {
+			fail(bk.Unsubscribe(clientID, id))
+		}
+	}(rotator.ID)
+	// Rotate a recipient's session under the publishes.
+	wg.Add(1)
+	go func(c *Client) {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			var err error
+			if c, err = rotateSession(bk, c); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}(rotator)
 	// Drainer.
 	wg.Add(1)
 	go func() {
@@ -113,6 +147,12 @@ func TestBrokerConcurrentStress(t *testing.T) {
 	}
 	if delivered.Load() == 0 {
 		t.Fatal("no deliveries under stress; matching broke")
+	}
+	bk.mu.RLock()
+	first := bk.owners[0]
+	bk.mu.RUnlock()
+	if first != nil {
+		t.Fatalf("first owner page still held with %d live IDs after all were unsubscribed", first.live)
 	}
 	// The store must still be coherent: every remaining filter matchable.
 	e := Event{Attrs: map[string]float64{"a": 10}}

@@ -261,7 +261,15 @@
 // all of it closed-loop: a spec is pure data — tenants with load
 // profiles (uniform, genpack batch-arrival, smartgrid streaming), a
 // fault table, an admission config and an assertion table over the
-// result's flat metric map — so a new scenario is ~20 lines.
+// result's flat metric map — so a new scenario is ~20 lines. RunSpec is
+// three steps of one unexported lab: newLab validates the spec up front
+// (an unknown fault kind, a fault tick outside the run, a fault whose
+// Durability or Cluster plane is missing, and Cluster together with
+// Durability are rejected by name before anything boots) and boots the
+// plane; step runs one tick; result folds the end-of-run totals into the
+// metric table, which is the run's only record of its figures. Tests
+// step a lab tick by tick to check request conservation after every
+// tick, and a golden file pins every gated spec's full trace hash.
 // microsvc.LabScenarios pins eight: overload, noisy-neighbor, cascade,
 // slow-network, recovery, crash-state, key-revocation and
 // delta-durability; the four orchestrator scenarios are plain specs
@@ -294,7 +302,8 @@
 //     is a semantic change to the simulator or its data structures, so
 //     the gate fails the build rather than averaging.
 //
-//   - The golden-drift gate: the golden recorders rerun with
+//   - The golden-drift gate: the golden recorders (the enclave and SCBR
+//     cost figures, the scenario trace hashes) rerun with
 //     GOLDEN_UPDATE=1 in a scratch copy of the tree, and git diff must
 //     stay silent on testdata — the committed goldens are exactly what the
 //     current code regenerates.

@@ -2,59 +2,24 @@ package microsvc
 
 import (
 	"securecloud/internal/orchestrator"
-	"securecloud/internal/sim"
 )
 
-// ScenarioResult is the deterministic outcome of one scenario run. Every
-// field except Workers is invariant to the Workers setting; the benchmark
-// harness asserts exactly that before gating the values.
+// ScenarioResult is the deterministic outcome of one scenario run, the
+// same at every Workers setting; the benchmark harness asserts exactly that
+// before gating the values.
 type ScenarioResult struct {
-	Name    string
-	Workers int
-	Ticks   int
+	Name string
 	// Trace is the per-tick adaptation record: replica count, backlog and
 	// orchestrator actions, plus injection markers. TraceHash is the
 	// SHA-256 of the joined trace — the single value CI gates.
 	Trace     []string
 	TraceHash string
 
-	Sent    int
-	Served  uint64
-	Failed  uint64
-	Replies int
-	Backlog int
-
-	Launched           int
-	FinalReplicas      int
-	RequestsPerReplica float64
-
-	SerialCycles   sim.Cycles
-	CriticalCycles sim.Cycles
-	SimSpeedup     float64
-	Faults         uint64
-	FrontCycles    sim.Cycles
-
-	InjectTick        int
-	FirstReactionTick int
-	// AdaptLatencySimMS is the simulated time from the injection tick to
-	// the end of the tick whose Observe reacted: one tick of latency means
-	// the same monitoring period that saw the fault also repaired it.
-	AdaptLatencySimMS float64
-
-	// Admission figures (zero without an AdmissionConfig): shed and
-	// hot-key-split totals, admission queue-wait percentiles in sim-ms,
-	// and the client's retry counters.
-	Shed             uint64
-	Splits           uint64
-	P50WaitSimMS     float64
-	P95WaitSimMS     float64
-	MaxWaitSimMS     float64
-	RetriesSent      uint64
-	RetriesAbandoned uint64
-
 	// Metrics is the flat deterministic metric table the spec's assertion
-	// table binds against and the bench harness gates (includes per-tenant
-	// sent/shed/dispatched/served_share entries).
+	// table binds against and the bench harness gates: plane totals,
+	// adaptation latency, admission and retry figures, per-tenant
+	// sent/shed/dispatched/served_share entries, and the cluster and
+	// durability figures of specs that use them.
 	Metrics map[string]float64
 	// AssertionsPassed / AssertionFailures report the spec's assertion
 	// table verdict (vacuously true for a spec without assertions).

@@ -9,7 +9,6 @@ import (
 	"securecloud/internal/kvstore"
 	"securecloud/internal/registry"
 	"securecloud/internal/shield"
-	"securecloud/internal/sim"
 )
 
 // DurabilitySpec attaches a durable sealed store to a scenario: every
@@ -41,31 +40,30 @@ type DurabilitySpec struct {
 // KeyBroker — so durable state is rooted in attestation exactly like the
 // replicas' request keys.
 type durabilityHarness struct {
+	spec  DurabilitySpec
 	cfg   kvstore.DurableConfig
 	store *kvstore.DurableStore
 	twin  *kvstore.ShardedStore
-
-	snapshots     int
-	recoveries    int
-	mismatches    int
-	replayed      int
-	snapshotPairs int
-	chunksFetched int
-	cacheHits     int
-	bootCycles    sim.Cycles
-	replayCycles  sim.Cycles
-
-	shardsPacked    int
-	shardsReused    int
-	chunksPublished int
-	chunksDeduped   int
-	packCycles      sim.Cycles
-	chainLinks      int
-	gcSegments      int
-	gcBytes         int64
+	// m is the scenario's metric table; the harness counts into it under
+	// durabilityMetrics' names. Every counter is an integer far below
+	// 2^53, so the float sums are exact.
+	m map[string]float64
 }
 
-func newDurabilityHarness(spec ScenarioSpec, svc *attest.Service, kb *attest.KeyBroker) (*durabilityHarness, error) {
+// durabilityMetrics are the counters the harness adds to a scenario's
+// metric table, besides recovered_state_equal.
+var durabilityMetrics = []string{
+	"recoveries", "snapshots_published", "wal_records_replayed",
+	"snapshot_pairs_restored", "recovery_chunks_fetched", "recovery_cache_hits",
+	"snapshot_bootstrap_cycles", "log_replay_cycles", "snapshot_shards_packed",
+	"snapshot_shards_reused", "snapshot_chunks_published", "snapshot_chunks_deduped",
+	"snapshot_pack_cycles", "recovery_chain_links", "gc_segments_retired",
+	"gc_bytes_retired",
+}
+
+// newDurabilityHarness boots the durable store and its twin for spec and
+// zeroes the harness counters in the metric table m.
+func newDurabilityHarness(spec ScenarioSpec, svc *attest.Service, kb *attest.KeyBroker, m map[string]float64) (*durabilityHarness, error) {
 	d := spec.Durability
 	enc, _, err := enclave.NewSignedWorker(enclave.Config{}, 1<<20, scenarioService, ReplicaSigner(scenarioService))
 	if err != nil {
@@ -108,50 +106,47 @@ func newDurabilityHarness(spec ScenarioSpec, svc *attest.Service, kb *attest.Key
 	if err != nil {
 		return nil, err
 	}
-	return &durabilityHarness{cfg: cfg, store: store, twin: twin}, nil
+	for _, k := range durabilityMetrics {
+		m[k] = 0
+	}
+	m["recovered_state_equal"] = 1
+	return &durabilityHarness{spec: *d, cfg: cfg, store: store, twin: twin, m: m}, nil
 }
 
-// put applies one tick's pairs to both the durable store and the twin.
-func (h *durabilityHarness) put(pairs []kvstore.Pair) error {
-	if len(pairs) == 0 {
-		return nil
+// tick applies tick t's pairs to both the durable store and the twin, then
+// publishes an incremental snapshot and retires snapshot-covered WAL
+// segments when their cadence is due. It returns a trace line for each.
+func (h *durabilityHarness) tick(t int, pairs []kvstore.Pair) ([]string, error) {
+	if len(pairs) > 0 {
+		if err := h.store.PutBatch(pairs); err != nil {
+			return nil, err
+		}
+		if err := h.twin.PutBatch(pairs); err != nil {
+			return nil, err
+		}
 	}
-	if err := h.store.PutBatch(pairs); err != nil {
-		return err
+	var lines []string
+	if every := h.spec.SnapshotEvery; every > 0 && t%every == 0 {
+		st, err := h.store.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		h.m["snapshots_published"]++
+		h.m["snapshot_shards_packed"] += float64(st.ShardsPacked)
+		h.m["snapshot_shards_reused"] += float64(st.ShardsReused)
+		h.m["snapshot_chunks_published"] += float64(st.ChunksPublished)
+		h.m["snapshot_chunks_deduped"] += float64(st.ChunksDeduped)
+		h.m["snapshot_pack_cycles"] += float64(st.PackCycles)
+		lines = append(lines, fmt.Sprintf("snapshot seq=%d packed=%d reused=%d chunks=%d",
+			st.Seq, st.ShardsPacked, st.ShardsReused, st.ChunksPublished))
 	}
-	return h.twin.PutBatch(pairs)
-}
-
-// maybeSnapshot publishes an incremental snapshot on the spec's cadence,
-// returning a trace line.
-func (h *durabilityHarness) maybeSnapshot(t, every int) (string, error) {
-	if every <= 0 || t%every != 0 {
-		return "", nil
+	if every := h.spec.GCEvery; every > 0 && t%every == 0 {
+		g := h.store.GC()
+		h.m["gc_segments_retired"] += float64(g.SegmentsRetired)
+		h.m["gc_bytes_retired"] += float64(g.BytesRetired)
+		lines = append(lines, fmt.Sprintf("gc retired=%d bytes=%d", g.SegmentsRetired, g.BytesRetired))
 	}
-	st, err := h.store.Snapshot()
-	if err != nil {
-		return "", err
-	}
-	h.snapshots++
-	h.shardsPacked += st.ShardsPacked
-	h.shardsReused += st.ShardsReused
-	h.chunksPublished += st.ChunksPublished
-	h.chunksDeduped += st.ChunksDeduped
-	h.packCycles += st.PackCycles
-	return fmt.Sprintf("t%04d snapshot seq=%d packed=%d reused=%d chunks=%d",
-		t, st.Seq, st.ShardsPacked, st.ShardsReused, st.ChunksPublished), nil
-}
-
-// maybeGC retires snapshot-covered WAL segments on the spec's cadence,
-// returning a trace line when a pass ran.
-func (h *durabilityHarness) maybeGC(t, every int) (string, error) {
-	if every <= 0 || t%every != 0 {
-		return "", nil
-	}
-	g := h.store.GC()
-	h.gcSegments += g.SegmentsRetired
-	h.gcBytes += g.BytesRetired
-	return fmt.Sprintf("t%04d gc retired=%d bytes=%d", t, g.SegmentsRetired, g.BytesRetired), nil
+	return lines, nil
 }
 
 // crash kills the durable store with total state loss — only the WAL
@@ -159,21 +154,21 @@ func (h *durabilityHarness) maybeGC(t, every int) (string, error) {
 // (walking the snapshot delta chain, pulling only cache-missing chunks)
 // and checks it bit-identical to the never-crashed twin. Returns a trace
 // line.
-func (h *durabilityHarness) crash(t int) (string, error) {
+func (h *durabilityHarness) crash() (string, error) {
 	segs := h.store.WALSegments()
 	recovered, rstats, err := kvstore.RecoverDurableStore(h.cfg, segs)
 	if err != nil {
 		return "", err
 	}
 	h.store = recovered
-	h.recoveries++
-	h.replayed += rstats.RecordsReplayed
-	h.snapshotPairs += rstats.SnapshotPairs
-	h.chunksFetched += rstats.ChunksFetched
-	h.cacheHits += rstats.CacheHits
-	h.bootCycles += rstats.SnapshotBootstrapCycles
-	h.replayCycles += rstats.LogReplayCycles
-	h.chainLinks += rstats.ChainLinks
+	h.m["recoveries"]++
+	h.m["wal_records_replayed"] += float64(rstats.RecordsReplayed)
+	h.m["snapshot_pairs_restored"] += float64(rstats.SnapshotPairs)
+	h.m["recovery_chunks_fetched"] += float64(rstats.ChunksFetched)
+	h.m["recovery_cache_hits"] += float64(rstats.CacheHits)
+	h.m["snapshot_bootstrap_cycles"] += float64(rstats.SnapshotBootstrapCycles)
+	h.m["log_replay_cycles"] += float64(rstats.LogReplayCycles)
+	h.m["recovery_chain_links"] += float64(rstats.ChainLinks)
 	got, err := recovered.StateDigest()
 	if err != nil {
 		return "", err
@@ -184,33 +179,8 @@ func (h *durabilityHarness) crash(t int) (string, error) {
 	}
 	equal := got == want
 	if !equal {
-		h.mismatches++
+		h.m["recovered_state_equal"] = 0
 	}
-	return fmt.Sprintf("t%04d recover state pairs=%d replayed=%d fetched=%d cached=%d equal=%v",
-		t, rstats.SnapshotPairs, rstats.RecordsReplayed, rstats.ChunksFetched, rstats.CacheHits, equal), nil
-}
-
-// metrics folds the harness counters into the scenario metric table.
-func (h *durabilityHarness) metrics(m map[string]float64) {
-	equal := 1.0
-	if h.mismatches > 0 {
-		equal = 0
-	}
-	m["recovered_state_equal"] = equal
-	m["recoveries"] = float64(h.recoveries)
-	m["snapshots_published"] = float64(h.snapshots)
-	m["wal_records_replayed"] = float64(h.replayed)
-	m["snapshot_pairs_restored"] = float64(h.snapshotPairs)
-	m["recovery_chunks_fetched"] = float64(h.chunksFetched)
-	m["recovery_cache_hits"] = float64(h.cacheHits)
-	m["snapshot_bootstrap_cycles"] = float64(h.bootCycles)
-	m["log_replay_cycles"] = float64(h.replayCycles)
-	m["snapshot_shards_packed"] = float64(h.shardsPacked)
-	m["snapshot_shards_reused"] = float64(h.shardsReused)
-	m["snapshot_chunks_published"] = float64(h.chunksPublished)
-	m["snapshot_chunks_deduped"] = float64(h.chunksDeduped)
-	m["snapshot_pack_cycles"] = float64(h.packCycles)
-	m["recovery_chain_links"] = float64(h.chainLinks)
-	m["gc_segments_retired"] = float64(h.gcSegments)
-	m["gc_bytes_retired"] = float64(h.gcBytes)
+	return fmt.Sprintf("recover state pairs=%d replayed=%d fetched=%d cached=%d equal=%v",
+		rstats.SnapshotPairs, rstats.RecordsReplayed, rstats.ChunksFetched, rstats.CacheHits, equal), nil
 }

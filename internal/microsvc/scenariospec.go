@@ -21,12 +21,13 @@ import (
 	"securecloud/internal/smartgrid"
 )
 
-// This file is the declarative fault-scenario engine (ROADMAP item 3): a
-// ScenarioSpec is pure data — tenant load profiles, a fault table, the
-// admission and retry configuration, and an assertion table — and RunSpec
-// is the one generic closed loop that executes any spec. The four
-// orchestrator scenarios (DefaultScenarios) are plain specs run through
-// this engine, and a new scenario is a ~20-line literal in scenariolab.go.
+// This file is the declarative fault-scenario engine: a ScenarioSpec is
+// pure data — tenant load profiles, a fault table, the admission and retry
+// configuration, and an assertion table — and RunSpec executes any spec
+// through one lab: newLab validates the spec and boots its plane, step runs
+// one tick, and result folds the metric table. The four orchestrator
+// scenarios (DefaultScenarios) are plain specs run through this engine, and
+// a new scenario is a ~20-line literal in scenariolab.go.
 
 // TenantLoad is one tenant's deterministic load schedule. The zero tenant
 // name sends untagged requests (tenant ""); the admission controller, when
@@ -132,7 +133,8 @@ type ScenarioSpec struct {
 	Retry     *RetryPolicy
 
 	// Durability attaches a durable sealed store mirroring the request
-	// stream (see DurabilitySpec); required by "crash-state" faults.
+	// stream (see DurabilitySpec); required by "crash-state" faults and
+	// not supported together with Cluster.
 	Durability *DurabilitySpec
 
 	// Cluster places replicas on a simulated multi-node cluster (container
@@ -175,6 +177,67 @@ func (spec ScenarioSpec) WithoutAdmission() ScenarioSpec {
 	spec.Assert = nil
 	spec.Name += "-noadm"
 	return spec
+}
+
+// The ways validate rejects a spec; each error it returns wraps one.
+var (
+	errUnderspecified       = errors.New("underspecified")
+	errClusterAndDurability = errors.New("cluster mode has no durable store")
+	errUnknownFault         = errors.New("unknown fault kind")
+	errFaultOutsideRun      = errors.New("fault tick outside the run")
+	errFaultNeedsDurability = errors.New("fault kind needs Durability")
+	errFaultNeedsCluster    = errors.New("fault kind needs Cluster")
+)
+
+// validate rejects, before anything boots, a spec the lab would otherwise
+// misrun: a fault that can never fire (misspelt kind, tick outside
+// [1, Ticks]) would be skipped silently, and one whose plane is missing
+// would fail only when its tick arrives.
+func (spec ScenarioSpec) validate() error {
+	if spec.Ticks <= 0 || spec.Replicas <= 0 || len(spec.Tenants) == 0 {
+		return fmt.Errorf("microsvc: scenario %q %w", spec.Name, errUnderspecified)
+	}
+	if spec.Cluster != nil && spec.Durability != nil {
+		return fmt.Errorf("microsvc: scenario %q: %w", spec.Name, errClusterAndDurability)
+	}
+	for _, f := range spec.Faults {
+		var err error
+		switch f.Kind {
+		case "crash", "slow", "revoke", "reinstate":
+		case "crash-state":
+			if spec.Durability == nil {
+				err = errFaultNeedsDurability
+			}
+		case "node-crash", "partition", "heal", "byzantine":
+			if spec.Cluster == nil {
+				err = errFaultNeedsCluster
+			}
+		default:
+			err = errUnknownFault
+		}
+		if err == nil && (f.At < 1 || f.At > spec.Ticks) {
+			err = errFaultOutsideRun
+		}
+		if err != nil {
+			return fmt.Errorf("microsvc: scenario %q: %w: %q at t%d", spec.Name, err, f.Kind, f.At)
+		}
+	}
+	return nil
+}
+
+// phase names the fault-experiment phase tick t falls in, or "" when the
+// spec keeps no phase accounting (zero WarmupTicks).
+func (spec ScenarioSpec) phase(t int) string {
+	switch {
+	case spec.WarmupTicks <= 0:
+		return ""
+	case t <= spec.WarmupTicks:
+		return "warmup"
+	case t <= spec.WarmupTicks+spec.InjectTicks:
+		return "inject"
+	default:
+		return "recover"
+	}
 }
 
 // tenantGen drives one tenant's load schedule: the per-tenant RNG plus
@@ -249,7 +312,7 @@ func (g *tenantGen) requests(t int) []PlaneRequest {
 		n := g.batchAt[t]
 		reqs := make([]PlaneRequest, n)
 		for i := range reqs {
-			key := fmt.Sprintf("%s%03d", tl.KeyPrefix, g.rng.Intn(maxInt(tl.Keys, 1)))
+			key := fmt.Sprintf("%s%03d", tl.KeyPrefix, g.rng.Intn(max(tl.Keys, 1)))
 			body := make([]byte, tl.BodyBytes+i%33)
 			g.rng.Read(body)
 			reqs[i] = PlaneRequest{Key: key, Body: body}
@@ -294,38 +357,87 @@ func (g *tenantGen) requests(t int) []PlaneRequest {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // RunSpec executes one declarative scenario and returns its deterministic
-// result. Per tick, in order: inject due faults, re-send due client
-// retries, send every tenant's batch, Step the replica set, Observe the
-// orchestrator, poll replies, record the trace line. Every figure in the
-// result is a pure function of the spec.
+// result. Every figure in the result is a pure function of the spec.
 func RunSpec(spec ScenarioSpec) (ScenarioResult, error) {
-	if spec.Ticks <= 0 || spec.Replicas <= 0 || len(spec.Tenants) == 0 {
-		return ScenarioResult{}, fmt.Errorf("microsvc: scenario %q underspecified", spec.Name)
-	}
-	bus := eventbus.New()
-	svc := attest.NewService()
-	kb := attest.NewKeyBroker(svc)
-
-	var appRoot cryptbox.Key
-	appRoot[0] = 0xA7
-	appRoot[1] = byte(spec.Seed)
-	inTopic, outTopic := "plane/req", "plane/resp"
-	keys, err := NewServiceKeys(appRoot, scenarioService, inTopic, outTopic)
+	l, err := newLab(spec)
 	if err != nil {
 		return ScenarioResult{}, err
+	}
+	defer l.close()
+	for t := 1; t <= spec.Ticks; t++ {
+		if err := l.step(t); err != nil {
+			return ScenarioResult{}, fmt.Errorf("microsvc: scenario %q t%d: %w", spec.Name, t, err)
+		}
+	}
+	return l.result(), nil
+}
+
+// lab is one scenario run in progress: the plane its spec boots, one load
+// generator per tenant, the adaptation trace, and the metric table every
+// figure of the run is counted into.
+type lab struct {
+	spec   ScenarioSpec
+	kb     *attest.KeyBroker
+	keys   attest.ServiceKeys
+	policy attest.Policy // what "reinstate" re-registers
+	rs     *ReplicaSet
+	cs     *ClusterSet        // nil outside cluster mode
+	dur    *durabilityHarness // nil without spec.Durability
+	o      *orchestrator.Orchestrator
+	client *PlaneClient
+	gens   []*tenantGen
+
+	trace  []string
+	m      map[string]float64
+	sentBy map[string]int // client sends per wire tenant name
+}
+
+// newLab validates spec and boots the plane it describes: the service keys
+// and key broker, the durable store when spec.Durability is set, the
+// replica set (single-node, or placed on a simulated cluster), the
+// orchestrator and the client.
+func newLab(spec ScenarioSpec) (_ *lab, err error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	l := &lab{
+		spec:   spec,
+		m:      map[string]float64{"sent": 0, "replies": 0, "launch_denied": 0, "first_reaction_tick": -1},
+		sentBy: make(map[string]int),
+	}
+	if spec.WarmupTicks > 0 {
+		for _, p := range []string{"warmup", "inject", "recover"} {
+			l.m["shed_phase_"+p], l.m["served_phase_"+p] = 0, 0
+		}
+	}
+	for i, tl := range spec.Tenants {
+		// Tenant 0 inherits the spec seed unchanged, so a single-tenant
+		// spec replays the exact RNG stream of the pre-engine scenarios.
+		g, err := newTenantGen(tl, spec.Seed+int64(i)*7919, spec.Ticks)
+		if err != nil {
+			return nil, err
+		}
+		l.gens = append(l.gens, g)
+	}
+	defer func() {
+		if err != nil {
+			l.close()
+		}
+	}()
+
+	bus := eventbus.New()
+	svc := attest.NewService()
+	l.kb = attest.NewKeyBroker(svc)
+	var appRoot cryptbox.Key
+	appRoot[0], appRoot[1] = 0xA7, byte(spec.Seed)
+	inTopic, outTopic := "plane/req", "plane/resp"
+	if l.keys, err = NewServiceKeys(appRoot, scenarioService, inTopic, outTopic); err != nil {
+		return nil, err
 	}
 	// The handler echoes a fixed-size ack; the modeled per-request compute
 	// comes from RequestCycles, charged inside the replica's span.
 	handler := func(req []byte) ([]byte, error) { return []byte{byte(len(req))}, nil }
-
 	rsCfg := ReplicaSetConfig{
 		Replicas:      spec.Replicas,
 		Workers:       spec.Workers,
@@ -336,347 +448,294 @@ func RunSpec(spec ScenarioSpec) (ScenarioResult, error) {
 		RequestCycles: spec.RequestCycles,
 		Admission:     spec.Admission,
 	}
-	var (
-		rs     *ReplicaSet
-		cs     *ClusterSet
-		policy attest.Policy
-		durH   *durabilityHarness
-	)
 	if spec.Cluster != nil {
 		// Cluster mode: container boots placed on simulated nodes; the
-		// key-release policy pins the image's expected measurement (the
-		// durability harness is registered first, below, like always).
-		var durErr error
-		if spec.Durability != nil {
-			if durH, durErr = newDurabilityHarness(spec, svc, kb); durErr != nil {
-				return ScenarioResult{}, durErr
-			}
+		// key-release policy pins the image's expected measurement.
+		if l.cs, l.policy, err = buildClusterPlane(spec, bus, svc, l.kb, l.keys, handler, rsCfg); err != nil {
+			return nil, err
 		}
-		cs, policy, err = buildClusterPlane(spec, bus, svc, kb, keys, handler, rsCfg)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		rs = cs.ReplicaSet
-	} else {
-		policy = attest.Policy{AllowedMRSigner: []cryptbox.Digest{ReplicaSigner(scenarioService)}}
-		kb.Register(scenarioService, policy, keys)
-		if spec.Durability != nil {
-			if durH, err = newDurabilityHarness(spec, svc, kb); err != nil {
-				return ScenarioResult{}, err
-			}
-		}
-		rs, err = NewReplicaSet(bus, svc, kb, scenarioService, handler, rsCfg)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-	}
-	defer rs.Stop()
-	o, err := orchestrator.New(spec.Target, rs, rs.ReplicaHandles()...)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	client, err := NewPlaneClient(bus, scenarioService, keys, inTopic, outTopic)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	defer client.Close()
-	if spec.Retry != nil {
-		client.EnableRetry(*spec.Retry)
-	}
-
-	gens := make([]*tenantGen, len(spec.Tenants))
-	for i, tl := range spec.Tenants {
-		// Tenant 0 inherits the spec seed unchanged, so a single-tenant
-		// spec replays the exact RNG stream of the pre-engine scenarios.
-		g, err := newTenantGen(tl, spec.Seed+int64(i)*7919, spec.Ticks)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		gens[i] = g
-	}
-
-	res := ScenarioResult{
-		Name: spec.Name, Workers: spec.Workers, Ticks: spec.Ticks,
-		InjectTick: spec.InjectTick(), FirstReactionTick: -1,
-	}
-	sentByTenant := make(map[string]int)
-	shedByPhase := [3]int{}
-	servedByPhase := [3]int{}
-	launchDenied := 0
-	launchFailed := 0
-	if cs != nil {
+		l.rs = l.cs.ReplicaSet
+		l.m["launch_failed"] = 0
 		// The construction-time placements (front-end gateway + initial
 		// replicas) open the trace at tick zero.
-		for _, ev := range cs.DrainEvents() {
-			res.Trace = append(res.Trace, "t0000 "+ev)
+		for _, ev := range l.cs.DrainEvents() {
+			l.logf(0, "%s", ev)
+		}
+	} else {
+		l.policy = attest.Policy{AllowedMRSigner: []cryptbox.Digest{ReplicaSigner(scenarioService)}}
+		l.kb.Register(scenarioService, l.policy, l.keys)
+		if spec.Durability != nil {
+			if l.dur, err = newDurabilityHarness(spec, svc, l.kb, l.m); err != nil {
+				return nil, err
+			}
+		}
+		if l.rs, err = NewReplicaSet(bus, svc, l.kb, scenarioService, handler, rsCfg); err != nil {
+			return nil, err
 		}
 	}
-	phaseOf := func(t int) int {
-		if spec.WarmupTicks <= 0 {
-			return 1
+	if l.o, err = orchestrator.New(spec.Target, l.rs, l.rs.ReplicaHandles()...); err != nil {
+		return nil, err
+	}
+	if l.client, err = NewPlaneClient(bus, scenarioService, l.keys, inTopic, outTopic); err != nil {
+		return nil, err
+	}
+	if spec.Retry != nil {
+		l.client.EnableRetry(*spec.Retry)
+	}
+	return l, nil
+}
+
+// close stops the client and the replica set.
+func (l *lab) close() {
+	if l.client != nil {
+		l.client.Close()
+	}
+	if l.rs != nil {
+		l.rs.Stop()
+	}
+}
+
+// logf appends one trace line stamped with tick t.
+func (l *lab) logf(t int, format string, args ...any) {
+	l.trace = append(l.trace, fmt.Sprintf("t%04d ", t)+fmt.Sprintf(format, args...))
+}
+
+// step runs tick t. In order: inject due faults, re-send due client
+// retries, send every tenant's batch, Step the replica set, Observe the
+// orchestrator, poll replies, record the tick's trace line.
+func (l *lab) step(t int) error {
+	spec := l.spec
+	now := float64(t) * spec.TickMillis
+	for _, f := range spec.Faults {
+		if f.At != t {
+			continue
 		}
-		switch {
-		case t <= spec.WarmupTicks:
-			return 0
-		case t <= spec.WarmupTicks+spec.InjectTicks:
-			return 1
-		default:
-			return 2
+		if err := l.inject(t, f); err != nil {
+			return err
 		}
 	}
-	for t := 1; t <= spec.Ticks; t++ {
-		now := float64(t) * spec.TickMillis
-		for _, f := range spec.Faults {
-			if f.At != t {
-				continue
-			}
-			switch f.Kind {
-			case "crash":
-				if id := rs.InjectCrash(f.Replica); id != "" {
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject crash %s", t, id))
-				}
-			case "slow":
-				if id := rs.InjectSlow(f.Replica, f.Extra); id != "" {
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject slow %s +%d", t, id, f.Extra))
-				}
-			case "crash-state":
-				if durH == nil {
-					return res, fmt.Errorf("microsvc: scenario %q has crash-state fault but no Durability", spec.Name)
-				}
-				if id := rs.InjectCrash(f.Replica); id != "" {
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject crash-state %s", t, id))
-				}
-				line, err := durH.crash(t)
-				if err != nil {
-					return res, err
-				}
-				res.Trace = append(res.Trace, line)
-			case "revoke":
-				kb.Revoke(scenarioService)
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject revoke %s", t, scenarioService))
-			case "reinstate":
-				kb.Register(scenarioService, policy, keys)
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d reinstate %s", t, scenarioService))
-			case "node-crash", "partition", "heal", "byzantine":
-				if cs == nil {
-					return res, fmt.Errorf("microsvc: scenario %q has %s fault but no Cluster", spec.Name, f.Kind)
-				}
-				switch f.Kind {
-				case "node-crash":
-					name, ids := cs.CrashNode(f.Node)
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject node-crash %s (%d replicas)", t, name, len(ids)))
-				case "partition":
-					name, ids := cs.PartitionNode(f.Node)
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject partition %s (%d replicas)", t, name, len(ids)))
-				case "heal":
-					name := cs.HealNode(f.Node)
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d heal %s", t, name))
-				case "byzantine":
-					name := cs.SetByzantineNode(f.Node)
-					res.Trace = append(res.Trace, fmt.Sprintf("t%04d inject byzantine registry for %s", t, name))
-				}
-			}
+	if spec.Retry != nil {
+		if _, err := l.client.DueRetries(now); err != nil {
+			return err
 		}
-		if spec.Retry != nil {
-			if _, err := client.DueRetries(now); err != nil {
-				return res, err
-			}
-		}
-		var durPairs []kvstore.Pair
-		for _, g := range gens {
-			reqs := g.requests(t)
-			if len(reqs) == 0 {
-				continue
-			}
-			if _, err := client.SendTenantIDs(g.load.Tenant, reqs); err != nil {
-				return res, err
-			}
-			res.Sent += len(reqs)
-			sentByTenant[g.load.Tenant] += len(reqs)
-			if durH != nil {
-				for _, rq := range reqs {
-					durPairs = append(durPairs, kvstore.Pair{Key: g.load.Tenant + "/" + rq.Key, Value: rq.Body})
-				}
-			}
-		}
-		if durH != nil {
-			if err := durH.put(durPairs); err != nil {
-				return res, err
-			}
-			line, err := durH.maybeSnapshot(t, spec.Durability.SnapshotEvery)
-			if err != nil {
-				return res, err
-			}
-			if line != "" {
-				res.Trace = append(res.Trace, line)
-			}
-			line, err = durH.maybeGC(t, spec.Durability.GCEvery)
-			if err != nil {
-				return res, err
-			}
-			if line != "" {
-				res.Trace = append(res.Trace, line)
-			}
-		}
-
-		st, err := rs.Step()
-		if err != nil {
-			return res, err
-		}
-		shedByPhase[phaseOf(t)] += st.Shed
-		servedByPhase[phaseOf(t)] += st.Served
-		actions, err := o.Observe()
-		if err != nil {
-			// A revoked service denies keys to replacement replicas: the
-			// orchestrator's launch fails closed, the dead replica stays
-			// down, and the retry next tick either re-attests (after a
-			// reinstate) or is denied again. Cluster mode adds two more
-			// fail-closed launch outcomes the loop must survive: a pull
-			// rejecting tampered chunks (the node isolates and placement
-			// routes around it next tick) and no node being eligible for
-			// placement. Any other error is fatal.
-			switch {
-			case errors.Is(err, attest.ErrServiceRevoked):
-				launchDenied++
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d launch denied (revoked)", t))
-			case cs != nil && errors.Is(err, container.ErrChunkVerify):
-				launchFailed++
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d launch failed (chunk verify)", t))
-			case cs != nil && errors.Is(err, orchestrator.ErrNoEligibleNode):
-				launchFailed++
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d launch failed (no eligible node)", t))
-			case cs != nil && errors.Is(err, cluster.ErrNodeUnreachable):
-				launchFailed++
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d launch failed (node unreachable)", t))
-			default:
-				return res, err
-			}
-		}
-		if cs != nil {
-			for _, ev := range cs.DrainEvents() {
-				res.Trace = append(res.Trace, fmt.Sprintf("t%04d %s", t, ev))
-			}
-		}
-		if len(actions) > 0 && res.FirstReactionTick < 0 &&
-			(res.InjectTick < 0 || t >= res.InjectTick) {
-			res.FirstReactionTick = t
-		}
-		replies, err := client.Poll(now)
-		if err != nil {
-			return res, err
-		}
-		for _, rep := range replies {
-			if !rep.Shed {
-				res.Replies++
-			}
-		}
-
-		line := fmt.Sprintf("t%04d replicas=%d backlog=%d", t, o.Replicas(), rs.Backlog())
-		if spec.Admission != nil {
-			line += fmt.Sprintf(" shed=%d", st.Shed)
-		}
-		if len(actions) > 0 {
-			parts := make([]string, len(actions))
-			for i, a := range actions {
-				parts[i] = a.String()
-			}
-			line += " | " + strings.Join(parts, "; ")
-		}
-		res.Trace = append(res.Trace, line)
+	}
+	if err := l.send(t); err != nil {
+		return err
 	}
 
-	sum := sha256.Sum256([]byte(strings.Join(res.Trace, "\n")))
-	res.TraceHash = hex.EncodeToString(sum[:])
-	tot := rs.Totals()
-	res.Served = tot.Served
-	res.Failed = tot.Failed
-	res.Backlog = rs.Backlog()
-	res.Launched = tot.Launched
-	res.FinalReplicas = tot.Live
+	st, err := l.rs.Step()
+	if err != nil {
+		return err
+	}
+	if p := spec.phase(t); p != "" {
+		l.m["shed_phase_"+p] += float64(st.Shed)
+		l.m["served_phase_"+p] += float64(st.Served)
+	}
+	actions, err := l.observe(t)
+	if err != nil {
+		return err
+	}
+	if l.cs != nil {
+		for _, ev := range l.cs.DrainEvents() {
+			l.logf(t, "%s", ev)
+		}
+	}
+	if inject := spec.InjectTick(); len(actions) > 0 && l.m["first_reaction_tick"] < 0 && (inject < 0 || t >= inject) {
+		l.m["first_reaction_tick"] = float64(t)
+	}
+	replies, err := l.client.Poll(now)
+	if err != nil {
+		return err
+	}
+	for _, rep := range replies {
+		if !rep.Shed {
+			l.m["replies"]++
+		}
+	}
+
+	line := fmt.Sprintf("replicas=%d backlog=%d", l.o.Replicas(), l.rs.Backlog())
+	if spec.Admission != nil {
+		line += fmt.Sprintf(" shed=%d", st.Shed)
+	}
+	if len(actions) > 0 {
+		parts := make([]string, len(actions))
+		for i, a := range actions {
+			parts[i] = a.String()
+		}
+		line += " | " + strings.Join(parts, "; ")
+	}
+	l.logf(t, "%s", line)
+	return nil
+}
+
+// inject applies one due fault and records it in the trace. validate has
+// already checked that the spec carries what the fault's kind needs.
+func (l *lab) inject(t int, f FaultSpec) error {
+	switch f.Kind {
+	case "crash":
+		if id := l.rs.InjectCrash(f.Replica); id != "" {
+			l.logf(t, "inject crash %s", id)
+		}
+	case "slow":
+		if id := l.rs.InjectSlow(f.Replica, f.Extra); id != "" {
+			l.logf(t, "inject slow %s +%d", id, f.Extra)
+		}
+	case "crash-state":
+		if id := l.rs.InjectCrash(f.Replica); id != "" {
+			l.logf(t, "inject crash-state %s", id)
+		}
+		line, err := l.dur.crash()
+		if err != nil {
+			return err
+		}
+		l.logf(t, "%s", line)
+	case "revoke":
+		l.kb.Revoke(scenarioService)
+		l.logf(t, "inject revoke %s", scenarioService)
+	case "reinstate":
+		l.kb.Register(scenarioService, l.policy, l.keys)
+		l.logf(t, "reinstate %s", scenarioService)
+	case "node-crash":
+		name, ids := l.cs.CrashNode(f.Node)
+		l.logf(t, "inject node-crash %s (%d replicas)", name, len(ids))
+	case "partition":
+		name, ids := l.cs.PartitionNode(f.Node)
+		l.logf(t, "inject partition %s (%d replicas)", name, len(ids))
+	case "heal":
+		l.logf(t, "heal %s", l.cs.HealNode(f.Node))
+	case "byzantine":
+		l.logf(t, "inject byzantine registry for %s", l.cs.SetByzantineNode(f.Node))
+	}
+	return nil
+}
+
+// send sends every tenant's batch for tick t and mirrors the requests into
+// the durable store, when there is one.
+func (l *lab) send(t int) error {
+	var pairs []kvstore.Pair
+	for _, g := range l.gens {
+		reqs := g.requests(t)
+		if len(reqs) == 0 {
+			continue
+		}
+		if _, err := l.client.SendTenantIDs(g.load.Tenant, reqs); err != nil {
+			return err
+		}
+		l.m["sent"] += float64(len(reqs))
+		l.sentBy[g.load.Tenant] += len(reqs)
+		if l.dur != nil {
+			for _, rq := range reqs {
+				pairs = append(pairs, kvstore.Pair{Key: g.load.Tenant + "/" + rq.Key, Value: rq.Body})
+			}
+		}
+	}
+	if l.dur == nil {
+		return nil
+	}
+	lines, err := l.dur.tick(t, pairs)
+	for _, line := range lines {
+		l.logf(t, "%s", line)
+	}
+	return err
+}
+
+// observe runs the orchestrator's monitoring pass. A revoked service
+// denies keys to replacement replicas: the launch fails closed, the dead
+// replica stays down, and the retry next tick either re-attests (after a
+// reinstate) or is denied again. Cluster mode adds three more fail-closed
+// launch outcomes the run survives: a pull rejecting tampered chunks (the
+// node isolates and placement routes around it next tick), no node being
+// eligible for placement, and an unreachable node. Any other error is
+// fatal.
+func (l *lab) observe(t int) ([]orchestrator.Action, error) {
+	actions, err := l.o.Observe()
+	reason := ""
+	switch {
+	case err == nil:
+		return actions, nil
+	case errors.Is(err, attest.ErrServiceRevoked):
+		l.m["launch_denied"]++
+		l.logf(t, "launch denied (revoked)")
+		return actions, nil
+	case l.cs == nil:
+		return nil, err
+	case errors.Is(err, container.ErrChunkVerify):
+		reason = "chunk verify"
+	case errors.Is(err, orchestrator.ErrNoEligibleNode):
+		reason = "no eligible node"
+	case errors.Is(err, cluster.ErrNodeUnreachable):
+		reason = "node unreachable"
+	default:
+		return nil, err
+	}
+	l.m["launch_failed"]++
+	l.logf(t, "launch failed (%s)", reason)
+	return actions, nil
+}
+
+// result folds the run's end-of-run totals into the metric table, hashes
+// the trace and evaluates the spec's assertion table.
+func (l *lab) result() ScenarioResult {
+	spec, m := l.spec, l.m
+	tot := l.rs.Totals()
+	m["served"] = float64(tot.Served)
+	m["failed"] = float64(tot.Failed)
+	m["shed"] = float64(tot.Shed)
+	m["splits"] = float64(tot.Splits)
+	m["backlog_final"] = float64(l.rs.Backlog())
+	m["replicas_launched"] = float64(tot.Launched)
+	m["final_replicas"] = float64(tot.Live)
+	m["requests_per_replica"] = 0
 	if tot.Launched > 0 {
-		res.RequestsPerReplica = float64(tot.Served) / float64(tot.Launched)
+		m["requests_per_replica"] = float64(tot.Served) / float64(tot.Launched)
 	}
-	res.SerialCycles = tot.SerialCycles
-	res.CriticalCycles = tot.CriticalCycles
-	if tot.CriticalCycles > 0 {
-		res.SimSpeedup = float64(tot.SerialCycles) / float64(tot.CriticalCycles)
+	m["sim_cycles_serial"] = float64(tot.SerialCycles)
+	m["sim_cycles_critical"] = float64(tot.CriticalCycles)
+	m["sim_cycles_front"] = float64(tot.FrontCycles)
+	m["faults"] = float64(tot.Faults)
+	m["trace_len"] = float64(len(l.trace))
+	// Adaptation latency is the simulated time from the injection tick to
+	// the end of the tick whose Observe reacted: one tick of latency means
+	// the same monitoring period that saw the fault also repaired it.
+	m["adapt_latency_sim_ms"] = 0
+	if inject, first := spec.InjectTick(), m["first_reaction_tick"]; inject > 0 && first > 0 {
+		m["adapt_latency_sim_ms"] = (first - float64(inject) + 1) * spec.TickMillis
 	}
-	res.Faults = tot.Faults
-	res.FrontCycles = tot.FrontCycles
-	if res.InjectTick > 0 && res.FirstReactionTick > 0 {
-		res.AdaptLatencySimMS = float64(res.FirstReactionTick-res.InjectTick+1) * spec.TickMillis
+	m["p50_wait_sim_ms"], m["p95_wait_sim_ms"], m["max_wait_sim_ms"] = l.rs.LatencyPercentiles()
+	retried, abandoned, _ := l.client.RetryStats()
+	m["retries_sent"], m["retries_abandoned"] = float64(retried), float64(abandoned)
+	if l.cs != nil {
+		l.cs.foldMetrics(m)
 	}
-	res.Shed = tot.Shed
-	res.Splits = tot.Splits
-	res.RetriesSent, res.RetriesAbandoned, _ = client.RetryStats()
-	res.P50WaitSimMS, res.P95WaitSimMS, res.MaxWaitSimMS = rs.LatencyPercentiles()
-
-	// The flat metric table assertions bound and the bench harness gates.
-	m := map[string]float64{
-		"sent":                 float64(res.Sent),
-		"served":               float64(res.Served),
-		"failed":               float64(res.Failed),
-		"shed":                 float64(res.Shed),
-		"splits":               float64(res.Splits),
-		"replies":              float64(res.Replies),
-		"backlog_final":        float64(res.Backlog),
-		"replicas_launched":    float64(res.Launched),
-		"final_replicas":       float64(res.FinalReplicas),
-		"requests_per_replica": res.RequestsPerReplica,
-		"sim_cycles_serial":    float64(res.SerialCycles),
-		"sim_cycles_critical":  float64(res.CriticalCycles),
-		"sim_cycles_front":     float64(res.FrontCycles),
-		"faults":               float64(res.Faults),
-		"trace_len":            float64(len(res.Trace)),
-		"first_reaction_tick":  float64(res.FirstReactionTick),
-		"adapt_latency_sim_ms": res.AdaptLatencySimMS,
-		"p50_wait_sim_ms":      res.P50WaitSimMS,
-		"p95_wait_sim_ms":      res.P95WaitSimMS,
-		"max_wait_sim_ms":      res.MaxWaitSimMS,
-		"retries_sent":         float64(res.RetriesSent),
-		"retries_abandoned":    float64(res.RetriesAbandoned),
-	}
-	if spec.WarmupTicks > 0 {
-		m["shed_phase_warmup"] = float64(shedByPhase[0])
-		m["shed_phase_inject"] = float64(shedByPhase[1])
-		m["shed_phase_recover"] = float64(shedByPhase[2])
-		m["served_phase_warmup"] = float64(servedByPhase[0])
-		m["served_phase_inject"] = float64(servedByPhase[1])
-		m["served_phase_recover"] = float64(servedByPhase[2])
-	}
-	m["launch_denied"] = float64(launchDenied)
-	if cs != nil {
-		m["launch_failed"] = float64(launchFailed)
-		cs.foldMetrics(m)
-	}
-	if durH != nil {
-		durH.metrics(m)
-	}
-	adm := rs.AdmissionStats()
+	adm := l.rs.AdmissionStats()
 	var dispatchedAll uint64
 	for _, ts := range adm.ByTenant {
 		dispatchedAll += ts.Dispatched
 	}
-	for name, ts := range adm.ByTenant {
+	for tenant, ts := range adm.ByTenant {
+		name := tenant
 		if name == "" {
 			name = "default"
 		}
-		m["sent:"+name] = float64(sentByTenant[nameOrEmpty(name)])
+		m["sent:"+name] = float64(l.sentBy[tenant])
 		m["shed:"+name] = float64(ts.Shed)
 		m["dispatched:"+name] = float64(ts.Dispatched)
 		if dispatchedAll > 0 {
 			m["served_share:"+name] = float64(ts.Dispatched) / float64(dispatchedAll)
 		}
 	}
-	for _, g := range gens {
+	for _, g := range l.gens {
 		if g.load.Profile == "smartgrid-stream" {
 			m["alerts:"+g.load.Tenant] = float64(g.alerts)
 			m["forecasts:"+g.load.Tenant] = float64(g.forecasts)
 		}
 	}
-	res.Metrics = m
 
-	res.AssertionsPassed = true
+	sum := sha256.Sum256([]byte(strings.Join(l.trace, "\n")))
+	res := ScenarioResult{
+		Name: spec.Name, Trace: l.trace, TraceHash: hex.EncodeToString(sum[:]),
+		Metrics: m, AssertionsPassed: true,
+	}
 	for _, a := range spec.Assert {
 		v, ok := m[a.Metric]
 		switch {
@@ -690,13 +749,5 @@ func RunSpec(spec ScenarioSpec) (ScenarioResult, error) {
 				fmt.Sprintf("%s = %g outside [%g, %g]", a.Metric, v, a.Min, a.Max))
 		}
 	}
-	return res, nil
-}
-
-// nameOrEmpty maps the display name "default" back to the wire tenant "".
-func nameOrEmpty(name string) string {
-	if name == "default" {
-		return ""
-	}
-	return name
+	return res
 }

@@ -111,7 +111,7 @@ cp -a "$PWD" "$SCRATCH/repo"
     cd "$SCRATCH/repo"
     git add -A >/dev/null 2>&1
     git -c user.email=ci@local -c user.name=ci commit -qm golden-gate-baseline --allow-empty --no-verify
-    GOLDEN_UPDATE=1 go test -run 'Golden' ./internal/enclave ./internal/scbr >/dev/null
+    GOLDEN_UPDATE=1 go test -run 'Golden' ./internal/enclave ./internal/scbr ./internal/microsvc >/dev/null
     if ! git diff --exit-code -- '*testdata*'; then
         echo "ci: goldens are stale — regenerate with GOLDEN_UPDATE=1 and commit" >&2
         exit 1

@@ -308,6 +308,11 @@
 //     stay silent on testdata — the committed goldens are exactly what the
 //     current code regenerates.
 //
+//   - The mutant gate (scripts/mutants.sh): each hand mutation committed
+//     as scripts/mutants/*.patch is applied in a scratch copy and must
+//     fail the test its "# kills:" header names. A mutant that survives,
+//     or a patch that no longer applies, fails CI.
+//
 // To change modeled costs deliberately: regenerate goldens with
 // GOLDEN_UPDATE=1 go test ./..., refresh the metric baseline with
 // go run ./cmd/bench -update (optionally -suite <names> to touch only the

@@ -50,7 +50,7 @@ func TestAccountedPublishSubscribe(t *testing.T) {
 	pubAcct.Mem.ResetAccounting()
 	subAcct.Mem.ResetAccounting()
 	for i := 0; i < 32; i++ {
-		if _, err := pub.Publish([]byte("meter-00042 1.234 kW")); err != nil {
+		if _, err := pub.PublishBatch([][]byte{[]byte("meter-00042 1.234 kW")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestAccountedEndpointsMatchPlainSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pub.Publish([]byte("hello")); err != nil {
+	if _, err := pub.PublishBatch([][]byte{[]byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
 	msgs, err := plainSub.Receive()

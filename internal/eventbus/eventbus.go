@@ -43,8 +43,7 @@ type Bus struct {
 	mu     sync.Mutex
 	seqs   map[string]uint64
 	queues map[string]map[int][]Message // topic -> subscriber handle -> queue
-	leased map[string]map[int]map[uint64]bool
-	limits map[string]int // topic -> queue limit override (0/absent = QueueLimit)
+	limits map[string]int               // topic -> queue limit override (0/absent = QueueLimit)
 	nextID int
 	closed bool
 }
@@ -107,15 +106,6 @@ func (b *Bus) subscribe(topic string) (int, error) {
 	return b.nextID, nil
 }
 
-// publish appends a sealed message to all subscriber queues of the topic.
-func (b *Bus) publish(topic string, sealed []byte) (uint64, error) {
-	seqs, err := b.publishBatch(topic, [][]byte{sealed})
-	if err != nil {
-		return 0, err
-	}
-	return seqs[0], nil
-}
-
 // publishBatch appends a batch of sealed messages to all subscriber queues
 // of the topic under a single lock acquisition — the fan-out fast path.
 // All-or-nothing: back-pressure on any subscriber rejects the whole batch
@@ -152,9 +142,7 @@ func (b *Bus) publishBatch(topic string, sealed [][]byte) ([]uint64, error) {
 }
 
 // drainN pops up to max queued messages (0 = all) of a subscription handle
-// under one lock acquisition. It pops messages regardless of outstanding
-// leases — mixing Lease with Receive/PollBatch on one handle is
-// unsupported.
+// under one lock acquisition.
 func (b *Bus) drainN(topic string, id int, max int) []Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -170,10 +158,10 @@ func (b *Bus) drainN(topic string, id int, max int) []Message {
 	return out
 }
 
-// unsubscribe removes a subscription handle, pruning its queue and leases.
-// When the topic's last subscriber leaves, the topic's queue and lease maps
-// are dropped entirely (sequence numbers persist so a re-created topic
-// never regresses and replay protection holds across churn).
+// unsubscribe removes a subscription handle and its queue. When the topic's
+// last subscriber leaves, the topic's queue map is dropped entirely
+// (sequence numbers persist so a re-created topic never regresses and
+// replay protection holds across churn).
 func (b *Bus) unsubscribe(topic string, id int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -183,88 +171,6 @@ func (b *Bus) unsubscribe(topic string, id int) {
 			delete(b.queues, topic)
 		}
 	}
-	b.pruneLease(topic, id)
-}
-
-// pruneLease drops the lease map of one subscriber handle and any empty
-// enclosing maps. Caller holds b.mu.
-func (b *Bus) pruneLease(topic string, id int) {
-	l := b.leased[topic]
-	if l == nil {
-		return
-	}
-	delete(l, id)
-	if len(l) == 0 {
-		delete(b.leased, topic)
-	}
-}
-
-// peek returns up to max queued messages, marking them leased (still
-// queued until acked). Lease maps are created only when a message is
-// actually leased, so peeking an empty queue leaves no bookkeeping behind
-// (e.g. from a stale handle after Close).
-func (b *Bus) peek(topic string, id int, max int) []Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	mine := b.leased[topic][id]
-	var out []Message
-	for _, m := range b.queues[topic][id] {
-		if max > 0 && len(out) >= max {
-			break
-		}
-		if mine[m.Seq] {
-			continue
-		}
-		if mine == nil {
-			if b.leased == nil {
-				b.leased = make(map[string]map[int]map[uint64]bool)
-			}
-			if b.leased[topic] == nil {
-				b.leased[topic] = make(map[int]map[uint64]bool)
-			}
-			mine = make(map[uint64]bool)
-			b.leased[topic][id] = mine
-		}
-		mine[m.Seq] = true
-		out = append(out, m)
-	}
-	return out
-}
-
-// ack drops a leased message permanently, pruning emptied lease maps so a
-// subscriber that consumed everything holds no residual bookkeeping.
-func (b *Bus) ack(topic string, id int, seq uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q := b.queues[topic][id]
-	for i, m := range q {
-		if m.Seq == seq {
-			b.queues[topic][id] = append(q[:i:i], q[i+1:]...)
-			if l := b.leased[topic]; l != nil && l[id] != nil {
-				delete(l[id], seq)
-				if len(l[id]) == 0 {
-					b.pruneLease(topic, id)
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// nack releases a lease so the message is delivered again.
-func (b *Bus) nack(topic string, id int, seq uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	l := b.leased[topic]
-	if l == nil || l[id] == nil || !l[id][seq] {
-		return false
-	}
-	delete(l[id], seq)
-	if len(l[id]) == 0 {
-		b.pruneLease(topic, id)
-	}
-	return true
 }
 
 // depth returns the queued message count of one subscription handle.
@@ -374,18 +280,6 @@ func NewPublisher(bus *Bus, topic string, key cryptbox.Key) (*Publisher, error) 
 	return OpenPublisher(EndpointConfig{Bus: bus, Topic: topic, Key: key})
 }
 
-// Publish seals body and hands it to the bus, returning its sequence
-// number. The seal binds the topic, so messages cannot be replayed across
-// topics by the bus.
-func (p *Publisher) Publish(body []byte) (uint64, error) {
-	sealed, err := p.box.Seal(body, p.aad)
-	if err != nil {
-		return 0, err
-	}
-	p.stage.chargeCopy(len(sealed), true)
-	return p.bus.publish(p.topic, sealed)
-}
-
 // PublishBatch seals a batch of bodies and enqueues them onto all
 // subscriber queues under one bus lock acquisition — each message is
 // sealed exactly once however many subscribers fan out, and the mutex is
@@ -457,17 +351,16 @@ func NewSubscriber(bus *Bus, topic string, key cryptbox.Key) (*Subscriber, error
 }
 
 // Depth reports this subscriber's pending-queue length in one bus-lock
-// acquisition, without draining, peeking or leasing anything — the
-// monitoring hook the orchestrator samples between serve batches. Leased
-// messages still count: they remain queued until acked.
+// acquisition, without draining anything — the monitoring hook the
+// orchestrator samples between serve batches.
 func (s *Subscriber) Depth() int {
 	return s.bus.depth(s.topic, s.handle)
 }
 
-// Close unregisters the subscription, releasing its queue and any lease
-// bookkeeping on the bus. When the topic's last subscriber closes, the
-// topic's queue and lease maps are pruned entirely — previously they
-// accumulated forever under subscriber churn. Safe to call more than once.
+// Close unregisters the subscription, releasing its queue on the bus. When
+// the topic's last subscriber closes, the topic's queue map is pruned
+// entirely, so subscriber churn leaves no residue. Safe to call more than
+// once.
 func (s *Subscriber) Close() {
 	s.bus.unsubscribe(s.topic, s.handle)
 }
@@ -485,8 +378,7 @@ func (s *Subscriber) Receive() ([][]byte, error) {
 // without holding everything the bus buffered in memory at once. As with
 // Receive, an authentication or replay failure is fatal for the stream:
 // the remaining drained messages are discarded, because a bus caught
-// tampering or reordering cannot be trusted to deliver the rest. Consumers
-// that must survive poison messages use Lease/Ack instead.
+// tampering or reordering cannot be trusted to deliver the rest.
 func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 	msgs := s.bus.drainN(s.topic, s.handle, max)
 	if s.stage != nil {
@@ -509,44 +401,4 @@ func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 		out = append(out, body)
 	}
 	return out, nil
-}
-
-// Pending is one unacknowledged message leased to a consumer.
-type Pending struct {
-	Seq  uint64
-	Body []byte
-}
-
-// Lease authenticates, decrypts and returns up to max pending messages
-// without consuming them: each must be Acked once processed, or Nacked to
-// requeue — the at-least-once consumption mode micro-services use when a
-// crash between receive and process must not lose grid telemetry.
-func (s *Subscriber) Lease(max int) ([]Pending, error) {
-	msgs := s.bus.peek(s.topic, s.handle, max)
-	if s.stage != nil {
-		total := 0
-		for _, m := range msgs {
-			total += len(m.Sealed)
-		}
-		s.stage.chargeCopy(total, false)
-	}
-	out := make([]Pending, 0, len(msgs))
-	for _, m := range msgs {
-		body, err := s.box.Open(m.Sealed, s.aad)
-		if err != nil {
-			return nil, fmt.Errorf("%w: topic %s seq %d", ErrBadSeal, m.Topic, m.Seq)
-		}
-		out = append(out, Pending{Seq: m.Seq, Body: body})
-	}
-	return out, nil
-}
-
-// Ack removes a leased message permanently.
-func (s *Subscriber) Ack(seq uint64) bool {
-	return s.bus.ack(s.topic, s.handle, seq)
-}
-
-// Nack returns a leased message to the queue for redelivery.
-func (s *Subscriber) Nack(seq uint64) bool {
-	return s.bus.nack(s.topic, s.handle, seq)
 }

@@ -37,7 +37,7 @@ func TestPublishReceive(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "meters/region-1")
 	for i := 0; i < 3; i++ {
-		if _, err := p.Publish([]byte(fmt.Sprintf("reading-%d", i))); err != nil {
+		if _, err := p.PublishBatch([][]byte{[]byte(fmt.Sprintf("reading-%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestFanOut(t *testing.T) {
 		}
 		subs = append(subs, s)
 	}
-	if _, err := p.Publish([]byte("overload feeder-9")); err != nil {
+	if _, err := p.PublishBatch([][]byte{[]byte("overload feeder-9")}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range subs {
@@ -84,7 +84,7 @@ func TestFanOut(t *testing.T) {
 func TestCiphertextOnBus(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "secrets")
-	if _, err := p.Publish([]byte("CONSUMPTION-PROFILE")); err != nil {
+	if _, err := p.PublishBatch([][]byte{[]byte("CONSUMPTION-PROFILE")}); err != nil {
 		t.Fatal(err)
 	}
 	bus.mu.Lock()
@@ -105,7 +105,7 @@ func TestCiphertextOnBus(t *testing.T) {
 func TestTamperedMessageRejected(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "t")
-	if _, err := p.Publish([]byte("x")); err != nil {
+	if _, err := p.PublishBatch([][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	bus.mu.Lock()
@@ -127,7 +127,7 @@ func TestCrossTopicReplayRejected(t *testing.T) {
 	// maliciously moves a's message into b's queue.
 	keyB, _ := TopicKey(appRoot(), "b")
 	sB, _ := NewSubscriber(bus, "b", keyB)
-	if _, err := pA.Publish([]byte("for-a")); err != nil {
+	if _, err := pA.PublishBatch([][]byte{[]byte("for-a")}); err != nil {
 		t.Fatal(err)
 	}
 	bus.mu.Lock()
@@ -152,7 +152,7 @@ func TestCrossTopicReplayRejected(t *testing.T) {
 func TestSequenceReplayRejected(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "t")
-	if _, err := p.Publish([]byte("one")); err != nil {
+	if _, err := p.PublishBatch([][]byte{[]byte("one")}); err != nil {
 		t.Fatal(err)
 	}
 	bus.mu.Lock()
@@ -192,7 +192,7 @@ func TestWrongKeyCannotRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Publish([]byte("x")); err != nil {
+	if _, err := p.PublishBatch([][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Receive(); !errors.Is(err, ErrBadSeal) {
@@ -204,7 +204,7 @@ func TestClosedBus(t *testing.T) {
 	bus := New()
 	p, _ := topicPair(t, bus, "t")
 	bus.Close()
-	if _, err := p.Publish([]byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := p.PublishBatch([][]byte{[]byte("x")}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("publish on closed bus: %v", err)
 	}
 	key, _ := TopicKey(appRoot(), "t")
@@ -217,11 +217,11 @@ func TestBackPressure(t *testing.T) {
 	bus := New()
 	p, _ := topicPair(t, bus, "t")
 	for i := 0; i < QueueLimit; i++ {
-		if _, err := p.Publish([]byte("x")); err != nil {
+		if _, err := p.PublishBatch([][]byte{[]byte("x")}); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	if _, err := p.Publish([]byte("overflow")); !errors.Is(err, ErrBackPres) {
+	if _, err := p.PublishBatch([][]byte{[]byte("overflow")}); !errors.Is(err, ErrBackPres) {
 		t.Fatalf("err = %v, want ErrBackPres", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestDepthMonitoring(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "t")
 	for i := 0; i < 5; i++ {
-		if _, err := p.Publish([]byte("x")); err != nil {
+		if _, err := p.PublishBatch([][]byte{[]byte("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,85 +245,6 @@ func TestDepthMonitoring(t *testing.T) {
 	}
 }
 
-func TestLeaseAckConsumes(t *testing.T) {
-	bus := New()
-	p, s := topicPair(t, bus, "t")
-	for i := 0; i < 3; i++ {
-		if _, err := p.Publish([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pending, err := s.Lease(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 2 {
-		t.Fatalf("leased %d, want 2", len(pending))
-	}
-	// Leased messages are not re-leased until nacked.
-	again, err := s.Lease(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 1 {
-		t.Fatalf("second lease got %d, want the 1 unleased message", len(again))
-	}
-	for _, m := range pending {
-		if !s.Ack(m.Seq) {
-			t.Fatalf("ack %d failed", m.Seq)
-		}
-	}
-	if s.Ack(pending[0].Seq) {
-		t.Fatal("double ack succeeded")
-	}
-	if got := bus.Depth("t"); got != 1 {
-		t.Fatalf("Depth = %d after acking 2 of 3", got)
-	}
-}
-
-func TestNackRedelivers(t *testing.T) {
-	bus := New()
-	p, s := topicPair(t, bus, "t")
-	if _, err := p.Publish([]byte("critical-alert")); err != nil {
-		t.Fatal(err)
-	}
-	pending, err := s.Lease(1)
-	if err != nil || len(pending) != 1 {
-		t.Fatalf("lease: %v, %d", err, len(pending))
-	}
-	// Consumer crashes before processing: nack.
-	if !s.Nack(pending[0].Seq) {
-		t.Fatal("nack failed")
-	}
-	if s.Nack(pending[0].Seq) {
-		t.Fatal("double nack succeeded")
-	}
-	redelivered, err := s.Lease(1)
-	if err != nil || len(redelivered) != 1 {
-		t.Fatalf("redelivery: %v, %d", err, len(redelivered))
-	}
-	if string(redelivered[0].Body) != "critical-alert" {
-		t.Fatalf("redelivered %q", redelivered[0].Body)
-	}
-}
-
-func TestLeaseTamperDetected(t *testing.T) {
-	bus := New()
-	p, s := topicPair(t, bus, "t")
-	if _, err := p.Publish([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	bus.mu.Lock()
-	for id, q := range bus.queues["t"] {
-		q[0].Sealed[3] ^= 1
-		bus.queues["t"][id] = q
-	}
-	bus.mu.Unlock()
-	if _, err := s.Lease(1); !errors.Is(err, ErrBadSeal) {
-		t.Fatalf("err = %v, want ErrBadSeal", err)
-	}
-}
-
 func TestConcurrentPublishers(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "t")
@@ -335,7 +256,7 @@ func TestConcurrentPublishers(t *testing.T) {
 			defer wg.Done()
 			p, _ := NewPublisher(bus, "t", key)
 			for i := 0; i < 100; i++ {
-				if _, err := p.Publish([]byte("m")); err != nil {
+				if _, err := p.PublishBatch([][]byte{[]byte("m")}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -395,7 +316,7 @@ func TestPublishBatchBackPressureAllOrNothing(t *testing.T) {
 	pub, _ := NewPublisher(bus, "bp", key)
 	sub, _ := NewSubscriber(bus, "bp", key)
 	for i := 0; i < QueueLimit-1; i++ {
-		if _, err := pub.Publish([]byte("x")); err != nil {
+		if _, err := pub.PublishBatch([][]byte{[]byte("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +339,7 @@ func TestPollBatchBounded(t *testing.T) {
 	pub, _ := NewPublisher(bus, "poll", key)
 	sub, _ := NewSubscriber(bus, "poll", key)
 	for i := 0; i < 10; i++ {
-		if _, err := pub.Publish([]byte{byte('0' + i)}); err != nil {
+		if _, err := pub.PublishBatch([][]byte{{byte('0' + i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,9 +363,10 @@ func TestPollBatchBounded(t *testing.T) {
 	}
 }
 
-// TestUnsubscribePrunesLeases pins the churn leak fix: when a topic's last
-// subscriber closes, its queue and lease maps disappear from the bus.
-func TestUnsubscribePrunesLeases(t *testing.T) {
+// TestUnsubscribePrunesQueues pins the churn leak fix: when a topic's last
+// subscriber closes, its queue map disappears from the bus, even with
+// undelivered messages still queued.
+func TestUnsubscribePrunesQueues(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "churn")
 	pub, _ := NewPublisher(bus, "churn", key)
@@ -453,20 +375,17 @@ func TestUnsubscribePrunesLeases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pub.Publish([]byte("m")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sub.Lease(1); err != nil { // creates lease bookkeeping
+		if _, err := pub.PublishBatch([][]byte{[]byte("m")}); err != nil {
 			t.Fatal(err)
 		}
 		sub.Close()
 		sub.Close() // idempotent
 	}
 	bus.mu.Lock()
-	nq, nl := len(bus.queues), len(bus.leased)
+	nq := len(bus.queues)
 	bus.mu.Unlock()
-	if nq != 0 || nl != 0 {
-		t.Fatalf("after churn: %d queue topics, %d lease topics retained, want 0/0", nq, nl)
+	if nq != 0 {
+		t.Fatalf("after churn: %d queue topics retained, want 0", nq)
 	}
 	if bus.Depth("churn") != 0 {
 		t.Fatalf("depth = %d after last unsubscribe", bus.Depth("churn"))
@@ -474,50 +393,21 @@ func TestUnsubscribePrunesLeases(t *testing.T) {
 	// Sequence numbers survive churn: a fresh subscriber still sees
 	// monotonically increasing sequences.
 	sub, _ := NewSubscriber(bus, "churn", key)
-	seq, err := pub.Publish([]byte("after"))
+	seqs, err := pub.PublishBatch([][]byte{[]byte("after")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 51 {
-		t.Fatalf("seq = %d, want 51 (continuity across churn)", seq)
+	if seqs[0] != 51 {
+		t.Fatalf("seq = %d, want 51 (continuity across churn)", seqs[0])
 	}
 	if got, err := sub.Receive(); err != nil || len(got) != 1 {
 		t.Fatalf("fresh subscriber: %q %v", got, err)
 	}
 }
 
-// TestAckPrunesEmptyLeaseMaps: fully acknowledging a lease leaves no
-// residual per-subscriber lease maps behind.
-func TestAckPrunesEmptyLeaseMaps(t *testing.T) {
-	bus := New()
-	key, _ := TopicKey(appRoot(), "ack")
-	pub, _ := NewPublisher(bus, "ack", key)
-	sub, _ := NewSubscriber(bus, "ack", key)
-	if _, err := pub.Publish([]byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	pend, err := sub.Lease(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pend) != 1 {
-		t.Fatalf("leased %d", len(pend))
-	}
-	if !sub.Ack(pend[0].Seq) {
-		t.Fatal("ack failed")
-	}
-	bus.mu.Lock()
-	nl := len(bus.leased)
-	bus.mu.Unlock()
-	if nl != 0 {
-		t.Fatalf("lease maps retained after full ack: %d topics", nl)
-	}
-}
-
 // TestSubscriberDepth: the per-subscriber monitoring hook reports the
-// pending-queue length without consuming or leasing anything, tracks
-// partial drains, leaves leased-but-unacked messages counted, and goes to
-// zero when the subscriber closes.
+// pending-queue length without consuming anything, tracks partial drains,
+// and goes to zero when the subscriber closes.
 func TestSubscriberDepth(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "t")
@@ -525,7 +415,7 @@ func TestSubscriberDepth(t *testing.T) {
 		t.Fatalf("fresh Depth = %d", got)
 	}
 	for i := 0; i < 7; i++ {
-		if _, err := p.Publish([]byte("x")); err != nil {
+		if _, err := p.PublishBatch([][]byte{[]byte("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,20 +431,6 @@ func TestSubscriberDepth(t *testing.T) {
 	}
 	if got := s.Depth(); got != 4 {
 		t.Fatalf("Depth after PollBatch(3) = %d, want 4", got)
-	}
-	// Leased messages remain queued (and counted) until acked.
-	pend, err := s.Lease(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Depth(); got != 4 {
-		t.Fatalf("Depth after Lease = %d, want 4", got)
-	}
-	if !s.Ack(pend[0].Seq) {
-		t.Fatal("ack failed")
-	}
-	if got := s.Depth(); got != 3 {
-		t.Fatalf("Depth after Ack = %d, want 3", got)
 	}
 	s.Close()
 	if got := s.Depth(); got != 0 {
@@ -573,7 +449,7 @@ func TestSubscriberDepthIndependentPerSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := p.Publish([]byte("x")); err != nil {
+		if _, err := p.PublishBatch([][]byte{[]byte("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -608,7 +484,7 @@ func TestQueueLimitExactlyFull(t *testing.T) {
 		t.Fatalf("Depth = %d, want 8", got)
 	}
 	// One more is back-pressure, and the queue is untouched.
-	if _, err := p.Publish([]byte("x")); !errors.Is(err, ErrBackPres) {
+	if _, err := p.PublishBatch([][]byte{[]byte("x")}); !errors.Is(err, ErrBackPres) {
 		t.Fatalf("publish beyond limit: err = %v, want ErrBackPres", err)
 	}
 	if got := s.Depth(); got != 8 {
@@ -625,7 +501,7 @@ func TestQueueLimitExactlyFull(t *testing.T) {
 		t.Fatalf("Depth after rejected batch = %d, want 7", got)
 	}
 	// Exactly filling the remaining slot succeeds.
-	if _, err := p.Publish([]byte("y")); err != nil {
+	if _, err := p.PublishBatch([][]byte{[]byte("y")}); err != nil {
 		t.Fatalf("publish into last slot: %v", err)
 	}
 }
@@ -657,11 +533,11 @@ func TestQueueLimitPersistsAcrossSubscriberChurn(t *testing.T) {
 	if _, err := p.PublishBatch([][]byte{{3}, {4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Publish([]byte{5}); !errorsIsBackPres(err) {
+	if _, err := p.PublishBatch([][]byte{{5}}); !errorsIsBackPres(err) {
 		t.Fatalf("limit lost across churn: err = %v", err)
 	}
 	bus.SetQueueLimit("t", 0) // restore default
-	if _, err := p.Publish([]byte{5}); err != nil {
+	if _, err := p.PublishBatch([][]byte{{5}}); err != nil {
 		t.Fatalf("default limit not restored: %v", err)
 	}
 	s2.Close()
@@ -696,13 +572,13 @@ func TestUnsubscribePrunesOnlyOwnQueue(t *testing.T) {
 	}
 	// The departed handle's queue no longer counts toward back-pressure.
 	bus.SetQueueLimit("t", 3)
-	if _, err := p.Publish([]byte{4}); !errors.Is(err, ErrBackPres) {
+	if _, err := p.PublishBatch([][]byte{{4}}); !errors.Is(err, ErrBackPres) {
 		t.Fatalf("peer still bounded: err = %v, want ErrBackPres", err)
 	}
 	if _, err := b.PollBatch(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Publish([]byte{4}); err != nil {
+	if _, err := p.PublishBatch([][]byte{{4}}); err != nil {
 		t.Fatalf("publish after drain: %v", err)
 	}
 	b.Close()

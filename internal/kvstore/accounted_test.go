@@ -1,11 +1,13 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
+	"securecloud/internal/sim"
 )
 
 // accountedStore builds a store charging into a fresh enclave view.
@@ -96,9 +98,10 @@ func TestAccountedStoreBehavesLikePlain(t *testing.T) {
 	}
 }
 
-func TestAccountedStoreFaultsBeyondEPC(t *testing.T) {
-	// A store bigger than the EPC must incur EPC faults on access, the
-	// kvstore analogue of the paper's Figure 3 regime change.
+// smallEPCStore builds an accounted store on a 48-usable-page EPC, so a
+// store of a few hundred KiB pages and faults.
+func smallEPCStore(t *testing.T) (*Store, *enclave.Memory) {
+	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{
 		EPCBytes:         64 * 4096,
 		EPCReservedBytes: 16 * 4096,
@@ -124,19 +127,92 @@ func TestAccountedStoreFaultsBeyondEPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, enc.Memory()
+}
+
+func TestAccountedStoreFaultsBeyondEPC(t *testing.T) {
+	// A store bigger than the EPC must incur EPC faults on access, the
+	// kvstore analogue of the paper's Figure 3 regime change.
+	s, mem := smallEPCStore(t)
 	big := make([]byte, 2048)
 	for i := 0; i < 700; i++ { // ~1.4 MB of records >> 48-page EPC
 		if err := s.Put(fmt.Sprintf("key-%04d", i), big); err != nil {
 			t.Fatal(err)
 		}
 	}
-	enc.Memory().ResetAccounting()
+	mem.ResetAccounting()
 	for i := 0; i < 700; i += 7 {
 		if _, err := s.Get(fmt.Sprintf("key-%04d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if enc.Memory().Faults() == 0 {
+	if mem.Faults() == 0 {
 		t.Fatal("no EPC faults despite store exceeding the EPC")
+	}
+}
+
+// TestAccountedStorePinnedCharges pins the exact cycles and EPC faults a
+// seeded Put/Get/GetSnapshot/Range/Delete script charges on a paging
+// store, phase by phase. No bench-gate key reaches an accounted Get or
+// Delete, so this is what catches a descent or unlink that charges a
+// different probe sequence.
+func TestAccountedStorePinnedCharges(t *testing.T) {
+	s, mem := smallEPCStore(t)
+	rng := sim.NewRand(38)
+	key := func() string { return fmt.Sprintf("key-%04d", rng.Intn(600)) }
+	type charge struct {
+		cycles sim.Cycles
+		faults uint64
+	}
+	phases := []struct {
+		name string
+		run  func()
+		want charge
+	}{
+		{"put", func() {
+			for i := 0; i < 400; i++ {
+				if err := s.Put(key(), make([]byte, 256+rng.Intn(1792))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, charge{70645780, 560}},
+		{"get", func() {
+			for i := 0; i < 150; i++ {
+				if _, err := s.Get(key()); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatal(err)
+				}
+			}
+		}, charge{63078760, 518}},
+		{"get-snapshot", func() {
+			for i := 0; i < 100; i++ {
+				if _, err := s.GetSnapshot(key()); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatal(err)
+				}
+			}
+		}, charge{31530960, 258}},
+		{"range", func() {
+			for i := 0; i < 10; i++ {
+				lo := key()
+				if _, err := s.Range(lo, lo+"~"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Range(key(), ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, charge{162352920, 1274}},
+		{"delete", func() {
+			for i := 0; i < 150; i++ {
+				s.Delete(key())
+			}
+		}, charge{63277640, 523}},
+	}
+	for _, ph := range phases {
+		mem.ResetAccounting()
+		ph.run()
+		if got := (charge{mem.Cycles(), mem.Faults()}); got != ph.want {
+			t.Errorf("%s: charged %d cycles, %d faults; want %d, %d",
+				ph.name, got.cycles, got.faults, ph.want.cycles, ph.want.faults)
+		}
 	}
 }

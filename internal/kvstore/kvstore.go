@@ -96,13 +96,6 @@ func NewStore(key cryptbox.Key, opts Options) (*Store, error) {
 
 func (s *Store) accounted() bool { return s.acct.Enabled() }
 
-// noteProbe records one node inspection for the current descent's batch.
-func (s *Store) noteProbe(n *node) {
-	if s.accounted() {
-		s.probe = append(s.probe, n.addr)
-	}
-}
-
 // commitProbes charges all node inspections accumulated by one descent as
 // a single bulk access.
 func (s *Store) commitProbes() {
@@ -153,22 +146,30 @@ func (s *Store) randomLevel() int {
 	return l
 }
 
-// findPredecessors fills update[i] with the rightmost node at level i whose
-// key precedes k. Every node inspected by a comparison is noted in the
-// probe batch; callers charge the whole descent with commitProbes.
-func (s *Store) findPredecessors(k string, update []*node) *node {
+// descend walks to the first node whose key is not below k and returns it.
+// When update is non-nil it fills update[i] with the rightmost node at
+// level i whose key precedes k. On an accounted store the address of every
+// node a comparison inspects is appended to probes, in descent order. It
+// touches no store state, so concurrent readers may share it; callers
+// charge the probes themselves (commitProbes, or a snapshot span).
+func (s *Store) descend(k string, update []*node, probes []uint64) (*node, []uint64) {
+	acct := s.accounted()
 	cur := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for cur.next[i] != nil && cur.next[i].key < k {
-			s.noteProbe(cur.next[i])
+			if acct {
+				probes = append(probes, cur.next[i].addr)
+			}
 			cur = cur.next[i]
 		}
-		if cur.next[i] != nil {
-			s.noteProbe(cur.next[i]) // the comparison that stopped the level
+		if cur.next[i] != nil && acct {
+			probes = append(probes, cur.next[i].addr) // the comparison that stopped the level
 		}
-		update[i] = cur
+		if update != nil {
+			update[i] = cur
+		}
 	}
-	return cur.next[0]
+	return cur.next[0], probes
 }
 
 // valueAAD binds a sealed value to its key, preventing the storage layer
@@ -181,8 +182,9 @@ func (s *Store) Put(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	update := make([]*node, maxLevel)
-	cand := s.findPredecessors(key, update)
+	var update [maxLevel]*node
+	var cand *node
+	cand, s.probe = s.descend(key, update[:], s.probe[:0])
 	s.commitProbes()
 	if cand != nil && cand.key == key {
 		cand.value = sealed
@@ -221,27 +223,6 @@ func (s *Store) chargeLinkWrites(preds []*node) {
 	s.probe = s.probe[:0]
 }
 
-// descendSnapshot walks to key without touching any store state, collecting
-// the simulated addresses a descent would probe into buf (the same node
-// sequence findPredecessors notes). It is the read path safe for concurrent
-// callers: no scratch slice, no accounting mutation.
-func (s *Store) descendSnapshot(key string, buf []uint64) (*node, []uint64) {
-	acct := s.accounted()
-	cur := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for cur.next[i] != nil && cur.next[i].key < key {
-			if acct {
-				buf = append(buf, cur.next[i].addr)
-			}
-			cur = cur.next[i]
-		}
-		if cur.next[i] != nil && acct {
-			buf = append(buf, cur.next[i].addr) // the comparison that stopped the level
-		}
-	}
-	return cur.next[0], buf
-}
-
 // GetSnapshot is Get charged through a read-only snapshot accounting span:
 // the descent's probes consult — but never mutate — the platform's cache
 // and residency state, so concurrent GetSnapshot calls on one store charge
@@ -251,7 +232,7 @@ func (s *Store) descendSnapshot(key string, buf []uint64) (*node, []uint64) {
 // mutators — exactly what ShardedStore does per shard.
 func (s *Store) GetSnapshot(key string) ([]byte, error) {
 	var probeBuf [2 * maxLevel]uint64
-	cand, probes := s.descendSnapshot(key, probeBuf[:0])
+	cand, probes := s.descend(key, nil, probeBuf[:0])
 	if s.accounted() {
 		sp := s.acct.Mem.BeginSnapshotSpan()
 		for _, a := range probes {
@@ -303,8 +284,8 @@ func (s *Store) GetBatch(keys []string) ([][]byte, error) {
 
 // Get returns the value stored under key.
 func (s *Store) Get(key string) ([]byte, error) {
-	update := make([]*node, maxLevel)
-	cand := s.findPredecessors(key, update)
+	var cand *node
+	cand, s.probe = s.descend(key, nil, s.probe[:0])
 	s.commitProbes()
 	if cand == nil || cand.key != key {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -321,8 +302,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // Delete removes key; it reports whether the key existed.
 func (s *Store) Delete(key string) bool {
-	update := make([]*node, maxLevel)
-	cand := s.findPredecessors(key, update)
+	var update [maxLevel]*node
+	var cand *node
+	cand, s.probe = s.descend(key, update[:], s.probe[:0])
 	s.commitProbes()
 	if cand == nil || cand.key != key {
 		return false
@@ -353,18 +335,10 @@ type Pair struct {
 // bulk access each; record payload reads are charged per record.
 func (s *Store) Range(lo, hi string) ([]Pair, error) {
 	var out []Pair
-	cur := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for cur.next[i] != nil && cur.next[i].key < lo {
-			s.noteProbe(cur.next[i])
-			cur = cur.next[i]
-		}
-		if cur.next[i] != nil {
-			s.noteProbe(cur.next[i]) // the comparison that stopped the level
-		}
-	}
+	var first *node
+	first, s.probe = s.descend(lo, nil, s.probe[:0])
 	s.commitProbes()
-	for n := cur.next[0]; n != nil; n = n.next[0] {
+	for n := first; n != nil; n = n.next[0] {
 		if hi != "" && n.key >= hi {
 			break
 		}

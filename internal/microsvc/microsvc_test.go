@@ -60,6 +60,20 @@ func (fx *rawFixture) send(t *testing.T) {
 	}
 }
 
+// sendForged publishes one request sealed under a key other than the
+// service's request key.
+func (fx *rawFixture) sendForged(t *testing.T) {
+	t.Helper()
+	wrong, _ := cryptbox.NewBox(cryptbox.Key{0xEE})
+	frame, err := wrong.SealAppend(appendFrameV2Header(nil, "k", frameMeta{}, 0), []byte("req"), reqAADFor("plane/upper"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.in.PublishBatch([][]byte{frame}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // stepFails runs one Step and requires it to count exactly one Failed
 // request, none Served, and publish no reply.
 func (fx *rawFixture) stepFails(t *testing.T) {
@@ -83,14 +97,7 @@ func upper(req []byte) ([]byte, error) { return bytes.ToUpper(req), nil }
 // service's request key fails inside the replica.
 func TestInvokeRejectsForgedRequest(t *testing.T) {
 	fx := newRawFixture(t, "plane/upper", upper)
-	wrong, _ := cryptbox.NewBox(cryptbox.Key{0xEE})
-	frame, err := wrong.SealAppend(appendFrameV2Header(nil, "k", frameMeta{}, 0), []byte("req"), reqAADFor("plane/upper"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fx.in.Publish(frame); err != nil {
-		t.Fatal(err)
-	}
+	fx.sendForged(t)
 	fx.stepFails(t)
 }
 
@@ -106,10 +113,41 @@ func TestResponseCannotBeReplayedAsRequest(t *testing.T) {
 	if err != nil || len(replies) != 1 {
 		t.Fatalf("reply frames = %d, %v", len(replies), err)
 	}
-	if _, err := fx.in.Publish(replies[0]); err != nil {
+	if _, err := fx.in.PublishBatch([][]byte{replies[0]}); err != nil {
 		t.Fatal(err)
 	}
 	fx.stepFails(t)
+}
+
+// TestRetiredTotalsKeepFailed: a departing replica's served and failed
+// counts stay in the set-lifetime totals, whether it leaves through Retire
+// or through Stop.
+func TestRetiredTotalsKeepFailed(t *testing.T) {
+	fx := newRawFixture(t, "plane/upper", upper)
+	fx.send(t)
+	if st, err := fx.rs.Step(); err != nil || st.Served != 1 {
+		t.Fatalf("step = %+v, %v", st, err)
+	}
+	fx.sendForged(t)
+	fx.stepFails(t)
+	first := fx.rs.ReplicaHandles()[0].ID()
+	if _, err := fx.rs.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.rs.Retire(first); err != nil {
+		t.Fatal(err)
+	}
+	if tot := fx.rs.Totals(); tot.Served != 1 || tot.Failed != 1 || tot.Live != 1 {
+		t.Fatalf("totals after Retire = %+v, want 1 served, 1 failed, 1 live", tot)
+	}
+	fx.send(t)
+	if st, err := fx.rs.Step(); err != nil || st.Served != 1 {
+		t.Fatalf("step = %+v, %v", st, err)
+	}
+	fx.rs.Stop()
+	if tot := fx.rs.Totals(); tot.Served != 2 || tot.Failed != 1 || tot.Live != 0 {
+		t.Fatalf("totals after Stop = %+v, want 2 served, 1 failed, 0 live", tot)
+	}
 }
 
 // TestCrossServiceRequestRejected: a request sealed for service A does not

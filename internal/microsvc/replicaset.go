@@ -168,6 +168,18 @@ type retiredTotals struct {
 	failed    uint64
 }
 
+// fold adds one departing replica's final accounting. Caller holds rs.mu.
+func (t *retiredTotals) fold(r *Replica) {
+	c := r.enc.Memory().Cycles()
+	t.cycles += c
+	if c > t.maxCycles {
+		t.maxCycles = c
+	}
+	t.faults += r.enc.Memory().Faults()
+	t.served += r.served.Load()
+	t.failed += r.failed.Load()
+}
+
 // frontEnd is the set's attested dispatcher: the enclave that holds the
 // topic stream keys and owns the bus endpoints. box holds the service
 // request key, used only to seal shed replies (the front end never opens
@@ -430,19 +442,14 @@ func (rs *ReplicaSet) Retire(id string) error {
 	}
 	r := rs.replicas[idx]
 	rs.replicas = append(rs.replicas[:idx:idx], rs.replicas[idx+1:]...)
+	// Flag before taking the queue: a serve tick that hands its remainder
+	// back after this point sees the flag and requeues it.
 	r.retired.Store(true)
 	r.mu.Lock()
 	rs.requeue = append(rs.requeue, r.pending...)
 	r.pending = nil
 	r.mu.Unlock()
-	c := r.enc.Memory().Cycles()
-	rs.retired.cycles += c
-	if c > rs.retired.maxCycles {
-		rs.retired.maxCycles = c
-	}
-	rs.retired.faults += r.enc.Memory().Faults()
-	rs.retired.served += r.served.Load()
-	rs.retired.failed += r.failed.Load()
+	rs.retired.fold(r)
 	rs.mu.Unlock()
 	r.stop()
 	return nil
@@ -457,14 +464,7 @@ func (rs *ReplicaSet) Stop() {
 	rs.replicas = nil
 	for _, r := range reps {
 		r.retired.Store(true)
-		c := r.enc.Memory().Cycles()
-		rs.retired.cycles += c
-		if c > rs.retired.maxCycles {
-			rs.retired.maxCycles = c
-		}
-		rs.retired.faults += r.enc.Memory().Faults()
-		rs.retired.served += r.served.Load()
-		rs.retired.failed += r.failed.Load()
+		rs.retired.fold(r)
 	}
 	rs.mu.Unlock()
 	for _, r := range reps {

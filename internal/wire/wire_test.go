@@ -300,7 +300,7 @@ func TestLegacyFrameRejectedAtEveryBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pub.Publish(legacy); err != nil {
+	if _, err := pub.PublishBatch([][]byte{legacy}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := fx.rs.Step()

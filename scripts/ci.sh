@@ -38,6 +38,10 @@
 # 10. golden-drift gate         (regenerating every golden in a scratch
 #                                copy must reproduce the committed files —
 #                                catches stale goldens)
+# 11. mutant gate               (scripts/mutants.sh: every hand mutation in
+#                                scripts/mutants/*.patch must still apply
+#                                and fail the test its "# kills:" header
+#                                names; prints killed/total)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,5 +121,8 @@ cp -a "$PWD" "$SCRATCH/repo"
         exit 1
     fi
 )
+
+echo "ci: mutant gate (scripts/mutants.sh)" >&2
+bash scripts/mutants.sh
 
 echo "ci: OK" >&2

@@ -373,11 +373,15 @@
 //     the latest record back to its packed ancestor — verifying every
 //     link's parent binding, refusing missing links, spliced parents and
 //     non-monotonic epochs — then pulls only the chunks its node cache is
-//     missing via container.Engine.PullBlobSet (the same parallel
-//     verified pull as image boot: per-chunk digest verification, tamper
-//     isolation, warm BlobCache hits) and replays only the post-snapshot
-//     WAL tail inside accounting spans. A warm node recovering a delta
-//     chain therefore fetches the changed chunks, not the dataset.
+//     missing via one container.Engine.PullBlobSets call for all shards
+//     (the same verified pull as image boot: per-chunk digest
+//     verification, tamper isolation, warm BlobCache hits) and replays
+//     only the post-snapshot WAL tail inside accounting spans. A warm
+//     node recovering a delta chain therefore fetches the changed chunks,
+//     not the dataset. Chain walks, snapshot assembly and replay run on
+//     the store's shard fan-out; chunk fetches run in shard order, and
+//     the error reported is the lowest failing shard's, exactly as a
+//     shard-by-shard recovery would report it.
 //     Snapshot-bootstrap and log-replay sim-cycles are topology
 //     (worker-invariant), so RecoveryStats is CI-gated like every other
 //     simulated figure. Two fuzz targets pin the adversarial floor:

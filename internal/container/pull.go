@@ -213,18 +213,7 @@ func (e *Engine) PullImage(name, tag string) (*image.Image, PullStats, error) {
 	}
 	ps.Layers = len(lms)
 
-	// The unique chunk set in first-occurrence order (deterministic).
-	seen := make(map[cryptbox.Digest]struct{}, ps.ChunksTotal)
-	unique := make([]cryptbox.Digest, 0, ps.ChunksTotal)
-	for _, lm := range lms {
-		for _, leaf := range lm.Leaves {
-			if _, dup := seen[leaf]; dup {
-				continue
-			}
-			seen[leaf] = struct{}{}
-			unique = append(unique, leaf)
-		}
-	}
+	unique := uniqueLeaves(lms)
 	ps.UniqueChunks = len(unique)
 	ps.DedupHits = ps.ChunksTotal - ps.UniqueChunks
 
@@ -273,6 +262,27 @@ func (e *Engine) PullImage(name, tag string) (*image.Image, PullStats, error) {
 	}
 	e.recordPull(ps)
 	return img, ps, nil
+}
+
+// uniqueLeaves returns the distinct chunk digests of lms in
+// first-occurrence order (deterministic).
+func uniqueLeaves(lms []*transfer.Manifest) []cryptbox.Digest {
+	var total int
+	for _, lm := range lms {
+		total += lm.Chunks()
+	}
+	seen := make(map[cryptbox.Digest]struct{}, total)
+	unique := make([]cryptbox.Digest, 0, total)
+	for _, lm := range lms {
+		for _, leaf := range lm.Leaves {
+			if _, dup := seen[leaf]; dup {
+				continue
+			}
+			seen[leaf] = struct{}{}
+			unique = append(unique, leaf)
+		}
+	}
+	return unique
 }
 
 // classifyAndFetch runs the cache classification and verified fetch fan-out
@@ -380,49 +390,91 @@ func (e *Engine) assembleLayer(want cryptbox.Digest, lm *transfer.Manifest, cach
 	return l, cycles, faults, nil
 }
 
-// PullBlobSet pulls one packed blob set — a shard snapshot, anything
+// PullBlobSets pulls packed blob sets — shard snapshots, anything
 // published through Registry.PutBlobSet — through the node cache and
-// reassembles its payload. The manifest must come from a trusted channel
-// (for snapshots: sealed under the service key); the pull verifies every
-// chunk against the manifest's content digests, isolates tampered chunks,
-// and warms the cache exactly like an image pull, so PullStats stays
-// bit-identical across worker counts here too.
-func (e *Engine) PullBlobSet(lm *transfer.Manifest, label string) ([]byte, PullStats, error) {
-	var ps PullStats
-	if err := lm.Validate(); err != nil {
-		return nil, ps, err
-	}
-	ps.Layers = 1
-	ps.ChunksTotal = lm.Chunks()
-	seen := make(map[cryptbox.Digest]struct{}, ps.ChunksTotal)
-	unique := make([]cryptbox.Digest, 0, ps.ChunksTotal)
-	for _, leaf := range lm.Leaves {
-		if _, dup := seen[leaf]; dup {
-			continue
+// reassembles their payloads. Each manifest must come from a trusted
+// channel (for snapshots: sealed under the service key); the pull verifies
+// every chunk against its manifest's content digests, isolates tampered
+// chunks, and warms the cache exactly like an image pull.
+//
+// The result is what one single-set pull per manifest, in set order, would
+// give:
+//   - each set's chunks are classified against the cache and fetched in
+//     set order, so a chunk an earlier set fetched is a cache hit for a
+//     later one and every set's CacheHits and ChunksFetch are as if it
+//     were pulled alone, after the sets before it;
+//   - fetching stops at the first set whose manifest or fetch fails;
+//   - the sets fetched are then assembled in parallel, each in its own
+//     verification enclave, so a set's cycles depend neither on the other
+//     sets nor on the worker count;
+//   - each set's stats are recorded in set order, so LastPullStats is the
+//     last set's.
+//
+// labels[i] names set i in errors and in its verification enclave. It
+// returns one payload and one PullStats per set. On error, both slices end
+// at the first set that failed — the one err names — whose payload is nil.
+func (e *Engine) PullBlobSets(lms []*transfer.Manifest, labels []string) ([][]byte, []PullStats, error) {
+	sets := make([]blobSetPull, 0, len(lms))
+	for i, lm := range lms {
+		s := e.fetchBlobSet(lm, labels[i])
+		sets = append(sets, s)
+		if s.err != nil {
+			break
 		}
-		seen[leaf] = struct{}{}
-		unique = append(unique, leaf)
 	}
-	ps.UniqueChunks = len(unique)
-	ps.DedupHits = ps.ChunksTotal - ps.UniqueChunks
+	sim.ParallelFor(len(sets), e.pullWorkers(), func(i int) {
+		s := &sets[i]
+		if s.err != nil {
+			return
+		}
+		raw, cycles, faults, err := e.assembleBlobSet(labels[i], lms[i], s.cache)
+		s.raw = raw
+		s.ps.SerialCycles, s.ps.CriticalCycles, s.ps.Faults = cycles, cycles, faults
+		if err != nil {
+			s.err = fmt.Errorf("container: pull %s: %w", labels[i], err)
+		}
+	})
+	payloads := make([][]byte, len(sets))
+	stats := make([]PullStats, len(sets))
+	for i, s := range sets {
+		if s.cache != nil { // a manifest that failed validation pulled nothing
+			e.recordPull(s.ps)
+		}
+		payloads[i], stats[i] = s.raw, s.ps
+		if s.err != nil {
+			return payloads[:i+1], stats[:i+1], s.err
+		}
+	}
+	return payloads, stats, nil
+}
 
-	cache := e.Cache
-	if cache == nil {
-		cache = NewBlobCache()
+// blobSetPull is one set's progress through PullBlobSets.
+type blobSetPull struct {
+	ps    PullStats
+	cache *BlobCache // nil when the manifest failed validation
+	raw   []byte
+	err   error
+}
+
+// fetchBlobSet validates one set's manifest, then classifies and fetches
+// its unique chunks through the node cache — a pull-private one when the
+// engine has none, as in PullImage.
+func (e *Engine) fetchBlobSet(lm *transfer.Manifest, label string) blobSetPull {
+	var s blobSetPull
+	if s.err = lm.Validate(); s.err != nil {
+		return s
 	}
-	if err := e.classifyAndFetch(label, cache, unique, &ps); err != nil {
-		e.recordPull(ps)
-		return nil, ps, err
+	unique := uniqueLeaves([]*transfer.Manifest{lm})
+	s.ps.Layers = 1
+	s.ps.ChunksTotal = lm.Chunks()
+	s.ps.UniqueChunks = len(unique)
+	s.ps.DedupHits = s.ps.ChunksTotal - s.ps.UniqueChunks
+	s.cache = e.Cache
+	if s.cache == nil {
+		s.cache = NewBlobCache()
 	}
-	raw, cycles, faults, err := e.assembleBlobSet(label, lm, cache)
-	ps.SerialCycles = cycles
-	ps.CriticalCycles = cycles
-	ps.Faults = faults
-	e.recordPull(ps)
-	if err != nil {
-		return nil, ps, fmt.Errorf("container: pull %s: %w", label, err)
-	}
-	return raw, ps, nil
+	s.err = e.classifyAndFetch(label, s.cache, unique, &s.ps)
+	return s
 }
 
 // recordPull remembers the engine's most recent pull for inspection.

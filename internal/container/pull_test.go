@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"testing"
 
 	"securecloud/internal/cryptbox"
@@ -279,10 +280,11 @@ func TestPullBlobSetRoundTrip(t *testing.T) {
 	e := NewEngine(enclave.NewPlatform(enclave.Config{}), shield.NewHost(), reg, nil)
 	e.Cache = NewBlobCache()
 	e.PullWorkers = 4
-	got, ps, err := e.PullBlobSet(lm, "snap/shard-0")
+	gots, pss, err := e.PullBlobSets([]*transfer.Manifest{lm}, []string{"snap/shard-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, ps := gots[0], pss[0]
 	if !bytes.Equal(got, payload) {
 		t.Fatal("pulled payload differs")
 	}
@@ -297,10 +299,11 @@ func TestPullBlobSetRoundTrip(t *testing.T) {
 	}
 
 	// Second pull rides the warm node cache: nothing crosses the network.
-	got2, ps2, err := e.PullBlobSet(lm, "snap/shard-0")
+	gots, pss, err = e.PullBlobSets([]*transfer.Manifest{lm}, []string{"snap/shard-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got2, ps2 := gots[0], pss[0]
 	if !bytes.Equal(got2, payload) {
 		t.Fatal("warm pull payload differs")
 	}
@@ -325,18 +328,19 @@ func TestPullBlobSetTamperIsolation(t *testing.T) {
 	e := NewEngine(enclave.NewPlatform(enclave.Config{}), shield.NewHost(), reg, nil)
 	e.Cache = NewBlobCache()
 	e.PullWorkers = 4
-	if _, ps, err := e.PullBlobSet(lm, "snap/shard-0"); !errors.Is(err, ErrChunkVerify) {
+	if _, pss, err := e.PullBlobSets([]*transfer.Manifest{lm}, []string{"snap/shard-0"}); !errors.Is(err, ErrChunkVerify) {
 		t.Fatalf("err = %v, want ErrChunkVerify", err)
-	} else if ps.ChunksFailed != 1 || ps.ChunksFetch != ps.UniqueChunks-1 {
+	} else if ps := pss[0]; ps.ChunksFailed != 1 || ps.ChunksFetch != ps.UniqueChunks-1 {
 		t.Fatalf("tampered pull: %+v", ps)
 	}
 	if !reg.RestoreBlob(victim, orig) {
 		t.Fatal("restore failed")
 	}
-	got, ps, err := e.PullBlobSet(lm, "snap/shard-0")
+	gots, pss, err := e.PullBlobSets([]*transfer.Manifest{lm}, []string{"snap/shard-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, ps := gots[0], pss[0]
 	if !bytes.Equal(got, payload) {
 		t.Fatal("resumed payload differs")
 	}
@@ -355,16 +359,172 @@ func TestPullBlobSetStatsInvariantAcrossWorkers(t *testing.T) {
 		e := NewEngine(enclave.NewPlatform(enclave.Config{}), shield.NewHost(), reg, nil)
 		e.Cache = NewBlobCache()
 		e.PullWorkers = workers
-		got, ps, err := e.PullBlobSet(lm, "snap/shard-0")
+		gots, pss, err := e.PullBlobSets([]*transfer.Manifest{lm}, []string{"snap/shard-0"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, ps := gots[0], pss[0]
 		if wi == 0 {
 			first, payload = ps, want
 			continue
 		}
 		if ps != first || !bytes.Equal(got, payload) {
 			t.Fatalf("workers=%d: %+v vs %+v", workers, ps, first)
+		}
+	}
+}
+
+// sharedSets is four convergent blob sets built from 64-byte blocks that
+// recur across sets (and once within a set), so which chunks a set finds
+// cached depends on the sets pulled before it. Block f belongs to set 2
+// alone, block e to set 3 alone, and block w to no set.
+type sharedSets struct {
+	reg      *registry.Registry
+	lms      []*transfer.Manifest
+	labels   []string
+	payloads [][]byte
+	blocks   map[byte][]byte
+	leaf     map[byte]cryptbox.Digest
+}
+
+func newSharedSets(t *testing.T) *sharedSets {
+	t.Helper()
+	f := &sharedSets{reg: registry.New(), blocks: map[byte][]byte{}, leaf: map[byte]cryptbox.Digest{}}
+	for i, name := range []byte("abcdefw") {
+		b := make([]byte, 64)
+		sim.NewRand(int64(40 + i)).Read(b)
+		f.blocks[name] = b
+	}
+	for i, layout := range []string{"abc", "bd", "afaf", "ec"} {
+		label := fmt.Sprintf("snap/shard-%d", i)
+		lm, chunks, err := transfer.PackConvergent(label, f.payload(layout), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.reg.PutBlobSet(lm, chunks); err != nil {
+			t.Fatal(err)
+		}
+		for j, name := range []byte(layout) {
+			f.leaf[name] = lm.Leaves[j]
+		}
+		f.lms = append(f.lms, lm)
+		f.labels = append(f.labels, label)
+		f.payloads = append(f.payloads, f.payload(layout))
+	}
+	return f
+}
+
+// payload concatenates the named blocks.
+func (f *sharedSets) payload(layout string) []byte {
+	var p []byte
+	for _, name := range []byte(layout) {
+		p = append(p, f.blocks[name]...)
+	}
+	return p
+}
+
+// TestPullBlobSetsMatchesSequentialPulls holds a multi-set pull to one
+// single-set pull per manifest in set order: the same payloads and
+// per-set stats (cache hits included, which depend on that order), the
+// last set's stats as LastPullStats, and the same cache afterwards — on a
+// cold, a warm and no node cache, at every worker count, and when a set's
+// fetch fails part-way.
+func TestPullBlobSetsMatchesSequentialPulls(t *testing.T) {
+	type outcome struct {
+		payloads [][]byte
+		stats    []PullStats
+		err      error
+		last     PullStats
+		cache    BlobCacheStats
+		cached   map[cryptbox.Digest]bool
+	}
+	type puller func(e *Engine, lms []*transfer.Manifest, labels []string) ([][]byte, []PullStats, error)
+	sequential := func(e *Engine, lms []*transfer.Manifest, labels []string) ([][]byte, []PullStats, error) {
+		var payloads [][]byte
+		var stats []PullStats
+		for i := range lms {
+			p, ps, err := e.PullBlobSets(lms[i:i+1], labels[i:i+1])
+			payloads, stats = append(payloads, p[0]), append(stats, ps[0])
+			if err != nil {
+				return payloads, stats, err
+			}
+		}
+		return payloads, stats, nil
+	}
+	together := func(e *Engine, lms []*transfer.Manifest, labels []string) ([][]byte, []PullStats, error) {
+		return e.PullBlobSets(lms, labels)
+	}
+	for _, temp := range []string{"cold", "warm", "none"} {
+		for _, tamper := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 8} {
+				f := newSharedSets(t)
+				if tamper && !f.reg.TamperBlob(f.leaf['f'], func(b []byte) []byte { b[0] ^= 1; return b }) {
+					t.Fatal("tamper hook missed blob")
+				}
+				run := func(pull puller) outcome {
+					e := NewEngine(enclave.NewPlatform(enclave.Config{}), shield.NewHost(), f.reg, nil)
+					e.PullWorkers = workers
+					if temp != "none" {
+						e.Cache = NewBlobCache()
+					}
+					if temp == "warm" {
+						// A node that pulled a set of blocks d and w before.
+						wm, chunks, err := transfer.PackConvergent("snap/warm", f.payload("dw"), 64)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j, d := range wm.Leaves {
+							e.Cache.Put(d, chunks[j])
+						}
+					}
+					var o outcome
+					o.payloads, o.stats, o.err = pull(e, f.lms, f.labels)
+					o.last = e.LastPullStats()
+					if e.Cache != nil {
+						o.cache = e.Cache.Stats()
+						o.cached = map[cryptbox.Digest]bool{}
+						for _, d := range f.leaf {
+							o.cached[d] = e.Cache.Contains(d)
+						}
+					}
+					return o
+				}
+				ref, got := run(sequential), run(together)
+				where := fmt.Sprintf("cache=%s tamper=%v workers=%d", temp, tamper, workers)
+				if tamper {
+					if !errors.Is(got.err, ErrChunkVerify) || ref.err == nil || got.err.Error() != ref.err.Error() {
+						t.Fatalf("%s: err = %v, sequential %v", where, got.err, ref.err)
+					}
+					if len(got.stats) != 3 || got.payloads[2] != nil || got.stats[2].ChunksFailed != 1 {
+						t.Fatalf("%s: pull did not stop at set 2: %+v", where, got.stats)
+					}
+					if got.cached[f.leaf['e']] {
+						t.Fatalf("%s: set 3's own chunk was fetched after set 2 failed", where)
+					}
+				} else if got.err != nil || ref.err != nil {
+					t.Fatalf("%s: err = %v, sequential %v", where, got.err, ref.err)
+				}
+				if len(got.payloads) != len(ref.payloads) {
+					t.Fatalf("%s: %d payloads, sequential %d", where, len(got.payloads), len(ref.payloads))
+				}
+				for i, p := range got.payloads {
+					if !bytes.Equal(p, ref.payloads[i]) || (got.err == nil && !bytes.Equal(p, f.payloads[i])) {
+						t.Fatalf("%s: set %d payload differs", where, i)
+					}
+				}
+				if fmt.Sprint(got.stats) != fmt.Sprint(ref.stats) {
+					t.Fatalf("%s: stats\n%+v\nsequential\n%+v", where, got.stats, ref.stats)
+				}
+				if got.last != ref.last || got.last != got.stats[len(got.stats)-1] {
+					t.Fatalf("%s: LastPullStats %+v, sequential %+v", where, got.last, ref.last)
+				}
+				if got.cache != ref.cache || fmt.Sprint(got.cached) != fmt.Sprint(ref.cached) {
+					t.Fatalf("%s: cache %+v, sequential %+v", where, got.cache, ref.cache)
+				}
+				if temp == "cold" && got.stats[1].CacheHits == 0 {
+					t.Fatalf("%s: set 1 found none of set 0's chunks cached: %+v", where, got.stats[1])
+				}
+			}
 		}
 	}
 }

@@ -94,3 +94,13 @@ func BenchmarkMemoryAccessSnapshot(b *testing.B) {
 	}
 	b.ReportMetric(float64(mem.Faults())/float64(b.N), "faults/op")
 }
+
+// BenchmarkNewPlatform: building one default platform, whose LLC way array
+// dominates — what a durable store recovery pays once per shard, once per
+// pulled snapshot set, and once for the recovering node's engine.
+func BenchmarkNewPlatform(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		NewPlatform(Config{})
+	}
+}

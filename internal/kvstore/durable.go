@@ -34,9 +34,13 @@
 //	        └ "snap|svc|i"   → shard i's snapshot manifest sealing
 //
 // Topology vs execution: shard count, WAL bytes, snapshot chunking and all
-// Snapshot/GC/Recovery stats are topology — shards are snapshotted and
-// recovered in shard order, and the engine pull's stats are
-// worker-invariant — so every figure is bit-identical across worker counts.
+// Snapshot/GC/Recovery stats are topology, so every figure is
+// bit-identical across worker counts. Shards are snapshotted in shard
+// order. Recovery resolves, assembles and replays shards in parallel —
+// each shard owns its platform, and each pulled set gets its own
+// verification enclave — while what crosses shards stays in shard order:
+// the chunk fetches that warm the node cache, the error reported, and the
+// stats sums.
 package kvstore
 
 import (
@@ -527,116 +531,195 @@ func (ds *DurableStore) resolveSnapshotChain(i int) (head *snapshotManifest, man
 
 // RecoverDurableStore rebuilds a durable store after a crash from what
 // survives: the registry's snapshot chains plus each shard's WAL segments
-// (nil/missing entries mean that shard's log was lost entirely). Shards
-// recover in shard order; each resolves its delta chain to the nearest
-// packed manifest — pulling only chunks absent from the engine's node
-// cache — then replays the segments at or after the head record's epoch
-// under the torn-tail discipline (only the final, live segment may be
-// torn; damage or epoch gaps anywhere earlier are hard errors). Sealed
-// segments recovery skipped stay attached, so a post-recovery GC can
-// still retire them. The returned store is ready for new appends.
+// (nil/missing entries mean that shard's log was lost entirely). It runs
+// in three phases, on the store's shard fan-out:
+//
+//  1. Every shard resolves its delta chain to the nearest packed manifest,
+//     in parallel.
+//  2. One Engine.PullBlobSets call pulls the chain heads of the shards
+//     before the first chain error. It fetches in shard order — only
+//     chunks absent from the engine's node cache — and assembles the sets
+//     in parallel.
+//  3. Every shard decodes and applies its snapshot, then replays the
+//     segments at or after the head record's epoch, in parallel, under
+//     the torn-tail discipline: only the final, live segment may be torn;
+//     damage or epoch gaps anywhere earlier are hard errors.
+//
+// What a sequential, shard-by-shard recovery would observe stays ordered:
+// the fetch order (so per-shard ChunksFetched and CacheHits), the error —
+// the lowest failing shard's, from its earliest failing phase — the stats,
+// summed in shard order, and the engine's LastPullStats, the last pulled
+// shard's. Sealed segments recovery skipped stay attached, so a
+// post-recovery GC can still retire them. The returned store is ready for
+// new appends.
 func RecoverDurableStore(cfg DurableConfig, segments [][]WALSegment) (*DurableStore, RecoveryStats, error) {
 	ds, err := NewDurableStore(cfg)
 	if err != nil {
 		return nil, RecoveryStats{}, err
 	}
+	shards := make([]shardRecovery, ds.Shards())
+	ds.ForEach(func(i int) {
+		r := &shards[i]
+		var links int
+		r.head, r.man, links, r.err = ds.resolveSnapshotChain(i)
+		if r.err == nil {
+			r.stats.ChainLinks = links
+		}
+	})
+
+	var (
+		lms    []*transfer.Manifest
+		labels []string
+		owners []int
+	)
+	for i := range shards {
+		if shards[i].err != nil {
+			break
+		}
+		if shards[i].head != nil {
+			lms = append(lms, shards[i].man)
+			labels = append(labels, ds.cfg.snapName(i))
+			owners = append(owners, i)
+		}
+	}
+	payloads, pulls, err := cfg.Engine.PullBlobSets(lms, labels)
+	for j, ps := range pulls {
+		r := &shards[owners[j]]
+		r.payload, r.pull = payloads[j], ps
+	}
+	if err != nil {
+		i := owners[len(pulls)-1]
+		shards[i].err = fmt.Errorf("kvstore: snapshot %s: %w", labels[len(pulls)-1], err)
+	}
+
+	failed := slices.IndexFunc(shards, func(r shardRecovery) bool { return r.err != nil })
+	ds.ForEach(func(i int) {
+		if failed < 0 || i < failed {
+			var segs []WALSegment
+			if i < len(segments) {
+				segs = segments[i]
+			}
+			shards[i].err = ds.recoverShard(i, &shards[i], segs)
+		}
+	})
 	var rs RecoveryStats
-	for i := 0; i < ds.Shards(); i++ {
-		name := ds.cfg.snapName(i)
-		replayEpoch := uint64(1)
-		head, man, links, err := ds.resolveSnapshotChain(i)
-		if err != nil {
-			return nil, rs, err
+	for _, r := range shards {
+		rs.add(r.stats)
+		if r.err != nil {
+			return nil, rs, r.err
 		}
-		rs.ChainLinks += links
-		if head != nil {
-			payload, ps, err := cfg.Engine.PullBlobSet(man, name)
-			if err != nil {
-				return nil, rs, fmt.Errorf("kvstore: snapshot %s: %w", name, err)
-			}
-			ops, err := decodeWALOps(payload)
-			if err != nil {
-				return nil, rs, fmt.Errorf("kvstore: snapshot %s: %w", name, err)
-			}
-			applied, err := ds.applyShardOps(i, ops)
-			if err != nil {
-				return nil, rs, err
-			}
-			rs.SnapshotBootstrapCycles += ps.SerialCycles + applied
-			rs.SnapshotPairs += len(ops)
-			rs.ChunksFetched += ps.ChunksFetch
-			rs.CacheHits += ps.CacheHits
-			replayEpoch = head.WALEpoch
-			ds.durableEpoch[i] = replayEpoch
-			ds.pubSeq[i] = head.Seq
-		}
-		var shardSegs []WALSegment
-		if i < len(segments) {
-			shardSegs = segments[i]
-		}
-		var stale, replay []WALSegment
-		for j, s := range shardSegs {
-			if j > 0 && s.Epoch <= shardSegs[j-1].Epoch {
-				return nil, rs, fmt.Errorf("%w: shard %d segment epochs not ascending (%d after %d)",
-					ErrWALCorrupt, i, s.Epoch, shardSegs[j-1].Epoch)
-			}
-			if s.Epoch >= replayEpoch {
-				replay = append(replay, s)
-			} else {
-				stale = append(stale, s)
-			}
-		}
-		for j, s := range replay {
-			want := replayEpoch + uint64(j)
-			if s.Epoch != want {
-				return nil, rs, fmt.Errorf("%w: shard %d missing wal epoch %d (found %d)",
-					ErrWALCorrupt, i, want, s.Epoch)
-			}
-		}
-		walName := ds.cfg.walName(i)
-		w := NewWAL(ds.walKeys[i], walName, replayEpoch)
-		shardReplayed := 0
-		for j, s := range replay {
-			batches, prefix, err := DecodeWAL(ds.walKeys[i], walName, s.Epoch, s.Bytes)
-			if err != nil {
-				return nil, rs, fmt.Errorf("kvstore: shard %d epoch %d: %w", i, s.Epoch, err)
-			}
-			final := j == len(replay)-1
-			if !final && prefix != len(s.Bytes) {
-				// A torn tail is only explicable in the segment being
-				// appended to when the process died — the live one.
-				return nil, rs, fmt.Errorf("%w: shard %d sealed epoch %d torn at byte %d",
-					ErrWALCorrupt, i, s.Epoch, prefix)
-			}
-			for _, ops := range batches {
-				applied, err := ds.applyShardOps(i, ops)
-				if err != nil {
-					return nil, rs, err
-				}
-				rs.LogReplayCycles += applied
-			}
-			shardReplayed += len(batches)
-			if final {
-				w = &WAL{
-					name: walName, key: ds.walKeys[i], epoch: s.Epoch,
-					seq:     uint64(len(batches)),
-					buf:     append([]byte(nil), s.Bytes[:prefix]...),
-					records: len(batches),
-				}
-			}
-		}
-		retained := append([]WALSegment(nil), stale...)
-		if len(replay) > 1 {
-			retained = append(retained, replay[:len(replay)-1]...)
-		}
-		w.attachSegments(retained)
-		ds.wals[i] = w
-		// Replayed records are state the next snapshot must pack — a reuse
-		// record here would point at a manifest missing the tail.
-		ds.dirty[i] = shardReplayed > 0
-		rs.RecordsReplayed += shardReplayed
 	}
 	return ds, rs, nil
+}
+
+// shardRecovery is one shard's progress through RecoverDurableStore.
+type shardRecovery struct {
+	head    *snapshotManifest // nil when the shard never published
+	man     *transfer.Manifest
+	payload []byte
+	pull    container.PullStats
+	stats   RecoveryStats
+	err     error
+}
+
+// add sums another shard's recovery stats into rs.
+func (rs *RecoveryStats) add(o RecoveryStats) {
+	rs.SnapshotBootstrapCycles += o.SnapshotBootstrapCycles
+	rs.LogReplayCycles += o.LogReplayCycles
+	rs.RecordsReplayed += o.RecordsReplayed
+	rs.SnapshotPairs += o.SnapshotPairs
+	rs.ChunksFetched += o.ChunksFetched
+	rs.CacheHits += o.CacheHits
+	rs.ChainLinks += o.ChainLinks
+}
+
+// recoverShard rebuilds shard i from its pulled snapshot payload and its
+// WAL segments. It adds to r.stats when the shard-by-shard loop did, so a
+// failure leaves the same partial stats: the snapshot's figures once it is
+// applied, replay cycles per applied record, and the record count only
+// once every segment replayed.
+func (ds *DurableStore) recoverShard(i int, r *shardRecovery, segs []WALSegment) error {
+	replayEpoch := uint64(1)
+	if r.head != nil {
+		name := ds.cfg.snapName(i)
+		ops, err := decodeWALOps(r.payload)
+		if err != nil {
+			return fmt.Errorf("kvstore: snapshot %s: %w", name, err)
+		}
+		applied, err := ds.applyShardOps(i, ops)
+		if err != nil {
+			return err
+		}
+		r.stats.SnapshotBootstrapCycles += r.pull.SerialCycles + applied
+		r.stats.SnapshotPairs += len(ops)
+		r.stats.ChunksFetched += r.pull.ChunksFetch
+		r.stats.CacheHits += r.pull.CacheHits
+		replayEpoch = r.head.WALEpoch
+		ds.durableEpoch[i] = replayEpoch
+		ds.pubSeq[i] = r.head.Seq
+	}
+	var stale, replay []WALSegment
+	for j, s := range segs {
+		if j > 0 && s.Epoch <= segs[j-1].Epoch {
+			return fmt.Errorf("%w: shard %d segment epochs not ascending (%d after %d)",
+				ErrWALCorrupt, i, s.Epoch, segs[j-1].Epoch)
+		}
+		if s.Epoch >= replayEpoch {
+			replay = append(replay, s)
+		} else {
+			stale = append(stale, s)
+		}
+	}
+	for j, s := range replay {
+		want := replayEpoch + uint64(j)
+		if s.Epoch != want {
+			return fmt.Errorf("%w: shard %d missing wal epoch %d (found %d)",
+				ErrWALCorrupt, i, want, s.Epoch)
+		}
+	}
+	walName := ds.cfg.walName(i)
+	w := NewWAL(ds.walKeys[i], walName, replayEpoch)
+	replayed := 0
+	for j, s := range replay {
+		batches, prefix, err := DecodeWAL(ds.walKeys[i], walName, s.Epoch, s.Bytes)
+		if err != nil {
+			return fmt.Errorf("kvstore: shard %d epoch %d: %w", i, s.Epoch, err)
+		}
+		final := j == len(replay)-1
+		if !final && prefix != len(s.Bytes) {
+			// A torn tail is only explicable in the segment being
+			// appended to when the process died — the live one.
+			return fmt.Errorf("%w: shard %d sealed epoch %d torn at byte %d",
+				ErrWALCorrupt, i, s.Epoch, prefix)
+		}
+		for _, ops := range batches {
+			applied, err := ds.applyShardOps(i, ops)
+			if err != nil {
+				return err
+			}
+			r.stats.LogReplayCycles += applied
+		}
+		replayed += len(batches)
+		if final {
+			w = &WAL{
+				name: walName, key: ds.walKeys[i], epoch: s.Epoch,
+				seq:     uint64(len(batches)),
+				buf:     append([]byte(nil), s.Bytes[:prefix]...),
+				records: len(batches),
+			}
+		}
+	}
+	retained := append([]WALSegment(nil), stale...)
+	if len(replay) > 1 {
+		retained = append(retained, replay[:len(replay)-1]...)
+	}
+	w.attachSegments(retained)
+	ds.wals[i] = w
+	// Replayed records are state the next snapshot must pack — a reuse
+	// record here would point at a manifest missing the tail.
+	ds.dirty[i] = replayed > 0
+	r.stats.RecordsReplayed += replayed
+	return nil
 }
 
 // StateDigest returns a digest of the store's decrypted contents in global

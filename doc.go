@@ -327,18 +327,18 @@
 //
 //   - Per-shard sealed WAL. Every PutBatch group-commits one WAL record
 //     per touched shard before the in-enclave tables apply: the batch's
-//     ops encode to a compact codec, seal convergently and uncompressed
-//     (transfer.SealConvergent — identical log segments dedup like any
-//     other chunk; deflate saved no bytes on records this small and
-//     dominated the append), and the record carries the convergent key
-//     wrapped under the shard's WAL key plus a MAC bound to the log's
-//     identity and position (fsshield.ChunkAAD over name, epoch, record
-//     index), so records cannot be reordered, transplanted across shards
-//     or replayed across epochs. Torn tails are part of the contract:
-//     damage confined to the final record reads as a clean crash point
-//     and truncates; damage earlier in the log is a hard ErrWALCorrupt. A
-//     fuzz target (FuzzDecodeWALRecord) pins that every input lands in
-//     exactly torn, corrupt or valid.
+//     ops encode to a compact codec and are sealed once, uncompressed,
+//     by a deterministic AEAD under the shard's WAL key (deflate saved no
+//     bytes on records this small and dominated the append). The seal's
+//     AAD names the log, epoch and record index, so records cannot be
+//     reordered, transplanted across shards or replayed across epochs,
+//     and identical appends at one position give identical bytes. A
+//     record is a u32 length prefix and the sealed ops: 32 B of overhead.
+//     Torn tails are part of the contract: a final record that is cut
+//     short or fails authentication reads as a clean crash point and
+//     truncates; the same damage earlier in the log is a hard
+//     ErrWALCorrupt. A fuzz target (FuzzDecodeWALRecord) pins that every
+//     input lands in exactly torn, corrupt or valid.
 //
 //   - Incremental sealed snapshots. Snapshot tracks per-shard dirty
 //     state: a shard untouched since its last packed snapshot publishes a

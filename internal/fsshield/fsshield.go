@@ -138,27 +138,6 @@ func chunkAAD(path string, version uint64, idx, total int) []byte {
 	return []byte(fmt.Sprintf("%s|v%d|%d/%d", path, version, idx, total))
 }
 
-// ChunkAAD is the exported chunk position binding: (path, version, index,
-// chunk count) rendered exactly as the protected file system binds its own
-// chunks. Other sealed-chunk logs built on the fsshield format — the
-// kvstore write-ahead log uses (log name, epoch, sequence, 0 for
-// open-ended) — share it so their records get the same substitution,
-// reordering, splicing and rollback protection.
-func ChunkAAD(path string, version uint64, idx, total int) []byte {
-	return chunkAAD(path, version, idx, total)
-}
-
-// MACChunk is the exported form of the pooled chunk MAC: the tag over
-// stored||aad that pins one sealed chunk to its ChunkAAD position.
-func MACChunk(key cryptbox.Key, stored, aad []byte) [cryptbox.MACSize]byte {
-	return macChunk(key, stored, aad)
-}
-
-// VerifyChunkMAC is the verifying counterpart of MACChunk.
-func VerifyChunkMAC(key cryptbox.Key, stored, aad []byte, tag [cryptbox.MACSize]byte) bool {
-	return verifyChunkMAC(key, stored, aad, tag)
-}
-
 // macChunk computes the chunk MAC over stored||aad in a pooled scratch
 // buffer — the per-chunk concatenation sits on the data plane's hot path
 // (every protected read of every container boot), so it must not allocate.

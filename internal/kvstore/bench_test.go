@@ -63,27 +63,55 @@ func BenchmarkRange100(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppend group-commits one batch of 16 ops × 200 B random values
-// per iteration — the write path's per-shard cost in durable_write.
-func BenchmarkWALAppend(b *testing.B) {
+// benchWALBatches draws n records shaped like durable_write's group
+// commit: 16 pairs of 200-byte values spread over 8 shards leave each
+// shard's record about 2 ops.
+func benchWALBatches(n int) [][]WALOp {
 	rng := rand.New(rand.NewSource(1))
-	batch := make([]WALOp, 16)
-	for i := range batch {
-		v := make([]byte, 200)
-		rng.Read(v)
-		batch[i] = WALOp{Key: fmt.Sprintf("key-%06d", i), Value: v}
+	out := make([][]WALOp, n)
+	for i := range out {
+		ops := make([]WALOp, 2)
+		for j := range ops {
+			v := make([]byte, 200)
+			rng.Read(v)
+			ops[j] = WALOp{Key: fmt.Sprintf("key-%06d", rng.Intn(2000)), Value: v}
+		}
+		out[i] = ops
 	}
+	return out
+}
+
+// BenchmarkWALAppend group-commits one durable_write-shaped record per
+// iteration — the write path's per-shard cost.
+func BenchmarkWALAppend(b *testing.B) {
+	batch := benchWALBatches(1)[0]
 	w := NewWAL(walTestKey(b), "wal/bench", 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%64 == 0 {
+		if i%512 == 0 {
 			// Roll-sized epochs: durable_write's snapshots keep a shard's
 			// live log to a few hundred KiB.
-			w.Reset(uint64(i/64) + 1)
+			w.Reset(uint64(i/512) + 1)
 		}
 		if err := w.Append(batch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeWAL authenticates and decodes a 342-record log of
+// durable_write-shaped records — the replay count of durable_recover.
+func BenchmarkDecodeWAL(b *testing.B) {
+	const records = 342
+	key := walTestKey(b)
+	buf := buildWAL(b, key, "wal/bench", 1, benchWALBatches(records)).Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := DecodeWAL(key, "wal/bench", 1, buf)
+		if err != nil || len(got) != records {
+			b.Fatalf("decoded %d records: %v", len(got), err)
 		}
 	}
 }

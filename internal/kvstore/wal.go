@@ -1,30 +1,25 @@
 // The per-shard sealed write-ahead log. A WAL is the durable half of a
 // shard: PutBatch appends one group-commit record per tick, and the byte
-// buffer — not the in-memory table — is what survives a crash. The format
-// composes the repo's existing sealing layers instead of inventing one:
+// buffer — not the in-memory table — is what survives a crash. A record
+// is one deterministic AEAD seal under the shard's WAL key, the same seal
+// the snapshot chain record uses:
 //
-//	frame   = u32 len | body | mac[32]
-//	body    = u32 wrappedLen | wrapped convergent key | u32 sealedLen | sealed ops
-//	sealed  = transfer.SealConvergent(encodeWALOps(batch))   (raw, not deflated)
-//	wrapped = convergent key sealed under the shard WAL key (deterministic nonce)
-//	mac     = fsshield.MACChunk(walKey, body, fsshield.ChunkAAD(name, epoch, seq, 0))
+//	frame = u32 len | sealDeterministic(walKey, encodeWALOps(batch), walAAD(name, epoch, seq))
 //
-// The payload is convergently sealed (content-derived key, deterministic
-// nonce), so identical batches produce bit-identical sealed segments and
-// dedup wherever log segments are stored content-addressed. It is sealed
-// raw: a group-commit record is a few KiB of keys and values, on which
-// deflate saved no bytes (records came out larger) while building its
-// Huffman tables took ≈ 90 % of an append's CPU. Position binding comes
-// from the fsshield chunk AAD: a record authenticated at (log, epoch, seq)
-// cannot be replayed at any other position, the same cut-and-paste defence
-// the protected FS gives file chunks. Total = 0 in the AAD marks the extent
-// open-ended — a log grows, unlike a file of known chunk count.
+// The seal gives confidentiality and integrity, and its AAD binds the
+// record to its position: a record authenticated at (log, epoch, seq)
+// cannot be replayed at any other position, reordered, or transplanted
+// to another shard's log. The nonce is a MAC of the plaintext and the AAD
+// under the WAL key, so identical appends at identical positions produce
+// bit-identical log bytes. The ops are sealed raw: a group-commit record
+// is a few KiB of keys and values, on which deflate saved no bytes while
+// building its Huffman tables dominated an append's CPU.
 //
 // Torn-tail discipline (the crash contract): a record that is incomplete —
-// truncated framing, or a full final frame whose MAC fails — is a clean
-// crash point; recovery truncates it and continues. The same damage
-// anywhere before the final record cannot be explained by a crash during a
-// sequential append and is a hard integrity error.
+// truncated framing, or a full final frame that fails authentication — is
+// a clean crash point; recovery truncates it and continues. The same
+// damage anywhere before the final record cannot be explained by a crash
+// during a sequential append and is a hard integrity error.
 package kvstore
 
 import (
@@ -35,18 +30,17 @@ import (
 	"sync"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/fsshield"
-	"securecloud/internal/transfer"
 )
 
 // WAL errors.
 var (
-	// ErrWALTorn marks a truncated or MAC-failing final record — the clean
-	// crash point. Recovery truncates at the last good record and continues.
+	// ErrWALTorn marks a truncated final record, or a final record that
+	// fails authentication — the clean crash point. Recovery truncates at
+	// the last good record and continues.
 	ErrWALTorn = errors.New("kvstore: wal torn tail")
-	// ErrWALCorrupt marks damage that a crash cannot explain: a bad record
-	// with valid records after it, or an authenticated record whose payload
-	// does not decode. Recovery must fail loudly.
+	// ErrWALCorrupt marks damage that a crash cannot explain: a record that
+	// fails authentication with records after it, or an authenticated
+	// record whose payload does not decode. Recovery must fail loudly.
 	ErrWALCorrupt = errors.New("kvstore: wal corrupt")
 )
 
@@ -137,26 +131,30 @@ func decodeWALOps(buf []byte) ([]WALOp, error) {
 	return ops, nil
 }
 
-// walWrapNonceLabel domain-separates the deterministic wrap nonce.
-const walWrapNonceLabel = "kv-wal-wrap-nonce"
+// sealNonceLabel domain-separates the deterministic nonce. Its value is
+// part of every sealed record's bytes; changing it moves them all.
+const sealNonceLabel = "kv-wal-wrap-nonce"
 
 // sealDeterministic seals plaintext under key with a nonce derived from the
 // plaintext and AAD instead of a random one, so identical appends produce
-// bit-identical log bytes (the twin-determinism the recovery gate pins).
-// The (key, nonce) pair can only recur for an identical (plaintext, aad)
-// pair — which produces the identical sealed record — so determinism costs
-// no nonce-reuse safety, the same argument transfer makes for convergent
-// chunks.
+// bit-identical bytes (the twin-determinism the recovery gate pins). The
+// (key, nonce) pair can only recur for an identical (plaintext, aad) pair
+// — which produces the identical sealed record — so determinism costs no
+// nonce-reuse safety. The nonce is a MAC under key, not a bare hash: a
+// bare hash would let anyone who guesses a whole record and its AAD
+// confirm the guess from the stored nonce. Keyed, the seal is a
+// deterministic AEAD and reveals only whether two seals of the same
+// (plaintext, aad) are equal.
 func sealDeterministic(key cryptbox.Key, plaintext, aad []byte) ([]byte, error) {
 	box, err := cryptbox.NewBox(key)
 	if err != nil {
 		return nil, err
 	}
-	seed := make([]byte, 0, len(plaintext)+len(aad)+len(walWrapNonceLabel))
+	seed := make([]byte, 0, len(plaintext)+len(aad)+len(sealNonceLabel))
 	seed = append(seed, plaintext...)
 	seed = append(seed, aad...)
-	seed = append(seed, walWrapNonceLabel...)
-	sum := cryptbox.Sum(seed)
+	seed = append(seed, sealNonceLabel...)
+	sum := cryptbox.MAC(key, seed)
 	box.SetNonceSource(bytes.NewReader(sum[:cryptbox.NonceSize]))
 	return box.Seal(plaintext, aad)
 }
@@ -271,6 +269,12 @@ func (w *WAL) GC(floor uint64, retain int) (retired int, bytes int64) {
 	return retired, bytes
 }
 
+// walAAD binds a sealed WAL record to its log, epoch and sequence number,
+// in the style of snapshotAAD.
+func walAAD(name string, epoch, seq uint64) []byte {
+	return []byte(fmt.Sprintf("kv-wal|%s|%d|%d", name, epoch, seq))
+}
+
 // Append group-commits one batch as a single sealed record.
 func (w *WAL) Append(ops []WALOp) error {
 	if len(ops) == 0 {
@@ -282,24 +286,12 @@ func (w *WAL) Append(ops []WALOp) error {
 	if err != nil {
 		return err
 	}
-	convKey, sealed, err := transfer.SealConvergent(payload)
+	sealed, err := sealDeterministic(w.key, payload, walAAD(w.name, w.epoch, w.seq))
 	if err != nil {
 		return err
 	}
-	aad := fsshield.ChunkAAD(w.name, w.epoch, int(w.seq), 0)
-	wrapped, err := sealDeterministic(w.key, convKey[:], aad)
-	if err != nil {
-		return err
-	}
-	body := make([]byte, 0, 8+len(wrapped)+len(sealed))
-	body = binary.BigEndian.AppendUint32(body, uint32(len(wrapped)))
-	body = append(body, wrapped...)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(sealed)))
-	body = append(body, sealed...)
-	tag := fsshield.MACChunk(w.key, body, aad)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(body)+cryptbox.MACSize))
-	w.buf = append(w.buf, body...)
-	w.buf = append(w.buf, tag[:]...)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(sealed)))
+	w.buf = append(w.buf, sealed...)
 	w.seq++
 	w.records++
 	return nil
@@ -323,53 +315,22 @@ func DecodeWALRecord(key cryptbox.Key, name string, epoch, seq uint64, buf []byt
 		// everything after it is unwalkable either way).
 		return nil, 0, fmt.Errorf("%w: record %d declares %d bytes, %d remain", ErrWALTorn, seq, rl, len(buf)-4)
 	}
-	tornOrCorrupt := func(format string, args ...any) error {
-		kind := ErrWALCorrupt
-		if end == len(buf) {
-			kind = ErrWALTorn
-		}
-		return fmt.Errorf("%w: record %d: %s", kind, seq, fmt.Sprintf(format, args...))
-	}
-	if rl < cryptbox.MACSize+8 {
-		return nil, 0, tornOrCorrupt("%d bytes below frame minimum", rl)
-	}
-	body := buf[4 : end-cryptbox.MACSize]
-	var tag [cryptbox.MACSize]byte
-	copy(tag[:], buf[end-cryptbox.MACSize:end])
-	aad := fsshield.ChunkAAD(name, epoch, int(seq), 0)
-	if !fsshield.VerifyChunkMAC(key, body, aad, tag) {
-		return nil, 0, tornOrCorrupt("MAC verification failed")
-	}
-	// The MAC covers body and position: from here every failure means the
-	// authenticated bytes themselves are wrong — forged under the key or a
-	// writer bug — which no crash explains. Hard error regardless of
-	// position.
-	wl := int(binary.BigEndian.Uint32(body))
-	if 4+wl > len(body)-4 {
-		return nil, 0, fmt.Errorf("%w: record %d wrapped key overruns body", ErrWALCorrupt, seq)
-	}
-	wrapped := body[4 : 4+wl]
-	rest := body[4+wl:]
-	sl := int(binary.BigEndian.Uint32(rest))
-	if 4+sl != len(rest) {
-		return nil, 0, fmt.Errorf("%w: record %d sealed payload length mismatch", ErrWALCorrupt, seq)
-	}
 	box, err := cryptbox.NewBox(key)
 	if err != nil {
 		return nil, 0, err
 	}
-	rawKey, err := box.Open(wrapped, aad)
+	payload, err := box.Open(buf[4:end], walAAD(name, epoch, seq))
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: record %d key unwrap failed", ErrWALCorrupt, seq)
+		kind := ErrWALCorrupt
+		if end == len(buf) {
+			kind = ErrWALTorn
+		}
+		return nil, 0, fmt.Errorf("%w: record %d failed authentication", kind, seq)
 	}
-	convKey, err := cryptbox.KeyFromBytes(rawKey)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: record %d: %v", ErrWALCorrupt, seq, err)
-	}
-	payload, err := transfer.OpenConvergent(convKey, rest[4:], 0)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: record %d payload: %v", ErrWALCorrupt, seq, err)
-	}
+	// The seal covers payload and position: from here every failure means
+	// the authenticated bytes themselves are wrong — forged under the key
+	// or a writer bug — which no crash explains. Hard error regardless of
+	// position.
 	ops, err := decodeWALOps(payload)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: record %d: %v", ErrWALCorrupt, seq, err)

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/fsshield"
-	"securecloud/internal/transfer"
 )
 
 func walTestKey(t testing.TB) cryptbox.Key {
@@ -91,7 +89,7 @@ func TestWALRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWALDeterministic pins the dedup property: identical op streams at
+// TestWALDeterministic pins twin determinism: identical op streams at
 // identical positions produce bit-identical log bytes.
 func TestWALDeterministic(t *testing.T) {
 	key := walTestKey(t)
@@ -99,6 +97,30 @@ func TestWALDeterministic(t *testing.T) {
 	b := buildWAL(t, key, "wal/twin", 1, walTestBatches())
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("identical appends produced different log bytes")
+	}
+}
+
+// TestSealDeterministicNonceKeyed: the stored nonce is a function of the
+// key, so a holder of the sealed bytes who guesses the plaintext and AAD
+// cannot confirm the guess by hashing them.
+func TestSealDeterministicNonceKeyed(t *testing.T) {
+	pt, aad := []byte("meter-0001=1.234"), walAAD("wal/guess", 1, 0)
+	other := walTestKey(t)
+	other[0] ^= 1
+	a, err := sealDeterministic(walTestKey(t), pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sealDeterministic(other, pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guess := cryptbox.Sum(append(append(append([]byte(nil), pt...), aad...), sealNonceLabel...))
+	if bytes.Equal(a[:cryptbox.NonceSize], guess[:cryptbox.NonceSize]) {
+		t.Fatal("nonce is an unkeyed hash of the plaintext and AAD")
+	}
+	if bytes.Equal(a[:cryptbox.NonceSize], b[:cryptbox.NonceSize]) {
+		t.Fatal("two keys derived the same nonce")
 	}
 }
 
@@ -192,7 +214,7 @@ func TestWALMidLogCorruption(t *testing.T) {
 }
 
 // TestWALPositionBinding: a record authenticated at one (name, epoch, seq)
-// must not verify at any other position — the chunkAAD cut-and-paste guard.
+// must not verify at any other position — the walAAD cut-and-paste guard.
 func TestWALPositionBinding(t *testing.T) {
 	key := walTestKey(t)
 	one := [][]WALOp{{{Key: "x", Value: []byte("y")}}}
@@ -213,21 +235,21 @@ func TestWALPositionBinding(t *testing.T) {
 	}
 }
 
-// TestWALAuthenticatedGarbage: a record whose MAC verifies but whose
-// authenticated payload does not decode is a hard error even at the tail —
-// a crash cannot produce validly MAC'd garbage.
+// TestWALAuthenticatedGarbage: a record that authenticates but whose
+// payload does not decode is a hard error even at the tail — a crash
+// cannot produce validly sealed garbage.
 func TestWALAuthenticatedGarbage(t *testing.T) {
 	key := walTestKey(t)
 	name, epoch, seq := "wal/forged", uint64(1), uint64(0)
-	aad := fsshield.ChunkAAD(name, epoch, int(seq), 0)
-	// A structurally broken body (wrapped-key length overruns), MAC'd
-	// correctly under the log key.
-	body := make([]byte, 12)
-	binary.BigEndian.PutUint32(body, 1<<30)
-	tag := fsshield.MACChunk(key, body, aad)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)+cryptbox.MACSize))
-	frame = append(frame, body...)
-	frame = append(frame, tag[:]...)
+	// A forged op count with no ops behind it, sealed under the log key at
+	// the right position.
+	forged := binary.BigEndian.AppendUint32(nil, 1<<30)
+	sealed, err := sealDeterministic(key, forged, walAAD(name, epoch, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(sealed)))
+	frame = append(frame, sealed...)
 	if _, _, err := DecodeWALRecord(key, name, epoch, seq, frame); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("authenticated garbage must be ErrWALCorrupt, got %v", err)
 	}
@@ -267,9 +289,8 @@ func TestWALRecordRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// frame length, wrapped-key length, wrapped key, sealed length, MAC,
-	// and the AEAD overhead of the two seals.
-	overhead := 4 + 4 + cryptbox.KeySize + 4 + cryptbox.MACSize + 2*box.Overhead()
+	// The frame length and the AEAD overhead of the one seal.
+	overhead := 4 + box.Overhead()
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 16, 64} {
 		ops := make([]WALOp, n)
@@ -286,25 +307,6 @@ func TestWALRecordRaw(t *testing.T) {
 		if got, want := len(w.Bytes()), len(payload)+overhead; got != want {
 			t.Fatalf("%d ops: record is %d bytes, want payload %d + overhead %d", n, got, len(payload), overhead)
 		}
-	}
-}
-
-// TestOpenConvergentLimit: OpenConvergent refuses a payload longer than its
-// limit, and a limit ≤ 0 leaves only the sealed length as the bound.
-func TestOpenConvergentLimit(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xA5}, 100)
-	key, sealed, err := transfer.SealConvergent(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{0, 100, 101} {
-		got, err := transfer.OpenConvergent(key, sealed, limit)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("limit %d: %v", limit, err)
-		}
-	}
-	if _, err := transfer.OpenConvergent(key, sealed, 99); !errors.Is(err, transfer.ErrBadChunk) {
-		t.Fatalf("payload over limit: got %v, want ErrBadChunk", err)
 	}
 }
 
@@ -370,8 +372,8 @@ func TestWALEpochReset(t *testing.T) {
 	if err := w.Append([]WALOp{{Key: "e2", Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
-	// Under the wrong epoch the sole record fails its MAC; as the final
-	// record that reads as a torn tail — zero batches survive.
+	// Under the wrong epoch the sole record fails authentication; as the
+	// final record that reads as a torn tail — zero batches survive.
 	if b, prefix, err := DecodeWAL(key, "wal/epoch", 1, w.Bytes()); err != nil || len(b) != 0 || prefix != 0 {
 		t.Fatalf("epoch-1 decode of epoch-2 log: %v, %d batches, prefix %d", err, len(b), prefix)
 	}

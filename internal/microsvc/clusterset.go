@@ -59,10 +59,9 @@ type ClusterSet struct {
 	cl          *cluster.Cluster
 	imageChunks []cryptbox.Digest
 
-	mu         sync.Mutex
-	onNode     map[string]string // replica id → node name
-	placements map[string]*cluster.Placement
-	events     []string
+	mu     sync.Mutex
+	onNode map[string]string // replica id → node name
+	events []string
 }
 
 // NewClusterReplicaSet builds a replica set whose boots go through the
@@ -79,8 +78,7 @@ func NewClusterReplicaSet(bus *eventbus.Bus, kb *attest.KeyBroker, name string, 
 	}
 	cs := &ClusterSet{
 		cl: cl, imageChunks: chunks,
-		onNode:     make(map[string]string),
-		placements: make(map[string]*cluster.Placement),
+		onNode: make(map[string]string),
 	}
 	boot := func(id string) (bootResult, error) {
 		var node *cluster.Node
@@ -121,7 +119,7 @@ func NewClusterReplicaSet(bus *eventbus.Bus, kb *attest.KeyBroker, name string, 
 		kind := node.RecordBoot(ps)
 		cs.noteEvent(fmt.Sprintf("place %s on %s (%s, fetched=%d cached=%d)",
 			id, node.Name(), kind, ps.ChunksFetch, ps.CacheHits))
-		cs.track(id, node.Name(), pl)
+		cs.track(id, node.Name())
 		enc := c.Runtime.Enclave()
 		arena, err := enc.HeapArena()
 		if err != nil {
@@ -145,20 +143,16 @@ func NewClusterReplicaSet(bus *eventbus.Bus, kb *attest.KeyBroker, name string, 
 	return cs, nil
 }
 
-func (cs *ClusterSet) track(id, node string, pl *cluster.Placement) {
+func (cs *ClusterSet) track(id, node string) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.onNode[id] = node
-	if pl != nil {
-		cs.placements[id] = pl
-	}
 }
 
 func (cs *ClusterSet) untrack(id string) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	delete(cs.onNode, id)
-	delete(cs.placements, id)
 }
 
 // replicasOn returns the sorted replica IDs currently tracked on a node —

@@ -97,8 +97,6 @@ type ReplicaSetConfig struct {
 	// InTopic / OutTopic are the bus topics the set consumes and produces.
 	InTopic  string
 	OutTopic string
-	// PollBatch bounds how many inbound frames one Step drains (0 = all).
-	PollBatch int
 	// TickBudget is the per-replica serve budget per Step in simulated
 	// cycles (0 = unlimited). A replica with pending work always serves at
 	// least one request per Step, so progress is guaranteed.
@@ -895,7 +893,7 @@ type StepStats struct {
 // platform — and the replies are published in replica order.
 func (rs *ReplicaSet) Step() (StepStats, error) {
 	var st StepStats
-	frames, err := rs.front.sub.PollBatch(rs.cfg.PollBatch)
+	frames, err := rs.front.sub.PollBatch(0)
 	if err != nil {
 		return st, err
 	}

@@ -124,7 +124,6 @@ type ScenarioSpec struct {
 	Workers       int // execution-only
 	TickMillis    float64
 	RequestCycles sim.Cycles
-	PollBatch     int
 	Target        orchestrator.Target
 
 	// Admission enables the tenant-aware admission controller; Retry
@@ -443,7 +442,6 @@ func newLab(spec ScenarioSpec) (_ *lab, err error) {
 		Workers:       spec.Workers,
 		InTopic:       inTopic,
 		OutTopic:      outTopic,
-		PollBatch:     spec.PollBatch,
 		TickBudget:    sim.MillisToCycles(spec.TickMillis),
 		RequestCycles: spec.RequestCycles,
 		Admission:     spec.Admission,

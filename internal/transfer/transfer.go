@@ -137,11 +137,10 @@ func chunkAAD(name string, idx int) []byte {
 // the manifest leaf list, which Accept and Unpack enforce.
 var convergentAAD = []byte("transfer|convergent")
 
-// convergentSeal seals one plaintext (a compressed chunk, or a raw
-// SealConvergent payload) under a key derived from its own bytes with a
-// deterministic nonce: same content, same sealed bytes. Reusing a (key,
-// nonce) pair is safe exactly because it can only recur for the identical
-// plaintext, reproducing the identical ciphertext.
+// convergentSeal seals one compressed chunk under a key derived from its
+// own bytes with a deterministic nonce: same content, same sealed bytes.
+// Reusing a (key, nonce) pair is safe exactly because it can only recur
+// for the identical plaintext, reproducing the identical ciphertext.
 func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
 	d := cryptbox.Sum(plaintext)
 	raw, err := cryptbox.HKDF(d[:], nil, []byte("transfer-convergent-key"), cryptbox.KeySize)
@@ -163,37 +162,6 @@ func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
 		return cryptbox.Key{}, nil, err
 	}
 	return key, sealed, nil
-}
-
-// SealConvergent convergently seals one standalone payload as is: the
-// returned key is derived from the payload and the nonce is deterministic,
-// so identical payloads produce bit-identical sealed bytes (the dedup
-// property PackConvergent gives chunked payloads, exposed here for
-// single-record callers like the kvstore write-ahead log). Unlike a chunk it
-// is not deflated first: on records of a few KiB, deflate's per-block
-// Huffman tables cost about as many bytes as they save (the log's records
-// came out larger deflated than raw), while building them dominated the
-// append. The caller is responsible for carrying the key over an
-// authenticated channel and for position binding.
-func SealConvergent(payload []byte) (cryptbox.Key, []byte, error) {
-	return convergentSeal(payload)
-}
-
-// OpenConvergent reverses SealConvergent, refusing a payload longer than
-// limit bytes (≤ 0: no bound beyond the sealed length itself).
-func OpenConvergent(key cryptbox.Key, sealed []byte, limit int) ([]byte, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := box.Open(sealed, convergentAAD)
-	if err != nil {
-		return nil, fmt.Errorf("%w: convergent payload failed authentication", ErrBadChunk)
-	}
-	if limit > 0 && len(payload) > limit {
-		return nil, fmt.Errorf("%w: convergent payload of %d bytes exceeds %d", ErrBadChunk, len(payload), limit)
-	}
-	return payload, nil
 }
 
 // ChunkFunc consumes sealed chunks in index order during a streaming pack.

@@ -60,10 +60,16 @@
 //     platform-lock acquisition and a single commit. The SCBR index,
 //     kvstore, fsshield and eventbus layers all charge through these.
 //
-//   - An O(ways) LLC. The set-associative cache keeps flat tag/last-use
-//     arrays; a hit updates one stamp instead of memmoving the set into
-//     recency order, and eviction picks the minimum stamp — exactly
-//     classic LRU, so hit/miss sequences are unchanged.
+//   - An O(ways) LLC that costs what it touches. The set-associative
+//     cache keeps tag/last-use records in 4 KiB chunks of 16 sets,
+//     allocated on a chunk's first access, with tags stored complemented
+//     so a zero way is empty; a hit updates one stamp instead of
+//     memmoving the set into recency order, and eviction picks the
+//     minimum stamp — exactly classic LRU, so hit/miss sequences are
+//     unchanged. The EPC's CLOCK ring likewise grows one slot when the
+//     hand first reaches it, so a platform that touches a few thousand
+//     sets and pages costs tens of KiB, not the 2.3 MB of a whole
+//     machine's way array and ring.
 //
 // The ledger's running total is an atomic, so Memory.Cycles never takes
 // the platform mutex. Fault counters and the ledger reset together under

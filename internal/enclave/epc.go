@@ -12,6 +12,11 @@ package enclave
 //
 // Residency lives in a pageTable of ring slot + 1, so a page never loaded
 // reads as 0: "not resident".
+//
+// The ring grows as it is used: a slot is appended the first time the
+// hand reaches it, up to capacity. The hand visits slots in ring order and
+// a slot it has never reached is free, so growth changes no load, victim
+// or residency — a platform pays only for the EPC pages it loads.
 type epc struct {
 	pageSize uint64
 	capacity int // usable pages
@@ -25,7 +30,8 @@ type epc struct {
 	lastIdx  int32
 	// The CLOCK ring, split into parallel arrays: refd is the hot byte the
 	// touch fast path sets (kept dense so it stays cache-resident), pages
-	// and occupied are only read when the hand sweeps.
+	// and occupied are only read when the hand sweeps. All three hold the
+	// slots the hand has reached so far.
 	pages    []uint64
 	refd     []bool
 	occupied []bool
@@ -45,11 +51,20 @@ func newEPC(totalBytes, reservedBytes, pageSize uint64) *epc {
 		pageSize: pageSize,
 		capacity: cap,
 		slots:    newPageTable[uint32](pageSize),
-		pages:    make([]uint64, cap),
-		refd:     make([]bool, cap),
-		occupied: make([]bool, cap),
 		lastIdx:  -1,
 	}
+}
+
+// growSlot appends one zero slot to a ring array, doubling its capacity
+// when full but never past capacity slots. The arrays never shrink, so the
+// slot past len is still zero.
+func growSlot[T uint64 | bool](s []T, capacity int) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), min(max(2*len(s), 64), capacity))
+		copy(grown, s)
+		s = grown
+	}
+	return s[:len(s)+1]
 }
 
 // lookup returns the ring slot of page, or -1 when not resident.
@@ -79,6 +94,11 @@ func (e *epc) touchPage(page uint64) (faulted bool, evicted uint64, evictedValid
 	// Find a free or victim slot with CLOCK.
 	for {
 		h := e.hand
+		if h == len(e.pages) {
+			e.pages = growSlot(e.pages, e.capacity)
+			e.refd = growSlot(e.refd, e.capacity)
+			e.occupied = growSlot(e.occupied, e.capacity)
+		}
 		if !e.occupied[h] {
 			e.pages[h], e.refd[h], e.occupied[h] = page, true, true
 			*e.slots.slot(page) = uint32(h) + 1

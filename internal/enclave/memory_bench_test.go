@@ -95,8 +95,9 @@ func BenchmarkMemoryAccessSnapshot(b *testing.B) {
 	b.ReportMetric(float64(mem.Faults())/float64(b.N), "faults/op")
 }
 
-// BenchmarkNewPlatform: building one default platform, whose LLC way array
-// dominates — what a durable store recovery pays once per shard, once per
+// BenchmarkNewPlatform: building one default platform — the LLC chunk
+// directory and set hints, the key derivation, no way array and no EPC
+// ring — what a durable store recovery pays once per shard, once per
 // pulled snapshot set, and once for the recovering node's engine.
 func BenchmarkNewPlatform(b *testing.B) {
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package enclave
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -291,6 +292,82 @@ func TestUsableEPCBytes(t *testing.T) {
 	}
 	if usable < 80<<20 {
 		t.Fatalf("usable EPC %d implausibly small", usable)
+	}
+}
+
+// TestPlatformAllocatesWhatItTouches: a platform allocates LLC chunks and
+// EPC ring slots on first use, so building one costs a few KiB however
+// large the simulated machine, one access allocates one chunk, and a
+// sweep allocates exactly the chunks of the sets it touched and one ring
+// slot per page it loaded.
+func TestPlatformAllocatesWhatItTouches(t *testing.T) {
+	allocated := func(c *llc) map[uint64]bool {
+		m := map[uint64]bool{}
+		for i, ch := range c.chunks {
+			if ch != nil {
+				m[uint64(i)] = true
+			}
+		}
+		return m
+	}
+
+	// Building: the minimum over a few rounds discounts stray allocations
+	// of other goroutines.
+	const budget, rounds = 32 << 10, 8
+	perPlatform := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			NewPlatform(Config{})
+		}
+		runtime.ReadMemStats(&after)
+		perPlatform = min(perPlatform, (after.TotalAlloc-before.TotalAlloc)/rounds)
+	}
+	if perPlatform > budget {
+		t.Fatalf("NewPlatform(Config{}) allocates %d B, budget %d B", perPlatform, budget)
+	}
+
+	p := NewPlatform(Config{})
+	if n := len(allocated(p.cache)); n != 0 {
+		t.Fatalf("fresh platform has %d LLC chunks allocated, want 0", n)
+	}
+	if n := len(p.pager.pages); n != 0 {
+		t.Fatalf("fresh platform has %d EPC ring slots, want 0", n)
+	}
+	p.UntrustedMemory().AccessRange(p.AllocUntrusted(64), 8, false)
+	if n := len(allocated(p.cache)); n != 1 {
+		t.Fatalf("one access allocated %d LLC chunks, want 1", n)
+	}
+
+	// Sweeping one line of every page of a 2 MiB enclave.
+	enc, _, err := NewWorker(Config{}, 2<<20, "sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := enc.Platform().cache
+	want := allocated(c)
+	before := len(want)
+	sets := map[uint64]bool{}
+	pages := int(enc.Size() / 4096)
+	for i := range pages {
+		s := (enc.Base() + uint64(i)*4096) / c.lineSize & c.setMask
+		sets[s] = true
+		want[s>>chunkShift] = true
+	}
+	enc.Memory().AccessStride(enc.Base(), 4096, pages, 8, false)
+	got := allocated(c)
+	if len(got)-before > len(sets) || len(got) != len(want) {
+		t.Fatalf("sweep over %d sets took LLC chunks %d -> %d, want %d", len(sets), before, len(got), len(want))
+	}
+	for ci := range want {
+		if !got[ci] {
+			t.Fatalf("chunk %d of a swept set is not allocated", ci)
+		}
+	}
+	pager := enc.Platform().pager
+	if ring, resident := len(pager.pages), pager.residentPages(); ring != resident || resident != pages {
+		t.Fatalf("sweep of %d pages: EPC ring has %d slots for %d resident pages", pages, ring, resident)
 	}
 }
 

@@ -10,7 +10,9 @@ import "securecloud/internal/cryptbox"
 // platform, workers share no simulated state — LLC, EPC and ledgers are
 // private — so parallel execution across workers charges exactly the same
 // totals as sequential execution, which is what keeps the sharded layers'
-// figures deterministic.
+// figures deterministic. A whole platform is cheap: its LLC sets and EPC
+// slots are allocated as the worker first touches them, so a worker costs
+// host memory for what it touches, not for the whole simulated machine.
 func NewWorker(cfg Config, size uint64, name string) (*Enclave, *Arena, error) {
 	return NewSignedWorker(cfg, size, name, cryptbox.Sum([]byte(name)))
 }

@@ -67,7 +67,7 @@ func MethodNotAllowed(w http.ResponseWriter) {
 // with 413 (the oversize guard mirroring the codec forged-count checks).
 // On failure it writes the error response and returns ok=false.
 func ReadBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBytes))
+	body, err := ReadAll(http.MaxBytesReader(w, req.Body, maxBytes), min(req.ContentLength, maxBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -78,4 +78,37 @@ func ReadBody(w http.ResponseWriter, req *http.Request, maxBytes int64) ([]byte,
 		return nil, false
 	}
 	return body, true
+}
+
+// maxPresize bounds the buffer ReadAll reserves from a declared length, so
+// a forged Content-Length reserves at most this much ahead of the bytes
+// that actually arrive.
+const maxPresize = 64 << 10
+
+// ReadAll reads r to EOF like io.ReadAll, but starts from a buffer of the
+// body's declared length — size, a Content-Length, or negative when
+// unknown — clamped to maxPresize, so a body of known size up to that
+// bound is read into one allocation instead of io.ReadAll's 512-byte
+// start and regrowth. Larger or unknown bodies grow as io.ReadAll's do.
+func ReadAll(r io.Reader, size int64) ([]byte, error) {
+	n := 512
+	if size >= 0 {
+		// One spare byte lets the read that reports EOF land without a
+		// regrowth.
+		n = int(min(size, maxPresize)) + 1
+	}
+	b := make([]byte, 0, n)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }

@@ -2,10 +2,13 @@ package httpx
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"securecloud/internal/cryptbox"
 )
@@ -67,5 +70,34 @@ func TestReadBodyBounds(t *testing.T) {
 	}
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-limit status %d, want 413", rec.Code)
+	}
+}
+
+// TestReadAllPresizes: a body of declared length is read whole into one
+// allocation; an unknown length still reads whole; a forged length
+// reserves at most maxPresize; a short body's read error comes back.
+func TestReadAllPresizes(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 3000)
+	for _, size := range []int64{3000, -1, 1 << 40} {
+		got, err := ReadAll(bytes.NewReader(body), size)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("size %d: read %d bytes, err %v", size, len(got), err)
+		}
+		if size > maxPresize && cap(got) > maxPresize+1 {
+			t.Fatalf("forged size %d reserved %d bytes, bound %d", size, cap(got), maxPresize+1)
+		}
+	}
+	r := bytes.NewReader(body)
+	if n := testing.AllocsPerRun(10, func() {
+		r.Reset(body)
+		if _, err := ReadAll(r, int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("declared-length read allocated %v times, want 1", n)
+	}
+	short := io.MultiReader(bytes.NewReader(body[:10]), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if got, err := ReadAll(short, 3000); !errors.Is(err, io.ErrUnexpectedEOF) || len(got) != 10 {
+		t.Fatalf("short body: %d bytes, err %v; want 10 bytes and ErrUnexpectedEOF", len(got), err)
 	}
 }

@@ -164,7 +164,11 @@ func sealSnapshotRecord(key cryptbox.Key, man snapshotManifest, name string) ([]
 	if err != nil {
 		return nil, err
 	}
-	sealed, err := sealDeterministic(key, raw, snapshotAAD(name, man.Seq, man.Parent))
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		return nil, err
+	}
+	sealed, err := sealDeterministic(box, key, raw, snapshotAAD(name, man.Seq, man.Parent))
 	if err != nil {
 		return nil, err
 	}

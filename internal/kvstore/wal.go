@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"securecloud/internal/cryptbox"
@@ -44,7 +45,11 @@ var (
 	ErrWALCorrupt = errors.New("kvstore: wal corrupt")
 )
 
-// WALOp is one logged mutation.
+// WALOp is one logged mutation. In a batch decoded from the log (DecodeWAL,
+// DecodeWALRecord, RecoverWAL) a non-empty Value aliases the record's
+// opened payload: that buffer is allocated by the decoding call for its
+// result and shared by the values of one record, so a caller that
+// modifies a Value in place modifies only its own decoded copy.
 type WALOp struct {
 	Key    string
 	Value  []byte
@@ -120,7 +125,11 @@ func decodeWALOps(buf []byte) ([]WALOp, error) {
 			if vlen > len(rest) {
 				return nil, fmt.Errorf("kvstore: wal op %d value overruns record", i)
 			}
-			op.Value = append([]byte(nil), rest[:vlen]...)
+			if vlen > 0 {
+				// The payload belongs to this decode; cap the alias
+				// so an append to one value cannot reach the next op.
+				op.Value = rest[:vlen:vlen]
+			}
 			rest = rest[vlen:]
 		}
 		ops = append(ops, op)
@@ -135,9 +144,10 @@ func decodeWALOps(buf []byte) ([]WALOp, error) {
 // part of every sealed record's bytes; changing it moves them all.
 const sealNonceLabel = "kv-wal-wrap-nonce"
 
-// sealDeterministic seals plaintext under key with a nonce derived from the
-// plaintext and AAD instead of a random one, so identical appends produce
-// bit-identical bytes (the twin-determinism the recovery gate pins). The
+// sealDeterministic seals plaintext with box, which must be keyed by key,
+// under a nonce derived from the plaintext and AAD instead of a random
+// one, so identical appends produce bit-identical bytes (the
+// twin-determinism the recovery gate pins). The
 // (key, nonce) pair can only recur for an identical (plaintext, aad) pair
 // — which produces the identical sealed record — so determinism costs no
 // nonce-reuse safety. The nonce is a MAC under key, not a bare hash: a
@@ -145,11 +155,7 @@ const sealNonceLabel = "kv-wal-wrap-nonce"
 // confirm the guess from the stored nonce. Keyed, the seal is a
 // deterministic AEAD and reveals only whether two seals of the same
 // (plaintext, aad) are equal.
-func sealDeterministic(key cryptbox.Key, plaintext, aad []byte) ([]byte, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
+func sealDeterministic(box *cryptbox.Box, key cryptbox.Key, plaintext, aad []byte) ([]byte, error) {
 	seed := make([]byte, 0, len(plaintext)+len(aad)+len(sealNonceLabel))
 	seed = append(seed, plaintext...)
 	seed = append(seed, aad...)
@@ -176,9 +182,11 @@ type WALSegment struct {
 // the durable medium until GC retires it. Recovery replays only the epochs
 // at or after the snapshot's; GC may only retire epochs strictly before it.
 type WAL struct {
-	mu      sync.Mutex
-	name    string
-	key     cryptbox.Key
+	mu   sync.Mutex
+	name string
+	key  cryptbox.Key
+	// box seals every record under key; built on the first Append.
+	box     *cryptbox.Box
 	epoch   uint64
 	seq     uint64
 	buf     []byte
@@ -270,9 +278,16 @@ func (w *WAL) GC(floor uint64, retain int) (retired int, bytes int64) {
 }
 
 // walAAD binds a sealed WAL record to its log, epoch and sequence number,
-// in the style of snapshotAAD.
+// in the style of snapshotAAD: "kv-wal|name|epoch|seq", decimal.
 func walAAD(name string, epoch, seq uint64) []byte {
-	return []byte(fmt.Sprintf("kv-wal|%s|%d|%d", name, epoch, seq))
+	const prefix = "kv-wal|"
+	aad := make([]byte, 0, len(prefix)+len(name)+2+2*20)
+	aad = append(aad, prefix...)
+	aad = append(aad, name...)
+	aad = append(aad, '|')
+	aad = strconv.AppendUint(aad, epoch, 10)
+	aad = append(aad, '|')
+	return strconv.AppendUint(aad, seq, 10)
 }
 
 // Append group-commits one batch as a single sealed record.
@@ -286,7 +301,12 @@ func (w *WAL) Append(ops []WALOp) error {
 	if err != nil {
 		return err
 	}
-	sealed, err := sealDeterministic(w.key, payload, walAAD(w.name, w.epoch, w.seq))
+	if w.box == nil {
+		if w.box, err = cryptbox.NewBox(w.key); err != nil {
+			return err
+		}
+	}
+	sealed, err := sealDeterministic(w.box, w.key, payload, walAAD(w.name, w.epoch, w.seq))
 	if err != nil {
 		return err
 	}
@@ -304,6 +324,15 @@ func (w *WAL) Append(ops []WALOp) error {
 // has records after it — corruption (ErrWALCorrupt) — is decided by
 // whether its frame reaches exactly len(buf).
 func DecodeWALRecord(key cryptbox.Key, name string, epoch, seq uint64, buf []byte) ([]WALOp, int, error) {
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeWALRecord(box, name, epoch, seq, buf)
+}
+
+// decodeWALRecord is DecodeWALRecord with the log's box already built.
+func decodeWALRecord(box *cryptbox.Box, name string, epoch, seq uint64, buf []byte) ([]WALOp, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, fmt.Errorf("%w: %d bytes of trailing framing", ErrWALTorn, len(buf))
 	}
@@ -314,10 +343,6 @@ func DecodeWALRecord(key cryptbox.Key, name string, epoch, seq uint64, buf []byt
 		// the length field itself is damaged — indistinguishable, and
 		// everything after it is unwalkable either way).
 		return nil, 0, fmt.Errorf("%w: record %d declares %d bytes, %d remain", ErrWALTorn, seq, rl, len(buf)-4)
-	}
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, 0, err
 	}
 	payload, err := box.Open(buf[4:end], walAAD(name, epoch, seq))
 	if err != nil {
@@ -343,9 +368,13 @@ func DecodeWALRecord(key cryptbox.Key, name string, epoch, seq uint64, buf []byt
 // while mid-log corruption returns the batches before the damage alongside
 // ErrWALCorrupt.
 func DecodeWAL(key cryptbox.Key, name string, epoch uint64, buf []byte) (batches [][]WALOp, prefix int, err error) {
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		return nil, 0, err
+	}
 	off := 0
 	for seq := uint64(0); off < len(buf); seq++ {
-		ops, n, err := DecodeWALRecord(key, name, epoch, seq, buf[off:])
+		ops, n, err := decodeWALRecord(box, name, epoch, seq, buf[off:])
 		if errors.Is(err, ErrWALTorn) {
 			return batches, off, nil
 		}

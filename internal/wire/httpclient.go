@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"securecloud/internal/httpx"
 )
 
 // DefaultMaxResp bounds client-side response reads — the mirror image of
@@ -13,9 +15,10 @@ import (
 // largest legitimate responses, so the cap is generous.
 const DefaultMaxResp = 16 << 20
 
-// readAllCapped reads r to EOF, failing if the body exceeds max bytes.
-func readAllCapped(r io.Reader, max int64) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, max+1))
+// readAllCapped reads a response body to EOF, failing if it exceeds max
+// bytes. Its declared length sizes the read buffer.
+func readAllCapped(resp *http.Response, max int64) ([]byte, error) {
+	b, err := httpx.ReadAll(io.LimitReader(resp.Body, max+1), min(resp.ContentLength, max+1))
 	if err != nil {
 		return nil, err
 	}
@@ -49,8 +52,8 @@ func doRequest(hc *http.Client, method, url, auth string, body []byte) ([]byte, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := readAllCapped(resp.Body, 4096)
+		msg, _ := readAllCapped(resp, 4096)
 		return nil, fmt.Errorf("wire: %s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(msg))
 	}
-	return readAllCapped(resp.Body, DefaultMaxResp)
+	return readAllCapped(resp, DefaultMaxResp)
 }

@@ -26,7 +26,8 @@
 #                                exactly the func Fuzz* under internal/,
 #                                so a new fuzzer cannot be skipped and a
 #                                deleted one cannot linger)
-# 8. enclave bench smoke        (each BenchmarkMemoryAccess* once, so the
+# 8. enclave bench smoke        (each BenchmarkMemoryAccess* and
+#                                BenchmarkNewPlatform once, so the
 #                                memory-model micro-benchmarks keep
 #                                compiling and running; timings are not
 #                                checked)
@@ -95,8 +96,8 @@ for target in "${FUZZ_TARGETS[@]}"; do
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"
 done
 
-echo "ci: enclave bench smoke (BenchmarkMemoryAccess*, 1x)" >&2
-go test -run '^$' -bench '^BenchmarkMemoryAccess' -benchtime 1x ./internal/enclave
+echo "ci: enclave bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, 1x)" >&2
+go test -run '^$' -bench '^Benchmark(MemoryAccess|NewPlatform)' -benchtime 1x ./internal/enclave
 
 echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
 go run ./cmd/bench -check

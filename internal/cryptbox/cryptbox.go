@@ -90,28 +90,45 @@ func (b *Box) Seal(plaintext, aad []byte) ([]byte, error) {
 
 // SealAppend is Seal appending to dst (which may be nil, or a recycled
 // buffer from GetScratch): the hot-path form that lets callers reuse
-// sealing buffers instead of allocating one per message.
+// sealing buffers instead of allocating one per message. dst is grown
+// first and the nonce is read straight into its tail, so sealing into a
+// buffer with enough spare capacity allocates nothing.
 func (b *Box) SealAppend(dst, plaintext, aad []byte) ([]byte, error) {
-	var nonce [NonceSize]byte
-	if _, err := io.ReadFull(b.nonceRand, nonce[:]); err != nil {
-		return nil, fmt.Errorf("cryptbox: reading nonce: %w", err)
-	}
-	if cap(dst)-len(dst) < NonceSize+len(plaintext)+b.aead.Overhead() {
-		grown := make([]byte, len(dst), len(dst)+NonceSize+len(plaintext)+b.aead.Overhead())
+	need := NonceSize + len(plaintext) + b.aead.Overhead()
+	if cap(dst)-len(dst) < need {
+		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
 		dst = grown
 	}
-	dst = append(dst, nonce[:]...)
-	return b.aead.Seal(dst, nonce[:], plaintext, aad), nil
+	n := len(dst)
+	nonce := dst[n : n+NonceSize]
+	if _, err := io.ReadFull(b.nonceRand, nonce); err != nil {
+		return nil, fmt.Errorf("cryptbox: reading nonce: %w", err)
+	}
+	return b.aead.Seal(dst[:n+NonceSize], nonce, plaintext, aad), nil
 }
 
 // Open authenticates and decrypts data produced by Seal with the same AAD.
-func (b *Box) Open(sealed, aad []byte) ([]byte, error) {
+// The plaintext is a new buffer; sealed is left untouched.
+func (b *Box) Open(sealed, aad []byte) ([]byte, error) { return b.open(sealed, aad, false) }
+
+// OpenInPlace is Open decrypting into sealed's own storage: the plaintext
+// it returns aliases sealed[NonceSize:], so opening allocates nothing.
+// Authentication is the same as Open's and a failure still returns ErrAuth,
+// but sealed is overwritten either way. Use it only on a buffer the caller
+// owns exclusively and will not read again as ciphertext.
+func (b *Box) OpenInPlace(sealed, aad []byte) ([]byte, error) { return b.open(sealed, aad, true) }
+
+func (b *Box) open(sealed, aad []byte, inPlace bool) ([]byte, error) {
 	if len(sealed) < NonceSize+b.aead.Overhead() {
 		return nil, ErrAuth
 	}
 	nonce, ct := sealed[:NonceSize], sealed[NonceSize:]
-	pt, err := b.aead.Open(nil, nonce, ct, aad)
+	var dst []byte
+	if inPlace {
+		dst = ct[:0]
+	}
+	pt, err := b.aead.Open(dst, nonce, ct, aad)
 	if err != nil {
 		return nil, ErrAuth
 	}

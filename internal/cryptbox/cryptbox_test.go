@@ -46,6 +46,35 @@ func TestOpenRejectsTamperedCiphertext(t *testing.T) {
 	}
 }
 
+func TestOpenInPlaceAliasesAndRejectsTampering(t *testing.T) {
+	box, _ := NewBox(testKey(1))
+	aad := []byte("meter-17")
+	sealed, _ := box.Seal([]byte("payload"), aad)
+	good := append([]byte(nil), sealed...)
+	pt, err := box.OpenInPlace(good, aad)
+	if err != nil || string(pt) != "payload" {
+		t.Fatalf("OpenInPlace = %q, %v", pt, err)
+	}
+	if &pt[0] != &good[NonceSize] {
+		t.Fatal("OpenInPlace plaintext does not alias the sealed buffer")
+	}
+	for i := range sealed {
+		bad := append([]byte(nil), sealed...)
+		bad[i] ^= 0x80
+		if _, err := box.OpenInPlace(bad, aad); err != ErrAuth {
+			t.Fatalf("tampering byte %d: err = %v, want ErrAuth", i, err)
+		}
+	}
+	if _, err := box.OpenInPlace(append([]byte(nil), sealed...), []byte("meter-18")); err != ErrAuth {
+		t.Fatalf("wrong AAD: err = %v, want ErrAuth", err)
+	}
+	for n := 0; n < box.Overhead(); n++ {
+		if _, err := box.OpenInPlace(make([]byte, n), nil); err != ErrAuth {
+			t.Fatalf("short input of %d bytes: err = %v, want ErrAuth", n, err)
+		}
+	}
+}
+
 func TestOpenRejectsWrongAAD(t *testing.T) {
 	box, _ := NewBox(testKey(1))
 	sealed, _ := box.Seal([]byte("payload"), []byte("meter-17"))
@@ -299,6 +328,21 @@ func TestSealAppendReusesBuffer(t *testing.T) {
 	}
 	if _, err := box.Open(prefixed[4:], nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSealAppendWithCapacityAllocatesNothing(t *testing.T) {
+	box, _ := NewBox(testKey(9))
+	pt := bytes.Repeat([]byte{0xCD}, 1024)
+	aad := []byte("aad")
+	buf := make([]byte, 0, len(pt)+box.Overhead())
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := box.SealAppend(buf, pt, aad); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SealAppend into a buffer with room allocated %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -98,9 +98,6 @@ func (p *Platform) ECreate(size uint64, signer cryptbox.Digest) (*Enclave, error
 	return e, nil
 }
 
-// ID returns the platform-local enclave identifier.
-func (e *Enclave) ID() uint64 { return e.id }
-
 // Platform returns the platform hosting this enclave.
 func (e *Enclave) Platform() *Platform { return e.p }
 

@@ -24,6 +24,10 @@ type Message struct {
 	Topic  string
 	Seq    uint64
 	Sealed []byte
+	// shared marks a message queued for more than one subscriber: every
+	// queue then holds the same Sealed bytes, so no subscriber may open
+	// them in place.
+	shared bool
 }
 
 // Errors returned by the bus and endpoints.
@@ -129,10 +133,11 @@ func (b *Bus) publishBatch(topic string, sealed [][]byte) ([]uint64, error) {
 	seq := b.seqs[topic]
 	seqs := make([]uint64, len(sealed))
 	msgs := make([]Message, len(sealed))
+	shared := len(qs) > 1
 	for i, s := range sealed {
 		seq++
 		seqs[i] = seq
-		msgs[i] = Message{Topic: topic, Seq: seq, Sealed: s}
+		msgs[i] = Message{Topic: topic, Seq: seq, Sealed: s, shared: shared}
 	}
 	b.seqs[topic] = seq
 	for id, q := range qs {
@@ -142,7 +147,8 @@ func (b *Bus) publishBatch(topic string, sealed [][]byte) ([]uint64, error) {
 }
 
 // drainN pops up to max queued messages (0 = all) of a subscription handle
-// under one lock acquisition.
+// under one lock acquisition. The bus keeps no reference to a drained
+// message: an unshared one's Sealed bytes belong to the caller from here.
 func (b *Bus) drainN(topic string, id int, max int) []Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -367,7 +373,8 @@ func (s *Subscriber) Close() {
 
 // Receive drains, authenticates and decrypts pending messages. It fails on
 // any tampered message and on sequence regression (a bus replaying or
-// reordering traffic).
+// reordering traffic). The bodies belong to the caller and may alias the
+// drained messages' storage (see PollBatch).
 func (s *Subscriber) Receive() ([][]byte, error) {
 	return s.PollBatch(0)
 }
@@ -379,6 +386,12 @@ func (s *Subscriber) Receive() ([][]byte, error) {
 // Receive, an authentication or replay failure is fatal for the stream:
 // the remaining drained messages are discarded, because a bus caught
 // tampering or reordering cannot be trusted to deliver the rest.
+//
+// A message queued for this subscriber alone is opened in place: the drain
+// hands its sealed buffer over (the enclave-side copy the staging window
+// charges), so the body aliases it and opening allocates nothing. A
+// message fanned out to several subscribers shares one buffer between
+// their queues and is opened into a fresh one.
 func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 	msgs := s.bus.drainN(s.topic, s.handle, max)
 	if s.stage != nil {
@@ -393,7 +406,11 @@ func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 		if m.Seq <= s.lastSeq {
 			return nil, fmt.Errorf("%w: sequence %d replayed", ErrBadSeal, m.Seq)
 		}
-		body, err := s.box.Open(m.Sealed, s.aad)
+		open := s.box.OpenInPlace
+		if m.shared {
+			open = s.box.Open
+		}
+		body, err := open(m.Sealed, s.aad)
 		if err != nil {
 			return nil, fmt.Errorf("%w: topic %s seq %d", ErrBadSeal, m.Topic, m.Seq)
 		}

@@ -155,10 +155,13 @@ func TestSequenceReplayRejected(t *testing.T) {
 	if _, err := p.PublishBatch([][]byte{[]byte("one")}); err != nil {
 		t.Fatal(err)
 	}
+	// The bus keeps its own copy of the sealed bytes: the drain hands the
+	// queued buffer to the subscriber, which opens it in place.
 	bus.mu.Lock()
 	var copyMsg Message
 	for _, q := range bus.queues["t"] {
 		copyMsg = q[0]
+		copyMsg.Sealed = append([]byte(nil), q[0].Sealed...)
 	}
 	bus.mu.Unlock()
 	if _, err := s.Receive(); err != nil {
@@ -273,6 +276,20 @@ func TestConcurrentPublishers(t *testing.T) {
 	}
 }
 
+// sealedOnBus returns the sealed bytes queued for each subscriber handle of
+// topic, in sequence order.
+func sealedOnBus(bus *Bus, topic string) map[int][][]byte {
+	bus.mu.Lock()
+	defer bus.mu.Unlock()
+	out := map[int][][]byte{}
+	for id, q := range bus.queues[topic] {
+		for _, m := range q {
+			out[id] = append(out[id], m.Sealed)
+		}
+	}
+	return out
+}
+
 func TestPublishBatchFanOut(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "batch")
@@ -280,22 +297,50 @@ func TestPublishBatchFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var subs []*Subscriber
-	for i := 0; i < 3; i++ {
+	bodies := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
+
+	// A sole subscriber owns the drained buffers: its bodies are opened
+	// in place, so each aliases its message's sealed bytes.
+	sole, err := NewSubscriber(bus, "batch", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.PublishBatch(bodies); err != nil {
+		t.Fatal(err)
+	}
+	queued := sealedOnBus(bus, "batch")[sole.handle]
+	got, err := sole.Receive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range got {
+		if string(body) != string(bodies[i]) {
+			t.Fatalf("sole subscriber received %q", got)
+		}
+		if &body[0] != &queued[i][cryptbox.NonceSize] {
+			t.Fatalf("sole subscriber's body %d was copied, not opened in place", i)
+		}
+	}
+
+	// Fan-out: three queues share each message's buffer, so every
+	// subscriber must still read intact bodies after the others opened
+	// theirs.
+	subs := []*Subscriber{sole}
+	for i := 0; i < 2; i++ {
 		s, err := NewSubscriber(bus, "batch", key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		subs = append(subs, s)
 	}
-	bodies := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
 	seqs, err := pub.PublishBatch(bodies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 4 || seqs[0] != 1 || seqs[3] != 4 {
+	if len(seqs) != 4 || seqs[0] != 5 || seqs[3] != 8 {
 		t.Fatalf("seqs = %v", seqs)
 	}
+	queued = sealedOnBus(bus, "batch")[sole.handle]
 	for _, s := range subs {
 		got, err := s.Receive()
 		if err != nil {
@@ -303,6 +348,9 @@ func TestPublishBatchFanOut(t *testing.T) {
 		}
 		if len(got) != 4 || string(got[0]) != "a" || string(got[3]) != "d" {
 			t.Fatalf("received %q", got)
+		}
+		if &got[0][0] == &queued[0][cryptbox.NonceSize] {
+			t.Fatal("a fan-out body aliases the shared message buffer")
 		}
 	}
 	if _, err := pub.PublishBatch(nil); err != nil {

@@ -62,6 +62,7 @@ type Store struct {
 
 	acct  Accounting
 	probe []uint64 // scratch: node addresses visited by one descent
+	aad   []byte   // scratch: the value AAD of the record being sealed or opened
 }
 
 // Options configures a Store; the zero Options is seed 0, no accounting.
@@ -176,9 +177,18 @@ func (s *Store) descend(k string, update []*node, probes []uint64) (*node, []uin
 // from swapping values between keys.
 func valueAAD(k string) []byte { return []byte("kv|" + k) }
 
+// scratchAAD is valueAAD built in the store's scratch buffer, for the
+// paths that hold the store exclusively (Put, Get, Range); GetSnapshot
+// runs beside other readers and builds its own. The result is valid until
+// the next call.
+func (s *Store) scratchAAD(k string) []byte {
+	s.aad = append(append(s.aad[:0], "kv|"...), k...)
+	return s.aad
+}
+
 // Put stores value under key, replacing any existing record.
 func (s *Store) Put(key string, value []byte) error {
-	sealed, err := s.box.Seal(value, valueAAD(key))
+	sealed, err := s.box.Seal(value, s.scratchAAD(key))
 	if err != nil {
 		return err
 	}
@@ -293,7 +303,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if s.accounted() {
 		s.acct.Mem.AccessRange(cand.addr, cand.bytes, false)
 	}
-	plain, err := s.box.Open(cand.value, valueAAD(key))
+	plain, err := s.box.Open(cand.value, s.scratchAAD(key))
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %w", ErrTampered)
 	}
@@ -345,7 +355,7 @@ func (s *Store) Range(lo, hi string) ([]Pair, error) {
 		if s.accounted() {
 			s.acct.Mem.AccessRange(n.addr, n.bytes, false)
 		}
-		plain, err := s.box.Open(n.value, valueAAD(n.key))
+		plain, err := s.box.Open(n.value, s.scratchAAD(n.key))
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: key %q: %w", n.key, ErrTampered)
 		}

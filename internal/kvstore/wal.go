@@ -211,19 +211,6 @@ func (w *WAL) Epoch() uint64 {
 	return w.epoch
 }
 
-// Reset discards the whole log — sealed segments included — and starts the
-// given epoch with nothing durable behind it. Snapshots use Roll instead;
-// Reset is for abandoning a log.
-func (w *WAL) Reset(epoch uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.epoch = epoch
-	w.seq = 0
-	w.records = 0
-	w.buf = nil
-	w.segs = nil
-}
-
 // Roll seals the live tail as a segment (kept on the durable medium until
 // GC) and starts the given epoch — the snapshot step. Empty tails seal
 // too, preserving epoch contiguity on the medium.

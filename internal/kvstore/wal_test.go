@@ -392,3 +392,16 @@ func TestWALEpochReset(t *testing.T) {
 		t.Fatalf("epoch-2 decode: %v, %d batches", err, len(got))
 	}
 }
+
+// Reset discards the whole log — sealed segments included — and starts the
+// given epoch with nothing durable behind it: how the tests and benchmarks
+// abandon a log. The store itself only ever rolls (Roll) and collects (GC).
+func (w *WAL) Reset(epoch uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.epoch = epoch
+	w.seq = 0
+	w.records = 0
+	w.buf = nil
+	w.segs = nil
+}

@@ -53,8 +53,11 @@ type inflightReq struct {
 // Transport moves sealed plane frames between a client and a service's
 // topics. The default is the in-process bus transport; the wire package
 // provides an HTTP transport with identical semantics. SendFrames must
-// deliver a batch atomically in order; RecvFrames drains every frame
-// currently pending for this client.
+// deliver a batch atomically in order, and may keep the frames it is
+// given: the client never touches them again. RecvFrames drains every
+// frame currently pending for this client and hands the frames over: the
+// caller owns them and may overwrite them (PlaneClient.Poll opens replies
+// in place).
 type Transport interface {
 	SendFrames(frames [][]byte) error
 	RecvFrames() ([][]byte, error)
@@ -169,7 +172,7 @@ func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint6
 		c.nextID++
 		metas[i] = frameMeta{tenant: tenant, id: c.nextID}
 		ids[i] = c.nextID
-		frame, err := sealFrame(c.box, q.Key, metas[i], 0, q.Body, c.reqAAD)
+		frame, err := sealFrame(nil, c.box, q.Key, metas[i], 0, q.Body, c.reqAAD)
 		if err != nil {
 			return nil, err
 		}
@@ -206,11 +209,12 @@ func (c *PlaneClient) RetryStats() (sent, abandoned uint64, inflight int) {
 }
 
 // Poll drains, authenticates and opens every pending reply at simulated
-// time nowMS (0 outside simulated-time loops). Served replies clear their
-// in-flight entries; shed replies schedule a retry at
-// nowMS + retryAfter × 2^(attempt−1) sim-ms (or abandon the request once
-// MaxAttempts is exhausted). The caller re-sends due retries with
-// DueRetries.
+// time nowMS (0 outside simulated-time loops). Replies are opened in place
+// in the frames RecvFrames handed over, so a Body aliases its frame.
+// Served replies clear their in-flight entries; shed replies schedule a
+// retry at nowMS + retryAfter × 2^(attempt−1) sim-ms (or abandon the
+// request once MaxAttempts is exhausted). The caller re-sends due retries
+// with DueRetries.
 func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 	frames, err := c.tr.RecvFrames()
 	if err != nil {
@@ -223,7 +227,7 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 			return nil, err
 		}
 		if shedFlag {
-			raw, err := c.box.Open(q.sealed, c.shedAAD)
+			raw, err := c.box.OpenInPlace(q.sealed, c.shedAAD)
 			if err != nil || len(raw) != 8 {
 				return nil, ErrSealedRequest
 			}
@@ -246,7 +250,7 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 			out = append(out, rep)
 			continue
 		}
-		body, err := c.box.Open(q.sealed, c.respAAD)
+		body, err := c.box.OpenInPlace(q.sealed, c.respAAD)
 		if err != nil {
 			return nil, ErrSealedRequest
 		}
@@ -286,7 +290,7 @@ func (c *PlaneClient) DueRetries(nowMS float64) (int, error) {
 	})
 	frames := make([][]byte, len(due))
 	for i, fl := range due {
-		frame, err := sealFrame(c.box, fl.key, fl.meta, 0, fl.body, c.reqAAD)
+		frame, err := sealFrame(nil, c.box, fl.key, fl.meta, 0, fl.body, c.reqAAD)
 		if err != nil {
 			return 0, err
 		}

@@ -67,12 +67,16 @@ func frameV2HeaderLen(key string, meta frameMeta) int {
 	return 2 + 1 + 1 + len(meta.tenant) + 8 + 2 + len(key)
 }
 
-// sealFrame lays out a frame header and seals body directly after it with
-// SealAppend, so a frame costs one exact-capacity allocation instead of
-// seal-then-copy. The sealed part starts at frameV2HeaderLen(key, meta).
-func sealFrame(box *cryptbox.Box, key string, meta frameMeta, flags byte, body, aad []byte) ([]byte, error) {
-	hdr := appendFrameV2Header(make([]byte, 0, frameV2HeaderLen(key, meta)+len(body)+box.Overhead()), key, meta, flags)
-	return box.SealAppend(hdr, body, aad)
+// sealFrame lays out a frame header in dst and seals body directly after it
+// with SealAppend, so a frame costs at most one exact-capacity allocation
+// instead of seal-then-copy — none when dst already has room (a pooled
+// cryptbox.GetScratch buffer). dst's contents are discarded; pass nil for a
+// fresh frame. The sealed part starts at frameV2HeaderLen(key, meta).
+func sealFrame(dst []byte, box *cryptbox.Box, key string, meta frameMeta, flags byte, body, aad []byte) ([]byte, error) {
+	if need := frameV2HeaderLen(key, meta) + len(body) + box.Overhead(); cap(dst) < need {
+		dst = make([]byte, 0, need)
+	}
+	return box.SealAppend(appendFrameV2Header(dst[:0], key, meta, flags), body, aad)
 }
 
 // decodeFrameAny decodes a frame into a request; the bool reports the shed

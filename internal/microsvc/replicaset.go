@@ -749,7 +749,9 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 	if rc := r.set.cfg.RequestCycles; rc > 0 {
 		sp.ChargeCPU(rc)
 	}
-	body, err := r.box.Open(q.sealed, r.reqAAD)
+	// The front end's drain handed the frame over, and a request is served
+	// at most once: open the body where it lies.
+	body, err := r.box.OpenInPlace(q.sealed, r.reqAAD)
 	if err != nil {
 		sp.End()
 		r.failed.Add(1)
@@ -763,7 +765,7 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 	}
 	var frame []byte
 	if len(resp) > 0 {
-		frame, err = sealFrame(r.box, q.key, q.meta, 0, resp, r.respAAD)
+		frame, err = sealFrame(cryptbox.GetScratch(), r.box, q.key, q.meta, 0, resp, r.respAAD)
 		if err != nil {
 			sp.End()
 			r.failed.Add(1)
@@ -1031,8 +1033,13 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 		}
 		// A publish failure (bus closed, back-pressure) must not discard
 		// the later replicas' replies unattempted: keep flushing and
-		// report the first error.
-		if _, err := rs.front.pub.PublishBatch(res.replies); err != nil {
+		// report the first error. PublishBatch seals copies onto the bus,
+		// so the pooled reply frames die here either way.
+		_, err := rs.front.pub.PublishBatch(res.replies)
+		for _, f := range res.replies {
+			cryptbox.PutScratch(f)
+		}
+		if err != nil {
 			if pubErr == nil {
 				pubErr = err
 			}
@@ -1059,7 +1066,7 @@ func (rs *ReplicaSet) publishSheds(sheds []shedVerdict, st *StepStats) error {
 	for _, sv := range sheds {
 		var body [8]byte
 		binary.BigEndian.PutUint64(body[:], math.Float64bits(sv.retryAfterMS))
-		frame, err := sealFrame(rs.front.box, sv.req.key, sv.req.meta, frameFlagShed, body[:], rs.front.shedAAD)
+		frame, err := sealFrame(nil, rs.front.box, sv.req.key, sv.req.meta, frameFlagShed, body[:], rs.front.shedAAD)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -21,7 +21,7 @@ import (
 
 // planeFixture assembles the minimal plane: bus, attestation service, key
 // broker with keys registered for name under its replica signer.
-func planeFixture(t *testing.T, name string, topics ...string) (*eventbus.Bus, *attest.Service, *attest.KeyBroker, attest.ServiceKeys) {
+func planeFixture(t testing.TB, name string, topics ...string) (*eventbus.Bus, *attest.Service, *attest.KeyBroker, attest.ServiceKeys) {
 	t.Helper()
 	bus := eventbus.New()
 	svc := attest.NewService()

@@ -26,11 +26,12 @@
 #                                exactly the func Fuzz* under internal/,
 #                                so a new fuzzer cannot be skipped and a
 #                                deleted one cannot linger)
-# 8. enclave bench smoke        (each BenchmarkMemoryAccess* and
-#                                BenchmarkNewPlatform once, so the
-#                                memory-model micro-benchmarks keep
-#                                compiling and running; timings are not
-#                                checked)
+# 8. bench smoke                (each BenchmarkMemoryAccess* and
+#                                BenchmarkNewPlatform, then the plane's
+#                                BenchmarkPlaneRoundTrip, once each, so the
+#                                memory-model and plane micro-benchmarks
+#                                keep compiling and running; timings are
+#                                not checked)
 # 9. bench-regression gate      (go run ./cmd/bench -check: runs the bench
 #                                suites from the working tree and diffs
 #                                their deterministic sim-metrics against
@@ -96,8 +97,9 @@ for target in "${FUZZ_TARGETS[@]}"; do
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"
 done
 
-echo "ci: enclave bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, 1x)" >&2
+echo "ci: bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, BenchmarkPlaneRoundTrip, 1x)" >&2
 go test -run '^$' -bench '^Benchmark(MemoryAccess|NewPlatform)' -benchtime 1x ./internal/enclave
+go test -run '^$' -bench '^BenchmarkPlaneRoundTrip$' -benchtime 1x -benchmem ./internal/microsvc
 
 echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
 go run ./cmd/bench -check

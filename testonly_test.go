@@ -74,7 +74,7 @@ func scanTestOnlyExports(root string) (*exportScan, error) {
 		dirs:       map[string]string{},
 		pkgs:       map[string]*types.Package{},
 		uses:       map[types.Object]bool{},
-		ifaceCalls: map[string]bool{},
+		ifaceCalls: map[string][]*types.Signature{},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	if err := l.findPackages(root); err != nil {
@@ -130,8 +130,9 @@ type loader struct {
 	dirs map[string]string // import path → directory
 	pkgs map[string]*types.Package
 	uses map[types.Object]bool
-	// ifaceCalls names every method called through an interface value.
-	ifaceCalls map[string]bool
+	// ifaceCalls maps the name of every method called through an
+	// interface value to the signatures it was called with.
+	ifaceCalls map[string][]*types.Signature
 }
 
 // findPackages maps every directory holding non-test Go files to its
@@ -246,7 +247,8 @@ func (l *loader) Import(path string) (*types.Package, error) {
 func (l *loader) record(files []*ast.File, info *types.Info) {
 	for sel, s := range info.Selections {
 		if s.Kind() == types.MethodVal && types.IsInterface(s.Recv()) {
-			l.ifaceCalls[sel.Sel.Name] = true
+			name := sel.Sel.Name
+			l.ifaceCalls[name] = append(l.ifaceCalls[name], s.Obj().Type().(*types.Signature))
 		}
 	}
 	for _, f := range files {
@@ -282,15 +284,28 @@ func origin(obj types.Object) types.Object {
 }
 
 // live reports whether non-test code reaches obj: by name, or — for a
-// method — through an interface call of that name, or as a String or
-// Error method the fmt and errors packages call.
+// method — through an interface call of the same name and an identical
+// signature (receiver aside), or as a String or Error method the fmt and
+// errors packages call.
 func (l *loader) live(obj types.Object) bool {
 	if l.uses[obj] {
 		return true
 	}
-	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-		name := fn.Name()
-		return name == "String" || name == "Error" || l.ifaceCalls[name]
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return false
+	}
+	if name := fn.Name(); name == "String" || name == "Error" {
+		return true
+	}
+	for _, called := range l.ifaceCalls[fn.Name()] {
+		if types.Identical(sig, called) {
+			return true
+		}
 	}
 	return false
 }

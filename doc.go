@@ -61,15 +61,19 @@
 //     kvstore, fsshield and eventbus layers all charge through these.
 //
 //   - An O(ways) LLC that costs what it touches. The set-associative
-//     cache keeps tag/last-use records in 4 KiB chunks of 16 sets,
-//     allocated on a chunk's first access, with tags stored complemented
-//     so a zero way is empty; a hit updates one stamp instead of
-//     memmoving the set into recency order, and eviction picks the
-//     minimum stamp — exactly classic LRU, so hit/miss sequences are
-//     unchanged. The EPC's CLOCK ring likewise grows one slot when the
-//     hand first reaches it, so a platform that touches a few thousand
-//     sets and pages costs tens of KiB, not the 2.3 MB of a whole
-//     machine's way array and ring.
+//     cache keeps each set as one recency-order word and its tags, in
+//     chunks of 16 sets allocated on a chunk's first access, with tags
+//     stored complemented so a zero way is empty. The order word lists
+//     the ways from most to least recently used, a nibble each: a hit on
+//     the MRU way is one compare, any other touch moves one nibble to
+//     the front, and eviction takes the first empty way, else the last
+//     nibble — exactly classic LRU. A per-page bitmap of cached lines
+//     makes liveness exact, so an EPC eviction empties only the ways of
+//     its page's lines. A full default LLC is 1.1 MB of metadata. The
+//     EPC's CLOCK ring likewise grows one slot when the hand first
+//     reaches it, so a platform that touches a few thousand sets and
+//     pages costs tens of KiB, not a whole machine's way array and
+//     ring.
 //
 // The ledger's running total is an atomic, so Memory.Cycles never takes
 // the platform mutex. Fault counters and the ledger reset together under

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sync"
 )
@@ -154,9 +155,13 @@ func PutScratch(b []byte) {
 	}
 }
 
+// NewMAC returns an HMAC-SHA256 hash keyed by key: MAC's hash, for a
+// caller that reuses one across many messages (Reset between them).
+func NewMAC(key Key) hash.Hash { return hmac.New(sha256.New, key[:]) }
+
 // MAC computes HMAC-SHA256 over data with the key.
 func MAC(key Key, data []byte) [MACSize]byte {
-	m := hmac.New(sha256.New, key[:])
+	m := NewMAC(key)
 	m.Write(data)
 	var out [MACSize]byte
 	copy(out[:], m.Sum(nil))

@@ -12,88 +12,68 @@ import "math/bits"
 // platform, mirroring hardware: enclave and normal lines compete for the
 // same physical cache.
 //
-// Layout: a directory of fixed-size chunks, each holding the per-way
-// records (complemented tag, last-use stamp, insert epoch) of chunkSets
-// consecutive sets, indexed by set*assoc+way within the chunk — 4 KiB at
-// 16 ways — so probing a set walks a single contiguous block of host
-// memory. A chunk is allocated the first time an access touches one of
-// its sets; until then every reader treats it as all empty ways. Tags are
-// stored complemented so the zero way is the empty way: a new chunk needs
-// no fill, and a platform pays only for the sets it touches (one enclave
-// touches a few thousand of the default 8192). The hit path is a
-// single-compare scan plus one page-epoch check; a hit updates one stamp
-// (no memmove into recency order). Eviction picks the way with the
-// minimum stamp — exactly classic LRU.
+// Layout: a directory of fixed-size chunks, each holding chunkSets
+// consecutive sets of assoc+1 words — the set's recency order, then its
+// ways' complemented tags — so a 16-way set is 136 B of contiguous host
+// memory, and a hit on one of a set's first ways reads one host cache
+// line. A chunk is allocated the first time an access touches one of its
+// sets; until then every reader treats it as all empty ways. Tags are
+// stored complemented so the zero way is the empty way (real tags are
+// addr/lineSize and never all ones), and a platform pays only for the
+// sets it touches (one enclave touches a few thousand of the default
+// 8192).
 //
-// Invalidation is lazy: invalidatePage bumps a per-page epoch instead of
-// scanning sets for every tag of the page. A way whose recorded epoch no
-// longer matches its page's current epoch is dead — it never hits, and the
-// victim scan treats it like an empty way (stamp 0). Dead ways are
-// observationally identical to eagerly-cleared ways, so hit/miss and
-// eviction sequences — and with them all simulated cycle counts — are
-// unchanged; but flushing an EPC page costs one counter bump instead of a
-// scan of a page's worth of sets.
+// The order word holds one nibble per way: nibble 0 names the most
+// recently used way and nibble assoc-1 the least, so assoc is at most 16.
+// A hit on the MRU way is one compare and changes nothing; any other hit
+// moves its way's nibble to the front. A miss fills the first empty way
+// by index, else the LRU way, and moves it to the front. Every touch
+// moves its way to the front, so once a set is full its order is the
+// order of last use — exactly classic LRU — and an empty way's place in
+// the order never matters.
+//
+// Liveness is exact: lines holds, per page, a bitmap of the page's lines
+// that are cached (bit i is line i of the page, so a page holds at most
+// 64 lines). A fill sets its line's bit and clears the evicted victim's;
+// invalidatePage (EWB) empties only the ways its page's bits name.
 //
 // The geometry is all powers of two (NewPlatform enforces it): a tag's set
 // is a mask of it, its chunk a shift of the set, and its page a shift.
 type llc struct {
-	lineSize uint64
-	pageSize uint64
 	setMask  uint64 // number of sets - 1
 	lppShift uint8  // log2(pageSize/lineSize)
+	lppMask  uint64 // pageSize/lineSize - 1: a tag's line within its page
 	assoc    int
-	// chunks[s>>chunkShift] holds the ways of set s, or is nil while no
-	// access has touched any set of that chunk.
-	chunks [][]llcWay
-	// chunkWays is the length of one chunk: its set count times assoc.
-	chunkWays int
-	// hints[s] is the way of set s that hit or filled most recently.
-	// Probing it first turns the common re-touch of a hot line into a
-	// single compare; it is only a scan-order shortcut for the equality
-	// search, so LRU state evolves identically with or without it.
-	hints []uint8
-	tick  uint64
-
-	epochs pageTable[uint32] // per-page invalidation epochs
-}
-
-// llcWay is the metadata of one cache way, packed to 16 bytes so one
-// 16-way set spans four host cache lines: the complemented tag (zero for
-// an empty way; real tags are addr/lineSize and never all ones), and a
-// second word holding the last-use stamp (high 40 bits) next to the
-// insert-time page epoch (low 24 bits).
-type llcWay struct {
-	key uint64 // ^tag; 0 = empty
-	se  uint64 // stamp<<epochBits | (epoch & epochMask); stamp 0 = empty
+	// chunks[s>>chunkShift] holds set s, or is nil while no access has
+	// touched any set of that chunk.
+	chunks [][]uint64
+	// chunkWords is the length of one chunk: its set count times assoc+1.
+	chunkWords int
+	lines      pageTable[uint64] // per-page bitmaps of cached lines
 }
 
 const (
-	epochBits = 24
-	epochMask = (1 << epochBits) - 1
-	// maxStamp bounds the use-time counter; reaching it triggers a
-	// renormalization that compresses every set's stamps to their ranks
-	// (order-preserving, so LRU behaviour is unchanged). A 40-bit stamp
-	// lasts ~10^12 accesses between renormalizations.
-	maxStamp = (uint64(1) << 40) - 1
 	// chunkShift is log2 of chunkSets, the sets one chunk holds.
 	chunkShift = 4
 	chunkSets  = 1 << chunkShift
+	// nibbles has a one in every nibble: times a way index, it repeats
+	// the index across an order word.
+	nibbles = 0x1111111111111111
 )
 
 // newLLC builds a cache of llcSets(totalBytes, lineSize, assoc) sets with
 // no chunk allocated.
 func newLLC(totalBytes, lineSize, pageSize uint64, assoc int) *llc {
 	numSets := llcSets(totalBytes, lineSize, assoc)
+	lpp := pageSize / lineSize
 	return &llc{
-		lineSize:  lineSize,
-		pageSize:  pageSize,
-		setMask:   numSets - 1,
-		lppShift:  uint8(bits.TrailingZeros64(pageSize / lineSize)),
-		assoc:     assoc,
-		chunks:    make([][]llcWay, (numSets+chunkSets-1)/chunkSets),
-		chunkWays: int(min(numSets, chunkSets)) * assoc,
-		hints:     make([]uint8, numSets),
-		epochs:    newPageTable[uint32](pageSize),
+		setMask:    numSets - 1,
+		lppShift:   uint8(bits.TrailingZeros64(lpp)),
+		lppMask:    lpp - 1,
+		assoc:      assoc,
+		chunks:     make([][]uint64, (numSets+chunkSets-1)/chunkSets),
+		chunkWords: int(min(numSets, chunkSets)) * (assoc + 1),
+		lines:      newPageTable[uint64](pageSize),
 	}
 }
 
@@ -103,182 +83,116 @@ func llcSets(totalBytes, lineSize uint64, assoc int) uint64 {
 	return totalBytes / lineSize / uint64(assoc)
 }
 
-// pageEpoch returns the current invalidation epoch of page.
-func (c *llc) pageEpoch(page uint64) uint32 { return c.epochs.get(page) }
-
-// tagPage returns the page of a way's line, derived from its tag.
-func (c *llc) tagPage(tag uint64) uint64 { return tag >> c.lppShift }
-
-// setOf returns the ways of set s within its chunk ch.
-func (c *llc) setOf(ch []llcWay, s uint64) []llcWay {
-	base := int(s&(chunkSets-1)) * c.assoc
-	return ch[base : base+c.assoc]
+// setOf returns set s within its chunk ch: the order word, then assoc
+// tag words.
+func (c *llc) setOf(ch []uint64, s uint64) []uint64 {
+	base := int(s&(chunkSets-1)) * (c.assoc + 1)
+	return ch[base : base+c.assoc+1]
 }
 
-// access touches the line containing addr and reports whether it hit.
-func (c *llc) access(addr uint64) bool {
-	return c.accessTag(addr/c.lineSize, addr/c.pageSize)
+// newChunk allocates the chunk of set s, every way empty and every order
+// word listing the ways by index.
+func (c *llc) newChunk(s uint64) []uint64 {
+	ch := make([]uint64, c.chunkWords)
+	ident := uint64(0xFEDCBA9876543210) & (uint64(1)<<(4*c.assoc) - 1)
+	for i := 0; i < len(ch); i += c.assoc + 1 {
+		ch[i] = ident
+	}
+	c.chunks[s>>chunkShift] = ch
+	return ch
 }
 
-// accessTag is the hot-path form of access: the caller already knows the
-// line tag and the page, so no divisions are repeated here.
-func (c *llc) accessTag(tag, page uint64) bool {
+// accessTag touches the line of tag (addr/lineSize) and reports whether
+// it hit.
+func (c *llc) accessTag(tag uint64) bool {
 	s := tag & c.setMask
 	ch := c.chunks[s>>chunkShift]
-	if ch == nil || c.tick >= maxStamp-1 {
-		c.prepare(s)
-		return c.accessTag(tag, page) // now takes the common path
+	if ch == nil {
+		ch = c.newChunk(s)
 	}
 	set := c.setOf(ch, s)
-	pe := uint64(c.pageEpoch(page)) & epochMask
-	c.tick++
-	se := c.tick<<epochBits | pe
+	ways, order := set[1:], &set[0]
 	key := ^tag
-	if h := c.hints[s]; int(h) < len(set) {
-		if w := &set[h]; w.key == key && w.se&epochMask == pe {
-			w.se = se
+	if ways[*order&15] == key {
+		return true // the MRU way: already at the front
+	}
+	for i, k := range ways {
+		if k == key {
+			*order = toFront(*order, i)
 			return true
 		}
 	}
-	for i := range set {
-		if set[i].key == key {
-			if set[i].se&epochMask != pe {
-				continue // dead way: invalidated since insert
-			}
-			set[i].se = se
-			c.hints[s] = uint8(i)
-			return true
+	victim := -1
+	for i, k := range ways {
+		if k == 0 {
+			victim = i
+			break
 		}
 	}
-	// Miss: evict the LRU way. Empty and dead ways count as stamp 0 and
-	// are chosen before any live line.
-	victim := 0
-	min := ^uint64(0)
-	for i := range set {
-		st := set[i].se >> epochBits
-		if st != 0 && set[i].se&epochMask != uint64(c.pageEpoch(c.tagPage(^set[i].key)))&epochMask {
-			st = 0 // dead way: as good as empty
-		}
-		if st < min {
-			min, victim = st, i
-			if st == 0 {
-				break // nothing beats an empty way, and ties pick the first
-			}
-		}
+	if victim < 0 {
+		victim = int(*order >> (4 * (c.assoc - 1)) & 15)
+		old := ^ways[victim]
+		*c.lines.slot(old >> c.lppShift) &^= 1 << (old & c.lppMask)
 	}
-	set[victim] = llcWay{key: key, se: se}
-	c.hints[s] = uint8(victim)
+	ways[victim] = key
+	*order = toFront(*order, victim)
+	*c.lines.slot(tag >> c.lppShift) |= 1 << (tag & c.lppMask)
 	return false
 }
 
-// prepare is accessTag's one cold path: it renormalizes the stamps before
-// the tick would overflow, and allocates set s's chunk on its first
-// access. accessTag calls it and retries, so the two rare cases share one
-// out-of-line call and the common access keeps its state in registers.
-func (c *llc) prepare(s uint64) {
-	if c.tick >= maxStamp-1 {
-		c.renormalizeStamps()
-	}
-	if c.chunks[s>>chunkShift] == nil {
-		c.chunks[s>>chunkShift] = make([]llcWay, c.chunkWays)
-	}
+// toFront moves way w's nibble to the front of order, shifting the
+// nibbles before it back one place. It finds w's place with a SWAR
+// zero-nibble search of order^(w in every nibble): the subtraction's
+// borrows can only flag nibbles above a true zero, and w is listed once,
+// so the lowest flag is its place.
+func toFront(order uint64, w int) uint64 {
+	x := order ^ uint64(w)*nibbles
+	at := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	before := order & (uint64(1)<<at - 1)
+	after := order &^ (uint64(1)<<(at+4) - 1)
+	return after | before<<4 | uint64(w)
 }
 
 // probeTag reports whether the line is cached without touching any cache
-// state: no stamp update, no tick, no fill, no hint move, and no chunk
-// allocation — an unallocated chunk holds no line. It is the read-only
-// twin of accessTag used by snapshot accounting spans — safe to call
-// concurrently from many goroutines provided no mutating access runs at
-// the same time (callers serialize mutators externally).
-func (c *llc) probeTag(tag, page uint64) bool {
+// state: no order update, no fill, and no chunk allocation — an
+// unallocated chunk holds no line. It is the read-only twin of accessTag
+// used by snapshot accounting spans — safe to call concurrently from many
+// goroutines provided no mutating access runs at the same time (callers
+// serialize mutators externally).
+func (c *llc) probeTag(tag uint64) bool {
 	s := tag & c.setMask
 	ch := c.chunks[s>>chunkShift]
 	if ch == nil {
 		return false
 	}
-	pe := uint64(c.pageEpoch(page)) & epochMask
 	key := ^tag
-	for _, w := range c.setOf(ch, s) {
-		if w.key == key {
-			// Live iff its insert epoch matches the page's current epoch
-			// and the way is non-empty (stamp != 0).
-			return w.se>>epochBits != 0 && w.se&epochMask == pe
+	for _, k := range c.setOf(ch, s)[1:] {
+		if k == key {
+			return true
 		}
 	}
 	return false
 }
 
-// renormalizeStamps compresses every set's stamps to their within-set rank
-// (1..assoc), preserving relative order — and therefore LRU behaviour —
-// exactly, then rewinds the tick. Runs once per ~10^12 accesses. Sets of
-// unallocated chunks hold no stamps.
-func (c *llc) renormalizeStamps() {
-	orig := make([]uint64, c.assoc)
-	for _, ch := range c.chunks {
-		for base := 0; base < len(ch); base += c.assoc {
-			set := ch[base : base+c.assoc]
-			for i := range set {
-				orig[i] = set[i].se >> epochBits
-			}
-			// Rank assignment: a live way's new stamp is 1 + the number
-			// of live ways in its set with a strictly smaller original
-			// stamp.
-			for i := range set {
-				if orig[i] == 0 {
-					continue
-				}
-				rank := uint64(1)
-				for j := range orig {
-					if orig[j] != 0 && orig[j] < orig[i] {
-						rank++
-					}
-				}
-				set[i].se = rank<<epochBits | set[i].se&epochMask
-			}
-		}
-	}
-	c.tick = uint64(c.assoc)
-}
-
-// invalidatePage flushes all cached lines of one page: a single epoch bump.
-// Invalidation is page-granular, mirroring EWB: SGX evicts and re-encrypts
-// whole EPC pages. Ways store epochs truncated to epochBits, so just before
-// a page's epoch would wrap back into an in-use value its stale ways are
-// cleared eagerly and its epoch rewinds to zero — dead lines can never
-// resurrect.
+// invalidatePage flushes all cached lines of one page, mirroring EWB: SGX
+// evicts and re-encrypts whole EPC pages. It empties the way of each line
+// the page's bitmap names and leaves the order words alone: an empty way
+// is refilled by index, whatever its place in the order.
 func (c *llc) invalidatePage(page uint64) {
-	e := c.epochs.slot(page)
-	if *e >= epochMask-1 {
-		c.purgePage(page)
-		*e = 0
+	m := c.lines.get(page)
+	if m == 0 {
 		return
 	}
-	*e++
-}
-
-// purgePage eagerly empties every way holding a line of page. Runs once per
-// ~16.7M invalidations of one page, keeping the lazy epoch scheme exact
-// across epoch wrap-around.
-func (c *llc) purgePage(page uint64) {
-	for _, ch := range c.chunks {
-		for i := range ch {
-			if w := &ch[i]; w.key != 0 && c.tagPage(^w.key) == page {
-				*w = llcWay{}
+	for ; m != 0; m &= m - 1 {
+		tag := page<<c.lppShift | uint64(bits.TrailingZeros64(m))
+		s := tag & c.setMask
+		ways := c.setOf(c.chunks[s>>chunkShift], s)[1:]
+		for i, k := range ways {
+			if k == ^tag {
+				ways[i] = 0
+				break
 			}
 		}
 	}
-}
-
-// lines returns the number of live resident lines (test hook).
-func (c *llc) lines() int {
-	n := 0
-	for _, ch := range c.chunks {
-		for _, w := range ch {
-			if w.key != 0 && w.se>>epochBits != 0 &&
-				w.se&epochMask == uint64(c.pageEpoch(c.tagPage(^w.key)))&epochMask {
-				n++
-			}
-		}
-	}
-	return n
+	*c.lines.slot(page) = 0
 }

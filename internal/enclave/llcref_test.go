@@ -1,17 +1,22 @@
 package enclave
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 
 	"securecloud/internal/sim"
 )
 
-// flatLLC is the reference model of llc: the same cache with every set's
-// ways in one flat array allocated up front, empty ways marked by a
-// reserved tag. It is the layout llc had before its ways were split into
-// chunks allocated on first use; TestPropChunkedLLCMatchesFlat holds the
-// two to identical hit/miss sequences and resident line counts.
+// flatLLC is the reference model of llc: the same LRU cache built the
+// other way. Every set's ways sit in one flat array allocated up front,
+// empty ways marked by a reserved tag; each way records a last-use stamp,
+// eviction takes the minimum stamp, and a per-set hint of the last way to
+// hit or fill is probed first. Invalidation is lazy: a page's epoch is
+// bumped, and a way whose insert epoch no longer matches is dead — it
+// never hits and counts as empty. TestPropChunkedLLCMatchesFlat holds llc
+// and this model to identical hit/miss sequences and resident line
+// counts.
 type flatLLC struct {
 	lineSize uint64
 	pageSize uint64
@@ -30,8 +35,15 @@ type flatWay struct {
 	se  uint64 // stamp<<epochBits | (epoch & epochMask); stamp 0 = empty
 }
 
-// flatEmptyTag marks a free way of the flat model.
-const flatEmptyTag = ^uint64(0)
+const (
+	// flatEmptyTag marks a free way of the flat model.
+	flatEmptyTag = ^uint64(0)
+	epochBits    = 24
+	epochMask    = (1 << epochBits) - 1
+	// maxStamp bounds the use-time counter; reaching it renormalizes
+	// every set's stamps to their ranks, which preserves LRU order.
+	maxStamp = (uint64(1) << 40) - 1
+)
 
 func newFlatLLC(totalBytes, lineSize, pageSize uint64, assoc int) *flatLLC {
 	numSets := llcSets(totalBytes, lineSize, assoc)
@@ -167,17 +179,62 @@ func (c *flatLLC) lines() int {
 	return n
 }
 
-// TestPropChunkedLLCMatchesFlat drives the chunked cache and the flat
-// reference model with the same seeded mix of accessTag, probeTag and
+// llcLines returns the number of resident lines of c.
+func (c *llc) llcLines() int {
+	n := 0
+	for _, m := range c.resident() {
+		n += bits.OnesCount64(m)
+	}
+	return n
+}
+
+// resident returns, per page, the bitmap of c's resident lines as its
+// ways hold them.
+func (c *llc) resident() map[uint64]uint64 {
+	m := map[uint64]uint64{}
+	for _, ch := range c.chunks {
+		for i, k := range ch {
+			if k != 0 && i%(c.assoc+1) != 0 {
+				m[^k>>c.lppShift] |= 1 << (^k & c.lppMask)
+			}
+		}
+	}
+	return m
+}
+
+// checkLineBitmaps fails unless every page's line bitmap names exactly
+// the page's lines that c's ways hold.
+func checkLineBitmaps(t *testing.T, c *llc, where string) {
+	t.Helper()
+	want := c.resident()
+	check := func(page, got uint64) {
+		if got != want[page] {
+			t.Fatalf("%s: page %d line bitmap %#x, resident lines %#x", where, page, got, want[page])
+		}
+	}
+	for page := range want {
+		check(page, c.lines.get(page))
+	}
+	for page, v := range c.lines.low {
+		check(uint64(page), v)
+	}
+	for off, v := range c.lines.high {
+		check(c.lines.split+uint64(off), v)
+	}
+}
+
+// TestPropChunkedLLCMatchesFlat drives the cache and the flat reference
+// model with the same seeded mix of accessTag, probeTag and
 // invalidatePage, and demands the same hit or miss and the same resident
-// line count after every step. Tags start at 0 — the tag whose raw value
+// line count after every step, and that every page's line bitmap names
+// exactly its resident lines. Tags start at 0 — the tag whose raw value
 // is the zero way — and half of them fall on one hot page so sets fill,
-// evict and re-hit. Each run forces one epoch wrap of the hot page
-// (purgePage) and one stamp renormalization; probes of chunks no access
-// has touched yet come first.
+// evict and re-hit. Each run forces one epoch wrap of the model's hot
+// page (purgePage) and one renormalization of its stamps; probes of
+// chunks no access has touched yet come first.
 func TestPropChunkedLLCMatchesFlat(t *testing.T) {
 	const lineSize, pageSize, sets = 64, 4096, 128 // 8 chunks
-	for _, assoc := range []int{4, 8, 16} {
+	for _, assoc := range []int{1, 2, 4, 8, 12, 16} {
 		for seed := int64(1); seed <= 2; seed++ {
 			total := uint64(sets * assoc * lineSize)
 			c := newLLC(total, lineSize, pageSize, assoc)
@@ -196,10 +253,10 @@ func TestPropChunkedLLCMatchesFlat(t *testing.T) {
 				switch k := r.Intn(10); {
 				case step < 8 || k < 3:
 					op = "probe"
-					got, want = c.probeTag(tag, page), f.probeTag(tag, page)
+					got, want = c.probeTag(tag), f.probeTag(tag, page)
 				case k < 9:
 					op = "access"
-					got, want = c.accessTag(tag, page), f.accessTag(tag, page)
+					got, want = c.accessTag(tag), f.accessTag(tag, page)
 				default:
 					op = "invalidate"
 					c.invalidatePage(page)
@@ -209,29 +266,27 @@ func TestPropChunkedLLCMatchesFlat(t *testing.T) {
 					t.Fatalf("assoc %d seed %d step %d: %s(tag %d) hit = %v, flat model %v",
 						assoc, seed, step, op, tag, got, want)
 				}
-				if gl, wl := c.lines(), f.lines(); gl != wl {
-					t.Fatalf("assoc %d seed %d step %d after %s(tag %d): lines = %d, flat model %d",
-						assoc, seed, step, op, tag, gl, wl)
+				where := fmt.Sprintf("assoc %d seed %d step %d after %s(tag %d)", assoc, seed, step, op, tag)
+				if gl, wl := c.llcLines(), f.lines(); gl != wl {
+					t.Fatalf("%s: lines = %d, flat model %d", where, gl, wl)
 				}
+				checkLineBitmaps(t, c, where)
 				switch step {
-				case 1000: // the next two invalidations of page 0 wrap its epoch
-					*c.epochs.slot(0), *f.epochs.slot(0) = epochMask-2, epochMask-2
+				case 1000: // the model's next two invalidations of page 0 wrap its epoch
+					*f.epochs.slot(0) = epochMask - 2
 					c.invalidatePage(0)
 					f.invalidatePage(0)
-					if c.lines() == 0 {
+					if c.llcLines() == 0 {
 						t.Fatalf("assoc %d seed %d: no line resident before the purge", assoc, seed)
 					}
 					c.invalidatePage(0)
 					f.invalidatePage(0)
-					purged = c.pageEpoch(0) == 0 && f.pageEpoch(0) == 0
-				case 2000: // the next few accesses renormalize every set's stamps
-					c.tick, f.tick = maxStamp-4, maxStamp-4
+					purged = f.pageEpoch(0) == 0
+				case 2000: // the model's next few accesses renormalize every set's stamps
+					f.tick = maxStamp - 4
 				}
-				if step > 2000 && c.tick < maxStamp/2 {
+				if step > 2000 && f.tick < maxStamp/2 {
 					renormalized = true
-				}
-				if c.tick != f.tick {
-					t.Fatalf("assoc %d seed %d step %d: tick = %d, flat model %d", assoc, seed, step, c.tick, f.tick)
 				}
 			}
 			if !purged || !renormalized {

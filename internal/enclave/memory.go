@@ -76,7 +76,7 @@ func (m *Memory) accessLocked(st *acct, addr uint64, size int) {
 		// Single-line access: the dominant case for data-structure probes.
 		page := first >> p.lppShift
 		m.touchPageLocked(st, page)
-		if p.cache.accessTag(first, page) {
+		if p.cache.accessTag(first) {
 			st.hits++
 		} else if inside {
 			st.mee++
@@ -90,7 +90,7 @@ func (m *Memory) accessLocked(st *acct, addr uint64, size int) {
 		m.touchPageLocked(st, page)
 		end := min((page+1)<<p.lppShift-1, last) // last tag on this page
 		for ; l <= end; l++ {
-			if p.cache.accessTag(l, page) {
+			if p.cache.accessTag(l) {
 				st.hits++
 			} else if inside {
 				st.mee++
@@ -258,7 +258,7 @@ func (sp *Span) probe(addr uint64, size int) {
 		sp.probePage(page)
 		end := min((page+1)<<p.lppShift-1, last) // last tag on this page
 		for ; l <= end; l++ {
-			if !sp.roLines.add(l) || p.cache.probeTag(l, page) {
+			if !sp.roLines.add(l) || p.cache.probeTag(l) {
 				sp.st.hits++
 			} else if inside {
 				sp.st.mee++

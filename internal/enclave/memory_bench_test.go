@@ -75,6 +75,27 @@ func BenchmarkMemoryAccessUntrusted(b *testing.B) {
 	benchAccess(b, p.UntrustedMemory(), base, 16<<20)
 }
 
+// BenchmarkMemoryAccessPlatforms: six platforms, each over its own
+// resident 4 MiB working set, accessed round-robin one line per op — the
+// shape of billing's sharded store, where each platform's LLC metadata
+// competes for the host cache.
+func BenchmarkMemoryAccessPlatforms(b *testing.B) {
+	const platforms, span = 6, 4 << 20
+	mems := make([]*Memory, platforms)
+	addrs := make([][]uint64, platforms)
+	for i := range mems {
+		mem, base := benchEnclave(b, 128<<20, 16<<20)
+		mem.AccessStride(base, 4096, span/4096, 64, false)
+		mem.ResetAccounting()
+		mems[i], addrs[i] = mem, benchAddrs(base, span, 4096)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % platforms
+		mems[p].AccessRange(addrs[p][(i/platforms)&4095], 64, false)
+	}
+}
+
 // BenchmarkMemoryAccessSnapshot: one snapshot span per op of 600
 // header-sized probes, each with a containment check's CPU charge, over a
 // resident 4 MiB region — the shape of one SCBR MatchSnapshot.
@@ -96,7 +117,7 @@ func BenchmarkMemoryAccessSnapshot(b *testing.B) {
 }
 
 // BenchmarkNewPlatform: building one default platform — the LLC chunk
-// directory and set hints, the key derivation, no way array and no EPC
+// directory, the key derivation, no way array and no EPC
 // ring — what a durable store recovery pays once per shard, once per
 // pulled snapshot set, and once for the recovering node's engine.
 func BenchmarkNewPlatform(b *testing.B) {

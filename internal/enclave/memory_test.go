@@ -3,6 +3,7 @@ package enclave
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // smallPlatform returns a platform with a tiny EPC and LLC so paging
@@ -203,6 +204,10 @@ func TestEnclavesCompeteForEPC(t *testing.T) {
 	}
 }
 
+// access touches the line of addr in a cache of 64 B lines, as every
+// cache these tests build has.
+func (c *llc) access(addr uint64) bool { return c.accessTag(addr / 64) }
+
 func TestLLCSimBasics(t *testing.T) {
 	c := newLLC(1024, 64, 4096, 2) // 16 lines, 8 sets, 2-way
 	if c.access(0) {
@@ -224,9 +229,9 @@ func TestLLCInvalidatePage(t *testing.T) {
 	c.access(0)    // page 0
 	c.access(64)   // page 0
 	c.access(4096) // page 1
-	n := c.lines()
+	n := c.llcLines()
 	c.invalidatePage(0) // drops lines at 0 and 64
-	if got := c.lines(); got != n-2 {
+	if got := c.llcLines(); got != n-2 {
 		t.Fatalf("lines after invalidate = %d, want %d", got, n-2)
 	}
 	if c.access(0) {
@@ -237,26 +242,44 @@ func TestLLCInvalidatePage(t *testing.T) {
 	}
 }
 
-func TestLLCStampRenormalizationPreservesLRU(t *testing.T) {
+// TestLLCOrderIsLRU follows one 4-way set's order word through fills,
+// hits, an invalidation and evictions: it must list the ways from most to
+// least recently used, a miss must refill an emptied way by index
+// whatever its place in that order, and a full set must evict its LRU
+// line.
+func TestLLCOrderIsLRU(t *testing.T) {
 	c := newLLC(4096, 64, 4096, 4) // 16 sets, 4-way
-	// Fill one set in a known recency order: strides of numSets*lineSize
-	// land in the same set.
-	const stride = 16 * 64
+	// Page-sized strides land in set 0, one line per page.
+	const stride = 4096
+	order := func(want ...int) {
+		t.Helper()
+		got := c.chunks[0][0]
+		for pos, w := range want {
+			if int(got>>(4*pos)&15) != w {
+				t.Fatalf("set 0 order word %#x, want ways %v from MRU to LRU", got, want)
+			}
+		}
+	}
 	for i := uint64(0); i < 4; i++ {
-		c.access(i * stride) // LRU order after fills: 0,1,2,3 (0 oldest)
+		c.access(i * stride) // line i fills way i
 	}
-	c.access(1 * stride) // now 0 is oldest, then 2, 3, 1
-	c.renormalizeStamps()
-	if c.tick != 4 {
-		t.Fatalf("tick after renormalization = %d, want assoc (4)", c.tick)
+	order(3, 2, 1, 0)
+	c.access(1 * stride)
+	c.access(0)
+	order(0, 1, 3, 2)
+	c.access(0) // an MRU hit changes nothing
+	order(0, 1, 3, 2)
+	c.invalidatePage(1)  // empties way 1, line 1's
+	c.access(4 * stride) // refills way 1: the empty way, not the LRU
+	order(1, 0, 3, 2)
+	if !c.access(2 * stride) {
+		t.Fatal("the LRU line was evicted while a way was empty")
 	}
-	// A fifth line must evict the LRU, which is line 0.
-	c.access(4 * stride)
-	if !c.access(2*stride) || !c.access(3*stride) || !c.access(1*stride) {
-		t.Fatal("non-LRU line was evicted after stamp renormalization")
-	}
-	if c.access(0) {
-		t.Fatal("LRU line survived eviction after stamp renormalization")
+	order(2, 1, 0, 3)
+	c.access(5 * stride) // evicts line 3, the LRU
+	order(3, 2, 1, 0)
+	if c.probeTag(3*stride/64) || !c.probeTag(0) || !c.probeTag(2*stride/64) || !c.probeTag(4*stride/64) {
+		t.Fatal("a miss in a full set evicted a line other than the LRU")
 	}
 }
 
@@ -299,7 +322,7 @@ func TestUsableEPCBytes(t *testing.T) {
 // EPC ring slots on first use, so building one costs a few KiB however
 // large the simulated machine, one access allocates one chunk, and a
 // sweep allocates exactly the chunks of the sets it touched and one ring
-// slot per page it loaded.
+// slot per page it loaded. A full LLC's metadata stays under a ceiling.
 func TestPlatformAllocatesWhatItTouches(t *testing.T) {
 	allocated := func(c *llc) map[uint64]bool {
 		m := map[uint64]bool{}
@@ -351,7 +374,7 @@ func TestPlatformAllocatesWhatItTouches(t *testing.T) {
 	sets := map[uint64]bool{}
 	pages := int(enc.Size() / 4096)
 	for i := range pages {
-		s := (enc.Base() + uint64(i)*4096) / c.lineSize & c.setMask
+		s := (enc.Base() + uint64(i)*4096) >> enc.Platform().lineShift & c.setMask
 		sets[s] = true
 		want[s>>chunkShift] = true
 	}
@@ -368,6 +391,25 @@ func TestPlatformAllocatesWhatItTouches(t *testing.T) {
 	pager := enc.Platform().pager
 	if ring, resident := len(pager.pages), pager.residentPages(); ring != resident || resident != pages {
 		t.Fatalf("sweep of %d pages: EPC ring has %d slots for %d resident pages", pages, ring, resident)
+	}
+
+	// Filling every way of a default LLC with an 8 MiB walk: its chunks,
+	// their directory and the per-page line bitmaps stay within 1.1 MiB
+	// (one order word and assoc tag words per set).
+	const ceiling = 11 << 20 / 10
+	p = NewPlatform(Config{})
+	c = p.cache
+	p.UntrustedMemory().AccessStride(p.AllocUntrusted(8<<20), 64, (8<<20)/64, 8, false)
+	if n, want := c.llcLines(), len(c.chunks)*chunkSets*c.assoc; n != want {
+		t.Fatalf("an 8 MiB walk left %d lines resident, want %d: the LLC is not full", n, want)
+	}
+	meta := len(c.chunks) * int(unsafe.Sizeof(c.chunks[0]))
+	for _, ch := range c.chunks {
+		meta += cap(ch) * 8
+	}
+	meta += (cap(c.lines.low) + cap(c.lines.high)) * 8
+	if meta > ceiling {
+		t.Fatalf("a full default LLC holds %d B of metadata, ceiling %d B", meta, ceiling)
 	}
 }
 

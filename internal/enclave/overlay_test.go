@@ -50,7 +50,7 @@ func (r *refOverlay) access(addr uint64, size int, cpu sim.Cycles) {
 		hit := true
 		if _, ok := r.lines[l]; !ok {
 			r.lines[l] = struct{}{}
-			hit = p.cache.probeTag(l, page)
+			hit = p.cache.probeTag(l)
 		}
 		switch {
 		case hit:

@@ -1,12 +1,12 @@
 package enclave
 
 // pageTable holds one value per simulated page — EPC residency, LLC
-// invalidation epochs, first-touch flags — and reads zero for a page never
+// line bitmaps, first-touch flags — and reads zero for a page never
 // set. Both address regions are bump-allocated upward: untrusted memory
 // from AllocUntrusted's base, ELRANGEs from enclaveRangeBase. So each
 // region is a dense slice indexed from its own origin, grown on demand to
 // the highest page set, and a lookup is one compare plus one array load.
-type pageTable[T uint32 | bool] struct {
+type pageTable[T uint32 | uint64 | bool] struct {
 	split uint64 // enclaveRangeBase/pageSize: the first enclave-range page
 	low   []T    // pages [0, split), indexed by page
 	high  []T    // pages [split, ...), indexed by page-split
@@ -16,7 +16,7 @@ type pageTable[T uint32 | bool] struct {
 // by, so a sequential walk does not grow it on every new page.
 const pageTableSlack = 1024
 
-func newPageTable[T uint32 | bool](pageSize uint64) pageTable[T] {
+func newPageTable[T uint32 | uint64 | bool](pageSize uint64) pageTable[T] {
 	return pageTable[T]{split: enclaveRangeBase / pageSize}
 }
 

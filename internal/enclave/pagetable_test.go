@@ -66,10 +66,11 @@ func TestPageTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestNewPlatformRejectsNonPowerOfTwoGeometry: the cache and pager index
-// sets and pages by mask and shift, so NewPlatform refuses any geometry
-// that is not all powers of two, naming the fields in its panic.
-func TestNewPlatformRejectsNonPowerOfTwoGeometry(t *testing.T) {
+// TestNewPlatformRejectsUnsupportedGeometry: the cache and pager index
+// sets and pages by mask and shift, a set's recency order word lists at
+// most 16 ways, and a page's line bitmap holds at most 64 lines, so
+// NewPlatform refuses any other geometry, naming the fields in its panic.
+func TestNewPlatformRejectsUnsupportedGeometry(t *testing.T) {
 	NewPlatform(DefaultConfig())
 	for _, tc := range []struct {
 		name string
@@ -79,6 +80,8 @@ func TestNewPlatformRejectsNonPowerOfTwoGeometry(t *testing.T) {
 		{"PageSize 3000", func(c *Config) { c.PageSize = 3000 }},
 		{"3 LLC ways at 8 MiB", func(c *Config) { c.LLCWays = 3 }},
 		{"PageSize < LineSize", func(c *Config) { c.LineSize, c.PageSize = 4096, 2048 }},
+		{"32 LLC ways", func(c *Config) { c.LLCWays = 32 }},
+		{"128 lines per page", func(c *Config) { c.PageSize = 8192 }},
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)

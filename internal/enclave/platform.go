@@ -19,12 +19,14 @@ type Config struct {
 	// LLCBytes is the last-level cache size shared by all cores.
 	// LLCBytes/LineSize/LLCWays, the set count, must be a power of two.
 	LLCBytes uint64
-	// LLCWays is the cache associativity.
+	// LLCWays is the cache associativity: at most 16, the ways one
+	// set's recency order word lists.
 	LLCWays int
 	// LineSize is the cache line size in bytes: a power of two, at most
 	// PageSize.
 	LineSize uint64
-	// PageSize is the MMU page size in bytes: a power of two.
+	// PageSize is the MMU page size in bytes: a power of two of at most
+	// 64 lines, the bits of the LLC's per-page line bitmap.
 	PageSize uint64
 	// Cost is the per-event cycle model.
 	Cost CostModel
@@ -72,7 +74,7 @@ const enclaveRangeBase = 1 << 44
 
 // NewPlatform builds a platform from cfg; zero fields take defaults. It
 // panics unless LineSize, PageSize and the LLC set count are powers of two
-// with LineSize ≤ PageSize.
+// with LineSize ≤ PageSize ≤ 64 lines and at most 16 LLCWays.
 func NewPlatform(cfg Config) *Platform {
 	def := DefaultConfig()
 	if cfg.EPCBytes == 0 {
@@ -98,10 +100,11 @@ func NewPlatform(cfg Config) *Platform {
 	}
 	sets := llcSets(cfg.LLCBytes, cfg.LineSize, cfg.LLCWays)
 	if !isPow2(cfg.LineSize) || !isPow2(cfg.PageSize) || !isPow2(sets) ||
-		cfg.LineSize > cfg.PageSize {
+		cfg.LineSize > cfg.PageSize || cfg.PageSize/cfg.LineSize > 64 || cfg.LLCWays > 16 {
 		panic(fmt.Sprintf("enclave: LineSize (%d), PageSize (%d) and the LLC "+
 			"set count LLCBytes/LineSize/LLCWays (%d) must be powers of two "+
-			"with LineSize <= PageSize", cfg.LineSize, cfg.PageSize, sets))
+			"with LineSize <= PageSize <= 64*LineSize, and LLCWays (%d) at most 16",
+			cfg.LineSize, cfg.PageSize, sets, cfg.LLCWays))
 	}
 	deviceKey, err := cryptbox.NewRandomKey()
 	if err != nil {

@@ -109,10 +109,12 @@ type DurableConfig struct {
 // content-addressed incremental snapshots, and WAL-segment GC.
 type DurableStore struct {
 	*ShardedStore
-	cfg      DurableConfig
-	wals     []*WAL
-	walKeys  []cryptbox.Key
-	snapKeys []cryptbox.Key
+	cfg     DurableConfig
+	wals    []*WAL
+	walKeys []cryptbox.Key
+	// snap seals and opens each shard's snapshot chain records under its
+	// snapshot key.
+	snap []*sealer
 	// pubSeq is, per shard, the newest sequence the shard published a
 	// record under: the parent of its next record. A snapshot that fails
 	// part-way leaves the shards that published ahead of the rest, and the
@@ -159,16 +161,12 @@ func snapshotAAD(name string, seq, parent uint64) []byte {
 // sequence in cleartext (8 bytes big-endian, so the opener can reconstruct
 // the AAD) followed by the sealed JSON record. The cleartext prefix is
 // untrusted input — authentication confirms it, because it feeds the AAD.
-func sealSnapshotRecord(key cryptbox.Key, man snapshotManifest, name string) ([]byte, error) {
+func sealSnapshotRecord(seal *sealer, man snapshotManifest, name string) ([]byte, error) {
 	raw, err := json.Marshal(man)
 	if err != nil {
 		return nil, err
 	}
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	sealed, err := sealDeterministic(box, key, raw, snapshotAAD(name, man.Seq, man.Parent))
+	sealed, err := seal.sealDeterministic(raw, snapshotAAD(name, man.Seq, man.Parent))
 	if err != nil {
 		return nil, err
 	}
@@ -219,8 +217,12 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 		if err != nil {
 			return nil, err
 		}
+		snap, err := newSealer(sk)
+		if err != nil {
+			return nil, err
+		}
 		ds.walKeys = append(ds.walKeys, wk)
-		ds.snapKeys = append(ds.snapKeys, sk)
+		ds.snap = append(ds.snap, snap)
 		ds.wals = append(ds.wals, NewWAL(wk, cfg.walName(i), 1))
 	}
 	ds.pubSeq = make([]uint64, ss.Shards())
@@ -332,7 +334,7 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 				Service: ds.cfg.Service, Shard: i, Seq: st.Seq, Parent: parent,
 				WALEpoch: ds.wals[i].Epoch(), Reuse: true,
 			}
-			rec, err := sealSnapshotRecord(ds.snapKeys[i], man, name)
+			rec, err := sealSnapshotRecord(ds.snap[i], man, name)
 			if err != nil {
 				return st, err
 			}
@@ -381,7 +383,7 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 			Service: ds.cfg.Service, Shard: i, Seq: st.Seq, Parent: parent,
 			WALEpoch: nextEpoch, Manifest: p.Manifest,
 		}
-		rec, err := sealSnapshotRecord(ds.snapKeys[i], man, name)
+		rec, err := sealSnapshotRecord(ds.snap[i], man, name)
 		if err != nil {
 			return st, err
 		}
@@ -470,11 +472,7 @@ func (ds *DurableStore) openSnapshotRecord(i int, name string, seq uint64, rec [
 		return nil, fmt.Errorf("%w: %s seq %d record truncated", ErrSnapshotChain, name, seq)
 	}
 	parent := binary.BigEndian.Uint64(rec)
-	box, err := cryptbox.NewBox(ds.snapKeys[i])
-	if err != nil {
-		return nil, err
-	}
-	raw, err := box.Open(rec[8:], snapshotAAD(name, seq, parent))
+	raw, err := ds.snap[i].box.Open(rec[8:], snapshotAAD(name, seq, parent))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s seq %d failed authentication: %v", ErrSnapshotChain, name, seq, err)
 	}

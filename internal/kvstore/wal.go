@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"strconv"
 	"sync"
 
@@ -142,27 +143,46 @@ func decodeWALOps(buf []byte) ([]WALOp, error) {
 
 // sealNonceLabel domain-separates the deterministic nonce. Its value is
 // part of every sealed record's bytes; changing it moves them all.
-const sealNonceLabel = "kv-wal-wrap-nonce"
+var sealNonceLabel = []byte("kv-wal-wrap-nonce")
 
-// sealDeterministic seals plaintext with box, which must be keyed by key,
-// under a nonce derived from the plaintext and AAD instead of a random
-// one, so identical appends produce bit-identical bytes (the
-// twin-determinism the recovery gate pins). The
+// sealer seals deterministically under one key: the box that seals, the
+// HMAC that derives each nonce, and the reader that hands the nonce to the
+// box, built once and reused for every record sealed under the key. A
+// sealer is not safe for concurrent sealing.
+type sealer struct {
+	box   *cryptbox.Box
+	mac   hash.Hash
+	sum   [cryptbox.MACSize]byte
+	nonce bytes.Reader
+}
+
+func newSealer(key cryptbox.Key) (*sealer, error) {
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		return nil, err
+	}
+	s := &sealer{box: box, mac: cryptbox.NewMAC(key)}
+	box.SetNonceSource(&s.nonce)
+	return s, nil
+}
+
+// sealDeterministic seals plaintext under a nonce derived from the
+// plaintext and AAD instead of a random one, so identical appends produce
+// bit-identical bytes (the twin-determinism the recovery gate pins). The
 // (key, nonce) pair can only recur for an identical (plaintext, aad) pair
 // — which produces the identical sealed record — so determinism costs no
-// nonce-reuse safety. The nonce is a MAC under key, not a bare hash: a
+// nonce-reuse safety. The nonce is a MAC under the key, not a bare hash: a
 // bare hash would let anyone who guesses a whole record and its AAD
 // confirm the guess from the stored nonce. Keyed, the seal is a
 // deterministic AEAD and reveals only whether two seals of the same
 // (plaintext, aad) are equal.
-func sealDeterministic(box *cryptbox.Box, key cryptbox.Key, plaintext, aad []byte) ([]byte, error) {
-	seed := make([]byte, 0, len(plaintext)+len(aad)+len(sealNonceLabel))
-	seed = append(seed, plaintext...)
-	seed = append(seed, aad...)
-	seed = append(seed, sealNonceLabel...)
-	sum := cryptbox.MAC(key, seed)
-	box.SetNonceSource(bytes.NewReader(sum[:cryptbox.NonceSize]))
-	return box.Seal(plaintext, aad)
+func (s *sealer) sealDeterministic(plaintext, aad []byte) ([]byte, error) {
+	s.mac.Reset()
+	s.mac.Write(plaintext)
+	s.mac.Write(aad)
+	s.mac.Write(sealNonceLabel)
+	s.nonce.Reset(s.mac.Sum(s.sum[:0])[:cryptbox.NonceSize])
+	return s.box.Seal(plaintext, aad)
 }
 
 // WALSegment is one sealed epoch of a shard's log: the byte extent a Roll
@@ -185,8 +205,8 @@ type WAL struct {
 	mu   sync.Mutex
 	name string
 	key  cryptbox.Key
-	// box seals every record under key; built on the first Append.
-	box     *cryptbox.Box
+	// seal seals every record under key; built on the first Append.
+	seal    *sealer
 	epoch   uint64
 	seq     uint64
 	buf     []byte
@@ -288,12 +308,12 @@ func (w *WAL) Append(ops []WALOp) error {
 	if err != nil {
 		return err
 	}
-	if w.box == nil {
-		if w.box, err = cryptbox.NewBox(w.key); err != nil {
+	if w.seal == nil {
+		if w.seal, err = newSealer(w.key); err != nil {
 			return err
 		}
 	}
-	sealed, err := sealDeterministic(w.box, w.key, payload, walAAD(w.name, w.epoch, w.seq))
+	sealed, err := w.seal.sealDeterministic(payload, walAAD(w.name, w.epoch, w.seq))
 	if err != nil {
 		return err
 	}

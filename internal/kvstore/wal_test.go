@@ -20,14 +20,14 @@ func walTestKey(t testing.TB) cryptbox.Key {
 	return k
 }
 
-// testBox builds the box sealDeterministic seals with under key.
-func testBox(t testing.TB, key cryptbox.Key) *cryptbox.Box {
+// testSealer builds a sealer under key.
+func testSealer(t testing.TB, key cryptbox.Key) *sealer {
 	t.Helper()
-	box, err := cryptbox.NewBox(key)
+	s, err := newSealer(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return box
+	return s
 }
 
 // walTestBatches is a deterministic multi-record op stream with puts,
@@ -117,11 +117,11 @@ func TestSealDeterministicNonceKeyed(t *testing.T) {
 	pt, aad := []byte("meter-0001=1.234"), walAAD("wal/guess", 1, 0)
 	other := walTestKey(t)
 	other[0] ^= 1
-	a, err := sealDeterministic(testBox(t, walTestKey(t)), walTestKey(t), pt, aad)
+	a, err := testSealer(t, walTestKey(t)).sealDeterministic(pt, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sealDeterministic(testBox(t, other), other, pt, aad)
+	b, err := testSealer(t, other).sealDeterministic(pt, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestWALAuthenticatedGarbage(t *testing.T) {
 	// A forged op count with no ops behind it, sealed under the log key at
 	// the right position.
 	forged := binary.BigEndian.AppendUint32(nil, 1<<30)
-	sealed, err := sealDeterministic(testBox(t, key), key, forged, walAAD(name, epoch, seq))
+	sealed, err := testSealer(t, key).sealDeterministic(forged, walAAD(name, epoch, seq))
 	if err != nil {
 		t.Fatal(err)
 	}

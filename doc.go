@@ -167,9 +167,10 @@
 //     the summed-shard-cycles to critical-path (slowest shard) ratio an
 //     ideal shard-per-core machine realises.
 //
-// The hot envelope path pairs this with a compact binary publication/
-// subscription codec (the only envelope plaintext: the broker refuses
-// anything else), one AEAD context per session built at the handshake,
+// The hot envelope path pairs this with a compact big-endian publication/
+// subscription codec read by internal/codec's bounded Reader (the only
+// envelope plaintext: the broker refuses anything else), one AEAD context
+// per session built at the handshake,
 // pooled scratch buffers, and delivery sealing outside every broker lock.
 // The event bus gained PublishBatch/PollBatch (one mutex acquisition per
 // batch, one seal per message however many subscribers fan out) and prunes
@@ -337,7 +338,8 @@
 //
 //   - Per-shard sealed WAL. Every PutBatch group-commits one WAL record
 //     per touched shard before the in-enclave tables apply: the batch's
-//     ops encode to a compact codec and are sealed once, uncompressed,
+//     ops encode to a compact codec (read back through internal/codec)
+//     and are sealed once, uncompressed,
 //     by a deterministic AEAD under the shard's WAL key (deflate saved no
 //     bytes on records this small and dominated the append). The seal's
 //     AAD names the log, epoch and record index, so records cannot be
@@ -467,12 +469,14 @@
 //     nonce, so identical content produces bit-identical sealed bytes;
 //     the per-chunk keys ride in the manifest, which is the trusted
 //     artifact anyway. Manifest validation pins the leaf count to the
-//     declared geometry (the forged-count guard, mirrored from the scbr
-//     codec), and a fuzz target covers manifest decoding.
+//     declared geometry (the forged-count guard that codec.Reader.Count
+//     gives every binary format), and a fuzz target covers manifest
+//     decoding.
 //
 //   - internal/registry stores layers chunk-granularly: every layer is
-//     encoded deterministically (image.Layer.Encode, length-prefixed and
-//     parseable, distinct from the digest-defining canonical form) and
+//     encoded deterministically (image.Layer.Encode, uvarint-length-
+//     prefixed in sorted path order, so each layer has exactly one
+//     encoding, distinct from the digest-defining canonical form) and
 //     chunked convergently, and blobs are keyed by chunk content digest.
 //     Dedup keying is exactly that digest: a base layer shared by N
 //     images is stored once, and Registry.Stats counts the hits. The
@@ -525,11 +529,13 @@
 // reply frames to per-tenant mailboxes by their cleartext tenant header —
 // one polling client per tenant, each mailbox capped (drop-oldest, the
 // mail_dropped counter) so forged tenant IDs cannot grow memory without
-// bound; the frame-batch codec clamps claimed counts by the physical
-// minimum before allocating (the forged-count guard again) and rejects
-// trailing garbage; bodies are bounded via internal/httpx, the plumbing
-// shared with the registry's front end, and client-side reads are capped
-// symmetrically. A PlaneClient built over wire.PlaneTransport is
+// bound; the frame-batch codec bounds claimed counts by the physical
+// minimum before allocating (codec.Reader.Count, the forged-count guard
+// again) and rejects trailing garbage (codec.Reader.Done); a plane frame's
+// cleartext header (tenant, request ID, routing key, flags) is bound into
+// its seal's AAD, so a host that splices headers breaks the seal; bodies
+// are bounded via internal/httpx, the plumbing shared with the registry's
+// front end, and client-side reads are capped symmetrically. A PlaneClient built over wire.PlaneTransport is
 // byte-for-byte the in-process client — the wire tests prove the sealed
 // replies identical because the bus fans the same frames to both.
 //

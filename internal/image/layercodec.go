@@ -3,6 +3,8 @@ package image
 import (
 	"encoding/binary"
 	"fmt"
+
+	"securecloud/internal/codec"
 )
 
 // The data plane moves layers as chunked transfer payloads, which needs a
@@ -14,10 +16,6 @@ import (
 // Layer.Digest intentionally stays defined over canonical: the digest is
 // the layer's identity, the encoding is its wire form.
 
-// maxLayerEntry bounds a single decoded path or file against forged
-// length prefixes demanding absurd allocations.
-const maxLayerEntry = 1 << 30
-
 // Encode renders the layer deterministically for chunking: paths sorted,
 // every path and content uvarint-length-prefixed.
 func (l Layer) Encode() []byte {
@@ -28,48 +26,39 @@ func (l Layer) Encode() []byte {
 		size += len(p) + len(l.Files[p])
 	}
 	buf := make([]byte, 0, size)
-	var tmp [binary.MaxVarintLen64]byte
 	for _, p := range paths {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(p)))]...)
+		buf = binary.AppendUvarint(buf, uint64(len(p)))
 		buf = append(buf, p...)
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(l.Files[p])))]...)
+		buf = binary.AppendUvarint(buf, uint64(len(l.Files[p])))
 		buf = append(buf, l.Files[p]...)
 	}
 	return buf
 }
 
-// DecodeLayer reverses Layer.Encode. The caller must still check the
-// decoded layer's Digest against a trusted manifest — the encoding crosses
-// the untrusted registry.
+// DecodeLayer reverses Layer.Encode, whose strictly increasing path order
+// it requires, so a layer has one encoding. The caller must still check
+// the decoded layer's Digest against a trusted manifest — the encoding
+// crosses the untrusted registry.
 func DecodeLayer(b []byte) (Layer, error) {
 	l := Layer{Files: make(map[string][]byte)}
-	off := 0
-	field := func(what string) ([]byte, error) {
-		n, w := binary.Uvarint(b[off:])
-		if w <= 0 || n > maxLayerEntry {
-			return nil, fmt.Errorf("image: decoding layer: bad %s length at offset %d", what, off)
+	r := codec.NewReader(b)
+	prev := ""
+	for r.Remaining() > 0 {
+		var n uint64
+		var p, data []byte
+		n, r = r.Uvarint()
+		p, r = r.Bytes(int(n))
+		n, r = r.Uvarint()
+		data, r = r.Bytes(int(n))
+		if err := r.Err(); err != nil {
+			return Layer{}, fmt.Errorf("image: decoding layer: %w", err)
 		}
-		off += w
-		if uint64(len(b)-off) < n {
-			return nil, fmt.Errorf("image: decoding layer: truncated %s at offset %d", what, off)
+		path := string(p)
+		if len(l.Files) > 0 && path <= prev {
+			return Layer{}, fmt.Errorf("image: decoding layer: path %q after %q: %w", path, prev, codec.ErrMalformed)
 		}
-		out := b[off : off+int(n)]
-		off += int(n)
-		return out, nil
-	}
-	for off < len(b) {
-		path, err := field("path")
-		if err != nil {
-			return Layer{}, err
-		}
-		data, err := field("content")
-		if err != nil {
-			return Layer{}, err
-		}
-		if _, dup := l.Files[string(path)]; dup {
-			return Layer{}, fmt.Errorf("image: decoding layer: duplicate path %q", path)
-		}
-		l.Files[string(path)] = append([]byte(nil), data...)
+		l.Files[path] = append([]byte(nil), data...)
+		prev = path
 	}
 	return l, nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"securecloud/internal/codec"
+	"securecloud/internal/codec/codectest"
 	"securecloud/internal/sim"
 )
 
@@ -44,25 +46,6 @@ func TestLayerEncodeDeterministic(t *testing.T) {
 	}
 }
 
-func TestDecodeLayerRejectsMalformed(t *testing.T) {
-	l := Layer{Files: map[string][]byte{"/bin/app": []byte("code")}}
-	enc := l.Encode()
-	for cut := 1; cut < len(enc); cut++ {
-		if _, err := DecodeLayer(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded", cut)
-		}
-	}
-	// A forged huge length prefix must not allocate.
-	if _, err := DecodeLayer([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); err == nil {
-		t.Fatal("absurd length prefix decoded")
-	}
-	// Duplicate paths cannot smuggle content past digest checks.
-	dup := append(append([]byte(nil), enc...), enc...)
-	if _, err := DecodeLayer(dup); err == nil {
-		t.Fatal("duplicate path decoded")
-	}
-}
-
 func TestPropLayerCodec(t *testing.T) {
 	f := func(seed int64, nFiles uint8) bool {
 		rng := sim.NewRand(seed)
@@ -85,42 +68,35 @@ func TestPropLayerCodec(t *testing.T) {
 	}
 }
 
-// FuzzDecodeLayer: DecodeLayer never panics; an accepted layer survives
-// Encode then DecodeLayer unchanged; and in its encoding, cutting the last
-// entry short or repeating it is an error.
-func FuzzDecodeLayer(f *testing.F) {
-	f.Add(Layer{Files: map[string][]byte{"/bin/app": []byte("code\x00"), "/etc/empty": nil}}.Encode())
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Add([]byte{2, '/', 'a', 1, 'x', 2, '/', 'a', 1, 'y'})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		l, err := DecodeLayer(b)
-		if err != nil {
-			return
-		}
-		enc := l.Encode()
-		got, err := DecodeLayer(enc)
-		if err != nil {
-			t.Fatalf("re-encoded layer rejected: %v", err)
-		}
-		if !maps.EqualFunc(got.Files, l.Files, bytes.Equal) {
-			t.Fatalf("Encode then DecodeLayer changed the layer: %q -> %q", l.Files, got.Files)
-		}
-		if len(l.Files) == 0 {
-			return
-		}
-		// The last entry in encoding order starts where the encoding of
-		// the layer without it ends.
+// layerFormat is the layer encoding under the shared decode property. A
+// layer may end after any whole entry, so only the prefixes that cut its
+// last entry must be rejected.
+func layerFormat(b []byte) ([]byte, int, int, error) {
+	l, err := DecodeLayer(b)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	last := 0
+	if len(l.Files) > 0 {
 		rest := maps.Clone(l.Files)
 		delete(rest, slices.Max(slices.Collect(maps.Keys(rest))))
-		last := len(Layer{Files: rest}.Encode())
-		for cut := last + 1; cut < len(enc); cut++ {
-			if _, err := DecodeLayer(enc[:cut]); err == nil {
-				t.Fatalf("encoding cut to %d of %d bytes decoded", cut, len(enc))
-			}
-		}
-		if _, err := DecodeLayer(append(enc, enc[last:]...)); err == nil {
-			t.Fatal("repeated last entry decoded")
-		}
+		last = len(Layer{Files: rest}.Encode()) + 1
+	}
+	return l.Encode(), last, len(b), nil
+}
+
+// FuzzDecodeLayer: the layer encoding satisfies the shared decode property:
+// every rejection wraps codec.ErrMalformed, an accepted layer re-encodes
+// to its own bytes (so no path appears twice), and cutting its last entry
+// short or adding a byte is an error.
+func FuzzDecodeLayer(f *testing.F) {
+	l := Layer{Files: map[string][]byte{"/bin/app": []byte("code\x00"), "/etc/empty": nil}}
+	f.Add(l.Encode())
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // absurd length
+	f.Add([]byte{2, '/', 'a', 1, 'x', 2, '/', 'a', 1, 'y'})                   // a path twice
+	f.Add(append(l.Encode(), l.Encode()...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		codectest.Check(t, b, false, layerFormat, codec.ErrMalformed)
 	})
 }

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"slices"
 
+	"securecloud/internal/codec"
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
@@ -468,11 +469,8 @@ func (ds *DurableStore) applyShardOps(i int, ops []WALOp) (sim.Cycles, error) {
 // (name, seq, parent) position fails here; the decoded payload is then
 // cross-checked against every position field.
 func (ds *DurableStore) openSnapshotRecord(i int, name string, seq uint64, rec []byte) (*snapshotManifest, error) {
-	if len(rec) < 8 {
-		return nil, fmt.Errorf("%w: %s seq %d record truncated", ErrSnapshotChain, name, seq)
-	}
-	parent := binary.BigEndian.Uint64(rec)
-	raw, err := ds.snap[i].box.Open(rec[8:], snapshotAAD(name, seq, parent))
+	parent, r := codec.NewReader(rec).U64() // a record too short for its parent opens nothing
+	raw, err := ds.snap[i].box.Open(r.Rest(), snapshotAAD(name, seq, parent))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s seq %d failed authentication: %v", ErrSnapshotChain, name, seq, err)
 	}

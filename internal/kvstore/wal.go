@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"sync"
 
+	"securecloud/internal/codec"
 	"securecloud/internal/cryptbox"
 )
 
@@ -57,19 +58,12 @@ type WALOp struct {
 	Delete bool
 }
 
-// walOpMinBytes is the smallest encoded op (flags + u16 key length, for an
-// empty-key delete). decodeWALOps bounds a record's declared op count by it
-// against the record's byte length before any allocation — the
-// forged-count guard, mirroring transfer.Manifest.Validate.
-const walOpMinBytes = 3
-
 // encodeWALOps serializes a batch deterministically:
 //
 //	u32 count, then per op: u8 flags (bit0 = delete), u16 klen, key,
 //	and for puts u32 vlen, value.
 func encodeWALOps(ops []WALOp) ([]byte, error) {
-	buf := make([]byte, 4, 4+len(ops)*16)
-	binary.BigEndian.PutUint32(buf, uint32(len(ops)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(ops)*16), uint32(len(ops)))
 	for _, op := range ops {
 		if len(op.Key) > 0xFFFF {
 			return nil, fmt.Errorf("kvstore: wal key %d bytes exceeds 64KiB", len(op.Key))
@@ -89,54 +83,35 @@ func encodeWALOps(ops []WALOp) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeWALOps reverses encodeWALOps with incremental bounds checks; every
-// length is validated against the remaining bytes before use, and the
-// declared count against the minimum op size before allocating.
+// decodeWALOps reverses encodeWALOps. Every length is bounded by the bytes
+// that remain, the declared count by the minimum op size before the batch
+// is allocated, and trailing bytes are rejected.
 func decodeWALOps(buf []byte) ([]WALOp, error) {
-	if len(buf) < 4 {
-		return nil, errors.New("kvstore: wal ops truncated before count")
-	}
-	count := int(binary.BigEndian.Uint32(buf))
-	rest := buf[4:]
-	if count > len(rest)/walOpMinBytes {
-		return nil, fmt.Errorf("kvstore: wal ops count %d exceeds %d bytes", count, len(rest))
-	}
-	ops := make([]WALOp, 0, count)
-	for i := 0; i < count; i++ {
-		if len(rest) < walOpMinBytes {
-			return nil, fmt.Errorf("kvstore: wal op %d truncated", i)
-		}
-		flags := rest[0]
+	n32, r := codec.NewReader(buf).U32()
+	n, r := r.Count(uint64(n32), 3) // an op is at least flags, u16 key length
+	ops := make([]WALOp, n)
+	for i := range ops {
+		var flags byte
+		var klen uint16
+		var key, v []byte
+		flags, r = r.U8()
 		if flags > 1 {
-			return nil, fmt.Errorf("kvstore: wal op %d has unknown flags %#x", i, flags)
+			return nil, fmt.Errorf("kvstore: wal op %d has unknown flags %#x: %w", i, flags, codec.ErrMalformed)
 		}
-		klen := int(binary.BigEndian.Uint16(rest[1:3]))
-		rest = rest[3:]
-		if len(rest) < klen {
-			return nil, fmt.Errorf("kvstore: wal op %d key overruns record", i)
+		klen, r = r.U16()
+		key, r = r.Bytes(int(klen))
+		ops[i] = WALOp{Key: string(key), Delete: flags == 1}
+		if !ops[i].Delete {
+			// The payload belongs to this decode; Bytes caps the alias
+			// so an append to one value cannot reach the next op.
+			n32, r = r.U32()
+			if v, r = r.Bytes(int(n32)); len(v) > 0 {
+				ops[i].Value = v
+			}
 		}
-		op := WALOp{Key: string(rest[:klen]), Delete: flags == 1}
-		rest = rest[klen:]
-		if !op.Delete {
-			if len(rest) < 4 {
-				return nil, fmt.Errorf("kvstore: wal op %d truncated before value length", i)
-			}
-			vlen := int(binary.BigEndian.Uint32(rest))
-			rest = rest[4:]
-			if vlen > len(rest) {
-				return nil, fmt.Errorf("kvstore: wal op %d value overruns record", i)
-			}
-			if vlen > 0 {
-				// The payload belongs to this decode; cap the alias
-				// so an append to one value cannot reach the next op.
-				op.Value = rest[:vlen:vlen]
-			}
-			rest = rest[vlen:]
-		}
-		ops = append(ops, op)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("kvstore: wal ops carry %d trailing bytes", len(rest))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("kvstore: wal ops: %w", err)
 	}
 	return ops, nil
 }
@@ -340,18 +315,17 @@ func DecodeWALRecord(key cryptbox.Key, name string, epoch, seq uint64, buf []byt
 
 // decodeWALRecord is DecodeWALRecord with the log's box already built.
 func decodeWALRecord(box *cryptbox.Box, name string, epoch, seq uint64, buf []byte) ([]WALOp, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("%w: %d bytes of trailing framing", ErrWALTorn, len(buf))
+	n, r := codec.NewReader(buf).U32()
+	sealed, r := r.Bytes(int(n))
+	if err := r.Err(); err != nil {
+		// The length prefix or the extent it declares runs past the log:
+		// the append died mid-write (or the length field itself is
+		// damaged — indistinguishable, and everything after it is
+		// unwalkable either way).
+		return nil, 0, fmt.Errorf("%w: record %d: %w", ErrWALTorn, seq, err)
 	}
-	rl := int(binary.BigEndian.Uint32(buf))
-	end := 4 + rl
-	if end > len(buf) {
-		// Declared extent overruns the log: the append died mid-write (or
-		// the length field itself is damaged — indistinguishable, and
-		// everything after it is unwalkable either way).
-		return nil, 0, fmt.Errorf("%w: record %d declares %d bytes, %d remain", ErrWALTorn, seq, rl, len(buf)-4)
-	}
-	payload, err := box.Open(buf[4:end], walAAD(name, epoch, seq))
+	end := len(buf) - r.Remaining()
+	payload, err := box.Open(sealed, walAAD(name, epoch, seq))
 	if err != nil {
 		kind := ErrWALCorrupt
 		if end == len(buf) {
@@ -365,7 +339,7 @@ func decodeWALRecord(box *cryptbox.Box, name string, epoch, seq uint64, buf []by
 	// position.
 	ops, err := decodeWALOps(payload)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: record %d: %v", ErrWALCorrupt, seq, err)
+		return nil, 0, fmt.Errorf("%w: record %d: %w", ErrWALCorrupt, seq, err)
 	}
 	return ops, end, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"securecloud/internal/codec"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/shard"
 )
@@ -37,12 +38,12 @@ func appendKV(dst []byte, key string, value []byte) []byte {
 // is not minimally encoded, is rejected: every record decodeKV accepts
 // re-encodes to the same bytes.
 func decodeKV(rec []byte) (key, value []byte, err error) {
-	n, w := binary.Uvarint(rec)
-	if w <= 0 || (w > 1 && rec[w-1] == 0) || n > uint64(len(rec)-w) {
-		return nil, nil, errBadRecord
+	n, r := codec.NewReader(rec).Uvarint()
+	key, r = r.Bytes(int(n))
+	if err := r.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", errBadRecord, err)
 	}
-	end := w + int(n)
-	return rec[w:end:end], rec[end:len(rec):len(rec)], nil
+	return key, r.Rest(), nil
 }
 
 // partitionBoxes derives one sealing box per shuffle partition from the

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"securecloud/internal/codec/codectest"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/shard"
 )
@@ -41,40 +42,36 @@ func TestKVRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeKVRejects(t *testing.T) {
-	for name, rec := range map[string][]byte{
-		"empty":                nil,
-		"varint overflow":      bytes.Repeat([]byte{0xff}, 11),
-		"truncated varint":     {0x80},
-		"key past end":         {0x05, 'a', 'b'},
-		"non-minimal varint":   {0x81, 0x00, 'a'},
-		"two-byte zero":        {0x80, 0x00},
-		"huge declared length": binary.AppendUvarint(nil, 1<<62),
-	} {
-		if _, _, err := decodeKV(rec); !errors.Is(err, errBadRecord) {
-			t.Errorf("%s: err = %v, want errBadRecord", name, err)
-		}
+// kvFormat is the shuffle record under the shared decode property. The
+// value runs to the end of the record, so only the key length and the key
+// delimit themselves.
+func kvFormat(rec []byte) ([]byte, int, int, error) {
+	k, v, err := decodeKV(rec)
+	if err != nil {
+		return nil, 0, 0, err
 	}
+	return appendKV(nil, string(k), v), 0, len(rec) - len(v), nil
 }
 
-// FuzzDecodeShuffleRecord: decodeKV never panics, and whatever it accepts
-// re-encodes to the same bytes.
+// FuzzDecodeShuffleRecord: the shuffle record satisfies the shared decode
+// property — every rejection wraps errBadRecord, an accepted record
+// re-encodes to its own bytes, and a cut key length or key is rejected.
 func FuzzDecodeShuffleRecord(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, 11))
-	f.Add([]byte{0x05, 'a', 'b'})
-	f.Add(appendKV(nil, "feeder-001", []byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	for _, rec := range [][]byte{
+		{},
+		bytes.Repeat([]byte{0xff}, 11), // varint overflow
+		{0x05, 'a', 'b'},               // key past the end
+		appendKV(nil, "feeder-001", []byte{1, 2, 3, 4, 5, 6, 7, 8}),
+		appendKV(nil, strings.Repeat("k", 200), []byte("value")), // two-byte length
+		{0x80},            // truncated varint
+		{0x81, 0x00, 'a'}, // non-minimal varint
+		{0x80, 0x00},      // two-byte zero
+		binary.AppendUvarint(nil, 1<<62),
+	} {
+		f.Add(rec)
+	}
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		k, v, err := decodeKV(rec)
-		if err != nil {
-			if !errors.Is(err, errBadRecord) {
-				t.Fatalf("err = %v", err)
-			}
-			return
-		}
-		if re := appendKV(nil, string(k), v); !bytes.Equal(re, rec) {
-			t.Fatalf("re-encoded %x, input %x", re, rec)
-		}
+		codectest.Check(t, rec, true, kvFormat, errBadRecord)
 	})
 }
 
@@ -187,6 +184,18 @@ func BenchmarkParallelSecureRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeShuffleRecord decodes one billing-shaped shuffle record:
+// a feeder key and an 8-byte reading, what a reducer opens per record.
+func BenchmarkDecodeShuffleRecord(b *testing.B) {
+	rec := appendKV(nil, "feeder-003", []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := decodeKV(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

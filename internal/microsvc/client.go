@@ -1,13 +1,13 @@
 package microsvc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"securecloud/internal/attest"
+	"securecloud/internal/codec"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/eventbus"
 )
@@ -90,10 +90,10 @@ type PlaneClient struct {
 	box  *cryptbox.Box
 	tr   Transport
 
-	// Frame AADs, precomputed once per client instead of per request.
-	reqAAD  []byte
-	respAAD []byte
-	shedAAD []byte
+	// Frame AADs, built in buffers reused across frames.
+	reqAAD  *frameAAD
+	respAAD *frameAAD
+	shedAAD *frameAAD
 
 	// Retry state (nil retry = fire-and-forget). All of it is driven by
 	// the caller's sim-ms clock, never a host clock: Poll schedules,
@@ -227,14 +227,15 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 			return nil, err
 		}
 		if shedFlag {
-			raw, err := c.box.OpenInPlace(q.sealed, c.shedAAD)
-			if err != nil || len(raw) != 8 {
-				return nil, ErrSealedRequest
-			}
+			raw, err := openFrame(c.box, q, frameFlagShed, c.shedAAD)
+			retryAfter, r := codec.NewReader(raw).U64()
 			rep := PlaneReply{
 				Key: q.key, Tenant: q.meta.tenant, ID: q.meta.id,
 				Shed:            true,
-				RetryAfterSimMS: math.Float64frombits(binary.BigEndian.Uint64(raw)),
+				RetryAfterSimMS: math.Float64frombits(retryAfter),
+			}
+			if err != nil || r.Done() != nil {
+				return nil, ErrSealedRequest
 			}
 			if c.retry != nil {
 				if fl, ok := c.inflight[q.meta.id]; ok {
@@ -250,7 +251,7 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 			out = append(out, rep)
 			continue
 		}
-		body, err := c.box.OpenInPlace(q.sealed, c.respAAD)
+		body, err := openFrame(c.box, q, 0, c.respAAD)
 		if err != nil {
 			return nil, ErrSealedRequest
 		}

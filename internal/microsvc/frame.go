@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"securecloud/internal/codec"
 	"securecloud/internal/cryptbox"
 )
 
@@ -51,77 +52,99 @@ type request struct {
 // appendFrameV2Header appends everything of a frame before the sealed
 // body: magic, flags, tenant envelope, request ID and routing key.
 func appendFrameV2Header(b []byte, key string, meta frameMeta, flags byte) []byte {
-	var w [8]byte
-	binary.BigEndian.PutUint16(w[:2], frameMagic)
-	b = append(b, w[0], w[1], flags, byte(len(meta.tenant)))
+	b = binary.BigEndian.AppendUint16(b, frameMagic)
+	b = append(b, flags, byte(len(meta.tenant)))
 	b = append(b, meta.tenant...)
-	binary.BigEndian.PutUint64(w[:], meta.id)
-	b = append(b, w[:]...)
-	binary.BigEndian.PutUint16(w[:2], uint16(len(key)))
-	b = append(b, w[0], w[1])
+	b = binary.BigEndian.AppendUint64(b, meta.id)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(key)))
 	return append(b, key...)
 }
 
-// frameV2HeaderLen is the byte length appendFrameV2Header emits.
-func frameV2HeaderLen(key string, meta frameMeta) int {
-	return 2 + 1 + 1 + len(meta.tenant) + 8 + 2 + len(key)
+// frameAAD builds a frame's AAD: direction | service | the frame's
+// cleartext header. Binding the header means a host that rewrites a
+// frame's tenant, request ID, routing key or flags — or moves a sealed
+// body under another frame's header — breaks the seal. The AAD is built
+// in a buffer its owner reuses, so binding costs no allocation per frame;
+// like the rest of a replica's, client's or front end's serve state, a
+// frameAAD is not safe for concurrent use.
+type frameAAD struct {
+	buf    []byte
+	prefix int // len("<direction>|<service>|")
 }
 
+func newFrameAAD(direction, name string) *frameAAD {
+	buf := []byte(direction + "|" + name + "|")
+	return &frameAAD{buf: buf, prefix: len(buf)}
+}
+
+// bind returns the AAD of the frame with this header. The result is
+// valid until the next bind.
+func (a *frameAAD) bind(key string, meta frameMeta, flags byte) []byte {
+	a.buf = appendFrameV2Header(a.buf[:a.prefix], key, meta, flags)
+	return a.buf
+}
+
+// The frame AADs per direction: a reply can never replay as a request, a
+// request sealed for one service never opens in another, and a shed notice
+// can never replay as a served reply.
+func reqAADFor(name string) *frameAAD  { return newFrameAAD("req", name) }
+func respAADFor(name string) *frameAAD { return newFrameAAD("resp", name) }
+func shedAADFor(name string) *frameAAD { return newFrameAAD("shed", name) }
+
 // sealFrame lays out a frame header in dst and seals body directly after it
-// with SealAppend, so a frame costs at most one exact-capacity allocation
-// instead of seal-then-copy — none when dst already has room (a pooled
-// cryptbox.GetScratch buffer). dst's contents are discarded; pass nil for a
-// fresh frame. The sealed part starts at frameV2HeaderLen(key, meta).
-func sealFrame(dst []byte, box *cryptbox.Box, key string, meta frameMeta, flags byte, body, aad []byte) ([]byte, error) {
-	if need := frameV2HeaderLen(key, meta) + len(body) + box.Overhead(); cap(dst) < need {
+// with SealAppend, under aad bound to that header, so a frame costs at most
+// one exact-capacity allocation instead of seal-then-copy — none when dst
+// already has room (a pooled cryptbox.GetScratch buffer). dst's contents
+// are discarded; pass nil for a fresh frame.
+func sealFrame(dst []byte, box *cryptbox.Box, key string, meta frameMeta, flags byte, body []byte, aad *frameAAD) ([]byte, error) {
+	// A header is 14 bytes of fixed fields plus the tenant and the key.
+	if need := 14 + len(meta.tenant) + len(key) + len(body) + box.Overhead(); cap(dst) < need {
 		dst = make([]byte, 0, need)
 	}
-	return box.SealAppend(appendFrameV2Header(dst[:0], key, meta, flags), body, aad)
+	return box.SealAppend(appendFrameV2Header(dst[:0], key, meta, flags), body, aad.bind(key, meta, flags))
+}
+
+// openFrame opens a decoded frame's sealed body in place, under aad bound
+// to the header it arrived with.
+func openFrame(box *cryptbox.Box, q request, flags byte, aad *frameAAD) ([]byte, error) {
+	return box.OpenInPlace(q.sealed, aad.bind(q.key, q.meta, flags))
+}
+
+// decodeFrame decodes a frame's header fields and sealed body. It returns
+// the tenant and the routing key as S: string copies them out of the
+// frame, []byte aliases them, so a caller that needs neither allocates
+// nothing. Every frame it accepts re-encodes to its own bytes, so the
+// header its fields rebuild is the header the frame carried.
+func decodeFrame[S string | []byte](b []byte) (tenant, key S, id uint64, shed bool, sealed []byte, err error) {
+	magic, r := codec.NewReader(b).U16()
+	flags, r := r.U8()
+	tn, r := r.U8()
+	t, r := r.Bytes(int(tn))
+	id, r = r.U64()
+	kn, r := r.U16()
+	k, r := r.Bytes(int(kn))
+	if err := r.Err(); err != nil {
+		return tenant, key, 0, false, nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	}
+	if magic != frameMagic || flags&^frameFlagShed != 0 {
+		return tenant, key, 0, false, nil, ErrBadFrame
+	}
+	return S(t), S(k), id, flags&frameFlagShed != 0, r.Rest(), nil
 }
 
 // decodeFrameAny decodes a frame into a request; the bool reports the shed
 // flag.
 func decodeFrameAny(b []byte) (request, bool, error) {
-	if len(b) < 4 || binary.BigEndian.Uint16(b) != frameMagic || b[2]&^frameFlagShed != 0 {
-		return request{}, false, ErrBadFrame
-	}
-	flags := b[2]
-	tn := int(b[3])
-	off := 4
-	if len(b) < off+tn+8+2 {
-		return request{}, false, ErrBadFrame
-	}
-	tenant := string(b[off : off+tn])
-	off += tn
-	id := binary.BigEndian.Uint64(b[off:])
-	off += 8
-	kn := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+kn {
-		return request{}, false, ErrBadFrame
-	}
-	q := request{
-		key:    string(b[off : off+kn]),
-		sealed: b[off+kn:],
-		meta:   frameMeta{tenant: tenant, id: id},
-	}
-	return q, flags&frameFlagShed != 0, nil
+	tenant, key, id, shed, sealed, err := decodeFrame[string](b)
+	return request{key: key, sealed: sealed, meta: frameMeta{tenant: tenant, id: id}}, shed, err
 }
-
-// reqAADFor / respAADFor / shedAADFor bind plane frames to the service and
-// direction, so a reply can never replay as a request, a request sealed for
-// one service never opens in another — and a shed notice can never replay
-// as a served reply.
-func reqAADFor(name string) []byte  { return []byte("req|" + name) }
-func respAADFor(name string) []byte { return []byte("resp|" + name) }
-func shedAADFor(name string) []byte { return []byte("shed|" + name) }
 
 // CheckFrame validates a sealed plane frame without decrypting anything:
 // it must decode and must not carry the shed flag (sheds are
 // server→client only). Gateways use it to reject malformed ingress before
 // a frame reaches a topic.
 func CheckFrame(b []byte) error {
-	_, shed, err := decodeFrameAny(b)
+	_, _, _, shed, _, err := decodeFrame[[]byte](b)
 	if err != nil {
 		return err
 	}
@@ -135,17 +158,6 @@ func CheckFrame(b []byte) error {
 // without materializing the rest — the lean form gateways route reply
 // mailboxes with.
 func PeekFrameTenant(b []byte) (tenant string, shed bool, err error) {
-	if len(b) < 4 || binary.BigEndian.Uint16(b) != frameMagic || b[2]&^frameFlagShed != 0 {
-		return "", false, ErrBadFrame
-	}
-	tn := int(b[3])
-	off := 4 + tn
-	if len(b) < off+8+2 {
-		return "", false, ErrBadFrame
-	}
-	kn := int(binary.BigEndian.Uint16(b[off+8:]))
-	if len(b) < off+8+2+kn {
-		return "", false, ErrBadFrame
-	}
-	return string(b[4:off]), b[2]&frameFlagShed != 0, nil
+	t, _, _, shed, _, err := decodeFrame[[]byte](b)
+	return string(t), shed, err
 }

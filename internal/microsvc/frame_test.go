@@ -1,44 +1,21 @@
 package microsvc
 
 import (
-	"bytes"
-	"errors"
 	"testing"
+
+	"securecloud/internal/codec/codectest"
 )
 
 func TestFrameCodec(t *testing.T) {
 	meta := frameMeta{tenant: "acme", id: 42}
 	f := append(appendFrameV2Header(nil, "feeder-07", meta, 0), "sealed-bytes"...)
-	if len(f) != frameV2HeaderLen("feeder-07", meta)+len("sealed-bytes") {
-		t.Fatalf("frame length %d disagrees with frameV2HeaderLen", len(f))
-	}
 	q, shed, err := decodeFrameAny(f)
 	if err != nil || shed || q.key != "feeder-07" || string(q.sealed) != "sealed-bytes" || q.meta != meta {
 		t.Fatalf("roundtrip = %+v shed=%v err=%v", q, shed, err)
 	}
-	if tenant, shed, err := PeekFrameTenant(f); err != nil || shed || tenant != "acme" {
-		t.Fatalf("peek = %q %v %v", tenant, shed, err)
-	}
 	shedFrame := append(appendFrameV2Header(nil, "k", frameMeta{}, frameFlagShed), 1)
 	if _, shed, err := decodeFrameAny(shedFrame); err != nil || !shed {
 		t.Fatalf("shed frame: shed=%v err=%v", shed, err)
-	}
-	if err := CheckFrame(shedFrame); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("CheckFrame accepted a shed frame: %v", err)
-	}
-	reserved := append(appendFrameV2Header(nil, "k", frameMeta{}, 0x02), 1)
-	for _, bad := range [][]byte{
-		nil, {0x00}, {0xFF, 0xFF, 0x00},
-		f[:frameV2HeaderLen("feeder-07", meta)-1], // key cut short
-		f[:4+len("acme")+8+1],                     // key length cut short
-		reserved,
-	} {
-		if _, _, err := decodeFrameAny(bad); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("decodeFrameAny(%v) err = %v, want ErrBadFrame", bad, err)
-		}
-		if _, _, err := PeekFrameTenant(bad); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("PeekFrameTenant(%v) err = %v, want ErrBadFrame", bad, err)
-		}
 	}
 }
 
@@ -49,36 +26,56 @@ func legacyFrame(key string, sealed []byte) []byte {
 	return append(append(b, key...), sealed...)
 }
 
-// FuzzDecodeFrame: every input either errors with ErrBadFrame or decodes;
-// CheckFrame and PeekFrameTenant agree with the decode; and a decoded frame
-// re-encodes to exactly the input bytes.
+// frameFormat is the frame under the shared decode property. The sealed
+// body runs to the end of the frame, so only the header delimits itself.
+func frameFormat(b []byte) ([]byte, int, int, error) {
+	q, shed, err := decodeFrameAny(b)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var flags byte
+	if shed {
+		flags = frameFlagShed
+	}
+	return append(appendFrameV2Header(nil, q.key, q.meta, flags), q.sealed...), 0, len(b) - len(q.sealed), nil
+}
+
+// FuzzDecodeFrame: the frame satisfies the shared decode property (every
+// rejection wraps ErrBadFrame, an accepted frame re-encodes to its own
+// bytes, a cut header is rejected), CheckFrame accepts exactly the frames
+// that decode without the shed flag, and PeekFrameTenant agrees with the
+// decode.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add(append(appendFrameV2Header(nil, "feeder-07", frameMeta{tenant: "acme", id: 42}, 0), "sealed"...))
+	meta := frameMeta{tenant: "acme", id: 42}
+	f.Add(append(appendFrameV2Header(nil, "feeder-07", meta, 0), "sealed"...))
 	f.Add(append(appendFrameV2Header(nil, "", frameMeta{}, frameFlagShed), 0, 0, 0, 0, 0, 0, 0, 1))
 	f.Add(legacyFrame("meter-01", []byte("sealed")))
 	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0x00})
+	f.Add(append(appendFrameV2Header(nil, "k", frameMeta{}, 0x02), 1)) // reserved flag
+	hdr := appendFrameV2Header(nil, "feeder-07", meta, 0)
+	f.Add(hdr[:len(hdr)-1])             // key cut short
+	f.Add(hdr[:4+len(meta.tenant)+8+1]) // key length cut short
 	f.Fuzz(func(t *testing.T, b []byte) {
+		codectest.Check(t, b, true, frameFormat, ErrBadFrame)
 		q, shed, err := decodeFrameAny(b)
-		checkErr := CheckFrame(b)
-		tenant, peekShed, peekErr := PeekFrameTenant(b)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) || !errors.Is(checkErr, ErrBadFrame) || !errors.Is(peekErr, ErrBadFrame) {
-				t.Fatalf("decode %v, check %v, peek %v: want ErrBadFrame from all three", err, checkErr, peekErr)
-			}
-			return
+		if checkErr := CheckFrame(b); (checkErr == nil) != (err == nil && !shed) {
+			t.Fatalf("CheckFrame = %v on a frame with decode error %v, shed=%v", checkErr, err, shed)
 		}
-		if peekErr != nil || tenant != q.meta.tenant || peekShed != shed {
-			t.Fatalf("peek = %q %v %v, decode = %q %v", tenant, peekShed, peekErr, q.meta.tenant, shed)
-		}
-		if (checkErr == nil) == shed {
-			t.Fatalf("CheckFrame = %v on a frame with shed=%v", checkErr, shed)
-		}
-		var flags byte
-		if shed {
-			flags = frameFlagShed
-		}
-		if re := append(appendFrameV2Header(nil, q.key, q.meta, flags), q.sealed...); !bytes.Equal(re, b) {
-			t.Fatalf("re-encoding differs:\n in %x\nout %x", b, re)
+		if tenant, peekShed, peekErr := PeekFrameTenant(b); (peekErr == nil) != (err == nil) || tenant != q.meta.tenant || peekShed != shed {
+			t.Fatalf("peek = %q %v %v, decode = %q %v %v", tenant, peekShed, peekErr, q.meta.tenant, shed, err)
 		}
 	})
+}
+
+// BenchmarkDecodeFrame decodes the header of a 16 KiB request frame: the
+// gateway's and the replica set's per-frame parse.
+func BenchmarkDecodeFrame(b *testing.B) {
+	f := append(appendFrameV2Header(nil, "meter-07", frameMeta{tenant: "acme", id: 42}, 0), make([]byte, 16<<10)...)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := decodeFrameAny(f); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -65,7 +65,7 @@ func (fx *rawFixture) send(t *testing.T) {
 func (fx *rawFixture) sendForged(t *testing.T) {
 	t.Helper()
 	wrong, _ := cryptbox.NewBox(cryptbox.Key{0xEE})
-	frame, err := wrong.SealAppend(appendFrameV2Header(nil, "k", frameMeta{}, 0), []byte("req"), reqAADFor("plane/upper"))
+	frame, err := sealFrame(nil, wrong, "k", frameMeta{}, 0, []byte("req"), reqAADFor("plane/upper"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +117,76 @@ func TestResponseCannotBeReplayedAsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.stepFails(t)
+}
+
+// relayedFrames is a Transport whose RecvFrames hands the client frames a
+// (dishonest) host chose.
+type relayedFrames struct{ frames [][]byte }
+
+func (r *relayedFrames) SendFrames([][]byte) error { return nil }
+func (r *relayedFrames) RecvFrames() ([][]byte, error) {
+	f := r.frames
+	r.frames = nil
+	return f, nil
+}
+func (r *relayedFrames) Close() {}
+
+// spliceHeader moves frame's sealed body under another header.
+func spliceHeader(t *testing.T, frame []byte, meta frameMeta, flags byte) []byte {
+	t.Helper()
+	q, _, err := decodeFrameAny(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(appendFrameV2Header(nil, q.key, meta, flags), q.sealed...)
+}
+
+// TestFrameHeaderSpliceRejected: the host moves alice/1's sealed request,
+// reply and shed notice under bob/2's cleartext header. The replica does
+// not serve the spliced request, so admission cannot be charged to bob,
+// and the client accepts neither the spliced reply nor the spliced shed
+// notice, so bob's request is neither answered nor rescheduled by them.
+func TestFrameHeaderSpliceRejected(t *testing.T) {
+	fx := newRawFixture(t, "plane/upper", upper)
+	alice, bob := frameMeta{tenant: "alice", id: 1}, frameMeta{tenant: "bob", id: 2}
+	req, err := sealFrame(nil, fx.client.box, "k", alice, 0, []byte("req"), fx.client.reqAAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.in.PublishBatch([][]byte{spliceHeader(t, req, bob, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	fx.stepFails(t)
+
+	if _, err := fx.in.PublishBatch([][]byte{req}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := fx.rs.Step(); err != nil || st.Served != 1 {
+		t.Fatalf("genuine request: step = %+v, %v", st, err)
+	}
+	replies, err := fx.out.Receive()
+	if err != nil || len(replies) != 1 {
+		t.Fatalf("reply frames = %d, %v", len(replies), err)
+	}
+	shed, err := sealFrame(nil, fx.rs.front.box, "k", alice, frameFlagShed, make([]byte, 8), fx.rs.front.shedAAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		flags byte
+	}{{"reply", replies[0], 0}, {"shed notice", shed, frameFlagShed}} {
+		tr := &relayedFrames{frames: [][]byte{spliceHeader(t, c.frame, bob, c.flags)}}
+		fx.client.tr = tr
+		if reps, err := fx.client.Poll(0); !errors.Is(err, ErrSealedRequest) {
+			t.Fatalf("spliced %s: Poll = %+v, %v; want ErrSealedRequest", c.name, reps, err)
+		}
+		tr.frames = [][]byte{c.frame}
+		if reps, err := fx.client.Poll(0); err != nil || len(reps) != 1 || reps[0].Tenant != "alice" || reps[0].ID != 1 {
+			t.Fatalf("genuine %s: Poll = %+v, %v", c.name, reps, err)
+		}
+	}
 }
 
 // TestRetiredTotalsKeepFailed: a departing replica's served and failed

@@ -188,7 +188,7 @@ type frontEnd struct {
 	sub     *eventbus.Subscriber
 	pub     *eventbus.Publisher
 	box     *cryptbox.Box
-	shedAAD []byte // "shed|<name>", precomputed once per set
+	shedAAD *frameAAD
 }
 
 // NewReplicaSet builds a direct-mode replica set: each replica boots on a
@@ -360,10 +360,10 @@ type Replica struct {
 	stage uint64
 	stop  func()
 
-	// reqAAD / respAAD are the service-bound frame AADs, precomputed at
-	// launch so the serve loop never rebuilds the strings per request.
-	reqAAD  []byte
-	respAAD []byte
+	// reqAAD / respAAD build the frame AADs in buffers the serve loop
+	// reuses across requests.
+	reqAAD  *frameAAD
+	respAAD *frameAAD
 
 	served      atomic.Uint64
 	failed      atomic.Uint64
@@ -751,7 +751,7 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 	}
 	// The front end's drain handed the frame over, and a request is served
 	// at most once: open the body where it lies.
-	body, err := r.box.OpenInPlace(q.sealed, r.reqAAD)
+	body, err := openFrame(r.box, q, 0, r.reqAAD)
 	if err != nil {
 		sp.End()
 		r.failed.Add(1)
@@ -771,7 +771,7 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 			r.failed.Add(1)
 			return nil, false
 		}
-		r.chargeStage(sp, len(frame)-frameV2HeaderLen(q.key, q.meta), true)
+		r.chargeStage(sp, len(resp)+r.box.Overhead(), true) // the sealed part
 	}
 	sp.End()
 	r.served.Add(1)

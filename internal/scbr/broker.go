@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"securecloud/internal/attest"
+	"securecloud/internal/codec"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/sim"
@@ -216,8 +217,18 @@ func (b *Broker) Rehandshake(clientID string, sealedPub []byte) ([]byte, error) 
 	if err != nil {
 		return nil, ErrBadEnvelope
 	}
-	return b.establish(clientID, newPub, true)
+	brokerPub, err := b.establish(clientID, newPub, true)
+	if errors.Is(err, errClientKey) {
+		// The proof authenticated, but what it carries is no usable
+		// X25519 key: as forged as a failed seal.
+		return nil, fmt.Errorf("%w: rehandshake: %w", ErrBadEnvelope, err)
+	}
+	return brokerPub, err
 }
+
+// errClientKey marks a client public key that is no usable X25519 key,
+// as opposed to a fault of the broker's own.
+var errClientKey = errors.New("scbr: client key")
 
 // establish derives a session from a client public key and installs it.
 // The ECDH work runs before the lock; the liveness check and the map write
@@ -225,7 +236,7 @@ func (b *Broker) Rehandshake(clientID string, sealedPub []byte) ([]byte, error) 
 func (b *Broker) establish(clientID string, clientPub []byte, replace bool) ([]byte, error) {
 	pub, err := ecdh.X25519().NewPublicKey(clientPub)
 	if err != nil {
-		return nil, fmt.Errorf("scbr: client key: %w", err)
+		return nil, fmt.Errorf("%w: %w", errClientKey, err)
 	}
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
@@ -233,7 +244,7 @@ func (b *Broker) establish(clientID string, clientPub []byte, replace bool) ([]b
 	}
 	shared, err := priv.ECDH(pub)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errClientKey, err) // a low-order point
 	}
 	key, err := sessionKeyFrom(shared, clientID)
 	if err != nil {
@@ -453,10 +464,10 @@ func (b *Broker) DrainSealed(clientID string, token []byte) ([]Delivery, error) 
 	if err != nil {
 		return nil, ErrBadEnvelope
 	}
-	if len(raw) != 8 {
-		return nil, fmt.Errorf("scbr: poll token is %d bytes, want 8", len(raw))
+	seq, r := codec.NewReader(raw).U64()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: poll token: %w", ErrBadEnvelope, err)
 	}
-	seq := binary.BigEndian.Uint64(raw)
 	for {
 		cur := sess.pollSeq.Load()
 		if seq <= cur {
@@ -611,9 +622,7 @@ func (c *Client) SealEventBytes(e Event) ([]byte, error) {
 // key. Each token is single-use (the broker advances its replay horizon to
 // the token's counter), so mint a fresh one per poll.
 func (c *Client) SealPollToken() ([]byte, error) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], c.pollSeq.Add(1))
-	return c.box.Seal(buf[:], aadPoll(c.ID))
+	return c.box.Seal(binary.BigEndian.AppendUint64(nil, c.pollSeq.Add(1)), aadPoll(c.ID))
 }
 
 // SealRehandshake seals the new handshake's public key under the current

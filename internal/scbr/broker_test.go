@@ -2,17 +2,20 @@ package scbr
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
 	"testing"
 
 	"securecloud/internal/attest"
+	"securecloud/internal/codec/codectest"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 )
 
-func brokerEnclave(t *testing.T) (*enclave.Platform, *enclave.Enclave) {
+func brokerEnclave(t testing.TB) (*enclave.Platform, *enclave.Enclave) {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	var signer cryptbox.Digest
@@ -541,4 +544,76 @@ func TestDrainSealedRejectsReplayAndForgery(t *testing.T) {
 	if _, err := b.DrainSealed("unknown", token2); !errors.Is(err, ErrUnknownClient) {
 		t.Fatalf("unknown client: err = %v, want ErrUnknownClient", err)
 	}
+}
+
+// sessionFixture is a broker with one live client session, for the
+// opener fuzzers.
+func sessionFixture(f *testing.F) (*Broker, *Client, *session) {
+	_, enc := brokerEnclave(f)
+	b, _ := NewBroker(enc, DefaultBrokerConfig())
+	cli, err := Connect(b, "c1", nil, nil, attest.Policy{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b, cli, b.sessions[cli.ID]
+}
+
+// FuzzOpenPollToken seals fuzzer-chosen plaintext as a poll token under a
+// live session. Under the shared decode property, a token is accepted only
+// if it is 8 bytes and its counter is above the session's replay horizon;
+// every other token errors with ErrBadEnvelope or ErrReplayedToken.
+func FuzzOpenPollToken(f *testing.F) {
+	const horizon = 100
+	for _, n := range []uint64{horizon + 1, horizon, math.MaxUint64} {
+		f.Add(binary.BigEndian.AppendUint64(nil, n))
+	}
+	f.Add(make([]byte, 7))
+	f.Add([]byte{})
+	b, cli, sess := sessionFixture(f)
+	f.Fuzz(func(t *testing.T, pt []byte) {
+		sess.pollSeq.Store(horizon)
+		codectest.Check(t, pt, false, func(pt []byte) ([]byte, int, int, error) {
+			token, _ := cli.box.Seal(pt, aadPoll(cli.ID))
+			cur := sess.pollSeq.Load()
+			_, err := b.DrainSealed(cli.ID, token)
+			if want := len(pt) == 8 && binary.BigEndian.Uint64(pt) > cur; (err == nil) != want {
+				t.Fatalf("token %x at horizon %d: err = %v", pt, cur, err)
+			}
+			return binary.BigEndian.AppendUint64(nil, sess.pollSeq.Load()), 0, len(pt), err
+		}, ErrBadEnvelope, ErrReplayedToken)
+	})
+}
+
+// FuzzRehandshake seals fuzzer-chosen plaintext as a rehandshake proof
+// under a live session, restored before each attempt. Under the shared
+// decode property, a proof is accepted only if it carries a valid X25519
+// public key (32 bytes, not a low-order point); every other proof errors
+// with ErrBadEnvelope.
+func FuzzRehandshake(f *testing.F) {
+	h, _ := BeginHandshake("c1")
+	f.Add(h.Public())
+	f.Add(make([]byte, 32)) // the all-zero low-order point
+	f.Add(h.Public()[:31])
+	f.Add([]byte{})
+	b, cli, live := sessionFixture(f)
+	valid := func(pub []byte) bool {
+		k, err := ecdh.X25519().NewPublicKey(pub)
+		if err == nil {
+			_, err = h.priv.ECDH(k)
+		}
+		return err == nil
+	}
+	f.Fuzz(func(t *testing.T, pub []byte) {
+		codectest.Check(t, pub, false, func(pub []byte) ([]byte, int, int, error) {
+			b.mu.Lock()
+			b.sessions[cli.ID] = live
+			b.mu.Unlock()
+			proof, _ := cli.box.Seal(pub, aadRehandshake(cli.ID))
+			_, err := b.Rehandshake(cli.ID, proof)
+			if (err == nil) != valid(pub) {
+				t.Fatalf("key %x: err = %v", pub, err)
+			}
+			return pub, 0, len(pub), err
+		}, ErrBadEnvelope)
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"securecloud/internal/codec"
 )
 
 // Envelope codec: the one plaintext form of a publication or subscription
@@ -13,7 +15,7 @@ import (
 // reject anything else (a JSON document, a truncated frame, trailing
 // bytes), and deliveries carry the publisher's frame verbatim.
 //
-// Layout (little-endian):
+// Layout (big-endian, read with internal/codec):
 //
 //	event:        magic kindEvent u32 nattrs { u16 len, attr, f64 value }* u32 plen payload
 //	subscription: magic kindSub   u64 id u32 npreds { u16 len, attr, f64 lo, f64 hi }*
@@ -26,8 +28,8 @@ const (
 	binKindSub   = 0x02
 )
 
-// errTruncated is returned for structurally short binary frames.
-var errTruncated = fmt.Errorf("scbr: truncated binary frame")
+// errTruncated is what every envelope decode error wraps.
+var errTruncated = fmt.Errorf("scbr: malformed binary frame")
 
 // errOversize rejects fields that would wrap the frame's length prefixes —
 // encoding them anyway would emit a silently corrupt frame.
@@ -47,121 +49,93 @@ func appendEvent(dst []byte, e Event) ([]byte, error) {
 	}
 	sort.Strings(attrs)
 	dst = append(dst, binMagic, binKindEvent)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(attrs)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(attrs)))
 	for _, a := range attrs {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(a)))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(a)))
 		dst = append(dst, a...)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Attrs[a]))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.Attrs[a]))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Payload)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Payload)))
 	return append(dst, e.Payload...), nil
 }
 
 // appendSubscription appends the binary encoding of s to dst.
 func appendSubscription(dst []byte, s Subscription) ([]byte, error) {
 	dst = append(dst, binMagic, binKindSub)
-	dst = binary.LittleEndian.AppendUint64(dst, s.ID)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Preds)))
+	dst = binary.BigEndian.AppendUint64(dst, s.ID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Preds)))
 	for i := range s.Preds {
 		p := &s.Preds[i]
 		if len(p.Attr) > math.MaxUint16 {
 			return nil, fmt.Errorf("%w: attribute name %d bytes", errOversize, len(p.Attr))
 		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Attr)))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Attr)))
 		dst = append(dst, p.Attr...)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Interval.Lo))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Interval.Hi))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Interval.Lo))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Interval.Hi))
 	}
 	return dst, nil
 }
 
-// binString reads one u16-length-prefixed string.
-func binString(raw []byte, off int) (string, int, error) {
-	if off+2 > len(raw) {
-		return "", 0, errTruncated
-	}
-	n := int(binary.LittleEndian.Uint16(raw[off:]))
-	off += 2
-	if off+n > len(raw) {
-		return "", 0, errTruncated
-	}
-	return string(raw[off : off+n]), off + n, nil
-}
-
 // decodeEvent decodes an appendEvent frame.
 func decodeEvent(raw []byte) (Event, error) {
-	if len(raw) < 6 || raw[0] != binMagic || raw[1] != binKindEvent {
-		return Event{}, fmt.Errorf("scbr: not a binary event frame")
+	magic, r := codec.NewReader(raw).U8()
+	kind, r := r.U8()
+	if magic != binMagic || kind != binKindEvent {
+		return Event{}, fmt.Errorf("%w: not a binary event frame", errTruncated)
 	}
-	n := int(binary.LittleEndian.Uint32(raw[2:]))
-	off := 6
-	// Pre-size from the claimed count, clamped by what the frame could
-	// physically hold (≥10 bytes per attribute) so a forged count cannot
-	// force a huge allocation.
-	hint := n
-	if max := (len(raw) - off) / 10; hint > max {
-		hint = max
-	}
-	e := Event{Attrs: make(map[string]float64, hint)}
+	n32, r := r.U32()
+	n, r := r.Count(uint64(n32), 2+8) // an attribute is at least u16 len, f64
+	e := Event{Attrs: make(map[string]float64, n)}
+	prev := ""
 	for i := 0; i < n; i++ {
-		attr, next, err := binString(raw, off)
-		if err != nil {
-			return Event{}, err
+		var alen uint16
+		var a []byte
+		var v uint64
+		alen, r = r.U16()
+		a, r = r.Bytes(int(alen))
+		v, r = r.U64()
+		attr := string(a)
+		if i > 0 && attr <= prev && r.Err() == nil { // appendEvent sorts them
+			return Event{}, fmt.Errorf("%w: attribute %q out of order", errTruncated, attr)
 		}
-		off = next
-		if off+8 > len(raw) {
-			return Event{}, errTruncated
-		}
-		e.Attrs[attr] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-		off += 8
+		e.Attrs[attr] = math.Float64frombits(v)
+		prev = attr
 	}
-	if off+4 > len(raw) {
-		return Event{}, errTruncated
+	n32, r = r.U32()
+	payload, r := r.Bytes(int(n32))
+	if len(payload) > 0 {
+		e.Payload = append([]byte(nil), payload...)
 	}
-	plen := int(binary.LittleEndian.Uint32(raw[off:]))
-	off += 4
-	if off+plen != len(raw) {
-		// Short frames are truncated; longer ones carry trailing garbage —
-		// either way two byte-distinct frames must not decode equal.
-		return Event{}, errTruncated
-	}
-	if plen > 0 {
-		e.Payload = append([]byte(nil), raw[off:off+plen]...)
+	if err := r.Done(); err != nil { // byte-distinct frames must not decode equal
+		return Event{}, fmt.Errorf("%w: %w", errTruncated, err)
 	}
 	return e, nil
 }
 
 // decodeSubscription decodes an appendSubscription frame.
 func decodeSubscription(raw []byte) (Subscription, error) {
-	if len(raw) < 14 || raw[0] != binMagic || raw[1] != binKindSub {
-		return Subscription{}, fmt.Errorf("scbr: not a binary subscription frame")
+	magic, r := codec.NewReader(raw).U8()
+	kind, r := r.U8()
+	if magic != binMagic || kind != binKindSub {
+		return Subscription{}, fmt.Errorf("%w: not a binary subscription frame", errTruncated)
 	}
-	s := Subscription{ID: binary.LittleEndian.Uint64(raw[2:])}
-	n := int(binary.LittleEndian.Uint32(raw[10:]))
-	off := 14
-	// Clamp the pre-size as in decodeEvent (≥18 bytes per predicate).
-	hint := n
-	if max := (len(raw) - off) / 18; hint > max {
-		hint = max
+	id, r := r.U64()
+	n32, r := r.U32()
+	n, r := r.Count(uint64(n32), 2+16) // a predicate is at least u16 len, 2 f64
+	s := Subscription{ID: id, Preds: make([]Predicate, n)}
+	for i := range s.Preds {
+		var alen uint16
+		var a []byte
+		var lo, hi uint64
+		alen, r = r.U16()
+		a, r = r.Bytes(int(alen))
+		lo, r = r.U64()
+		hi, r = r.U64()
+		s.Preds[i] = Predicate{Attr: string(a), Interval: Interval{Lo: math.Float64frombits(lo), Hi: math.Float64frombits(hi)}}
 	}
-	s.Preds = make([]Predicate, 0, hint)
-	for i := 0; i < n; i++ {
-		attr, next, err := binString(raw, off)
-		if err != nil {
-			return Subscription{}, err
-		}
-		off = next
-		if off+16 > len(raw) {
-			return Subscription{}, errTruncated
-		}
-		s.Preds = append(s.Preds, Predicate{Attr: attr, Interval: Interval{
-			Lo: math.Float64frombits(binary.LittleEndian.Uint64(raw[off:])),
-			Hi: math.Float64frombits(binary.LittleEndian.Uint64(raw[off+8:])),
-		}})
-		off += 16
-	}
-	if off != len(raw) {
-		return Subscription{}, errTruncated // trailing garbage
+	if err := r.Done(); err != nil {
+		return Subscription{}, fmt.Errorf("%w: %w", errTruncated, err)
 	}
 	return s, nil
 }

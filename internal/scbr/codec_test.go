@@ -1,11 +1,12 @@
 package scbr
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
+
+	"securecloud/internal/codec/codectest"
 )
 
 func mustEventBinary(t testing.TB, e Event) []byte {
@@ -110,29 +111,33 @@ func TestCodecRejectsJSON(t *testing.T) {
 	}
 }
 
-func TestCodecTruncatedFrames(t *testing.T) {
-	e := Event{Attrs: map[string]float64{"alpha": 1}, Payload: []byte("payload")}
-	raw := mustEventBinary(t, e)
-	for cut := 1; cut < len(raw); cut++ {
-		if _, err := decodeEvent(raw[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
+// eventFormat and subscriptionFormat are the two envelope decoders under
+// the shared decode property.
+func eventFormat(b []byte) ([]byte, int, int, error) {
+	e, err := decodeEvent(b)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	s := Subscription{ID: 1, Preds: []Predicate{{Attr: "alpha", Interval: Interval{Lo: 0, Hi: 1}}}}
-	rawS := mustSubBinary(t, s)
-	for cut := 1; cut < len(rawS); cut++ {
-		if _, err := decodeSubscription(rawS[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
+	re, err := appendEvent(nil, e)
+	return re, 0, len(b), err
 }
 
-// FuzzDecodeEvent guards the decoders against panics on malformed frames
-// (out-of-range lengths, truncations) and pins that they accept nothing
-// but their own form: no frame without the magic byte decodes, so a JSON
-// document — the retired client form — is refused.
+func subscriptionFormat(b []byte) ([]byte, int, int, error) {
+	s, err := decodeSubscription(b)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	re, err := appendSubscription(nil, s)
+	return re, 0, len(b), err
+}
+
+// FuzzDecodeEvent: the event frame satisfies the shared decode property
+// (every rejection wraps errTruncated, an accepted frame re-encodes to its
+// own bytes, every cut and every trailing byte is rejected), and no frame
+// without the magic byte decodes, so a JSON document — the retired client
+// form — is refused.
 func FuzzDecodeEvent(f *testing.F) {
-	e := Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("x")}
+	e := Event{Attrs: map[string]float64{"alpha": 1, "b": 2}, Payload: []byte("payload")}
 	s := Subscription{ID: 3, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 2}}}}
 	f.Add(mustEventBinary(f, e))
 	f.Add(mustSubBinary(f, s))
@@ -145,7 +150,11 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 		f.Add(doc)
 	}
+	// Attributes out of order, and one attribute twice.
+	f.Add([]byte{binMagic, binKindEvent, 0, 0, 0, 2, 0, 1, 'b', 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{binMagic, binKindEvent, 0, 0, 0, 2, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		codectest.Check(t, raw, false, eventFormat, errTruncated)
 		_, errE := decodeEvent(raw)
 		_, errS := decodeSubscription(raw)
 		if (len(raw) == 0 || raw[0] != binMagic) && (errE == nil || errS == nil) {
@@ -154,9 +163,8 @@ func FuzzDecodeEvent(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSubscription: decoding never panics, an accepted frame
-// re-encodes to its own bytes, and the same frame cut short or followed by
-// a trailing byte is rejected.
+// FuzzDecodeSubscription: the subscription frame satisfies the shared
+// decode property.
 func FuzzDecodeSubscription(f *testing.F) {
 	w := NewWorkload(DefaultWorkload(13))
 	for i := 0; i < 3; i++ {
@@ -172,25 +180,7 @@ func FuzzDecodeSubscription(f *testing.F) {
 	f.Add(mustEventBinary(f, Event{Attrs: map[string]float64{"a": 1}}))
 	f.Add([]byte{binMagic, binKindSub, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, err := decodeSubscription(raw)
-		if err != nil {
-			return
-		}
-		again, err := appendSubscription(nil, s)
-		if err != nil {
-			t.Fatalf("accepted frame does not re-encode: %v", err)
-		}
-		if !bytes.Equal(again, raw) {
-			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, raw)
-		}
-		for _, cut := range []int{len(raw) - 1, len(raw) / 2} {
-			if _, err := decodeSubscription(raw[:cut]); err == nil {
-				t.Fatalf("frame cut to %d of %d bytes accepted", cut, len(raw))
-			}
-		}
-		if _, err := decodeSubscription(append(raw[:len(raw):len(raw)], 0)); err == nil {
-			t.Fatal("frame with a trailing byte accepted")
-		}
+		codectest.Check(t, raw, false, subscriptionFormat, errTruncated)
 	})
 }
 
@@ -207,15 +197,14 @@ func TestCodecRejectsOversizeFields(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsTrailingGarbage: byte-distinct frames must not decode to
-// equal values.
-func TestCodecRejectsTrailingGarbage(t *testing.T) {
-	eRaw := mustEventBinary(t, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("p")})
-	if _, err := decodeEvent(append(eRaw, 0x00)); err == nil {
-		t.Fatal("event frame with trailing byte accepted")
-	}
-	sRaw := mustSubBinary(t, Subscription{ID: 1, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 1}}}})
-	if _, err := decodeSubscription(append(sRaw, 0x00)); err == nil {
-		t.Fatal("subscription frame with trailing byte accepted")
+// BenchmarkDecodeEvent decodes one publication of the default workload:
+// what the broker opens per Publish.
+func BenchmarkDecodeEvent(b *testing.B) {
+	raw := mustEventBinary(b, NewWorkload(DefaultWorkload(11)).NextEvent())
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := decodeEvent(raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

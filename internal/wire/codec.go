@@ -29,6 +29,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"securecloud/internal/codec"
 )
 
 // ErrBadBatch flags a malformed frame batch body.
@@ -53,34 +55,19 @@ func EncodeBatch(frames [][]byte) []byte {
 	return b
 }
 
-// DecodeBatch parses the batch wire form. The claimed count is clamped by
-// the physical minimum (4 bytes of length prefix per frame) before any
-// allocation, so a forged count cannot pre-size a huge slice; short frames
-// and trailing garbage are rejected outright.
+// DecodeBatch parses the batch wire form. The claimed count is bounded by
+// the 4 bytes of length prefix each frame needs before the frame slice is
+// allocated, and short frames and trailing bytes are rejected.
 func DecodeBatch(b []byte) ([][]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadBatch, len(b))
-	}
-	count := int(binary.BigEndian.Uint32(b))
-	rest := b[4:]
-	if count > len(rest)/4 {
-		return nil, fmt.Errorf("%w: count %d exceeds body capacity", ErrBadBatch, count)
-	}
-	frames := make([][]byte, count)
+	n32, r := codec.NewReader(b).U32()
+	n, r := r.Count(uint64(n32), 4)
+	frames := make([][]byte, n)
 	for i := range frames {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: truncated at frame %d", ErrBadBatch, i)
-		}
-		n := int(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		if n > len(rest) {
-			return nil, fmt.Errorf("%w: frame %d claims %d of %d bytes", ErrBadBatch, i, n, len(rest))
-		}
-		frames[i] = rest[:n:n]
-		rest = rest[n:]
+		n32, r = r.U32()
+		frames[i], r = r.Bytes(int(n32))
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBatch, len(rest))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadBatch, err)
 	}
 	return frames, nil
 }

@@ -159,9 +159,8 @@
 //     pinned. Golden tests are unchanged.
 //
 //   - Determinism guarantees. Single-threaded figures are bit-identical to
-//     the committed goldens. The Figure 3 sweep's points build independent
-//     twin platforms, so Figure3Config.Parallel runs them concurrently
-//     with bit-identical values (cmd/bench's figure3 suite checks it). BenchmarkBrokerPublishParallel measures
+//     the committed goldens. The Figure 3 sweep runs its points in turn,
+//     each on its own pair of twin platforms. BenchmarkBrokerPublishParallel measures
 //     per-op sim-cycles/faults in a sequential pass against the frozen
 //     store — identical at every -cpu setting — and reports sim-speedup,
 //     the summed-shard-cycles to critical-path (slowest shard) ratio an
@@ -424,13 +423,14 @@
 // whose chunk-transfer cost is the analytic transfer.LinkCost model
 // (per-chunk latency + per-KiB cycles, summed atomically so concurrent
 // fetch workers cannot reorder the totals). The orchestrator grows a
-// placement axis to match: a Placer scores candidate NodeInfo snapshots
-// by blob-cache locality (warm fraction of the service image's chunk set)
-// against current load, with ties broken on the lowest node index — a
-// pure function of the candidate set, pinned permutation-invariant by
-// property test. microsvc.ClusterSet rides the replica set on top: the
-// front-end boots on the gateway (node 0, warming its cache), every
-// replica boots where the placer says, and a boot that fails chunk
+// placement axis to match: orchestrator.PlaceByLocality scores candidate
+// NodeInfo snapshots by blob-cache locality (warm fraction of the service
+// image's chunk set, weight 1.5) against current load (1.0 per live
+// replica), with ties broken on the lowest node index — a pure function of
+// the candidate set, pinned permutation-invariant by property test.
+// microsvc.ClusterSet rides the replica set on top: the front-end boots on
+// the gateway (node 0, warming its cache), every replica boots where
+// placement says, and a boot that fails chunk
 // verification isolates its node before the error propagates.
 //
 // Node-level faults map onto the plane's existing reactions: a node

@@ -2,8 +2,8 @@
 // plane (paper §VI): N nodes, each owning its own enclave platforms, its
 // own node-local container.BlobCache, and its own attested KeyBroker
 // session, joined by links whose chunk-transfer cost is charged through
-// the transfer substrate's analytic LinkCost model. The orchestrator's
-// Placer decides which node hosts each replica; the cluster tracks
+// the transfer substrate's analytic LinkCost model.
+// orchestrator.PlaceByLocality decides which node hosts each replica; the cluster tracks
 // per-node placement, boot/pull totals and fault state (crashed,
 // partitioned, byzantine, isolated).
 //
@@ -18,7 +18,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"securecloud/internal/attest"
@@ -33,8 +32,8 @@ import (
 // partitioned away: the fetch fails closed before any chunk crosses.
 var ErrNodeUnreachable = errors.New("cluster: node unreachable")
 
-// DefaultLinkCost is the inter-node link model used when Config.Link is
-// zero: 2000 cycles per-chunk latency plus 400 cycles per KiB.
+// DefaultLinkCost is the inter-node link model every node's registry link
+// is charged at: 2000 cycles per-chunk latency plus 400 cycles per KiB.
 var DefaultLinkCost = transfer.LinkCost{LatencyCycles: 2000, CyclesPerKiB: 400}
 
 // Config shapes a simulated cluster.
@@ -44,14 +43,9 @@ type Config struct {
 	// NodeCapacity bounds replicas per node (0 = unbounded). The gateway
 	// front-end does not consume a slot.
 	NodeCapacity int
-	// Link is the per-node registry link's cost model (zero = DefaultLinkCost).
-	Link transfer.LinkCost
 	// Platform configures the simulated platforms of enclaves launched on
 	// the nodes (zero value = platform defaults).
 	Platform enclave.Config
-	// Placer scores candidate nodes for each placement (nil =
-	// orchestrator.LocalityPlacer{} defaults).
-	Placer orchestrator.Placer
 }
 
 // Cluster is a set of simulated nodes sharing one origin registry.
@@ -59,7 +53,6 @@ type Cluster struct {
 	cfg    Config
 	svc    *attest.Service
 	origin container.PullSource
-	placer orchestrator.Placer
 
 	// mu serializes placement (Place/Release and the fault transitions
 	// that feed NodeInfo). Launches happen in observation order — the
@@ -128,15 +121,9 @@ func New(svc *attest.Service, origin container.PullSource, cfg Config) (*Cluster
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	if cfg.Link == (transfer.LinkCost{}) {
-		cfg.Link = DefaultLinkCost
-	}
 	cl := &Cluster{
-		cfg: cfg, svc: svc, origin: origin, placer: cfg.Placer,
+		cfg: cfg, svc: svc, origin: origin,
 		warmFetchMax: -1, coldFetchMin: -1,
-	}
-	if cl.placer == nil {
-		cl.placer = orchestrator.LocalityPlacer{}
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := newNode(cl, i)
@@ -199,8 +186,8 @@ func (p *Placement) Release() {
 	p.node.live--
 }
 
-// Place asks the placer for a node able to host one more replica, scoring
-// blob-cache locality against the given chunk set, and reserves a slot on
+// Place asks orchestrator.PlaceByLocality for a node able to host one more
+// replica, scoring blob-cache locality against the given chunk set, and reserves a slot on
 // it. Returns orchestrator.ErrNoEligibleNode (wrapped) when every node is
 // down, isolated, unreachable or full.
 func (cl *Cluster) Place(chunks []cryptbox.Digest) (*Placement, error) {
@@ -210,12 +197,9 @@ func (cl *Cluster) Place(chunks []cryptbox.Digest) (*Placement, error) {
 	for i, n := range cl.nodes {
 		infos[i] = n.infoLocked(chunks)
 	}
-	idx, err := cl.placer.Place(infos)
+	idx, err := orchestrator.PlaceByLocality(infos)
 	if err != nil {
 		return nil, err
-	}
-	if idx < 0 || idx >= len(cl.nodes) {
-		return nil, fmt.Errorf("cluster: placer chose node %d of %d", idx, len(cl.nodes))
 	}
 	n := cl.nodes[idx]
 	n.live++

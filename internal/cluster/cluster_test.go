@@ -102,8 +102,8 @@ func TestLinkChargesAndWarmBoot(t *testing.T) {
 	if chunks != uint64(cold.ChunksFetch) {
 		t.Fatalf("chunks over link %d != chunks fetched %d", chunks, cold.ChunksFetch)
 	}
-	minCycles := sim.Cycles(chunks)*cl.cfg.Link.LatencyCycles +
-		transfer.LinkCost{CyclesPerKiB: cl.cfg.Link.CyclesPerKiB}.ChunkCycles(int(bytes))
+	minCycles := sim.Cycles(chunks)*DefaultLinkCost.LatencyCycles +
+		transfer.LinkCost{CyclesPerKiB: DefaultLinkCost.CyclesPerKiB}.ChunkCycles(int(bytes))
 	if cycles < minCycles {
 		t.Fatalf("link cycles %d below analytic floor %d", cycles, minCycles)
 	}

@@ -225,7 +225,7 @@ func (l *link) Blob(d cryptbox.Digest) ([]byte, error) {
 		return nil, err
 	}
 	n := l.node
-	n.linkCycles.Add(uint64(n.cl.cfg.Link.ChunkCycles(len(b))))
+	n.linkCycles.Add(uint64(DefaultLinkCost.ChunkCycles(len(b))))
 	n.chunksOverLink.Add(1)
 	n.bytesOverLink.Add(uint64(len(b)))
 	if byzantine {

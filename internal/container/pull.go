@@ -353,7 +353,7 @@ func (e *Engine) assembleBlobSet(label string, lm *transfer.Manifest, cache *Blo
 		return nil, 0, 0, err
 	}
 	defer enc.Destroy()
-	recv, err := transfer.NewReceiver(lm, cryptbox.Key{})
+	recv, err := transfer.NewReceiver(lm)
 	if err != nil {
 		return nil, 0, 0, err
 	}

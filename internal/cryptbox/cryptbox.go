@@ -61,8 +61,6 @@ func KeyFromBytes(b []byte) (Key, error) {
 type Box struct {
 	key  Key
 	aead cipher.AEAD
-	// nonceRand is the randomness source for nonces; tests may fix it.
-	nonceRand io.Reader
 }
 
 // NewBox returns an AES-128-GCM box for the key.
@@ -75,13 +73,8 @@ func NewBox(key Key) (*Box, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cryptbox: %w", err)
 	}
-	return &Box{key: key, aead: aead, nonceRand: rand.Reader}, nil
+	return &Box{key: key, aead: aead}, nil
 }
-
-// SetNonceSource overrides the nonce randomness source. Intended for tests
-// that need bit-reproducible ciphertexts; never use a fixed source with the
-// same key for two different plaintexts in production paths.
-func (b *Box) SetNonceSource(r io.Reader) { b.nonceRand = r }
 
 // Seal encrypts plaintext with the given additional authenticated data.
 // The output layout is nonce || ciphertext+tag.
@@ -95,18 +88,38 @@ func (b *Box) Seal(plaintext, aad []byte) ([]byte, error) {
 // first and the nonce is read straight into its tail, so sealing into a
 // buffer with enough spare capacity allocates nothing.
 func (b *Box) SealAppend(dst, plaintext, aad []byte) ([]byte, error) {
-	need := NonceSize + len(plaintext) + b.aead.Overhead()
+	dst, nonce := b.grow(dst, len(plaintext))
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return nil, fmt.Errorf("cryptbox: reading nonce: %w", err)
+	}
+	return b.aead.Seal(dst, nonce, plaintext, aad), nil
+}
+
+// SealWithNonce is Seal under a nonce the caller derived instead of a
+// random one: the deterministic seal behind convergent chunks and WAL
+// records, whose bytes must be reproducible. The caller must guarantee
+// that a (key, nonce) pair never seals two different (plaintext, aad)
+// pairs — in practice, by deriving the nonce from both.
+func (b *Box) SealWithNonce(nonce, plaintext, aad []byte) ([]byte, error) {
+	if len(nonce) != NonceSize {
+		return nil, fmt.Errorf("cryptbox: nonce must be %d bytes, got %d", NonceSize, len(nonce))
+	}
+	dst, tail := b.grow(nil, len(plaintext))
+	copy(tail, nonce)
+	return b.aead.Seal(dst, tail, plaintext, aad), nil
+}
+
+// grow extends dst by a nonce-sized tail, returned as nonce, with room
+// after it to seal a plaintext of n bytes without reallocating.
+func (b *Box) grow(dst []byte, n int) (out, nonce []byte) {
+	need := NonceSize + n + b.aead.Overhead()
 	if cap(dst)-len(dst) < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
 		dst = grown
 	}
-	n := len(dst)
-	nonce := dst[n : n+NonceSize]
-	if _, err := io.ReadFull(b.nonceRand, nonce); err != nil {
-		return nil, fmt.Errorf("cryptbox: reading nonce: %w", err)
-	}
-	return b.aead.Seal(dst[:n+NonceSize], nonce, plaintext, aad), nil
+	l := len(dst)
+	return dst[:l+NonceSize], dst[l : l+NonceSize]
 }
 
 // Open authenticates and decrypts data produced by Seal with the same AAD.
@@ -140,18 +153,28 @@ func (b *Box) open(sealed, aad []byte, inPlace bool) ([]byte, error) {
 func (b *Box) Overhead() int { return NonceSize + b.aead.Overhead() }
 
 // scratchPool recycles the short-lived buffers hot paths assemble
-// plaintexts and sealed frames in.
-var scratchPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
+// plaintexts and sealed frames in. It holds pointers: a slice header put
+// into a sync.Pool is boxed, one allocation per round.
+var scratchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
 
-// GetScratch returns an empty recycled buffer for transient encode/seal
-// work. Return it with PutScratch once nothing retains it (sealed output
-// handed to a queue must be copied or simply not pooled).
-func GetScratch() []byte { return scratchPool.Get().([]byte)[:0] }
+// GetScratch returns a recycled buffer, empty, for transient encode/seal
+// work. Append through *b and return b with PutScratch once nothing
+// retains its bytes (sealed output handed to a queue must be copied or
+// simply not pooled).
+func GetScratch() *[]byte {
+	b := scratchPool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
 
-// PutScratch recycles a buffer obtained from GetScratch.
-func PutScratch(b []byte) {
-	if cap(b) > 0 {
-		scratchPool.Put(b[:0]) //nolint:staticcheck // slice header boxing is fine here
+// PutScratch recycles a buffer obtained from GetScratch, keeping whatever
+// capacity *b grew to. A nil b is ignored.
+func PutScratch(b *[]byte) {
+	if b != nil {
+		scratchPool.Put(b)
 	}
 }
 

@@ -348,15 +348,38 @@ func TestSealAppendWithCapacityAllocatesNothing(t *testing.T) {
 
 func TestScratchPoolRoundtrip(t *testing.T) {
 	buf := GetScratch()
-	if len(buf) != 0 {
-		t.Fatalf("scratch not empty: %d", len(buf))
+	if len(*buf) != 0 {
+		t.Fatalf("scratch not empty: %d", len(*buf))
 	}
-	buf = append(buf, []byte("transient")...)
+	*buf = append(*buf, []byte("transient")...)
 	PutScratch(buf)
 	again := GetScratch()
-	if len(again) != 0 {
-		t.Fatalf("recycled scratch not reset: %d", len(again))
+	if len(*again) != 0 {
+		t.Fatalf("recycled scratch not reset: %d", len(*again))
 	}
 	PutScratch(again)
-	PutScratch(nil) // must not panic
+	PutScratch(nil) // must not panic, nor poison the pool
+	PutScratch(GetScratch())
+}
+
+// TestSealWithNonceDeterministic: the caller's nonce is the sealed bytes'
+// prefix, the same (nonce, plaintext, aad) seals to the same bytes, and
+// the result opens like any other seal.
+func TestSealWithNonceDeterministic(t *testing.T) {
+	box, _ := NewBox(testKey(5))
+	nonce := bytes.Repeat([]byte{0x42}, NonceSize)
+	a, err := box.SealWithNonce(nonce, []byte("chunk"), []byte("aad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := box.SealWithNonce(nonce, []byte("chunk"), []byte("aad"))
+	if !bytes.Equal(a, b) || !bytes.Equal(a[:NonceSize], nonce) {
+		t.Fatal("a derived-nonce seal is not a pure function of its inputs")
+	}
+	if pt, err := box.Open(a, []byte("aad")); err != nil || string(pt) != "chunk" {
+		t.Fatalf("open = %q, %v", pt, err)
+	}
+	if _, err := box.SealWithNonce(nonce[:NonceSize-1], []byte("chunk"), nil); err == nil {
+		t.Fatal("short nonce accepted")
+	}
 }

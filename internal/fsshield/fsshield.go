@@ -143,8 +143,8 @@ func chunkAAD(path string, version uint64, idx, total int) []byte {
 // (every protected read of every container boot), so it must not allocate.
 func macChunk(key cryptbox.Key, stored, aad []byte) [cryptbox.MACSize]byte {
 	buf := cryptbox.GetScratch()
-	buf = append(append(buf, stored...), aad...)
-	tag := cryptbox.MAC(key, buf)
+	*buf = append(append(*buf, stored...), aad...)
+	tag := cryptbox.MAC(key, *buf)
 	cryptbox.PutScratch(buf)
 	return tag
 }
@@ -152,8 +152,8 @@ func macChunk(key cryptbox.Key, stored, aad []byte) [cryptbox.MACSize]byte {
 // verifyChunkMAC is the verifying counterpart of macChunk.
 func verifyChunkMAC(key cryptbox.Key, stored, aad []byte, tag [cryptbox.MACSize]byte) bool {
 	buf := cryptbox.GetScratch()
-	buf = append(append(buf, stored...), aad...)
-	ok := cryptbox.VerifyMAC(key, buf, tag)
+	*buf = append(append(*buf, stored...), aad...)
+	ok := cryptbox.VerifyMAC(key, *buf, tag)
 	cryptbox.PutScratch(buf)
 	return ok
 }

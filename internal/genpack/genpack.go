@@ -210,11 +210,14 @@ type ClusterConfig struct {
 	// Pidle/Pmax per server; zero takes the defaults (100 W / 200 W,
 	// typical dual-socket SPECpower numbers of the paper's era).
 	Pidle, Pmax float64
-	// GenerationShare fixes the fraction of servers assigned to the
-	// nursery and young generations (rest is old). Zeroes take defaults
-	// (10% nursery, 30% young).
-	NurseryShare, YoungShare float64
 }
+
+// The fractions of a cluster's servers assigned to the nursery and young
+// generations; the rest is old.
+const (
+	nurseryShare = 0.10
+	youngShare   = 0.30
+)
 
 // NewCluster builds a cluster with servers partitioned into generations.
 func NewCluster(cfg ClusterConfig) *Cluster {
@@ -230,15 +233,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Pmax == 0 {
 		cfg.Pmax = 200
 	}
-	if cfg.NurseryShare == 0 {
-		cfg.NurseryShare = 0.10
-	}
-	if cfg.YoungShare == 0 {
-		cfg.YoungShare = 0.30
-	}
 	c := &Cluster{}
-	nNursery := int(float64(cfg.Servers) * cfg.NurseryShare)
-	nYoung := int(float64(cfg.Servers) * cfg.YoungShare)
+	nNursery := int(float64(cfg.Servers) * nurseryShare)
+	nYoung := int(float64(cfg.Servers) * youngShare)
 	if nNursery < 1 {
 		nNursery = 1
 	}

@@ -23,7 +23,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,15 +119,13 @@ func decodeWALOps(buf []byte) ([]WALOp, error) {
 // part of every sealed record's bytes; changing it moves them all.
 var sealNonceLabel = []byte("kv-wal-wrap-nonce")
 
-// sealer seals deterministically under one key: the box that seals, the
-// HMAC that derives each nonce, and the reader that hands the nonce to the
-// box, built once and reused for every record sealed under the key. A
-// sealer is not safe for concurrent sealing.
+// sealer seals deterministically under one key: the box that seals and
+// the HMAC that derives each nonce, built once and reused for every record
+// sealed under the key. A sealer is not safe for concurrent sealing.
 type sealer struct {
-	box   *cryptbox.Box
-	mac   hash.Hash
-	sum   [cryptbox.MACSize]byte
-	nonce bytes.Reader
+	box *cryptbox.Box
+	mac hash.Hash
+	sum [cryptbox.MACSize]byte
 }
 
 func newSealer(key cryptbox.Key) (*sealer, error) {
@@ -136,9 +133,7 @@ func newSealer(key cryptbox.Key) (*sealer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &sealer{box: box, mac: cryptbox.NewMAC(key)}
-	box.SetNonceSource(&s.nonce)
-	return s, nil
+	return &sealer{box: box, mac: cryptbox.NewMAC(key)}, nil
 }
 
 // sealDeterministic seals plaintext under a nonce derived from the
@@ -156,8 +151,7 @@ func (s *sealer) sealDeterministic(plaintext, aad []byte) ([]byte, error) {
 	s.mac.Write(plaintext)
 	s.mac.Write(aad)
 	s.mac.Write(sealNonceLabel)
-	s.nonce.Reset(s.mac.Sum(s.sum[:0])[:cryptbox.NonceSize])
-	return s.box.Seal(plaintext, aad)
+	return s.box.SealWithNonce(s.mac.Sum(s.sum[:0])[:cryptbox.NonceSize], plaintext, aad)
 }
 
 // WALSegment is one sealed epoch of a shard's log: the byte extent a Roll

@@ -416,3 +416,21 @@ func (w *WAL) Reset(epoch uint64) {
 	w.buf = nil
 	w.segs = nil
 }
+
+// TestWALRecordKnownAnswer pins the exact bytes of one sealed record (its
+// u32 length prefix included) under a fixed key, log name, epoch, sequence
+// number and batch: a change to the seal, the nonce derivation, the AAD or
+// the ops encoding moves this digest.
+func TestWALRecordKnownAnswer(t *testing.T) {
+	const want = "sha256:31e462487232fa0276dcdc13b3693e3b83886439a645fa207bc13b50f911ba9d"
+	batches := walTestBatches()
+	w := buildWAL(t, walTestKey(t), "wal/kat", 7, batches[:1])
+	first := len(w.Bytes())
+	if err := w.Append(batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	// The second record: sealed at (wal/kat, epoch 7, seq 1).
+	if got := cryptbox.Sum(w.Bytes()[first:]).String(); got != want {
+		t.Fatalf("record digest %s, want %s", got, want)
+	}
+}

@@ -14,15 +14,13 @@ import (
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/eventbus"
 	"securecloud/internal/image"
-	"securecloud/internal/orchestrator"
 	"securecloud/internal/registry"
 	"securecloud/internal/sconert"
 	"securecloud/internal/sim"
-	"securecloud/internal/transfer"
 )
 
 // This file wires the replica set onto a simulated multi-node cluster:
-// every replica launch asks the cluster's Placer for a node (scored by
+// every replica launch asks the cluster for a node (scored by
 // blob-cache locality against the service image's chunk set, and current
 // load), boots through that node's link and cache, and the node-level
 // fault operations (crash, partition, byzantine registry) map onto the
@@ -38,12 +36,6 @@ type ClusterSpec struct {
 	// NodeCapacity bounds serving replicas per node (0 = unbounded). The
 	// gateway front-end does not consume a slot.
 	NodeCapacity int
-	// Link is the inter-node chunk-transfer cost model (zero =
-	// cluster.DefaultLinkCost).
-	Link transfer.LinkCost
-	// WarmWeight / LoadPenalty tune the locality placer (zero = defaults).
-	WarmWeight  float64
-	LoadPenalty float64
 }
 
 // scenarioImageKiB sizes the scenario image's entrypoint: big enough that
@@ -296,8 +288,6 @@ func buildClusterPlane(spec ScenarioSpec, bus *eventbus.Bus, svc *attest.Service
 	cl, err := cluster.New(svc, reg, cluster.Config{
 		Nodes:        cspec.Nodes,
 		NodeCapacity: cspec.NodeCapacity,
-		Link:         cspec.Link,
-		Placer:       orchestrator.LocalityPlacer{WarmWeight: cspec.WarmWeight, LoadPenalty: cspec.LoadPenalty},
 	})
 	if err != nil {
 		return nil, attest.Policy{}, err

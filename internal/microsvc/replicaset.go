@@ -736,10 +736,10 @@ func (r *Replica) chargeStage(sp *enclave.Span, n int, write bool) {
 // serveOne processes one request inside the replica's enclave: charge the
 // sealed request through the staging window, open it with the request key,
 // run the handler, seal and charge the reply. Returns the complete reply
-// frame (nil for a dropped or reply-less message) and whether the request
-// counted as served. The reply echoes the request's routing key and tenant
-// envelope.
-func (r *Replica) serveOne(q request) ([]byte, bool) {
+// frame in a pooled cryptbox.GetScratch buffer (nil for a dropped or
+// reply-less message) and whether the request counted as served. The reply
+// echoes the request's routing key and tenant envelope.
+func (r *Replica) serveOne(q request) (*[]byte, bool) {
 	mem := r.enc.Memory()
 	sp := mem.BeginSpan()
 	r.chargeStage(sp, len(q.sealed), false)
@@ -763,10 +763,11 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 		r.failed.Add(1)
 		return nil, false
 	}
-	var frame []byte
+	var frame *[]byte
 	if len(resp) > 0 {
-		frame, err = sealFrame(cryptbox.GetScratch(), r.box, q.key, q.meta, 0, resp, r.respAAD)
-		if err != nil {
+		frame = cryptbox.GetScratch()
+		if *frame, err = sealFrame(*frame, r.box, q.key, q.meta, 0, resp, r.respAAD); err != nil {
+			cryptbox.PutScratch(frame)
 			sp.End()
 			r.failed.Add(1)
 			return nil, false
@@ -782,7 +783,7 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 // least one when any are pending), entering the enclave once for the whole
 // batch. It returns the sealed reply frames in request order plus the
 // served/failed counts of this tick.
-func (r *Replica) serveTick() (replies [][]byte, served, failed int) {
+func (r *Replica) serveTick() (replies []*[]byte, served, failed int) {
 	if r.crashed.Load() || r.unreachable.Load() {
 		// Crashed replicas are gone; unreachable ones are cut off by a
 		// partition — neither may serve. An unreachable replica's pending
@@ -1015,7 +1016,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	type tickResult struct {
-		replies        [][]byte
+		replies        []*[]byte
 		served, failed int
 	}
 	results := make([]tickResult, len(reps))
@@ -1025,6 +1026,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 		results[i] = res
 	})
 	var pubErr error
+	var bodies [][]byte
 	for _, res := range results {
 		st.Served += res.served
 		st.Failed += res.failed
@@ -1035,7 +1037,11 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 		// the later replicas' replies unattempted: keep flushing and
 		// report the first error. PublishBatch seals copies onto the bus,
 		// so the pooled reply frames die here either way.
-		_, err := rs.front.pub.PublishBatch(res.replies)
+		bodies = bodies[:0]
+		for _, f := range res.replies {
+			bodies = append(bodies, *f)
+		}
+		_, err := rs.front.pub.PublishBatch(bodies)
 		for _, f := range res.replies {
 			cryptbox.PutScratch(f)
 		}

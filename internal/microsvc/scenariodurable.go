@@ -25,9 +25,6 @@ type DurabilitySpec struct {
 	SnapshotEvery int
 	// GCEvery runs WAL-segment GC every N ticks (0 = never).
 	GCEvery int
-	// RetainEpochs is GC's retention margin (kvstore.DurableConfig
-	// .GCRetainEpochs; 0 = kvstore default of 1).
-	RetainEpochs int
 	// ShardBytes sizes each shard enclave (0 = kvstore default).
 	ShardBytes uint64
 }
@@ -94,7 +91,6 @@ func newDurabilityHarness(spec ScenarioSpec, svc *attest.Service, kb *attest.Key
 		Service:    "durable/" + scenarioService,
 		SealKey:    sealKey,
 		Registry:   reg, Engine: eng,
-		GCRetainEpochs: d.RetainEpochs,
 	}
 	store, err := kvstore.NewDurableStore(cfg)
 	if err != nil {

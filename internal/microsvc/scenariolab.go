@@ -265,7 +265,7 @@ func LabScenarios() []ScenarioSpec {
 			MaxGlobalQueue: 512,
 			TickMillis:     1,
 		},
-		Durability: &DurabilitySpec{Shards: 8, SnapshotEvery: 8, GCEvery: 8, RetainEpochs: 1},
+		Durability: &DurabilitySpec{Shards: 8, SnapshotEvery: 8, GCEvery: 8},
 		Tenants:    []TenantLoad{{Tenant: "web", BaseLoad: 24, Keys: 4, BodyBytes: 192}},
 		Faults: []FaultSpec{
 			{Kind: "crash-state", At: 20, Replica: 0},

@@ -6,8 +6,8 @@ import (
 )
 
 // Placement: where a scale-out replica boots, not just how many replicas
-// run. The orchestrator's Observe loop decides counts; a Placer decides
-// which node hosts each new replica, scoring candidates by blob-cache
+// run. The orchestrator's Observe loop decides counts; PlaceByLocality
+// decides which node hosts each new replica, scoring candidates by blob-cache
 // locality (warm chunks for the service's image) against current load.
 // Placement is topology: it must be a pure function of the observed
 // NodeInfo set — independent of map-iteration order, host timing and
@@ -54,38 +54,25 @@ func (n NodeInfo) warmFraction() float64 {
 	return float64(n.WarmChunks) / float64(n.TotalChunks)
 }
 
-// Placer chooses the node a new replica boots on. Place returns the
-// chosen node's Index, or ErrNoEligibleNode when no candidate can host
-// it. Implementations must be pure functions of the nodes slice contents
-// (any order) — the cluster property tests pin permutation invariance.
-type Placer interface {
-	Place(nodes []NodeInfo) (int, error)
-}
+// Locality scoring weights: a fully warm cache is worth one and a half
+// live replicas of load.
+const (
+	warmWeight  = 1.5
+	loadPenalty = 1.0
+)
 
-// LocalityPlacer scores each eligible node
+// PlaceByLocality chooses the node a new replica boots on. It scores each
+// eligible node
 //
-//	warmFraction·WarmWeight − Live·LoadPenalty
+//	warmFraction·warmWeight − Live·loadPenalty
 //
-// and picks the highest score, breaking ties on the lowest Index. Warm
+// and returns the Index of the highest score, breaking ties on the lowest
+// Index, or ErrNoEligibleNode when no candidate can host the replica. Warm
 // caches attract replicas (a warm boot fetches strictly fewer chunks than
-// a cold one); load spreads them. The zero value gets sane defaults.
-type LocalityPlacer struct {
-	// WarmWeight scales the cache-locality term (default 1.5).
-	WarmWeight float64
-	// LoadPenalty is the score cost per live replica (default 1.0).
-	LoadPenalty float64
-}
-
-// Place implements Placer.
-func (p LocalityPlacer) Place(nodes []NodeInfo) (int, error) {
-	warmW := p.WarmWeight
-	if warmW == 0 {
-		warmW = 1.5
-	}
-	loadP := p.LoadPenalty
-	if loadP == 0 {
-		loadP = 1.0
-	}
+// a cold one); load spreads them. The choice is a pure function of the
+// nodes slice contents, in any order — the cluster property tests pin
+// permutation invariance.
+func PlaceByLocality(nodes []NodeInfo) (int, error) {
 	// Sort a copy by Index so the scan order — and therefore every
 	// tie-break — is independent of the caller's slice order.
 	cand := append([]NodeInfo(nil), nodes...)
@@ -96,7 +83,7 @@ func (p LocalityPlacer) Place(nodes []NodeInfo) (int, error) {
 		if !n.eligible() {
 			continue
 		}
-		score := n.warmFraction()*warmW - float64(n.Live)*loadP
+		score := n.warmFraction()*warmWeight - float64(n.Live)*loadPenalty
 		if best < 0 || score > bestScore {
 			best = n.Index
 			bestScore = score

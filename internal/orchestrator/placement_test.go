@@ -10,7 +10,6 @@ import (
 // TestLocalityPlacerScoring pins the scoring rule: warm caches attract,
 // load repels, and exact ties break on the lowest index.
 func TestLocalityPlacerScoring(t *testing.T) {
-	p := LocalityPlacer{}
 	cases := []struct {
 		name  string
 		nodes []NodeInfo
@@ -47,7 +46,7 @@ func TestLocalityPlacerScoring(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := p.Place(tc.nodes)
+			got, err := PlaceByLocality(tc.nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,15 +59,14 @@ func TestLocalityPlacerScoring(t *testing.T) {
 
 // TestLocalityPlacerNoEligibleNode: every node excluded → fail closed.
 func TestLocalityPlacerNoEligibleNode(t *testing.T) {
-	p := LocalityPlacer{}
-	_, err := p.Place([]NodeInfo{
+	_, err := PlaceByLocality([]NodeInfo{
 		{Index: 0, Down: true},
 		{Index: 1, Live: 1, Capacity: 1},
 	})
 	if !errors.Is(err, ErrNoEligibleNode) {
 		t.Fatalf("got %v, want ErrNoEligibleNode", err)
 	}
-	if _, err := p.Place(nil); !errors.Is(err, ErrNoEligibleNode) {
+	if _, err := PlaceByLocality(nil); !errors.Is(err, ErrNoEligibleNode) {
 		t.Fatalf("empty candidate set: got %v, want ErrNoEligibleNode", err)
 	}
 }
@@ -77,7 +75,6 @@ func TestLocalityPlacerNoEligibleNode(t *testing.T) {
 // the chosen node never depends on the order the candidates are presented
 // in (map-iteration order must not leak into topology decisions).
 func TestLocalityPlacerPermutationInvariant(t *testing.T) {
-	p := LocalityPlacer{}
 	rng := sim.NewRand(1234)
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + int(rng.Uint64()%7)
@@ -94,14 +91,14 @@ func TestLocalityPlacerPermutationInvariant(t *testing.T) {
 				Isolated:    rng.Uint64()%11 == 0,
 			}
 		}
-		ref, refErr := p.Place(nodes)
+		ref, refErr := PlaceByLocality(nodes)
 		for shuffle := 0; shuffle < 8; shuffle++ {
 			perm := append([]NodeInfo(nil), nodes...)
 			for i := len(perm) - 1; i > 0; i-- {
 				j := int(rng.Uint64() % uint64(i+1))
 				perm[i], perm[j] = perm[j], perm[i]
 			}
-			got, err := p.Place(perm)
+			got, err := PlaceByLocality(perm)
 			if (err == nil) != (refErr == nil) || got != ref {
 				t.Fatalf("trial %d: permutation changed placement: %d/%v vs %d/%v",
 					trial, got, err, ref, refErr)

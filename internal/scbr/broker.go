@@ -597,24 +597,26 @@ func (c *Client) Receive(b *Broker) ([]Event, error) {
 // carries the already-tested envelope form with no new crypto.
 func (c *Client) SealSubscriptionBytes(s Subscription) ([]byte, error) {
 	buf := cryptbox.GetScratch()
-	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below
-	buf, err := appendSubscription(buf, s)
+	defer cryptbox.PutScratch(buf)
+	b, err := appendSubscription(*buf, s)
 	if err != nil {
 		return nil, err
 	}
-	return c.box.Seal(buf, []byte(KindSubscription+"|"+c.ID))
+	*buf = b
+	return c.box.Seal(b, []byte(KindSubscription+"|"+c.ID))
 }
 
 // SealEventBytes seals e into the envelope body the broker's Publish
 // expects (see SealSubscriptionBytes).
 func (c *Client) SealEventBytes(e Event) ([]byte, error) {
 	buf := cryptbox.GetScratch()
-	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below
-	buf, err := appendEvent(buf, e)
+	defer cryptbox.PutScratch(buf)
+	b, err := appendEvent(*buf, e)
 	if err != nil {
 		return nil, err
 	}
-	return c.box.Seal(buf, []byte(KindPublication+"|"+c.ID))
+	*buf = b
+	return c.box.Seal(b, []byte(KindPublication+"|"+c.ID))
 }
 
 // SealPollToken mints the next poll authorization for DrainSealed: the

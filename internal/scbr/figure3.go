@@ -1,8 +1,6 @@
 package scbr
 
 import (
-	"sync"
-
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/sim"
@@ -47,11 +45,6 @@ type Figure3Config struct {
 	// Platform overrides the platform configuration (zero = SGX v1
 	// defaults).
 	Platform enclave.Config
-	// Parallel runs up to this many occupancy points concurrently
-	// (<=1 = sequential). Every point builds its own pair of platforms and
-	// its own workload from Seed, so the sweep is embarrassingly parallel:
-	// results are bit-identical to the sequential sweep at any setting.
-	Parallel int
 }
 
 // DefaultFigure3Config reproduces the paper's sweep.
@@ -153,34 +146,17 @@ func runFigure3Point(cfg Figure3Config, mb float64) (Figure3Point, error) {
 // RunFigure3 executes the sweep and returns one point per occupancy. Each
 // point runs the identical workload (same seed) twice: once against an
 // enclave memory view, once against an untrusted view on a twin platform.
-// With cfg.Parallel > 1 the independent points run across that many
-// goroutines; the values are bit-identical to the sequential sweep, only
-// the wall clock shrinks.
 func RunFigure3(cfg Figure3Config) ([]Figure3Point, error) {
 	if len(cfg.OccupanciesMB) == 0 {
-		par := cfg.Parallel
 		cfg = DefaultFigure3Config()
-		cfg.Parallel = par
 	}
 	out := make([]Figure3Point, len(cfg.OccupanciesMB))
-	var (
-		mu   sync.Mutex
-		errs error
-	)
-	sim.ParallelFor(len(cfg.OccupanciesMB), cfg.Parallel, func(i int) {
-		pt, err := runFigure3Point(cfg, cfg.OccupanciesMB[i])
+	for i, mb := range cfg.OccupanciesMB {
+		pt, err := runFigure3Point(cfg, mb)
 		if err != nil {
-			mu.Lock()
-			if errs == nil {
-				errs = err
-			}
-			mu.Unlock()
-			return
+			return nil, err
 		}
 		out[i] = pt
-	})
-	if errs != nil {
-		return nil, errs
 	}
 	return out, nil
 }

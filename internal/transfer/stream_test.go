@@ -12,14 +12,17 @@ import (
 	"securecloud/internal/sim"
 )
 
+// TestPackStreamMatchesPack: streaming a payload through
+// PackConvergentStream emits, in index order, exactly the chunks and
+// manifest PackConvergent builds from it in memory.
 func TestPackStreamMatchesPack(t *testing.T) {
 	data := payload(600 << 10)
-	wantM, wantChunks, err := Pack("s", data, key(), 64<<10)
+	wantM, wantChunks, err := PackConvergent("s", data, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var gotChunks [][]byte
-	gotM, err := PackStream("s", bytes.NewReader(data), key(), 64<<10, func(idx int, sealed []byte) error {
+	gotM, err := PackConvergentStream("s", bytes.NewReader(data), 64<<10, func(idx int, sealed []byte) error {
 		if idx != len(gotChunks) {
 			t.Fatalf("emit out of order: %d", idx)
 		}
@@ -29,44 +32,22 @@ func TestPackStreamMatchesPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotM.Size != wantM.Size || gotM.Chunks() != wantM.Chunks() || gotM.Root != wantM.Root {
-		// Roots differ only through sealed bytes, which are nonce-randomized
-		// in keyed mode — so compare geometry, then chunk counts.
-		if gotM.Size != wantM.Size || gotM.Chunks() != wantM.Chunks() {
-			t.Fatalf("stream geometry (%d, %d) != pack geometry (%d, %d)",
-				gotM.Size, gotM.Chunks(), wantM.Size, wantM.Chunks())
-		}
+	if !reflect.DeepEqual(gotM, wantM) {
+		t.Fatal("streamed manifest differs from the in-memory pack's")
 	}
-	if len(gotChunks) != len(wantChunks) {
-		t.Fatalf("chunks %d != %d", len(gotChunks), len(wantChunks))
-	}
-	// The streamed manifest must reassemble to the same payload.
-	r, err := NewReceiver(gotM, key())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range gotChunks {
-		if err := r.Accept(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := r.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("streamed pack did not round-trip")
+	if !reflect.DeepEqual(gotChunks, wantChunks) {
+		t.Fatal("streamed chunks differ from the in-memory pack's")
 	}
 }
 
 func TestUnpackStreams(t *testing.T) {
 	data := payload(300 << 10)
-	m, chunks, err := Pack("u", data, key(), 32<<10)
+	m, chunks, err := PackConvergent("u", data, 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err = Unpack(m, key(), &out, func(idx int) ([]byte, error) { return chunks[idx], nil })
+	err = Unpack(m, cryptbox.Key{}, &out, func(idx int) ([]byte, error) { return chunks[idx], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +57,7 @@ func TestUnpackStreams(t *testing.T) {
 	// A flipped chunk fails at its index without touching the others.
 	bad := append([]byte(nil), chunks[3]...)
 	bad[5] ^= 1
-	err = Unpack(m, key(), &bytes.Buffer{}, func(idx int) ([]byte, error) {
+	err = Unpack(m, cryptbox.Key{}, &bytes.Buffer{}, func(idx int) ([]byte, error) {
 		if idx == 3 {
 			return bad, nil
 		}
@@ -117,8 +98,8 @@ func TestConvergentDeterministicAndDedupable(t *testing.T) {
 			t.Fatalf("shared-prefix chunk %d differs", i)
 		}
 	}
-	// Receiver needs no key for convergent manifests.
-	r, err := NewReceiver(m1, cryptbox.Key{})
+	// The manifest carries every key the receiver needs.
+	r, err := NewReceiver(m1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,33 +172,34 @@ func TestConvergentChunksOpaque(t *testing.T) {
 }
 
 func TestConvergentManifestKeyCountEnforced(t *testing.T) {
-	m, chunks, err := PackConvergent("x", payload(100<<10), 32<<10)
+	m, _, err := PackConvergent("x", payload(100<<10), 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Keys = m.Keys[:len(m.Keys)-1]
-	if _, err := NewReceiver(m, cryptbox.Key{}); !errors.Is(err, ErrManifest) {
+	if _, err := NewReceiver(m); !errors.Is(err, ErrManifest) {
 		t.Fatalf("short key list accepted: %v", err)
 	}
-	_ = chunks
 }
 
 // TestValidateRejectsForgedChunkCount mirrors the scbr codec forged-count
 // fix: a manifest whose leaf count disagrees with its declared geometry is
 // rejected before any chunk work happens.
 func TestValidateRejectsForgedChunkCount(t *testing.T) {
-	m, _, err := Pack("x", payload(100<<10), key(), 32<<10)
+	m, _, err := PackConvergent("x", payload(100<<10), 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	extra := *m
 	extra.Leaves = append(append([]cryptbox.Digest(nil), m.Leaves...), cryptbox.Sum([]byte("x")))
+	extra.Keys = append(append([]cryptbox.Key(nil), m.Keys...), cryptbox.Key{})
 	extra.Root = MerkleRoot(extra.Leaves)
 	if err := extra.Validate(); !errors.Is(err, ErrManifest) {
 		t.Fatalf("extra leaf accepted: %v", err)
 	}
 	short := *m
 	short.Leaves = m.Leaves[:len(m.Leaves)-1]
+	short.Keys = m.Keys[:len(m.Keys)-1]
 	short.Root = MerkleRoot(short.Leaves)
 	if err := short.Validate(); !errors.Is(err, ErrManifest) {
 		t.Fatalf("missing leaf accepted: %v", err)
@@ -234,17 +216,18 @@ func TestValidateRejectsForgedChunkCount(t *testing.T) {
 	giant.Size = 1 << 50
 	giant.ChunkSize = 1 << 47
 	giant.Leaves = m.Leaves[:1]
+	giant.Keys = m.Keys[:1]
 	giant.Root = MerkleRoot(giant.Leaves)
 	if err := giant.Validate(); !errors.Is(err, ErrManifest) {
 		t.Fatalf("giant chunk size accepted: %v", err)
 	}
-	if _, _, err := Pack("x", []byte("data"), key(), maxInflate+1); !errors.Is(err, ErrManifest) {
-		t.Fatalf("Pack accepted an oversized chunk size: %v", err)
+	if _, _, err := PackConvergent("x", []byte("data"), maxInflate+1); !errors.Is(err, ErrManifest) {
+		t.Fatalf("PackConvergent accepted an oversized chunk size: %v", err)
 	}
 }
 
 func TestDecodeManifestValidates(t *testing.T) {
-	m, _, err := Pack("x", payload(64<<10), key(), 16<<10)
+	m, _, err := PackConvergent("x", payload(64<<10), 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +250,37 @@ func TestDecodeManifestValidates(t *testing.T) {
 	}
 }
 
+// TestDecodeManifestRejectsKeyless: every chunk is sealed under its own
+// manifest key, so a manifest without keys names chunks nothing can open.
+// It is malformed, and refused before any chunk is fetched.
+func TestDecodeManifestRejectsKeyless(t *testing.T) {
+	m, chunks, err := PackConvergent("x", payload(64<<10), 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Keys = nil
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeManifest(raw); !errors.Is(err, ErrManifest) {
+		t.Fatalf("keyless manifest decoded: %v", err)
+	}
+	fetched := 0
+	err = Unpack(m, cryptbox.Key{}, &bytes.Buffer{}, func(idx int) ([]byte, error) {
+		fetched++
+		return chunks[idx], nil
+	})
+	if !errors.Is(err, ErrManifest) || fetched != 0 {
+		t.Fatalf("Unpack of a keyless manifest: err %v after %d fetches, want ErrManifest before any", err, fetched)
+	}
+}
+
 // FuzzDecodeManifest guards manifest decoding against panics and forged
 // geometry on attacker-controlled input (the registry serves manifests to
 // pulling nodes).
 func FuzzDecodeManifest(f *testing.F) {
-	m, _, err := Pack("seed", []byte("seed-payload"), cryptbox.Key{}, 8)
+	m, _, err := PackConvergent("seed", []byte("seed-payload"), 8)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -307,7 +316,7 @@ func TestAccountedAssembleDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer enc.Destroy()
-		r, err := NewReceiver(m, cryptbox.Key{})
+		r, err := NewReceiver(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,9 +366,23 @@ func TestStreamedEmptyPayload(t *testing.T) {
 	}
 }
 
-// Pack is PackStream over an in-memory payload, collecting the chunks.
-func Pack(name string, data []byte, key cryptbox.Key, chunkSize int) (*Manifest, [][]byte, error) {
-	return collect(func(emit ChunkFunc) (*Manifest, error) {
-		return PackStream(name, bytes.NewReader(data), key, chunkSize, emit)
-	})
+// TestPackConvergentKnownAnswer pins the sealed bytes of one convergent
+// pack through its leaf-0 digest and Merkle root: a change to the
+// deflate level, the key or nonce derivation, the AAD or the seal moves
+// them, and with them every chunk address the registry holds.
+func TestPackConvergentKnownAnswer(t *testing.T) {
+	const (
+		wantLeaf0 = "sha256:1cf36d1144ae9843f2219ca68b573418ae4eb2e4757be76a1c73ef2d484ea1ec"
+		wantRoot  = "sha256:8f4ec6f23024333f9273b68cb1242576ac26f4e250cfab666d8290787c9ebbab"
+	)
+	m, _, err := PackConvergent("kat", payload(100<<10), 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Leaves[0].String(); got != wantLeaf0 {
+		t.Errorf("leaf 0 %s, want %s", got, wantLeaf0)
+	}
+	if got := m.Root.String(); got != wantRoot {
+		t.Errorf("root %s, want %s", got, wantRoot)
+	}
 }

@@ -8,26 +8,20 @@
 //
 // The package is the chunk substrate of the content-addressed data plane:
 // the registry and container layers store and move sealed chunks keyed by
-// their content digest. Two sealing modes exist:
-//
-//   - Keyed (PackStream): every chunk is sealed under one caller key
-//     with a position-binding AAD. Use for point-to-point transfers where
-//     both ends share a key.
-//   - Convergent (PackConvergent/PackConvergentStream): every chunk is
-//     sealed under a key derived from its own compressed plaintext with a
-//     deterministic nonce, and the per-chunk keys ride in the manifest.
-//     Identical content always produces identical sealed bytes, so a
-//     content-addressed store deduplicates chunks across payloads.
-//     Confidentiality-wise this is exactly convergent encryption: a store
-//     that holds only chunks cannot read content it does not already
-//     know, and nothing more — whoever holds the manifest holds the keys.
-//     The image registry stores manifests next to chunks (it ingests
-//     plaintext layers on push anyway); there, secret content is
-//     protected one level down by fsshield, per the paper's model, and
-//     convergent sealing is purely the dedup mechanism. Position binding
-//     comes from the manifest's leaf list, not the AAD. PackConvergentMemo
-//     packs the successor of an earlier payload, deflating and sealing only
-//     the chunks whose plaintext changed.
+// their content digest. Every chunk is sealed convergently
+// (PackConvergent/PackConvergentStream): under a key derived from its own
+// compressed plaintext, with a deterministic nonce, and the per-chunk keys
+// ride in the manifest. Identical content always produces identical sealed
+// bytes, so a content-addressed store deduplicates chunks across payloads.
+// Confidentiality-wise this is exactly convergent encryption: a store that
+// holds only chunks cannot read content it does not already know, and
+// nothing more — whoever holds the manifest holds the keys. The image
+// registry stores manifests next to chunks (it ingests plaintext layers on
+// push anyway); there, secret content is protected one level down by
+// fsshield, per the paper's model, and convergent sealing is purely the
+// dedup mechanism. Position binding comes from the manifest's leaf list,
+// not the AAD. PackConvergentMemo packs the successor of an earlier
+// payload, deflating and sealing only the chunks whose plaintext changed.
 //
 // Reassembly can be routed through the simulated SGX memory hierarchy via
 // Receiver.WithAccounting, mirroring fsshield and kvstore: the enclave-side
@@ -74,24 +68,22 @@ type Manifest struct {
 	ChunkSize int               `json:"chunk_size"`
 	Leaves    []cryptbox.Digest `json:"leaves"`
 	Root      cryptbox.Digest   `json:"root"`
-	// Keys holds the per-chunk convergent keys (PackConvergent). Empty for
-	// keyed payloads. Whoever holds the manifest can decrypt — by design:
-	// the manifest is the trusted summary, the chunk store is not.
+	// Keys holds one convergent key per leaf: Keys[i] opens chunk i.
+	// Whoever holds the manifest can decrypt — by design: the manifest is
+	// the trusted summary, the chunk store is not.
 	Keys []cryptbox.Key `json:"keys,omitempty"`
 }
 
 // Chunks returns the number of chunks.
 func (m *Manifest) Chunks() int { return len(m.Leaves) }
 
-// Convergent reports whether the payload was packed convergently.
-func (m *Manifest) Convergent() bool { return len(m.Keys) > 0 }
-
 // Validate checks the manifest's internal consistency: the root over the
-// leaves, and — mirroring the scbr codec's forged-count fix — that the leaf
-// count is exactly what the declared geometry implies, so a forged manifest
-// cannot demand absurd chunk counts or smuggle extra leaves. ChunkSize is
-// capped at maxInflate, which (with the per-chunk plaintext bound enforced
-// on open) keeps a forged Size from driving unbounded allocations.
+// leaves, one key per leaf, and — mirroring the scbr codec's forged-count
+// fix — that the leaf count is exactly what the declared geometry implies,
+// so a forged manifest cannot demand absurd chunk counts or smuggle extra
+// leaves. ChunkSize is capped at maxInflate, which (with the per-chunk
+// plaintext bound enforced on open) keeps a forged Size from driving
+// unbounded allocations.
 func (m *Manifest) Validate() error {
 	if m.ChunkSize <= 0 || m.ChunkSize > maxInflate || m.Size < 0 {
 		return fmt.Errorf("%w: bad geometry", ErrManifest)
@@ -104,7 +96,7 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("%w: %d leaves for %d bytes at chunk size %d (want %d)",
 			ErrManifest, len(m.Leaves), m.Size, m.ChunkSize, want)
 	}
-	if len(m.Keys) != 0 && len(m.Keys) != len(m.Leaves) {
+	if len(m.Keys) != len(m.Leaves) {
 		return fmt.Errorf("%w: %d keys for %d leaves", ErrManifest, len(m.Keys), len(m.Leaves))
 	}
 	if MerkleRoot(m.Leaves) != m.Root {
@@ -125,11 +117,6 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-// chunkAAD binds a keyed ciphertext chunk to the payload and position.
-func chunkAAD(name string, idx int) []byte {
-	return []byte(fmt.Sprintf("transfer|%s|%d", name, idx))
 }
 
 // convergentAAD is position-independent: convergent chunks must depend on
@@ -156,8 +143,7 @@ func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
 	if err != nil {
 		return cryptbox.Key{}, nil, err
 	}
-	box.SetNonceSource(bytes.NewReader(nonce[:cryptbox.NonceSize]))
-	sealed, err := box.Seal(plaintext, convergentAAD)
+	sealed, err := box.SealWithNonce(nonce[:cryptbox.NonceSize], plaintext, convergentAAD)
 	if err != nil {
 		return cryptbox.Key{}, nil, err
 	}
@@ -167,34 +153,14 @@ func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
 // ChunkFunc consumes sealed chunks in index order during a streaming pack.
 type ChunkFunc func(idx int, sealed []byte) error
 
-// PackStream reads the payload from r in chunkSize pieces, compressing,
-// sealing under key and emitting each chunk in index order, and returns
-// the manifest. Only one chunk's plaintext is resident at a time, so
-// payloads larger than memory stream through.
-func PackStream(name string, r io.Reader, key cryptbox.Key, chunkSize int, emit ChunkFunc) (*Manifest, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return packStream(name, r, chunkSize, false, func(idx int, compressed []byte) (cryptbox.Key, []byte, error) {
-		sealed, err := box.Seal(compressed, chunkAAD(name, idx))
-		return cryptbox.Key{}, sealed, err
-	}, nil, emit)
-}
-
-// PackConvergentStream is PackStream with convergent sealing: the manifest
-// carries one derived key per chunk, and identical chunk content yields
-// bit-identical sealed chunks for content-addressed dedup.
+// PackConvergentStream reads the payload from r in chunkSize pieces,
+// compressing, sealing convergently and emitting each chunk in index
+// order, and returns the manifest with one derived key per chunk. Only one
+// chunk's plaintext is resident at a time, so payloads larger than memory
+// stream through. Identical chunk content yields bit-identical sealed
+// chunks for content-addressed dedup.
 func PackConvergentStream(name string, r io.Reader, chunkSize int, emit ChunkFunc) (*Manifest, error) {
-	return packStream(name, r, chunkSize, true, sealConvergentChunk, nil, emit)
-}
-
-// sealFunc seals chunk idx's compressed bytes, returning the convergent key
-// (zero in keyed mode) and the sealed bytes.
-type sealFunc func(idx int, compressed []byte) (cryptbox.Key, []byte, error)
-
-func sealConvergentChunk(_ int, compressed []byte) (cryptbox.Key, []byte, error) {
-	return convergentSeal(compressed)
+	return packStream(name, r, chunkSize, nil, emit)
 }
 
 // ChunkMemo remembers what convergent packing made of each chunk plaintext,
@@ -234,7 +200,7 @@ type MemoPack struct {
 func PackConvergentMemo(name string, data []byte, chunkSize int, prev ChunkMemo) (*MemoPack, error) {
 	pass := &memoPass{prev: prev, next: make(ChunkMemo, len(prev))}
 	m, chunks, err := collect(func(emit ChunkFunc) (*Manifest, error) {
-		return packStream(name, bytes.NewReader(data), chunkSize, true, sealConvergentChunk, pass, emit)
+		return packStream(name, bytes.NewReader(data), chunkSize, pass, emit)
 	})
 	if err != nil {
 		return nil, err
@@ -256,7 +222,7 @@ func (p *memoPass) record(plain cryptbox.Digest, e memoEntry) {
 
 // packChunk deflates and seals one chunk — unless memo holds its plaintext,
 // in which case it returns the remembered key and leaf and nil sealed bytes.
-func packChunk(idx int, plain []byte, seal sealFunc, memo *memoPass) (cryptbox.Key, cryptbox.Digest, []byte, error) {
+func packChunk(plain []byte, memo *memoPass) (cryptbox.Key, cryptbox.Digest, []byte, error) {
 	var pd cryptbox.Digest
 	if memo != nil {
 		pd = cryptbox.Sum(plain)
@@ -269,7 +235,7 @@ func packChunk(idx int, plain []byte, seal sealFunc, memo *memoPass) (cryptbox.K
 	if err != nil {
 		return cryptbox.Key{}, cryptbox.Digest{}, nil, err
 	}
-	key, sealed, err := seal(idx, compressed)
+	key, sealed, err := convergentSeal(compressed)
 	if err != nil {
 		return cryptbox.Key{}, cryptbox.Digest{}, nil, err
 	}
@@ -282,8 +248,7 @@ func packChunk(idx int, plain []byte, seal sealFunc, memo *memoPass) (cryptbox.K
 
 // packStream is the one chunking loop behind every pack: read chunkSize
 // pieces, seal each (packChunk), and build the manifest.
-func packStream(name string, r io.Reader, chunkSize int, convergent bool,
-	seal sealFunc, memo *memoPass, emit ChunkFunc) (*Manifest, error) {
+func packStream(name string, r io.Reader, chunkSize int, memo *memoPass, emit ChunkFunc) (*Manifest, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
@@ -300,13 +265,11 @@ func packStream(name string, r io.Reader, chunkSize int, convergent bool,
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("transfer: reading payload: %w", err)
 		}
-		key, leaf, sealed, serr := packChunk(idx, buf[:n], seal, memo)
+		key, leaf, sealed, serr := packChunk(buf[:n], memo)
 		if serr != nil {
 			return nil, serr
 		}
-		if convergent {
-			m.Keys = append(m.Keys, key)
-		}
+		m.Keys = append(m.Keys, key)
 		m.Size += int64(n)
 		m.Leaves = append(m.Leaves, leaf)
 		if emit != nil {
@@ -323,8 +286,7 @@ func packStream(name string, r io.Reader, chunkSize int, convergent bool,
 }
 
 // PackConvergent compresses, seals and hashes data into transferable
-// chunks plus the manifest the receiver needs, with convergent sealing
-// (see the package comment):
+// chunks plus the manifest the receiver needs (see the package comment):
 // the chunk bytes depend only on the content, enabling cross-payload dedup
 // in a content-addressed store, and the per-chunk keys ride in the manifest.
 func PackConvergent(name string, data []byte, chunkSize int) (*Manifest, [][]byte, error) {
@@ -352,13 +314,9 @@ type Accounting = enclave.Accounting
 // Unpack streams the verified payload into w in chunk-index order, fetching
 // each sealed chunk on demand. Every chunk is checked against the manifest
 // leaf before decryption; any mismatch aborts with ErrBadChunk naming the
-// index. key is ignored for convergent manifests.
-func Unpack(m *Manifest, key cryptbox.Key, w io.Writer, fetch func(idx int) ([]byte, error)) error {
+// index. key is unused: every chunk opens under its manifest key.
+func Unpack(m *Manifest, _ cryptbox.Key, w io.Writer, fetch func(idx int) ([]byte, error)) error {
 	if err := m.Validate(); err != nil {
-		return err
-	}
-	op, err := newOpener(m, key)
-	if err != nil {
 		return err
 	}
 	var total int64
@@ -367,7 +325,7 @@ func Unpack(m *Manifest, key cryptbox.Key, w io.Writer, fetch func(idx int) ([]b
 		if err != nil {
 			return fmt.Errorf("transfer: fetching chunk %d: %w", i, err)
 		}
-		plain, err := op.open(i, sealed)
+		plain, err := m.open(i, sealed)
 		if err != nil {
 			return err
 		}
@@ -382,44 +340,21 @@ func Unpack(m *Manifest, key cryptbox.Key, w io.Writer, fetch func(idx int) ([]b
 	return nil
 }
 
-// opener verifies, decrypts and decompresses single chunks for one
-// manifest, resolving the keyed-vs-convergent mode once.
-type opener struct {
-	m   *Manifest
-	box *cryptbox.Box // keyed mode only
-}
-
-func newOpener(m *Manifest, key cryptbox.Key) (*opener, error) {
-	op := &opener{m: m}
-	if !m.Convergent() {
-		box, err := cryptbox.NewBox(key)
-		if err != nil {
-			return nil, err
-		}
-		op.box = box
-	}
-	return op, nil
-}
-
-func (op *opener) open(idx int, sealed []byte) ([]byte, error) {
-	if cryptbox.Sum(sealed) != op.m.Leaves[idx] {
+// open verifies chunk idx against its leaf, then decrypts it under its
+// manifest key and decompresses it.
+func (m *Manifest) open(idx int, sealed []byte) ([]byte, error) {
+	if cryptbox.Sum(sealed) != m.Leaves[idx] {
 		return nil, fmt.Errorf("%w: leaf digest mismatch at %d", ErrBadChunk, idx)
 	}
-	var compressed []byte
-	var err error
-	if op.m.Convergent() {
-		box, berr := cryptbox.NewBox(op.m.Keys[idx])
-		if berr != nil {
-			return nil, berr
-		}
-		compressed, err = box.Open(sealed, convergentAAD)
-	} else {
-		compressed, err = op.box.Open(sealed, chunkAAD(op.m.Name, idx))
+	box, err := cryptbox.NewBox(m.Keys[idx])
+	if err != nil {
+		return nil, err
 	}
+	compressed, err := box.Open(sealed, convergentAAD)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decrypting %d", ErrBadChunk, idx)
 	}
-	plain, err := inflate(compressed, op.m.ChunkSize)
+	plain, err := inflate(compressed, m.ChunkSize)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: inflating chunk %d: %w", idx, err)
 	}
@@ -430,18 +365,16 @@ func (op *opener) open(idx int, sealed []byte) ([]byte, error) {
 // verifying each against the manifest on arrival.
 type Receiver struct {
 	manifest *Manifest
-	key      cryptbox.Key
 	got      map[int][]byte
 	acct     Accounting
 }
 
-// NewReceiver builds a receiver for a validated manifest. For convergent
-// manifests the key is ignored (pass the zero key).
-func NewReceiver(m *Manifest, key cryptbox.Key) (*Receiver, error) {
+// NewReceiver builds a receiver for a validated manifest.
+func NewReceiver(m *Manifest) (*Receiver, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Receiver{manifest: m, key: key, got: make(map[int][]byte)}, nil
+	return &Receiver{manifest: m, got: make(map[int][]byte)}, nil
 }
 
 // WithAccounting routes this receiver's reassembly through the simulated
@@ -488,10 +421,6 @@ func (r *Receiver) Assemble() ([]byte, error) {
 	if !r.Complete() {
 		return nil, fmt.Errorf("%w: %d of %d", ErrIncomplete, len(r.got), r.manifest.Chunks())
 	}
-	op, err := newOpener(r.manifest, r.key)
-	if err != nil {
-		return nil, err
-	}
 	var outAddr uint64
 	accounted := r.acct.Enabled()
 	if accounted {
@@ -518,7 +447,7 @@ func (r *Receiver) Assemble() ([]byte, error) {
 			r.acct.Mem.AccessRange(addr, len(stored), true)
 			r.acct.Mem.AccessRange(addr, len(stored), false)
 		}
-		plain, err := op.open(i, stored)
+		plain, err := r.manifest.open(i, stored)
 		if err != nil {
 			return nil, err
 		}

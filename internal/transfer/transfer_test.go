@@ -10,12 +10,6 @@ import (
 	"securecloud/internal/sim"
 )
 
-func key() cryptbox.Key {
-	var k cryptbox.Key
-	k[7] = 0x7A
-	return k
-}
-
 // payload generates compressible-but-not-trivial test data.
 func payload(n int) []byte {
 	rng := sim.NewRand(9)
@@ -28,14 +22,14 @@ func payload(n int) []byte {
 
 func TestPackReceiveRoundTrip(t *testing.T) {
 	data := payload(1 << 20)
-	m, chunks, err := Pack("meters.tar", data, key(), 64<<10)
+	m, chunks, err := PackConvergent("meters.tar", data, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Chunks() != 16 {
 		t.Fatalf("chunks = %d, want 16", m.Chunks())
 	}
-	r, err := NewReceiver(m, key())
+	r, err := NewReceiver(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +50,7 @@ func TestPackReceiveRoundTrip(t *testing.T) {
 
 func TestCompressionShrinksRedundantData(t *testing.T) {
 	data := bytes.Repeat([]byte("meter-00042,1.234,229.8\n"), 10000)
-	_, chunks, err := Pack("readings.csv", data, key(), 0)
+	_, chunks, err := PackConvergent("readings.csv", data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,22 +63,47 @@ func TestCompressionShrinksRedundantData(t *testing.T) {
 	}
 }
 
+// TestChunksOpaque: with the payload split into many small chunks, a
+// secret spliced into random data stays invisible in every sealed chunk.
 func TestChunksOpaque(t *testing.T) {
-	data := bytes.Repeat([]byte("SECRET-READING"), 5000)
-	_, chunks, err := Pack("x", data, key(), 0)
+	secret := []byte("SECRET-READING")
+	data := payload(64 << 10)
+	for off := 0; off+len(secret) <= len(data); off += 700 {
+		copy(data[off:], secret)
+	}
+	m, chunks, err := PackConvergent("x", data, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range chunks {
-		if bytes.Contains(c, []byte("SECRET-READING")) {
-			t.Fatal("plaintext visible in transfer chunk")
+	if len(chunks) < 2 {
+		t.Fatalf("chunks = %d, want a multi-chunk payload", len(chunks))
+	}
+	for i, c := range chunks {
+		if bytes.Contains(c, secret) {
+			t.Fatalf("plaintext visible in transfer chunk %d", i)
 		}
+	}
+	r, err := NewReceiver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range chunks {
+		if err := r.Accept(i, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := r.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("round trip mismatch")
 	}
 }
 
 func TestTamperedChunkRejectedOnAccept(t *testing.T) {
-	m, chunks, _ := Pack("x", payload(300<<10), key(), 64<<10)
-	r, _ := NewReceiver(m, key())
+	m, chunks, _ := PackConvergent("x", payload(300<<10), 64<<10)
+	r, _ := NewReceiver(m)
 	bad := append([]byte(nil), chunks[2]...)
 	bad[10] ^= 1
 	if err := r.Accept(2, bad); !errors.Is(err, ErrBadChunk) {
@@ -93,16 +112,16 @@ func TestTamperedChunkRejectedOnAccept(t *testing.T) {
 }
 
 func TestChunkIndexSwapRejected(t *testing.T) {
-	m, chunks, _ := Pack("x", payload(300<<10), key(), 64<<10)
-	r, _ := NewReceiver(m, key())
+	m, chunks, _ := PackConvergent("x", payload(300<<10), 64<<10)
+	r, _ := NewReceiver(m)
 	if err := r.Accept(0, chunks[1]); !errors.Is(err, ErrBadChunk) {
 		t.Fatalf("chunk delivered under wrong index accepted: %v", err)
 	}
 }
 
 func TestOutOfRangeIndex(t *testing.T) {
-	m, chunks, _ := Pack("x", payload(1000), key(), 512)
-	r, _ := NewReceiver(m, key())
+	m, chunks, _ := PackConvergent("x", payload(1000), 512)
+	r, _ := NewReceiver(m)
 	if err := r.Accept(99, chunks[0]); !errors.Is(err, ErrBadChunk) {
 		t.Fatalf("err = %v", err)
 	}
@@ -112,8 +131,8 @@ func TestOutOfRangeIndex(t *testing.T) {
 }
 
 func TestResumeAfterInterruption(t *testing.T) {
-	m, chunks, _ := Pack("x", payload(640<<10), key(), 64<<10)
-	r, _ := NewReceiver(m, key())
+	m, chunks, _ := PackConvergent("x", payload(640<<10), 64<<10)
+	r, _ := NewReceiver(m)
 	// First session delivers even chunks only.
 	for i := 0; i < len(chunks); i += 2 {
 		if err := r.Accept(i, chunks[i]); err != nil {
@@ -145,8 +164,8 @@ func TestResumeAfterInterruption(t *testing.T) {
 }
 
 func TestDuplicateDeliveryIdempotent(t *testing.T) {
-	m, chunks, _ := Pack("x", payload(2048), key(), 1024)
-	r, _ := NewReceiver(m, key())
+	m, chunks, _ := PackConvergent("x", payload(2048), 1024)
+	r, _ := NewReceiver(m)
 	for i := 0; i < 3; i++ {
 		if err := r.Accept(0, chunks[0]); err != nil {
 			t.Fatal(err)
@@ -158,18 +177,20 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 }
 
 func TestForgedManifestRejected(t *testing.T) {
-	m, _, _ := Pack("x", payload(4096), key(), 1024)
+	m, _, _ := PackConvergent("x", payload(4096), 1024)
 	m.Leaves[0][0] ^= 1 // leaves no longer match root
-	if _, err := NewReceiver(m, key()); !errors.Is(err, ErrManifest) {
+	if _, err := NewReceiver(m); !errors.Is(err, ErrManifest) {
 		t.Fatalf("err = %v, want ErrManifest", err)
 	}
 }
 
+// TestWrongKeyFailsAtAssemble: the Merkle root covers the sealed chunks,
+// not the keys, so a manifest whose key for one chunk is wrong validates,
+// accepts every chunk, and fails only when that chunk is opened.
 func TestWrongKeyFailsAtAssemble(t *testing.T) {
-	m, chunks, _ := Pack("x", payload(2048), key(), 1024)
-	var wrong cryptbox.Key
-	wrong[0] = 0xDD
-	r, err := NewReceiver(m, wrong)
+	m, chunks, _ := PackConvergent("x", payload(2048), 1024)
+	m.Keys[1][0] ^= 0xDD
+	r, err := NewReceiver(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +205,11 @@ func TestWrongKeyFailsAtAssemble(t *testing.T) {
 }
 
 func TestEmptyPayload(t *testing.T) {
-	m, chunks, err := Pack("empty", nil, key(), 1024)
+	m, chunks, err := PackConvergent("empty", nil, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := NewReceiver(m, key())
+	r, _ := NewReceiver(m)
 	for i, c := range chunks {
 		if err := r.Accept(i, c); err != nil {
 			t.Fatal(err)
@@ -228,11 +249,11 @@ func TestMerkleRootProperties(t *testing.T) {
 func TestPropPackAssembleRoundTrip(t *testing.T) {
 	f := func(data []byte, chunkPow uint8) bool {
 		cs := 64 << (chunkPow % 6) // 64..2048
-		m, chunks, err := Pack("p", data, key(), cs)
+		m, chunks, err := PackConvergent("p", data, cs)
 		if err != nil {
 			return false
 		}
-		r, err := NewReceiver(m, key())
+		r, err := NewReceiver(m)
 		if err != nil {
 			return false
 		}

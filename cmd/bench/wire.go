@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 
@@ -9,7 +10,6 @@ import (
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/eventbus"
-	"securecloud/internal/loadgen"
 	"securecloud/internal/microsvc"
 	"securecloud/internal/scbr"
 	"securecloud/internal/stats"
@@ -23,38 +23,18 @@ const (
 	wireAuthToken = "wire-bench-token"
 	// wireTicks is the warmup phase length; inject is 2×, drain 3×.
 	wireTicks = 8
+	// The plane workload: wireClients clients, client i sending as tenant
+	// "t<i>" from its own seeded generator, with payloads of
+	// wirePayloadMin..wirePayloadMax bytes over wireKeys routing keys.
+	wireClients    = 4
+	wireSeed       = 1109
+	wireKeys       = 32
+	wirePayloadMin = 48
+	wirePayloadMax = 768
+	// wireSizeBuckets counts payload sizes on the 16 B → 64 KiB doubling
+	// ladder (13 bounds) plus an overflow bucket.
+	wireSizeBuckets = 14
 )
-
-// planeDriver adapts the HTTP plane clients to the loadgen Driver.
-type planeDriver struct {
-	rs      *microsvc.ReplicaSet
-	clients []*microsvc.PlaneClient
-}
-
-func (d *planeDriver) Send(client int, tenant string, reqs []loadgen.Request) ([]uint64, error) {
-	pr := make([]microsvc.PlaneRequest, len(reqs))
-	for i, r := range reqs {
-		pr[i] = microsvc.PlaneRequest{Key: r.Key, Body: r.Body}
-	}
-	return d.clients[client].SendTenantIDs(tenant, pr)
-}
-
-func (d *planeDriver) Poll(client int) ([]loadgen.Reply, error) {
-	reps, err := d.clients[client].Poll(0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]loadgen.Reply, len(reps))
-	for i, r := range reps {
-		out[i] = loadgen.Reply{ID: r.ID, Shed: r.Shed}
-	}
-	return out, nil
-}
-
-func (d *planeDriver) Step() error {
-	_, err := d.rs.Step()
-	return err
-}
 
 // wireStack is one fully built serving stack: attested plane + broker
 // behind one wire server on a loopback listener.
@@ -66,6 +46,9 @@ type wireStack struct {
 	policy attest.Policy
 	srv    *http.Server
 	url    string
+	// hc carries every request of the run on its own keep-alive pool,
+	// closed with the stack.
+	hc *http.Client
 }
 
 func buildWireStack() (s *wireStack, err error) {
@@ -95,7 +78,10 @@ func buildWireStack() (s *wireStack, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s = &wireStack{rs: rs, keys: keys, svc: svc}
+	s = &wireStack{
+		rs: rs, keys: keys, svc: svc,
+		hc: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
+	}
 	defer func() {
 		if err != nil {
 			s.close()
@@ -151,7 +137,120 @@ func (s *wireStack) close() {
 	if s.gw != nil {
 		s.gw.Close()
 	}
+	s.hc.CloseIdleConnections()
 	s.rs.Stop()
+}
+
+// planeTransport is one client's HTTP hop to the stack's plane.
+func (s *wireStack) planeTransport() *wire.PlaneTransport {
+	return wire.NewPlaneTransport(s.url, wireService, s.hc).WithAuth(wireAuthToken)
+}
+
+// wireLoad drives the closed-loop plane workload through clients against
+// rs and returns its deterministic counters. Each tick every client, in
+// client order, sends its phase's share of seeded requests, then rs steps
+// once, then every client polls: one arrival order per tick. After the
+// phases, drain ticks step and poll with no sends. Each reply must answer
+// an outstanding request of the polling client, matched by request ID: a
+// reply for an ID never sent, or already answered, fails the run, so a
+// duplicating hop cannot inflate plane_served. plane_lost counts the
+// requests still unanswered at the end.
+func wireLoad(rs *microsvc.ReplicaSet, clients []*microsvc.PlaneClient) (map[string]float64, error) {
+	rngs := make([]*rand.Rand, len(clients))
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(wireSeed + int64(i)*7919))
+	}
+	det := make(map[string]float64)
+	var sent, served, shed, bytesSent uint64
+	var sizes [wireSizeBuckets]uint64
+	// Request IDs are per-client counters, so outstanding requests are
+	// keyed by (client, id): IDs from different clients may collide.
+	type pending struct {
+		client int
+		id     uint64
+	}
+	outstanding := make(map[pending]struct{})
+	stepAndPoll := func() error {
+		if _, err := rs.Step(); err != nil {
+			return fmt.Errorf("wire load: step: %w", err)
+		}
+		for c, pc := range clients {
+			reps, err := pc.Poll(0)
+			if err != nil {
+				return fmt.Errorf("wire load: poll client %d: %w", c, err)
+			}
+			for _, rep := range reps {
+				k := pending{c, rep.ID}
+				if _, ok := outstanding[k]; !ok {
+					return fmt.Errorf("wire load: client %d got a reply for request %d, which is not outstanding", c, rep.ID)
+				}
+				delete(outstanding, k)
+				if rep.Shed {
+					shed++
+				} else {
+					served++
+				}
+			}
+		}
+		return nil
+	}
+
+	for _, ph := range []struct {
+		name             string
+		ticks, perClient int
+	}{
+		{"warmup", wireTicks, 1},
+		{"inject", 2 * wireTicks, 4},
+		{"recover", wireTicks, 1},
+	} {
+		for tick := 0; tick < ph.ticks; tick++ {
+			for c, pc := range clients {
+				rng := rngs[c]
+				reqs := make([]microsvc.PlaneRequest, ph.perClient)
+				for i := range reqs {
+					size := wirePayloadMin + rng.Intn(wirePayloadMax-wirePayloadMin+1)
+					body := make([]byte, size)
+					for j := range body {
+						body[j] = byte(rng.Intn(256))
+					}
+					reqs[i] = microsvc.PlaneRequest{Key: fmt.Sprintf("k%04d", rng.Intn(wireKeys)), Body: body}
+					b := 0
+					for b < wireSizeBuckets-1 && 16<<b < size {
+						b++
+					}
+					sizes[b]++
+					bytesSent += uint64(size)
+				}
+				ids, err := pc.SendTenantIDs(fmt.Sprintf("t%d", c), reqs)
+				if err != nil {
+					return nil, fmt.Errorf("wire load: send client %d: %w", c, err)
+				}
+				for _, id := range ids {
+					outstanding[pending{c, id}] = struct{}{}
+				}
+				sent += uint64(len(reqs))
+				det["phase_"+ph.name] += float64(len(reqs))
+			}
+			if err := stepAndPoll(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for tick := 0; tick < 3*wireTicks; tick++ {
+		if err := stepAndPoll(); err != nil {
+			return nil, err
+		}
+	}
+
+	det["plane_sent"] = float64(sent)
+	det["plane_served"] = float64(served)
+	det["plane_shed"] = float64(shed)
+	det["plane_lost"] = float64(len(outstanding))
+	det["bytes_sent"] = float64(bytesSent)
+	for b, n := range sizes {
+		det[fmt.Sprintf("sizehist_b%02d", b)] = float64(n)
+	}
+	return det, nil
 }
 
 // wireRun builds a fresh stack, replays the whole seeded workload over
@@ -165,32 +264,16 @@ func wireRun() (map[string]float64, error) {
 	}
 	defer s.close()
 
-	const clients = 4
-	spec := loadgen.Spec{
-		Clients:    clients,
-		Seed:       1109,
-		Keys:       32,
-		Tenants:    []string{"t0", "t1", "t2", "t3"},
-		PayloadMin: 48,
-		PayloadMax: 768,
-		Phases: []loadgen.Phase{
-			{Name: "warmup", Ticks: wireTicks, PerClient: 1},
-			{Name: "inject", Ticks: 2 * wireTicks, PerClient: 4},
-			{Name: "recover", Ticks: wireTicks, PerClient: 1},
-		},
-		DrainTicks: 3 * wireTicks,
-	}
-	drv := &planeDriver{rs: s.rs}
-	for c := 0; c < clients; c++ {
-		tr := wire.NewPlaneTransport(s.url, wireService, http.DefaultClient).WithAuth(wireAuthToken)
-		pc, err := microsvc.NewPlaneClientTransport(wireService, s.keys.Request, tr)
+	clients := make([]*microsvc.PlaneClient, wireClients)
+	for c := range clients {
+		pc, err := microsvc.NewPlaneClientTransport(wireService, s.keys.Request, s.planeTransport())
 		if err != nil {
 			return nil, err
 		}
 		defer pc.Close()
-		drv.clients = append(drv.clients, pc)
+		clients[c] = pc
 	}
-	res, err := loadgen.Run(spec, drv)
+	det, err := wireLoad(s.rs, clients)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +287,7 @@ func wireRun() (map[string]float64, error) {
 	sub := make([]*wire.SCBRClient, 6)
 	var delivered, polled int
 	for i := range sub {
-		sc, err := wire.DialSCBROpts(s.url, fmt.Sprintf("sub-%d", i), http.DefaultClient, dialOpts)
+		sc, err := wire.DialSCBROpts(s.url, fmt.Sprintf("sub-%d", i), s.hc, dialOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +298,7 @@ func wireRun() (map[string]float64, error) {
 		}
 		sub[i] = sc
 	}
-	pubc, err := wire.DialSCBROpts(s.url, "pub-0", http.DefaultClient, dialOpts)
+	pubc, err := wire.DialSCBROpts(s.url, "pub-0", s.hc, dialOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -234,22 +317,9 @@ func wireRun() (map[string]float64, error) {
 		polled += len(evs)
 	}
 
-	det := map[string]float64{
-		"plane_sent":       float64(res.Sent),
-		"plane_served":     float64(res.Served),
-		"plane_shed":       float64(res.Shed),
-		"plane_lost":       float64(res.Lost),
-		"bytes_sent":       float64(res.BytesSent),
-		"phase_warmup":     float64(res.PhaseSent["warmup"]),
-		"phase_inject":     float64(res.PhaseSent["inject"]),
-		"phase_recover":    float64(res.PhaseSent["recover"]),
-		"scbr_delivered":   float64(delivered),
-		"scbr_polled":      float64(polled),
-		"scbr_subscribers": float64(len(sub)),
-	}
-	for i, c := range res.Sizes.BucketCounts() {
-		det[fmt.Sprintf("sizehist_b%02d", i)] = float64(c)
-	}
+	det["scbr_delivered"] = float64(delivered)
+	det["scbr_polled"] = float64(polled)
+	det["scbr_subscribers"] = float64(len(sub))
 	for k, v := range s.rs.Snapshot() {
 		det["sim_"+k] = v
 	}
@@ -260,8 +330,8 @@ func wireRun() (map[string]float64, error) {
 	return det, nil
 }
 
-// wireSuite measures the HTTP front end (internal/wire) with the
-// closed-loop load harness (internal/loadgen). The workload is replayed on
+// wireSuite measures the HTTP front end (internal/wire) with wireRun's
+// closed-loop plane load and SCBR sweep. The workload is replayed on
 // two freshly built stacks and every deterministic counter must match
 // bit-for-bit, because the counters are pure functions of the seed — HTTP
 // moves the bytes but decides nothing. Over that path no request may go

@@ -375,10 +375,10 @@
 //   - WAL-segment GC. Rolled epochs stay as sealed segments until
 //     DurableStore.GC retires the ones the newest durable snapshot has
 //     made redundant — strictly below the shard's replay epoch, minus a
-//     configurable retention margin of newest sealed epochs
-//     (GCRetainEpochs, default 1). GC never collects past the newest
-//     published snapshot: a shard that has never snapshotted retires
-//     nothing, so the byte set recovery needs is never narrowed.
+//     fixed retention margin of the newest sealed epoch. GC never
+//     collects past the newest published snapshot: a shard that has
+//     never snapshotted retires nothing, so the byte set recovery needs
+//     is never narrowed.
 //
 //   - Recovery. RecoverDurableStore walks each shard's delta chain from
 //     the latest record back to its packed ancestor — verifying every
@@ -542,15 +542,16 @@
 // The repo measures each of its two currencies once. Sim-cycle figures
 // are modeled costs: deterministic, bit-identical across hosts, gated by
 // cmd/bench -check. Wall-clock figures measure the host and come only
-// from benchmark/, which repeats and interleaves its runs. internal/loadgen
-// belongs to the first kind: its closed-loop harness (fixed client
-// population, seeded key/tenant/payload mix, warmup/inject/recover
-// phases in lockstep ticks) produces sent/served/shed/lost counters and
-// payload-size histogram buckets that are pure functions of the spec,
-// and a reply that answers no outstanding request fails the run, so
-// sent = served + shed + lost always holds. cmd/bench's wire suite runs
-// the whole stack twice on fresh loopback servers and requires every
-// counter to match bit-for-bit. Where the HTTP time goes per request is
+// from benchmark/, which repeats and interleaves its runs. cmd/bench's
+// wire suite belongs to the first kind: its closed-loop plane load (a
+// fixed client population, a seeded key/tenant/payload mix,
+// warmup/inject/recover phases in lockstep ticks) drives the plane
+// clients and the replica set directly and produces sent/served/shed/lost
+// counters and payload-size bucket counts that are pure functions of the
+// seed; a reply that answers no outstanding request fails the run, so
+// sent = served + shed + lost always holds. The suite runs the whole
+// stack twice on fresh loopback servers and requires every counter to
+// match bit-for-bit. Where the HTTP time goes per request is
 // measured by benchmark/ (the wire.* per-layer metrics); wire.Config.Pprof
 // mounts net/http/pprof on a server, which is how the hot-path work is found:
 // profile, fold allocations out of the frame/seal paths (exact-capacity

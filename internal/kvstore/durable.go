@@ -99,11 +99,6 @@ type DurableConfig struct {
 	// SnapChunkSize is the snapshot chunk granularity (default 4 KiB);
 	// smaller chunks dedup more across successive snapshots.
 	SnapChunkSize int
-	// GCRetainEpochs is GC's retention margin: the newest K sealed WAL
-	// epochs per shard survive collection even when a snapshot covers
-	// them (default 1; -1 keeps no margin). GC never touches epochs at
-	// or after the newest durable snapshot regardless.
-	GCRetainEpochs int
 }
 
 // DurableStore is a ShardedStore with a sealed WAL per shard,
@@ -193,9 +188,6 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 	}
 	if cfg.SnapChunkSize == 0 {
 		cfg.SnapChunkSize = 4096
-	}
-	if cfg.GCRetainEpochs == 0 {
-		cfg.GCRetainEpochs = 1
 	}
 	storeKey, err := cryptbox.DeriveKey(cfg.SealKey, "store|"+cfg.Service)
 	if err != nil {
@@ -409,14 +401,14 @@ type GCStats struct {
 
 // GC retires WAL segments a durable snapshot has made redundant: per
 // shard, sealed epochs strictly below the newest published snapshot's
-// replay epoch, keeping the configured retention margin of newest sealed
-// epochs. It refuses to collect past the newest durable snapshot — a
+// replay epoch, keeping the newest sealed epoch as a retention margin
+// (WAL.GC). It refuses to collect past the newest durable snapshot — a
 // shard with no published snapshot retires nothing — so the set of bytes
 // recovery needs is never narrowed.
 func (ds *DurableStore) GC() GCStats {
 	var g GCStats
 	for i, w := range ds.wals {
-		retired, bytes := w.GC(ds.durableEpoch[i], ds.cfg.GCRetainEpochs)
+		retired, bytes := w.GC(ds.durableEpoch[i])
 		g.SegmentsRetired += retired
 		g.BytesRetired += bytes
 	}

@@ -185,16 +185,13 @@ func TestDurableDeltaWarmRecoveryFetches(t *testing.T) {
 }
 
 // TestDurableGCRetiresCoveredSegments: GC retires only sealed epochs a
-// durable snapshot covers, honors the retention margin, refuses to collect
-// with no snapshot published, and recovery stays bit-identical afterwards.
+// durable snapshot covers, keeps the newest sealed epoch as its margin,
+// refuses to collect with no snapshot published, and recovery stays
+// bit-identical afterwards.
 func TestDurableGCRetiresCoveredSegments(t *testing.T) {
 	ds, cfg := newDurableFixture(t, 2, 2)
-	cfg.GCRetainEpochs = -1 // no margin: everything covered is collectible
-	ds, err := NewDurableStore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := loadFixture(t, ds, 23)
+	rng := rand.New(rand.NewSource(9))
 
 	if g := ds.GC(); g.SegmentsRetired != 0 {
 		t.Fatalf("GC before any snapshot retired %d segments", g.SegmentsRetired)
@@ -202,13 +199,21 @@ func TestDurableGCRetiresCoveredSegments(t *testing.T) {
 	if _, err := ds.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	// Each shard's one sealed epoch is covered, but it is the margin.
+	if g := ds.GC(); g.SegmentsRetired != 0 {
+		t.Fatalf("GC retired the margin epoch: %+v", g)
+	}
+	mutateShard(t, ds, ref, rng, 0, 2)
+	mutateShard(t, ds, ref, rng, 1, 2)
+	if _, err := ds.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	g := ds.GC()
 	if g.SegmentsRetired != 2 || g.BytesRetired == 0 {
-		t.Fatalf("GC after snapshot: %+v", g)
+		t.Fatalf("GC after second snapshot: %+v", g)
 	}
 	// Tail records after the snapshot live at the durable epoch — GC must
-	// never touch them, at any retention setting.
-	rng := rand.New(rand.NewSource(9))
+	// never touch them.
 	mutateShard(t, ds, ref, rng, 0, 2)
 	mutateShard(t, ds, ref, rng, 1, 2)
 	if g := ds.GC(); g.SegmentsRetired != 0 {
@@ -273,26 +278,27 @@ func TestDurableGCRetentionMargin(t *testing.T) {
 // them attached, and let the recovered store's own GC retire them.
 func TestDurableCrashBetweenSnapshotAndGC(t *testing.T) {
 	ds, cfg := newDurableFixture(t, 2, 2)
-	cfg.GCRetainEpochs = -1
-	ds, err := NewDurableStore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := loadFixture(t, ds, 37)
+	rng := rand.New(rand.NewSource(41))
 	if _, err := ds.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	mutateShard(t, ds, ref, rand.New(rand.NewSource(41)), 0, 2)
-	// Crash here: sealed epoch-1 segments still on the medium, un-GC'd.
+	mutateShard(t, ds, ref, rng, 0, 2)
+	mutateShard(t, ds, ref, rng, 1, 2)
+	if _, err := ds.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	mutateShard(t, ds, ref, rng, 0, 2)
+	// Crash here: sealed epochs 1 and 2 still on the medium, un-GC'd.
 	segs := ds.WALSegments()
-	if len(segs[0]) != 2 {
-		t.Fatalf("expected stale+live segments, got %+v", segs[0])
+	if len(segs[0]) != 3 {
+		t.Fatalf("expected two stale segments and the live one, got %+v", segs[0])
 	}
 	rec, rs, err := RecoverDurableStore(coldNode(cfg), segs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stale epoch-1 records were NOT replayed (the snapshot covers them).
+	// Stale records were NOT replayed (the snapshot covers them).
 	if rs.RecordsReplayed != 1 {
 		t.Fatalf("replayed %d records, want just the tail", rs.RecordsReplayed)
 	}
@@ -304,9 +310,15 @@ func TestDurableCrashBetweenSnapshotAndGC(t *testing.T) {
 		t.Fatal("recovery with stale segments differs from reference")
 	}
 	// The stale segments survived recovery and the recovered store's GC
-	// finishes the interrupted retirement.
+	// finishes the interrupted retirement: epoch 1 of each shard goes,
+	// epoch 2 stays as the margin.
 	if g := rec.GC(); g.SegmentsRetired != 2 {
 		t.Fatalf("post-recovery GC: %+v", g)
+	}
+	for i, segs := range rec.WALSegments() {
+		if len(segs) == 0 || segs[0].Epoch != 2 {
+			t.Fatalf("shard %d keeps %+v after GC", i, segs)
+		}
 	}
 	got2, err := rec.StateDigest()
 	if err != nil {

@@ -227,22 +227,20 @@ func (w *WAL) Segments() []WALSegment {
 	return out
 }
 
+// gcRetainEpochs is GC's retention margin: the newest sealed epoch
+// survives collection even when a snapshot covers it.
+const gcRetainEpochs = 1
+
 // GC retires sealed segments with epoch strictly below floor, keeping the
-// newest retain sealed epochs as a retention margin. The live tail is
-// never touched, so with floor capped at the newest durable snapshot's
+// newest gcRetainEpochs sealed epochs as a retention margin. The live tail
+// is never touched, so with floor capped at the newest durable snapshot's
 // epoch the crash window never widens. Returns segments and bytes retired.
-func (w *WAL) GC(floor uint64, retain int) (retired int, bytes int64) {
+func (w *WAL) GC(floor uint64) (retired int, bytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if retain < 0 {
-		retain = 0
-	}
 	keep := w.segs[:0]
 	for idx, s := range w.segs {
-		// Segments newer than (len - retain) stay as the retention margin;
-		// everything else below floor goes.
-		inMargin := idx >= len(w.segs)-retain
-		if s.Epoch < floor && !inMargin {
+		if s.Epoch < floor && idx < len(w.segs)-gcRetainEpochs {
 			retired++
 			bytes += int64(len(s.Bytes))
 			continue

@@ -144,7 +144,11 @@
 //     through enclave.Memory.BeginSnapshotSpan: probes consult — but never
 //     mutate — LLC and EPC state, with a span-local overlay so re-touches
 //     within one operation behave as hits (as they would after a mutating
-//     first touch; evictions a real run might trigger are deferred). Since
+//     first touch; evictions a real run might trigger are deferred). A
+//     probe works a page at a time: the overlay maps each page the span
+//     touched to the bitmap of its lines it touched, and the LLC keeps an
+//     exact bitmap of each page's cached lines, so an access's hits on a
+//     page are one popcount of its line mask against the two bitmaps. Since
 //     nothing mutates, probe totals commute: aggregate sim-cycles and
 //     faults are bit-identical for any interleaving and any GOMAXPROCS.
 //     The platform mutex is held only for the final ledger commit, so

@@ -35,7 +35,10 @@ import "math/bits"
 // Liveness is exact: lines holds, per page, a bitmap of the page's lines
 // that are cached (bit i is line i of the page, so a page holds at most
 // 64 lines). A fill sets its line's bit and clears the evicted victim's;
-// invalidatePage (EWB) empties only the ways its page's bits name.
+// invalidatePage (EWB) empties only the ways its page's bits name. The
+// bitmaps are also the read-only view of the cache: a snapshot span
+// (Span.probe) reads whether a line is cached from its page's bitmap, a
+// page of lines at a time, and never scans a set's ways.
 //
 // The geometry is all powers of two (NewPlatform enforces it): a tag's set
 // is a mask of it, its chunk a shift of the set, and its page a shift.
@@ -151,27 +154,6 @@ func toFront(order uint64, w int) uint64 {
 	before := order & (uint64(1)<<at - 1)
 	after := order &^ (uint64(1)<<(at+4) - 1)
 	return after | before<<4 | uint64(w)
-}
-
-// probeTag reports whether the line is cached without touching any cache
-// state: no order update, no fill, and no chunk allocation — an
-// unallocated chunk holds no line. It is the read-only twin of accessTag
-// used by snapshot accounting spans — safe to call concurrently from many
-// goroutines provided no mutating access runs at the same time (callers
-// serialize mutators externally).
-func (c *llc) probeTag(tag uint64) bool {
-	s := tag & c.setMask
-	ch := c.chunks[s>>chunkShift]
-	if ch == nil {
-		return false
-	}
-	key := ^tag
-	for _, k := range c.setOf(ch, s)[1:] {
-		if k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // invalidatePage flushes all cached lines of one page, mirroring EWB: SGX

@@ -179,6 +179,25 @@ func (c *flatLLC) lines() int {
 	return n
 }
 
+// probeTag reports whether the line of tag is cached by scanning its
+// set's ways, without touching any cache state — an unallocated chunk
+// holds no line. It is the reference the per-page line bitmaps a snapshot
+// span reads are checked against.
+func (c *llc) probeTag(tag uint64) bool {
+	s := tag & c.setMask
+	ch := c.chunks[s>>chunkShift]
+	if ch == nil {
+		return false
+	}
+	key := ^tag
+	for _, k := range c.setOf(ch, s)[1:] {
+		if k == key {
+			return true
+		}
+	}
+	return false
+}
+
 // llcLines returns the number of resident lines of c.
 func (c *llc) llcLines() int {
 	n := 0
@@ -226,8 +245,9 @@ func checkLineBitmaps(t *testing.T, c *llc, where string) {
 // TestPropChunkedLLCMatchesFlat drives the cache and the flat reference
 // model with the same seeded mix of accessTag, probeTag and
 // invalidatePage, and demands the same hit or miss and the same resident
-// line count after every step, and that every page's line bitmap names
-// exactly its resident lines. Tags start at 0 — the tag whose raw value
+// line count after every step, that every page's line bitmap names
+// exactly its resident lines, and that the step's tag's bit in its page's
+// bitmap — what a snapshot span reads — answers as the model's probe. Tags start at 0 — the tag whose raw value
 // is the zero way — and half of them fall on one hot page so sets fill,
 // evict and re-hit. Each run forces one epoch wrap of the model's hot
 // page (purgePage) and one renormalization of its stamps; probes of
@@ -271,6 +291,9 @@ func TestPropChunkedLLCMatchesFlat(t *testing.T) {
 					t.Fatalf("%s: lines = %d, flat model %d", where, gl, wl)
 				}
 				checkLineBitmaps(t, c, where)
+				if got, want := c.lines.get(page)>>(tag&c.lppMask)&1 == 1, f.probeTag(tag, page); got != want {
+					t.Fatalf("%s: line bitmap bit = %v, flat model probe %v", where, got, want)
+				}
 				switch step {
 				case 1000: // the model's next two invalidations of page 0 wrap its epoch
 					*f.epochs.slot(0) = epochMask - 2

@@ -153,15 +153,15 @@ type Span struct {
 	st acct
 
 	// ro marks a snapshot span: accesses probe the frozen cache and
-	// residency state without mutating it (see BeginSnapshotSpan). roLines
-	// and roPages are the span-local overlay — lines and pages this span
-	// already touched, which behave as cached/resident for the rest of the
-	// span, exactly as they would after a mutating first touch. Both are
-	// generation-stamped sets, so End empties them in O(1) and a pooled
-	// span keeps their grown tables.
-	ro      bool
-	roLines u64set
-	roPages u64set
+	// residency state without mutating it (see BeginSnapshotSpan). seen is
+	// the span-local overlay: per page this span already touched, the
+	// bitmap of the page's lines it touched. A page in seen behaves as
+	// resident, and a line in its bitmap as cached, for the rest of the
+	// span, exactly as they would after a mutating first touch. seen is
+	// generation-stamped, so End empties it in O(1) and a pooled span
+	// keeps its grown table.
+	ro   bool
+	seen pageLines
 }
 
 // BeginSpan opens a span. Every span must be closed with End.
@@ -171,25 +171,28 @@ func (m *Memory) BeginSpan() *Span {
 	return sp
 }
 
-// newSnapshotSpan returns an unbound snapshot span with empty overlays
-// sized for one index traversal; they grow on demand.
+// newSnapshotSpan returns an unbound snapshot span with an empty overlay
+// sized for one index traversal; it grows on demand.
 func newSnapshotSpan() *Span {
-	return &Span{ro: true, roLines: newU64Set(1024), roPages: newU64Set(128)}
+	return &Span{ro: true, seen: newPageLines(128)}
 }
 
-// roSpanPool recycles snapshot spans, overlay tables included, since the
+// roSpanPool recycles snapshot spans, overlay table included, since the
 // concurrent match path opens one per operation. End resets a span's
-// overlays by bumping their generations, never by clearing the tables.
+// overlay by bumping its generation, never by clearing the table.
 var roSpanPool = sync.Pool{New: func() any { return newSnapshotSpan() }}
 
 // BeginSnapshotSpan opens a read-only accounting span: every Access is
 // charged against the platform's current cache and residency state as a
-// pure probe — no LRU stamps move, no CLOCK bits flip, no pages load — so
+// pure probe — no LRU order moves, no CLOCK bits flip, no pages load — so
 // the global simulation state is bit-identical before and after the span.
-// Within the span a local overlay makes re-touches of the same line or page
-// behave as hits, mirroring what a mutating first touch would have made
-// them; evictions a real execution might trigger are deferred (never
-// modeled), which is the documented snapshot approximation.
+// A probe works a page at a time: the LLC's per-page bitmap of cached
+// lines, or'ed with the span's own overlay bitmap of the lines it already
+// touched, answers every line of the access on that page at once. So
+// re-touches of the same line or page within the span behave as hits,
+// mirroring what a mutating first touch would have made them; evictions a
+// real execution might trigger are deferred (never modeled), which is the
+// documented snapshot approximation.
 //
 // Because snapshot spans mutate nothing, any interleaving of concurrent
 // snapshot spans charges the same totals — the property the sharded SCBR
@@ -244,38 +247,44 @@ func (sp *Span) ChargeCPU(c sim.Cycles) {
 	}
 }
 
-// probe walks the cache lines of [addr, addr+size) read-only, accumulating
-// hit/miss/fault counts against frozen platform state plus the span-local
-// overlay. Mirrors accessLocked's page-by-page walk.
+// probe accounts [addr, addr+size) read-only against frozen platform state
+// plus the span-local overlay, one page at a time. The access's lines on a
+// page are a mask of that page's line bits; a line hits when the span has
+// already touched it or the LLC holds it, and the lines of one access are
+// distinct, so the page's hits are one popcount — the count a line-by-line
+// walk would reach.
 func (sp *Span) probe(addr uint64, size int) {
 	m := sp.m
 	p := m.p
+	c := p.cache
 	first := addr >> p.lineShift
 	last := (addr + uint64(size) - 1) >> p.lineShift
-	inside := m.enc != nil
-	for l := first; l <= last; {
-		page := l >> p.lppShift
-		sp.probePage(page)
+	for first <= last {
+		page := first >> p.lppShift
 		end := min((page+1)<<p.lppShift-1, last) // last tag on this page
-		for ; l <= end; l++ {
-			if !sp.roLines.add(l) || p.cache.probeTag(l) {
-				sp.st.hits++
-			} else if inside {
-				sp.st.mee++
-			} else {
-				sp.st.dram++
-			}
+		lo, hi := first&c.lppMask, end&c.lppMask
+		mask := ^uint64(0) >> (63 - hi) &^ (1<<lo - 1) // lines lo..hi of the page
+		seen, fresh := sp.seen.touch(page)
+		if fresh {
+			sp.probePage(page)
 		}
+		hits := uint64(bits.OnesCount64(mask & (*seen | c.lines.get(page))))
+		misses := uint64(bits.OnesCount64(mask)) - hits
+		*seen |= mask
+		sp.st.hits += hits
+		if m.enc != nil {
+			sp.st.mee += misses
+		} else {
+			sp.st.dram += misses
+		}
+		first = end + 1
 	}
 }
 
-// probePage accounts residency for one page read-only: the first touch of a
-// non-resident page in this span charges a fault; afterwards the page is
-// locally resident.
+// probePage accounts residency for the span's first touch of a page
+// read-only: a non-resident page charges a fault; afterwards the overlay
+// holds the page, so it is locally resident.
 func (sp *Span) probePage(page uint64) {
-	if !sp.roPages.add(page) {
-		return
-	}
 	m := sp.m
 	if m.enc != nil {
 		if !m.p.pager.isResident(page) {
@@ -303,7 +312,7 @@ func (sp *Span) End() {
 }
 
 // endSnapshot commits a snapshot span under the platform mutex and leaves
-// it unbound with empty overlays, ready to be bound to any view again.
+// it unbound with an empty overlay, ready to be bound to any view again.
 func (sp *Span) endSnapshot() {
 	m := sp.m
 	m.p.mu.Lock()
@@ -311,67 +320,72 @@ func (sp *Span) endSnapshot() {
 	m.p.mu.Unlock()
 	sp.m = nil
 	sp.st = acct{}
-	sp.roLines.reset()
-	sp.roPages.reset()
+	sp.seen.reset()
 }
 
-// u64set is the snapshot overlay's set of line or page numbers: an
-// open-addressed table probed linearly from a multiplicative hash. A slot
-// holds a key only while its stamp equals the set's generation, so reset
-// empties the set by bumping gen, without touching the table; when gen
+// pageLines is the snapshot overlay: an open-addressed table, probed
+// linearly from a multiplicative hash of the page number, that maps each
+// page the span touched to the bitmap of its lines the span touched (bit i
+// is line i of the page; NewPlatform allows at most 64 lines a page). A
+// slot holds a page only while its stamp equals the table's generation, so
+// reset empties the table by bumping gen, without touching it; when gen
 // wraps to 0, reset clears the table once, so a slot stamped 2^32 resets
 // earlier cannot come back to life. The table doubles at half full and
 // keeps its size across resets.
-type u64set struct {
-	slots []u64slot
+type pageLines struct {
+	slots []pageLinesSlot
 	shift uint // 64 - log2(len(slots))
-	n     int  // keys in the current generation
+	n     int  // pages in the current generation
 	gen   uint32
 }
 
-type u64slot struct {
-	key uint64
-	gen uint32
+type pageLinesSlot struct {
+	page  uint64
+	lines uint64
+	gen   uint32
 }
 
-// newU64Set returns an empty set of size slots (a power of two).
-func newU64Set(size int) u64set {
-	return u64set{slots: make([]u64slot, size), shift: uint(64 - bits.TrailingZeros(uint(size))), gen: 1}
+// newPageLines returns an empty table of size slots (a power of two).
+func newPageLines(size int) pageLines {
+	return pageLines{slots: make([]pageLinesSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size))), gen: 1}
 }
 
-// add inserts k and reports whether it was absent.
-func (s *u64set) add(k uint64) bool {
+// touch returns page's line bitmap for update, inserting the page with an
+// empty bitmap when it is absent, and reports whether it was absent.
+func (s *pageLines) touch(page uint64) (*uint64, bool) {
 	mask := len(s.slots) - 1
-	for i := int((k * 0x9E3779B97F4A7C15) >> s.shift); ; i = (i + 1) & mask {
+	for i := int((page * 0x9E3779B97F4A7C15) >> s.shift); ; i = (i + 1) & mask {
 		sl := &s.slots[i]
 		if sl.gen != s.gen {
 			if 2*(s.n+1) > len(s.slots) {
 				s.grow()
-				return s.add(k)
+				return s.touch(page)
 			}
-			*sl = u64slot{key: k, gen: s.gen}
+			*sl = pageLinesSlot{page: page, gen: s.gen}
 			s.n++
-			return true
+			return &sl.lines, true
 		}
-		if sl.key == k {
-			return false
+		if sl.page == page {
+			return &sl.lines, false
 		}
 	}
 }
 
-// grow doubles the table and re-inserts the current generation's keys.
-func (s *u64set) grow() {
+// grow doubles the table and re-inserts the current generation's pages
+// with their bitmaps.
+func (s *pageLines) grow() {
 	old := s.slots
-	*s = u64set{slots: make([]u64slot, 2*len(old)), shift: s.shift - 1, gen: s.gen}
+	*s = pageLines{slots: make([]pageLinesSlot, 2*len(old)), shift: s.shift - 1, gen: s.gen}
 	for _, sl := range old {
 		if sl.gen == s.gen {
-			s.add(sl.key)
+			lines, _ := s.touch(sl.page)
+			*lines = sl.lines
 		}
 	}
 }
 
-// reset empties the set in O(1).
-func (s *u64set) reset() {
+// reset empties the table in O(1).
+func (s *pageLines) reset() {
 	s.n = 0
 	s.gen++
 	if s.gen == 0 {

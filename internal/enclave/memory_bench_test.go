@@ -101,15 +101,34 @@ func BenchmarkMemoryAccessPlatforms(b *testing.B) {
 // resident 4 MiB region — the shape of one SCBR MatchSnapshot.
 func BenchmarkMemoryAccessSnapshot(b *testing.B) {
 	mem, base := benchEnclave(b, 128<<20, 16<<20)
-	const span, probes = 4 << 20, 600
-	addrs := benchAddrs(base, span, 4096)
-	mem.AccessStride(base, 4096, span/4096, 64, false)
+	const span = 4 << 20
+	benchSnapshot(b, mem, base, span, benchAddrs(base, span, 4096), 64)
+}
+
+// BenchmarkMemoryAccessSnapshotWide: the same span shape as one publish on
+// a 40 MB SCBR store — 600 probes of a 192 B subscription header spread
+// over a resident 32 MiB region — so, unlike the 4 MiB region above, the
+// simulated LLC's metadata for the probed lines does not stay in the host
+// cache between spans.
+func BenchmarkMemoryAccessSnapshotWide(b *testing.B) {
+	const span, size = 32 << 20, 192
+	mem, base := benchEnclave(b, 128<<20, 2*span)
+	benchSnapshot(b, mem, base, span, benchAddrs(base, span-size, 1<<14), size)
+}
+
+// benchSnapshot times one snapshot span per op of 600 probes of size bytes,
+// taken in turn from addrs (a power-of-two count), each with a containment
+// check's CPU charge, after a warm-up pass that touches every page of
+// [base, base+span) once, and reports the EPC faults per span.
+func benchSnapshot(b *testing.B, mem *Memory, base, span uint64, addrs []uint64, size int) {
+	const probes = 600
+	mem.AccessStride(base, 4096, int(span/4096), 64, false)
 	mem.ResetAccounting()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := mem.BeginSnapshotSpan()
 		for j := 0; j < probes; j++ {
-			sp.AccessCPU(addrs[(i*probes+j)&4095], 64, false, 450)
+			sp.AccessCPU(addrs[(i*probes+j)&(len(addrs)-1)], size, false, 450)
 		}
 		sp.End()
 	}

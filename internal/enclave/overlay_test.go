@@ -3,6 +3,7 @@ package enclave
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,11 @@ import (
 )
 
 // refOverlay is the reference model of a snapshot span's overlay: two Go
-// maps of the lines and pages the span already touched, walked exactly as
-// Span.probe walks them. It charges into its own acct, so a test can run
-// it beside a real span over the same frozen state and compare the
-// per-cause event counts.
+// maps of the lines and pages the span already touched, walked line by
+// line, each line's cache state read by scanning its set's ways
+// (llc.probeTag). It charges into its own acct, so a test can run it
+// beside a real span over the same frozen state and compare the per-cause
+// event counts.
 type refOverlay struct {
 	m     *Memory
 	st    acct
@@ -63,13 +65,25 @@ func (r *refOverlay) access(addr uint64, size int, cpu sim.Cycles) {
 	}
 }
 
-// setGen is the test hook that moves an empty set to generation g, so a
+// setGen is the test hook that moves an empty table to generation g, so a
 // test can drive the generation across its wrap without 2^32 resets.
-func (s *u64set) setGen(g uint32) {
+func (s *pageLines) setGen(g uint32) {
 	if s.n != 0 {
-		panic("setGen on a non-empty set")
+		panic("setGen on a non-empty table")
 	}
 	s.gen = g
+}
+
+// lineCount returns the number of lines the current generation's bitmaps
+// hold.
+func (s *pageLines) lineCount() int {
+	n := 0
+	for _, sl := range s.slots {
+		if sl.gen == s.gen {
+			n += bits.OnesCount64(sl.lines)
+		}
+	}
+	return n
 }
 
 // overlayFixture is a shrunken platform with both resident and evicted
@@ -153,9 +167,9 @@ func runOverlaySpan(t *testing.T, sp *Span, m *Memory, ops []overlayOp, label st
 	if sp.st != ref.st {
 		t.Fatalf("%s: overlay counts %+v, reference %+v", label, sp.st, ref.st)
 	}
-	if sp.roLines.n != len(ref.lines) || sp.roPages.n != len(ref.pages) {
+	if lines := sp.seen.lineCount(); lines != len(ref.lines) || sp.seen.n != len(ref.pages) {
 		t.Fatalf("%s: overlay holds %d lines / %d pages, reference %d / %d",
-			label, sp.roLines.n, sp.roPages.n, len(ref.lines), len(ref.pages))
+			label, lines, sp.seen.n, len(ref.lines), len(ref.pages))
 	}
 	sp.endSnapshot()
 }
@@ -163,24 +177,24 @@ func runOverlaySpan(t *testing.T, sp *Span, m *Memory, ops []overlayOp, label st
 // TestPropSnapshotOverlayMatchesReference: over seeded scripts of snapshot
 // spans on both views, one reused span's generation-stamped overlay
 // charges exactly the per-cause event counts of the map-based reference,
-// span after span, while its tables grow well past their initial size.
+// span after span, while its table grows well past its initial size.
 func TestPropSnapshotOverlayMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		r := sim.NewRand(seed)
 		fx := newOverlayFixture(t, r)
 		sp := newSnapshotSpan()
-		lines0, pages0 := len(sp.roLines.slots), len(sp.roPages.slots)
+		slots0 := len(sp.seen.slots)
 		for i := 0; i < 60; i++ {
 			v := r.Intn(len(fx.views))
 			n := 1 + r.Intn(40)
 			if i%4 == 0 {
-				n = 1500 + r.Intn(1500) // enough distinct lines to grow twice
+				n = 1500 + r.Intn(1500) // enough distinct pages to grow twice
 			}
 			runOverlaySpan(t, sp, fx.views[v], overlayScript(r, fx.bases[v], n), "span")
 		}
-		if len(sp.roLines.slots) < 4*lines0 || len(sp.roPages.slots) < 4*pages0 {
-			t.Fatalf("seed %d: overlay grew to %d/%d slots from %d/%d; want at least two doublings",
-				seed, len(sp.roLines.slots), len(sp.roPages.slots), lines0, pages0)
+		if len(sp.seen.slots) < 4*slots0 {
+			t.Fatalf("seed %d: overlay grew to %d slots from %d; want at least two doublings",
+				seed, len(sp.seen.slots), slots0)
 		}
 	}
 }
@@ -199,13 +213,12 @@ func TestSnapshotOverlayGenerationWrap(t *testing.T) {
 	a, b := overlayScript(r, base, 800), overlayScript(r, base, 20)
 	sp := newSnapshotSpan()
 	runOverlaySpan(t, sp, m, a, "gen 1")
-	sp.roLines.setGen(math.MaxUint32 - 2)
-	sp.roPages.setGen(math.MaxUint32 - 2)
+	sp.seen.setGen(math.MaxUint32 - 2)
 	for i, ops := range [][]overlayOp{b, b, b, a, a, a} {
 		runOverlaySpan(t, sp, m, ops, fmt.Sprintf("span %d across the wrap", i))
 	}
-	if sp.roLines.gen != 4 || sp.roPages.gen != 4 {
-		t.Fatalf("generations %d/%d after six resets from MaxUint32-2, want 4/4", sp.roLines.gen, sp.roPages.gen)
+	if sp.seen.gen != 4 {
+		t.Fatalf("generation %d after six resets from MaxUint32-2, want 4", sp.seen.gen)
 	}
 }
 

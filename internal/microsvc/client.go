@@ -41,13 +41,16 @@ type RetryPolicy struct {
 	MaxAttempts int
 }
 
-// inflightReq is one sent request the client can still re-send.
+// inflightReq is one sent request the client can still re-send. queued
+// marks it shed and waiting in retryQ: until DueRetries re-sends it, no
+// reply answers it.
 type inflightReq struct {
 	meta    frameMeta
 	key     string
 	body    []byte
 	attempt int
 	dueMS   float64
+	queued  bool
 }
 
 // Transport moves sealed plane frames between a client and a service's
@@ -95,12 +98,18 @@ type PlaneClient struct {
 	respAAD *frameAAD
 	shedAAD *frameAAD
 
+	// inflight holds the ID of every sent request until its final reply —
+	// served, shed with retry off, or abandoned — so Poll refuses a reply
+	// to any other ID, or to a request queued for a retry, e.g. one the
+	// transport replays. With retry on the value is the re-sendable
+	// request, otherwise nil.
+	inflight map[uint64]*inflightReq
+
 	// Retry state (nil retry = fire-and-forget). All of it is driven by
 	// the caller's sim-ms clock, never a host clock: Poll schedules,
 	// DueRetries re-sends.
 	retry            *RetryPolicy
 	nextID           uint64
-	inflight         map[uint64]*inflightReq
 	retryQ           []*inflightReq
 	retriesSent      uint64
 	retriesAbandoned uint64
@@ -145,6 +154,8 @@ func NewPlaneClientTransport(name string, requestKey cryptbox.Key, tr Transport)
 		reqAAD:  reqAADFor(name),
 		respAAD: respAADFor(name),
 		shedAAD: shedAADFor(name),
+
+		inflight: make(map[uint64]*inflightReq),
 	}, nil
 }
 
@@ -152,9 +163,9 @@ func NewPlaneClientTransport(name string, requestKey cryptbox.Key, tr Transport)
 // ("" for untagged traffic) and sends it in one transport call. Each
 // request gets a fresh monotonically increasing ID, echoed in its reply;
 // the IDs are returned in request order — what a load generator needs to
-// correlate replies (served and shed alike) back to send timestamps. With
-// retry enabled the client keeps each request re-sendable until it is
-// served or abandoned.
+// correlate replies (served and shed alike) back to send timestamps. The
+// client tracks each ID until its final reply; with retry enabled it also
+// keeps each request re-sendable until it is served or abandoned.
 func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint64, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -181,12 +192,12 @@ func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint6
 	if err := c.tr.SendFrames(frames); err != nil {
 		return nil, err
 	}
-	if c.retry != nil {
-		for i, q := range reqs {
-			c.inflight[metas[i].id] = &inflightReq{
-				meta: metas[i], key: q.Key, body: q.Body, attempt: 1,
-			}
+	for i, q := range reqs {
+		var fl *inflightReq
+		if c.retry != nil {
+			fl = &inflightReq{meta: metas[i], key: q.Key, body: q.Body, attempt: 1}
 		}
+		c.inflight[metas[i].id] = fl
 	}
 	return ids, nil
 }
@@ -197,24 +208,24 @@ func (c *PlaneClient) EnableRetry(p RetryPolicy) {
 		p.MaxAttempts = 4
 	}
 	c.retry = &p
-	if c.inflight == nil {
-		c.inflight = make(map[uint64]*inflightReq)
-	}
 }
 
 // RetryStats reports retry totals: re-sends, abandons (MaxAttempts
-// exhausted), and requests still awaiting a served reply.
+// exhausted), and requests still awaiting their final reply.
 func (c *PlaneClient) RetryStats() (sent, abandoned uint64, inflight int) {
 	return c.retriesSent, c.retriesAbandoned, len(c.inflight)
 }
 
 // Poll drains, authenticates and opens every pending reply at simulated
 // time nowMS (0 outside simulated-time loops). Replies are opened in place
-// in the frames RecvFrames handed over, so a Body aliases its frame.
-// Served replies clear their in-flight entries; shed replies schedule a
-// retry at nowMS + retryAfter × 2^(attempt−1) sim-ms (or abandon the
-// request once MaxAttempts is exhausted). The caller re-sends due retries
-// with DueRetries.
+// in the frames RecvFrames handed over, so a Body aliases its frame. A
+// reply that authenticates but answers no outstanding request — one never
+// sent, already finally answered, or shed and not yet re-sent, as a
+// replayed frame is — fails the poll. Served replies clear their
+// in-flight entries; shed replies schedule a retry at nowMS + retryAfter ×
+// 2^(attempt−1) sim-ms (or abandon the request once MaxAttempts is
+// exhausted; with retry off a shed reply is final). The caller re-sends
+// due retries with DueRetries.
 func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 	frames, err := c.tr.RecvFrames()
 	if err != nil {
@@ -237,16 +248,19 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 			if err != nil || r.Done() != nil {
 				return nil, ErrSealedRequest
 			}
-			if c.retry != nil {
-				if fl, ok := c.inflight[q.meta.id]; ok {
-					if fl.attempt >= c.retry.MaxAttempts {
-						delete(c.inflight, q.meta.id)
-						c.retriesAbandoned++
-					} else {
-						fl.dueMS = nowMS + rep.RetryAfterSimMS*float64(uint64(1)<<(fl.attempt-1))
-						c.retryQ = append(c.retryQ, fl)
-					}
-				}
+			fl, ok := c.awaiting(q.meta.id)
+			switch {
+			case !ok:
+				return nil, c.notOutstanding(q.meta.id)
+			case fl == nil: // sent with retry off: the shed is final
+				delete(c.inflight, q.meta.id)
+			case fl.attempt >= c.retry.MaxAttempts:
+				delete(c.inflight, q.meta.id)
+				c.retriesAbandoned++
+			default:
+				fl.dueMS = nowMS + rep.RetryAfterSimMS*float64(uint64(1)<<(fl.attempt-1))
+				fl.queued = true
+				c.retryQ = append(c.retryQ, fl)
 			}
 			out = append(out, rep)
 			continue
@@ -255,12 +269,27 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 		if err != nil {
 			return nil, ErrSealedRequest
 		}
-		if c.retry != nil {
-			delete(c.inflight, q.meta.id)
+		if _, ok := c.awaiting(q.meta.id); !ok {
+			return nil, c.notOutstanding(q.meta.id)
 		}
+		delete(c.inflight, q.meta.id)
 		out = append(out, PlaneReply{Key: q.key, Body: body, Tenant: q.meta.tenant, ID: q.meta.id})
 	}
 	return out, nil
+}
+
+// awaiting returns request id's in-flight entry and whether a reply may
+// answer it: the request was sent, has had no final reply, and is not
+// queued for a retry.
+func (c *PlaneClient) awaiting(id uint64) (*inflightReq, bool) {
+	fl, ok := c.inflight[id]
+	return fl, ok && (fl == nil || !fl.queued)
+}
+
+// notOutstanding is Poll's error for an authentic reply to request id,
+// which the client is not awaiting.
+func (c *PlaneClient) notOutstanding(id uint64) error {
+	return fmt.Errorf("microsvc: client %s got a reply for request %d, which is not outstanding", c.name, id)
 }
 
 // DueRetries re-sends every scheduled retry due at simulated time nowMS,
@@ -296,6 +325,7 @@ func (c *PlaneClient) DueRetries(nowMS float64) (int, error) {
 			return 0, err
 		}
 		fl.attempt++
+		fl.queued = false
 		frames[i] = frame
 	}
 	if err := c.tr.SendFrames(frames); err != nil {

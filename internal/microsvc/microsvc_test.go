@@ -177,6 +177,10 @@ func TestFrameHeaderSpliceRejected(t *testing.T) {
 		frame []byte
 		flags byte
 	}{{"reply", replies[0], 0}, {"shed notice", shed, frameFlagShed}} {
+		// Both requests were sealed by hand, not sent through the client,
+		// so mark them outstanding: a reply to either is then refused only
+		// for failing authentication.
+		fx.client.inflight[alice.id], fx.client.inflight[bob.id] = nil, nil
 		tr := &relayedFrames{frames: [][]byte{spliceHeader(t, c.frame, bob, c.flags)}}
 		fx.client.tr = tr
 		if reps, err := fx.client.Poll(0); !errors.Is(err, ErrSealedRequest) {
@@ -186,6 +190,77 @@ func TestFrameHeaderSpliceRejected(t *testing.T) {
 		if reps, err := fx.client.Poll(0); err != nil || len(reps) != 1 || reps[0].Tenant != "alice" || reps[0].ID != 1 {
 			t.Fatalf("genuine %s: Poll = %+v, %v", c.name, reps, err)
 		}
+	}
+}
+
+// TestPlaneClientRefusesReplayedReply: over the in-process bus, with retry
+// off and on, a byte-for-byte copy of an authentic reply the client already
+// took — a served reply, a shed notice that ends its request, or one that
+// queued it for a retry not yet re-sent — is refused as not outstanding,
+// and so is an authentic shed notice for an ID the client never sent.
+func TestPlaneClientRefusesReplayedReply(t *testing.T) {
+	for _, retry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+			fx := newRawFixture(t, "plane/upper", upper)
+			if retry {
+				fx.client.EnableRetry(RetryPolicy{MaxAttempts: 2})
+			}
+			live := fx.client.tr
+			relay := func(frame []byte) ([]PlaneReply, error) {
+				fx.client.tr = &relayedFrames{frames: [][]byte{bytes.Clone(frame)}}
+				defer func() { fx.client.tr = live }()
+				return fx.client.Poll(0)
+			}
+			refused := func(what string, frame []byte) {
+				t.Helper()
+				reps, err := relay(frame)
+				if err == nil || errors.Is(err, ErrSealedRequest) || !strings.Contains(err.Error(), "not outstanding") {
+					t.Fatalf("%s: Poll = %+v, %v; want a not-outstanding error", what, reps, err)
+				}
+			}
+
+			fx.send(t)
+			if st, err := fx.rs.Step(); err != nil || st.Served != 1 {
+				t.Fatalf("step = %+v, %v", st, err)
+			}
+			served, err := fx.out.Receive()
+			if err != nil || len(served) != 1 {
+				t.Fatalf("reply frames = %d, %v", len(served), err)
+			}
+			if reps, err := fx.client.Poll(0); err != nil || len(reps) != 1 || reps[0].ID != 1 || reps[0].Shed {
+				t.Fatalf("genuine reply: Poll = %+v, %v", reps, err)
+			}
+			refused("replayed reply", served[0])
+
+			fx.send(t) // request 2, shed below instead of served
+			shed, err := sealFrame(nil, fx.rs.front.box, "k", frameMeta{id: 2}, frameFlagShed, make([]byte, 8), fx.rs.front.shedAAD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := func(what string) {
+				t.Helper()
+				if reps, err := relay(shed); err != nil || len(reps) != 1 || reps[0].ID != 2 || !reps[0].Shed {
+					t.Fatalf("%s: Poll = %+v, %v", what, reps, err)
+				}
+			}
+			accepted("genuine shed notice")
+			refused("replayed shed notice", shed)
+			if retry { // the first shed queued a retry; re-send it and shed it again
+				if n, err := fx.client.DueRetries(1); err != nil || n != 1 {
+					t.Fatalf("DueRetries = %d, %v", n, err)
+				}
+				accepted("shed notice for the re-sent request")
+				refused("replayed final shed notice", shed)
+			}
+			unsent, err := sealFrame(nil, fx.rs.front.box, "k", frameMeta{id: 99}, frameFlagShed, make([]byte, 8), fx.rs.front.shedAAD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused("shed notice for an unsent ID", unsent)
+			if _, abandoned, inflight := fx.client.RetryStats(); inflight != 0 || (retry && abandoned != 1) {
+				t.Fatalf("after both final replies: %d abandoned, %d in flight", abandoned, inflight)
+			}
+		})
 	}
 }
 

@@ -54,11 +54,13 @@
 //     per-line charging — golden tests in internal/enclave and
 //     internal/scbr pin this equivalence exactly.
 //
-//   - Bulk access APIs. AccessRange (contiguous), AccessN (scattered, e.g.
-//     every record of a bucket) and AccessStride (page warm-up loops) let
-//     data structures charge a whole node, payload or batch under a single
-//     platform-lock acquisition and a single commit. The SCBR index,
-//     kvstore, fsshield and eventbus layers all charge through these.
+//   - One batching API. AccessRange charges one contiguous access; a Span
+//     (Memory.BeginSpan ... End) charges any sequence of accesses and CPU
+//     costs — a whole index operation, a bucket, a page warm-up walk —
+//     under a single platform-lock acquisition and a single commit. A nil
+//     view opens a nil span, which charges nothing, so the SCBR index and
+//     kvstore run one code path whether or not they are accounted;
+//     fsshield and eventbus charge each record with one AccessRange.
 //
 //   - An O(ways) LLC that costs what it touches. The set-associative
 //     cache keeps each set as one recency-order word and its tags, in

@@ -97,9 +97,9 @@ func TestPropLedgerTotalEqualsSumOfCauses(t *testing.T) {
 				for i := range addrs {
 					addrs[i] = addr()
 				}
-				m.AccessN(addrs, 1+r.Intn(256), false)
+				accessEach(m, addrs, 1+r.Intn(256))
 			case 2:
-				m.AccessStride(addr(), uint64(64<<r.Intn(8)), 1+r.Intn(64), 1+r.Intn(128), true)
+				accessStride(m, addr(), uint64(64<<r.Intn(8)), 1+r.Intn(64), 1+r.Intn(128))
 			case 3, 4:
 				var sp *Span
 				if op == 3 {

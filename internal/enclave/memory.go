@@ -17,14 +17,18 @@ import (
 // cache, MEE and paging costs into its ledger — the one record of
 // simulated cost.
 //
-// Accounting is batched: each AccessRange (or bulk AccessN/AccessStride)
-// walks its cache lines accumulating per-cause event counts in locals and
-// commits once — one ledger charge per call instead of per line. The
-// committed totals are bit-identical to per-line charging because every
-// per-event cost is a fixed platform constant.
+// Accounting is batched: each AccessRange, and each Span of any number of
+// accesses, walks its cache lines accumulating per-cause event counts in
+// locals and commits once — one ledger charge per batch instead of per
+// line. The committed totals are bit-identical to per-line charging
+// because every per-event cost is a fixed platform constant.
 type Memory struct {
 	p   *Platform
 	enc *Enclave // nil for the untrusted view
+
+	// span is the view's one mutating span, bound by BeginSpan and reset by
+	// End, both under p.mu, which a mutating span holds throughout.
+	span Span
 
 	ledger ledger
 	// faults counts page faults (EPC faults inside, minor faults outside);
@@ -148,6 +152,9 @@ func (m *Memory) AccessRange(addr uint64, size int, write bool) {
 // short-lived, must not nest, and must not call other Memory or Platform
 // methods. Counters read by other goroutines (Cycles, Faults) only reflect
 // a span after End.
+//
+// A nil *Span is the span of an unaccounted structure: its methods charge
+// nothing, and a nil *Memory's BeginSpan and BeginSnapshotSpan return it.
 type Span struct {
 	m  *Memory
 	st acct
@@ -164,11 +171,15 @@ type Span struct {
 	seen pageLines
 }
 
-// BeginSpan opens a span. Every span must be closed with End.
+// BeginSpan opens a span. Every span must be closed with End. The span is
+// the view's own, reused by every BeginSpan, so it allocates nothing.
 func (m *Memory) BeginSpan() *Span {
-	sp := &Span{m: m}
+	if m == nil {
+		return nil
+	}
 	m.p.mu.Lock()
-	return sp
+	m.span.m = m
+	return &m.span
 }
 
 // newSnapshotSpan returns an unbound snapshot span with an empty overlay
@@ -203,6 +214,9 @@ var roSpanPool = sync.Pool{New: func() any { return newSnapshotSpan() }}
 // span is open — e.g. by holding the read side of a lock whose write side
 // covers all mutators.
 func (m *Memory) BeginSnapshotSpan() *Span {
+	if m == nil {
+		return nil
+	}
 	sp := roSpanPool.Get().(*Span)
 	sp.m = m
 	return sp
@@ -211,7 +225,7 @@ func (m *Memory) BeginSnapshotSpan() *Span {
 // Access records one access of size bytes at addr within the span.
 func (sp *Span) Access(addr uint64, size int, write bool) {
 	_ = write
-	if size <= 0 {
+	if sp == nil || size <= 0 {
 		return
 	}
 	if sp.ro {
@@ -225,6 +239,9 @@ func (sp *Span) Access(addr uint64, size int, write bool) {
 // shape of one data-structure probe.
 func (sp *Span) AccessCPU(addr uint64, size int, write bool, cpu sim.Cycles) {
 	_ = write
+	if sp == nil {
+		return
+	}
 	if cpu > 0 {
 		sp.st.cpu += cpu
 		sp.st.cpuN++
@@ -241,7 +258,7 @@ func (sp *Span) AccessCPU(addr uint64, size int, write bool, cpu sim.Cycles) {
 
 // ChargeCPU records pure computation cycles within the span.
 func (sp *Span) ChargeCPU(c sim.Cycles) {
-	if c > 0 {
+	if sp != nil && c > 0 {
 		sp.st.cpu += c
 		sp.st.cpuN++
 	}
@@ -297,18 +314,24 @@ func (sp *Span) probePage(page uint64) {
 	}
 }
 
-// End commits the span's accumulated accounting and releases the platform.
-// Snapshot spans take the platform mutex only here, for the commit itself,
-// and are recycled.
+// End commits the span's accumulated accounting and releases the platform,
+// leaving the span unbound with zero counts for its next use. Snapshot
+// spans take the platform mutex only here, for the commit itself, and are
+// recycled.
 func (sp *Span) End() {
+	if sp == nil {
+		return
+	}
 	if sp.ro {
 		sp.endSnapshot()
 		roSpanPool.Put(sp)
 		return
 	}
-	sp.m.commitLocked(&sp.st)
-	sp.m.p.mu.Unlock()
+	m := sp.m
+	m.commitLocked(&sp.st)
 	sp.m = nil
+	sp.st = acct{}
+	m.p.mu.Unlock()
 }
 
 // endSnapshot commits a snapshot span under the platform mutex and leaves
@@ -392,44 +415,6 @@ func (s *pageLines) reset() {
 		clear(s.slots)
 		s.gen = 1
 	}
-}
-
-// AccessN simulates one access of size bytes at each address in addrs — a
-// scattered bulk access, e.g. every node of a bucket or every record of a
-// batch — under a single platform lock acquisition and a single accounting
-// commit. Addresses are touched in slice order, so cache and paging state
-// evolve exactly as for individual AccessRange calls.
-func (m *Memory) AccessN(addrs []uint64, size int, write bool) {
-	if size <= 0 || len(addrs) == 0 {
-		return
-	}
-	_ = write
-	var st acct
-	m.p.mu.Lock()
-	for _, addr := range addrs {
-		m.accessLocked(&st, addr, size)
-	}
-	m.commitLocked(&st)
-	m.p.mu.Unlock()
-}
-
-// AccessStride simulates n accesses of size bytes at base, base+stride,
-// base+2*stride, ... under a single lock acquisition and accounting commit.
-// It is the bulk form of the classic touch-every-page warm-up loop.
-func (m *Memory) AccessStride(base, stride uint64, n, size int, write bool) {
-	if size <= 0 || n <= 0 {
-		return
-	}
-	_ = write
-	var st acct
-	m.p.mu.Lock()
-	addr := base
-	for i := 0; i < n; i++ {
-		m.accessLocked(&st, addr, size)
-		addr += stride
-	}
-	m.commitLocked(&st)
-	m.p.mu.Unlock()
 }
 
 // touchPageLocked handles residency for one page, accumulating fault

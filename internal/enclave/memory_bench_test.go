@@ -33,7 +33,7 @@ func benchAddrs(base, span uint64, n int) []uint64 {
 // the EPC faults per access.
 func benchAccess(b *testing.B, mem *Memory, base, span uint64) {
 	addrs := benchAddrs(base, span, 4096)
-	mem.AccessStride(base, 4096, int(span/4096), 64, false)
+	accessStride(mem, base, 4096, int(span/4096), 64)
 	mem.ResetAccounting()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,13 +56,13 @@ func BenchmarkMemoryAccessPaging(b *testing.B) {
 	benchAccess(b, mem, base, 6<<20)
 }
 
-// BenchmarkMemoryAccessStride: one AccessStride per op touching a line on
+// BenchmarkMemoryAccessStride: one span per op touching a line on
 // each of 256 pages of a resident 1 MiB region — the bulk warm-up walk.
 func BenchmarkMemoryAccessStride(b *testing.B) {
 	mem, base := benchEnclave(b, 128<<20, 4<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mem.AccessStride(base+uint64(i&63)*64, 4096, 256, 64, false)
+		accessStride(mem, base+uint64(i&63)*64, 4096, 256, 64)
 	}
 }
 
@@ -85,7 +85,7 @@ func BenchmarkMemoryAccessPlatforms(b *testing.B) {
 	addrs := make([][]uint64, platforms)
 	for i := range mems {
 		mem, base := benchEnclave(b, 128<<20, 16<<20)
-		mem.AccessStride(base, 4096, span/4096, 64, false)
+		accessStride(mem, base, 4096, span/4096, 64)
 		mem.ResetAccounting()
 		mems[i], addrs[i] = mem, benchAddrs(base, span, 4096)
 	}
@@ -122,7 +122,7 @@ func BenchmarkMemoryAccessSnapshotWide(b *testing.B) {
 // [base, base+span) once, and reports the EPC faults per span.
 func benchSnapshot(b *testing.B, mem *Memory, base, span uint64, addrs []uint64, size int) {
 	const probes = 600
-	mem.AccessStride(base, 4096, int(span/4096), 64, false)
+	accessStride(mem, base, 4096, int(span/4096), 64)
 	mem.ResetAccounting()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

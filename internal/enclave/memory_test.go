@@ -19,6 +19,58 @@ func smallPlatform() *Platform {
 	})
 }
 
+// accessStride charges n accesses of size bytes at base, base+stride,
+// base+2*stride, ... through one span: the page warm-up walk.
+func accessStride(m *Memory, base, stride uint64, n, size int) {
+	sp := m.BeginSpan()
+	for i := range n {
+		sp.Access(base+uint64(i)*stride, size, false)
+	}
+	sp.End()
+}
+
+// accessEach charges one access of size bytes at each of addrs, in order,
+// through one span: a scattered batch.
+func accessEach(m *Memory, addrs []uint64, size int) {
+	sp := m.BeginSpan()
+	for _, a := range addrs {
+		sp.Access(a, size, false)
+	}
+	sp.End()
+}
+
+// TestMutatingSpanAllocatesNothing: a view's mutating span is its own,
+// bound and reset under the platform mutex, so opening, using and ending
+// one allocates nothing.
+func TestMutatingSpanAllocatesNothing(t *testing.T) {
+	p := smallPlatform()
+	m := p.UntrustedMemory()
+	base := p.AllocUntrusted(4096)
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := m.BeginSpan()
+		sp.AccessCPU(base, 64, false, 3)
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("Begin/Access/End allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestNilSpanChargesNothing: an unaccounted structure's nil view opens nil
+// spans, whose every method is a no-op.
+func TestNilSpanChargesNothing(t *testing.T) {
+	var m *Memory
+	for _, sp := range []*Span{m.BeginSpan(), m.BeginSnapshotSpan()} {
+		if sp != nil {
+			t.Fatalf("a nil view opened span %p", sp)
+		}
+		sp.Access(64, 64, true)
+		sp.AccessCPU(64, 64, false, 10)
+		sp.ChargeCPU(10)
+		sp.End()
+	}
+}
+
 func TestUntrustedAccessChargesMinorFaultOnce(t *testing.T) {
 	p := smallPlatform()
 	m := p.UntrustedMemory()
@@ -378,7 +430,7 @@ func TestPlatformAllocatesWhatItTouches(t *testing.T) {
 		sets[s] = true
 		want[s>>chunkShift] = true
 	}
-	enc.Memory().AccessStride(enc.Base(), 4096, pages, 8, false)
+	accessStride(enc.Memory(), enc.Base(), 4096, pages, 8)
 	got := allocated(c)
 	if len(got)-before > len(sets) || len(got) != len(want) {
 		t.Fatalf("sweep over %d sets took LLC chunks %d -> %d, want %d", len(sets), before, len(got), len(want))
@@ -399,7 +451,7 @@ func TestPlatformAllocatesWhatItTouches(t *testing.T) {
 	const ceiling = 11 << 20 / 10
 	p = NewPlatform(Config{})
 	c = p.cache
-	p.UntrustedMemory().AccessStride(p.AllocUntrusted(8<<20), 64, (8<<20)/64, 8, false)
+	accessStride(p.UntrustedMemory(), p.AllocUntrusted(8<<20), 64, (8<<20)/64, 8)
 	if n, want := c.llcLines(), len(c.chunks)*chunkSets*c.assoc; n != want {
 		t.Fatalf("an 8 MiB walk left %d lines resident, want %d: the LLC is not full", n, want)
 	}

@@ -100,7 +100,7 @@ func newOverlayFixture(t *testing.T, r *rand.Rand) overlayFixture {
 	t.Helper()
 	p, e, base := snapshotEnclave(t)
 	mem := e.Memory()
-	mem.AccessStride(base, 4096, 256, 64, false)
+	accessStride(mem, base, 4096, 256, 64)
 	for i := 0; i < 2000; i++ {
 		mem.AccessRange(base+uint64(r.Int63n(overlaySpan-8192)), 1+r.Intn(256), false)
 	}

@@ -9,7 +9,7 @@ import (
 // TestConcurrentMemoryViews hammers one platform from several goroutines —
 // two enclave views, two untrusted views, plus readers and resetters — so
 // `go test -race ./internal/enclave` exercises the whole accounting path:
-// batched Access commits, bulk AccessN/AccessStride, fault counting, ledger
+// batched Access commits, scattered and strided spans, fault counting, ledger
 // snapshots and the single-lock reset discipline.
 func TestConcurrentMemoryViews(t *testing.T) {
 	p := smallPlatform()
@@ -45,8 +45,8 @@ func TestConcurrentMemoryViews(t *testing.T) {
 				for k := range addrs {
 					addrs[k] = base + uint64((j+k*37)%8192)*32
 				}
-				mem.AccessN(addrs, 16, false)
-				mem.AccessStride(base, 4096, 4, 8, true)
+				accessEach(mem, addrs, 16)
+				accessStride(mem, base, 4096, 4, 8)
 				mem.ChargeCPU(5)
 			}
 		}(i, e, arenas[i].Alloc(512<<10))

@@ -43,7 +43,7 @@ func TestSnapshotSpanChargesWithoutMutating(t *testing.T) {
 		p, e, base := snapshotEnclave(t)
 		mem := e.Memory()
 		// Deterministic warm-up: stride over half the range.
-		mem.AccessStride(base, 4096, 256, 64, false)
+		accessStride(mem, base, 4096, 256, 64)
 
 		if withSnapshots {
 			resBefore := p.EPCResidentPages()
@@ -67,7 +67,7 @@ func TestSnapshotSpanChargesWithoutMutating(t *testing.T) {
 
 		// The follow-up mutating sequence must cost the same on both twins.
 		c1 := uint64(mem.Cycles())
-		mem.AccessStride(base, 4096, 512, 64, false)
+		accessStride(mem, base, 4096, 512, 64)
 		mem.AccessRange(base+(2<<20), 8192, true)
 		return uint64(mem.Cycles()) - c1, snapCost, snapFaults
 	}
@@ -93,7 +93,7 @@ func TestSnapshotSpanDeterministicTotals(t *testing.T) {
 	run := func(workers int) uint64 {
 		_, e, base := snapshotEnclave(t)
 		mem := e.Memory()
-		mem.AccessStride(base, 4096, 256, 64, false)
+		accessStride(mem, base, 4096, 256, 64)
 		mem.ResetAccounting()
 		const ops = 64
 		var wg sync.WaitGroup

@@ -46,8 +46,9 @@ const nodeProbeBytes = 64
 // Accounting wires a Store to the simulated SGX memory hierarchy. With a
 // zero Accounting the store runs as a plain data structure. With Mem and
 // Arena set, every node lives at a simulated address and each operation
-// charges its traversal through the bulk access API: one batched commit
-// per descent instead of one lock round-trip per visited node.
+// charges its whole traversal through one span: one batched commit per
+// operation instead of one lock round-trip per visited node. An
+// unaccounted store's span is nil and charges nothing.
 type Accounting = enclave.Accounting
 
 // Store is an ordered, encrypted key/value store. Not safe for concurrent
@@ -60,9 +61,8 @@ type Store struct {
 	length int
 	rng    *rand.Rand
 
-	acct  Accounting
-	probe []uint64 // scratch: node addresses visited by one descent
-	aad   []byte   // scratch: the value AAD of the record being sealed or opened
+	acct Accounting // zero unless both halves are set
+	aad  []byte     // scratch: the value AAD of the record being sealed or opened
 }
 
 // Options configures a Store; the zero Options is seed 0, no accounting.
@@ -86,9 +86,9 @@ func NewStore(key cryptbox.Key, opts Options) (*Store, error) {
 		head:  &node{next: make([]*node, maxLevel)},
 		level: 1,
 		rng:   sim.NewRand(opts.Seed),
-		acct:  opts.Accounting,
 	}
-	if s.accounted() {
+	if opts.Accounting.Enabled() {
+		s.acct = opts.Accounting
 		s.head.bytes = nodeProbeBytes + 8*maxLevel
 		s.head.addr = opts.Accounting.Arena.Alloc(s.head.bytes)
 	}
@@ -97,34 +97,26 @@ func NewStore(key cryptbox.Key, opts Options) (*Store, error) {
 
 func (s *Store) accounted() bool { return s.acct.Enabled() }
 
-// commitProbes charges all node inspections accumulated by one descent as
-// a single bulk access.
-func (s *Store) commitProbes() {
-	if s.accounted() && len(s.probe) > 0 {
-		s.acct.Mem.AccessN(s.probe, nodeProbeBytes, false)
-	}
-	s.probe = s.probe[:0]
-}
-
 // nodeFootprint is the simulated size of a node's storage.
 func nodeFootprint(n *node) int {
 	return nodeProbeBytes + len(n.key) + len(n.value) + 8*len(n.next)
 }
 
-// placeNode assigns a simulated address covering the node's full footprint.
-func (s *Store) placeNode(n *node) {
+// placeNode assigns a simulated address covering the node's full footprint
+// and charges its write to sp.
+func (s *Store) placeNode(sp *enclave.Span, n *node) {
 	if !s.accounted() {
 		return
 	}
 	n.bytes = nodeFootprint(n)
 	n.addr = s.acct.Arena.Alloc(n.bytes)
-	s.acct.Mem.AccessRange(n.addr, n.bytes, true)
+	sp.Access(n.addr, n.bytes, true)
 }
 
 // replaceNodeValue re-places a node whose value changed size: the record is
 // rewritten where it stands when it still fits, or relocated when it grew,
 // so later reads charge the real footprint.
-func (s *Store) replaceNodeValue(n *node) {
+func (s *Store) replaceNodeValue(sp *enclave.Span, n *node) {
 	if !s.accounted() {
 		return
 	}
@@ -133,7 +125,7 @@ func (s *Store) replaceNodeValue(n *node) {
 		n.addr = s.acct.Arena.Alloc(size)
 	}
 	n.bytes = size
-	s.acct.Mem.AccessRange(n.addr, n.bytes, true)
+	sp.Access(n.addr, n.bytes, true)
 }
 
 // Len returns the number of stored records.
@@ -149,28 +141,24 @@ func (s *Store) randomLevel() int {
 
 // descend walks to the first node whose key is not below k and returns it.
 // When update is non-nil it fills update[i] with the rightmost node at
-// level i whose key precedes k. On an accounted store the address of every
-// node a comparison inspects is appended to probes, in descent order. It
-// touches no store state, so concurrent readers may share it; callers
-// charge the probes themselves (commitProbes, or a snapshot span).
-func (s *Store) descend(k string, update []*node, probes []uint64) (*node, []uint64) {
-	acct := s.accounted()
+// level i whose key precedes k. Every node a comparison inspects is charged
+// to sp, in descent order. It touches no store state, so concurrent readers
+// may share it, each with its own snapshot span.
+func (s *Store) descend(sp *enclave.Span, k string, update []*node) *node {
 	cur := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for cur.next[i] != nil && cur.next[i].key < k {
-			if acct {
-				probes = append(probes, cur.next[i].addr)
-			}
+			sp.Access(cur.next[i].addr, nodeProbeBytes, false)
 			cur = cur.next[i]
 		}
-		if cur.next[i] != nil && acct {
-			probes = append(probes, cur.next[i].addr) // the comparison that stopped the level
+		if cur.next[i] != nil {
+			sp.Access(cur.next[i].addr, nodeProbeBytes, false) // the comparison that stopped the level
 		}
 		if update != nil {
 			update[i] = cur
 		}
 	}
-	return cur.next[0], probes
+	return cur.next[0]
 }
 
 // valueAAD binds a sealed value to its key, preventing the storage layer
@@ -192,13 +180,13 @@ func (s *Store) Put(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
+	sp := s.acct.Mem.BeginSpan()
+	defer sp.End()
 	var update [maxLevel]*node
-	var cand *node
-	cand, s.probe = s.descend(key, update[:], s.probe[:0])
-	s.commitProbes()
+	cand := s.descend(sp, key, update[:])
 	if cand != nil && cand.key == key {
 		cand.value = sealed
-		s.replaceNodeValue(cand)
+		s.replaceNodeValue(sp, cand)
 		return nil
 	}
 	lvl := s.randomLevel()
@@ -209,28 +197,14 @@ func (s *Store) Put(key string, value []byte) error {
 		s.level = lvl
 	}
 	n := &node{key: key, value: sealed, next: make([]*node, lvl)}
+	s.placeNode(sp, n)
 	for i := 0; i < lvl; i++ {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
+		sp.Access(update[i].addr, 8, true) // the predecessor's link store
 	}
-	s.placeNode(n)
-	s.chargeLinkWrites(update[:lvl])
 	s.length++
 	return nil
-}
-
-// chargeLinkWrites charges the pointer stores that splice a node in or out:
-// one 8-byte write per touched predecessor, committed as a single batch.
-func (s *Store) chargeLinkWrites(preds []*node) {
-	if !s.accounted() || len(preds) == 0 {
-		return
-	}
-	s.probe = s.probe[:0]
-	for _, p := range preds {
-		s.probe = append(s.probe, p.addr)
-	}
-	s.acct.Mem.AccessN(s.probe, 8, true)
-	s.probe = s.probe[:0]
 }
 
 // GetSnapshot is Get charged through a read-only snapshot accounting span:
@@ -241,19 +215,14 @@ func (s *Store) chargeLinkWrites(preds []*node) {
 // e.g. by holding the read side of a lock whose write side covers all
 // mutators — exactly what ShardedStore does per shard.
 func (s *Store) GetSnapshot(key string) ([]byte, error) {
-	var probeBuf [2 * maxLevel]uint64
-	cand, probes := s.descend(key, nil, probeBuf[:0])
-	if s.accounted() {
-		sp := s.acct.Mem.BeginSnapshotSpan()
-		for _, a := range probes {
-			sp.Access(a, nodeProbeBytes, false)
-		}
-		if cand != nil && cand.key == key {
-			sp.Access(cand.addr, cand.bytes, false)
-		}
-		sp.End()
+	sp := s.acct.Mem.BeginSnapshotSpan()
+	cand := s.descend(sp, key, nil)
+	found := cand != nil && cand.key == key
+	if found {
+		sp.Access(cand.addr, cand.bytes, false)
 	}
-	if cand == nil || cand.key != key {
+	sp.End()
+	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	plain, err := s.box.Open(cand.value, valueAAD(key))
@@ -294,14 +263,15 @@ func (s *Store) GetBatch(keys []string) ([][]byte, error) {
 
 // Get returns the value stored under key.
 func (s *Store) Get(key string) ([]byte, error) {
-	var cand *node
-	cand, s.probe = s.descend(key, nil, s.probe[:0])
-	s.commitProbes()
-	if cand == nil || cand.key != key {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	sp := s.acct.Mem.BeginSpan()
+	cand := s.descend(sp, key, nil)
+	found := cand != nil && cand.key == key
+	if found {
+		sp.Access(cand.addr, cand.bytes, false)
 	}
-	if s.accounted() {
-		s.acct.Mem.AccessRange(cand.addr, cand.bytes, false)
+	sp.End()
+	if !found {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	plain, err := s.box.Open(cand.value, s.scratchAAD(key))
 	if err != nil {
@@ -312,21 +282,19 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // Delete removes key; it reports whether the key existed.
 func (s *Store) Delete(key string) bool {
+	sp := s.acct.Mem.BeginSpan()
+	defer sp.End()
 	var update [maxLevel]*node
-	var cand *node
-	cand, s.probe = s.descend(key, update[:], s.probe[:0])
-	s.commitProbes()
+	cand := s.descend(sp, key, update[:])
 	if cand == nil || cand.key != key {
 		return false
 	}
-	var relinked []*node
 	for i := 0; i < s.level; i++ {
 		if update[i].next[i] == cand {
 			update[i].next[i] = cand.next[i]
-			relinked = append(relinked, update[i])
+			sp.Access(update[i].addr, 8, true) // the predecessor's link store
 		}
 	}
-	s.chargeLinkWrites(relinked)
 	for s.level > 1 && s.head.next[s.level-1] == nil {
 		s.level--
 	}
@@ -341,20 +309,19 @@ type Pair struct {
 }
 
 // Range returns all records with lo <= key < hi in key order. An empty hi
-// means "to the end". The descent and the level-0 scan are charged as one
-// bulk access each; record payload reads are charged per record.
+// means "to the end". The descent and every record read are charged to
+// one span. It stays open across the record opens, holding the platform
+// mutex: every accounted Store owns its own platform (shard.New builds one
+// per shard), so no other structure's charges wait on it.
 func (s *Store) Range(lo, hi string) ([]Pair, error) {
+	sp := s.acct.Mem.BeginSpan()
+	defer sp.End()
 	var out []Pair
-	var first *node
-	first, s.probe = s.descend(lo, nil, s.probe[:0])
-	s.commitProbes()
-	for n := first; n != nil; n = n.next[0] {
+	for n := s.descend(sp, lo, nil); n != nil; n = n.next[0] {
 		if hi != "" && n.key >= hi {
 			break
 		}
-		if s.accounted() {
-			s.acct.Mem.AccessRange(n.addr, n.bytes, false)
-		}
+		sp.Access(n.addr, n.bytes, false)
 		plain, err := s.box.Open(n.value, s.scratchAAD(n.key))
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: key %q: %w", n.key, ErrTampered)

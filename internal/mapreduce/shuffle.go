@@ -81,7 +81,7 @@ func shuffleAADs(job string, reducers int) [][]byte {
 // stageFunc is told the size of each record a task moves through its
 // enclave, in order: reads of input and sealed records (write false),
 // writes of sealed and reduced records (write true). The parallel engine
-// charges them to the worker's staging region; nil charges nothing.
+// charges them to the worker's staging region.
 type stageFunc func(n int, write bool)
 
 // mapSplit maps one input split, sealing every emitted pair under its
@@ -92,9 +92,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 	var plain []byte
 	var failed error
 	for _, rec := range split {
-		if stage != nil {
-			stage(len(rec.Key)+len(rec.Value), false)
-		}
+		stage(len(rec.Key)+len(rec.Value), false)
 		job.Map(rec.Key, rec.Value, func(k string, v []byte) {
 			if failed != nil {
 				return
@@ -106,9 +104,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 				failed = err
 				return
 			}
-			if stage != nil {
-				stage(len(sealed), true)
-			}
+			stage(len(sealed), true)
 			out[p] = append(out[p], sealed)
 		})
 		if failed != nil {
@@ -124,9 +120,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 func reducePartition(job *Job, box *cryptbox.Box, aad []byte, p int, sealed [][]byte, stage stageFunc, emit func(k string, v []byte)) error {
 	groups := make(map[string][][]byte)
 	for _, rec := range sealed {
-		if stage != nil {
-			stage(len(rec), false)
-		}
+		stage(len(rec), false)
 		raw, err := box.Open(rec, aad)
 		if err != nil {
 			return fmt.Errorf("%w: partition %d", ErrShuffleTampered, p)
@@ -142,9 +136,7 @@ func reducePartition(job *Job, box *cryptbox.Box, aad []byte, p int, sealed [][]
 		if err != nil {
 			return fmt.Errorf("mapreduce %s: reduce %q: %w", job.Name, k, err)
 		}
-		if stage != nil {
-			stage(len(k)+len(v), true)
-		}
+		stage(len(k)+len(v), true)
 		emit(k, v)
 	}
 	return nil

@@ -120,8 +120,11 @@ func runFigure3Point(cfg Figure3Config, mb float64) (Figure3Point, error) {
 	memOut := pOut.UntrustedMemory()
 	base := pOut.AllocUntrusted(arenaSize)
 	pageSize := pOut.Config().PageSize
-	nPages := int((arenaSize + pageSize - 1) / pageSize)
-	memOut.AccessStride(base, pageSize, nPages, 1, true)
+	sp := memOut.BeginSpan()
+	for off := uint64(0); off < arenaSize; off += pageSize {
+		sp.Access(base+off, 1, true)
+	}
+	sp.End()
 	arenaOut := enclave.NewArena(memOut, base, arenaSize)
 	outCycles, outFaults := runRegistration(memOut, arenaOut, cfg, target)
 

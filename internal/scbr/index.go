@@ -92,6 +92,11 @@ type locPage struct {
 // a match builds one ID-keyed view of the event. The table holds exactly
 // the attributes the stored nodes' filters name (a node keeps its filter
 // when a bucket member takes it over), so it is bounded by the store.
+//
+// Each operation opens one accounting span on the index's memory view and
+// passes it to the helpers it calls: every node probe and record write of
+// the operation accumulates into it and commits once when the operation
+// ends. With no memory view the span is nil and charges nothing.
 type Index struct {
 	cfg   IndexConfig
 	root  node // sentinel; its children are the forest roots
@@ -110,11 +115,6 @@ type Index struct {
 
 	// traversal statistics for the harness
 	checks uint64
-
-	// sp is the open accounting span of the operation in progress: every
-	// node probe and record write of one Insert/Match/Remove accumulates
-	// into it and commits once when the operation ends.
-	sp *enclave.Span
 
 	// lastMatchLen sizes the next Match's result slice: successive matches
 	// deliver similar fan-outs, so a right-sized single allocation replaces
@@ -138,34 +138,17 @@ func (ix *Index) MemoryBytes() int64 { return ix.bytes }
 // Checks returns the cumulative number of cover/match comparisons.
 func (ix *Index) Checks() uint64 { return ix.checks }
 
-// begin opens the accounting span of one index operation; the returned
-// func commits it. With no memory view attached both are no-ops.
-func (ix *Index) begin() func() {
-	if ix.cfg.Mem == nil {
-		return func() {}
-	}
-	ix.sp = ix.cfg.Mem.BeginSpan()
-	return func() {
-		ix.sp.End()
-		ix.sp = nil
-	}
-}
-
 // touchFilter charges one comparison against a node: read its header and
 // predicate records, pay the comparison CPU cost.
-func (ix *Index) touchFilter(n *node) {
+func (ix *Index) touchFilter(sp *enclave.Span, n *node) {
 	ix.checks++
-	if ix.sp != nil {
-		ix.sp.AccessCPU(n.addr, n.hdrBytes, false, ix.cfg.CheckCost)
-	}
+	sp.AccessCPU(n.addr, n.hdrBytes, false, ix.cfg.CheckCost)
 }
 
 // touchHeader charges a write of a node's fixed header: its ID, child
 // vector or parent link changed.
-func (ix *Index) touchHeader(n *node) {
-	if ix.sp != nil {
-		ix.sp.Access(n.addr, nodeHeaderBytes, true)
-	}
+func touchHeader(sp *enclave.Span, n *node) {
+	sp.Access(n.addr, nodeHeaderBytes, true)
 }
 
 // allocRecord adds a size-byte record to the store's occupancy and returns
@@ -197,21 +180,19 @@ func (ix *Index) releaseRecord(addr uint64, size int) {
 func (ix *Index) dupBytes() int { return 16 + ix.cfg.PayloadBytes }
 
 // locate reads id's locator slot: the node holding id, or nil.
-func (ix *Index) locate(id uint64) *node {
+func (ix *Index) locate(sp *enclave.Span, id uint64) *node {
 	pg := ix.locator[id/locPageIDs]
 	if pg == nil {
 		return nil
 	}
 	slot := id % locPageIDs
-	if ix.sp != nil {
-		ix.sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, false)
-	}
+	sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, false)
 	return pg.slots[slot]
 }
 
 // setSlot points id's locator slot at n (nil clears it), allocating the
 // page for the first ID in its range and recycling it after the last.
-func (ix *Index) setSlot(id uint64, n *node) {
+func (ix *Index) setSlot(sp *enclave.Span, id uint64, n *node) {
 	k, slot := id/locPageIDs, id%locPageIDs
 	pg := ix.locator[k]
 	if pg == nil {
@@ -227,9 +208,7 @@ func (ix *Index) setSlot(id uint64, n *node) {
 		ix.locator[k] = pg
 		ix.bytes += locPageBytes
 	}
-	if ix.sp != nil {
-		ix.sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, true)
-	}
+	sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, true)
 	switch was := pg.slots[slot]; {
 	case was == nil && n != nil:
 		pg.live++
@@ -266,19 +245,20 @@ func (ix *Index) newNode(s Subscription, f filter, parent *node) *node {
 // locator slot at the node. This is the "registration" operation measured
 // in Figure 3.
 func (ix *Index) Insert(s Subscription) {
-	defer ix.begin()()
+	sp := ix.cfg.Mem.BeginSpan()
+	defer sp.End()
 	f := ix.attrs.compile(s)
 	cur := &ix.root
 	for {
 		var next *node
 		for _, ch := range cur.children {
-			ix.touchFilter(ch)
+			ix.touchFilter(sp, ch)
 			if ch.f.covers(f) {
 				if f.covers(ch.f) {
 					// Equivalent filter: join the bucket, which stores
 					// no filter of its own.
 					ix.attrs.release(f)
-					ix.addDup(ch, s.ID)
+					ix.addDup(sp, ch, s.ID)
 					return
 				}
 				next = ch
@@ -295,10 +275,10 @@ func (ix *Index) Insert(s Subscription) {
 	// Re-parent children of cur that the new subscription covers.
 	var keep, moved []*node
 	for _, ch := range cur.children {
-		ix.touchFilter(ch)
+		ix.touchFilter(sp, ch)
 		if f.covers(ch.f) {
 			ch.parent = n
-			ix.touchHeader(ch)
+			touchHeader(sp, ch)
 			moved = append(moved, ch)
 		} else {
 			keep = append(keep, ch)
@@ -308,59 +288,54 @@ func (ix *Index) Insert(s Subscription) {
 	cur.children = append(keep, n)
 
 	// Write the node: header plus payload (routing state).
-	if ix.sp != nil {
-		ix.sp.Access(n.addr, n.hdrBytes+n.payBytes, true)
-	}
+	sp.Access(n.addr, n.hdrBytes+n.payBytes, true)
 	ix.count++
-	ix.setSlot(s.ID, n)
+	ix.setSlot(sp, s.ID, n)
 }
 
 // Match returns the IDs of all subscriptions matching e, pruning subtrees
 // whose covering ancestors fail. The result order is deterministic
 // (pre-order traversal).
 func (ix *Index) Match(e Event) []uint64 {
-	defer ix.begin()()
+	sp := ix.cfg.Mem.BeginSpan()
+	defer sp.End()
 	out := make([]uint64, 0, ix.lastMatchLen+16)
-	ix.matchFrom(&ix.root, ix.attrs.view(e), &out)
+	ix.checks += ix.matchFrom(sp, &ix.root, ix.attrs.view(e), &out)
 	ix.lastMatchLen = len(out)
 	return out
 }
 
-func (ix *Index) matchFrom(cur *node, ev []attrVal, out *[]uint64) {
+// matchFrom is the walk of Match and MatchSnapshot: it appends to out, in
+// pre-order, every subscription below cur that ev matches, touching each
+// checked node and each matched bucket member's routing record in sp, and
+// returns the number of checks. It only reads the index.
+func (ix *Index) matchFrom(sp *enclave.Span, cur *node, ev []attrVal, out *[]uint64) (checks uint64) {
 	for _, ch := range cur.children {
-		ix.touchFilter(ch)
+		checks++
+		sp.AccessCPU(ch.addr, ch.hdrBytes, false, ix.cfg.CheckCost)
 		if !ch.f.matches(ev) {
 			// Children are covered by ch: nothing below can match.
 			continue
 		}
 		*out = append(*out, ch.id)
-		ix.deliverBucket(ch, out)
-		ix.matchFrom(ch, ev, out)
-	}
-}
-
-// deliverBucket appends all equivalent filters of a matched node, touching
-// every entry's routing record within the operation's span.
-func (ix *Index) deliverBucket(n *node, out *[]uint64) {
-	for _, d := range n.bucket {
-		if ix.sp != nil {
-			ix.sp.Access(d.addr, 16, false)
+		for _, d := range ch.bucket {
+			sp.Access(d.addr, 16, false)
+			*out = append(*out, d.id)
 		}
-		*out = append(*out, d.id)
+		checks += ix.matchFrom(sp, ch, ev, out)
 	}
+	return checks
 }
 
 // addDup stores subscription id, equivalent to n's filter, in n's bucket,
 // allocating and writing its routing record.
-func (ix *Index) addDup(n *node, id uint64) {
+func (ix *Index) addDup(sp *enclave.Span, n *node, id uint64) {
 	size := ix.dupBytes()
 	d := dupEntry{id: id, addr: ix.allocRecord(size)}
-	if ix.sp != nil {
-		ix.sp.Access(d.addr, size, true)
-	}
+	sp.Access(d.addr, size, true)
 	n.bucket = append(n.bucket, d)
 	ix.count++
-	ix.setSlot(id, n)
+	ix.setSlot(sp, id, n)
 }
 
 // MatchSnapshot is the concurrent read path of Match: it matches e against
@@ -377,51 +352,31 @@ func (ix *Index) addDup(n *node, id uint64) {
 // cover/match comparisons performed, which the caller accumulates (the
 // shared checks counter cannot be written lock-free).
 func (ix *Index) MatchSnapshot(e Event) (ids []uint64, checks uint64) {
-	var sp *enclave.Span
-	if ix.cfg.Mem != nil {
-		sp = ix.cfg.Mem.BeginSnapshotSpan()
-		defer sp.End()
-	}
-	out := make([]uint64, 0, 16)
-	ev := ix.attrs.view(e)
-	var walk func(cur *node)
-	walk = func(cur *node) {
-		for _, ch := range cur.children {
-			checks++
-			if sp != nil {
-				sp.AccessCPU(ch.addr, ch.hdrBytes, false, ix.cfg.CheckCost)
-			}
-			if !ch.f.matches(ev) {
-				continue
-			}
-			out = append(out, ch.id)
-			for _, d := range ch.bucket {
-				if sp != nil {
-					sp.Access(d.addr, 16, false)
-				}
-				out = append(out, d.id)
-			}
-			walk(ch)
-		}
-	}
-	walk(&ix.root)
-	return out, checks
+	sp := ix.cfg.Mem.BeginSnapshotSpan()
+	defer sp.End()
+	ids = make([]uint64, 0, 16)
+	checks = ix.matchFrom(sp, &ix.root, ix.attrs.view(e), &ids)
+	return ids, checks
 }
 
 // MatchNaive checks every stored subscription without pruning — the
 // reference matcher used by tests and the comparison baseline for the
 // containment ablation.
 func (ix *Index) MatchNaive(e Event) []uint64 {
-	defer ix.begin()()
+	sp := ix.cfg.Mem.BeginSpan()
+	defer sp.End()
 	ev := ix.attrs.view(e)
 	var out []uint64
 	var walk func(*node)
 	walk = func(cur *node) {
 		for _, ch := range cur.children {
-			ix.touchFilter(ch)
+			ix.touchFilter(sp, ch)
 			if ch.f.matches(ev) {
 				out = append(out, ch.id)
-				ix.deliverBucket(ch, &out)
+				for _, d := range ch.bucket {
+					sp.Access(d.addr, 16, false)
+					out = append(out, d.id)
+				}
 			}
 			walk(ch)
 		}
@@ -440,12 +395,13 @@ func (ix *Index) MatchNaive(e Event) []uint64 {
 // transitively) at the price of one parent-link write per child. The
 // record that disappears is released for reuse.
 func (ix *Index) Remove(id uint64) bool {
-	defer ix.begin()()
-	n := ix.locate(id)
+	sp := ix.cfg.Mem.BeginSpan()
+	defer sp.End()
+	n := ix.locate(sp, id)
 	if n == nil {
 		return false
 	}
-	ix.touchFilter(n)
+	ix.touchFilter(sp, n)
 	switch {
 	case n.id != id:
 		j := slices.IndexFunc(n.bucket, func(d dupEntry) bool { return d.id == id })
@@ -461,8 +417,8 @@ func (ix *Index) Remove(id uint64) bool {
 		d := n.bucket[0]
 		n.bucket = n.bucket[1:]
 		n.id = d.id
-		ix.touchHeader(n)
-		ix.setSlot(d.id, n)
+		touchHeader(sp, n)
+		ix.setSlot(sp, d.id, n)
 		ix.releaseRecord(d.addr, ix.dupBytes())
 	default:
 		// Splice the node out; its children keep a covering ancestor
@@ -471,16 +427,16 @@ func (ix *Index) Remove(id uint64) bool {
 		i := slices.Index(p.children, n)
 		p.children = append(slices.Delete(p.children, i, i+1), n.children...)
 		if p != &ix.root {
-			ix.touchHeader(p)
+			touchHeader(sp, p)
 		}
 		for _, ch := range n.children {
 			ch.parent = p
-			ix.touchHeader(ch)
+			touchHeader(sp, ch)
 		}
 		ix.releaseRecord(n.addr, n.hdrBytes+n.payBytes)
 		ix.attrs.release(n.f)
 	}
-	ix.setSlot(id, nil)
+	ix.setSlot(sp, id, nil)
 	ix.count--
 	return true
 }

@@ -356,7 +356,7 @@ func (ix *Index) removeScan(id uint64) bool {
 		return false
 	}
 	ix.count--
-	ix.setSlot(id, nil)
+	ix.setSlot(nil, id, nil)
 	return true
 }
 
@@ -570,7 +570,7 @@ func TestRemoveAgainstScanModel(t *testing.T) {
 					ix.Insert(op.sub)
 					model.Insert(op.sub)
 				case 'r':
-					if n := ix.locate(op.id); n != nil && n.id == op.id && len(n.bucket) == 0 {
+					if n := ix.locate(nil, op.id); n != nil && n.id == op.id && len(n.bucket) == 0 {
 						lifted += len(n.children)
 					}
 					got, want := ix.Remove(op.id), model.removeScan(op.id)

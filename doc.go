@@ -376,7 +376,12 @@
 //     back without failing authentication. The registry refuses sequence
 //     rollbacks and keeps the chain's history addressable (SnapshotAt);
 //     packed shards roll their WAL to a fresh epoch, reused shards keep
-//     their current (empty) one.
+//     their current (empty) one. Shards are read, packed and sealed on
+//     the store's shard fan-out, then stored and published in shard
+//     order, so the registry sees the same calls and bytes for any worker
+//     count. Publishing stops at the first failing shard; the shards
+//     after it may already have been read (and charged for it), but stay
+//     unpublished, their memo, dirty flag and WAL epoch untouched.
 //
 //   - WAL-segment GC. Rolled epochs stay as sealed segments until
 //     DurableStore.GC retires the ones the newest durable snapshot has

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"securecloud/internal/cryptbox"
@@ -118,10 +120,19 @@ func BenchmarkDecodeWAL(b *testing.B) {
 
 // BenchmarkDurableSnapshotDelta times one incremental Snapshot of an 8-shard
 // store of 4 000 keys × 200 B after 10 % of its keys — a hot set, first in
-// key order, as in durable_write — were rewritten in place.
+// key order, as in durable_write — were rewritten in place, with the
+// shards packed by one worker and by GOMAXPROCS workers.
 func BenchmarkDurableSnapshotDelta(b *testing.B) {
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchSnapshotDelta(b, workers)
+		})
+	}
+}
+
+func benchSnapshotDelta(b *testing.B, workers int) {
 	const keys, hot = 4000, 400
-	ds, _ := newDurableFixture(b, 8, 1)
+	ds, _ := newDurableFixture(b, 8, workers)
 	rng := rand.New(rand.NewSource(1))
 	write := func(n int) {
 		batch := make([]Pair, n)

@@ -35,12 +35,14 @@
 //
 // Topology vs execution: shard count, WAL bytes, snapshot chunking and all
 // Snapshot/GC/Recovery stats are topology, so every figure is
-// bit-identical across worker counts. Shards are snapshotted in shard
-// order. Recovery resolves, assembles and replays shards in parallel —
-// each shard owns its platform, and each pulled set gets its own
-// verification enclave — while what crosses shards stays in shard order:
-// the chunk fetches that warm the node cache, the error reported, and the
-// stats sums.
+// bit-identical across worker counts. A snapshot packs the shards in
+// parallel on the shard fan-out and publishes them in shard order; a
+// failed snapshot may already have read, and charged, the shards after
+// the failing one, which stay unpublished. Recovery resolves, assembles
+// and replays shards in parallel — each shard owns its platform, and each
+// pulled set gets its own verification enclave — while what crosses
+// shards stays in shard order: the chunk fetches that warm the node
+// cache, the error reported, and the stats sums.
 package kvstore
 
 import (
@@ -233,21 +235,22 @@ func (ds *DurableStore) PutBatch(pairs []Pair) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	groups := make([][]WALOp, ds.Shards())
-	for _, p := range pairs {
-		i := shard.Of(p.Key, ds.Shards())
-		groups[i] = append(groups[i], WALOp{Key: p.Key, Value: p.Value})
-	}
+	groups := groupPairs(pairs, ds.Shards())
+	var ops []WALOp // Append does not keep ops, so one buffer serves every shard
 	for i, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
-		if err := ds.wals[i].Append(g); err != nil {
+		ops = ops[:0]
+		for _, p := range g {
+			ops = append(ops, WALOp{Key: p.Key, Value: p.Value})
+		}
+		if err := ds.wals[i].Append(ops); err != nil {
 			return fmt.Errorf("kvstore: wal shard %d: %w", i, err)
 		}
 		ds.dirty[i] = true
 	}
-	return ds.ShardedStore.PutBatch(pairs)
+	return ds.putGroups(groups)
 }
 
 // Delete logs and applies one deletion.
@@ -303,8 +306,10 @@ type SnapshotStats struct {
 // not re-sealed), clean shards publish a reuse record chaining to their
 // previous manifest.
 // Packed shards roll their WAL into the next epoch; reused shards keep
-// their current (empty) epoch. Shards publish in shard order —
-// deterministic bytes, names and sequence for any worker count.
+// their current (empty) epoch. Shards pack in parallel and publish in
+// shard order — deterministic bytes, names and sequence for any worker
+// count. A failure stops the publishing at the failing shard; the shards
+// after it may already have been read, and charged for it.
 func (ds *DurableStore) Snapshot() (SnapshotStats, error) {
 	return ds.snapshot(false)
 }
@@ -315,82 +320,128 @@ func (ds *DurableStore) SnapshotFull() (SnapshotStats, error) {
 	return ds.snapshot(true)
 }
 
+// snapshot runs in two phases. packShard builds every shard's publication
+// on the shard fan-out — each shard's read charges only its own platform,
+// and nothing else of the store changes. The loop below then makes the
+// registry calls and updates each shard's state in shard order, stopping
+// at the first failure, so the registry sees the same calls with the same
+// bytes in the same order as from a one-shard-at-a-time snapshot. A
+// failed snapshot may already have read, and so charged, the shards after
+// the failing one; those stay unpublished, with their memo, dirty flag
+// and WAL epoch untouched.
 func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 	st := SnapshotStats{Seq: ds.SnapshotSeq() + 1}
-	for i, parent := range ds.pubSeq {
+	pubs := make([]shardPub, ds.Shards())
+	ds.ForEach(func(i int) { pubs[i] = ds.packShard(i, st.Seq, full) })
+	for i := range pubs {
+		p := &pubs[i]
 		name := ds.cfg.snapName(i)
-		if !full && !ds.dirty[i] && parent > 0 {
-			// Clean shard with a published parent: chain, don't pack. The
-			// current epoch is empty (nothing was appended since the shard
-			// was last clean), so recovery replays from it directly.
-			man := snapshotManifest{
-				Service: ds.cfg.Service, Shard: i, Seq: st.Seq, Parent: parent,
-				WALEpoch: ds.wals[i].Epoch(), Reuse: true,
-			}
-			rec, err := sealSnapshotRecord(ds.snap[i], man, name)
+		st.PackCycles += p.cycles
+		if p.spent {
+			// The memo advances only once this pack is published; until
+			// then it is cleared, so any failure below re-sends every chunk
+			// next time.
+			ds.memos[i] = nil
+		}
+		if p.packErr != nil {
+			return st, p.packErr
+		}
+		if p.pack != nil {
+			stored, err := ds.cfg.Registry.PutBlobSet(p.pack.Manifest, p.pack.Chunks)
 			if err != nil {
 				return st, err
 			}
-			if err := ds.cfg.Registry.PublishSnapshot(name, st.Seq, rec); err != nil {
-				return st, err
-			}
-			ds.pubSeq[i] = st.Seq
-			ds.durableEpoch[i] = man.WALEpoch
-			st.ShardsReused++
-			continue
+			st.ChunksPublished += len(p.pack.Chunks)
+			st.ChunksDeduped += len(p.pack.Chunks) - stored
+			st.BytesPublished += p.pack.SealedBytes
 		}
-		sh := ds.At(i)
-		before := sh.Cycles()
-		sh.Lock()
-		pairs, err := sh.V.Range("", "")
-		sh.Unlock()
-		if err != nil {
-			return st, err
+		if p.sealErr != nil {
+			return st, p.sealErr
 		}
-		st.PackCycles += sh.Cycles() - before
-		ops := make([]WALOp, len(pairs))
-		for j, p := range pairs {
-			ops[j] = WALOp{Key: p.Key, Value: p.Value}
-		}
-		payload, err := encodeWALOps(ops)
-		if err != nil {
-			return st, err
-		}
-		// The memo advances only once this pack is published; until then
-		// it is cleared, so any failure below re-sends every chunk next time.
-		memo := ds.memos[i]
-		ds.memos[i] = nil
-		p, err := transfer.PackConvergentMemo(name, payload, ds.cfg.SnapChunkSize, memo)
-		if err != nil {
-			return st, err
-		}
-		stored, err := ds.cfg.Registry.PutBlobSet(p.Manifest, p.Chunks)
-		if err != nil {
-			return st, err
-		}
-		st.ChunksPublished += len(p.Chunks)
-		st.ChunksDeduped += len(p.Chunks) - stored
-		st.BytesPublished += p.SealedBytes
-		nextEpoch := ds.wals[i].Epoch() + 1
-		man := snapshotManifest{
-			Service: ds.cfg.Service, Shard: i, Seq: st.Seq, Parent: parent,
-			WALEpoch: nextEpoch, Manifest: p.Manifest,
-		}
-		rec, err := sealSnapshotRecord(ds.snap[i], man, name)
-		if err != nil {
-			return st, err
-		}
-		if err := ds.cfg.Registry.PublishSnapshot(name, st.Seq, rec); err != nil {
+		if err := ds.cfg.Registry.PublishSnapshot(name, st.Seq, p.rec); err != nil {
 			return st, err
 		}
 		ds.pubSeq[i] = st.Seq
-		ds.memos[i] = p.Memo
-		ds.wals[i].Roll(nextEpoch)
+		ds.durableEpoch[i] = p.epoch
+		if p.pack == nil {
+			st.ShardsReused++
+			continue
+		}
+		ds.memos[i] = p.pack.Memo
+		ds.wals[i].Roll(p.epoch)
 		ds.dirty[i] = false
-		ds.durableEpoch[i] = nextEpoch
 		st.ShardsPacked++
 	}
 	return st, nil
+}
+
+// shardPub is one shard's part of a snapshot, built by packShard and
+// published by snapshot. Its errors are kept, not returned, so snapshot
+// reports each at the point of the shard-order walk where the
+// one-shard-at-a-time loop it replaced would have met it.
+type shardPub struct {
+	// pack is the shard's packed table; nil for a reuse record.
+	pack *transfer.MemoPack
+	// rec is the sealed chain record and epoch the WAL epoch it names.
+	rec   []byte
+	epoch uint64
+	// cycles were charged reading the table.
+	cycles sim.Cycles
+	// spent reports that packing started from the shard's memo: from then
+	// on a failure leaves the memo cleared.
+	spent bool
+	// packErr failed reading or packing the table, before any registry
+	// call; sealErr failed sealing the record, after PutBlobSet.
+	packErr, sealErr error
+}
+
+// packShard builds shard i's publication under sequence seq — read,
+// encode, pack and seal — and touches no store state beyond charging the
+// read to the shard's own platform, so snapshot runs it on every shard at
+// once.
+func (ds *DurableStore) packShard(i int, seq uint64, full bool) (p shardPub) {
+	name := ds.cfg.snapName(i)
+	man := snapshotManifest{
+		Service: ds.cfg.Service, Shard: i, Seq: seq, Parent: ds.pubSeq[i],
+		WALEpoch: ds.wals[i].Epoch(),
+	}
+	if !full && !ds.dirty[i] && man.Parent > 0 {
+		// Clean shard with a published parent: chain, don't pack. The
+		// current epoch is empty (nothing was appended since the shard was
+		// last clean), so recovery replays from it directly.
+		man.Reuse = true
+		p.epoch = man.WALEpoch
+		p.rec, p.sealErr = sealSnapshotRecord(ds.snap[i], man, name)
+		return p
+	}
+	sh := ds.At(i)
+	before := sh.Cycles()
+	sh.Lock()
+	pairs, err := sh.V.Range("", "")
+	sh.Unlock()
+	if err != nil {
+		p.packErr = err
+		return p
+	}
+	p.cycles = sh.Cycles() - before
+	ops := make([]WALOp, len(pairs))
+	for j, kv := range pairs {
+		ops[j] = WALOp{Key: kv.Key, Value: kv.Value}
+	}
+	payload, err := encodeWALOps(ops)
+	if err != nil {
+		p.packErr = err
+		return p
+	}
+	p.spent = true
+	if p.pack, p.packErr = transfer.PackConvergentMemo(name, payload, ds.cfg.SnapChunkSize, ds.memos[i]); p.packErr != nil {
+		return p
+	}
+	man.WALEpoch++
+	man.Manifest = p.pack.Manifest
+	p.epoch = man.WALEpoch
+	p.rec, p.sealErr = sealSnapshotRecord(ds.snap[i], man, name)
+	return p
 }
 
 // GCStats is what one GC pass retired.

@@ -79,11 +79,32 @@ func (ss *ShardedStore) PutBatch(pairs []Pair) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	groups := make([][]Pair, ss.Shards())
-	for _, p := range pairs {
-		i := shard.Of(p.Key, ss.Shards())
-		groups[i] = append(groups[i], p)
+	return ss.putGroups(groupPairs(pairs, ss.Shards()))
+}
+
+// groupPairs splits pairs by home shard, keeping slice order within each.
+// It hashes each key once, counts each shard's pairs, and cuts every group
+// out of one backing array of exactly len(pairs).
+func groupPairs(pairs []Pair, shards int) [][]Pair {
+	home := make([]int, len(pairs))
+	counts := make([]int, shards)
+	for j, p := range pairs {
+		home[j] = shard.Of(p.Key, shards)
+		counts[home[j]]++
 	}
+	backing := make([]Pair, len(pairs))
+	groups := make([][]Pair, shards)
+	for i, n := range counts {
+		groups[i], backing = backing[:0:n], backing[n:]
+	}
+	for j, p := range pairs {
+		groups[home[j]] = append(groups[home[j]], p)
+	}
+	return groups
+}
+
+// putGroups applies groups[i] to shard i, fanning out across shards.
+func (ss *ShardedStore) putGroups(groups [][]Pair) error {
 	errs := make([]error, ss.Shards())
 	ss.ForEach(func(i int) {
 		if len(groups[i]) == 0 {

@@ -61,12 +61,22 @@ type WALOp struct {
 //
 //	u32 count, then per op: u8 flags (bit0 = delete), u16 klen, key,
 //	and for puts u32 vlen, value.
+//
+// A first pass checks the keys and sums the size, so the batch is encoded
+// into one buffer of exactly that size.
 func encodeWALOps(ops []WALOp) ([]byte, error) {
-	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(ops)*16), uint32(len(ops)))
+	size := 4
 	for _, op := range ops {
 		if len(op.Key) > 0xFFFF {
 			return nil, fmt.Errorf("kvstore: wal key %d bytes exceeds 64KiB", len(op.Key))
 		}
+		size += 3 + len(op.Key)
+		if !op.Delete {
+			size += 4 + len(op.Value)
+		}
+	}
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(ops)))
+	for _, op := range ops {
 		var flags byte
 		if op.Delete {
 			flags = 1

@@ -220,9 +220,10 @@ func (p *memoPass) record(plain cryptbox.Digest, e memoEntry) {
 	p.sealedBytes += int64(e.size)
 }
 
-// packChunk deflates and seals one chunk — unless memo holds its plaintext,
-// in which case it returns the remembered key and leaf and nil sealed bytes.
-func packChunk(plain []byte, memo *memoPass) (cryptbox.Key, cryptbox.Digest, []byte, error) {
+// packChunk deflates (into zbuf) and seals one chunk — unless memo holds
+// its plaintext, in which case it returns the remembered key and leaf and
+// nil sealed bytes.
+func packChunk(plain []byte, memo *memoPass, zbuf *bytes.Buffer) (cryptbox.Key, cryptbox.Digest, []byte, error) {
 	var pd cryptbox.Digest
 	if memo != nil {
 		pd = cryptbox.Sum(plain)
@@ -231,7 +232,7 @@ func packChunk(plain []byte, memo *memoPass) (cryptbox.Key, cryptbox.Digest, []b
 			return e.key, e.leaf, nil, nil
 		}
 	}
-	compressed, err := deflate(plain)
+	compressed, err := deflate(zbuf, plain)
 	if err != nil {
 		return cryptbox.Key{}, cryptbox.Digest{}, nil, err
 	}
@@ -257,6 +258,11 @@ func packStream(name string, r io.Reader, chunkSize int, memo *memoPass, emit Ch
 	}
 	m := &Manifest{Name: name, ChunkSize: chunkSize}
 	buf := make([]byte, chunkSize)
+	// zbuf holds one chunk's deflate output until it is sealed. One buffer
+	// serves the whole pack: a fresh one per chunk would be garbage the size
+	// of a sealed chunk, interleaved in the heap with the sealed chunks a
+	// caller keeps, and the holes it leaves fragment the heap.
+	var zbuf bytes.Buffer
 	for idx := 0; ; idx++ {
 		n, err := io.ReadFull(r, buf)
 		if err == io.EOF && idx > 0 {
@@ -265,7 +271,7 @@ func packStream(name string, r io.Reader, chunkSize int, memo *memoPass, emit Ch
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("transfer: reading payload: %w", err)
 		}
-		key, leaf, sealed, serr := packChunk(buf[:n], memo)
+		key, leaf, sealed, serr := packChunk(buf[:n], memo, &zbuf)
 		if serr != nil {
 			return nil, serr
 		}
@@ -478,12 +484,14 @@ var inflaterPool = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
 
-func deflate(data []byte) ([]byte, error) {
+// deflate compresses data into buf, which it resets first; the result
+// aliases buf.
+func deflate(buf *bytes.Buffer, data []byte) ([]byte, error) {
 	w := deflaterPool.Get().(*flate.Writer)
 	defer deflaterPool.Put(w)
-	var buf bytes.Buffer
+	buf.Reset()
 	buf.Grow(len(data)/2 + 64)
-	w.Reset(&buf)
+	w.Reset(buf)
 	if _, err := w.Write(data); err != nil {
 		return nil, err
 	}

@@ -28,10 +28,11 @@
 #                                deleted one cannot linger)
 # 8. bench smoke                (each BenchmarkMemoryAccess* and
 #                                BenchmarkNewPlatform, then the plane's
-#                                BenchmarkPlaneRoundTrip, once each, so the
-#                                memory-model and plane micro-benchmarks
-#                                keep compiling and running; timings are
-#                                not checked)
+#                                BenchmarkPlaneRoundTrip and kvstore's
+#                                BenchmarkDurableSnapshotDelta, once each,
+#                                so the memory-model, plane and snapshot
+#                                micro-benchmarks keep compiling and
+#                                running; timings are not checked)
 # 9. bench-regression gate      (go run ./cmd/bench -check: runs the bench
 #                                suites from the working tree and diffs
 #                                their deterministic sim-metrics against
@@ -99,9 +100,10 @@ for target in "${FUZZ_TARGETS[@]}"; do
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"
 done
 
-echo "ci: bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, BenchmarkPlaneRoundTrip, 1x)" >&2
+echo "ci: bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, BenchmarkPlaneRoundTrip, BenchmarkDurableSnapshotDelta, 1x)" >&2
 go test -run '^$' -bench '^Benchmark(MemoryAccess|NewPlatform)' -benchtime 1x ./internal/enclave
 go test -run '^$' -bench '^BenchmarkPlaneRoundTrip$' -benchtime 1x -benchmem ./internal/microsvc
+go test -run '^$' -bench '^BenchmarkDurableSnapshotDelta$' -benchtime 1x -benchmem ./internal/kvstore
 
 echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
 go run ./cmd/bench -check

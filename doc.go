@@ -472,10 +472,11 @@
 // component (§III-B(3)) — runs on one content-addressed sealed data plane
 // built from three layers:
 //
-//   - internal/transfer is the chunk substrate: payloads stream through
-//     Pack/Unpack (io.Reader/io.Writer, one chunk resident at a time),
-//     each chunk compressed with pooled flate state, sealed, and pinned
-//     under a Merkle root. Convergent mode (PackConvergent) seals every
+//   - internal/transfer is the chunk substrate: a payload held in memory
+//     is packed (PackConvergent) and streamed back out through Unpack
+//     (an io.Writer fed in chunk-index order, one chunk's plaintext
+//     resident at a time), each chunk compressed with pooled flate state,
+//     sealed, and pinned under a Merkle root. PackConvergent seals every
 //     chunk under a key derived from its own content with a deterministic
 //     nonce, so identical content produces bit-identical sealed bytes;
 //     the per-chunk keys ride in the manifest, which is the trusted
@@ -501,8 +502,8 @@
 //     (sim.ParallelFor), verifies each against its digest before it may
 //     enter the cache (a digest can never map to wrong bytes, so the
 //     cache is unpoisonable by construction), and reassembles each layer
-//     inside a per-layer verification enclave charged through the
-//     transfer receiver. Failed chunks fail alone; everything verified
+//     inside a per-layer verification enclave charged as transfer.Unpack
+//     fetches and writes each chunk. Failed chunks fail alone; everything verified
 //     stays cached, so retrying a partial pull resumes instead of
 //     restarting. Engines sharing one BlobCache give the Nth replica on
 //     a node a zero-fetch boot — microsvc's container-mode ReplicaSet

@@ -118,9 +118,6 @@ type Engine struct {
 	Cache *BlobCache
 	// PullWorkers bounds the pull fan-out (execution only; 0 = GOMAXPROCS).
 	PullWorkers int
-	// PullPlatform configures the per-layer verification enclaves' platform
-	// (topology: pin when comparing pull cycle totals; zero = defaults).
-	PullPlatform enclave.Config
 
 	mu       sync.Mutex
 	nextID   int

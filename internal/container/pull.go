@@ -5,7 +5,7 @@
 // unique chunk set out across workers, verifies every chunk against its
 // content digest before it may enter the node-local BlobCache, and then
 // reconstructs each layer inside a per-layer verification enclave whose
-// simulated cycles are charged through the transfer receiver.
+// simulated cycles are charged as transfer.Unpack fetches and writes.
 //
 // Topology vs execution: the chunk set, dedup and cache classification,
 // and the per-layer enclaves are topology — pure functions of the image
@@ -335,40 +335,65 @@ func (e *Engine) classifyAndFetch(label string, cache *BlobCache, unique []crypt
 
 // assembleBlobSet reassembles one packed blob set from cached chunks inside
 // a fresh verification enclave, charging the staging, verification and
-// decompression costs to its simulated memory. The receiver re-verifies
-// every chunk against the manifest as it accepts it.
+// decompression costs to its simulated memory in chunk-index order:
+// transfer.Unpack re-verifies every chunk against the manifest leaf before
+// opening it.
 func (e *Engine) assembleBlobSet(label string, lm *transfer.Manifest, cache *BlobCache) ([]byte, sim.Cycles, uint64, error) {
+	chunks := make([][]byte, len(lm.Leaves))
 	var stored int64
-	for _, leaf := range lm.Leaves {
+	for i, leaf := range lm.Leaves {
 		b, ok := cache.peek(leaf)
 		if !ok {
 			return nil, 0, 0, fmt.Errorf("%w: chunk %s evicted mid-pull", ErrChunkVerify, leaf)
 		}
+		chunks[i] = b
 		stored += int64(len(b))
 	}
 	size := uint64(stored) + uint64(lm.Size) + (1 << 20)
 	size = (size + 4095) &^ 4095
-	enc, arena, err := enclave.NewWorker(e.PullPlatform, size, "pull/"+label)
+	enc, arena, err := enclave.NewWorker(enclave.Config{}, size, "pull/"+label)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer enc.Destroy()
-	recv, err := transfer.NewReceiver(lm)
+	mem := enc.Memory()
+	out := &enclaveOutput{
+		mem:  mem,
+		addr: arena.Alloc(int(max(lm.Size, 1))),
+		// Cap the upfront reservation: a forged Size must not reserve
+		// memory the (digest-verified) chunks never deliver; growth beyond
+		// the cap is paid only as real data decompresses.
+		buf: make([]byte, 0, min(lm.Size, 16<<20)),
+	}
+	err = transfer.Unpack(lm, cryptbox.Key{}, out, func(idx int) ([]byte, error) {
+		b := chunks[idx]
+		// Stage the ciphertext into the enclave, then read it back for
+		// verification and decryption.
+		addr := arena.Alloc(len(b))
+		mem.AccessRange(addr, len(b), true)
+		mem.AccessRange(addr, len(b), false)
+		return b, nil
+	})
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, mem.Cycles(), mem.Faults(), err
 	}
-	recv.WithAccounting(transfer.Accounting{Mem: enc.Memory(), Arena: arena})
-	for j, leaf := range lm.Leaves {
-		b, _ := cache.peek(leaf)
-		if err := recv.Accept(j, b); err != nil {
-			return nil, enc.Memory().Cycles(), enc.Memory().Faults(), err
-		}
+	return out.buf, mem.Cycles(), mem.Faults(), nil
+}
+
+// enclaveOutput collects a reassembled payload, charging each write to the
+// enclave's output buffer at addr.
+type enclaveOutput struct {
+	mem  *enclave.Memory
+	addr uint64
+	buf  []byte
+}
+
+func (o *enclaveOutput) Write(p []byte) (int, error) {
+	if len(p) > 0 {
+		o.mem.AccessRange(o.addr+uint64(len(o.buf)), len(p), true)
 	}
-	raw, err := recv.Assemble()
-	if err != nil {
-		return nil, enc.Memory().Cycles(), enc.Memory().Faults(), err
-	}
-	return raw, enc.Memory().Cycles(), enc.Memory().Faults(), nil
+	o.buf = append(o.buf, p...)
+	return len(p), nil
 }
 
 // assembleLayer reconstructs one layer through assembleBlobSet and checks

@@ -528,3 +528,83 @@ func TestPullBlobSetsMatchesSequentialPulls(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleChargesMatchReference holds a blob-set pull's verification
+// enclave to the charge sequence of the chunk receiver that reassembled
+// pulls before transfer.Unpack did: the output buffer is allocated first,
+// then each chunk in index order is allocated, staged (a write) and read
+// back for verification and decryption, and its plaintext is written at
+// the output's current end. assembleReference replays that sequence on a
+// twin enclave of the same size.
+func TestAssembleChargesMatchReference(t *testing.T) {
+	big := make([]byte, 300<<10)
+	sim.NewRand(23).Read(big[:len(big)/2])
+	cases := []struct {
+		name      string
+		payload   []byte
+		chunkSize int
+	}{
+		{"multi-chunk", big, 64 << 10},
+		{"deduped", bytes.Repeat([]byte("0123456789abcdef"), 48), 64},
+		{"empty", nil, 1024},
+	}
+	for _, c := range cases {
+		reg := registry.New()
+		lm, chunks, err := transfer.PackConvergent(c.name, c.payload, c.chunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.PutBlobSet(lm, chunks); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(enclave.NewPlatform(enclave.Config{}), shield.NewHost(), reg, nil)
+		gots, pss, err := e.PullBlobSets([]*transfer.Manifest{lm}, []string{c.name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gots[0], c.payload) {
+			t.Fatalf("%s: pulled payload differs", c.name)
+		}
+		cycles, faults := assembleReference(t, lm, chunks, c.payload)
+		if pss[0].SerialCycles != cycles || pss[0].Faults != faults {
+			t.Fatalf("%s: pull charged %d cycles, %d faults; reference %d, %d",
+				c.name, pss[0].SerialCycles, pss[0].Faults, cycles, faults)
+		}
+	}
+}
+
+// assembleReference charges the reassembly of chunks (sealed, in index
+// order) into payload on a fresh enclave sized as assembleBlobSet sizes
+// its verification enclave, and returns the enclave's totals.
+func assembleReference(t *testing.T, lm *transfer.Manifest, chunks [][]byte, payload []byte) (sim.Cycles, uint64) {
+	t.Helper()
+	var stored int64
+	for _, c := range chunks {
+		stored += int64(len(c))
+	}
+	size := uint64(stored) + uint64(lm.Size) + (1 << 20)
+	size = (size + 4095) &^ 4095
+	enc, arena, err := enclave.NewWorker(enclave.Config{}, size, "pull/reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Destroy()
+	acct := enclave.Accounting{Mem: enc.Memory(), Arena: arena}
+	outSize := int(lm.Size)
+	if outSize == 0 {
+		outSize = 1
+	}
+	outAddr := acct.Arena.Alloc(outSize)
+	var out []byte
+	for i, stored := range chunks {
+		addr := acct.Arena.Alloc(len(stored))
+		acct.Mem.AccessRange(addr, len(stored), true)
+		acct.Mem.AccessRange(addr, len(stored), false)
+		plain := payload[i*lm.ChunkSize : min((i+1)*lm.ChunkSize, len(payload))]
+		if len(plain) > 0 {
+			acct.Mem.AccessRange(outAddr+uint64(len(out)), len(plain), true)
+		}
+		out = append(out, plain...)
+	}
+	return acct.Mem.Cycles(), acct.Mem.Faults()
+}

@@ -374,19 +374,6 @@ func (r *Registry) TamperManifest(ref string, mutate func(*image.Manifest)) bool
 
 // ---- HTTP front end ----
 
-// parseDigest parses a digest in the "sha256:<hex>" rendering (the bare
-// hex form is accepted too). Shared plumbing lives in httpx; this wrapper
-// pins the registry's historic error scope.
-func parseDigest(s string) (cryptbox.Digest, error) {
-	return httpx.ParseDigest("registry", s)
-}
-
-// writeConditional serves a content-addressed response with the shared
-// digest-conditional helper (ETag = digest, If-None-Match → 304).
-func writeConditional(w http.ResponseWriter, req *http.Request, d cryptbox.Digest, contentType string, body func() ([]byte, error)) {
-	httpx.WriteConditional(w, req, d, contentType, body)
-}
-
 // Handler returns an http.Handler exposing the registry. Images go in
 // whole and come out chunk-granular: a puller fetches the signed manifest,
 // each layer's chunk manifest and the chunks it lacks, verifying every
@@ -461,12 +448,12 @@ func (r *Registry) Handler() http.Handler {
 			httpx.MethodNotAllowed(w)
 			return
 		}
-		d, err := parseDigest(strings.TrimPrefix(req.URL.Path, "/v2/layers/"))
+		d, err := httpx.ParseDigest("registry", strings.TrimPrefix(req.URL.Path, "/v2/layers/"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeConditional(w, req, d, "application/json", func() ([]byte, error) {
+		httpx.WriteConditional(w, req, d, "application/json", func() ([]byte, error) {
 			m, err := r.LayerManifest(d)
 			if err != nil {
 				return nil, err
@@ -479,12 +466,12 @@ func (r *Registry) Handler() http.Handler {
 			httpx.MethodNotAllowed(w)
 			return
 		}
-		d, err := parseDigest(strings.TrimPrefix(req.URL.Path, "/v2/blobs/"))
+		d, err := httpx.ParseDigest("registry", strings.TrimPrefix(req.URL.Path, "/v2/blobs/"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeConditional(w, req, d, "application/octet-stream", func() ([]byte, error) {
+		httpx.WriteConditional(w, req, d, "application/octet-stream", func() ([]byte, error) {
 			return r.Blob(d)
 		})
 	})

@@ -8,37 +8,7 @@ import (
 	"testing"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
-	"securecloud/internal/sim"
 )
-
-// TestPackStreamMatchesPack: streaming a payload through
-// PackConvergentStream emits, in index order, exactly the chunks and
-// manifest PackConvergent builds from it in memory.
-func TestPackStreamMatchesPack(t *testing.T) {
-	data := payload(600 << 10)
-	wantM, wantChunks, err := PackConvergent("s", data, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotChunks [][]byte
-	gotM, err := PackConvergentStream("s", bytes.NewReader(data), 64<<10, func(idx int, sealed []byte) error {
-		if idx != len(gotChunks) {
-			t.Fatalf("emit out of order: %d", idx)
-		}
-		gotChunks = append(gotChunks, sealed)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotM, wantM) {
-		t.Fatal("streamed manifest differs from the in-memory pack's")
-	}
-	if !reflect.DeepEqual(gotChunks, wantChunks) {
-		t.Fatal("streamed chunks differ from the in-memory pack's")
-	}
-}
 
 func TestUnpackStreams(t *testing.T) {
 	data := payload(300 << 10)
@@ -99,16 +69,7 @@ func TestConvergentDeterministicAndDedupable(t *testing.T) {
 		}
 	}
 	// The manifest carries every key the receiver needs.
-	r, err := NewReceiver(m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range c1 {
-		if err := r.Accept(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := r.Assemble()
+	got, err := unpackAll(m1, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +138,7 @@ func TestConvergentManifestKeyCountEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Keys = m.Keys[:len(m.Keys)-1]
-	if _, err := NewReceiver(m); !errors.Is(err, ErrManifest) {
+	if err := m.Validate(); !errors.Is(err, ErrManifest) {
 		t.Fatalf("short key list accepted: %v", err)
 	}
 }
@@ -301,62 +262,20 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// TestAccountedAssembleDeterministic: with accounting attached, cycle and
-// fault totals are a pure function of the payload — identical whether the
-// chunks arrived in order, in reverse, or with duplicates.
-func TestAccountedAssembleDeterministic(t *testing.T) {
-	data := payload(400 << 10)
-	m, chunks, err := PackConvergent("acct", data, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(order []int) (sim.Cycles, uint64) {
-		enc, arena, err := enclave.NewWorker(enclave.Config{}, 8<<20, "transfer-test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer enc.Destroy()
-		r, err := NewReceiver(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.WithAccounting(Accounting{Mem: enc.Memory(), Arena: arena})
-		for _, i := range order {
-			if err := r.Accept(i, chunks[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := r.Assemble()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("round trip mismatch")
-		}
-		return enc.Memory().Cycles(), enc.Memory().Faults()
-	}
-	fwd := make([]int, len(chunks))
-	rev := make([]int, 0, len(chunks)*2)
-	for i := range chunks {
-		fwd[i] = i
-	}
-	for i := len(chunks) - 1; i >= 0; i-- {
-		rev = append(rev, i, i) // reverse order with duplicates
-	}
-	c1, f1 := run(fwd)
-	c2, f2 := run(rev)
-	if c1 == 0 {
-		t.Fatal("accounted assemble charged no cycles")
-	}
-	if c1 != c2 || f1 != f2 {
-		t.Fatalf("accounting depends on arrival order: (%d,%d) vs (%d,%d)", c1, f1, c2, f2)
-	}
-}
-
+// TestStreamedEmptyPayload: an empty payload packs to one empty chunk, and
+// a payload that is an exact multiple of the chunk size gets no trailing
+// empty chunk.
 func TestStreamedEmptyPayload(t *testing.T) {
-	m, err := PackConvergentStream("empty", bytes.NewReader(nil), 1024, nil)
+	m, _, err := PackConvergent("empty", []byte{}, 1024)
 	if err != nil {
 		t.Fatal(err)
+	}
+	exact, _, err := PackConvergent("exact", payload(2048), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Chunks() != 2 {
+		t.Fatalf("2048 bytes at chunk size 1024: %d chunks, want 2", exact.Chunks())
 	}
 	if m.Chunks() != 1 || m.Size != 0 {
 		t.Fatalf("empty payload: %d chunks, size %d", m.Chunks(), m.Size)

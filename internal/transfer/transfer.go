@@ -4,12 +4,15 @@
 // — are cut into chunks, compressed, encrypted, and authenticated under a
 // Merkle tree, so they can cross untrusted networks and storage out of
 // order, resume after interruption, and be verified chunk-by-chunk without
-// trusting the transport.
+// trusting the transport. Out-of-order transfer and resume live one level
+// up, in the container engine's digest-verified chunk cache: a pull fetches
+// chunks in any order into it, a retried pull fetches only what it lacks,
+// and Unpack then reassembles from the cache in chunk-index order.
 //
 // The package is the chunk substrate of the content-addressed data plane:
 // the registry and container layers store and move sealed chunks keyed by
 // their content digest. Every chunk is sealed convergently
-// (PackConvergent/PackConvergentStream): under a key derived from its own
+// (PackConvergent): under a key derived from its own
 // compressed plaintext, with a deterministic nonce, and the per-chunk keys
 // ride in the manifest. Identical content always produces identical sealed
 // bytes, so a content-addressed store deduplicates chunks across payloads.
@@ -23,11 +26,10 @@
 // not the AAD. PackConvergentMemo packs the successor of an earlier
 // payload, deflating and sealing only the chunks whose plaintext changed.
 //
-// Reassembly can be routed through the simulated SGX memory hierarchy via
-// Receiver.WithAccounting, mirroring fsshield and kvstore: the enclave-side
-// staging, verification and decompressed output of every chunk are charged
-// to an enclave.Memory in chunk-index order, so totals are deterministic
-// regardless of chunk arrival order or host parallelism.
+// Unpack is the one reassembly path. It hands every chunk's plaintext to a
+// writer in chunk-index order, and a caller that charges the simulated SGX
+// memory hierarchy (the container engine's verification enclave) does so in
+// its fetch callback and its writer.
 package transfer
 
 import (
@@ -37,11 +39,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
 )
 
 // DefaultChunkSize balances per-chunk overhead against retransmission
@@ -53,9 +53,8 @@ const maxInflate = 64 << 20
 
 // Errors reported by the transfer layer.
 var (
-	ErrBadChunk   = errors.New("transfer: chunk failed verification")
-	ErrIncomplete = errors.New("transfer: chunks missing")
-	ErrManifest   = errors.New("transfer: manifest inconsistent")
+	ErrBadChunk = errors.New("transfer: chunk failed verification")
+	ErrManifest = errors.New("transfer: manifest inconsistent")
 )
 
 // Manifest describes one packed payload: the trusted summary exchanged
@@ -121,7 +120,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 
 // convergentAAD is position-independent: convergent chunks must depend on
 // nothing but their content (dedup), so position binding is delegated to
-// the manifest leaf list, which Accept and Unpack enforce.
+// the manifest leaf list, which Unpack enforces.
 var convergentAAD = []byte("transfer|convergent")
 
 // convergentSeal seals one compressed chunk under a key derived from its
@@ -148,19 +147,6 @@ func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
 		return cryptbox.Key{}, nil, err
 	}
 	return key, sealed, nil
-}
-
-// ChunkFunc consumes sealed chunks in index order during a streaming pack.
-type ChunkFunc func(idx int, sealed []byte) error
-
-// PackConvergentStream reads the payload from r in chunkSize pieces,
-// compressing, sealing convergently and emitting each chunk in index
-// order, and returns the manifest with one derived key per chunk. Only one
-// chunk's plaintext is resident at a time, so payloads larger than memory
-// stream through. Identical chunk content yields bit-identical sealed
-// chunks for content-addressed dedup.
-func PackConvergentStream(name string, r io.Reader, chunkSize int, emit ChunkFunc) (*Manifest, error) {
-	return packStream(name, r, chunkSize, nil, emit)
 }
 
 // ChunkMemo remembers what convergent packing made of each chunk plaintext,
@@ -199,9 +185,7 @@ type MemoPack struct {
 // still holds.
 func PackConvergentMemo(name string, data []byte, chunkSize int, prev ChunkMemo) (*MemoPack, error) {
 	pass := &memoPass{prev: prev, next: make(ChunkMemo, len(prev))}
-	m, chunks, err := collect(func(emit ChunkFunc) (*Manifest, error) {
-		return packStream(name, bytes.NewReader(data), chunkSize, pass, emit)
-	})
+	m, chunks, err := pack(name, data, chunkSize, pass)
 	if err != nil {
 		return nil, err
 	}
@@ -247,48 +231,40 @@ func packChunk(plain []byte, memo *memoPass, zbuf *bytes.Buffer) (cryptbox.Key, 
 	return key, leaf, sealed, nil
 }
 
-// packStream is the one chunking loop behind every pack: read chunkSize
-// pieces, seal each (packChunk), and build the manifest.
-func packStream(name string, r io.Reader, chunkSize int, memo *memoPass, emit ChunkFunc) (*Manifest, error) {
+// pack is the one chunking loop behind every pack: cut data into
+// chunkSize pieces, seal each (packChunk), and build the manifest. An empty
+// payload is one empty chunk; a payload that is an exact multiple of
+// chunkSize has no trailing empty chunk.
+func pack(name string, data []byte, chunkSize int, memo *memoPass) (*Manifest, [][]byte, error) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
 	if chunkSize > maxInflate {
-		return nil, fmt.Errorf("%w: chunk size %d exceeds %d", ErrManifest, chunkSize, maxInflate)
+		return nil, nil, fmt.Errorf("%w: chunk size %d exceeds %d", ErrManifest, chunkSize, maxInflate)
 	}
-	m := &Manifest{Name: name, ChunkSize: chunkSize}
-	buf := make([]byte, chunkSize)
+	n := max(1, (len(data)+chunkSize-1)/chunkSize)
+	m := &Manifest{
+		Name: name, Size: int64(len(data)), ChunkSize: chunkSize,
+		Leaves: make([]cryptbox.Digest, 0, n), Keys: make([]cryptbox.Key, 0, n),
+	}
+	chunks := make([][]byte, 0, n)
 	// zbuf holds one chunk's deflate output until it is sealed. One buffer
 	// serves the whole pack: a fresh one per chunk would be garbage the size
 	// of a sealed chunk, interleaved in the heap with the sealed chunks a
 	// caller keeps, and the holes it leaves fragment the heap.
 	var zbuf bytes.Buffer
-	for idx := 0; ; idx++ {
-		n, err := io.ReadFull(r, buf)
-		if err == io.EOF && idx > 0 {
-			break
-		}
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("transfer: reading payload: %w", err)
-		}
-		key, leaf, sealed, serr := packChunk(buf[:n], memo, &zbuf)
-		if serr != nil {
-			return nil, serr
+	for i := 0; i < n; i++ {
+		piece := data[i*chunkSize : min((i+1)*chunkSize, len(data))]
+		key, leaf, sealed, err := packChunk(piece, memo, &zbuf)
+		if err != nil {
+			return nil, nil, err
 		}
 		m.Keys = append(m.Keys, key)
-		m.Size += int64(n)
 		m.Leaves = append(m.Leaves, leaf)
-		if emit != nil {
-			if err := emit(idx, sealed); err != nil {
-				return nil, err
-			}
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
+		chunks = append(chunks, sealed)
 	}
 	m.Root = MerkleRoot(m.Leaves)
-	return m, nil
+	return m, chunks, nil
 }
 
 // PackConvergent compresses, seals and hashes data into transferable
@@ -296,44 +272,41 @@ func packStream(name string, r io.Reader, chunkSize int, memo *memoPass, emit Ch
 // the chunk bytes depend only on the content, enabling cross-payload dedup
 // in a content-addressed store, and the per-chunk keys ride in the manifest.
 func PackConvergent(name string, data []byte, chunkSize int) (*Manifest, [][]byte, error) {
-	return collect(func(emit ChunkFunc) (*Manifest, error) {
-		return PackConvergentStream(name, bytes.NewReader(data), chunkSize, emit)
-	})
+	return pack(name, data, chunkSize, nil)
 }
-
-func collect(pack func(ChunkFunc) (*Manifest, error)) (*Manifest, [][]byte, error) {
-	var chunks [][]byte
-	m, err := pack(func(_ int, sealed []byte) error {
-		chunks = append(chunks, sealed)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, chunks, nil
-}
-
-// Accounting wires reassembly to the simulated SGX memory hierarchy, like
-// fsshield and kvstore: a zero Accounting leaves the receiver unaccounted.
-type Accounting = enclave.Accounting
 
 // Unpack streams the verified payload into w in chunk-index order, fetching
 // each sealed chunk on demand. Every chunk is checked against the manifest
 // leaf before decryption; any mismatch aborts with ErrBadChunk naming the
-// index. key is unused: every chunk opens under its manifest key.
+// index. key is unused: every chunk opens under its manifest key. Each
+// chunk's plaintext is decompressed into one buffer reused across chunks,
+// so w must not keep the slice it is given (io.Writer's contract).
 func Unpack(m *Manifest, _ cryptbox.Key, w io.Writer, fetch func(idx int) ([]byte, error)) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	var total int64
+	var (
+		total int64
+		plain []byte
+	)
 	for i := 0; i < m.Chunks(); i++ {
 		sealed, err := fetch(i)
 		if err != nil {
 			return fmt.Errorf("transfer: fetching chunk %d: %w", i, err)
 		}
-		plain, err := m.open(i, sealed)
+		if cryptbox.Sum(sealed) != m.Leaves[i] {
+			return fmt.Errorf("%w: leaf digest mismatch at %d", ErrBadChunk, i)
+		}
+		box, err := cryptbox.NewBox(m.Keys[i])
 		if err != nil {
 			return err
+		}
+		compressed, err := box.Open(sealed, convergentAAD)
+		if err != nil {
+			return fmt.Errorf("%w: decrypting %d", ErrBadChunk, i)
+		}
+		if plain, err = inflate(plain, compressed, m.ChunkSize); err != nil {
+			return fmt.Errorf("transfer: inflating chunk %d: %w", i, err)
 		}
 		if _, err := w.Write(plain); err != nil {
 			return err
@@ -344,129 +317,6 @@ func Unpack(m *Manifest, _ cryptbox.Key, w io.Writer, fetch func(idx int) ([]byt
 		return fmt.Errorf("%w: assembled %d bytes, manifest says %d", ErrManifest, total, m.Size)
 	}
 	return nil
-}
-
-// open verifies chunk idx against its leaf, then decrypts it under its
-// manifest key and decompresses it.
-func (m *Manifest) open(idx int, sealed []byte) ([]byte, error) {
-	if cryptbox.Sum(sealed) != m.Leaves[idx] {
-		return nil, fmt.Errorf("%w: leaf digest mismatch at %d", ErrBadChunk, idx)
-	}
-	box, err := cryptbox.NewBox(m.Keys[idx])
-	if err != nil {
-		return nil, err
-	}
-	compressed, err := box.Open(sealed, convergentAAD)
-	if err != nil {
-		return nil, fmt.Errorf("%w: decrypting %d", ErrBadChunk, idx)
-	}
-	plain, err := inflate(compressed, m.ChunkSize)
-	if err != nil {
-		return nil, fmt.Errorf("transfer: inflating chunk %d: %w", idx, err)
-	}
-	return plain, nil
-}
-
-// Receiver reassembles a payload from chunks arriving in any order,
-// verifying each against the manifest on arrival.
-type Receiver struct {
-	manifest *Manifest
-	got      map[int][]byte
-	acct     Accounting
-}
-
-// NewReceiver builds a receiver for a validated manifest.
-func NewReceiver(m *Manifest) (*Receiver, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &Receiver{manifest: m, got: make(map[int][]byte)}, nil
-}
-
-// WithAccounting routes this receiver's reassembly through the simulated
-// memory hierarchy: Assemble charges each chunk's staged ciphertext (write
-// + verify read) and decompressed output in chunk-index order, so cycle
-// and fault totals are a pure function of the payload — independent of the
-// order chunks arrived in. Call before Assemble.
-func (r *Receiver) WithAccounting(acct Accounting) *Receiver {
-	r.acct = acct
-	return r
-}
-
-// Accept verifies and stores one chunk. Duplicate deliveries of the same
-// valid chunk are idempotent.
-func (r *Receiver) Accept(idx int, chunk []byte) error {
-	if idx < 0 || idx >= r.manifest.Chunks() {
-		return fmt.Errorf("%w: index %d of %d", ErrBadChunk, idx, r.manifest.Chunks())
-	}
-	if cryptbox.Sum(chunk) != r.manifest.Leaves[idx] {
-		return fmt.Errorf("%w: leaf digest mismatch at %d", ErrBadChunk, idx)
-	}
-	r.got[idx] = append([]byte(nil), chunk...)
-	return nil
-}
-
-// Missing lists the chunk indexes still outstanding, ascending — the
-// resume request after an interrupted transfer.
-func (r *Receiver) Missing() []int {
-	var out []int
-	for i := 0; i < r.manifest.Chunks(); i++ {
-		if _, ok := r.got[i]; !ok {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Complete reports whether all chunks arrived.
-func (r *Receiver) Complete() bool { return len(r.got) == r.manifest.Chunks() }
-
-// Assemble decrypts, decompresses and concatenates the payload.
-func (r *Receiver) Assemble() ([]byte, error) {
-	if !r.Complete() {
-		return nil, fmt.Errorf("%w: %d of %d", ErrIncomplete, len(r.got), r.manifest.Chunks())
-	}
-	var outAddr uint64
-	accounted := r.acct.Enabled()
-	if accounted {
-		outSize := int(r.manifest.Size)
-		if outSize == 0 {
-			outSize = 1
-		}
-		outAddr = r.acct.Arena.Alloc(outSize)
-	}
-	// Cap the upfront reservation: a forged Size must not reserve memory
-	// the (digest-verified) chunks never deliver; growth beyond the cap is
-	// paid only as real data decompresses.
-	prealloc := r.manifest.Size
-	if prealloc > 16<<20 {
-		prealloc = 16 << 20
-	}
-	out := make([]byte, 0, prealloc)
-	for i := 0; i < r.manifest.Chunks(); i++ {
-		stored := r.got[i]
-		if accounted {
-			// Stage the ciphertext into the enclave, then read it back for
-			// verification and decryption.
-			addr := r.acct.Arena.Alloc(len(stored))
-			r.acct.Mem.AccessRange(addr, len(stored), true)
-			r.acct.Mem.AccessRange(addr, len(stored), false)
-		}
-		plain, err := r.manifest.open(i, stored)
-		if err != nil {
-			return nil, err
-		}
-		if accounted && len(plain) > 0 {
-			r.acct.Mem.AccessRange(outAddr+uint64(len(out)), len(plain), true)
-		}
-		out = append(out, plain...)
-	}
-	if int64(len(out)) != r.manifest.Size {
-		return nil, fmt.Errorf("%w: assembled %d bytes, manifest says %d",
-			ErrManifest, len(out), r.manifest.Size)
-	}
-	return out, nil
 }
 
 // deflaterPool and inflaterPool recycle the compressor state machines —
@@ -501,20 +351,23 @@ func deflate(buf *bytes.Buffer, data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// inflate decompresses one chunk, rejecting output beyond limit (a chunk's
-// plaintext can never legitimately exceed the manifest's ChunkSize, so
-// anything larger is forged — erroring beats silent truncation, which
-// would surface as a confusing manifest-inconsistency later).
-func inflate(data []byte, limit int) ([]byte, error) {
+// inflate decompresses one chunk into dst's storage, which it overwrites,
+// rejecting output beyond limit (a chunk's plaintext can never legitimately
+// exceed the manifest's ChunkSize, so anything larger is forged — erroring
+// beats silent truncation, which would surface as a confusing
+// manifest-inconsistency later). The buffer grows only as real bytes
+// decompress, so a forged chunk cannot reserve more than it delivers.
+func inflate(dst, data []byte, limit int) ([]byte, error) {
 	r := inflaterPool.Get().(io.ReadCloser)
 	defer inflaterPool.Put(r)
 	if err := r.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
 		return nil, err
 	}
-	out, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
-	if err != nil {
+	buf := bytes.NewBuffer(dst[:0])
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(limit)+1)); err != nil {
 		return nil, err
 	}
+	out := buf.Bytes()
 	if len(out) > limit {
 		return nil, fmt.Errorf("%w: chunk inflates past %d bytes", ErrBadChunk, limit)
 	}

@@ -20,6 +20,13 @@ func payload(n int) []byte {
 	return out
 }
 
+// unpackAll reassembles chunks through Unpack, fetching chunks[idx].
+func unpackAll(m *Manifest, chunks [][]byte) ([]byte, error) {
+	var out bytes.Buffer
+	err := Unpack(m, cryptbox.Key{}, &out, func(idx int) ([]byte, error) { return chunks[idx], nil })
+	return out.Bytes(), err
+}
+
 func TestPackReceiveRoundTrip(t *testing.T) {
 	data := payload(1 << 20)
 	m, chunks, err := PackConvergent("meters.tar", data, 64<<10)
@@ -29,17 +36,7 @@ func TestPackReceiveRoundTrip(t *testing.T) {
 	if m.Chunks() != 16 {
 		t.Fatalf("chunks = %d, want 16", m.Chunks())
 	}
-	r, err := NewReceiver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deliver out of order.
-	for i := len(chunks) - 1; i >= 0; i-- {
-		if err := r.Accept(i, chunks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := r.Assemble()
+	got, err := unpackAll(m, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,16 +80,7 @@ func TestChunksOpaque(t *testing.T) {
 			t.Fatalf("plaintext visible in transfer chunk %d", i)
 		}
 	}
-	r, err := NewReceiver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range chunks {
-		if err := r.Accept(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := r.Assemble()
+	got, err := unpackAll(m, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,105 +89,73 @@ func TestChunksOpaque(t *testing.T) {
 	}
 }
 
+// TestTamperedChunkRejectedOnAccept: a chunk whose bytes differ from its
+// leaf is refused before it is opened. A flipped bit would also fail
+// authentication, but a chunk's convergent key is derived from its
+// content, so anyone who knows that content can seal other bytes under the
+// manifest's key: only the leaf check refuses such a forgery.
 func TestTamperedChunkRejectedOnAccept(t *testing.T) {
-	m, chunks, _ := PackConvergent("x", payload(300<<10), 64<<10)
-	r, _ := NewReceiver(m)
+	data := payload(300 << 10)
+	m, chunks, _ := PackConvergent("x", data, 64<<10)
 	bad := append([]byte(nil), chunks[2]...)
 	bad[10] ^= 1
-	if err := r.Accept(2, bad); !errors.Is(err, ErrBadChunk) {
-		t.Fatalf("err = %v, want ErrBadChunk", err)
+	forgedPlain := bytes.Repeat([]byte("F"), 64<<10)
+	var zbuf bytes.Buffer
+	compressed, err := deflate(&zbuf, forgedPlain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := cryptbox.NewBox(m.Keys[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := box.SealWithNonce(make([]byte, cryptbox.NonceSize), compressed, convergentAAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string][]byte{"flipped bit": bad, "resealed under the manifest key": forged} {
+		var out bytes.Buffer
+		err := Unpack(m, cryptbox.Key{}, &out, func(idx int) ([]byte, error) {
+			if idx == 2 {
+				return c, nil
+			}
+			return chunks[idx], nil
+		})
+		if !errors.Is(err, ErrBadChunk) {
+			t.Fatalf("%s: err = %v, want ErrBadChunk", name, err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:2*64<<10]) {
+			t.Fatalf("%s: %d bytes written, want the %d before chunk 2", name, out.Len(), 2*64<<10)
+		}
 	}
 }
 
 func TestChunkIndexSwapRejected(t *testing.T) {
 	m, chunks, _ := PackConvergent("x", payload(300<<10), 64<<10)
-	r, _ := NewReceiver(m)
-	if err := r.Accept(0, chunks[1]); !errors.Is(err, ErrBadChunk) {
+	swapped := append([][]byte{chunks[1], chunks[0]}, chunks[2:]...)
+	if _, err := unpackAll(m, swapped); !errors.Is(err, ErrBadChunk) {
 		t.Fatalf("chunk delivered under wrong index accepted: %v", err)
 	}
 }
 
-func TestOutOfRangeIndex(t *testing.T) {
-	m, chunks, _ := PackConvergent("x", payload(1000), 512)
-	r, _ := NewReceiver(m)
-	if err := r.Accept(99, chunks[0]); !errors.Is(err, ErrBadChunk) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := r.Accept(-1, chunks[0]); !errors.Is(err, ErrBadChunk) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestResumeAfterInterruption(t *testing.T) {
-	m, chunks, _ := PackConvergent("x", payload(640<<10), 64<<10)
-	r, _ := NewReceiver(m)
-	// First session delivers even chunks only.
-	for i := 0; i < len(chunks); i += 2 {
-		if err := r.Accept(i, chunks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.Complete() {
-		t.Fatal("complete with half the chunks")
-	}
-	missing := r.Missing()
-	if len(missing) != len(chunks)/2 {
-		t.Fatalf("missing %d, want %d", len(missing), len(chunks)/2)
-	}
-	if _, err := r.Assemble(); !errors.Is(err, ErrIncomplete) {
-		t.Fatalf("assemble incomplete: %v", err)
-	}
-	// Resume: deliver exactly what is missing.
-	for _, i := range missing {
-		if err := r.Accept(i, chunks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.Complete() {
-		t.Fatal("not complete after resume")
-	}
-	if _, err := r.Assemble(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDuplicateDeliveryIdempotent(t *testing.T) {
-	m, chunks, _ := PackConvergent("x", payload(2048), 1024)
-	r, _ := NewReceiver(m)
-	for i := 0; i < 3; i++ {
-		if err := r.Accept(0, chunks[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(r.Missing()) != len(chunks)-1 {
-		t.Fatal("duplicate delivery corrupted progress tracking")
-	}
-}
-
 func TestForgedManifestRejected(t *testing.T) {
-	m, _, _ := PackConvergent("x", payload(4096), 1024)
+	m, chunks, _ := PackConvergent("x", payload(4096), 1024)
 	m.Leaves[0][0] ^= 1 // leaves no longer match root
-	if _, err := NewReceiver(m); !errors.Is(err, ErrManifest) {
+	if _, err := unpackAll(m, chunks); !errors.Is(err, ErrManifest) {
 		t.Fatalf("err = %v, want ErrManifest", err)
 	}
 }
 
 // TestWrongKeyFailsAtAssemble: the Merkle root covers the sealed chunks,
 // not the keys, so a manifest whose key for one chunk is wrong validates,
-// accepts every chunk, and fails only when that chunk is opened.
+// passes every leaf check, and fails only when that chunk is opened.
 func TestWrongKeyFailsAtAssemble(t *testing.T) {
 	m, chunks, _ := PackConvergent("x", payload(2048), 1024)
 	m.Keys[1][0] ^= 0xDD
-	r, err := NewReceiver(m)
-	if err != nil {
+	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range chunks {
-		if err := r.Accept(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Assemble(); !errors.Is(err, ErrBadChunk) {
+	if _, err := unpackAll(m, chunks); !errors.Is(err, ErrBadChunk) {
 		t.Fatalf("err = %v, want ErrBadChunk", err)
 	}
 }
@@ -209,13 +165,7 @@ func TestEmptyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := NewReceiver(m)
-	for i, c := range chunks {
-		if err := r.Accept(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := r.Assemble()
+	got, err := unpackAll(m, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,16 +203,7 @@ func TestPropPackAssembleRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := NewReceiver(m)
-		if err != nil {
-			return false
-		}
-		for i, c := range chunks {
-			if err := r.Accept(i, c); err != nil {
-				return false
-			}
-		}
-		got, err := r.Assemble()
+		got, err := unpackAll(m, chunks)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -57,10 +57,12 @@
 //   - One batching API. AccessRange charges one contiguous access; a Span
 //     (Memory.BeginSpan ... End) charges any sequence of accesses and CPU
 //     costs — a whole index operation, a bucket, a page warm-up walk —
-//     under a single platform-lock acquisition and a single commit. A nil
-//     view opens a nil span, which charges nothing, so the SCBR index and
-//     kvstore run one code path whether or not they are accounted;
-//     fsshield and eventbus charge each record with one AccessRange.
+//     under a single platform-lock acquisition and a single commit. A
+//     structure's one accounting handle is its arena: a nil arena hands
+//     out address 0 and a nil view, and a nil view opens a nil span, which
+//     charges nothing, so the SCBR index, kvstore and eventbus run one
+//     code path whether or not they are accounted; eventbus charges each
+//     batch's copy through its staging window in one span.
 //
 //   - An O(ways) LLC that costs what it touches. The set-associative
 //     cache keeps each set as one recency-order word and its tags, in

@@ -589,22 +589,22 @@ func assembleReference(t *testing.T, lm *transfer.Manifest, chunks [][]byte, pay
 		t.Fatal(err)
 	}
 	defer enc.Destroy()
-	acct := enclave.Accounting{Mem: enc.Memory(), Arena: arena}
+	mem := enc.Memory()
 	outSize := int(lm.Size)
 	if outSize == 0 {
 		outSize = 1
 	}
-	outAddr := acct.Arena.Alloc(outSize)
+	outAddr := arena.Alloc(outSize)
 	var out []byte
 	for i, stored := range chunks {
-		addr := acct.Arena.Alloc(len(stored))
-		acct.Mem.AccessRange(addr, len(stored), true)
-		acct.Mem.AccessRange(addr, len(stored), false)
+		addr := arena.Alloc(len(stored))
+		mem.AccessRange(addr, len(stored), true)
+		mem.AccessRange(addr, len(stored), false)
 		plain := payload[i*lm.ChunkSize : min((i+1)*lm.ChunkSize, len(payload))]
 		if len(plain) > 0 {
-			acct.Mem.AccessRange(outAddr+uint64(len(out)), len(plain), true)
+			mem.AccessRange(outAddr+uint64(len(out)), len(plain), true)
 		}
 		out = append(out, plain...)
 	}
-	return acct.Mem.Cycles(), acct.Mem.Faults()
+	return mem.Cycles(), mem.Faults()
 }

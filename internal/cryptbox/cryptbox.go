@@ -95,16 +95,16 @@ func (b *Box) SealAppend(dst, plaintext, aad []byte) ([]byte, error) {
 	return b.aead.Seal(dst, nonce, plaintext, aad), nil
 }
 
-// SealWithNonce is Seal under a nonce the caller derived instead of a
-// random one: the deterministic seal behind convergent chunks and WAL
+// SealWithNonce is SealAppend under a nonce the caller derived instead of
+// a random one: the deterministic seal behind convergent chunks and WAL
 // records, whose bytes must be reproducible. The caller must guarantee
 // that a (key, nonce) pair never seals two different (plaintext, aad)
 // pairs — in practice, by deriving the nonce from both.
-func (b *Box) SealWithNonce(nonce, plaintext, aad []byte) ([]byte, error) {
+func (b *Box) SealWithNonce(dst, nonce, plaintext, aad []byte) ([]byte, error) {
 	if len(nonce) != NonceSize {
 		return nil, fmt.Errorf("cryptbox: nonce must be %d bytes, got %d", NonceSize, len(nonce))
 	}
-	dst, tail := b.grow(nil, len(plaintext))
+	dst, tail := b.grow(dst, len(plaintext))
 	copy(tail, nonce)
 	return b.aead.Seal(dst, tail, plaintext, aad), nil
 }

@@ -335,14 +335,20 @@ func TestSealAppendWithCapacityAllocatesNothing(t *testing.T) {
 	box, _ := NewBox(testKey(9))
 	pt := bytes.Repeat([]byte{0xCD}, 1024)
 	aad := []byte("aad")
+	nonce := make([]byte, NonceSize)
 	buf := make([]byte, 0, len(pt)+box.Overhead())
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := box.SealAppend(buf, pt, aad); err != nil {
-			t.Fatal(err)
+	for name, seal := range map[string]func() ([]byte, error){
+		"SealAppend":    func() ([]byte, error) { return box.SealAppend(buf, pt, aad) },
+		"SealWithNonce": func() ([]byte, error) { return box.SealWithNonce(buf, nonce, pt, aad) },
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := seal(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s into a buffer with room allocated %.1f times per call, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SealAppend into a buffer with room allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -368,18 +374,18 @@ func TestScratchPoolRoundtrip(t *testing.T) {
 func TestSealWithNonceDeterministic(t *testing.T) {
 	box, _ := NewBox(testKey(5))
 	nonce := bytes.Repeat([]byte{0x42}, NonceSize)
-	a, err := box.SealWithNonce(nonce, []byte("chunk"), []byte("aad"))
+	a, err := box.SealWithNonce(nil, nonce, []byte("chunk"), []byte("aad"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := box.SealWithNonce(nonce, []byte("chunk"), []byte("aad"))
+	b, _ := box.SealWithNonce(nil, nonce, []byte("chunk"), []byte("aad"))
 	if !bytes.Equal(a, b) || !bytes.Equal(a[:NonceSize], nonce) {
 		t.Fatal("a derived-nonce seal is not a pure function of its inputs")
 	}
 	if pt, err := box.Open(a, []byte("aad")); err != nil || string(pt) != "chunk" {
 		t.Fatalf("open = %q, %v", pt, err)
 	}
-	if _, err := box.SealWithNonce(nonce[:NonceSize-1], []byte("chunk"), nil); err == nil {
+	if _, err := box.SealWithNonce(nil, nonce[:NonceSize-1], []byte("chunk"), nil); err == nil {
 		t.Fatal("short nonce accepted")
 	}
 }

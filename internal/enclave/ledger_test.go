@@ -110,9 +110,9 @@ func TestPropLedgerTotalEqualsSumOfCauses(t *testing.T) {
 				for i := r.Intn(8); i >= 0; i-- {
 					switch r.Intn(3) {
 					case 0:
-						sp.Access(addr(), size, false)
+						sp.Access(addr(), size)
 					case 1:
-						sp.AccessCPU(addr(), 1+r.Intn(512), false, cpu)
+						sp.AccessCPU(addr(), 1+r.Intn(512), cpu)
 						model.cpu += cpu
 						model.cpuN++
 					case 2:

@@ -222,9 +222,9 @@ func (m *Memory) BeginSnapshotSpan() *Span {
 	return sp
 }
 
-// Access records one access of size bytes at addr within the span.
-func (sp *Span) Access(addr uint64, size int, write bool) {
-	_ = write
+// Access records one access of size bytes at addr within the span. Reads
+// and writes cost the same in this model.
+func (sp *Span) Access(addr uint64, size int) {
 	if sp == nil || size <= 0 {
 		return
 	}
@@ -237,8 +237,7 @@ func (sp *Span) Access(addr uint64, size int, write bool) {
 
 // AccessCPU records one access plus cpu cycles of pure computation — the
 // shape of one data-structure probe.
-func (sp *Span) AccessCPU(addr uint64, size int, write bool, cpu sim.Cycles) {
-	_ = write
+func (sp *Span) AccessCPU(addr uint64, size int, cpu sim.Cycles) {
 	if sp == nil {
 		return
 	}
@@ -500,18 +499,6 @@ func (m *Memory) ResetAccounting() {
 	m.p.mu.Unlock()
 }
 
-// Accounting bundles the memory view and arena a data structure charges
-// its simulated costs through. The zero value means "unaccounted": the
-// structure runs as plain Go data with no simulated-cost bookkeeping.
-// Consumer packages (kvstore, fsshield, eventbus) alias this type.
-type Accounting struct {
-	Mem   *Memory
-	Arena *Arena
-}
-
-// Enabled reports whether both halves of the accounting wiring are set.
-func (a Accounting) Enabled() bool { return a.Mem != nil && a.Arena != nil }
-
 // Arena is a bump allocator handing out simulated addresses from a fixed
 // region of one Memory view. Data-structure nodes in the higher layers
 // carry these addresses so their traversals can be charged to the memory
@@ -519,6 +506,10 @@ func (a Accounting) Enabled() bool { return a.Mem != nil && a.Arena != nil }
 // must not disturb the records' address sequence are carved downward from
 // the end (AllocTail). The arena never takes storage back: a structure
 // that deletes keeps its own free list of the addresses it was given.
+//
+// A nil *Arena is the arena of an unaccounted structure: Alloc and
+// AllocTail return address 0 and Memory returns a nil view, whose spans
+// charge nothing.
 type Arena struct {
 	mem  *Memory
 	base uint64
@@ -535,6 +526,9 @@ func NewArena(mem *Memory, base, size uint64) *Arena {
 // Alloc reserves size bytes (8-byte aligned) and returns the address.
 // It panics when the region is exhausted — a simulated out-of-memory.
 func (a *Arena) Alloc(size int) uint64 {
+	if a == nil {
+		return 0
+	}
 	if size <= 0 {
 		size = 1
 	}
@@ -552,6 +546,9 @@ func (a *Arena) Alloc(size int) uint64 {
 // The bump side's address sequence is unaffected. Like Alloc it panics
 // when the two sides would meet.
 func (a *Arena) AllocTail(size int) uint64 {
+	if a == nil {
+		return 0
+	}
 	if size <= 0 {
 		size = 1
 	}
@@ -568,7 +565,12 @@ func (a *Arena) exhausted(want uint64) {
 }
 
 // Memory returns the accounting view this arena allocates from.
-func (a *Arena) Memory() *Memory { return a.mem }
+func (a *Arena) Memory() *Memory {
+	if a == nil {
+		return nil
+	}
+	return a.mem
+}
 
 // Used returns the number of bytes allocated so far, bump and tail sides
 // together.

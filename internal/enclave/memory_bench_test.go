@@ -128,7 +128,7 @@ func benchSnapshot(b *testing.B, mem *Memory, base, span uint64, addrs []uint64,
 	for i := 0; i < b.N; i++ {
 		sp := mem.BeginSnapshotSpan()
 		for j := 0; j < probes; j++ {
-			sp.AccessCPU(addrs[(i*probes+j)&(len(addrs)-1)], size, false, 450)
+			sp.AccessCPU(addrs[(i*probes+j)&(len(addrs)-1)], size, 450)
 		}
 		sp.End()
 	}

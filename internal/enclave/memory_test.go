@@ -24,7 +24,7 @@ func smallPlatform() *Platform {
 func accessStride(m *Memory, base, stride uint64, n, size int) {
 	sp := m.BeginSpan()
 	for i := range n {
-		sp.Access(base+uint64(i)*stride, size, false)
+		sp.Access(base+uint64(i)*stride, size)
 	}
 	sp.End()
 }
@@ -34,7 +34,7 @@ func accessStride(m *Memory, base, stride uint64, n, size int) {
 func accessEach(m *Memory, addrs []uint64, size int) {
 	sp := m.BeginSpan()
 	for _, a := range addrs {
-		sp.Access(a, size, false)
+		sp.Access(a, size)
 	}
 	sp.End()
 }
@@ -48,7 +48,7 @@ func TestMutatingSpanAllocatesNothing(t *testing.T) {
 	base := p.AllocUntrusted(4096)
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := m.BeginSpan()
-		sp.AccessCPU(base, 64, false, 3)
+		sp.AccessCPU(base, 64, 3)
 		sp.End()
 	})
 	if allocs != 0 {
@@ -56,16 +56,24 @@ func TestMutatingSpanAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestNilSpanChargesNothing: an unaccounted structure's nil view opens nil
-// spans, whose every method is a no-op.
+// TestNilSpanChargesNothing: an unaccounted structure's nil arena hands
+// out address 0 and a nil view, which opens nil spans whose every method
+// is a no-op.
 func TestNilSpanChargesNothing(t *testing.T) {
-	var m *Memory
+	var a *Arena
+	if addr, tail := a.Alloc(64), a.AllocTail(64); addr != 0 || tail != 0 {
+		t.Fatalf("a nil arena allocated %#x and %#x", addr, tail)
+	}
+	m := a.Memory()
+	if m != nil {
+		t.Fatalf("a nil arena has view %p", m)
+	}
 	for _, sp := range []*Span{m.BeginSpan(), m.BeginSnapshotSpan()} {
 		if sp != nil {
 			t.Fatalf("a nil view opened span %p", sp)
 		}
-		sp.Access(64, 64, true)
-		sp.AccessCPU(64, 64, false, 10)
+		sp.Access(64, 64)
+		sp.AccessCPU(64, 64, 10)
 		sp.ChargeCPU(10)
 		sp.End()
 	}

@@ -158,9 +158,9 @@ func runOverlaySpan(t *testing.T, sp *Span, m *Memory, ops []overlayOp, label st
 	sp.m = m
 	for _, op := range ops {
 		if op.cpu > 0 {
-			sp.AccessCPU(op.addr, op.size, false, op.cpu)
+			sp.AccessCPU(op.addr, op.size, op.cpu)
 		} else {
-			sp.Access(op.addr, op.size, false)
+			sp.Access(op.addr, op.size)
 		}
 		ref.access(op.addr, op.size, op.cpu)
 	}
@@ -236,7 +236,7 @@ func TestSnapshotOverlayPooledSpans(t *testing.T) {
 		before := m.Cycles()
 		sp := m.BeginSnapshotSpan()
 		for _, op := range ops {
-			sp.AccessCPU(op.addr, op.size, false, op.cpu)
+			sp.AccessCPU(op.addr, op.size, op.cpu)
 			ref.access(op.addr, op.size, op.cpu)
 		}
 		sp.End()

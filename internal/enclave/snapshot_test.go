@@ -51,10 +51,10 @@ func TestSnapshotSpanChargesWithoutMutating(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				sp := mem.BeginSnapshotSpan()
 				// Probe a spread of addresses: warm, cold, repeated.
-				sp.Access(base, 256, false)
-				sp.Access(base+(3<<20), 256, false) // far: evicted/cold page
-				sp.Access(base+(3<<20), 256, false) // re-touch: overlay hit
-				sp.AccessCPU(base+512, 64, false, 100)
+				sp.Access(base, 256)
+				sp.Access(base+(3<<20), 256) // far: evicted/cold page
+				sp.Access(base+(3<<20), 256) // re-touch: overlay hit
+				sp.AccessCPU(base+512, 64, 100)
 				sp.End()
 			}
 			snapCost = uint64(mem.Cycles()) - c0
@@ -103,8 +103,8 @@ func TestSnapshotSpanDeterministicTotals(t *testing.T) {
 				defer wg.Done()
 				for i := w; i < ops; i += workers {
 					sp := mem.BeginSnapshotSpan()
-					sp.Access(base+uint64(i)*8192, 4096, false)
-					sp.AccessCPU(base, 64, false, 50)
+					sp.Access(base+uint64(i)*8192, 4096)
+					sp.AccessCPU(base, 64, 50)
 					sp.End()
 				}
 			}(w)

@@ -7,7 +7,7 @@ import (
 	"securecloud/internal/enclave"
 )
 
-func acctView(t *testing.T) Accounting {
+func acctArena(t *testing.T) *enclave.Arena {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	var signer cryptbox.Digest
@@ -25,7 +25,7 @@ func acctView(t *testing.T) Accounting {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Accounting{Mem: enc.Memory(), Arena: arena}
+	return arena
 }
 
 func TestAccountedPublishSubscribe(t *testing.T) {
@@ -36,25 +36,26 @@ func TestAccountedPublishSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pubAcct := acctView(t)
-	subAcct := acctView(t)
-	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "grid/readings", Key: key, Accounting: pubAcct})
+	pubArena := acctArena(t)
+	subArena := acctArena(t)
+	pubMem, subMem := pubArena.Memory(), subArena.Memory()
+	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "grid/readings", Key: key, Arena: pubArena})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "grid/readings", Key: key, Accounting: subAcct})
+	sub, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "grid/readings", Key: key, Arena: subArena})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pubAcct.Mem.ResetAccounting()
-	subAcct.Mem.ResetAccounting()
+	pubMem.ResetAccounting()
+	subMem.ResetAccounting()
 	for i := 0; i < 32; i++ {
 		if _, err := pub.PublishBatch([][]byte{[]byte("meter-00042 1.234 kW")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if pubAcct.Mem.Cycles() == 0 {
+	if pubMem.Cycles() == 0 {
 		t.Fatal("accounted publisher charged no cycles")
 	}
 	got, err := sub.Receive()
@@ -64,7 +65,7 @@ func TestAccountedPublishSubscribe(t *testing.T) {
 	if len(got) != 32 {
 		t.Fatalf("received %d messages, want 32", len(got))
 	}
-	if subAcct.Mem.Cycles() == 0 {
+	if subMem.Cycles() == 0 {
 		t.Fatal("accounted subscriber charged no cycles")
 	}
 }
@@ -76,7 +77,7 @@ func TestAccountedEndpointsMatchPlainSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "t", Key: key, Accounting: acctView(t)})
+	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "t", Key: key, Arena: acctArena(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

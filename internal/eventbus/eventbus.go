@@ -209,40 +209,25 @@ func TopicKey(appRoot cryptbox.Key, topic string) (cryptbox.Key, error) {
 // accounted endpoint copies sealed messages to or from the untrusted bus.
 const stageBytes = 64 << 10
 
-// Accounting wires a bus endpoint to the simulated SGX memory hierarchy:
-// the enclave-side copy of every sealed message (out on publish, in on
-// receive) is charged through the endpoint's Memory view. A zero Accounting
-// leaves the endpoint unaccounted.
-type Accounting = enclave.Accounting
-
-// acctStage is the per-endpoint staging window in simulated memory.
+// acctStage is the per-endpoint staging window in simulated memory. An
+// unaccounted endpoint's window has a nil view and charges nothing.
 type acctStage struct {
 	mem  *enclave.Memory
 	addr uint64
 }
 
-func newAcctStage(acct Accounting) *acctStage {
-	if !acct.Enabled() {
-		return nil
-	}
-	return &acctStage{mem: acct.Mem, addr: acct.Arena.Alloc(stageBytes)}
+func newAcctStage(arena *enclave.Arena) acctStage {
+	return acctStage{mem: arena.Memory(), addr: arena.Alloc(stageBytes)}
 }
 
-// chargeCopy charges a copy of total bytes through the staging window as a
-// handful of bulk accesses (one commit per window-full) instead of one
-// access per message.
-func (st *acctStage) chargeCopy(total int, write bool) {
-	if st == nil || total <= 0 {
-		return
+// chargeCopy charges a copy of total bytes through the staging window in
+// one span, a window-full per access, instead of one access per message.
+func (st acctStage) chargeCopy(total int) {
+	sp := st.mem.BeginSpan()
+	for ; total > 0; total -= stageBytes {
+		sp.Access(st.addr, min(total, stageBytes))
 	}
-	for total > 0 {
-		n := total
-		if n > stageBytes {
-			n = stageBytes
-		}
-		st.mem.AccessRange(st.addr, n, write)
-		total -= n
-	}
+	sp.End()
 }
 
 // Publisher seals messages onto one topic.
@@ -251,19 +236,21 @@ type Publisher struct {
 	topic string
 	box   *cryptbox.Box
 	aad   []byte // "topic|<topic>", precomputed once
-	stage *acctStage
+	stage acctStage
 }
 
 // EndpointConfig configures one bus endpoint — publisher or subscriber.
-// The zero Accounting leaves the endpoint unaccounted.
 type EndpointConfig struct {
 	Bus   *Bus
 	Topic string
 	// Key is the topic's stream key (obtained via attested key release).
 	Key cryptbox.Key
-	// Accounting optionally wires the endpoint's enclave-side copies to a
-	// simulated memory view.
-	Accounting Accounting
+	// Arena optionally wires the endpoint to the simulated SGX memory
+	// hierarchy: a staging window is carved from it, and the enclave-side
+	// copy of every sealed message (out on publish, in on receive) is
+	// charged to its memory view. A nil Arena leaves the endpoint
+	// unaccounted.
+	Arena *enclave.Arena
 }
 
 // OpenPublisher builds a publisher from cfg. The AEAD context is built
@@ -277,7 +264,7 @@ func OpenPublisher(cfg EndpointConfig) (*Publisher, error) {
 	return &Publisher{
 		bus: cfg.Bus, topic: cfg.Topic, box: box,
 		aad:   []byte("topic|" + cfg.Topic),
-		stage: newAcctStage(cfg.Accounting),
+		stage: newAcctStage(cfg.Arena),
 	}, nil
 }
 
@@ -316,7 +303,7 @@ func (p *Publisher) PublishBatch(bodies [][]byte) ([]uint64, error) {
 		}
 		sealed[i] = buf[start:len(buf):len(buf)]
 	}
-	p.stage.chargeCopy(len(buf), true)
+	p.stage.chargeCopy(len(buf))
 	return p.bus.publishBatch(p.topic, sealed)
 }
 
@@ -328,7 +315,7 @@ type Subscriber struct {
 	aad     []byte // "topic|<topic>", precomputed once
 	handle  int
 	lastSeq uint64
-	stage   *acctStage
+	stage   acctStage
 }
 
 // OpenSubscriber registers a subscription from cfg. The whole drained
@@ -346,7 +333,7 @@ func OpenSubscriber(cfg EndpointConfig) (*Subscriber, error) {
 	return &Subscriber{
 		bus: cfg.Bus, topic: cfg.Topic, box: box,
 		aad:    []byte("topic|" + cfg.Topic),
-		handle: h, stage: newAcctStage(cfg.Accounting),
+		handle: h, stage: newAcctStage(cfg.Arena),
 	}, nil
 }
 
@@ -394,13 +381,11 @@ func (s *Subscriber) Receive() ([][]byte, error) {
 // their queues and is opened into a fresh one.
 func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 	msgs := s.bus.drainN(s.topic, s.handle, max)
-	if s.stage != nil {
-		total := 0
-		for _, m := range msgs {
-			total += len(m.Sealed)
-		}
-		s.stage.chargeCopy(total, false)
+	total := 0
+	for _, m := range msgs {
+		total += len(m.Sealed)
 	}
+	s.stage.chargeCopy(total)
 	out := make([][]byte, 0, len(msgs))
 	for _, m := range msgs {
 		if m.Seq <= s.lastSeq {

@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
 )
 
 // DefaultChunkSize is the protection granularity. SCONE shields file I/O at
@@ -158,31 +157,12 @@ func verifyChunkMAC(key cryptbox.Key, stored, aad []byte, tag [cryptbox.MACSize]
 	return ok
 }
 
-// Accounting wires an FS to the simulated SGX memory hierarchy: the
-// enclave-side copy of every protected chunk (out on write, in on read) is
-// charged through the given Memory view. A zero Accounting leaves the FS
-// unaccounted.
-type Accounting = enclave.Accounting
-
-// fileRegion is the simulated placement of one protected file's chunks:
-// they are laid out contiguously, so a whole-file read or write is a single
-// bulk access rather than one accounting round-trip per chunk.
-type fileRegion struct {
-	addr   uint64
-	size   int
-	cap    int   // allocated bytes; rewrites reuse the region while they fit
-	chunks []int // stored size per chunk, for random-access offsets
-}
-
 // FS is a protected file system: ciphertext blobs plus the protection file
 // that authenticates them. Blobs live on untrusted storage (the image
 // layers, a host volume); the protection file is the trusted root.
 type FS struct {
 	pf    *ProtectionFile
 	blobs map[string][][]byte // path -> ciphertext chunks
-
-	acct    Accounting
-	regions map[string]fileRegion
 }
 
 // NewFS returns an empty protected file system with the given chunk size.
@@ -197,46 +177,6 @@ func OpenFS(pf *ProtectionFile, blobs map[string][][]byte) *FS {
 		blobs = make(map[string][][]byte)
 	}
 	return &FS{pf: pf, blobs: blobs}
-}
-
-// WithAccounting routes this FS's chunk I/O through the simulated memory
-// hierarchy and returns the FS. Call it once, before any protected I/O.
-func (fs *FS) WithAccounting(acct Accounting) *FS {
-	fs.acct = acct
-	return fs
-}
-
-func (fs *FS) accounted() bool { return fs.acct.Enabled() }
-
-// placeFile lays out a file's stored chunks contiguously in simulated
-// memory and charges the writing copy as one bulk access. Rewrites reuse
-// the path's existing region while the new contents fit, so repeatedly
-// updating one file does not bleed the arena dry.
-func (fs *FS) placeFile(path string, chunks [][]byte) {
-	if !fs.accounted() {
-		return
-	}
-	if fs.regions == nil {
-		fs.regions = make(map[string]fileRegion)
-	}
-	r := fileRegion{chunks: make([]int, len(chunks))}
-	for i, c := range chunks {
-		r.chunks[i] = len(c)
-		r.size += len(c)
-	}
-	if r.size == 0 {
-		r.size = 1
-	}
-	if old, ok := fs.regions[path]; ok && r.size <= old.cap {
-		r.addr, r.cap = old.addr, old.cap
-	} else {
-		// Grow with slack so rewrites whose size drifts upward settle into
-		// one region instead of reallocating on every small increase.
-		r.cap = r.size + r.size/2
-		r.addr = fs.acct.Arena.Alloc(r.cap)
-	}
-	fs.regions[path] = r
-	fs.acct.Mem.AccessRange(r.addr, r.size, true)
 }
 
 // ProtectionFile returns the trusted protection records.
@@ -307,7 +247,6 @@ func (fs *FS) WriteFile(path string, data []byte, mode Mode, rootKey cryptbox.Ke
 	}
 	fs.pf.Files[path] = entry
 	fs.blobs[path] = chunks
-	fs.placeFile(path, chunks)
 	return nil
 }
 
@@ -324,10 +263,6 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	box, err := cryptbox.NewBox(entry.Key)
 	if err != nil {
 		return nil, err
-	}
-	if r, ok := fs.regions[path]; ok && fs.accounted() {
-		// One bulk access covers the whole file's chunk copies.
-		fs.acct.Mem.AccessRange(r.addr, r.size, false)
 	}
 	out := make([]byte, 0, entry.Size)
 	for i, stored := range chunks {
@@ -364,13 +299,6 @@ func (fs *FS) ReadChunk(path string, idx int) ([]byte, error) {
 	}
 	aad := chunkAAD(path, entry.Version, idx, len(entry.MACs))
 	stored := chunks[idx]
-	if r, ok := fs.regions[path]; ok && fs.accounted() && idx < len(r.chunks) {
-		off := 0
-		for i := 0; i < idx; i++ {
-			off += r.chunks[i]
-		}
-		fs.acct.Mem.AccessRange(r.addr+uint64(off), len(stored), false)
-	}
 	if !verifyChunkMAC(entry.Key, stored, aad, entry.MACs[idx]) {
 		return nil, fmt.Errorf("%w: %s chunk %d", ErrTampered, path, idx)
 	}
@@ -389,9 +317,7 @@ func (fs *FS) ReadChunk(path string, idx int) ([]byte, error) {
 }
 
 // Remove drops a path from both the protection file and the blob store.
-// The simulated region is not reclaimed (arena addresses are bump-only).
 func (fs *FS) Remove(path string) {
 	delete(fs.pf.Files, path)
 	delete(fs.blobs, path)
-	delete(fs.regions, path)
 }

@@ -31,7 +31,7 @@ func accountedStore(t *testing.T) (*Store, *enclave.Memory) {
 	}
 	var k cryptbox.Key
 	k[0] = 7
-	s, err := NewStore(k, Options{Seed: 1, Accounting: Accounting{Mem: enc.Memory(), Arena: arena}})
+	s, err := NewStore(k, Options{Seed: 1, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func smallEPCStore(t *testing.T) (*Store, *enclave.Memory) {
 	}
 	arena, _ := enc.HeapArena()
 	var k cryptbox.Key
-	s, err := NewStore(k, Options{Seed: 1, Accounting: Accounting{Mem: enc.Memory(), Arena: arena}})
+	s, err := NewStore(k, Options{Seed: 1, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func sealSnapshotRecord(seal *sealer, man snapshotManifest, name string) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	sealed, err := seal.sealDeterministic(raw, snapshotAAD(name, man.Seq, man.Parent))
+	sealed, err := seal.sealDeterministic(nil, raw, snapshotAAD(name, man.Seq, man.Parent))
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ type node struct {
 	key   string
 	value []byte // sealed
 	next  []*node
-	addr  uint64 // simulated address when accounting is enabled
+	addr  uint64 // simulated address; 0 in an unaccounted store
 	bytes int    // simulated footprint (header + key + sealed value + links)
 }
 
@@ -42,14 +42,6 @@ type node struct {
 // during a descent: the header, link pointers and key prefix a comparison
 // reads before deciding to advance or drop a level.
 const nodeProbeBytes = 64
-
-// Accounting wires a Store to the simulated SGX memory hierarchy. With a
-// zero Accounting the store runs as a plain data structure. With Mem and
-// Arena set, every node lives at a simulated address and each operation
-// charges its whole traversal through one span: one batched commit per
-// operation instead of one lock round-trip per visited node. An
-// unaccounted store's span is nil and charges nothing.
-type Accounting = enclave.Accounting
 
 // Store is an ordered, encrypted key/value store. Not safe for concurrent
 // use; the owning micro-service serialises access (as the single-threaded
@@ -61,8 +53,8 @@ type Store struct {
 	length int
 	rng    *rand.Rand
 
-	acct Accounting // zero unless both halves are set
-	aad  []byte     // scratch: the value AAD of the record being sealed or opened
+	arena *enclave.Arena // nil when unaccounted
+	aad   []byte         // scratch: the value AAD of the record being sealed or opened
 }
 
 // Options configures a Store; the zero Options is seed 0, no accounting.
@@ -70,9 +62,14 @@ type Options struct {
 	// Seed fixes the skip-list geometry (topology: same seed, same
 	// structure, same simulated charges).
 	Seed int64
-	// Accounting optionally charges traversals and record I/O to a
-	// simulated memory view.
-	Accounting Accounting
+	// Arena optionally wires the store to the simulated SGX memory
+	// hierarchy: every node lives at an address from it, and each
+	// operation charges its whole traversal to the arena's memory view
+	// through one span — one batched commit per operation instead of one
+	// lock round-trip per visited node. A nil Arena leaves the store a
+	// plain data structure: its addresses are 0 and its spans nil, so
+	// nothing is charged.
+	Arena *enclave.Arena
 }
 
 // NewStore builds a store sealing with key, shaped by opts.
@@ -83,19 +80,14 @@ func NewStore(key cryptbox.Key, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		box:   box,
-		head:  &node{next: make([]*node, maxLevel)},
+		head:  &node{next: make([]*node, maxLevel), bytes: nodeProbeBytes + 8*maxLevel},
 		level: 1,
 		rng:   sim.NewRand(opts.Seed),
+		arena: opts.Arena,
 	}
-	if opts.Accounting.Enabled() {
-		s.acct = opts.Accounting
-		s.head.bytes = nodeProbeBytes + 8*maxLevel
-		s.head.addr = opts.Accounting.Arena.Alloc(s.head.bytes)
-	}
+	s.head.addr = s.arena.Alloc(s.head.bytes)
 	return s, nil
 }
-
-func (s *Store) accounted() bool { return s.acct.Enabled() }
 
 // nodeFootprint is the simulated size of a node's storage.
 func nodeFootprint(n *node) int {
@@ -105,27 +97,21 @@ func nodeFootprint(n *node) int {
 // placeNode assigns a simulated address covering the node's full footprint
 // and charges its write to sp.
 func (s *Store) placeNode(sp *enclave.Span, n *node) {
-	if !s.accounted() {
-		return
-	}
 	n.bytes = nodeFootprint(n)
-	n.addr = s.acct.Arena.Alloc(n.bytes)
-	sp.Access(n.addr, n.bytes, true)
+	n.addr = s.arena.Alloc(n.bytes)
+	sp.Access(n.addr, n.bytes)
 }
 
 // replaceNodeValue re-places a node whose value changed size: the record is
 // rewritten where it stands when it still fits, or relocated when it grew,
 // so later reads charge the real footprint.
 func (s *Store) replaceNodeValue(sp *enclave.Span, n *node) {
-	if !s.accounted() {
-		return
-	}
 	size := nodeFootprint(n)
 	if size > n.bytes {
-		n.addr = s.acct.Arena.Alloc(size)
+		n.addr = s.arena.Alloc(size)
 	}
 	n.bytes = size
-	sp.Access(n.addr, n.bytes, true)
+	sp.Access(n.addr, n.bytes)
 }
 
 // Len returns the number of stored records.
@@ -148,11 +134,11 @@ func (s *Store) descend(sp *enclave.Span, k string, update []*node) *node {
 	cur := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for cur.next[i] != nil && cur.next[i].key < k {
-			sp.Access(cur.next[i].addr, nodeProbeBytes, false)
+			sp.Access(cur.next[i].addr, nodeProbeBytes)
 			cur = cur.next[i]
 		}
 		if cur.next[i] != nil {
-			sp.Access(cur.next[i].addr, nodeProbeBytes, false) // the comparison that stopped the level
+			sp.Access(cur.next[i].addr, nodeProbeBytes) // the comparison that stopped the level
 		}
 		if update != nil {
 			update[i] = cur
@@ -180,7 +166,7 @@ func (s *Store) Put(key string, value []byte) error {
 	if err != nil {
 		return err
 	}
-	sp := s.acct.Mem.BeginSpan()
+	sp := s.arena.Memory().BeginSpan()
 	defer sp.End()
 	var update [maxLevel]*node
 	cand := s.descend(sp, key, update[:])
@@ -201,7 +187,7 @@ func (s *Store) Put(key string, value []byte) error {
 	for i := 0; i < lvl; i++ {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
-		sp.Access(update[i].addr, 8, true) // the predecessor's link store
+		sp.Access(update[i].addr, 8) // the predecessor's link store
 	}
 	s.length++
 	return nil
@@ -215,11 +201,11 @@ func (s *Store) Put(key string, value []byte) error {
 // e.g. by holding the read side of a lock whose write side covers all
 // mutators — exactly what ShardedStore does per shard.
 func (s *Store) GetSnapshot(key string) ([]byte, error) {
-	sp := s.acct.Mem.BeginSnapshotSpan()
+	sp := s.arena.Memory().BeginSnapshotSpan()
 	cand := s.descend(sp, key, nil)
 	found := cand != nil && cand.key == key
 	if found {
-		sp.Access(cand.addr, cand.bytes, false)
+		sp.Access(cand.addr, cand.bytes)
 	}
 	sp.End()
 	if !found {
@@ -263,11 +249,11 @@ func (s *Store) GetBatch(keys []string) ([][]byte, error) {
 
 // Get returns the value stored under key.
 func (s *Store) Get(key string) ([]byte, error) {
-	sp := s.acct.Mem.BeginSpan()
+	sp := s.arena.Memory().BeginSpan()
 	cand := s.descend(sp, key, nil)
 	found := cand != nil && cand.key == key
 	if found {
-		sp.Access(cand.addr, cand.bytes, false)
+		sp.Access(cand.addr, cand.bytes)
 	}
 	sp.End()
 	if !found {
@@ -282,7 +268,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // Delete removes key; it reports whether the key existed.
 func (s *Store) Delete(key string) bool {
-	sp := s.acct.Mem.BeginSpan()
+	sp := s.arena.Memory().BeginSpan()
 	defer sp.End()
 	var update [maxLevel]*node
 	cand := s.descend(sp, key, update[:])
@@ -292,7 +278,7 @@ func (s *Store) Delete(key string) bool {
 	for i := 0; i < s.level; i++ {
 		if update[i].next[i] == cand {
 			update[i].next[i] = cand.next[i]
-			sp.Access(update[i].addr, 8, true) // the predecessor's link store
+			sp.Access(update[i].addr, 8) // the predecessor's link store
 		}
 	}
 	for s.level > 1 && s.head.next[s.level-1] == nil {
@@ -314,14 +300,14 @@ type Pair struct {
 // mutex: every accounted Store owns its own platform (shard.New builds one
 // per shard), so no other structure's charges wait on it.
 func (s *Store) Range(lo, hi string) ([]Pair, error) {
-	sp := s.acct.Mem.BeginSpan()
+	sp := s.arena.Memory().BeginSpan()
 	defer sp.End()
 	var out []Pair
 	for n := s.descend(sp, lo, nil); n != nil; n = n.next[0] {
 		if hi != "" && n.key >= hi {
 			break
 		}
-		sp.Access(n.addr, n.bytes, false)
+		sp.Access(n.addr, n.bytes)
 		plain, err := s.box.Open(n.value, s.scratchAAD(n.key))
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: key %q: %w", n.key, ErrTampered)

@@ -53,8 +53,8 @@ func NewShardedStore(key cryptbox.Key, cfg ShardedStoreConfig) (*ShardedStore, e
 		return nil, err
 	}
 	set, err := shard.New(cfg.Shards, cfg.Workers, cfg.Platform, bytes, "kv-shard",
-		func(i int, acct Accounting) (*Store, error) {
-			return NewStore(key, Options{Seed: cfg.Seed + int64(i), Accounting: acct})
+		func(i int, arena *enclave.Arena) (*Store, error) {
+			return NewStore(key, Options{Seed: cfg.Seed + int64(i), Arena: arena})
 		})
 	if err != nil {
 		return nil, err

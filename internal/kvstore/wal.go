@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -146,22 +147,22 @@ func newSealer(key cryptbox.Key) (*sealer, error) {
 	return &sealer{box: box, mac: cryptbox.NewMAC(key)}, nil
 }
 
-// sealDeterministic seals plaintext under a nonce derived from the
-// plaintext and AAD instead of a random one, so identical appends produce
-// bit-identical bytes (the twin-determinism the recovery gate pins). The
-// (key, nonce) pair can only recur for an identical (plaintext, aad) pair
-// — which produces the identical sealed record — so determinism costs no
-// nonce-reuse safety. The nonce is a MAC under the key, not a bare hash: a
-// bare hash would let anyone who guesses a whole record and its AAD
-// confirm the guess from the stored nonce. Keyed, the seal is a
-// deterministic AEAD and reveals only whether two seals of the same
-// (plaintext, aad) are equal.
-func (s *sealer) sealDeterministic(plaintext, aad []byte) ([]byte, error) {
+// sealDeterministic seals plaintext, appended to dst, under a nonce
+// derived from the plaintext and AAD instead of a random one, so
+// identical appends produce bit-identical bytes (the twin-determinism the
+// recovery gate pins). The (key, nonce) pair can only recur for an
+// identical (plaintext, aad) pair — which produces the identical sealed
+// record — so determinism costs no nonce-reuse safety. The nonce is a
+// MAC under the key, not a bare hash: a bare hash would let anyone who
+// guesses a whole record and its AAD confirm the guess from the stored
+// nonce. Keyed, the seal is a deterministic AEAD and reveals only whether
+// two seals of the same (plaintext, aad) are equal.
+func (s *sealer) sealDeterministic(dst, plaintext, aad []byte) ([]byte, error) {
 	s.mac.Reset()
 	s.mac.Write(plaintext)
 	s.mac.Write(aad)
 	s.mac.Write(sealNonceLabel)
-	return s.box.SealWithNonce(s.mac.Sum(s.sum[:0])[:cryptbox.NonceSize], plaintext, aad)
+	return s.box.SealWithNonce(dst, s.mac.Sum(s.sum[:0])[:cryptbox.NonceSize], plaintext, aad)
 }
 
 // WALSegment is one sealed epoch of a shard's log: the byte extent a Roll
@@ -290,12 +291,15 @@ func (w *WAL) Append(ops []WALOp) error {
 			return err
 		}
 	}
-	sealed, err := w.seal.sealDeterministic(payload, walAAD(w.name, w.epoch, w.seq))
+	// The record is sealed straight onto the log behind its length prefix;
+	// growing the log first keeps the growth amortised, as append's is.
+	n := len(payload) + w.seal.box.Overhead()
+	buf := binary.BigEndian.AppendUint32(slices.Grow(w.buf, 4+n), uint32(n))
+	buf, err = w.seal.sealDeterministic(buf, payload, walAAD(w.name, w.epoch, w.seq))
 	if err != nil {
 		return err
 	}
-	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(sealed)))
-	w.buf = append(w.buf, sealed...)
+	w.buf = buf
 	w.seq++
 	w.records++
 	return nil

@@ -119,11 +119,11 @@ func TestSealDeterministicNonceKeyed(t *testing.T) {
 	pt, aad := []byte("meter-0001=1.234"), walAAD("wal/guess", 1, 0)
 	other := walTestKey(t)
 	other[0] ^= 1
-	a, err := testSealer(t, walTestKey(t)).sealDeterministic(pt, aad)
+	a, err := testSealer(t, walTestKey(t)).sealDeterministic(nil, pt, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := testSealer(t, other).sealDeterministic(pt, aad)
+	b, err := testSealer(t, other).sealDeterministic(nil, pt, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestWALAuthenticatedGarbage(t *testing.T) {
 	// A forged op count with no ops behind it, sealed under the log key at
 	// the right position.
 	forged := binary.BigEndian.AppendUint32(nil, 1<<30)
-	sealed, err := testSealer(t, key).sealDeterministic(forged, walAAD(name, epoch, seq))
+	sealed, err := testSealer(t, key).sealDeterministic(nil, forged, walAAD(name, epoch, seq))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (w *mrWorker) stage(n int) uint64 {
 // stager charges each record a task moves to the next staging address,
 // within the task's accounting span.
 func (w *mrWorker) stager(sp *enclave.Span) stageFunc {
-	return func(n int, write bool) { sp.Access(w.stage(n), n, write) }
+	return func(n int) { sp.Access(w.stage(n), n) }
 }
 
 // PhaseStats is the per-phase cycle accounting of one parallel run: per
@@ -126,9 +126,9 @@ func NewParallelSecureEngine(rootKey cryptbox.Key, cfg ParallelConfig) (*Paralle
 		cfg.WorkerBytes = 16 << 20
 	}
 	set, err := shard.New(cfg.Workers, cfg.MaxParallel, cfg.Platform, cfg.WorkerBytes, "mr-parallel-worker",
-		func(_ int, acct enclave.Accounting) (mrWorker, error) {
-			size := acct.Arena.Capacity()
-			return mrWorker{base: acct.Arena.Alloc(int(size)), size: size}, nil
+		func(_ int, arena *enclave.Arena) (mrWorker, error) {
+			size := arena.Capacity()
+			return mrWorker{base: arena.Alloc(int(size)), size: size}, nil
 		})
 	if err != nil {
 		return nil, err

@@ -79,10 +79,10 @@ func shuffleAADs(job string, reducers int) [][]byte {
 }
 
 // stageFunc is told the size of each record a task moves through its
-// enclave, in order: reads of input and sealed records (write false),
-// writes of sealed and reduced records (write true). The parallel engine
-// charges them to the worker's staging region.
-type stageFunc func(n int, write bool)
+// enclave, in order: reads of input and sealed records, writes of sealed
+// and reduced records. The parallel engine charges them to the worker's
+// staging region.
+type stageFunc func(n int)
 
 // mapSplit maps one input split, sealing every emitted pair under its
 // partition's box and AAD. It returns each partition's sealed records in
@@ -92,7 +92,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 	var plain []byte
 	var failed error
 	for _, rec := range split {
-		stage(len(rec.Key)+len(rec.Value), false)
+		stage(len(rec.Key) + len(rec.Value))
 		job.Map(rec.Key, rec.Value, func(k string, v []byte) {
 			if failed != nil {
 				return
@@ -104,7 +104,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 				failed = err
 				return
 			}
-			stage(len(sealed), true)
+			stage(len(sealed))
 			out[p] = append(out[p], sealed)
 		})
 		if failed != nil {
@@ -120,7 +120,7 @@ func mapSplit(job *Job, boxes []*cryptbox.Box, aads [][]byte, split []KV, stage 
 func reducePartition(job *Job, box *cryptbox.Box, aad []byte, p int, sealed [][]byte, stage stageFunc, emit func(k string, v []byte)) error {
 	groups := make(map[string][][]byte)
 	for _, rec := range sealed {
-		stage(len(rec), false)
+		stage(len(rec))
 		raw, err := box.Open(rec, aad)
 		if err != nil {
 			return fmt.Errorf("%w: partition %d", ErrShuffleTampered, p)
@@ -136,7 +136,7 @@ func reducePartition(job *Job, box *cryptbox.Box, aad []byte, p int, sealed [][]
 		if err != nil {
 			return fmt.Errorf("mapreduce %s: reduce %q: %w", job.Name, k, err)
 		}
-		stage(len(k)+len(v), true)
+		stage(len(k) + len(v))
 		emit(k, v)
 	}
 	return nil

@@ -322,16 +322,15 @@ func (rs *ReplicaSet) bootFront() (*frontEnd, error) {
 		br.stop()
 		return nil, fmt.Errorf("microsvc %s: no stream key released for topic %s", rs.name, rs.cfg.OutTopic)
 	}
-	acct := enclave.Accounting{Mem: br.enc.Memory(), Arena: br.arena}
 	sub, err := eventbus.OpenSubscriber(eventbus.EndpointConfig{
-		Bus: rs.bus, Topic: rs.cfg.InTopic, Key: inKey, Accounting: acct,
+		Bus: rs.bus, Topic: rs.cfg.InTopic, Key: inKey, Arena: br.arena,
 	})
 	if err != nil {
 		br.stop()
 		return nil, err
 	}
 	pub, err := eventbus.OpenPublisher(eventbus.EndpointConfig{
-		Bus: rs.bus, Topic: rs.cfg.OutTopic, Key: outKey, Accounting: acct,
+		Bus: rs.bus, Topic: rs.cfg.OutTopic, Key: outKey, Arena: br.arena,
 	})
 	if err != nil {
 		sub.Close()
@@ -722,13 +721,13 @@ func (r *Replica) enqueue(q request) {
 
 // chargeStage charges n bytes through the replica's staging window in
 // window-sized chunks, within the given span.
-func (r *Replica) chargeStage(sp *enclave.Span, n int, write bool) {
+func (r *Replica) chargeStage(sp *enclave.Span, n int) {
 	for n > 0 {
 		c := n
 		if c > replicaStageBytes {
 			c = replicaStageBytes
 		}
-		sp.Access(r.stage, c, write)
+		sp.Access(r.stage, c)
 		n -= c
 	}
 }
@@ -742,7 +741,7 @@ func (r *Replica) chargeStage(sp *enclave.Span, n int, write bool) {
 func (r *Replica) serveOne(q request) (*[]byte, bool) {
 	mem := r.enc.Memory()
 	sp := mem.BeginSpan()
-	r.chargeStage(sp, len(q.sealed), false)
+	r.chargeStage(sp, len(q.sealed))
 	if extra := r.slow.Load(); extra > 0 {
 		sp.ChargeCPU(sim.Cycles(extra))
 	}
@@ -772,7 +771,7 @@ func (r *Replica) serveOne(q request) (*[]byte, bool) {
 			r.failed.Add(1)
 			return nil, false
 		}
-		r.chargeStage(sp, len(resp)+r.box.Overhead(), true) // the sealed part
+		r.chargeStage(sp, len(resp)+r.box.Overhead()) // the sealed part
 	}
 	sp.End()
 	r.served.Add(1)

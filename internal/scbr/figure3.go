@@ -122,7 +122,7 @@ func runFigure3Point(cfg Figure3Config, mb float64) (Figure3Point, error) {
 	pageSize := pOut.Config().PageSize
 	sp := memOut.BeginSpan()
 	for off := uint64(0); off < arenaSize; off += pageSize {
-		sp.Access(base+off, 1, true)
+		sp.Access(base+off, 1)
 	}
 	sp.End()
 	arenaOut := enclave.NewArena(memOut, base, arenaSize)

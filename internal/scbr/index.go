@@ -142,13 +142,13 @@ func (ix *Index) Checks() uint64 { return ix.checks }
 // predicate records, pay the comparison CPU cost.
 func (ix *Index) touchFilter(sp *enclave.Span, n *node) {
 	ix.checks++
-	sp.AccessCPU(n.addr, n.hdrBytes, false, ix.cfg.CheckCost)
+	sp.AccessCPU(n.addr, n.hdrBytes, ix.cfg.CheckCost)
 }
 
 // touchHeader charges a write of a node's fixed header: its ID, child
 // vector or parent link changed.
 func touchHeader(sp *enclave.Span, n *node) {
-	sp.Access(n.addr, nodeHeaderBytes, true)
+	sp.Access(n.addr, nodeHeaderBytes)
 }
 
 // allocRecord adds a size-byte record to the store's occupancy and returns
@@ -156,9 +156,6 @@ func touchHeader(sp *enclave.Span, n *node) {
 // exactly that size.
 func (ix *Index) allocRecord(size int) uint64 {
 	ix.bytes += int64(size)
-	if ix.cfg.Arena == nil {
-		return 0
-	}
 	if free := ix.freeRecs[size]; len(free) > 0 {
 		addr := free[len(free)-1]
 		ix.freeRecs[size] = free[:len(free)-1]
@@ -186,7 +183,7 @@ func (ix *Index) locate(sp *enclave.Span, id uint64) *node {
 		return nil
 	}
 	slot := id % locPageIDs
-	sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, false)
+	sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes)
 	return pg.slots[slot]
 }
 
@@ -202,13 +199,13 @@ func (ix *Index) setSlot(sp *enclave.Span, id uint64, n *node) {
 		pg = &locPage{}
 		if last := len(ix.freePages) - 1; last >= 0 {
 			pg.addr, ix.freePages = ix.freePages[last], ix.freePages[:last]
-		} else if ix.cfg.Arena != nil {
+		} else {
 			pg.addr = ix.cfg.Arena.AllocTail(locPageBytes)
 		}
 		ix.locator[k] = pg
 		ix.bytes += locPageBytes
 	}
-	sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes, true)
+	sp.Access(pg.addr+slot*locSlotBytes, locSlotBytes)
 	switch was := pg.slots[slot]; {
 	case was == nil && n != nil:
 		pg.live++
@@ -288,7 +285,7 @@ func (ix *Index) Insert(s Subscription) {
 	cur.children = append(keep, n)
 
 	// Write the node: header plus payload (routing state).
-	sp.Access(n.addr, n.hdrBytes+n.payBytes, true)
+	sp.Access(n.addr, n.hdrBytes+n.payBytes)
 	ix.count++
 	ix.setSlot(sp, s.ID, n)
 }
@@ -312,14 +309,14 @@ func (ix *Index) Match(e Event) []uint64 {
 func (ix *Index) matchFrom(sp *enclave.Span, cur *node, ev []attrVal, out *[]uint64) (checks uint64) {
 	for _, ch := range cur.children {
 		checks++
-		sp.AccessCPU(ch.addr, ch.hdrBytes, false, ix.cfg.CheckCost)
+		sp.AccessCPU(ch.addr, ch.hdrBytes, ix.cfg.CheckCost)
 		if !ch.f.matches(ev) {
 			// Children are covered by ch: nothing below can match.
 			continue
 		}
 		*out = append(*out, ch.id)
 		for _, d := range ch.bucket {
-			sp.Access(d.addr, 16, false)
+			sp.Access(d.addr, 16)
 			*out = append(*out, d.id)
 		}
 		checks += ix.matchFrom(sp, ch, ev, out)
@@ -332,7 +329,7 @@ func (ix *Index) matchFrom(sp *enclave.Span, cur *node, ev []attrVal, out *[]uin
 func (ix *Index) addDup(sp *enclave.Span, n *node, id uint64) {
 	size := ix.dupBytes()
 	d := dupEntry{id: id, addr: ix.allocRecord(size)}
-	sp.Access(d.addr, size, true)
+	sp.Access(d.addr, size)
 	n.bucket = append(n.bucket, d)
 	ix.count++
 	ix.setSlot(sp, id, n)
@@ -374,7 +371,7 @@ func (ix *Index) MatchNaive(e Event) []uint64 {
 			if ch.f.matches(ev) {
 				out = append(out, ch.id)
 				for _, d := range ch.bucket {
-					sp.Access(d.addr, 16, false)
+					sp.Access(d.addr, 16)
 					out = append(out, d.id)
 				}
 			}

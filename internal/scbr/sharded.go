@@ -59,10 +59,10 @@ func NewShardedIndex(cfg ShardedIndexConfig) (*ShardedIndex, error) {
 		return nil, err
 	}
 	set, err := shard.New(cfg.Shards, cfg.Workers, cfg.Platform, bytes, "scbr-shard",
-		func(_ int, acct enclave.Accounting) (*Index, error) {
+		func(_ int, arena *enclave.Arena) (*Index, error) {
 			return NewIndex(IndexConfig{
 				PayloadBytes: cfg.PayloadBytes, CheckCost: cfg.CheckCost,
-				Mem: acct.Mem, Arena: acct.Arena,
+				Mem: arena.Memory(), Arena: arena,
 			}), nil
 		})
 	if err != nil {

@@ -67,10 +67,10 @@ type Set[T any] struct {
 // New builds n shards (0 = GOMAXPROCS) fanned out across at most workers
 // goroutines (0 = GOMAXPROCS). With bytes > 0 shard i lives in an enclave
 // of that size on a fresh platform configured by platform, measured over
-// the name "<name>-<i>", and build receives its memory and heap arena;
-// with bytes == 0 the shards are unaccounted and build receives a zero
-// Accounting. If any step fails, the enclaves already built are destroyed.
-func New[T any](n, workers int, platform enclave.Config, bytes uint64, name string, build func(i int, acct enclave.Accounting) (T, error)) (*Set[T], error) {
+// the name "<name>-<i>", and build receives its heap arena; with
+// bytes == 0 the shards are unaccounted and build receives a nil arena.
+// If any step fails, the enclaves already built are destroyed.
+func New[T any](n, workers int, platform enclave.Config, bytes uint64, name string, build func(i int, arena *enclave.Arena) (T, error)) (*Set[T], error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -80,18 +80,17 @@ func New[T any](n, workers int, platform enclave.Config, bytes uint64, name stri
 	s := &Set[T]{shards: make([]*Shard[T], 0, n), workers: workers}
 	for i := 0; i < n; i++ {
 		sh := &Shard[T]{}
-		var acct enclave.Accounting
+		var arena *enclave.Arena
 		if bytes > 0 {
-			enc, arena, err := newWorker(platform, bytes, fmt.Sprintf("%s-%d", name, i))
+			enc, a, err := newWorker(platform, bytes, fmt.Sprintf("%s-%d", name, i))
 			if err != nil {
 				s.Close()
 				return nil, err
 			}
-			sh.Enc = enc
-			acct = enclave.Accounting{Mem: enc.Memory(), Arena: arena}
+			sh.Enc, arena = enc, a
 		}
 		s.shards = append(s.shards, sh)
-		v, err := build(i, acct)
+		v, err := build(i, arena)
 		if err != nil {
 			s.Close()
 			return nil, err

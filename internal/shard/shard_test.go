@@ -12,12 +12,12 @@ import (
 	"securecloud/internal/sim"
 )
 
-// accounted builds an n-shard set whose values are the shards' own
-// Accounting, so a test can charge each shard directly.
-func accounted(t *testing.T, n int) *Set[enclave.Accounting] {
+// accounted builds an n-shard set whose values are the shards' own heap
+// arenas, so a test can charge each shard directly.
+func accounted(t *testing.T, n int) *Set[*enclave.Arena] {
 	t.Helper()
 	s, err := New(n, 2, enclave.Config{}, 1<<20, "shard-test",
-		func(_ int, acct enclave.Accounting) (enclave.Accounting, error) { return acct, nil })
+		func(_ int, arena *enclave.Arena) (*enclave.Arena, error) { return arena, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,11 @@ func accounted(t *testing.T, n int) *Set[enclave.Accounting] {
 
 // charge touches (i+1) distinct KiB of shard i's heap, so every shard's
 // ledger moves by a different amount.
-func charge(s *Set[enclave.Accounting]) {
+func charge(s *Set[*enclave.Arena]) {
 	for i := range s.Shards() {
-		acct := s.At(i).V
+		arena := s.At(i).V
 		n := (i + 1) << 10
-		acct.Mem.AccessRange(acct.Arena.Alloc(n), n, true)
+		arena.Memory().AccessRange(arena.Alloc(n), n, true)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 	for _, n := range []int{1, 3, 8} {
 		for _, workers := range []int{1, 2, 8} {
 			s, err := New(n, workers, enclave.Config{}, 0, "visit",
-				func(i int, _ enclave.Accounting) (int, error) { return i, nil })
+				func(i int, _ *enclave.Arena) (int, error) { return i, nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestCyclesSumShardCycles(t *testing.T) {
 	}
 	var faults uint64
 	for i := range s.Shards() {
-		faults += s.At(i).V.Mem.Faults()
+		faults += s.At(i).V.Memory().Faults()
 	}
 	if got := s.Faults(); got != faults {
 		t.Fatalf("Faults = %d, sum over shards = %d", got, faults)
@@ -86,9 +86,9 @@ func TestCyclesSumShardCycles(t *testing.T) {
 
 func TestUnaccountedReadsZero(t *testing.T) {
 	s, err := New(3, 2, enclave.Config{}, 0, "plain",
-		func(i int, acct enclave.Accounting) (int, error) {
-			if acct != (enclave.Accounting{}) {
-				return 0, fmt.Errorf("shard %d: unaccounted build got %+v", i, acct)
+		func(i int, arena *enclave.Arena) (int, error) {
+			if arena != nil {
+				return 0, fmt.Errorf("shard %d: unaccounted build got arena %+v", i, arena)
 			}
 			return i, nil
 		})
@@ -125,7 +125,7 @@ func TestNewDestroysBuiltEnclavesOnFailure(t *testing.T) {
 	const k = 2
 	boom := errors.New("build failed")
 	s, err := New(4, 2, enclave.Config{}, 1<<20, "fail",
-		func(i int, _ enclave.Accounting) (int, error) {
+		func(i int, _ *enclave.Arena) (int, error) {
 			if i == k {
 				return 0, boom
 			}

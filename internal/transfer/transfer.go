@@ -142,7 +142,7 @@ func convergentSeal(plaintext []byte) (cryptbox.Key, []byte, error) {
 	if err != nil {
 		return cryptbox.Key{}, nil, err
 	}
-	sealed, err := box.SealWithNonce(nonce[:cryptbox.NonceSize], plaintext, convergentAAD)
+	sealed, err := box.SealWithNonce(nil, nonce[:cryptbox.NonceSize], plaintext, convergentAAD)
 	if err != nil {
 		return cryptbox.Key{}, nil, err
 	}

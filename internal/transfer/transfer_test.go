@@ -109,7 +109,7 @@ func TestTamperedChunkRejectedOnAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, err := box.SealWithNonce(make([]byte, cryptbox.NonceSize), compressed, convergentAAD)
+	forged, err := box.SealWithNonce(nil, make([]byte, cryptbox.NonceSize), compressed, convergentAAD)
 	if err != nil {
 		t.Fatal(err)
 	}

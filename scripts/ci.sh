@@ -29,10 +29,11 @@
 # 8. bench smoke                (each BenchmarkMemoryAccess* and
 #                                BenchmarkNewPlatform, then the plane's
 #                                BenchmarkPlaneRoundTrip and kvstore's
-#                                BenchmarkDurableSnapshotDelta, once each,
-#                                so the memory-model, plane and snapshot
-#                                micro-benchmarks keep compiling and
-#                                running; timings are not checked)
+#                                BenchmarkDurableSnapshotDelta and
+#                                BenchmarkWALAppend, once each, so the
+#                                memory-model, plane, snapshot and in-place
+#                                WAL seal micro-benchmarks keep compiling
+#                                and running; timings are not checked)
 # 9. bench-regression gate      (go run ./cmd/bench -check: runs the bench
 #                                suites from the working tree and diffs
 #                                their deterministic sim-metrics against
@@ -100,10 +101,10 @@ for target in "${FUZZ_TARGETS[@]}"; do
     go test -run '^$' -fuzz "^${fn}\$" -fuzztime 5s "$pkg"
 done
 
-echo "ci: bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, BenchmarkPlaneRoundTrip, BenchmarkDurableSnapshotDelta, 1x)" >&2
+echo "ci: bench smoke (BenchmarkMemoryAccess*, BenchmarkNewPlatform, BenchmarkPlaneRoundTrip, BenchmarkDurableSnapshotDelta, BenchmarkWALAppend, 1x)" >&2
 go test -run '^$' -bench '^Benchmark(MemoryAccess|NewPlatform)' -benchtime 1x ./internal/enclave
 go test -run '^$' -bench '^BenchmarkPlaneRoundTrip$' -benchtime 1x -benchmem ./internal/microsvc
-go test -run '^$' -bench '^BenchmarkDurableSnapshotDelta$' -benchtime 1x -benchmem ./internal/kvstore
+go test -run '^$' -bench '^Benchmark(DurableSnapshotDelta|WALAppend)$' -benchtime 1x -benchmem ./internal/kvstore
 
 echo "ci: bench-regression gate (go run ./cmd/bench -check)" >&2
 go run ./cmd/bench -check

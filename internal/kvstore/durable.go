@@ -55,8 +55,6 @@ import (
 	"securecloud/internal/codec"
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
-	"securecloud/internal/shard"
 	"securecloud/internal/sim"
 	"securecloud/internal/transfer"
 )
@@ -81,12 +79,12 @@ type SnapshotStore interface {
 
 // DurableConfig sizes a durable sharded store.
 type DurableConfig struct {
-	// Shards/Workers/Seed/Platform/ShardBytes configure the underlying
-	// accounted ShardedStore (ShardBytes defaults to 1 MiB).
+	// Shards/Workers/Seed/ShardBytes configure the underlying accounted
+	// ShardedStore, every shard on the default platform (ShardBytes
+	// defaults to 1 MiB).
 	Shards     int
 	Workers    int
 	Seed       int64
-	Platform   enclave.Config
 	ShardBytes uint64
 	// Service names the store's snapshots and logs in the registry.
 	Service string
@@ -164,12 +162,8 @@ func sealSnapshotRecord(seal *sealer, man snapshotManifest, name string) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	sealed, err := seal.sealDeterministic(nil, raw, snapshotAAD(name, man.Seq, man.Parent))
-	if err != nil {
-		return nil, err
-	}
-	out := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(sealed)), man.Parent)
-	return append(out, sealed...), nil
+	out := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(raw)+seal.box.Overhead()), man.Parent)
+	return seal.sealDeterministic(out, raw, snapshotAAD(name, man.Seq, man.Parent))
 }
 
 func (cfg *DurableConfig) snapName(shard int) string {
@@ -197,7 +191,7 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 	}
 	ss, err := NewShardedStore(storeKey, ShardedStoreConfig{
 		Shards: cfg.Shards, Workers: cfg.Workers, Seed: cfg.Seed,
-		Accounted: true, Platform: cfg.Platform, ShardBytes: cfg.ShardBytes,
+		Accounted: true, ShardBytes: cfg.ShardBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -251,16 +245,6 @@ func (ds *DurableStore) PutBatch(pairs []Pair) error {
 		ds.dirty[i] = true
 	}
 	return ds.putGroups(groups)
-}
-
-// Delete logs and applies one deletion.
-func (ds *DurableStore) Delete(key string) (bool, error) {
-	i := shard.Of(key, ds.Shards())
-	if err := ds.wals[i].Append([]WALOp{{Key: key, Delete: true}}); err != nil {
-		return false, fmt.Errorf("kvstore: wal shard %d: %w", i, err)
-	}
-	ds.dirty[i] = true
-	return ds.ShardedStore.Delete(key), nil
 }
 
 // WALSegments returns every shard's durable log segments — sealed epochs
@@ -496,10 +480,6 @@ func (ds *DurableStore) applyShardOps(i int, ops []WALOp) (sim.Cycles, error) {
 	defer sh.Unlock()
 	before := sh.Cycles()
 	for _, op := range ops {
-		if op.Delete {
-			sh.V.Delete(op.Key)
-			continue
-		}
 		if err := sh.V.Put(op.Key, op.Value); err != nil {
 			return 0, err
 		}
@@ -724,16 +704,24 @@ func (ds *DurableStore) recoverShard(i int, r *shardRecovery, segs []WALSegment)
 	w := NewWAL(ds.walKeys[i], walName, replayEpoch)
 	replayed := 0
 	for j, s := range replay {
-		batches, prefix, err := DecodeWAL(ds.walKeys[i], walName, s.Epoch, s.Bytes)
+		var batches [][]WALOp
+		var err error
+		if j == len(replay)-1 {
+			// The live segment: a torn tail is the crash point, and the
+			// recovered log appends after its last clean record.
+			w, batches, err = RecoverWAL(ds.walKeys[i], walName, s.Epoch, s.Bytes)
+		} else {
+			var prefix int
+			batches, prefix, err = DecodeWAL(ds.walKeys[i], walName, s.Epoch, s.Bytes)
+			if err == nil && prefix != len(s.Bytes) {
+				// A torn tail is only explicable in the segment being
+				// appended to when the process died — the live one.
+				return fmt.Errorf("%w: shard %d sealed epoch %d torn at byte %d",
+					ErrWALCorrupt, i, s.Epoch, prefix)
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("kvstore: shard %d epoch %d: %w", i, s.Epoch, err)
-		}
-		final := j == len(replay)-1
-		if !final && prefix != len(s.Bytes) {
-			// A torn tail is only explicable in the segment being
-			// appended to when the process died — the live one.
-			return fmt.Errorf("%w: shard %d sealed epoch %d torn at byte %d",
-				ErrWALCorrupt, i, s.Epoch, prefix)
 		}
 		for _, ops := range batches {
 			applied, err := ds.applyShardOps(i, ops)
@@ -743,14 +731,6 @@ func (ds *DurableStore) recoverShard(i int, r *shardRecovery, segs []WALSegment)
 			r.stats.LogReplayCycles += applied
 		}
 		replayed += len(batches)
-		if final {
-			w = &WAL{
-				name: walName, key: ds.walKeys[i], epoch: s.Epoch,
-				seq:     uint64(len(batches)),
-				buf:     append([]byte(nil), s.Bytes[:prefix]...),
-				records: len(batches),
-			}
-		}
 	}
 	retained := append([]WALSegment(nil), stale...)
 	if len(replay) > 1 {

@@ -14,6 +14,7 @@ import (
 	"securecloud/internal/shard"
 	"securecloud/internal/shield"
 	"securecloud/internal/sim"
+	"securecloud/internal/transfer"
 )
 
 // newDurableFixture builds a durable store backed by a fresh registry and
@@ -113,10 +114,6 @@ func TestDurableSnapshotRecovery(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ds.Delete("key-000"); err != nil {
-		t.Fatal(err)
-	}
-	delete(ref, "key-000")
 
 	rec, rs, err := RecoverDurableStore(cfg, ds.WALSegments())
 	if err != nil {
@@ -202,7 +199,10 @@ func TestDurableColdRecoveryFetches(t *testing.T) {
 // TestDurableCrashEveryBoundary is the crash-recovery property test: shard
 // 0's log dies at every record boundary and mid-record, with and without a
 // snapshot underneath, across shard counts {1,2,4,8}; recovery must equal
-// the reference state in which exactly the surviving records applied.
+// the reference state in which exactly the surviving records applied, and
+// a put the recovered store then logs to shard 0 must survive the next
+// crash — the recovered log appends after its last clean record, not
+// after the torn one.
 func TestDurableCrashEveryBoundary(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, snapshotAfter := range []int{0, 2} { // batch index; 0 = never
@@ -266,6 +266,13 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 					return m
 				}
 
+				post := []Pair{{Value: []byte("after-crash")}}
+				for n := 0; post[0].Key == ""; n++ {
+					if k := fmt.Sprintf("post-%d", n); shard.Of(k, ds.Shards()) == 0 {
+						post[0].Key = k
+					}
+				}
+
 				crashAt := func(name string, pos, survivors int) {
 					t.Run(name, func(t *testing.T) {
 						torn := cloneSegments(segs)
@@ -279,7 +286,8 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := mapDigest(t, refAt(survivors)); got != want {
+						want := refAt(survivors)
+						if got != mapDigest(t, want) {
 							t.Fatalf("recovered state wrong with %d surviving records", survivors)
 						}
 						wantReplayed := survivors + (len(bounds)-1)*(len(segs)-1)
@@ -290,6 +298,18 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 							if rs.RecordsReplayed < survivors {
 								t.Fatalf("replayed %d < surviving %d", rs.RecordsReplayed, survivors)
 							}
+						}
+
+						if err := rec.PutBatch(post); err != nil {
+							t.Fatal(err)
+						}
+						applyToMap(want, post)
+						again, _, err := RecoverDurableStore(cfg, rec.WALSegments())
+						if err != nil {
+							t.Fatalf("recovery after a post-crash put: %v", err)
+						}
+						if got, err := again.StateDigest(); err != nil || got != mapDigest(t, want) {
+							t.Fatalf("post-crash put lost after %d surviving records (%v)", survivors, err)
 						}
 					})
 				}
@@ -353,6 +373,41 @@ func TestDurableRecoveryWorkerInvariance(t *testing.T) {
 		}
 		if rs != ref.rs || d != ref.digest {
 			t.Fatalf("workers=%d drifted: %+v vs %+v", workers, rs, ref.rs)
+		}
+	}
+}
+
+// TestSnapshotRecordKnownAnswer pins the exact bytes of one packed and one
+// reuse snapshot chain record, parent prefix included, under a fixed key,
+// name, sequence and parent: a change to the framing, the record's JSON,
+// the seal, the nonce derivation or the AAD moves these digests.
+func TestSnapshotRecordKnownAnswer(t *testing.T) {
+	const (
+		wantPacked = "sha256:5587543ab5251f2b8cf9f5ac95fa2f701808afee38b67e5490c2f161e36a6398"
+		wantReuse  = "sha256:f4d6a3a76ccbda0c66f495719a797f69e8c5c4d8ab7546a1c40f105a9437449d"
+	)
+	payload, err := encodeWALOps([]WALOp{{Key: "meter-0001", Value: []byte("1.234")}, {Key: "meter-0002", Value: []byte("5.678")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := transfer.PackConvergent("kat/shard-0", payload, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := testSealer(t, walTestKey(t))
+	for _, tc := range []struct {
+		man  snapshotManifest
+		want string
+	}{
+		{snapshotManifest{Service: "kat", Seq: 3, Parent: 2, WALEpoch: 4, Manifest: m}, wantPacked},
+		{snapshotManifest{Service: "kat", Seq: 4, Parent: 3, WALEpoch: 4, Reuse: true}, wantReuse},
+	} {
+		rec, err := sealSnapshotRecord(seal, tc.man, "kat/shard-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cryptbox.Sum(rec).String(); got != tc.want {
+			t.Errorf("seq %d record digest %s, want %s", tc.man.Seq, got, tc.want)
 		}
 	}
 }

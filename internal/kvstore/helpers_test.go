@@ -20,13 +20,6 @@ func (s *Store) Keys() []string {
 	return out
 }
 
-// Records returns how many records the live tail epoch holds.
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
-}
-
 // Bytes returns a copy of the live tail epoch's log bytes.
 func (w *WAL) Bytes() []byte {
 	w.mu.Lock()
@@ -44,8 +37,8 @@ func (ss *ShardedStore) Put(key string, value []byte) error {
 }
 
 // Get returns the value stored under key, charged through a read-only
-// snapshot span. Safe for concurrent use with itself and GetBatch;
-// Put/Delete serialize against the home shard only.
+// snapshot span. Safe for concurrent use with itself and GetBatch; Put
+// serializes against the home shard only.
 func (ss *ShardedStore) Get(key string) ([]byte, error) {
 	sh := ss.At(shard.Of(key, ss.Shards()))
 	sh.RLock()

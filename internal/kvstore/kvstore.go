@@ -197,7 +197,7 @@ func (s *Store) Put(key string, value []byte) error {
 // the descent's probes consult — but never mutate — the platform's cache
 // and residency state, so concurrent GetSnapshot calls on one store charge
 // the same totals under any interleaving. Callers must guarantee no
-// mutating operation (Put, Delete, Range, plain Get) runs concurrently,
+// mutating operation (Put, Range, plain Get) runs concurrently,
 // e.g. by holding the read side of a lock whose write side covers all
 // mutators — exactly what ShardedStore does per shard.
 func (s *Store) GetSnapshot(key string) ([]byte, error) {
@@ -264,28 +264,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("kvstore: %w", ErrTampered)
 	}
 	return plain, nil
-}
-
-// Delete removes key; it reports whether the key existed.
-func (s *Store) Delete(key string) bool {
-	sp := s.arena.Memory().BeginSpan()
-	defer sp.End()
-	var update [maxLevel]*node
-	cand := s.descend(sp, key, update[:])
-	if cand == nil || cand.key != key {
-		return false
-	}
-	for i := 0; i < s.level; i++ {
-		if update[i].next[i] == cand {
-			update[i].next[i] = cand.next[i]
-			sp.Access(update[i].addr, 8) // the predecessor's link store
-		}
-	}
-	for s.level > 1 && s.head.next[s.level-1] == nil {
-		s.level--
-	}
-	s.length--
-	return true
 }
 
 // Pair is one decrypted record.

@@ -26,7 +26,7 @@ func newStore(t *testing.T) *Store {
 	return s
 }
 
-func TestPutGetDelete(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	s := newStore(t)
 	if err := s.Put("meter/001", []byte("42.7")); err != nil {
 		t.Fatal(err)
@@ -38,13 +38,7 @@ func TestPutGetDelete(t *testing.T) {
 	if string(got) != "42.7" {
 		t.Fatalf("got %q", got)
 	}
-	if !s.Delete("meter/001") {
-		t.Fatal("delete missed")
-	}
-	if s.Delete("meter/001") {
-		t.Fatal("double delete reported true")
-	}
-	if _, err := s.Get("meter/001"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get("meter/002"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -166,9 +160,8 @@ func TestPropPutGetRoundTrip(t *testing.T) {
 func TestPropModelEquivalence(t *testing.T) {
 	// The skip list must behave like a map + sort.
 	type op struct {
-		Key    string
-		Value  []byte
-		Delete bool
+		Key   string
+		Value []byte
 	}
 	f := func(ops []op) bool {
 		s, err := NewStore(storeKey(), Options{Seed: 3})
@@ -177,14 +170,9 @@ func TestPropModelEquivalence(t *testing.T) {
 		}
 		model := map[string][]byte{}
 		for _, o := range ops {
-			if o.Delete {
-				delete(model, o.Key)
-				s.Delete(o.Key)
-			} else {
-				model[o.Key] = o.Value
-				if err := s.Put(o.Key, o.Value); err != nil {
-					return false
-				}
+			model[o.Key] = o.Value
+			if err := s.Put(o.Key, o.Value); err != nil {
+				return false
 			}
 		}
 		if s.Len() != len(model) {

@@ -103,9 +103,8 @@ func recoverSequential(cfg DurableConfig, segments [][]WALSegment) (*DurableStor
 			if final {
 				w = &WAL{
 					name: walName, key: ds.walKeys[i], epoch: s.Epoch,
-					seq:     uint64(len(batches)),
-					buf:     append([]byte(nil), s.Bytes[:prefix]...),
-					records: len(batches),
+					seq: uint64(len(batches)),
+					buf: append([]byte(nil), s.Bytes[:prefix]...),
 				}
 			}
 		}
@@ -152,8 +151,8 @@ type recoverScript struct {
 // buildRecoverScript runs a seeded script against a fresh durable store:
 // a full snapshot, two delta snapshots whose mutations always touch shard
 // k plus a random shard (so chains carry reuse links and shard k has a
-// sealed epoch after each of them), and a live WAL tail with a put and a
-// delete in shard k.
+// sealed epoch after each of them), and a live WAL tail with two puts in
+// shard k.
 func buildRecoverScript(t *testing.T, shards, k int, seed int64, warm bool) *recoverScript {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -180,20 +179,14 @@ func buildRecoverScript(t *testing.T, shards, k int, seed int64, warm bool) *rec
 		}
 	}
 	// mutate overwrites three of shard idx's keys with values of a fixed
-	// length, so the chunks after them stay unchanged, then deletes one.
-	mutate := func(idx int, del bool) {
+	// length, so the chunks after them stay unchanged.
+	mutate := func(idx int) {
 		keys := keysForShard(t, ds, idx, 3)
 		pairs := make([]Pair, len(keys))
 		for j, key := range keys {
 			pairs[j] = Pair{Key: key, Value: []byte(fmt.Sprintf("v%020d", rng.Int63()))}
 		}
 		if err := ds.PutBatch(pairs); err != nil {
-			t.Fatal(err)
-		}
-		if !del {
-			return
-		}
-		if _, err := ds.Delete(keys[rng.Intn(len(keys))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,15 +198,16 @@ func buildRecoverScript(t *testing.T, shards, k int, seed int64, warm bool) *rec
 	put(4)
 	snapshot()
 	for link := 0; link < 2; link++ {
-		mutate(k, false)
-		mutate(rng.Intn(shards), false)
+		mutate(k)
+		mutate(rng.Intn(shards))
 		if warm && link == 1 {
 			sc.warm = warmChunks(t, sc, ds.WALSegments())
 		}
 		snapshot()
 	}
 	put(3)
-	mutate(k, true)
+	mutate(k)
+	mutate(k)
 	sc.segs = cloneSegments(ds.WALSegments())
 	return sc
 }
@@ -269,7 +263,6 @@ type recoverOutcome struct {
 // walState is one recovered shard's log position.
 type walState struct {
 	epoch, seq uint64
-	records    int
 	segs       []WALSegment
 }
 
@@ -293,7 +286,7 @@ func (sc *recoverScript) run(t *testing.T, workers int, recover func(DurableConf
 	}
 	for _, w := range ds.wals {
 		w.mu.Lock()
-		out.wals = append(out.wals, walState{epoch: w.epoch, seq: w.seq, records: w.records})
+		out.wals = append(out.wals, walState{epoch: w.epoch, seq: w.seq})
 		w.mu.Unlock()
 		out.wals[len(out.wals)-1].segs = w.Segments()
 	}
@@ -458,9 +451,9 @@ func compareRecoveries(t *testing.T, workers int, got, ref recoverOutcome) {
 	}
 	for i, w := range got.wals {
 		r := ref.wals[i]
-		if w.epoch != r.epoch || w.seq != r.seq || w.records != r.records || !equalSegments(w.segs, r.segs) {
-			t.Fatalf("workers=%d: shard %d wal at epoch %d seq %d records %d, reference %d/%d/%d",
-				workers, i, w.epoch, w.seq, w.records, r.epoch, r.seq, r.records)
+		if w.epoch != r.epoch || w.seq != r.seq || !equalSegments(w.segs, r.segs) {
+			t.Fatalf("workers=%d: shard %d wal at epoch %d seq %d, reference %d/%d",
+				workers, i, w.epoch, w.seq, r.epoch, r.seq)
 		}
 	}
 	if got.lastPull != ref.lastPull {
@@ -476,7 +469,7 @@ func equalSegments(a, b []WALSegment) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Epoch != b[i].Epoch || a[i].Records != b[i].Records || !bytes.Equal(a[i].Bytes, b[i].Bytes) {
+		if a[i].Epoch != b[i].Epoch || !bytes.Equal(a[i].Bytes, b[i].Bytes) {
 			return false
 		}
 	}

@@ -35,10 +35,10 @@ type ShardedStoreConfig struct {
 // — the shard-per-core deployment where every core owns a slice of the key
 // space, as a partitioned storage cluster would across machines.
 //
-// Writes (Put/Delete and each shard's slice of a PutBatch) lock only their
-// home shard. Point reads charge read-only snapshot spans (Store.GetSnapshot)
-// under the shard's read lock, so concurrent reads never perturb one
-// another's simulated costs. Batch operations fan out across shards through
+// Writes (each shard's slice of a PutBatch) lock only their home shard.
+// Point reads charge read-only snapshot spans (Store.GetSnapshot) under the
+// shard's read lock, so concurrent reads never perturb one another's
+// simulated costs. Batch operations fan out across shards through
 // a bounded worker set while applying each shard's sub-batch in slice order,
 // so aggregate sim-cycles and faults are bit-identical for any interleaving
 // and any worker count; only the shard count changes the figures.
@@ -60,15 +60,6 @@ func NewShardedStore(key cryptbox.Key, cfg ShardedStoreConfig) (*ShardedStore, e
 		return nil, err
 	}
 	return &ShardedStore{Set: set}, nil
-}
-
-// Delete removes key; it reports whether the key existed.
-func (ss *ShardedStore) Delete(key string) bool {
-	sh := ss.At(shard.Of(key, ss.Shards()))
-	sh.Lock()
-	ok := sh.V.Delete(key)
-	sh.Unlock()
-	return ok
 }
 
 // PutBatch stores every pair, fanning out across shards. Within one shard

@@ -75,12 +75,6 @@ func TestShardedStoreMatchesPlain(t *testing.T) {
 			if err := plain.PutBatch(pairs); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 100; i += 7 {
-				key := fmt.Sprintf("meter-%05d", i)
-				if ss.Delete(key) != plain.Delete(key) {
-					t.Fatalf("Delete(%q) disagreed", key)
-				}
-			}
 			if err := ss.Put("meter-00003", []byte("overwritten")); err != nil {
 				t.Fatal(err)
 			}

@@ -47,21 +47,20 @@ var (
 	ErrWALCorrupt = errors.New("kvstore: wal corrupt")
 )
 
-// WALOp is one logged mutation. In a batch decoded from the log (DecodeWAL,
+// WALOp is one logged put. In a batch decoded from the log (DecodeWAL,
 // DecodeWALRecord, RecoverWAL) a non-empty Value aliases the record's
 // opened payload: that buffer is allocated by the decoding call for its
 // result and shared by the values of one record, so a caller that
 // modifies a Value in place modifies only its own decoded copy.
 type WALOp struct {
-	Key    string
-	Value  []byte
-	Delete bool
+	Key   string
+	Value []byte
 }
 
 // encodeWALOps serializes a batch deterministically:
 //
-//	u32 count, then per op: u8 flags (bit0 = delete), u16 klen, key,
-//	and for puts u32 vlen, value.
+//	u32 count, then per op: u8 flags (always 0), u16 klen, key,
+//	u32 vlen, value.
 //
 // A first pass checks the keys and sums the size, so the batch is encoded
 // into one buffer of exactly that size.
@@ -71,53 +70,42 @@ func encodeWALOps(ops []WALOp) ([]byte, error) {
 		if len(op.Key) > 0xFFFF {
 			return nil, fmt.Errorf("kvstore: wal key %d bytes exceeds 64KiB", len(op.Key))
 		}
-		size += 3 + len(op.Key)
-		if !op.Delete {
-			size += 4 + len(op.Value)
-		}
+		size += 7 + len(op.Key) + len(op.Value)
 	}
 	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(ops)))
 	for _, op := range ops {
-		var flags byte
-		if op.Delete {
-			flags = 1
-		}
-		buf = append(buf, flags)
+		buf = append(buf, 0)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(op.Key)))
 		buf = append(buf, op.Key...)
-		if !op.Delete {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Value)))
-			buf = append(buf, op.Value...)
-		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Value)))
+		buf = append(buf, op.Value...)
 	}
 	return buf, nil
 }
 
 // decodeWALOps reverses encodeWALOps. Every length is bounded by the bytes
 // that remain, the declared count by the minimum op size before the batch
-// is allocated, and trailing bytes are rejected.
+// is allocated, and non-zero flags and trailing bytes are rejected.
 func decodeWALOps(buf []byte) ([]WALOp, error) {
 	n32, r := codec.NewReader(buf).U32()
-	n, r := r.Count(uint64(n32), 3) // an op is at least flags, u16 key length
+	n, r := r.Count(uint64(n32), 7) // an op is at least flags, u16 key length, u32 value length
 	ops := make([]WALOp, n)
 	for i := range ops {
 		var flags byte
 		var klen uint16
 		var key, v []byte
 		flags, r = r.U8()
-		if flags > 1 {
+		if flags != 0 {
 			return nil, fmt.Errorf("kvstore: wal op %d has unknown flags %#x: %w", i, flags, codec.ErrMalformed)
 		}
 		klen, r = r.U16()
 		key, r = r.Bytes(int(klen))
-		ops[i] = WALOp{Key: string(key), Delete: flags == 1}
-		if !ops[i].Delete {
-			// The payload belongs to this decode; Bytes caps the alias
-			// so an append to one value cannot reach the next op.
-			n32, r = r.U32()
-			if v, r = r.Bytes(int(n32)); len(v) > 0 {
-				ops[i].Value = v
-			}
+		ops[i].Key = string(key)
+		// The payload belongs to this decode; Bytes caps the alias so an
+		// append to one value cannot reach the next op.
+		n32, r = r.U32()
+		if v, r = r.Bytes(int(n32)); len(v) > 0 {
+			ops[i].Value = v
 		}
 	}
 	if err := r.Done(); err != nil {
@@ -170,9 +158,8 @@ func (s *sealer) sealDeterministic(dst, plaintext, aad []byte) ([]byte, error) {
 // of retention — a snapshot makes the epochs it covers collectible, and GC
 // retires whole segments, never record prefixes.
 type WALSegment struct {
-	Epoch   uint64
-	Bytes   []byte
-	Records int
+	Epoch uint64
+	Bytes []byte
 }
 
 // WAL is one shard's sealed write-ahead log. Its buffers model the durable
@@ -186,13 +173,12 @@ type WAL struct {
 	name string
 	key  cryptbox.Key
 	// seal seals every record under key; built on the first Append.
-	seal    *sealer
-	epoch   uint64
-	seq     uint64
-	buf     []byte
-	records int
+	seal  *sealer
+	epoch uint64
+	seq   uint64
+	buf   []byte
 	// segs holds the sealed (rolled, not yet GC'd) earlier epochs in
-	// ascending epoch order; buf/records above are the live tail epoch.
+	// ascending epoch order; buf above is the live tail epoch.
 	segs []WALSegment
 }
 
@@ -217,10 +203,9 @@ func (w *WAL) Epoch() uint64 {
 func (w *WAL) Roll(epoch uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.segs = append(w.segs, WALSegment{Epoch: w.epoch, Bytes: w.buf, Records: w.records})
+	w.segs = append(w.segs, WALSegment{Epoch: w.epoch, Bytes: w.buf})
 	w.epoch = epoch
 	w.seq = 0
-	w.records = 0
 	w.buf = nil
 }
 
@@ -232,9 +217,9 @@ func (w *WAL) Segments() []WALSegment {
 	defer w.mu.Unlock()
 	out := make([]WALSegment, 0, len(w.segs)+1)
 	for _, s := range w.segs {
-		out = append(out, WALSegment{Epoch: s.Epoch, Bytes: append([]byte(nil), s.Bytes...), Records: s.Records})
+		out = append(out, WALSegment{Epoch: s.Epoch, Bytes: append([]byte(nil), s.Bytes...)})
 	}
-	out = append(out, WALSegment{Epoch: w.epoch, Bytes: append([]byte(nil), w.buf...), Records: w.records})
+	out = append(out, WALSegment{Epoch: w.epoch, Bytes: append([]byte(nil), w.buf...)})
 	return out
 }
 
@@ -301,7 +286,6 @@ func (w *WAL) Append(ops []WALOp) error {
 	}
 	w.buf = buf
 	w.seq++
-	w.records++
 	return nil
 }
 
@@ -383,12 +367,11 @@ func RecoverWAL(key cryptbox.Key, name string, epoch uint64, buf []byte) (*WAL, 
 		return nil, nil, err
 	}
 	w := &WAL{
-		name:    name,
-		key:     key,
-		epoch:   epoch,
-		seq:     uint64(len(batches)),
-		buf:     append([]byte(nil), buf[:prefix]...),
-		records: len(batches),
+		name:  name,
+		key:   key,
+		epoch: epoch,
+		seq:   uint64(len(batches)),
+		buf:   append([]byte(nil), buf[:prefix]...),
 	}
 	return w, batches, nil
 }

@@ -33,12 +33,12 @@ func testSealer(t testing.TB, key cryptbox.Key) *sealer {
 }
 
 // walTestBatches is a deterministic multi-record op stream with puts,
-// overwrites and deletes.
+// overwrites and an empty value.
 func walTestBatches() [][]WALOp {
 	return [][]WALOp{
 		{{Key: "a", Value: []byte("one")}, {Key: "b", Value: []byte("two")}},
 		{{Key: "a", Value: []byte("one-again")}, {Key: "c", Value: bytes.Repeat([]byte{7}, 300)}},
-		{{Key: "b", Delete: true}, {Key: "d", Value: nil}},
+		{{Key: "b", Value: []byte("three")}, {Key: "d", Value: nil}},
 	}
 }
 
@@ -73,7 +73,7 @@ func opsEqual(a, b []WALOp) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Key != b[i].Key || a[i].Delete != b[i].Delete || !bytes.Equal(a[i].Value, b[i].Value) {
+		if a[i].Key != b[i].Key || !bytes.Equal(a[i].Value, b[i].Value) {
 			return false
 		}
 	}
@@ -287,6 +287,11 @@ func TestWALOpsCodecGuards(t *testing.T) {
 	if _, err := decodeWALOps(append(valid, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	flagged := append([]byte(nil), valid...)
+	flagged[4] = 1 // the first op's flags byte, after the u32 count
+	if _, err := decodeWALOps(flagged); !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("non-zero flags: want codec.ErrMalformed, got %v", err)
+	}
 	if _, err := encodeWALOps([]WALOp{{Key: string(make([]byte, 1<<17))}}); err == nil {
 		t.Fatal("oversized key accepted")
 	}
@@ -335,7 +340,7 @@ func flip(buf []byte, i int) []byte {
 func FuzzDecodeWALRecord(f *testing.F) {
 	key, _ := cryptbox.KeyFromBytes(bytes.Repeat([]byte{0x5A}, cryptbox.KeySize))
 	w := NewWAL(key, "wal/fuzz", 1)
-	if err := w.Append([]WALOp{{Key: "a", Value: []byte("one")}, {Key: "b", Delete: true}}); err != nil {
+	if err := w.Append([]WALOp{{Key: "a", Value: []byte("one")}, {Key: "b"}}); err != nil {
 		f.Fatal(err)
 	}
 	valid := w.Bytes()
@@ -347,12 +352,13 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31))
 	huge := binary.BigEndian.AppendUint32(nil, 16)
 	f.Add(append(huge, make([]byte, 16)...))
-	ops, err := encodeWALOps([]WALOp{{Key: "k", Value: []byte("v")}, {Key: "", Delete: true}})
+	ops, err := encodeWALOps([]WALOp{{Key: "k", Value: []byte("v")}, {Key: ""}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ops)
-	f.Add([]byte{0, 0, 0, 1, 2, 0, 0}) // unknown flags
+	f.Add([]byte{0, 0, 0, 1, 2, 0, 0})                  // unknown flags
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 'k', 0, 0, 0, 0}) // flags 1, otherwise a valid op
 
 	record := func(b []byte) ([]byte, int, int, error) {
 		ops, n, err := DecodeWALRecord(key, "wal/fuzz", 1, 0, b)
@@ -387,8 +393,8 @@ func TestWALEpochReset(t *testing.T) {
 	key := walTestKey(t)
 	w := buildWAL(t, key, "wal/epoch", 1, walTestBatches())
 	w.Reset(2)
-	if w.Records() != 0 || len(w.Bytes()) != 0 || w.Epoch() != 2 {
-		t.Fatalf("reset left records=%d bytes=%d epoch=%d", w.Records(), len(w.Bytes()), w.Epoch())
+	if len(w.Bytes()) != 0 || w.Epoch() != 2 {
+		t.Fatalf("reset left bytes=%d epoch=%d", len(w.Bytes()), w.Epoch())
 	}
 	if err := w.Append([]WALOp{{Key: "e2", Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
@@ -412,7 +418,6 @@ func (w *WAL) Reset(epoch uint64) {
 	defer w.mu.Unlock()
 	w.epoch = epoch
 	w.seq = 0
-	w.records = 0
 	w.buf = nil
 	w.segs = nil
 }

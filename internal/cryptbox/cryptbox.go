@@ -124,21 +124,29 @@ func (b *Box) grow(dst []byte, n int) (out, nonce []byte) {
 
 // Open authenticates and decrypts data produced by Seal with the same AAD.
 // The plaintext is a new buffer; sealed is left untouched.
-func (b *Box) Open(sealed, aad []byte) ([]byte, error) { return b.open(sealed, aad, false) }
+func (b *Box) Open(sealed, aad []byte) ([]byte, error) { return b.OpenAppend(nil, sealed, aad) }
+
+// OpenAppend is Open appending the plaintext to dst, the mirror of
+// SealAppend: a caller that opens many messages in turn passes the same
+// buffer back as dst[:0], and opening into a buffer with enough spare
+// capacity allocates nothing. dst must not overlap sealed; sealed is left
+// untouched.
+func (b *Box) OpenAppend(dst, sealed, aad []byte) ([]byte, error) {
+	return b.open(dst, sealed, aad, false)
+}
 
 // OpenInPlace is Open decrypting into sealed's own storage: the plaintext
 // it returns aliases sealed[NonceSize:], so opening allocates nothing.
 // Authentication is the same as Open's and a failure still returns ErrAuth,
 // but sealed is overwritten either way. Use it only on a buffer the caller
 // owns exclusively and will not read again as ciphertext.
-func (b *Box) OpenInPlace(sealed, aad []byte) ([]byte, error) { return b.open(sealed, aad, true) }
+func (b *Box) OpenInPlace(sealed, aad []byte) ([]byte, error) { return b.open(nil, sealed, aad, true) }
 
-func (b *Box) open(sealed, aad []byte, inPlace bool) ([]byte, error) {
+func (b *Box) open(dst, sealed, aad []byte, inPlace bool) ([]byte, error) {
 	if len(sealed) < NonceSize+b.aead.Overhead() {
 		return nil, ErrAuth
 	}
 	nonce, ct := sealed[:NonceSize], sealed[NonceSize:]
-	var dst []byte
 	if inPlace {
 		dst = ct[:0]
 	}

@@ -389,3 +389,40 @@ func TestSealWithNonceDeterministic(t *testing.T) {
 		t.Fatal("short nonce accepted")
 	}
 }
+
+// TestOpenAppendReusesBuffer: OpenAppend appends the plaintext after dst's
+// bytes, into dst's storage when it has room (allocating nothing), leaves
+// sealed untouched, and refuses a tampered message like Open.
+func TestOpenAppendReusesBuffer(t *testing.T) {
+	box, _ := NewBox(testKey(7))
+	pt := bytes.Repeat([]byte{0xAB}, 1024)
+	aad := []byte("aad")
+	sealed, err := box.Seal(pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]byte(nil), sealed...)
+	buf := append(make([]byte, 0, 4+len(pt)), "hdr|"...)
+	got, err := box.OpenAppend(buf, sealed, aad)
+	if err != nil || string(got[:4]) != "hdr|" || !bytes.Equal(got[4:], pt) {
+		t.Fatalf("OpenAppend = %q…, %v", got[:min(len(got), 8)], err)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("OpenAppend reallocated despite sufficient capacity")
+	}
+	if !bytes.Equal(sealed, orig) {
+		t.Fatal("OpenAppend modified the sealed message")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := box.OpenAppend(buf[:0], sealed, aad); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("OpenAppend into a buffer with room allocated %.1f times per call, want 0", allocs)
+	}
+	bad := append([]byte(nil), sealed...)
+	bad[len(bad)-1] ^= 1
+	if _, err := box.OpenAppend(buf[:0], bad, aad); err != ErrAuth {
+		t.Fatalf("tampered message opened: %v", err)
+	}
+}

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"securecloud/internal/cryptbox"
@@ -205,6 +207,115 @@ func TestAccountedStorePinnedCharges(t *testing.T) {
 		if got := (charge{mem.Cycles(), mem.Faults()}); got != ph.want {
 			t.Errorf("%s: charged %d cycles, %d faults; want %d, %d",
 				ph.name, got.cycles, got.faults, ph.want.cycles, ph.want.faults)
+		}
+	}
+}
+
+// TestLoadMatchesPuts: under one seed, bulk-loading a shard's sorted table
+// builds the skip list the Put loop builds from the same records in the
+// same order — node by node the same key, level, simulated address and
+// footprint, the same values and the same state digest — and charges
+// less, since no descent is probed.
+func TestLoadMatchesPuts(t *testing.T) {
+	const shards = 4
+	var key cryptbox.Key
+	key[0] = 9
+	rng := rand.New(rand.NewSource(4))
+	pairs := make([]Pair, 400)
+	for i := range pairs {
+		v := make([]byte, rng.Intn(96))
+		rng.Read(v)
+		pairs[i] = Pair{Key: fmt.Sprintf("meter-%05d", i*7), Value: v}
+	}
+	build := func() *ShardedStore {
+		ss, err := NewShardedStore(key, ShardedStoreConfig{Shards: shards, Seed: 3, Accounted: true, ShardBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss
+	}
+	put, loaded := build(), build()
+	if err := put.PutBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range groupPairs(pairs, shards) {
+		ops := make([]WALOp, len(g))
+		for j, p := range g {
+			ops[j] = WALOp{Key: p.Key, Value: p.Value}
+		}
+		if err := loaded.At(i).V.load(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < shards; i++ {
+		a, b := put.At(i).V, loaded.At(i).V
+		if a.level != b.level || a.length != b.length || a.head.addr != b.head.addr {
+			t.Fatalf("shard %d: level %d/%d, length %d/%d, head %#x/%#x",
+				i, a.level, b.level, a.length, b.length, a.head.addr, b.head.addr)
+		}
+		na, nb := a.head.next[0], b.head.next[0]
+		for ; na != nil && nb != nil; na, nb = na.next[0], nb.next[0] {
+			if na.key != nb.key || len(na.next) != len(nb.next) || na.addr != nb.addr || na.bytes != nb.bytes {
+				t.Fatalf("shard %d: put node %q level %d at %#x (%d B), loaded node %q level %d at %#x (%d B)",
+					i, na.key, len(na.next), na.addr, na.bytes, nb.key, len(nb.next), nb.addr, nb.bytes)
+			}
+			for lvl := range na.next {
+				if (na.next[lvl] == nil) != (nb.next[lvl] == nil) || na.next[lvl] != nil && na.next[lvl].key != nb.next[lvl].key {
+					t.Fatalf("shard %d: node %q links differ at level %d", i, na.key, lvl)
+				}
+			}
+		}
+		if na != nil || nb != nil {
+			t.Fatalf("shard %d: node sequences differ in length", i)
+		}
+		if eq, err := Equal(a, b); err != nil || !eq {
+			t.Fatalf("shard %d: opened values differ (%v)", i, err)
+		}
+		if pc, lc := put.At(i).Cycles(), loaded.At(i).Cycles(); lc == 0 || lc >= pc {
+			t.Fatalf("shard %d: load charged %d cycles, the Put loop %d: want fewer, not none", i, lc, pc)
+		}
+	}
+	dp, err := put.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, err := loaded.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp != dl {
+		t.Fatal("state digests differ")
+	}
+}
+
+// TestLoadRefuses: the bulk load fills only an empty store, from keys in
+// strictly ascending order; anything else is refused before a record is
+// stored.
+func TestLoadRefuses(t *testing.T) {
+	for name, tc := range map[string]struct {
+		held string
+		keys []string
+	}{
+		"non-empty store": {held: "a", keys: []string{"b", "c"}},
+		"equal key":       {keys: []string{"a", "b", "b"}},
+		"descending key":  {keys: []string{"a", "c", "b"}},
+	} {
+		s, _ := accountedStore(t)
+		if tc.held != "" {
+			if err := s.Put(tc.held, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := s.Keys()
+		ops := make([]WALOp, len(tc.keys))
+		for i, k := range tc.keys {
+			ops[i] = WALOp{Key: k, Value: []byte("v")}
+		}
+		if err := s.load(ops); err == nil {
+			t.Fatalf("%s: load accepted %q", name, tc.keys)
+		}
+		if got := s.Keys(); !slices.Equal(got, before) {
+			t.Fatalf("%s: refused load changed the keys from %q to %q", name, before, got)
 		}
 	}
 }

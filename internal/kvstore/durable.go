@@ -47,7 +47,6 @@ package kvstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -137,13 +136,81 @@ type DurableStore struct {
 // replays on top — for a packed shard the fresh epoch the WAL rolled
 // into, for a reused shard its current (empty at publish time) epoch.
 type snapshotManifest struct {
-	Service  string             `json:"service"`
-	Shard    int                `json:"shard"`
-	Seq      uint64             `json:"seq"`
-	Parent   uint64             `json:"parent"`
-	WALEpoch uint64             `json:"wal_epoch"`
-	Reuse    bool               `json:"reuse,omitempty"`
-	Manifest *transfer.Manifest `json:"manifest,omitempty"`
+	Service  string
+	Shard    int
+	Seq      uint64
+	Parent   uint64
+	WALEpoch uint64
+	Reuse    bool
+	Manifest *transfer.Manifest
+}
+
+// The flags byte of an encoded snapshotManifest; any other bit is
+// malformed.
+const (
+	recordReuse       = 1 << 0
+	recordHasManifest = 1 << 1
+)
+
+// appendBinary appends the record's encoding to b:
+//
+//	uvarint service length, service, u32 shard, u64 seq, u64 parent,
+//	u64 WAL epoch, u8 flags (recordReuse, recordHasManifest), then the
+//	manifest (transfer.Manifest.AppendBinary) when recordHasManifest is
+//	set.
+func (man *snapshotManifest) appendBinary(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(man.Service)))
+	b = append(b, man.Service...)
+	b = binary.BigEndian.AppendUint32(b, uint32(man.Shard))
+	b = binary.BigEndian.AppendUint64(b, man.Seq)
+	b = binary.BigEndian.AppendUint64(b, man.Parent)
+	b = binary.BigEndian.AppendUint64(b, man.WALEpoch)
+	var flags byte
+	if man.Reuse {
+		flags |= recordReuse
+	}
+	if man.Manifest == nil {
+		return append(b, flags)
+	}
+	return man.Manifest.AppendBinary(append(b, flags|recordHasManifest))
+}
+
+// decodeSnapshotManifest reverses appendBinary, rejecting unknown flag
+// bits and trailing bytes. It checks the format only: whether the record
+// belongs where it was found, and whether its reuse flag agrees with its
+// manifest, is openSnapshotRecord's to check.
+func decodeSnapshotManifest(b []byte) (snapshotManifest, error) {
+	var (
+		man   snapshotManifest
+		n     uint64
+		svc   []byte
+		shard uint32
+		flags byte
+		err   error
+	)
+	n, r := codec.NewReader(b).Uvarint()
+	svc, r = r.Bytes(int(n))
+	shard, r = r.U32()
+	man.Seq, r = r.U64()
+	man.Parent, r = r.U64()
+	man.WALEpoch, r = r.U64()
+	flags, r = r.U8()
+	if err := r.Err(); err != nil {
+		return man, fmt.Errorf("kvstore: snapshot record: %w", err)
+	}
+	if flags&^(recordReuse|recordHasManifest) != 0 {
+		return man, fmt.Errorf("kvstore: snapshot record has unknown flags %#x: %w", flags, codec.ErrMalformed)
+	}
+	man.Service, man.Shard, man.Reuse = string(svc), int(shard), flags&recordReuse != 0
+	if flags&recordHasManifest != 0 {
+		if man.Manifest, r, err = transfer.ReadManifest(r); err != nil {
+			return man, fmt.Errorf("kvstore: snapshot record: %w", err)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return man, fmt.Errorf("kvstore: snapshot record: %w", err)
+	}
+	return man, nil
 }
 
 // snapshotAAD binds a sealed snapshot record to its name, sequence AND
@@ -155,13 +222,11 @@ func snapshotAAD(name string, seq, parent uint64) []byte {
 
 // sealSnapshotRecord frames a chain link for the registry: the parent
 // sequence in cleartext (8 bytes big-endian, so the opener can reconstruct
-// the AAD) followed by the sealed JSON record. The cleartext prefix is
-// untrusted input — authentication confirms it, because it feeds the AAD.
+// the AAD) followed by the sealed binary record (appendBinary). The
+// cleartext prefix is untrusted input — authentication confirms it,
+// because it feeds the AAD.
 func sealSnapshotRecord(seal *sealer, man snapshotManifest, name string) ([]byte, error) {
-	raw, err := json.Marshal(man)
-	if err != nil {
-		return nil, err
-	}
+	raw := man.appendBinary(nil)
 	out := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(raw)+seal.box.Overhead()), man.Parent)
 	return seal.sealDeterministic(out, raw, snapshotAAD(name, man.Seq, man.Parent))
 }
@@ -472,19 +537,36 @@ type RecoveryStats struct {
 	ChainLinks int
 }
 
-// applyShardOps replays ops into one shard in order, returning the cycle
-// delta the replay charged to the shard's memory.
-func (ds *DurableStore) applyShardOps(i int, ops []WALOp) (sim.Cycles, error) {
+// onShard runs fn on shard i's table under the shard lock, returning the
+// cycle delta it charged to the shard's memory.
+func (ds *DurableStore) onShard(i int, fn func(*Store) error) (sim.Cycles, error) {
 	sh := ds.At(i)
 	sh.Lock()
 	defer sh.Unlock()
 	before := sh.Cycles()
-	for _, op := range ops {
-		if err := sh.V.Put(op.Key, op.Value); err != nil {
-			return 0, err
-		}
+	if err := fn(sh.V); err != nil {
+		return 0, err
 	}
 	return sh.Cycles() - before, nil
+}
+
+// applyShardOps replays ops into one shard in order, returning the cycle
+// delta the replay charged to the shard's memory.
+func (ds *DurableStore) applyShardOps(i int, ops []WALOp) (sim.Cycles, error) {
+	return ds.onShard(i, func(s *Store) error {
+		for _, op := range ops {
+			if err := s.Put(op.Key, op.Value); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// loadShard bootstraps shard i, still empty, from its snapshot's ops in
+// one pass (Store.load), returning the cycle delta it charged.
+func (ds *DurableStore) loadShard(i int, ops []WALOp) (sim.Cycles, error) {
+	return ds.onShard(i, func(s *Store) error { return s.load(ops) })
 }
 
 // openSnapshotRecord authenticates and decodes one chain link. The
@@ -497,9 +579,9 @@ func (ds *DurableStore) openSnapshotRecord(i int, name string, seq uint64, rec [
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s seq %d failed authentication: %v", ErrSnapshotChain, name, seq, err)
 	}
-	var man snapshotManifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("%w: %s seq %d: %v", ErrSnapshotChain, name, seq, err)
+	man, err := decodeSnapshotManifest(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s seq %d: %w", ErrSnapshotChain, name, seq, err)
 	}
 	if man.Service != ds.cfg.Service || man.Shard != i || man.Seq != seq || man.Parent != parent {
 		return nil, fmt.Errorf("%w: %s seq %d record names %s/shard-%d seq %d parent %d",
@@ -563,7 +645,8 @@ func (ds *DurableStore) resolveSnapshotChain(i int) (head *snapshotManifest, man
 //     before the first chain error. It fetches in shard order — only
 //     chunks absent from the engine's node cache — and assembles the sets
 //     in parallel.
-//  3. Every shard decodes and applies its snapshot, then replays the
+//  3. Every shard decodes its snapshot and bulk-loads it into its empty
+//     table in one pass (Store.load), then replays, record by record, the
 //     segments at or after the head record's epoch, in parallel, under
 //     the torn-tail discipline: only the final, live segment may be torn;
 //     damage or epoch gaps anywhere earlier are hard errors.
@@ -669,11 +752,11 @@ func (ds *DurableStore) recoverShard(i int, r *shardRecovery, segs []WALSegment)
 		if err != nil {
 			return fmt.Errorf("kvstore: snapshot %s: %w", name, err)
 		}
-		applied, err := ds.applyShardOps(i, ops)
+		loaded, err := ds.loadShard(i, ops)
 		if err != nil {
-			return err
+			return fmt.Errorf("kvstore: snapshot %s: %w", name, err)
 		}
-		r.stats.SnapshotBootstrapCycles += r.pull.SerialCycles + applied
+		r.stats.SnapshotBootstrapCycles += r.pull.SerialCycles + loaded
 		r.stats.SnapshotPairs += len(ops)
 		r.stats.ChunksFetched += r.pull.ChunksFetch
 		r.stats.CacheHits += r.pull.CacheHits

@@ -2,11 +2,14 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"securecloud/internal/codec"
+	"securecloud/internal/codec/codectest"
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
@@ -379,12 +382,15 @@ func TestDurableRecoveryWorkerInvariance(t *testing.T) {
 
 // TestSnapshotRecordKnownAnswer pins the exact bytes of one packed and one
 // reuse snapshot chain record, parent prefix included, under a fixed key,
-// name, sequence and parent: a change to the framing, the record's JSON,
-// the seal, the nonce derivation or the AAD moves these digests.
+// name, sequence and parent: a change to the framing, the record's binary
+// encoding, the seal, the nonce derivation or the AAD moves these digests.
+// The reuse record's plaintext is spelled out field by field.
 func TestSnapshotRecordKnownAnswer(t *testing.T) {
 	const (
-		wantPacked = "sha256:5587543ab5251f2b8cf9f5ac95fa2f701808afee38b67e5490c2f161e36a6398"
-		wantReuse  = "sha256:f4d6a3a76ccbda0c66f495719a797f69e8c5c4d8ab7546a1c40f105a9437449d"
+		wantPacked = "sha256:fb5333c472a5ca10d3e805f16306306263286972c43cd445bf2c570dfd31a609"
+		wantReuse  = "sha256:2f8a00d4af83f64bcbffbfa256cdd16ad26a5a4b0f968cc9b4e2359b0fb642c3"
+		// service "kat", shard 0, seq 4, parent 3, WAL epoch 4, flags reuse.
+		reusePlain = "036b6174" + "00000000" + "0000000000000004" + "0000000000000003" + "0000000000000004" + "01"
 	)
 	payload, err := encodeWALOps([]WALOp{{Key: "meter-0001", Value: []byte("1.234")}, {Key: "meter-0002", Value: []byte("5.678")}})
 	if err != nil {
@@ -402,6 +408,11 @@ func TestSnapshotRecordKnownAnswer(t *testing.T) {
 		{snapshotManifest{Service: "kat", Seq: 3, Parent: 2, WALEpoch: 4, Manifest: m}, wantPacked},
 		{snapshotManifest{Service: "kat", Seq: 4, Parent: 3, WALEpoch: 4, Reuse: true}, wantReuse},
 	} {
+		if tc.man.Reuse {
+			if got := hex.EncodeToString(tc.man.appendBinary(nil)); got != reusePlain {
+				t.Errorf("reuse record plaintext %s, want %s", got, reusePlain)
+			}
+		}
 		rec, err := sealSnapshotRecord(seal, tc.man, "kat/shard-0")
 		if err != nil {
 			t.Fatal(err)
@@ -410,4 +421,57 @@ func TestSnapshotRecordKnownAnswer(t *testing.T) {
 			t.Errorf("seq %d record digest %s, want %s", tc.man.Seq, got, tc.want)
 		}
 	}
+}
+
+// FuzzDecodeSnapshotRecord asserts the codec property on both layers of a
+// snapshot chain record, which recovery reads from the untrusted
+// registry: the sealed frame as openSnapshotRecord opens it at one
+// position (a record that authenticates re-seals to its own bytes, and a
+// prefix or a trailing byte fails authentication), and the binary record
+// inside it, whose embedded manifest goes through transfer.ReadManifest.
+func FuzzDecodeSnapshotRecord(f *testing.F) {
+	const name = "fuzz/shard-0"
+	seal := testSealer(f, walTestKey(f))
+	ds := &DurableStore{cfg: DurableConfig{Service: "fuzz"}, snap: []*sealer{seal}}
+	m, _, err := transfer.PackConvergent(name, []byte("seed-payload"), 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	packed := snapshotManifest{Service: "fuzz", Seq: 3, Parent: 2, WALEpoch: 4, Manifest: m}
+	reuse := snapshotManifest{Service: "fuzz", Seq: 3, Parent: 2, WALEpoch: 4, Reuse: true}
+	for _, man := range []snapshotManifest{packed, reuse} {
+		rec, err := sealSnapshotRecord(seal, man, name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec)
+		f.Add(man.appendBinary(nil))
+	}
+	flagged := reuse.appendBinary(nil)
+	flagged[len(flagged)-1] |= 1 << 2 // an unknown flag bit
+	f.Add(flagged)
+	both := packed
+	both.Reuse = true // well formed, but refused by openSnapshotRecord
+	f.Add(both.appendBinary(nil))
+	f.Add([]byte{})
+
+	sealed := func(b []byte) ([]byte, int, int, error) {
+		man, err := ds.openSnapshotRecord(0, name, 3, b)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		re, err := sealSnapshotRecord(seal, *man, name)
+		return re, 0, len(b), err
+	}
+	record := func(b []byte) ([]byte, int, int, error) {
+		man, err := decodeSnapshotManifest(b)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return man.appendBinary(nil), 0, len(b), nil
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		codectest.Check(t, b, false, sealed, ErrSnapshotChain)
+		codectest.Check(t, b, false, record, codec.ErrMalformed, transfer.ErrManifest)
+	})
 }

@@ -193,6 +193,49 @@ func (s *Store) Put(key string, value []byte) error {
 	return nil
 }
 
+// load fills an empty store from ops, whose keys must ascend strictly: a
+// snapshot's table, read in key order. It builds the skip list the Put
+// loop would, node for node — one randomLevel and one placeNode per record
+// in the same order, and the same predecessor link stores, so levels,
+// simulated addresses and footprints all match — but appends each record
+// behind per-level tail pointers instead of descending from the head, so
+// no descent probe is charged. Values are sealed as Put seals them, and
+// the whole load is charged to one span. A non-empty store, or a key not
+// above the one before it, is refused before anything is stored.
+func (s *Store) load(ops []WALOp) error {
+	if s.length > 0 {
+		return fmt.Errorf("kvstore: bulk load into a store of %d records", s.length)
+	}
+	for j := 1; j < len(ops); j++ {
+		if ops[j].Key <= ops[j-1].Key {
+			return fmt.Errorf("kvstore: bulk load key %q after %q: keys must ascend strictly", ops[j].Key, ops[j-1].Key)
+		}
+	}
+	sp := s.arena.Memory().BeginSpan()
+	defer sp.End()
+	var tail [maxLevel]*node
+	for i := range tail {
+		tail[i] = s.head
+	}
+	for _, op := range ops {
+		sealed, err := s.box.Seal(op.Value, s.scratchAAD(op.Key))
+		if err != nil {
+			return err
+		}
+		lvl := s.randomLevel()
+		s.level = max(s.level, lvl)
+		n := &node{key: op.Key, value: sealed, next: make([]*node, lvl)}
+		s.placeNode(sp, n)
+		for i := 0; i < lvl; i++ {
+			tail[i].next[i] = n
+			sp.Access(tail[i].addr, 8) // the predecessor's link store
+			tail[i] = n
+		}
+		s.length++
+	}
+	return nil
+}
+
 // GetSnapshot is Get charged through a read-only snapshot accounting span:
 // the descent's probes consult — but never mutate — the platform's cache
 // and residency state, so concurrent GetSnapshot calls on one store charge

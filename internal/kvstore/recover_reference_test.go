@@ -18,8 +18,10 @@ import (
 
 // recoverSequential is the reference model of RecoverDurableStore: the
 // shard-by-shard loop it replaced. Each shard resolves its chain, pulls
-// its head as a one-set PullBlobSets, decodes, applies and replays its WAL
-// before the next shard starts, and the first error ends the recovery.
+// its head as a one-set PullBlobSets, decodes and loads its snapshot and
+// replays its WAL before the next shard starts, and the first error ends
+// the recovery. It models the orchestration, not the rebuild of one shard:
+// it bootstraps through the same loader (loadShard) as the real thing.
 func recoverSequential(cfg DurableConfig, segments [][]WALSegment) (*DurableStore, RecoveryStats, error) {
 	ds, err := NewDurableStore(cfg)
 	if err != nil {
@@ -44,11 +46,11 @@ func recoverSequential(cfg DurableConfig, segments [][]WALSegment) (*DurableStor
 			if err != nil {
 				return nil, rs, fmt.Errorf("kvstore: snapshot %s: %w", name, err)
 			}
-			applied, err := ds.applyShardOps(i, ops)
+			loaded, err := ds.loadShard(i, ops)
 			if err != nil {
-				return nil, rs, err
+				return nil, rs, fmt.Errorf("kvstore: snapshot %s: %w", name, err)
 			}
-			rs.SnapshotBootstrapCycles += ps.SerialCycles + applied
+			rs.SnapshotBootstrapCycles += ps.SerialCycles + loaded
 			rs.SnapshotPairs += len(ops)
 			rs.ChunksFetched += ps.ChunksFetch
 			rs.CacheHits += ps.CacheHits

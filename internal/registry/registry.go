@@ -381,7 +381,7 @@ func (r *Registry) TamperManifest(ref string, mutate func(*image.Manifest)) bool
 //
 //	PUT  /v2/images/{name}/{tag}      (full image JSON — ingest path)
 //	GET  /v2/manifests/{name}/{tag}   (image manifest JSON)
-//	GET  /v2/layers/{digest}          (layer chunk manifest JSON, conditional)
+//	GET  /v2/layers/{digest}          (layer chunk manifest, binary, conditional)
 //	GET  /v2/blobs/{digest}           (one sealed chunk, conditional)
 //	GET  /v2/snapshots/{name}         (latest sealed snapshot record JSON)
 //	GET  /v2/list
@@ -453,12 +453,12 @@ func (r *Registry) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		httpx.WriteConditional(w, req, d, "application/json", func() ([]byte, error) {
+		httpx.WriteConditional(w, req, d, "application/octet-stream", func() ([]byte, error) {
 			m, err := r.LayerManifest(d)
 			if err != nil {
 				return nil, err
 			}
-			return json.Marshal(m)
+			return m.AppendBinary(nil), nil
 		})
 	})
 	mux.HandleFunc("/v2/blobs/", func(w http.ResponseWriter, req *http.Request) {
@@ -547,7 +547,8 @@ func (c *Client) Manifest(name, tag string) (image.Manifest, error) {
 	return m, nil
 }
 
-// LayerManifest fetches and validates one layer's chunk manifest.
+// LayerManifest fetches, decodes and validates one layer's binary chunk
+// manifest.
 func (c *Client) LayerManifest(d cryptbox.Digest) (*transfer.Manifest, error) {
 	raw, err := c.get(fmt.Sprintf("%s/v2/layers/%s", c.BaseURL, d), d.String())
 	if err != nil {

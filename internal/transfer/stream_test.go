@@ -2,11 +2,14 @@ package transfer
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"securecloud/internal/codec"
+	"securecloud/internal/codec/codectest"
 	"securecloud/internal/cryptbox"
 )
 
@@ -192,22 +195,28 @@ func TestDecodeManifestValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(m)
+	got, err := DecodeManifest(m.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeManifest(raw)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("decode round trip changed the manifest:\n got %+v\nwant %+v", got, m)
 	}
-	if got.Root != m.Root {
-		t.Fatal("decode round trip lost the root")
-	}
-	if _, err := DecodeManifest([]byte(`{"chunk_size":-1}`)); !errors.Is(err, ErrManifest) {
+	bad := *m
+	bad.ChunkSize = 0
+	if _, err := DecodeManifest(bad.AppendBinary(nil)); !errors.Is(err, ErrManifest) {
 		t.Fatalf("bad geometry decoded: %v", err)
 	}
-	if _, err := DecodeManifest([]byte(`not json`)); !errors.Is(err, ErrManifest) {
+	bad = *m
+	bad.Root[0] ^= 1
+	if _, err := DecodeManifest(bad.AppendBinary(nil)); !errors.Is(err, ErrManifest) {
+		t.Fatalf("wrong root decoded: %v", err)
+	}
+	if _, err := DecodeManifest([]byte("not a manifest")); !errors.Is(err, ErrManifest) {
 		t.Fatalf("garbage decoded: %v", err)
+	}
+	if _, err := DecodeManifest(append(m.AppendBinary(nil), 0)); !errors.Is(err, ErrManifest) || !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("trailing byte: want ErrManifest and codec.ErrMalformed, got %v", err)
 	}
 }
 
@@ -220,11 +229,7 @@ func TestDecodeManifestRejectsKeyless(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Keys = nil
-	raw, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeManifest(raw); !errors.Is(err, ErrManifest) {
+	if _, err := DecodeManifest(m.AppendBinary(nil)); !errors.Is(err, ErrManifest) {
 		t.Fatalf("keyless manifest decoded: %v", err)
 	}
 	fetched := 0
@@ -237,28 +242,58 @@ func TestDecodeManifestRejectsKeyless(t *testing.T) {
 	}
 }
 
-// FuzzDecodeManifest guards manifest decoding against panics and forged
-// geometry on attacker-controlled input (the registry serves manifests to
-// pulling nodes).
+// TestDecodeManifestForgedCount: a leaf count the remaining bytes cannot
+// hold is refused before the leaves and keys are allocated, so a forged
+// count cannot make the decoder allocate what the input does not carry.
+func TestDecodeManifestForgedCount(t *testing.T) {
+	m, _, err := PackConvergent("x", payload(64<<10), 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := m.AppendBinary(nil)
+	head := len(raw) - m.Chunks()*entryBytes - 4 // up to the leaf count
+	forged := binary.BigEndian.AppendUint32(raw[:head:head], 1<<20)
+	forged = append(forged, raw[head+4:]...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeManifest(forged)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrManifest) || !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("forged count: want ErrManifest and codec.ErrMalformed, got %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("a forged count of 2^20 leaves made the decoder allocate %d B", n)
+	}
+}
+
+// FuzzDecodeManifest asserts the codec property on manifest decoding,
+// attacker-controlled input (the registry serves manifests to pulling
+// nodes, and the kvstore chain record embeds one): what decodes, and so
+// validated, re-encodes to its input, and every prefix and trailing byte
+// is refused.
 func FuzzDecodeManifest(f *testing.F) {
 	m, _, err := PackConvergent("seed", []byte("seed-payload"), 8)
 	if err != nil {
 		f.Fatal(err)
 	}
-	raw, _ := json.Marshal(m)
+	raw := m.AppendBinary(nil)
 	f.Add(raw)
-	f.Add([]byte(`{"name":"x","size":1152921504606846976,"chunk_size":1,"leaves":[],"root":[0]}`))
-	f.Add([]byte(`{"chunk_size":0}`))
-	f.Add([]byte(`not json at all`))
-	f.Fuzz(func(t *testing.T, b []byte) {
+	huge := *m
+	huge.Size = 1 << 60
+	f.Add(huge.AppendBinary(nil))
+	keyless := *m
+	keyless.Keys = nil
+	f.Add(keyless.AppendBinary(nil))
+	f.Add([]byte("not a manifest"))
+	decode := func(b []byte) ([]byte, int, int, error) {
 		m, err := DecodeManifest(b)
 		if err != nil {
-			return
+			return nil, 0, 0, err
 		}
-		// Anything that decodes must be internally consistent.
-		if err := m.Validate(); err != nil {
-			t.Fatalf("DecodeManifest returned an invalid manifest: %v", err)
-		}
+		return m.AppendBinary(nil), 0, len(b), nil
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		codectest.Check(t, b, false, decode, ErrManifest)
 	})
 }
 

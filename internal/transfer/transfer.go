@@ -35,12 +35,14 @@ package transfer
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
+	"securecloud/internal/codec"
 	"securecloud/internal/cryptbox"
 )
 
@@ -60,17 +62,18 @@ var (
 // Manifest describes one packed payload: the trusted summary exchanged
 // over a small authenticated channel (e.g. inside an SCF, a micro-service
 // request, or a signed image manifest), while the bulk chunks travel any
-// untrusted way.
+// untrusted way. It crosses the wire in its binary form (AppendBinary,
+// DecodeManifest).
 type Manifest struct {
-	Name      string            `json:"name"`
-	Size      int64             `json:"size"`
-	ChunkSize int               `json:"chunk_size"`
-	Leaves    []cryptbox.Digest `json:"leaves"`
-	Root      cryptbox.Digest   `json:"root"`
+	Name      string
+	Size      int64
+	ChunkSize int
+	Leaves    []cryptbox.Digest
+	Root      cryptbox.Digest
 	// Keys holds one convergent key per leaf: Keys[i] opens chunk i.
 	// Whoever holds the manifest can decrypt — by design: the manifest is
 	// the trusted summary, the chunk store is not.
-	Keys []cryptbox.Key `json:"keys,omitempty"`
+	Keys []cryptbox.Key
 }
 
 // Chunks returns the number of chunks.
@@ -104,18 +107,90 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// DecodeManifest parses and validates a serialized manifest. Use it on any
-// manifest crossing a trust boundary: a manifest that fails validation is
-// rejected before a single chunk allocation happens.
-func DecodeManifest(b []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrManifest, err)
+// entryBytes is the encoded size of one chunk's manifest entry: its leaf
+// and its key.
+const entryBytes = len(cryptbox.Digest{}) + cryptbox.KeySize
+
+// AppendBinary appends the manifest's binary encoding to b:
+//
+//	uvarint name length, name, u64 size, u32 chunk size, root,
+//	u32 leaf count n, n leaves, n keys.
+//
+// Leaves and keys share the one count, so only a manifest with one key
+// per leaf encodes to bytes that decode. A ChunkSize that Validate accepts
+// fits the u32.
+func (m *Manifest) AppendBinary(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m.Name)))
+	b = append(b, m.Name...)
+	b = binary.BigEndian.AppendUint64(b, uint64(m.Size))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.ChunkSize))
+	b = append(b, m.Root[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Leaves)))
+	b = slices.Grow(b, len(m.Leaves)*entryBytes)
+	for _, l := range m.Leaves {
+		b = append(b, l[:]...)
+	}
+	for _, k := range m.Keys {
+		b = append(b, k[:]...)
+	}
+	return b
+}
+
+// ReadManifest decodes one binary manifest (AppendBinary's encoding) from
+// the front of r and validates it, returning the reader advanced past it:
+// the decoder a format embedding a manifest reads it with. The leaf count
+// is checked against the bytes that remain before the leaves and keys are
+// allocated, so a forged count cannot size an allocation. Every error
+// wraps ErrManifest.
+func ReadManifest(r codec.Reader) (*Manifest, codec.Reader, error) {
+	var (
+		n           uint64
+		name, root  []byte
+		size        uint64
+		chunk, nl   uint32
+		entries     []byte
+		leaves, end int
+	)
+	n, r = r.Uvarint()
+	name, r = r.Bytes(int(n))
+	size, r = r.U64()
+	chunk, r = r.U32()
+	root, r = r.Bytes(len(cryptbox.Digest{}))
+	nl, r = r.U32()
+	leaves, r = r.Count(uint64(nl), entryBytes)
+	m := &Manifest{
+		Name: string(name), Size: int64(size), ChunkSize: int(chunk),
+		Leaves: make([]cryptbox.Digest, leaves), Keys: make([]cryptbox.Key, leaves),
+	}
+	entries, r = r.Bytes(leaves * entryBytes)
+	if err := r.Err(); err != nil {
+		return nil, r, fmt.Errorf("%w: %w", ErrManifest, err)
+	}
+	copy(m.Root[:], root)
+	for i := range m.Leaves {
+		end += copy(m.Leaves[i][:], entries[end:])
+	}
+	for i := range m.Keys {
+		end += copy(m.Keys[i][:], entries[end:])
 	}
 	if err := m.Validate(); err != nil {
+		return nil, r, err
+	}
+	return m, r, nil
+}
+
+// DecodeManifest decodes and validates a manifest that is the whole of b.
+// Use it on any manifest crossing a trust boundary: a manifest that fails
+// validation is rejected before a single chunk allocation happens.
+func DecodeManifest(b []byte) (*Manifest, error) {
+	m, r, err := ReadManifest(codec.NewReader(b))
+	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrManifest, err)
+	}
+	return m, nil
 }
 
 // convergentAAD is position-independent: convergent chunks must depend on
@@ -279,15 +354,17 @@ func PackConvergent(name string, data []byte, chunkSize int) (*Manifest, [][]byt
 // each sealed chunk on demand. Every chunk is checked against the manifest
 // leaf before decryption; any mismatch aborts with ErrBadChunk naming the
 // index. key is unused: every chunk opens under its manifest key. Each
-// chunk's plaintext is decompressed into one buffer reused across chunks,
-// so w must not keep the slice it is given (io.Writer's contract).
+// chunk opens into one buffer and decompresses into another, both reused
+// across chunks, so w must not keep the slice it is given (io.Writer's
+// contract). The open cannot decrypt in place: fetch may hand out a chunk
+// it keeps, such as a cached one.
 func Unpack(m *Manifest, _ cryptbox.Key, w io.Writer, fetch func(idx int) ([]byte, error)) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
 	var (
-		total int64
-		plain []byte
+		total             int64
+		compressed, plain []byte
 	)
 	for i := 0; i < m.Chunks(); i++ {
 		sealed, err := fetch(i)
@@ -301,7 +378,7 @@ func Unpack(m *Manifest, _ cryptbox.Key, w io.Writer, fetch func(idx int) ([]byt
 		if err != nil {
 			return err
 		}
-		compressed, err := box.Open(sealed, convergentAAD)
+		compressed, err = box.OpenAppend(compressed[:0], sealed, convergentAAD)
 		if err != nil {
 			return fmt.Errorf("%w: decrypting %d", ErrBadChunk, i)
 		}

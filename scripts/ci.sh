@@ -18,7 +18,7 @@
 #                                module builds against internal/'s API and
 #                                the root go test never sees it)
 # 6. go test -race ./...        (every package under the race detector)
-# 7. fuzz smoke                 (each of the eleven fuzz targets for 5 s
+# 7. fuzz smoke                 (each of the twelve fuzz targets for 5 s
 #                                with -fuzz: the seed corpus already runs
 #                                in step 4; this explores past it. A
 #                                failing input lands in the package's
@@ -75,6 +75,7 @@ go test -race ./...
 FUZZ_TARGETS=(
     internal/kvstore:FuzzDecodeWALRecord
     internal/kvstore:FuzzRecoverSnapshotChain
+    internal/kvstore:FuzzDecodeSnapshotRecord
     internal/transfer:FuzzDecodeManifest
     internal/scbr:FuzzDecodeEvent
     internal/scbr:FuzzDecodeSubscription
